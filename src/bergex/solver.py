@@ -7,10 +7,12 @@ is
     minimize ||f||_{A^p}^p  over  {f in P_n : phi(f) = 1},
 
 whose normalized minimizer F = f / ||f|| maximizes Re phi on the unit
-sphere of P_n. The two real constraints Re phi(f) = 1, Im phi(f) = 0 are
-eliminated by an orthogonal parameterization of the affine slice, and the
-reduced problem (smooth and strictly convex because p is even) is
-minimized by BFGS with a backtracking line search.
+sphere of P_n. In real coordinates x = (Re a, Im a) the two constraints
+Re phi(f) = 1, Im phi(f) = 0 are two linear rows A x = (1, 0), and the
+objective is smooth and strictly convex because p is even. It is
+minimized by damped Newton on the KKT system [[H, A^T], [A, 0]] with the
+exact Hessian H and a backtracking line search (Nocedal & Wright,
+Numerical Optimization, 2nd ed., ch. 16 and 18).
 
 Everything the optimizer touches is exact coefficient arithmetic: with
 s = p/2, u = f^s and v = f^{s-1}, the Wirtinger gradient of the objective
@@ -18,8 +20,9 @@ is
 
     d/d conj(a_j) ||f||_p^p = s * <u, z^j v>_A = s * sum_t u_{t+j} conj(v_t)/(t+j+1),
 
-a single weighted cross-correlation per iteration. The same pairings at
-the optimum reproduce the extremality characterization
+a single weighted cross-correlation; the exact Hessian adds one more and
+a banded Gram matrix (``_newton_terms``). The same pairings at the
+optimum reproduce the extremality characterization
 
     integral_D z^j F^{s-1} conj(F)^s dsigma = phi(z^j) / ||phi||,
 
@@ -28,14 +31,15 @@ which is what ``extremality_residual`` certifies and what
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import roots_legendre
 
-from ._backend import xcorr
+from ._backend import conv, xcorr
 from .poly import (
     AnalyticPoly,
     DegreeCapError,
@@ -48,12 +52,6 @@ from .spaces import bergman_norm_even, functional_value
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 2000
-
-# Extra iterations after the tolerance is met. The coefficient tails of
-# F^{p/2} sit at the level of the reduced gradient, so pushing the
-# gradient to its float floor buys the certificates two extra digits at
-# negligible cost.
-_POLISH_BUDGET = 30
 
 
 class NonConvergenceError(RuntimeError):
@@ -137,8 +135,8 @@ def gradient_norm_p(f, p):
     """Wirtinger gradient of ||f||_{A^p}^p with respect to conj(a_j).
 
     Component j equals (p/2) * <f^{p/2}, z^j f^{p/2-1}>_A. Exact in
-    coefficients; the solver consumes the same expression through its
-    reduced parameterization.
+    coefficients; the solver's ``_newton_terms`` evaluates the same
+    expression.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
@@ -177,35 +175,76 @@ def kernel_from_extremal(F, p, out_degree):
     return AnalyticPoly(c)
 
 
-def _reduced_setup(c_hat, n):
-    """Affine-slice parameterization x = x0 + Z y for the two constraints.
+def _gram(v, n1):
+    """T_v^H W T_v for the convolution matrix T_v of v cut to n1 columns.
 
-    Real coordinates are x = (Re a, Im a). The rows of A encode
-    Re phi(f) = 1 and Im phi(f) = 0 for the unit-normalized kernel; they
-    are orthogonal with equal norms, so the least-squares particular
-    point and the orthonormal null basis are well conditioned.
+    Entry (i, j) is sum_m conj(v_{m-i}) v_{m-j} / (m+1). The sum runs over
+    row blocks of T_v, each cut to the band where it is nonzero, so that no
+    temporary is larger than the n1 x n1 result.
     """
-    n1 = n + 1
-    w = 1.0 / (np.arange(n1) + 1.0)
-    A = np.zeros((2, 2 * n1))
-    A[0, :n1] = c_hat.real * w
-    A[0, n1:] = c_hat.imag * w
-    A[1, :n1] = -c_hat.imag * w
-    A[1, n1:] = c_hat.real * w
-    Z = null_space(A)
-    x0 = A.T @ np.linalg.solve(A @ A.T, np.array([1.0, 0.0]))
-    return A, Z, x0
+    rows = len(v) + n1 - 1
+    # T[m, i] = v_{m-i}, a strided view of the zero-padded v
+    T = sliding_window_view(np.pad(v, n1 - 1), n1)[:, ::-1]
+    root_w = 1.0 / np.sqrt(np.arange(rows) + 1.0)
+    out = np.zeros((n1, n1), dtype=complex)
+    block = n1 // 2 + 1
+    for m0 in range(0, rows, block):
+        c0, c1 = max(0, m0 - len(v) + 1), min(n1, m0 + block)
+        b = T[m0:m0 + block, c0:c1] * root_w[m0:m0 + block, None]
+        out[c0:c1, c0:c1] += b.conj().T @ b
+    return out
+
+
+def _objective(a, s):
+    """||f||_{A^p}^p for f = sum a_t z^t, with W f^s and f^{s-1}."""
+    v = power(AnalyticPoly(a), s - 1).coeffs
+    u = conv(v, a)
+    wu = u / (np.arange(len(u)) + 1.0)
+    return float(np.real(np.vdot(u, wu))), wu, v
+
+
+def _newton_terms(a, p):
+    """Objective, gradient and Hessian of ||f||_{A^p}^p in x = (Re a, Im a).
+
+    With s = p/2, P = s^2 T_v^H W T_v for v = f^{s-1} and
+    Q = s(s-1) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the Hessian is
+    2 [[Re(P+Q), -Im(P+Q)], [Im(P-Q), Re(P-Q)]]. It is assembled in place
+    in Fortran order, so that its Cholesky factorization can overwrite it.
+    """
+    s, n1 = p // 2, len(a)
+    value, wu, v = _objective(a, s)
+    g = s * xcorr(wu, v)[:n1]
+    grad = np.concatenate([2.0 * g.real, 2.0 * g.imag])
+
+    P = _gram(v, n1)
+    P *= 2.0 * s * s
+    H = np.empty((2 * n1, 2 * n1), order="F")
+    H[:n1, :n1] = P.real
+    np.negative(P.imag, out=H[:n1, n1:])
+    H[n1:, :n1] = P.imag
+    H[n1:, n1:] = P.real
+    if s > 1:
+        # zero tail so that h reaches index 2n when f^s is shorter
+        h = xcorr(np.pad(wu, (0, n1)), power(AnalyticPoly(a), s - 2).coeffs)
+        P[...] = sliding_window_view(h[:2 * n1 - 1], n1)
+        P *= 2.0 * s * (s - 1)
+        H[:n1, :n1] += P.real
+        H[:n1, n1:] += P.imag
+        H[n1:, :n1] += P.imag
+        H[n1:, n1:] -= P.real
+    return value, grad, H
 
 
 def solve_extremal(problem, start=None):
     """Solve the extremal problem over P_n and certify the result.
 
     Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
-    phi_norm equals Re phi(F) for the original kernel. Raises
-    ``NonConvergenceError`` (trace attached) if the reduced gradient
-    cannot be brought below the tolerance. Once the tolerance is met a
-    bounded polish phase keeps iterating toward the gradient's float
-    floor and the best iterate seen is returned.
+    phi_norm equals Re phi(F) for the original kernel. Newton steps run
+    until the gradient projected onto the slice is at most the tolerance;
+    the step already computed there is applied before returning. Raises
+    ``NonConvergenceError`` (trace attached) if the tolerance is not met
+    within ``max_iterations``, or if the line search or the gradient
+    stalls (at its float floor) before it.
 
     ``start`` optionally seeds the iteration with a candidate polynomial;
     it is orthogonally projected onto the feasible affine slice, so any
@@ -215,8 +254,7 @@ def solve_extremal(problem, start=None):
     same solution.
     """
     p, n = problem.p, problem.degree
-    s = p // 2
-    n1 = n + 1
+    s, n1 = p // 2, n + 1
 
     if s * n > get_max_degree():
         raise DegreeCapError(
@@ -225,126 +263,88 @@ def solve_extremal(problem, start=None):
             "set_max_degree or the degree_cap context manager"
         )
 
+    # Scale invariance: dividing by max|c_t| before the A^2 norm keeps any
+    # kernel scale finite, and the normalized c_hat keeps the objective O(1).
     c = problem.kernel.padded(n1)
-    # Work with the A^2-normalized kernel so objective and gradient are
-    # O(1) regardless of the caller's kernel scale.
-    knorm = float(np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0))))
-    c_hat = c / knorm
-    _, Z, x0 = _reduced_setup(c_hat, n)
+    c = c / np.max(np.abs(c))
+    c_hat = c / np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0)))
+    # Rows of A x = (1, 0) in x = (Re a, Im a): Re phi(f) = 1 and
+    # Im phi(f) = 0. They are orthogonal with equal norms r, so
+    # A A^T = r I and x0 = A_0 / r is the particular point.
+    cw = c_hat / (np.arange(n1) + 1.0)
+    A = np.array([np.concatenate([cw.real, cw.imag]),
+                  np.concatenate([-cw.imag, cw.real])])
+    r = A[0] @ A[0]
 
-    idx = None
+    def project(y):
+        return y - A.T @ (A @ y) / r
 
-    def objective_and_gradient(y):
-        nonlocal idx
-        x = x0 + Z @ y
-        a = x[:n1] + 1j * x[n1:]
-        u = power(AnalyticPoly(a), s).coeffs
-        v = power(AnalyticPoly(a), s - 1).coeffs
-        if idx is None or len(idx) != len(u):
-            idx = np.arange(len(u)) + 1.0
-        wu = u / idx[:len(u)]
-        value = float(np.real(np.sum(u * np.conj(wu))))
-        g = s * xcorr(wu, v)[:n1]
-        if len(g) < n1:
-            g = np.concatenate([g, np.zeros(n1 - len(g), dtype=complex)])
-        gx = np.concatenate([2.0 * g.real, 2.0 * g.imag])
-        return value, Z.T @ gx
+    a_init = c_hat if start is None else start.padded(n1)
+    x = A[0] / r + project(np.concatenate([a_init.real, a_init.imag]))
 
-    # Default start: the normalized truncated kernel, projected onto the
-    # slice. For p = 2 that projection is already the optimum.
-    if start is None:
-        x_init = np.concatenate([c_hat.real, c_hat.imag])
-    else:
-        a_init = start.padded(n1)
-        x_init = np.concatenate([a_init.real, a_init.imag])
-    y = Z.T @ (x_init - x0)
-
-    value, grad = objective_and_gradient(y)
-    dim = len(y)
-    H = np.eye(dim)
-    scaled = False
     trace = []
-    converged = False
-    iterations = 0
-    best_y, best_gnorm = y, np.inf
-    polish_left = _POLISH_BUDGET
-
+    gnorm = np.inf
     for it in range(problem.max_iterations):
-        iterations = it
-        gnorm = float(np.linalg.norm(grad))
+        value, grad, H = _newton_terms(x[:n1] + 1j * x[n1:], p)
+        gnorm = float(np.linalg.norm(project(grad)))
         trace.append((it, value, gnorm))
-        if gnorm < best_gnorm:
-            best_y, best_gnorm = y, gnorm
-        if gnorm <= problem.tolerance:
-            converged = True
-            if gnorm <= problem.tolerance * 1e-3 or polish_left == 0:
-                break
-            polish_left -= 1
-
-        d = -H @ grad
+        converged = gnorm <= problem.tolerance
+        # Only a step at the float floor leaves the objective flat; if the
+        # gradient did not shrink either, no further step can help.
+        if not converged and it and value >= trace[-2][1] and gnorm >= trace[-2][2]:
+            raise NonConvergenceError(
+                f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
+                f"at its float floor, tolerance {problem.tolerance:.1e}",
+                tuple(trace))
+        # KKT system [[H, A^T], [A, 0]] [d; lam] = [-grad; 0]: Cholesky of
+        # H (overwritten) and the 2 x 2 Schur complement A H^-1 A^T
+        try:
+            factor = cho_factor(H, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                f"Hessian not positive definite at iteration {it}",
+                tuple(trace)) from None
+        Y = cho_solve(factor, np.column_stack([grad, A.T]), check_finite=False)
+        d = Y[:, 1:] @ np.linalg.solve(A @ Y[:, 1:], A @ Y[:, 0]) - Y[:, 0]
         slope = float(grad @ d)
-        if slope >= 0.0:
-            # curvature information went bad; restart from steepest descent
-            H = np.eye(dim)
-            d = -grad
-            slope = float(grad @ d)
 
         t = 1.0
-        accepted = False
-        for _ in range(80):
-            new_value, new_grad = objective_and_gradient(y + t * d)
+        while True:
+            y = x + t * d
+            new_value = _objective(y[:n1] + 1j * y[n1:], s)[0]
             # Armijo, with an absolute-floor escape: near the optimum the
             # predicted decrease is below float resolution and equality
             # within round-off counts as acceptance.
             if new_value <= value + 1e-4 * t * slope or new_value <= value * (1 + 1e-15):
-                accepted = True
+                x = y
                 break
             t *= 0.5
             if t < 1e-16:
-                break
-        if not accepted:
-            if converged:
-                break
-            raise NonConvergenceError(
-                f"line search stalled at iteration {it} "
-                f"(gradient norm {gnorm:.3e}, tolerance {problem.tolerance:.1e})",
-                tuple(trace),
-            )
-
-        step = t * d
-        y_diff = new_grad - grad
-        sy = float(step @ y_diff)
-        if not scaled and sy > 0:
-            # initial inverse-Hessian scale from the first curvature pair
-            H *= sy / float(y_diff @ y_diff)
-            scaled = True
-        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y_diff):
-            rho = 1.0 / sy
-            Hy = H @ y_diff
-            H -= rho * (np.outer(step, Hy) + np.outer(Hy, step))
-            H += (rho * rho * float(y_diff @ Hy) + rho) * np.outer(step, step)
-
-        y = y + step
-        value, grad = objective_and_gradient(y)
-
-    if not converged:
+                if converged:
+                    break
+                raise NonConvergenceError(
+                    f"line search stalled at iteration {it} "
+                    f"(gradient norm {gnorm:.3e}, tolerance {problem.tolerance:.1e})",
+                    tuple(trace),
+                )
+        if converged:
+            break
+    else:
         raise NonConvergenceError(
             f"no convergence in {problem.max_iterations} iterations "
-            f"(last gradient norm {float(np.linalg.norm(grad)):.3e})",
+            f"(last gradient norm {gnorm:.3e})",
             tuple(trace),
         )
 
-    x = x0 + Z @ best_y
     f = AnalyticPoly(x[:n1] + 1j * x[n1:])
     F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
-    phi_f = functional_value(problem.kernel, F)
-    phi_norm = float(phi_f.real)
+    phi_norm = float(functional_value(problem.kernel, F).real)
     residuals = extremality_residual(F, problem.kernel, p, phi_norm, 2 * n)
     return ExtremalSolution(
         F=F,
         phi_norm=phi_norm,
         residual_max=float(np.max(np.abs(residuals))),
-        iterations=iterations,
+        iterations=it,
         trace=tuple(trace),
         p=p,
         kernel=problem.kernel,

@@ -134,6 +134,19 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", config, "--out", second]) == 0
         assert body_text(first) == body_text(second)
 
+    def test_readme_config_without_tolerance_passes(self, tmp_path):
+        # The default tolerance (1e-10) must clear the -1e-12
+        # coefficient-bound gate at the README's degree.
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1,
+            "p": 4,
+            "degree": 160,
+            "kernel": ONE_PLUS_Z,
+        })
+        out = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        assert cli.main(["verify", out]) == 0
+
     def test_checks_subset_respected(self, tmp_path):
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bergex.poly import as_poly, degree_cap, monomial
 from bergex.solver import (
     DegreeCapError,
     ExtremalProblem,
     NonConvergenceError,
+    _newton_terms,
     extremality_residual,
     gradient_norm_p,
     kernel_from_extremal,
@@ -20,6 +23,23 @@ from bergex.spaces import bergman_inner, bergman_norm_even, functional_value
 def random_poly(rng, degree):
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     return as_poly(c)
+
+
+@st.composite
+def small_problems(draw):
+    """(kernel coefficients, working degree n <= 24, p in {4, 6})."""
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    count = draw(st.integers(1, 5))
+    c = np.array([complex(draw(parts), draw(parts)) for _ in range(count)])
+    assume(np.max(np.abs(c)) >= 0.25)
+    return c, draw(st.integers(count - 1, 24)), draw(st.sampled_from([4, 6]))
+
+
+def solve_coeffs(c, n, p):
+    """F's coefficients, padded to n + 1, for the kernel with coefficients c."""
+    sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
+                                         tolerance=1e-12))
+    return sol.F.padded(n + 1)
 
 
 class TestProblemValidation:
@@ -169,6 +189,26 @@ class TestGradient:
     def test_zero_input(self):
         assert len(gradient_norm_p(as_poly([]), 4)) == 0
 
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_hessian_matches_gradient_differences(self, p):
+        rng = np.random.default_rng(61 + p)
+        a = random_poly(rng, 7).coeffs
+        n1 = len(a)
+
+        def real_gradient(x):
+            g = gradient_norm_p(as_poly(x[:n1] + 1j * x[n1:]), p)
+            return np.concatenate([2.0 * g.real, 2.0 * g.imag])
+
+        _, grad, H = _newton_terms(a, p)
+        x = np.concatenate([a.real, a.imag])
+        np.testing.assert_allclose(grad, real_gradient(x), rtol=1e-13, atol=0)
+        h = 1e-6
+        fd = np.column_stack([
+            (real_gradient(x + h * e) - real_gradient(x - h * e)) / (2 * h)
+            for e in np.eye(2 * n1)
+        ])
+        assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
             gradient_norm_p(as_poly([1.0]), 3)
@@ -283,6 +323,39 @@ class TestSolverProperties:
                          + bergman_norm_even(as_poly(f2), 4) ** 4)
             assert lhs <= rhs + 1e-10
 
+    def test_extreme_kernel_scales(self):
+        # the squared coefficients overflow at 1e300 and underflow at 1e-300
+        kernel = as_poly([1.0, 0.5, -0.25, 0.1j])
+        base = solve_coeffs(kernel.coeffs, 24, 4)
+        for scale in (1e300, 1e-300):
+            scaled = solve_coeffs(scale * kernel.coeffs, 24, 4)
+            np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
+
+    @given(small_problems(), st.floats(-12.0, 12.0))
+    @settings(max_examples=25, deadline=None)
+    def test_scale_invariance_property(self, problem, log_scale):
+        c, n, p = problem
+        np.testing.assert_allclose(solve_coeffs(10.0 ** log_scale * c, n, p),
+                                   solve_coeffs(c, n, p), rtol=0, atol=1e-12)
+
+    @given(small_problems(), st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=25, deadline=None)
+    def test_rotation_covariance_property(self, problem, theta):
+        # k(e^{i theta} z) has extremal function F(e^{i theta} z)
+        c, n, p = problem
+        twist = np.exp(1j * theta * np.arange(n + 1))
+        np.testing.assert_allclose(solve_coeffs(c * twist[:len(c)], n, p),
+                                   solve_coeffs(c, n, p) * twist,
+                                   rtol=0, atol=1e-12)
+
+    @given(small_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_conjugation_property(self, problem):
+        c, n, p = problem
+        np.testing.assert_allclose(solve_coeffs(np.conj(c), n, p),
+                                   np.conj(solve_coeffs(c, n, p)),
+                                   rtol=0, atol=1e-12)
+
     def test_non_convergence_carries_trace(self):
         kernel = as_poly([1.0, 1.0, 0.5])
         with pytest.raises(NonConvergenceError) as exc_info:
@@ -297,6 +370,15 @@ class TestSolverProperties:
         with pytest.raises(NonConvergenceError):
             solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12,
                                            tolerance=1e-30))
+
+    def test_float_floor_stops_early(self):
+        # below the gradient's float floor nothing moves; stop, do not
+        # spend the whole iteration budget
+        kernel = as_poly([1.0, 1.0])
+        with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
+            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12,
+                                           tolerance=1e-30))
+        assert len(exc_info.value.trace) <= 50
 
 
 class TestTruncatedFamily:
