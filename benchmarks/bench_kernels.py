@@ -1,20 +1,21 @@
-"""Times the coefficient kernels: compiled extension, NumPy fallback, FFT.
+"""Times the coefficient kernels' two paths: direct NumPy and FFT.
 
 Prints one table per operation (Cauchy convolution and nonnegative-lag
 cross-correlation) with median wall time per call at a range of operand
-sizes, plus the implied crossover against the FFT path. The dispatch
-threshold ``FFT_THRESHOLD`` in ``bergex._backend`` was chosen from this
-table: with the compiled backend, direct convolution wins below an output
-degree of roughly 250 and direct cross-correlation below roughly 500, and
-the threshold in use, 256, splits the difference toward xcorr.
+sizes. Each column calls ``bergex._backend.conv``/``xcorr`` with
+``FFT_THRESHOLD`` pinned so that one path runs at every size: the direct
+NumPy evaluation used below the threshold, or the FFT evaluation used at
+or above it. Both operands have length n, so the output degree is 2n - 2.
+
+On a 2-CPU x86-64 VM (NumPy 2.4, 300 repeats) the direct path stayed
+ahead for both kernels up to n = 384 and the FFT path led from n = 512
+on: the crossover is near n = 448, an output degree of about 900. The
+threshold in use, 256 in output degree, switches to the FFT sooner than
+this table asks.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
-
-Forcing the fallback for comparison happens in-process here; setting
-``BERGEX_FORCE_PYTHON=1`` in the environment does the same for the whole
-library.
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
 """
 
 import argparse
@@ -22,15 +23,10 @@ import statistics
 import time
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from bergex import _pykernels
-from bergex._backend import backend_name
+from bergex import _backend
 
-try:
-    from bergex import _ckernels
-except ImportError:
-    _ckernels = None
+THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 
 
 def time_call(fn, *args, repeats=200):
@@ -43,18 +39,13 @@ def time_call(fn, *args, repeats=200):
     return statistics.median(times)
 
 
-def fft_conv(a, b):
-    return fftconvolve(a, b)
+# Values of FFT_THRESHOLD that force each path for every operand size.
+PATHS = (("direct", float("inf")), ("fft", 0))
 
 
-def fft_xcorr(a, v):
-    full = fftconvolve(a, np.conj(v)[::-1])
-    return full[len(v) - 1:len(v) - 1 + len(a)]
-
-
-def bench_operation(name, variants, sizes, repeats):
+def bench_operation(name, fn, sizes, repeats):
     print(f"\n{name}: median microseconds per call")
-    header = f"{'n':>6}" + "".join(f"{label:>14}" for label, _ in variants)
+    header = f"{'n':>6}" + "".join(f"{label:>14}" for label, _ in PATHS)
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
@@ -62,8 +53,12 @@ def bench_operation(name, variants, sizes, repeats):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         row = f"{n:>6}"
-        for _, fn in variants:
-            micros = time_call(fn, a, b, repeats=repeats) * 1e6
+        for _, threshold in PATHS:
+            _backend.FFT_THRESHOLD = threshold
+            try:
+                micros = time_call(fn, a, b, repeats=repeats) * 1e6
+            finally:
+                _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
             row += f"{micros:>14.2f}"
         print(row)
 
@@ -77,17 +72,9 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print(f"active backend: {backend_name()}")
-    conv_variants = [("numpy", _pykernels.conv_direct), ("fft", fft_conv)]
-    xcorr_variants = [("numpy", _pykernels.xcorr_direct), ("fft", fft_xcorr)]
-    if _ckernels is not None:
-        conv_variants.insert(0, ("cython", _ckernels.conv_direct))
-        xcorr_variants.insert(0, ("cython", _ckernels.xcorr_direct))
-    else:
-        print("compiled extension not available; timing the fallback only")
-
-    bench_operation("conv", conv_variants, sizes, args.repeats)
-    bench_operation("xcorr", xcorr_variants, sizes, args.repeats)
+    print(f"FFT_THRESHOLD in use: {THRESHOLD_IN_USE} (output degree)")
+    bench_operation("conv", _backend.conv, sizes, args.repeats)
+    bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
 
 
 if __name__ == "__main__":

@@ -1,42 +1,25 @@
-"""Selects the coefficient-kernel implementation at import time.
+"""The two coefficient kernels every exact identity in bergex reduces to.
 
-The compiled Cython extension is preferred when present; otherwise the
-NumPy fallback is used. Setting the environment variable
-``BERGEX_FORCE_PYTHON=1`` before import skips the extension, which is how
-the benchmark and the cross-implementation tests get at both versions.
-
-Beyond the raw direct kernels this module provides the dispatching
-wrappers ``conv`` and ``xcorr``: direct evaluation for small operands,
-FFT-based evaluation above a degree threshold where the O(n^2) loops
-start to lose.
+``conv`` is Cauchy convolution of coefficient vectors (polynomial
+products, powers) and ``xcorr`` is one-sided cross-correlation
+(gradients, Fourier coefficients of |f|^p). Both evaluate directly with
+NumPy for small operands and switch to FFT-based evaluation above a
+degree threshold, where the O(n^2) direct sums start to lose.
 """
-
-import os
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-if os.environ.get("BERGEX_FORCE_PYTHON") == "1":
-    from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
-
-conv_direct = _impl.conv_direct
-xcorr_direct = _impl.xcorr_direct
-
-# Crossover found by benchmarks/bench_kernels.py: with the compiled
-# backend, direct convolution stays ahead of the transform until an
-# output degree of roughly 250 and direct cross-correlation until
-# roughly 500, so this splits the difference toward the hotter xcorr.
+# Operations whose full output degree (len(a) + len(b) - 2) is below this
+# run directly. benchmarks/bench_kernels.py times both paths: on equal
+# operand lengths the direct NumPy path stays ahead of the transform until
+# an output degree of roughly 900 for both kernels, so 256 switches early.
 FFT_THRESHOLD = 256
 
 
 def backend_name():
-    """Name of the active implementation, "cython" or "numpy"."""
-    return _impl.BACKEND
+    """Name of the kernel implementation; always "numpy"."""
+    return "numpy"
 
 
 def conv(a, b):
@@ -46,14 +29,16 @@ def conv(a, b):
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, dtype=complex)
     if len(a) + len(b) - 2 < FFT_THRESHOLD:
-        return conv_direct(a, b)
+        return np.convolve(a, b)
     return fftconvolve(a, b)
 
 
 def xcorr(a, v):
     """Nonnegative-lag cross-correlation out[j] = sum_t a[t+j]*conj(v[t]).
 
-    Same dispatch rule as ``conv``; the FFT path uses the identity
+    Lags run from 0 to len(a)-1; terms with t+j beyond the end of ``a``
+    are dropped, so ``v`` may be shorter or longer than ``a``. Same
+    dispatch rule as ``conv``; the FFT path uses the identity
     xcorr(a, v) = conv(a, reverse(conj(v)))[len(v)-1:].
     """
     a = np.asarray(a, dtype=complex)
@@ -62,7 +47,7 @@ def xcorr(a, v):
         return np.zeros(0, dtype=complex)
     if len(v) == 0:
         return np.zeros(len(a), dtype=complex)
+    lo = len(v) - 1
     if len(a) + len(v) - 2 < FFT_THRESHOLD:
-        return xcorr_direct(a, v)
-    full = fftconvolve(a, np.conj(v)[::-1])
-    return full[len(v) - 1:len(v) - 1 + len(a)]
+        return np.correlate(a, v, "full")[lo:lo + len(a)]
+    return fftconvolve(a, np.conj(v)[::-1])[lo:lo + len(a)]

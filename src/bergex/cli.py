@@ -13,8 +13,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -34,6 +34,7 @@ from .checks import (
 from .families import standard_family
 from .poly import AnalyticPoly, degree_cap, get_max_degree
 from .solver import (
+    DEFAULT_MAX_ITERATIONS,
     ExtremalProblem,
     NonConvergenceError,
     brute_force_oracle,
@@ -89,8 +90,8 @@ def _validate_common(config):
     p = _require(config, "p", int, lambda v: v >= 2 and v % 2 == 0,
                  "p must be an even integer >= 2")
     tolerance = float(config.get("tolerance", 1e-10))
-    if tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
     return p, tolerance
 
 
@@ -175,8 +176,18 @@ def _solution_body(config, solution, reports):
     }
 
 
-def _run_checks(config, solution):
+def _check_names(config):
     names = config.get("checks", list(DEFAULT_CHECKS))
+    if not (isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise ConfigError("config field 'checks' must be a list of check names")
+    for name in names:
+        if name not in DEFAULT_CHECKS:
+            raise ConfigError(f"unknown check {name!r}")
+    return names
+
+
+def _run_checks(config, names, solution):
     m_max = int(config.get("fourier_m_max", 8))
     reports = []
     for name in names:
@@ -193,8 +204,6 @@ def _run_checks(config, solution):
         elif name == "ryabykh_bound":
             reports.append(check_ryabykh_bound(
                 solution.F, solution.kernel, solution.p))
-        else:
-            raise ConfigError(f"unknown check {name!r}")
     return reports
 
 
@@ -214,14 +223,16 @@ def run_solve(config, out=None, fmt="json"):
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
     if fmt != "json":
         raise ConfigError("solve reports are JSON only")
+    checks = _check_names(config)
     needed = max((p // 2) * degree, get_max_degree())
     with degree_cap(needed):
         problem = ExtremalProblem(
             p=p, kernel=kernel, degree=degree, tolerance=tolerance,
-            max_iterations=int(config.get("max_iterations", 2000)),
+            max_iterations=int(config.get("max_iterations",
+                                          DEFAULT_MAX_ITERATIONS)),
         )
         solution = solve_extremal(problem)
-        reports = _run_checks(config, solution)
+        reports = _run_checks(config, checks, solution)
     body = _solution_body(config, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
@@ -296,7 +307,7 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
     return worst
 
 
-def run_growth_study(config, out=None, fmt="csv", jobs=1, seed=None):
+def run_growth_study(config, out=None, fmt="csv", seed=None):
     p, tolerance = _validate_common(config)
     q = p / (p - 1.0)
     q1_list = config.get("q1_list", [q, 2.0, 4.0])
@@ -305,15 +316,7 @@ def run_growth_study(config, out=None, fmt="csv", jobs=1, seed=None):
     cap = max(int((p - 1) * max(q1_list) / 2 + 1) * max(d for _, _, d in family),
               get_max_degree())
     with degree_cap(cap):
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(growth_study, [entry], p, q1_list)
-                    for entry in family
-                ]
-                rows = [row for fut in futures for row in fut.result()]
-        else:
-            rows = growth_study(family, p, q1_list)
+        rows = growth_study(family, p, q1_list)
     ratios = [r.ratio for r in rows]
     empirical_c = max(max(ratios), 1.0 / min(ratios))
     fields = ["kernel_id", "q1", "p1", "k_hardy", "k_bergman", "F_hardy",
@@ -364,8 +367,8 @@ def run_convergence_study(config, out=None, fmt="csv"):
 
 def run_hinfty_study(config, out=None, fmt="csv"):
     p, tolerance = _validate_common(config)
-    alpha = _require(config, "alpha", float, lambda v: v > 0,
-                     "alpha must be positive")
+    alpha = _require(config, "alpha", float, lambda v: 0 < v < math.inf,
+                     "alpha must be positive and finite")
     degrees = [int(n) for n in config.get("degrees", [16, 32, 64])]
     threshold = float(config.get("growth_threshold", 0.01))
     exploratory = bool(config.get("exploratory", False))
@@ -434,7 +437,6 @@ def main(argv=None):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default=None, choices=["json", "csv"])
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     add_common(sub.add_parser("solve", help="solve one extremal problem"))
     ver = sub.add_parser("verify", help="re-check a serialized solution")
@@ -459,7 +461,7 @@ def main(argv=None):
             fmt = args.format or "csv"
             if args.kind == "growth":
                 return run_growth_study(config, out=args.out, fmt=fmt,
-                                        jobs=args.jobs, seed=args.seed)
+                                        seed=args.seed)
             if args.kind == "convergence":
                 return run_convergence_study(config, out=args.out, fmt=fmt)
             return run_hinfty_study(config, out=args.out, fmt=fmt)

@@ -7,7 +7,8 @@ produces the AnalyticPoly; ``describe`` gives a stable human-readable id
 used to key study rows.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +30,13 @@ class KernelSpec:
         if self.type == "coeffs":
             if not self.values:
                 raise ValueError("coeffs spec needs at least one value")
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("coeffs spec values must be finite")
         elif self.type == "power_decay":
             if self.alpha is None or self.count is None or self.count < 1:
                 raise ValueError("power_decay spec needs alpha and count >= 1")
+            if not math.isfinite(self.alpha):
+                raise ValueError("power_decay alpha must be finite")
         else:
             if self.inner is None or self.n is None or self.n < 0:
                 raise ValueError("truncate spec needs an inner spec and n >= 0")
@@ -104,10 +109,11 @@ def from_dict(data):
         for v in values:
             if not (isinstance(v, (list, tuple)) and len(v) == 2):
                 raise ValueError("each coefficient must be an [re, im] pair")
-        return KernelSpec(
-            type="coeffs",
-            values=tuple((float(v[0]), float(v[1])) for v in values),
-        )
+        try:
+            pairs = tuple((float(v[0]), float(v[1])) for v in values)
+        except TypeError as exc:
+            raise ValueError(f"malformed coeffs spec: {exc}") from exc
+        return KernelSpec(type="coeffs", values=pairs)
     if t == "power_decay":
         try:
             return KernelSpec(
@@ -115,7 +121,7 @@ def from_dict(data):
                 alpha=float(data["alpha"]),
                 count=int(data["count"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed power_decay spec: {exc}") from exc
     if t == "truncate":
         try:
@@ -124,6 +130,6 @@ def from_dict(data):
                 inner=from_dict(data["inner"]),
                 n=int(data["n"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed truncate spec: {exc}") from exc
     raise ValueError(f"unknown kernel spec type {t!r}")

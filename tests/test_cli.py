@@ -260,6 +260,20 @@ class TestExitCodes:
     def test_unknown_check_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"checks": ["no_such_check"]}) == 3
 
+    def test_checks_must_be_a_list(self, tmp_path, capsys):
+        assert self.run_solve(tmp_path, {"checks": "norm_equality"}) == 3
+        assert "'checks'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"kernel": {"type": "coeffs",
+                    "values": [[float("nan"), 0.0], [1.0, 0.0]]}},
+        {"kernel": {"type": "power_decay", "alpha": float("inf"), "count": 4}},
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, overrides):
+        assert self.run_solve(tmp_path, overrides) == 3
+
     def test_malformed_kernel_rejected(self, tmp_path):
         bad = {"type": "power_decay", "alpha": 2.0}
         assert self.run_solve(tmp_path, {"kernel": bad}) == 3
@@ -318,18 +332,6 @@ class TestGrowthStudy:
         for row in rows:
             if row["kernel_id"] == "coeffs[1]":
                 assert float(row["ratio"]) == pytest.approx(1.0, rel=1e-10)
-
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = str(tmp_path / "serial.csv")
-        parallel = str(tmp_path / "parallel.csv")
-        config = self.config(tmp_path)
-        cli.main(["study", "growth", "--config", config, "--out", serial])
-        cli.main(["study", "growth", "--config", config, "--jobs", "2",
-                  "--out", parallel])
-        _, rows_a, trail_a = read_csv_report(serial)
-        _, rows_b, trail_b = read_csv_report(parallel)
-        assert rows_a == rows_b
-        assert trail_a == trail_b
 
     def test_json_format(self, tmp_path):
         out = str(tmp_path / "g.json")
@@ -401,6 +403,12 @@ class TestHinftyStudy:
     def test_slow_decay_needs_exploratory_flag(self, tmp_path):
         code = cli.main(["study", "hinfty",
                          "--config", self.config(tmp_path, 1.2, [8, 16]),
+                         "--out", str(tmp_path / "h.csv")])
+        assert code == 3
+
+    def test_infinite_alpha_rejected(self, tmp_path):
+        config = self.config(tmp_path, float("inf"), [16, 32])
+        code = cli.main(["study", "hinfty", "--config", config,
                          "--out", str(tmp_path / "h.csv")])
         assert code == 3
 

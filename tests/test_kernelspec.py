@@ -100,11 +100,28 @@ class TestSerialization:
             {"type": "coeffs", "values": []},
             {"type": "coeffs", "values": [[1.0]]},
             {"type": "coeffs", "values": ["x"]},
+            {"type": "coeffs", "values": [[None, 0.0]]},
             {"type": "power_decay", "alpha": 2.0},
             {"type": "nonsense"},
         ):
             with pytest.raises(ValueError):
                 from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"type": "coeffs", "values": [[float("nan"), 0.0], [1.0, 0.0]]},
+        {"type": "coeffs", "values": [[1.0, float("inf")]]},
+        {"type": "coeffs", "values": [[-float("inf"), 0.0]]},
+        {"type": "power_decay", "alpha": float("inf"), "count": 4},
+        {"type": "power_decay", "alpha": float("nan"), "count": 4},
+        {"type": "power_decay", "alpha": 2.0, "count": float("inf")},
+        {"type": "truncate", "n": float("inf"),
+         "inner": {"type": "coeffs", "values": [[1.0, 0.0]]}},
+        {"type": "truncate", "n": 2,
+         "inner": {"type": "coeffs", "values": [[float("nan"), 0.0]]}},
+    ])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            from_dict(bad)
 
     def test_dict_shape(self):
         data = to_dict(coeffs_spec([1.0 + 2.0j]))
