@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from . import kernelspec
 from .checks import (
+    _coefficient_bound_worst,
     check_fourier_formula,
     check_norm_equality,
     check_ryabykh_bound,
@@ -73,12 +74,29 @@ def _load_config(path):
     return data
 
 
-def _require(config, key, kind, predicate=None, message=""):
+_REQUIRED = object()
+
+
+def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
+    """config[key] checked for its JSON type and by ``predicate``.
+
+    ``int`` takes JSON integers only; ``float`` takes any JSON number and
+    converts it. A JSON true/false is neither, although Python's bool is
+    an int. An absent key gives ``default``, or an error when there is none.
+    """
     if key not in config:
-        raise ConfigError(f"config is missing {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing {key!r}")
+        return default
     value = config[key]
+    if isinstance(value, bool) and kind in (int, float):
+        raise ConfigError(f"config field {key!r} has the wrong type")
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"config field {key!r} is out of range") from None
     if not isinstance(value, kind):
         raise ConfigError(f"config field {key!r} has the wrong type")
     if predicate is not None and not predicate(value):
@@ -86,12 +104,25 @@ def _require(config, key, kind, predicate=None, message=""):
     return value
 
 
+def _positive_finite(value):
+    return 0 < value < math.inf
+
+
+def _degrees(config, default=_REQUIRED):
+    """The study field 'degrees': at least two integers >= 0."""
+    degrees = _field(config, "degrees", list, lambda v: len(v) >= 2,
+                     "need at least two degrees", default)
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+               for n in degrees):
+        raise ConfigError("config field 'degrees' must list integers >= 0")
+    return degrees
+
+
 def _validate_common(config):
-    p = _require(config, "p", int, lambda v: v >= 2 and v % 2 == 0,
-                 "p must be an even integer >= 2")
-    tolerance = float(config.get("tolerance", 1e-10))
-    if not 0 < tolerance < math.inf:
-        raise ConfigError("tolerance must be positive and finite")
+    p = _field(config, "p", int, lambda v: v >= 2 and v % 2 == 0,
+               "p must be an even integer >= 2")
+    tolerance = _field(config, "tolerance", float, _positive_finite,
+                       "tolerance must be positive and finite", 1e-10)
     return p, tolerance
 
 
@@ -187,8 +218,7 @@ def _check_names(config):
     return names
 
 
-def _run_checks(config, names, solution):
-    m_max = int(config.get("fourier_m_max", 8))
+def _run_checks(names, m_max, solution):
     reports = []
     for name in names:
         if name == "norm_equality":
@@ -216,23 +246,27 @@ def _gating(reports):
 
 def run_solve(config, out=None, fmt="json"):
     p, tolerance = _validate_common(config)
-    degree = _require(config, "degree", int, lambda v: v >= 1,
-                      "degree must be >= 1")
+    degree = _field(config, "degree", int, lambda v: v >= 1,
+                    "degree must be >= 1")
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
     if fmt != "json":
         raise ConfigError("solve reports are JSON only")
     checks = _check_names(config)
+    m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
+                   "fourier_m_max must be >= 0", 8)
+    max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
+                            "max_iterations must be >= 1",
+                            DEFAULT_MAX_ITERATIONS)
     needed = max((p // 2) * degree, get_max_degree())
     with degree_cap(needed):
         problem = ExtremalProblem(
             p=p, kernel=kernel, degree=degree, tolerance=tolerance,
-            max_iterations=int(config.get("max_iterations",
-                                          DEFAULT_MAX_ITERATIONS)),
+            max_iterations=max_iterations,
         )
         solution = solve_extremal(problem)
-        reports = _run_checks(config, checks, solution)
+        reports = _run_checks(checks, m_max, solution)
     body = _solution_body(config, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
@@ -257,6 +291,7 @@ def run_verify(solution_path, out=None):
     phi_norm = float(body["solution"]["phi_norm"])
     needed = max((p // 2) * degree, get_max_degree())
     rows = []
+    skipped = []
     worst = 0.0
     with degree_cap(needed):
         F = AnalyticPoly(coeffs)
@@ -282,6 +317,7 @@ def run_verify(solution_path, out=None):
             elif name == "ryabykh_bound":
                 rep = check_ryabykh_bound(F, kernel, p)
             else:
+                skipped.append(name)
                 continue
             diff = float(abs(rep.residual - float(recorded["residual"])))
             worst = max(worst, diff)
@@ -291,27 +327,24 @@ def run_verify(solution_path, out=None):
                          "difference": diff})
 
     ok = bool(worst <= 1e-14)
-    body_out = {"verified": ok, "max_difference": worst, "rows": rows}
+    body_out = {"verified": ok, "max_difference": worst, "rows": rows,
+                "skipped": skipped}
     _emit_json(_header(), body_out, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
-    from .checks import check_coefficient_bound
-
-    worst = None
-    for m in range(m_max + 1):
-        rep = check_coefficient_bound(F, kernel, p, phi_norm, m)
-        if worst is None or rep.residual < worst.residual:
-            worst = rep
-    return worst
+    """The coefficient-bound sweep of a reloaded solution, as solve ran it."""
+    return _coefficient_bound_worst(F, kernel, p, phi_norm, m_max)
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p, tolerance = _validate_common(config)
     q = p / (p - 1.0)
     q1_list = config.get("q1_list", [q, 2.0, 4.0])
-    seed = seed if seed is not None else config.get("seed")
+    if seed is None:
+        seed = _field(config, "seed", int, lambda v: v >= 0,
+                      "seed must be >= 0", None)
     family = _study_family(config, seed)
     cap = max(int((p - 1) * max(q1_list) / 2 + 1) * max(d for _, _, d in family),
               get_max_degree())
@@ -335,10 +368,12 @@ def _study_family(config, seed):
     """Family for studies: the standard one, or explicit kernel specs."""
     if config.get("family", "standard") == "standard":
         family = standard_family(**({} if seed is None else {"seed": seed}))
-        limit = int(config.get("max_study_degree", 128))
+        limit = _field(config, "max_study_degree", int, lambda v: v >= 0,
+                       "max_study_degree must be >= 0", 128)
         return [(name, k, min(d, limit)) for name, k, d in family]
     entries = []
-    degree = int(config.get("degree", 64))
+    degree = _field(config, "degree", int, lambda v: v >= 0,
+                    "degree must be >= 0", 64)
     for item in config["family"]:
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
@@ -348,14 +383,13 @@ def _study_family(config, seed):
 
 def run_convergence_study(config, out=None, fmt="csv"):
     p, tolerance = _validate_common(config)
-    degrees = _require(config, "degrees", list, lambda v: len(v) >= 2,
-                       "need at least two degrees")
+    degrees = _degrees(config)
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
     cap = max((p // 2) * max(degrees), get_max_degree())
     with degree_cap(cap):
-        rows = convergence_study(kernel, p, [int(n) for n in degrees])
+        rows = convergence_study(kernel, p, degrees)
     csv_rows = [{"degree": n, "distance": d} for n, d in rows]
     header = _header(config.get("seed"))
     if fmt == "csv":
@@ -367,10 +401,12 @@ def run_convergence_study(config, out=None, fmt="csv"):
 
 def run_hinfty_study(config, out=None, fmt="csv"):
     p, tolerance = _validate_common(config)
-    alpha = _require(config, "alpha", float, lambda v: 0 < v < math.inf,
-                     "alpha must be positive and finite")
-    degrees = [int(n) for n in config.get("degrees", [16, 32, 64])]
-    threshold = float(config.get("growth_threshold", 0.01))
+    alpha = _field(config, "alpha", float, _positive_finite,
+                   "alpha must be positive and finite")
+    degrees = _degrees(config, [16, 32, 64])
+    threshold = _field(config, "growth_threshold", float,
+                       lambda v: 0 <= v < math.inf,
+                       "growth_threshold must be >= 0 and finite", 0.01)
     exploratory = bool(config.get("exploratory", False))
     cap = max((p // 2) * max(degrees), get_max_degree())
     try:
@@ -402,17 +438,22 @@ def run_oracle_compare(config, out=None, fmt="json", seed=None):
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
-    degree = int(config.get("oracle_degree", 3))
-    if degree not in (2, 3):
-        raise ConfigError("oracle_degree must be 2 or 3")
-    seed = seed if seed is not None else int(config.get("seed", 7))
+    degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
+                    "oracle_degree must be 2 or 3", 3)
+    if seed is None:
+        seed = _field(config, "seed", int, lambda v: v >= 0,
+                      "seed must be >= 0", 7)
+    oracle_tolerance = _field(config, "oracle_tolerance", float,
+                              _positive_finite,
+                              "oracle_tolerance must be positive and finite",
+                              1e-6)
     oracle_F = brute_force_oracle(kernel, p, degree=degree, seed=seed)
     problem = ExtremalProblem(p=p, kernel=kernel, degree=degree,
                               tolerance=min(tolerance, 1e-12))
     solution = solve_extremal(problem)
     gap = float(np.max(np.abs(
         oracle_F.padded(degree + 1) - solution.F.padded(degree + 1))))
-    agree = gap <= float(config.get("oracle_tolerance", 1e-6))
+    agree = gap <= oracle_tolerance
     body = {
         "oracle_coefficients": [_json_complex(c) for c in oracle_F.coeffs],
         "solver_coefficients": [_json_complex(c) for c in solution.F.coeffs],

@@ -6,15 +6,19 @@ with u = f^{p/2} and b its coefficient vector,
     ||f||_{A^p}^p = sum_m |b_m|^2 / (m+1)      (area measure, normalized)
     ||f||_{H^p}^p = sum_m |b_m|^2              (Parseval at r = 1)
 
-so no quadrature error enters the even-p route at all. General exponents
-fall back to tensor quadrature on the disc (Gauss-Legendre radially,
-uniform angularly) or to boundary quadrature on the circle.
+so no quadrature error enters the even-p route at all, and every Fourier
+coefficient of |f|^p on the circle comes out of one autocorrelation of b
+(``abs_power_spectrum``). General exponents fall back to tensor quadrature
+on the disc (Gauss-Legendre radially, uniform angularly) or to boundary
+quadrature on the circle; each circle of samples is one inverse FFT of the
+scaled coefficients a_t r^t.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import ifft
 from scipy.special import roots_legendre
 
 from ._backend import xcorr
@@ -147,8 +151,16 @@ def hardy_norm_even(f, p):
 
 
 def _circle_values(f, radius, count):
-    z = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    return f(z)
+    """f at the ``count`` points radius * e^{2 pi i j / count}, j = 0..count-1.
+
+    f(r e^{i theta_j}) = sum_t a_t r^t e^{2 pi i j t / count} is ``count``
+    times the inverse DFT of a_t r^t, with coefficients past ``count``
+    folded onto t mod count (the samples cannot tell them apart).
+    """
+    scaled = f.coeffs * radius ** np.arange(len(f.coeffs))
+    folded = np.zeros(-(-len(scaled) // count) * count, dtype=complex)
+    folded[:len(scaled)] = scaled
+    return count * ifft(folded.reshape(-1, count).sum(axis=0))
 
 
 # Floor on the grid bandwidth for non-even exponents: |f|^p is then not a

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergex.checks import (
     check_coefficient_bound,
@@ -15,9 +17,18 @@ from bergex.checks import (
     growth_study,
     norm_equality_decay_study,
 )
-from bergex.poly import as_poly, monomial
-from bergex.solver import ExtremalProblem, solve_extremal
-from bergex.spaces import bergman_norm_even, hardy_norm_even
+from bergex.poly import as_poly, monomial, taylor_truncate
+from bergex.solver import (
+    ExtremalProblem,
+    ExtremalSolution,
+    solve_extremal,
+    solve_truncated_family,
+)
+from bergex.spaces import (
+    bergman_norm_even,
+    fourier_coeff_abs_power,
+    hardy_norm_even,
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +179,70 @@ class TestCoefficientBound:
             check_coefficient_bound(as_poly([1.0]), as_poly([1.0]), 4, 1.0, -2)
 
 
+def reference_sweep(solution, m_max):
+    """(worst m, its slack) from check_coefficient_bound one m at a time.
+
+    ``min`` keeps the first of equal slacks, as the sweep must.
+    """
+    slacks = [check_coefficient_bound(solution.F, solution.kernel, solution.p,
+                                      solution.phi_norm, m).residual
+              for m in range(m_max + 1)]
+    worst_m = min(range(m_max + 1), key=slacks.__getitem__)
+    return worst_m, slacks[worst_m]
+
+
+@st.composite
+def sweep_inputs(draw):
+    """F normalized to ||F||_{H^p} = 1 and k to unit l2 norm, so every
+    |b_m| <= 1 and every bound <= 3 and 1e-15 is a few ulps of both."""
+    p = draw(st.sampled_from([4, 6]))
+    entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    vectors = st.lists(st.tuples(entry, entry), min_size=1, max_size=25).map(
+        lambda pairs: np.array([complex(*c) for c in pairs])).filter(
+        lambda c: np.max(np.abs(c)) > 0.1)
+    F = as_poly(draw(vectors))
+    F = as_poly(F.coeffs / hardy_norm_even(F, p))
+    kc = draw(vectors)
+    kernel = as_poly(kc / np.linalg.norm(kc))
+    m_max = draw(st.integers(0, (p // 2) * F.degree + 8))
+    return ExtremalSolution(
+        F=F, phi_norm=draw(st.floats(1.0, 2.0)), residual_max=0.0,
+        iterations=0, trace=(), p=p, kernel=kernel, degree=F.degree,
+    ), m_max
+
+
+class TestCoefficientBoundSweep:
+    """The vectorised sweep against check_coefficient_bound per m."""
+
+    @given(sweep_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_loop(self, case):
+        solution, m_max = case
+        report = coefficient_bound_sweep(solution, m_max)
+        worst_m, slack = reference_sweep(solution, m_max)
+        assert report.context["worst_m"] == worst_m
+        assert report.context["m_max"] == m_max
+        assert report.residual == pytest.approx(slack, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_tie_picks_first_minimum(self, p):
+        # constant kernel: F = 1, slack 1 at m = 0 and exactly 0 at every
+        # m >= 1, so the first minimum is m = 1
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly([1.0]),
+                                             degree=8))
+        report = coefficient_bound_sweep(sol)
+        assert reference_sweep(sol, 16) == (1, 0.0)
+        assert report.context["worst_m"] == 1
+        assert report.residual == 0.0
+
+    def test_certified_solution_matches_reference(self, one_plus_z_solution):
+        sol = one_plus_z_solution
+        report = coefficient_bound_sweep(sol)
+        worst_m, slack = reference_sweep(sol, 2 * sol.degree)
+        assert report.context["worst_m"] == worst_m
+        assert report.residual == pytest.approx(slack, abs=1e-15)
+
+
 class TestHinftyCriterion:
     def test_alpha_two_bounded(self):
         report = check_hinfty_criterion(2.0, 4, [16, 32])
@@ -194,6 +269,23 @@ class TestHinftyCriterion:
     def test_single_degree_rejected(self):
         with pytest.raises(ValueError):
             check_hinfty_criterion(2.0, 4, [16])
+
+    def test_sup_and_l1_mass_match_per_point_references(self):
+        alpha, p, degrees = 2.0, 4, [8, 16]
+        report = check_hinfty_criterion(alpha, p, degrees)
+        k = as_poly((np.arange(17) + 1.0) ** (-alpha) + 0j)
+        for entry in solve_truncated_family(taylor_truncate(k, 16), p,
+                                            degrees, tolerance=1e-12):
+            F = entry.solution.F
+            spec = [abs(fourier_coeff_abs_power(F, p, m))
+                    for m in range(p // 2 * F.degree + 1)]
+            l1 = spec[0] + 2.0 * sum(spec[1:])
+            assert report.context["l1_by_degree"][entry.degree] == (
+                pytest.approx(l1, rel=1e-14))
+            grid = 1024  # the criterion's grid at these degrees
+            horner = F(np.exp(2j * np.pi * np.arange(grid) / grid))
+            assert report.context["sup_by_degree"][entry.degree] == (
+                pytest.approx(float(np.max(np.abs(horner))), rel=1e-14))
 
 
 class TestGrowthStudy:

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from bergex import cli
+from bergex import cli, spaces
+from bergex.poly import as_poly
+from bergex.solver import ExtremalProblem, solve_extremal
 
 MONOMIAL_Z = {"type": "coeffs", "values": [[0.0, 0.0], [1.0, 0.0]]}
 ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
@@ -207,6 +209,21 @@ class TestVerifyCommand:
         assert body["verified"] is True
         assert body["max_difference"] <= 1e-14
         assert any(r["check_name"] == "residual_max" for r in body["rows"])
+        assert body["skipped"] == []
+
+    def test_unknown_check_is_named_as_skipped(self, solved_artifact,
+                                              tmp_path):
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        payload["body"]["checks"].append({"check_name": "mystery_check",
+                                          "residual": 0.0, "context": {}})
+        extended = write_json(tmp_path / "extended.json", payload)
+        out = str(tmp_path / "verify.json")
+        assert cli.main(["verify", extended, "--out", out]) == 0
+        body = load_report(out)["body"]
+        assert body["verified"] is True
+        assert body["skipped"] == ["mystery_check"]
+        assert "mystery_check" not in {r["check_name"] for r in body["rows"]}
 
     def test_tampered_residual_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
@@ -295,6 +312,96 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "did not converge" in err
         assert "iteration" in err
+
+
+# Smallest valid config per command; each field test sets one field on it.
+FIELD_CASES = {
+    "solve": (["solve"], {"p": 4, "degree": 16, "kernel": ONE_PLUS_Z}),
+    "growth": (["study", "growth"], {"p": 4}),
+    "growth-explicit": (["study", "growth"],
+                        {"p": 4, "family": [CONSTANT_ONE]}),
+    "convergence": (["study", "convergence"],
+                    {"p": 4, "kernel": ONE_PLUS_Z, "degrees": [8, 16]}),
+    "hinfty": (["study", "hinfty"],
+               {"p": 4, "alpha": 2.0, "degrees": [16, 32]}),
+    "oracle": (["oracle-compare"], {"p": 4, "kernel": ONE_PLUS_Z}),
+}
+
+INTEGER_FIELDS = [
+    ("solve", "degree"), ("solve", "max_iterations"),
+    ("solve", "fourier_m_max"), ("growth", "max_study_degree"),
+    ("growth-explicit", "degree"), ("growth", "seed"),
+    ("oracle", "oracle_degree"), ("oracle", "seed"),
+]
+NOT_INTEGERS = [math.inf, True, False, 8.0, "8", [8], {"n": 8}, None, -1]
+
+NUMBER_FIELDS = [
+    ("solve", "tolerance"), ("hinfty", "growth_threshold"),
+    ("oracle", "oracle_tolerance"),
+]
+NOT_NUMBERS = [[1], True, {"value": 1}, "1e-10", None, 10 ** 400, -1.0]
+
+
+class TestConfigFieldTypes:
+    """Every numeric config field is a JSON number of its kind, in range.
+
+    A wrong value exits 3 before any solve, with a message naming the
+    field, instead of a traceback or a silent coercion.
+    """
+
+    def run(self, tmp_path, capsys, case, field, value, element=False):
+        argv, base = FIELD_CASES[case]
+        config = dict(base, schema_version=1)
+        config[field] = [8, value] if element else value
+        path = write_json(tmp_path / "c.json", config)
+        code = cli.main(argv + ["--config", path,
+                                "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("case, field", INTEGER_FIELDS)
+    def test_integer_fields(self, tmp_path, capsys, case, field, value):
+        code, err = self.run(tmp_path, capsys, case, field, value)
+        assert code == 3
+        assert repr(field) in err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS + [[8]], ids=repr)
+    @pytest.mark.parametrize("case", ["convergence", "hinfty"])
+    def test_degree_lists(self, tmp_path, capsys, case, value):
+        code, err = self.run(tmp_path, capsys, case, "degrees", value,
+                             element=True)
+        assert code == 3
+        assert "'degrees'" in err
+        code, err = self.run(tmp_path, capsys, case, "degrees", value)
+        assert code == 3
+        assert "'degrees'" in err
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+    @pytest.mark.parametrize("case, field", NUMBER_FIELDS)
+    def test_number_fields(self, tmp_path, capsys, case, field, value):
+        code, err = self.run(tmp_path, capsys, case, field, value)
+        assert code == 3
+        assert repr(field) in err
+
+
+class TestCheckSuiteWork:
+    def test_power_calls_per_solution_bounded(self, monkeypatch):
+        # every check reads |F|^p's Fourier coefficients from one spectrum;
+        # rebuilding F^{p/2} per frequency would cost one power call per
+        # m = 0..2n (65 here) in the coefficient-bound sweep alone
+        solution = solve_extremal(ExtremalProblem(
+            p=4, kernel=as_poly([1.0, 1.0]), degree=32, tolerance=1e-12))
+        calls = []
+        original = spaces.power
+
+        def counting_power(f, m):
+            calls.append(m)
+            return original(f, m)
+
+        monkeypatch.setattr(spaces, "power", counting_power)
+        reports = cli._run_checks(list(cli.DEFAULT_CHECKS), 8, solution)
+        assert len(reports) == 12
+        assert 0 < len(calls) <= 16
 
 
 class TestGrowthStudy:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bergex.poly import as_poly, monomial
 from bergex.spaces import (
     HardyNormRequest,
+    _circle_values,
     QuadratureGrid,
     bergman_inner,
     bergman_norm_even,
@@ -188,6 +189,31 @@ class TestGeneralNorms:
             assert bergman_norm_general(f, float(p)) == pytest.approx(
                 bergman_norm_even(f, p), rel=1e-9
             )
+
+
+class TestCircleValues:
+    """FFT circle sampling against Horner evaluation at the same points."""
+
+    @pytest.mark.parametrize("radius, count, degree", [
+        (0.3, 64, 20),
+        (0.97, 256, 100),
+        (1.0, 64, 40),
+        (1.0, 16, 40),     # count < len(coeffs): coefficients fold
+        (0.8, 8, 30),
+    ])
+    def test_matches_horner(self, radius, count, degree):
+        rng = np.random.default_rng(degree + count)
+        f = as_poly(rng.standard_normal(degree + 1)
+                    + 1j * rng.standard_normal(degree + 1))
+        z = radius * np.exp(2j * np.pi * np.arange(count) / count)
+        scale = float(np.sum(np.abs(f.coeffs)))
+        np.testing.assert_allclose(_circle_values(f, radius, count), f(z),
+                                   rtol=0, atol=1e-14 * scale)
+
+    def test_zero_polynomial(self):
+        vals = _circle_values(as_poly([]), 0.5, 8)
+        assert vals.shape == (8,)
+        assert not vals.any()
 
 
 class TestFourierCoeffAbsPower:
