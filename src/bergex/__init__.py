@@ -15,29 +15,20 @@ from .poly import (
     ONE,
     ZERO,
     AnalyticPoly,
-    DegreeCapError,
-    TrigPoly,
     antiderivative,
     as_poly,
-    degree_cap,
     derivative,
-    get_max_degree,
     k_transform,
     monomial,
     multiply,
     power,
-    set_max_degree,
     shift,
-    szego_project,
     taylor_truncate,
 )
 from .spaces import (
-    HardyNormRequest,
-    QuadratureGrid,
     bergman_inner,
     bergman_norm_even,
     bergman_norm_general,
-    default_grid,
     fourier_coeff_abs_power,
     functional_value,
     hardy_inner,
@@ -70,14 +61,9 @@ from .checks import (
     norm_equality_decay_study,
 )
 from .analysis import (
-    RadialProfile,
     antiderivative_product,
-    check_hardy_mult_int,
-    check_klb_truncation,
     disc_pairing,
-    hl_maximal,
     lp_g_function,
-    radial_profile,
 )
 from .kernelspec import KernelSpec, coeffs_spec, power_decay_spec, truncate_spec
 from .families import standard_family
@@ -88,27 +74,18 @@ __all__ = [
     "ONE",
     "ZERO",
     "AnalyticPoly",
-    "DegreeCapError",
-    "TrigPoly",
     "antiderivative",
     "as_poly",
-    "degree_cap",
     "derivative",
-    "get_max_degree",
     "k_transform",
     "monomial",
     "multiply",
     "power",
-    "set_max_degree",
     "shift",
-    "szego_project",
     "taylor_truncate",
-    "HardyNormRequest",
-    "QuadratureGrid",
     "bergman_inner",
     "bergman_norm_even",
     "bergman_norm_general",
-    "default_grid",
     "fourier_coeff_abs_power",
     "functional_value",
     "hardy_inner",
@@ -135,14 +112,9 @@ __all__ = [
     "convergence_study",
     "growth_study",
     "norm_equality_decay_study",
-    "RadialProfile",
     "antiderivative_product",
-    "check_hardy_mult_int",
-    "check_klb_truncation",
     "disc_pairing",
-    "hl_maximal",
     "lp_g_function",
-    "radial_profile",
     "KernelSpec",
     "coeffs_spec",
     "power_decay_spec",

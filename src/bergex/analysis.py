@@ -1,52 +1,21 @@
-"""Littlewood-Paley toolkit and disc pairings.
+"""Littlewood-Paley square function and disc pairings.
 
-Radial square functions, the radial maximal function, and the
-mixed pairings integral_D conj(f1) f2 f3' dsigma that connect area
-integrals to boundary integrals through the Cauchy-Green identity. For
-polynomial inputs every integral here is proper and exact coefficient
-arithmetic or spectrally accurate quadrature; the principal-value
-structure of these pairings for infinite series only surfaces through
-the truncation-limit check.
+The radial square function g(theta, f), and the mixed pairings
+integral_D conj(f1) f2 f3' dsigma that connect area integrals to
+boundary integrals through the Cauchy-Green identity. For polynomial
+inputs every integral here is proper and exact coefficient arithmetic or
+exact Gauss-Legendre quadrature.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .checks import VerificationReport
-from .poly import antiderivative, derivative, multiply, shift, taylor_truncate
-from .spaces import bergman_inner, hardy_inner, hardy_norm_even, hardy_norm_general
+from .poly import antiderivative, derivative, multiply, shift
+from .spaces import bergman_inner, hardy_inner
 
 _G_NODES_DEFAULT = 128
-_MAXIMAL_GRID_DEFAULT = 512
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Samples of a quantity along the radius at a fixed angle."""
-
-    theta: float
-    samples: tuple  # of (r, value) pairs, r strictly increasing in (0, 1)
-
-    def __post_init__(self):
-        rs = [r for r, _ in self.samples]
-        if any(not (0.0 < r < 1.0) for r in rs):
-            raise ValueError("radii must lie in (0, 1)")
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("radii must be strictly increasing")
-
-
-def radial_profile(f, theta, radii):
-    """|f| along the ray of angle theta, as a RadialProfile."""
-    radii = sorted(float(r) for r in radii)
-    direction = np.exp(1j * theta)
-    values = np.abs(f(np.array(radii) * direction)) if radii else np.zeros(0)
-    return RadialProfile(
-        theta=float(theta),
-        samples=tuple(zip(radii, values.tolist())),
-    )
 
 
 def lp_g_function(f, theta, nodes=_G_NODES_DEFAULT):
@@ -64,25 +33,6 @@ def lp_g_function(f, theta, nodes=_G_NODES_DEFAULT):
     wr = 0.5 * w
     vals = np.abs(fp(r * np.exp(1j * theta))) ** 2
     return math.sqrt(float(np.sum(wr * (1.0 - r) * vals)))
-
-
-def hl_maximal(f, theta, grid_size=_MAXIMAL_GRID_DEFAULT):
-    """Radial maximal function sup_{0 <= r < 1} |f(r e^{i theta})|.
-
-    Evaluated on a uniform radial grid plus both endpoints; grid-accurate
-    rather than a certified supremum, which is enough for the monotone or
-    slowly varying moduli that polynomials produce.
-    """
-    rs = np.linspace(0.0, 1.0, grid_size + 1)
-    vals = np.abs(f(rs * np.exp(1j * theta)))
-    return float(np.max(vals))
-
-
-def maximal_lp_norm(f, p, angular=256, grid_size=_MAXIMAL_GRID_DEFAULT):
-    """L^p norm over the circle of the radial maximal function."""
-    thetas = 2.0 * np.pi * np.arange(angular) / angular
-    vals = [hl_maximal(f, t, grid_size) ** p for t in thetas]
-    return float(np.mean(vals)) ** (1.0 / p)
 
 
 def antiderivative_product(f1, f2):
@@ -114,73 +64,3 @@ def cauchy_green_gap(f1, f2, f3):
     area = disc_pairing(f1, f2, f3)
     boundary = hardy_inner(antiderivative_product(f2, f3), shift(f1, 1))
     return abs(area - boundary)
-
-
-def check_klb_truncation(f1, f2, f3, truncations):
-    """Truncation-limit behavior of the disc pairing in its third slot.
-
-    disc_pairing(f1, f2, S_n f3) must converge to the full pairing and
-    agree exactly once n >= deg f3. Residuals are recorded per n; the
-    verdict asserts exact agreement at the largest adequate n.
-    """
-    target = disc_pairing(f1, f2, f3)
-    residuals = {}
-    for n in sorted(truncations):
-        approx = disc_pairing(f1, f2, taylor_truncate(f3, n))
-        residuals[int(n)] = abs(approx - target)
-    adequate = [n for n in residuals if n >= f3.degree]
-    if adequate:
-        final = max(residuals[n] for n in adequate)
-        verdict = "pass" if final == 0.0 else "fail"
-    else:
-        # no truncation reached the full degree; record decay only
-        final = residuals[max(residuals)] if residuals else 0.0
-        verdict = "inequality_slack"
-    return VerificationReport(
-        check_name="klb_truncation",
-        lhs=target,
-        rhs=target,
-        residual=final,
-        tolerance=0.0,
-        verdict=verdict,
-        context={"residual_by_n": residuals, "f3_degree": f3.degree},
-    )
-
-
-def check_hardy_mult_int(f1, f2, p1, p2):
-    """Hardy-norm ratio for the antiderivative of a product.
-
-    With 1/p = 1/p1 + 1/p2 the primitive h of f1 f2' satisfies
-    ||h||_{H^p} <= C ||f1||_{H^{p1}} ||f2||_{H^{p2}} for an absolute
-    constant; the ratio is recorded, not thresholded.
-    """
-    if p1 <= 1 or p2 <= 1:
-        raise ValueError("exponents must exceed 1")
-    p = 1.0 / (1.0 / p1 + 1.0 / p2)
-    if p <= 1:
-        raise ValueError(
-            f"combined exponent p = {p:.4f} must exceed 1 for the bound"
-        )
-    h = antiderivative_product(f1, f2)
-    denom_1 = _hardy_auto(f1, p1)
-    denom_2 = _hardy_auto(f2, p2)
-    if h.is_zero() or denom_1 == 0.0 or denom_2 == 0.0:
-        ratio = 0.0
-    else:
-        ratio = _hardy_auto(h, p) / (denom_1 * denom_2)
-    return VerificationReport(
-        check_name="hardy_mult_int",
-        lhs=ratio,
-        rhs=float("nan"),
-        residual=ratio,
-        tolerance=float("inf"),
-        verdict="inequality_slack" if math.isfinite(ratio) else "fail",
-        context={"p": p, "p1": p1, "p2": p2, "kind": "informational"},
-    )
-
-
-def _hardy_auto(f, exponent):
-    rounded = round(exponent)
-    if abs(exponent - rounded) < 1e-9 and rounded >= 2 and rounded % 2 == 0:
-        return hardy_norm_even(f, rounded)
-    return hardy_norm_general(f, exponent)

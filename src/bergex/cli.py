@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .checks import (
     growth_study,
 )
 from .families import standard_family
-from .poly import AnalyticPoly, degree_cap, get_max_degree
+from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     ExtremalProblem,
@@ -106,6 +107,16 @@ def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
 
 def _positive_finite(value):
     return 0 < value < math.inf
+
+
+def _finite_number(value):
+    """A JSON number that fits a finite float; true/false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _degrees(config, default=_REQUIRED):
@@ -259,14 +270,12 @@ def run_solve(config, out=None, fmt="json"):
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
                             DEFAULT_MAX_ITERATIONS)
-    needed = max((p // 2) * degree, get_max_degree())
-    with degree_cap(needed):
-        problem = ExtremalProblem(
-            p=p, kernel=kernel, degree=degree, tolerance=tolerance,
-            max_iterations=max_iterations,
-        )
-        solution = solve_extremal(problem)
-        reports = _run_checks(checks, m_max, solution)
+    problem = ExtremalProblem(
+        p=p, kernel=kernel, degree=degree, tolerance=tolerance,
+        max_iterations=max_iterations,
+    )
+    solution = solve_extremal(problem)
+    reports = _run_checks(checks, m_max, solution)
     body = _solution_body(config, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
@@ -279,58 +288,68 @@ def run_verify(solution_path, out=None):
             payload = json.load(fh)
         body = payload["body"]
         problem = body["problem"]
-        spec = kernelspec.from_dict(problem["kernel"])
-        kernel = kernelspec.realize(spec)
-        coeffs = np.array([re + 1j * im
-                           for re, im in body["solution"]["coefficients"]])
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        solution = body["solution"]
+        kernel = kernelspec.realize(kernelspec.from_dict(problem["kernel"]))
+        F = AnalyticPoly(np.array([re + 1j * im
+                                   for re, im in solution["coefficients"]]))
+        p = int(problem["p"])
+        degree = int(problem["degree"])
+        phi_norm = float(solution["phi_norm"])
+        recorded_max = float(solution["residual_max"])
+        stored = [_stored_check(recorded, F, kernel, p, phi_norm)
+                  for recorded in body["checks"]]
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
 
-    p = int(problem["p"])
-    degree = int(problem["degree"])
-    phi_norm = float(body["solution"]["phi_norm"])
-    needed = max((p // 2) * degree, get_max_degree())
-    rows = []
+    residuals = extremality_residual(F, kernel, p, phi_norm, 2 * degree)
+    recomputed_max = float(np.max(np.abs(residuals)))
+    worst = abs(recomputed_max - recorded_max)
+    rows = [{"check_name": "residual_max",
+             "recorded": recorded_max,
+             "recomputed": recomputed_max,
+             "difference": worst}]
     skipped = []
-    worst = 0.0
-    with degree_cap(needed):
-        F = AnalyticPoly(coeffs)
-        residuals = extremality_residual(F, kernel, p, phi_norm, 2 * degree)
-        recomputed_max = float(np.max(np.abs(residuals)))
-        recorded_max = float(body["solution"]["residual_max"])
-        worst = abs(recomputed_max - recorded_max)
-        rows.append({"check_name": "residual_max",
-                     "recorded": recorded_max,
-                     "recomputed": recomputed_max,
-                     "difference": worst})
-        for recorded in body["checks"]:
-            name = recorded["check_name"]
-            context = recorded.get("context", {})
-            if name == "norm_equality":
-                rep = check_norm_equality(F, kernel, p, phi_norm)
-            elif name == "fourier_formula":
-                rep = check_fourier_formula(F, kernel, p, phi_norm,
-                                            int(context["m"]))
-            elif name == "coefficient_bound_sweep":
-                rep = check_coefficient_sweep_for_verify(
-                    F, kernel, p, phi_norm, int(context["m_max"]))
-            elif name == "ryabykh_bound":
-                rep = check_ryabykh_bound(F, kernel, p)
-            else:
-                skipped.append(name)
-                continue
-            diff = float(abs(rep.residual - float(recorded["residual"])))
-            worst = max(worst, diff)
-            rows.append({"check_name": name,
-                         "recorded": float(recorded["residual"]),
-                         "recomputed": float(rep.residual),
-                         "difference": diff})
+    for name, recompute, recorded_value in stored:
+        if recompute is None:
+            skipped.append(name)
+            continue
+        rep = recompute()
+        diff = float(abs(rep.residual - recorded_value))
+        worst = max(worst, diff)
+        rows.append({"check_name": name,
+                     "recorded": recorded_value,
+                     "recomputed": float(rep.residual),
+                     "difference": diff})
 
     ok = bool(worst <= 1e-14)
     body_out = {"verified": ok, "max_difference": worst, "rows": rows,
                 "skipped": skipped}
     _emit_json(_header(), body_out, out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _stored_check(recorded, F, kernel, p, phi_norm):
+    """One check of a solution file as (name, recompute, recorded residual).
+
+    ``recompute`` reruns the check on the reloaded F. A check that verify
+    does not know has recompute None, and its residual is not read.
+    """
+    name = recorded["check_name"]
+    context = recorded.get("context", {})
+    if name == "norm_equality":
+        recompute = partial(check_norm_equality, F, kernel, p, phi_norm)
+    elif name == "fourier_formula":
+        recompute = partial(check_fourier_formula, F, kernel, p, phi_norm,
+                            int(context["m"]))
+    elif name == "coefficient_bound_sweep":
+        recompute = partial(check_coefficient_sweep_for_verify, F, kernel, p,
+                            phi_norm, int(context["m_max"]))
+    elif name == "ryabykh_bound":
+        recompute = partial(check_ryabykh_bound, F, kernel, p)
+    else:
+        return name, None, None
+    return name, recompute, float(recorded["residual"])
 
 
 def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
@@ -341,15 +360,15 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p, tolerance = _validate_common(config)
     q = p / (p - 1.0)
-    q1_list = config.get("q1_list", [q, 2.0, 4.0])
+    q1_list = _field(config, "q1_list", list,
+                     lambda v: v and all(map(_finite_number, v)),
+                     "q1_list must be a non-empty list of finite numbers",
+                     [q, 2.0, 4.0])
     if seed is None:
         seed = _field(config, "seed", int, lambda v: v >= 0,
                       "seed must be >= 0", None)
     family = _study_family(config, seed)
-    cap = max(int((p - 1) * max(q1_list) / 2 + 1) * max(d for _, _, d in family),
-              get_max_degree())
-    with degree_cap(cap):
-        rows = growth_study(family, p, q1_list)
+    rows = growth_study(family, p, q1_list)
     ratios = [r.ratio for r in rows]
     empirical_c = max(max(ratios), 1.0 / min(ratios))
     fields = ["kernel_id", "q1", "p1", "k_hardy", "k_bergman", "F_hardy",
@@ -387,9 +406,7 @@ def run_convergence_study(config, out=None, fmt="csv"):
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
-    cap = max((p // 2) * max(degrees), get_max_degree())
-    with degree_cap(cap):
-        rows = convergence_study(kernel, p, degrees)
+    rows = convergence_study(kernel, p, degrees)
     csv_rows = [{"degree": n, "distance": d} for n, d in rows]
     header = _header(config.get("seed"))
     if fmt == "csv":
@@ -407,13 +424,11 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     threshold = _field(config, "growth_threshold", float,
                        lambda v: 0 <= v < math.inf,
                        "growth_threshold must be >= 0 and finite", 0.01)
-    exploratory = bool(config.get("exploratory", False))
-    cap = max((p // 2) * max(degrees), get_max_degree())
+    exploratory = _field(config, "exploratory", bool, default=False)
     try:
-        with degree_cap(cap):
-            report = check_hinfty_criterion(
-                alpha, p, degrees, growth_threshold=threshold,
-                exploratory=exploratory)
+        report = check_hinfty_criterion(
+            alpha, p, degrees, growth_threshold=threshold,
+            exploratory=exploratory)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sups = report.context["sup_by_degree"]

@@ -77,8 +77,3 @@ def standard_family(seed=DEFAULT_SEED):
     ]
     return family
 
-
-def family_max_power_degree(p, family=None):
-    """Degree cap needed to run the family at exponent p."""
-    family = family or standard_family()
-    return max(deg * (p // 2) for _, _, deg in family)

@@ -1,61 +1,27 @@
-"""Analytic polynomials and boundary trigonometric polynomials.
+"""Analytic polynomials on the unit disc.
 
 ``AnalyticPoly`` carries a finite Taylor coefficient vector a_0..a_n for
 f(z) = sum a_n z^n on the unit disc. It is the function carrier every
 other module consumes: kernels, extremal candidates, derivatives, all of
-it is coefficient arithmetic here. ``TrigPoly`` carries two-sided
-frequency data for boundary functions h(e^{i t}) = sum_m h_m e^{imt}.
+it is coefficient arithmetic here.
 
 Coefficient storage is dense from index zero. Construction trims trailing
 zeros, so the degree is well defined and the zero polynomial is the
-canonical empty vector. A configurable degree cap (default 512) guards
-against runaway products; raise it with ``set_max_degree`` or scope the
-raise with the ``degree_cap`` context manager.
+canonical empty vector.
 """
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._backend import conv
 
-_DEFAULT_MAX_DEGREE = 512
-_max_degree = _DEFAULT_MAX_DEGREE
-
 # Trailing coefficients at or below this magnitude are treated as zero
 # when trimming. Exact zeros are the common case; the tiny absolute
 # threshold only guards against -0.0 style artifacts.
 _TRIM_TOL = 0.0
-
-
-class DegreeCapError(ValueError):
-    """Raised when an operation would exceed the configured degree cap."""
-
-
-def get_max_degree():
-    """Current degree cap."""
-    return _max_degree
-
-
-def set_max_degree(n):
-    """Set the degree cap; returns the previous value."""
-    global _max_degree
-    if n < 0:
-        raise ValueError("degree cap must be nonnegative")
-    old = _max_degree
-    _max_degree = int(n)
-    return old
-
-
-@contextlib.contextmanager
-def degree_cap(n):
-    """Temporarily raise (or lower) the degree cap within a block."""
-    old = set_max_degree(n)
-    try:
-        yield
-    finally:
-        set_max_degree(old)
 
 
 def _trim(coeffs):
@@ -79,11 +45,6 @@ class AnalyticPoly:
         arr = _trim(np.asarray(self.coeffs, dtype=complex))
         arr = np.array(arr, dtype=complex)
         arr.setflags(write=False)
-        if len(arr) - 1 > _max_degree:
-            raise DegreeCapError(
-                f"degree {len(arr) - 1} exceeds cap {_max_degree}; "
-                "see set_max_degree / degree_cap"
-            )
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -226,69 +187,12 @@ def shift(f, m):
     return AnalyticPoly(out)
 
 
-class TrigPoly:
-    """Boundary function h(e^{it}) = sum_{m} h_m e^{imt}, finitely many m."""
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for m, amp in (terms or {}).items():
-            amp = complex(amp)
-            if amp != 0:
-                self.terms[int(m)] = amp
-
-    @classmethod
-    def from_analytic(cls, f):
-        """Boundary values of an analytic polynomial (frequencies >= 0)."""
-        return cls({t: c for t, c in enumerate(f.coeffs)})
-
-    def term(self, m):
-        return self.terms.get(m, 0j)
-
-    def frequencies(self):
-        return sorted(self.terms)
-
-    def is_real_valued(self, tol=0.0):
-        """True when h(-m) = conj(h(m)) for every frequency."""
-        return all(
-            abs(self.term(-m) - np.conj(amp)) <= tol
-            for m, amp in self.terms.items()
-        )
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape, dtype=complex) if theta.ndim else 0j
-        for m, amp in self.terms.items():
-            out = out + amp * np.exp(1j * m * theta)
-        return out
-
-    def conjugate(self):
-        return TrigPoly({-m: np.conj(amp) for m, amp in self.terms.items()})
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for m, amp in other.terms.items():
-            merged[m] = merged.get(m, 0j) + amp
-        return TrigPoly(merged)
-
-    def __repr__(self):
-        if not self.terms:
-            return "TrigPoly(0)"
-        lo, hi = min(self.terms), max(self.terms)
-        return f"TrigPoly(frequencies {lo}..{hi})"
+def get_max_degree():
+    """Always infinite; kept only because perfbench/workloads.py imports it."""
+    return math.inf
 
 
-def szego_project(h):
-    """Szego projection: keep frequencies m >= 0, yielding an analytic poly.
-
-    Acts as the identity on boundary values of analytic polynomials.
-    """
-    if not h.terms:
-        return ZERO
-    top = max(h.frequencies())
-    if top < 0:
-        return ZERO
-    out = np.zeros(top + 1, dtype=complex)
-    for m, amp in h.terms.items():
-        if m >= 0:
-            out[m] = amp
-    return AnalyticPoly(out)
+@contextlib.contextmanager
+def degree_cap(n):
+    """Does nothing; kept only because perfbench/workloads.py imports it."""
+    yield

@@ -40,13 +40,7 @@ from scipy.optimize import minimize
 from scipy.special import roots_legendre
 
 from ._backend import conv, xcorr
-from .poly import (
-    AnalyticPoly,
-    DegreeCapError,
-    get_max_degree,
-    power,
-    taylor_truncate,
-)
+from .poly import AnalyticPoly, power, taylor_truncate
 from .spaces import bergman_norm_even, functional_value
 
 DEFAULT_TOLERANCE = 1e-10
@@ -255,13 +249,6 @@ def solve_extremal(problem, start=None):
     """
     p, n = problem.p, problem.degree
     s, n1 = p // 2, n + 1
-
-    if s * n > get_max_degree():
-        raise DegreeCapError(
-            f"solving at degree {n} with p={p} forms powers of degree "
-            f"{s * n}, above the cap {get_max_degree()}; raise it with "
-            "set_max_degree or the degree_cap context manager"
-        )
 
     # Scale invariance: dividing by max|c_t| before the A^2 norm keeps any
     # kernel scale finite, and the normalized c_hat keeps the objective O(1).

@@ -9,20 +9,17 @@ with u = f^{p/2} and b its coefficient vector,
 so no quadrature error enters the even-p route at all, and every Fourier
 coefficient of |f|^p on the circle comes out of one autocorrelation of b
 (``abs_power_spectrum``). General exponents fall back to tensor quadrature
-on the disc (Gauss-Legendre radially, uniform angularly) or to boundary
-quadrature on the circle; each circle of samples is one inverse FFT of the
-scaled coefficients a_t r^t.
+on the disc (64 Gauss-Legendre radii, uniform angles) or to quadrature on
+the unit circle; each circle of samples is one inverse FFT of the scaled
+coefficients a_t r^t.
 """
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import ifft
 from scipy.special import roots_legendre
 
 from ._backend import xcorr
-from .poly import AnalyticPoly, power
+from .poly import power
 
 
 def _angular_count(max_degree):
@@ -34,70 +31,6 @@ def _angular_count(max_degree):
     """
     need = 4 * max(max_degree, 0) + 4
     return 1 << max(2, (need - 1).bit_length())
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Tensor quadrature for integrals over the disc in polar form.
-
-    ``radial_nodes`` holds (r, w) pairs on (0, 1) including the area
-    factor, so sum w approximates integral_0^1 2r dr = 1 and a disc
-    integral of g is sum_i w_i * mean_theta g(r_i e^{i theta}).
-    """
-
-    angular_count: int
-    radial_nodes: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.angular_count < 1 or not self.radial_nodes:
-            raise ValueError("degenerate quadrature grid")
-
-    @property
-    def thetas(self):
-        return 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
-
-    @property
-    def radii(self):
-        return np.array([r for r, _ in self.radial_nodes])
-
-    @property
-    def radial_weights(self):
-        return np.array([w for _, w in self.radial_nodes])
-
-
-def default_grid(max_degree, radial_count=64):
-    """Grid exact for |poly|^p integrands up to the given degree.
-
-    Radially: Gauss-Legendre mapped to (0, 1) with the 2r area weight
-    folded into the returned weights. Angularly: power-of-two uniform
-    sampling sized by ``_angular_count``.
-    """
-    x, w = roots_legendre(radial_count)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w * 2.0 * r
-    nodes = tuple(zip(r.tolist(), wr.tolist()))
-    return QuadratureGrid(_angular_count(max_degree), nodes)
-
-
-@dataclass(frozen=True)
-class HardyNormRequest:
-    """Evaluation policy for general-exponent Hardy norms.
-
-    For polynomials the integral means M_p(f, r) increase with r, so the
-    supremum over radii is attained on the boundary and ``boundary_only``
-    is exact. ``radial_sweep`` evaluates means on interior circles too,
-    which is useful as a diagnostic of that monotonicity.
-    """
-
-    exponent: float
-    radius_policy: str = "boundary_only"
-    sweep_radii: tuple = ()
-
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("Hardy exponent must be positive")
-        if self.radius_policy not in ("boundary_only", "radial_sweep"):
-            raise ValueError(f"unknown radius policy {self.radius_policy!r}")
 
 
 def bergman_inner(f, g):
@@ -168,46 +101,41 @@ def _circle_values(f, radius, count):
 # off the circle) and algebraic at worst (zeros on it). The floor keeps
 # the default grid honest for low-degree inputs.
 _GENERAL_MIN_BANDWIDTH = 256
+_RADIAL_COUNT = 64
 
 
-def bergman_norm_general(f, p, grid=None):
+def bergman_norm_general(f, p):
     """||f||_{A^p} for real p > 1 by tensor quadrature over the disc."""
     if p <= 1:
         raise ValueError("Bergman exponent must exceed 1")
     if f.is_zero():
         return 0.0
-    if grid is None:
-        grid = default_grid(max(f.degree, _GENERAL_MIN_BANDWIDTH))
+    count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
+    # Gauss-Legendre mapped to (0, 1) with the area weight 2r folded in, so
+    # the weights sum to the area 1.
+    x, w = roots_legendre(_RADIAL_COUNT)
+    r = 0.5 * (x + 1.0)
+    wr = 0.5 * w * 2.0 * r
     total = 0.0
-    for r, w in grid.radial_nodes:
-        vals = _circle_values(f, r, grid.angular_count)
-        total += w * float(np.mean(np.abs(vals) ** p))
+    for radius, weight in zip(r.tolist(), wr.tolist()):
+        vals = _circle_values(f, radius, count)
+        total += weight * float(np.mean(np.abs(vals) ** p))
     return total ** (1.0 / p)
 
 
-def hardy_norm_general(f, p, request=None, grid=None):
-    """||f||_{H^p} for real p > 0 by circle quadrature.
+def hardy_norm_general(f, p):
+    """||f||_{H^p} for real p > 0 by quadrature on the unit circle.
 
-    With the default boundary_only policy this is a single mean over the
-    unit circle; radial_sweep takes the max of means over the requested
-    interior radii and the boundary.
+    For polynomials the integral means M_p(f, r) increase with r, so the
+    supremum over radii is the boundary mean.
     """
-    if request is None:
-        request = HardyNormRequest(exponent=p)
-    if abs(request.exponent - p) > 0:
-        raise ValueError("request exponent disagrees with p")
+    if p <= 0:
+        raise ValueError("Hardy exponent must be positive")
     if f.is_zero():
         return 0.0
-    if grid is None:
-        grid = default_grid(max(f.degree, _GENERAL_MIN_BANDWIDTH))
-    radii = [1.0]
-    if request.radius_policy == "radial_sweep":
-        radii = sorted(set(request.sweep_radii) | {1.0})
-    best = 0.0
-    for r in radii:
-        vals = _circle_values(f, r, grid.angular_count)
-        best = max(best, float(np.mean(np.abs(vals) ** p)))
-    return best ** (1.0 / p)
+    count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
+    vals = _circle_values(f, 1.0, count)
+    return float(np.mean(np.abs(vals) ** p)) ** (1.0 / p)
 
 
 def fourier_coeff_abs_power(f, p, m):

@@ -17,8 +17,6 @@ from bergex import (
     ExtremalProblem,
     as_poly,
     bergman_norm_even,
-    degree_cap,
-    get_max_degree,
     kernel_from_extremal,
     monomial,
     solve_extremal,
@@ -52,11 +50,9 @@ def family_solutions():
     """Certified solves of the standard family at calibrated degrees."""
     out = []
     for name, kernel, deg in standard_family():
-        needed = max((P // 2) * deg, get_max_degree())
-        with degree_cap(needed):
-            sol = solve_extremal(ExtremalProblem(
-                p=P, kernel=kernel, degree=deg, tolerance=1e-12))
-        out.append((name, sol, needed))
+        sol = solve_extremal(ExtremalProblem(
+            p=P, kernel=kernel, degree=deg, tolerance=1e-12))
+        out.append((name, sol))
     return out
 
 
@@ -102,8 +98,8 @@ def test_criterion_02_brute_force_oracle():
 
 
 def test_criterion_03_certificate_at_doubled_degree(family_solutions):
-    worst = max(sol.residual_max for _, sol, _ in family_solutions)
-    all_certified = all(sol.certified for _, sol, _ in family_solutions)
+    worst = max(sol.residual_max for _, sol in family_solutions)
+    all_certified = all(sol.certified for _, sol in family_solutions)
     _report(3, "optimality residual through doubled degree stays small",
             worst <= 1e-8 and all_certified,
             f"max residual {worst:.2e} over {len(family_solutions)} kernels")
@@ -148,9 +144,8 @@ def test_criterion_05_fourier_formula_through_m8():
 def test_criterion_06_coefficient_bound_slack(family_solutions):
     worst = math.inf
     worst_name = ""
-    for name, sol, needed in family_solutions:
-        with degree_cap(needed):
-            sweep = coefficient_bound_sweep(sol)
+    for name, sol in family_solutions:
+        sweep = coefficient_bound_sweep(sol)
         if sweep.residual < worst:
             worst = sweep.residual
             worst_name = name
@@ -172,9 +167,7 @@ def test_criterion_07_bounded_sup_for_quadratic_decay():
 
 def test_criterion_08_growth_law_band():
     family = standard_family()
-    cap = (P - 1) * 2 * max(d for _, _, d in family)
-    with degree_cap(max(cap, get_max_degree())):
-        rows = growth_study(family, P, [Q, 2.0, 4.0])
+    rows = growth_study(family, P, [Q, 2.0, 4.0])
     ratios = [row.ratio for row in rows]
     recorded_c = 2.0
     in_band = all(1.0 / recorded_c <= r <= recorded_c for r in ratios)

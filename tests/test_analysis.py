@@ -1,4 +1,4 @@
-"""Tests for the square-function, maximal-function, and pairing toolkit."""
+"""Tests for the square function and the disc-pairing toolkit."""
 
 import math
 
@@ -8,19 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergex.analysis import (
-    RadialProfile,
     antiderivative_product,
     cauchy_green_gap,
-    check_hardy_mult_int,
-    check_klb_truncation,
     disc_pairing,
-    hl_maximal,
     lp_g_function,
-    maximal_lp_norm,
-    radial_profile,
 )
-from bergex.poly import as_poly, monomial
-from bergex.spaces import hardy_norm_even
+from bergex.poly import as_poly, monomial, taylor_truncate
 
 
 def small_polys(max_degree=8):
@@ -29,24 +22,6 @@ def small_polys(max_degree=8):
         st.floats(-2.0, 2.0, allow_nan=False),
     ).map(lambda t: complex(*t))
     return st.lists(entry, min_size=1, max_size=max_degree + 1).map(as_poly)
-
-
-class TestRadialProfile:
-    def test_valid_profile(self):
-        profile = radial_profile(as_poly([1.0, 1.0]), 0.0, [0.25, 0.5, 0.75])
-        assert profile.theta == 0.0
-        radii = [r for r, _ in profile.samples]
-        assert radii == [0.25, 0.5, 0.75]
-        values = [v for _, v in profile.samples]
-        assert values == pytest.approx([1.25, 1.5, 1.75])
-
-    def test_radii_outside_disc_rejected(self):
-        with pytest.raises(ValueError):
-            RadialProfile(theta=0.0, samples=((0.5, 1.0), (1.0, 2.0)))
-
-    def test_non_increasing_radii_rejected(self):
-        with pytest.raises(ValueError):
-            RadialProfile(theta=0.0, samples=((0.5, 1.0), (0.25, 2.0)))
 
 
 class TestGFunction:
@@ -71,34 +46,6 @@ class TestGFunction:
         base = lp_g_function(f, 0.9)
         scaled = lp_g_function(scale * f, 0.9)
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
-
-
-class TestMaximal:
-    def test_monomial_z(self):
-        for theta in (0.0, 2.5):
-            assert hl_maximal(monomial(1), theta) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonnegative_coefficients_attain_at_boundary(self):
-        f = as_poly([1.0, 2.0, 0.5])
-        assert hl_maximal(f, 0.0) == pytest.approx(f(1.0).real, rel=1e-12)
-
-    def test_one_minus_z_attains_at_center(self):
-        f = as_poly([1.0, -1.0])
-        assert hl_maximal(f, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dominates_center_value(self):
-        f = as_poly([2.0, 1.0j, -0.5])
-        for theta in (0.0, 1.0, 4.0):
-            assert hl_maximal(f, theta) >= abs(f(0)) - 1e-12
-
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_maximal_norm_dominates_hardy(self, p):
-        rng = np.random.default_rng(61 + p)
-        for _ in range(3):
-            f = as_poly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-            assert maximal_lp_norm(f, p, angular=64) >= hardy_norm_even(
-                f, p
-            ) * (1 - 1e-9)
 
 
 class TestAntiderivativeProduct:
@@ -159,62 +106,19 @@ class TestDiscPairing:
 
 
 class TestKlbTruncation:
+    """Truncation of the disc pairing in its third slot."""
+
     def test_exact_at_adequate_truncation(self):
         rng = np.random.default_rng(79)
         f1 = as_poly(rng.standard_normal(5))
         f2 = as_poly(rng.standard_normal(5))
         f3 = as_poly(rng.standard_normal(9))
-        report = check_klb_truncation(f1, f2, f3, [8, 12])
-        assert report.passed
-        assert report.residual == 0.0
+        full = disc_pairing(f1, f2, f3)
+        for n in (8, 12):
+            assert disc_pairing(f1, f2, taylor_truncate(f3, n)) == full
 
     def test_truncation_to_constant_kills_derivative(self):
         f3 = as_poly([1.0, 2.0, 3.0])
         value = disc_pairing(as_poly([1.0]), as_poly([1.0]),
                              as_poly(f3.coeffs[:1]))
         assert value == 0.0
-
-    def test_residual_decay_recorded(self):
-        rng = np.random.default_rng(83)
-        f1 = as_poly(rng.standard_normal(9) * 0.5 ** np.arange(9))
-        f2 = as_poly(rng.standard_normal(9) * 0.5 ** np.arange(9))
-        f3 = as_poly(rng.standard_normal(9) * 0.5 ** np.arange(9))
-        report = check_klb_truncation(f1, f2, f3, [2, 4, 8])
-        residuals = report.context["residual_by_n"]
-        assert report.passed
-        assert residuals[2] >= residuals[4] >= residuals[8] == 0.0
-
-    def test_inadequate_truncations_report_slack_verdict(self):
-        f3 = monomial(6)
-        report = check_klb_truncation(as_poly([1.0]), as_poly([1.0]), f3, [2, 4])
-        assert report.verdict == "inequality_slack"
-
-
-class TestHardyMultInt:
-    def test_trivial_ratio_one(self):
-        report = check_hardy_mult_int(as_poly([1.0]), monomial(1), 4.0, 4.0)
-        assert report.residual == pytest.approx(1.0, rel=1e-10)
-        assert report.context["p"] == pytest.approx(2.0)
-
-    def test_zero_input_guarded(self):
-        report = check_hardy_mult_int(as_poly([]), monomial(1), 4.0, 4.0)
-        assert report.residual == 0.0
-
-    def test_bad_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            check_hardy_mult_int(as_poly([1.0]), as_poly([1.0]), 1.0, 4.0)
-        with pytest.raises(ValueError):
-            # combined p = 10/9... fine; p below 1 needs tiny exponents
-            check_hardy_mult_int(as_poly([1.0]), as_poly([1.0]), 1.4, 1.4)
-
-    def test_random_family_ratios_bounded(self):
-        rng = np.random.default_rng(89)
-        ratios = []
-        for _ in range(5):
-            f1 = as_poly(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            f2 = as_poly(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            report = check_hardy_mult_int(f1, f2, 4.0, 4.0)
-            assert report.verdict == "inequality_slack"
-            ratios.append(report.residual)
-        assert all(np.isfinite(ratios))
-        assert max(ratios) < 10.0

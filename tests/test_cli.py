@@ -20,6 +20,8 @@ from bergex.solver import ExtremalProblem, solve_extremal
 MONOMIAL_Z = {"type": "coeffs", "values": [[0.0, 0.0], [1.0, 0.0]]}
 ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
 CONSTANT_ONE = {"type": "coeffs", "values": [[1.0, 0.0]]}
+# Degree 599, beyond the fixed degree cap of 512 that bergex once had.
+LONG_POWER_DECAY = {"type": "power_decay", "alpha": 3.0, "count": 600}
 
 
 def write_json(path, payload):
@@ -187,6 +189,18 @@ class TestSolveCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["body"]["solution"]["iterations"] >= 0
 
+    def test_long_kernel_solves(self, tmp_path):
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1,
+            "p": 4,
+            "degree": 40,
+            "kernel": LONG_POWER_DECAY,
+            "checks": ["norm_equality"],
+        })
+        out = str(tmp_path / "s.json")
+        with pytest.warns(UserWarning, match="below kernel degree"):
+            assert cli.main(["solve", "--config", config, "--out", out]) == 0
+
     def test_csv_format_rejected_for_solve(self, tmp_path):
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
@@ -246,6 +260,23 @@ class TestVerifyCommand:
         path = tmp_path / "garbage.json"
         path.write_text("not json", encoding="utf-8")
         assert cli.main(["verify", str(path)]) == 3
+
+    @pytest.mark.parametrize("check_name, key", [
+        ("fourier_formula", "m"),
+        ("coefficient_bound_sweep", "m_max"),
+        ("norm_equality", "residual"),
+    ])
+    def test_missing_recorded_field_is_invalid_input(
+            self, solved_artifact, tmp_path, capsys, check_name, key):
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        for check in payload["body"]["checks"]:
+            if check["check_name"] == check_name:
+                check.pop(key, None)
+                check["context"].pop(key, None)
+        broken = write_json(tmp_path / "broken.json", payload)
+        assert cli.main(["verify", broken]) == 3
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -324,6 +355,8 @@ FIELD_CASES = {
                     {"p": 4, "kernel": ONE_PLUS_Z, "degrees": [8, 16]}),
     "hinfty": (["study", "hinfty"],
                {"p": 4, "alpha": 2.0, "degrees": [16, 32]}),
+    "hinfty-slow": (["study", "hinfty"],
+                    {"p": 4, "alpha": 1.2, "degrees": [8, 16]}),
     "oracle": (["oracle-compare"], {"p": 4, "kernel": ONE_PLUS_Z}),
 }
 
@@ -340,6 +373,9 @@ NUMBER_FIELDS = [
     ("oracle", "oracle_tolerance"),
 ]
 NOT_NUMBERS = [[1], True, {"value": 1}, "1e-10", None, 10 ** 400, -1.0]
+NOT_NUMBER_LISTS = [[], "ab", 2.0, {"q1": 2.0}, None, ["2"], [True],
+                    [2.0, None], [math.inf], [10 ** 400]]
+NOT_BOOLS = ["no", "false", 0, 1, None, [True]]
 
 
 class TestConfigFieldTypes:
@@ -382,6 +418,19 @@ class TestConfigFieldTypes:
         code, err = self.run(tmp_path, capsys, case, field, value)
         assert code == 3
         assert repr(field) in err
+
+    @pytest.mark.parametrize("value", NOT_NUMBER_LISTS, ids=repr)
+    def test_q1_list(self, tmp_path, capsys, value):
+        code, err = self.run(tmp_path, capsys, "growth", "q1_list", value)
+        assert code == 3
+        assert "'q1_list'" in err
+
+    @pytest.mark.parametrize("value", NOT_BOOLS, ids=repr)
+    def test_exploratory_flag(self, tmp_path, capsys, value):
+        code, err = self.run(tmp_path, capsys, "hinfty-slow", "exploratory",
+                             value)
+        assert code == 3
+        assert "'exploratory'" in err
 
 
 class TestCheckSuiteWork:
@@ -468,6 +517,17 @@ class TestConvergenceStudy:
         distances = [float(row["distance"]) for row in rows]
         assert distances[0] > distances[1] > distances[2]
         assert distances[2] == 0.0
+
+    def test_long_kernel_runs(self, tmp_path):
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1,
+            "p": 4,
+            "kernel": LONG_POWER_DECAY,
+            "degrees": [8, 16],
+        })
+        out = str(tmp_path / "conv.csv")
+        assert cli.main(["study", "convergence", "--config", config,
+                         "--out", out]) == 0
 
     def test_single_degree_rejected(self, tmp_path):
         config = write_json(tmp_path / "c.json", {

@@ -9,20 +9,14 @@ from bergex.poly import (
     ONE,
     ZERO,
     AnalyticPoly,
-    DegreeCapError,
-    TrigPoly,
     antiderivative,
     as_poly,
-    degree_cap,
     derivative,
-    get_max_degree,
     k_transform,
     monomial,
     multiply,
     power,
-    set_max_degree,
     shift,
-    szego_project,
     taylor_truncate,
 )
 
@@ -93,33 +87,10 @@ class TestAnalyticPoly:
         assert as_poly([1.0, 0.0]) == as_poly([1.0])
         assert as_poly([1.0]) != as_poly([2.0])
 
-
-class TestDegreeCap:
-    def test_default_cap(self):
-        assert get_max_degree() == 512
-
-    def test_construction_above_cap_raises(self):
-        with pytest.raises(DegreeCapError):
-            AnalyticPoly(np.ones(get_max_degree() + 2, dtype=complex))
-
-    def test_context_manager_restores(self):
-        before = get_max_degree()
-        with degree_cap(before + 100):
-            assert get_max_degree() == before + 100
-            AnalyticPoly(np.ones(before + 50, dtype=complex))
-        assert get_max_degree() == before
-
-    def test_set_max_degree_returns_previous(self):
-        old = set_max_degree(600)
-        try:
-            assert old == 512
-            assert get_max_degree() == 600
-        finally:
-            set_max_degree(old)
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            set_max_degree(-1)
+    def test_high_degrees_need_no_setup(self):
+        f = AnalyticPoly(np.ones(2000))
+        assert f.degree == 1999
+        assert power(f, 2).degree == 3998
 
 
 class TestOperations:
@@ -206,52 +177,3 @@ class TestOperations:
         g = multiply(f, f)
         z = 0.37 - 0.21j
         assert abs(g(z) - f(z) ** 2) <= 1e-9 * max(1.0, abs(f(z)) ** 2)
-
-
-class TestTrigPoly:
-    def test_from_analytic_frequencies(self):
-        h = TrigPoly.from_analytic(as_poly([1.0, 2.0, 3.0]))
-        assert h.frequencies() == [0, 1, 2]
-        assert h.term(1) == 2.0
-
-    def test_zero_terms_dropped(self):
-        h = TrigPoly({0: 1.0, 3: 0.0})
-        assert h.frequencies() == [0]
-
-    def test_real_valued_detection(self):
-        real = TrigPoly({1: 1.0 + 2.0j, -1: 1.0 - 2.0j, 0: 3.0})
-        assert real.is_real_valued()
-        not_real = TrigPoly({1: 1.0})
-        assert not not_real.is_real_valued()
-
-    def test_evaluation(self):
-        h = TrigPoly({1: 1.0, -1: 1.0})
-        theta = 0.7
-        assert h(theta) == pytest.approx(2.0 * np.cos(theta))
-
-    def test_conjugate_negates_frequencies(self):
-        h = TrigPoly({2: 1.0 + 1.0j})
-        hc = h.conjugate()
-        assert hc.term(-2) == 1.0 - 1.0j
-
-    def test_addition(self):
-        h = TrigPoly({0: 1.0}) + TrigPoly({0: 2.0, 1: 1.0})
-        assert h.term(0) == 3.0
-        assert h.term(1) == 1.0
-
-
-class TestSzegoProjection:
-    def test_identity_on_analytic(self):
-        f = as_poly([1.0, 2.0, 3.0j])
-        assert szego_project(TrigPoly.from_analytic(f)) == f
-
-    def test_drops_negative_frequencies(self):
-        h = TrigPoly({-2: 5.0, -1: 1.0, 0: 2.0, 1: 3.0})
-        assert szego_project(h) == as_poly([2.0, 3.0])
-
-    def test_purely_antianalytic_projects_to_zero(self):
-        h = TrigPoly({-3: 1.0, -1: 2.0})
-        assert szego_project(h).is_zero()
-
-    def test_empty(self):
-        assert szego_project(TrigPoly()).is_zero()

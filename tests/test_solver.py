@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergex.poly import as_poly, degree_cap, monomial
+from bergex.poly import as_poly, monomial
 from bergex.solver import (
-    DegreeCapError,
     ExtremalProblem,
     NonConvergenceError,
     _newton_terms,
@@ -71,12 +70,6 @@ class TestProblemValidation:
     def test_degree_below_kernel_degree_warns(self):
         with pytest.warns(UserWarning):
             ExtremalProblem(p=4, kernel=as_poly([1.0, 0.0, 0.0, 1.0]), degree=1)
-
-    def test_degree_cap_precheck(self):
-        kernel = as_poly([1.0, 1.0])
-        with degree_cap(64):
-            with pytest.raises(DegreeCapError):
-                solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=40))
 
 
 class TestClosedForms:
