@@ -1,4 +1,4 @@
-"""Times the coefficient kernels' two paths: direct NumPy and FFT.
+"""Times the coefficient kernels' two paths, and one Newton step.
 
 Prints one table per operation (Cauchy convolution and nonnegative-lag
 cross-correlation) with median wall time per call at a range of operand
@@ -13,9 +13,18 @@ on: the crossover is near n = 448, an output degree of about 900. The
 threshold in use, 256 in output degree, switches to the FFT sooner than
 this table asks.
 
+The ``newton_step`` table times the dense part of one solver iteration,
+``solver._newton_terms`` (objective, gradient, Hessian) plus the Cholesky
+factorization of that Hessian, median of 5 calls, at p = 4 and 6 on the
+coefficients a_t = (t+1)^-1.6 of degree n = 96, 352 and 704. The "real" column passes them as a real
+vector, which the solver does for a real kernel (n+1 unknowns); the
+"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
+Pin OpenBLAS to one thread for this table: on a 2-CPU VM its threads
+made single cells up to 20x slower from run to run.
+
 Run from the repository root:
 
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
 """
 
 import argparse
@@ -23,10 +32,14 @@ import statistics
 import time
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from bergex import _backend
+from bergex.solver import _newton_terms
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
+NEWTON_SIZES = (96, 352, 704)
+NEWTON_REPEATS = 5
 
 
 def time_call(fn, *args, repeats=200):
@@ -63,6 +76,26 @@ def bench_operation(name, fn, sizes, repeats):
         print(row)
 
 
+def newton_step(a, p):
+    """One iteration's dense work: Newton terms, then the Cholesky factor."""
+    H = _newton_terms(a, p)[2]
+    cho_factor(H, overwrite_a=True, check_finite=False)
+
+
+def bench_newton_step(sizes, repeats):
+    print("\nnewton_step: median milliseconds per call")
+    header = f"{'n':>6}{'p':>4}{'real':>12}{'complex':>12}{'ratio':>8}"
+    print(header)
+    print("-" * len(header))
+    for n in sizes:
+        a = (np.arange(n + 1) + 1.0) ** -1.6
+        for p in (4, 6):
+            real = time_call(newton_step, a, p, repeats=repeats) * 1e3
+            cplx = time_call(newton_step, np.exp(0.7j) * a, p,
+                             repeats=repeats) * 1e3
+            print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -75,6 +108,7 @@ def main():
     print(f"FFT_THRESHOLD in use: {THRESHOLD_IN_USE} (output degree)")
     bench_operation("conv", _backend.conv, sizes, args.repeats)
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
+    bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
 
 
 if __name__ == "__main__":

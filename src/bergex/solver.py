@@ -14,6 +14,15 @@ minimized by damped Newton on the KKT system [[H, A^T], [A, 0]] with the
 exact Hessian H and a backtracking line search (Nocedal & Wright,
 Numerical Optimization, 2nd ed., ch. 16 and 18).
 
+When the kernel's coefficients on P_n are all real, conj(F(conj z)) is
+extremal too, so by uniqueness F has real coefficients. The solve then
+runs in x = Re a alone: n+1 unknowns, the one row Re phi(f) = 1 (the
+imaginary row holds identically), a Gram matrix in real arithmetic and a
+Cholesky factorization of size n+1 instead of 2(n+1). In exact arithmetic
+these are the iterates of the full system, which never leave the real
+slice from a real start; in floating point F's imaginary parts are then
+exactly zero.
+
 Everything the optimizer touches is exact coefficient arithmetic: with
 s = p/2, u = f^s and v = f^{s-1}, the Wirtinger gradient of the objective
 is
@@ -174,13 +183,14 @@ def _gram(v, n1):
 
     Entry (i, j) is sum_m conj(v_{m-i}) v_{m-j} / (m+1). The sum runs over
     row blocks of T_v, each cut to the band where it is nonzero, so that no
-    temporary is larger than the n1 x n1 result.
+    temporary is larger than the n1 x n1 result. The result has the dtype
+    of v (real v, real arithmetic) and Fortran order.
     """
     rows = len(v) + n1 - 1
     # T[m, i] = v_{m-i}, a strided view of the zero-padded v
     T = sliding_window_view(np.pad(v, n1 - 1), n1)[:, ::-1]
     root_w = 1.0 / np.sqrt(np.arange(rows) + 1.0)
-    out = np.zeros((n1, n1), dtype=complex)
+    out = np.zeros((n1, n1), dtype=v.dtype, order="F")
     block = n1 // 2 + 1
     for m0 in range(0, rows, block):
         c0, c1 = max(0, m0 - len(v) + 1), min(n1, m0 + block)
@@ -198,29 +208,40 @@ def _objective(a, s):
 
 
 def _newton_terms(a, p):
-    """Objective, gradient and Hessian of ||f||_{A^p}^p in x = (Re a, Im a).
+    """Objective, gradient and Hessian of ||f||_{A^p}^p in real coordinates.
 
     With s = p/2, P = s^2 T_v^H W T_v for v = f^{s-1} and
-    Q = s(s-1) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the Hessian is
-    2 [[Re(P+Q), -Im(P+Q)], [Im(P-Q), Re(P-Q)]]. It is assembled in place
-    in Fortran order, so that its Cholesky factorization can overwrite it.
+    Q = s(s-1) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the Hessian in
+    x = (Re a, Im a) is 2 [[Re(P+Q), -Im(P+Q)], [Im(P-Q), Re(P-Q)]]. For
+    real ``a`` the coordinates are x = Re a alone: f, v and h are then real
+    (up to FFT round-off, which is dropped), so the gradient is 2 Re g and
+    the Hessian is the upper-left block 2 (P+Q), built in real arithmetic.
+    Either Hessian is in Fortran order, so that its Cholesky factorization
+    can overwrite it.
     """
     s, n1 = p // 2, len(a)
+    real = not np.iscomplexobj(a)
     value, wu, v = _objective(a, s)
     g = s * xcorr(wu, v)[:n1]
-    grad = np.concatenate([2.0 * g.real, 2.0 * g.imag])
-
-    P = _gram(v, n1)
+    P = _gram(v.real if real else v, n1)
     P *= 2.0 * s * s
+    if s > 1:
+        # zero tail so that h reaches index 2n when f^s is shorter
+        h = xcorr(np.pad(wu, (0, n1)), power(AnalyticPoly(a), s - 2).coeffs)
+        hank = sliding_window_view(h[:2 * n1 - 1], n1)
+    if real:
+        if s > 1:
+            P += 2.0 * s * (s - 1) * hank.real
+        return value, 2.0 * g.real, P
+
+    grad = np.concatenate([2.0 * g.real, 2.0 * g.imag])
     H = np.empty((2 * n1, 2 * n1), order="F")
     H[:n1, :n1] = P.real
     np.negative(P.imag, out=H[:n1, n1:])
     H[n1:, :n1] = P.imag
     H[n1:, n1:] = P.real
     if s > 1:
-        # zero tail so that h reaches index 2n when f^s is shorter
-        h = xcorr(np.pad(wu, (0, n1)), power(AnalyticPoly(a), s - 2).coeffs)
-        P[...] = sliding_window_view(h[:2 * n1 - 1], n1)
+        P[...] = hank
         P *= 2.0 * s * (s - 1)
         H[:n1, :n1] += P.real
         H[:n1, n1:] += P.imag
@@ -246,6 +267,11 @@ def solve_extremal(problem, start=None):
     truncated kernel, which is already optimal for p = 2. The minimized
     objective is strictly convex on the slice, so every start reaches the
     same solution.
+
+    A kernel whose coefficients on P_n are all real is solved in the real
+    coordinates x = Re a (see the module docstring), where the slice is the
+    real one: the projection of ``start`` onto it drops its imaginary part.
+    Any other kernel is solved in x = (Re a, Im a).
     """
     p, n = problem.p, problem.degree
     s, n1 = p // 2, n + 1
@@ -253,38 +279,53 @@ def solve_extremal(problem, start=None):
     # Scale invariance: dividing by max|c_t| before the A^2 norm keeps any
     # kernel scale finite, and the normalized c_hat keeps the objective O(1).
     c = problem.kernel.padded(n1)
+    real = not np.any(c.imag)
     c = c / np.max(np.abs(c))
     c_hat = c / np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0)))
     # Rows of A x = (1, 0) in x = (Re a, Im a): Re phi(f) = 1 and
     # Im phi(f) = 0. They are orthogonal with equal norms r, so
-    # A A^T = r I and x0 = A_0 / r is the particular point.
+    # A A^T = r I and x0 = A_0 / r is the particular point. A real kernel
+    # has a real extremal function, so x = Re a and the one row
+    # Re phi(f) = 1 suffice: Im phi(f) = 0 holds identically there.
     cw = c_hat / (np.arange(n1) + 1.0)
-    A = np.array([np.concatenate([cw.real, cw.imag]),
-                  np.concatenate([-cw.imag, cw.real])])
+    if real:
+        A = cw.real[None, :]
+
+        def coeffs(x):
+            return x
+    else:
+        A = np.array([np.concatenate([cw.real, cw.imag]),
+                      np.concatenate([-cw.imag, cw.real])])
+
+        def coeffs(x):
+            return x[:n1] + 1j * x[n1:]
     r = A[0] @ A[0]
 
     def project(y):
         return y - A.T @ (A @ y) / r
 
     a_init = c_hat if start is None else start.padded(n1)
-    x = A[0] / r + project(np.concatenate([a_init.real, a_init.imag]))
+    x = A[0] / r + project(a_init.real if real
+                           else np.concatenate([a_init.real, a_init.imag]))
 
     trace = []
-    gnorm = np.inf
+    gnorm = best_value = best_gnorm = np.inf
     for it in range(problem.max_iterations):
-        value, grad, H = _newton_terms(x[:n1] + 1j * x[n1:], p)
+        value, grad, H = _newton_terms(coeffs(x), p)
         gnorm = float(np.linalg.norm(project(grad)))
         trace.append((it, value, gnorm))
         converged = gnorm <= problem.tolerance
         # Only a step at the float floor leaves the objective flat; if the
-        # gradient did not shrink either, no further step can help.
-        if not converged and it and value >= trace[-2][1] and gnorm >= trace[-2][2]:
+        # iterate beats neither the best value nor the best gradient so far
+        # (which also catches a 2-cycle), no further step can help.
+        if not converged and value >= best_value and gnorm >= best_gnorm:
             raise NonConvergenceError(
                 f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
                 f"at its float floor, tolerance {problem.tolerance:.1e}",
                 tuple(trace))
+        best_value, best_gnorm = min(best_value, value), min(best_gnorm, gnorm)
         # KKT system [[H, A^T], [A, 0]] [d; lam] = [-grad; 0]: Cholesky of
-        # H (overwritten) and the 2 x 2 Schur complement A H^-1 A^T
+        # H (overwritten) and the Schur complement A H^-1 A^T (1 x 1 or 2 x 2)
         try:
             factor = cho_factor(H, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -298,7 +339,7 @@ def solve_extremal(problem, start=None):
         t = 1.0
         while True:
             y = x + t * d
-            new_value = _objective(y[:n1] + 1j * y[n1:], s)[0]
+            new_value = _objective(coeffs(y), s)[0]
             # Armijo, with an absolute-floor escape: near the optimum the
             # predicted decrease is below float resolution and equality
             # within round-off counts as acceptance.
@@ -323,7 +364,7 @@ def solve_extremal(problem, start=None):
             tuple(trace),
         )
 
-    f = AnalyticPoly(x[:n1] + 1j * x[n1:])
+    f = AnalyticPoly(coeffs(x))
     F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
     phi_norm = float(functional_value(problem.kernel, F).real)
     residuals = extremality_residual(F, problem.kernel, p, phi_norm, 2 * n)

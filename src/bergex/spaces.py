@@ -104,6 +104,20 @@ _GENERAL_MIN_BANDWIDTH = 256
 _RADIAL_COUNT = 64
 
 
+def _radial_rule(count):
+    """Gauss-Legendre radii on (0, 1) and weights with the area weight 2r
+    folded in, so that the weights sum to the area 1. Read-only arrays."""
+    x, w = roots_legendre(count)
+    r = 0.5 * (x + 1.0)
+    wr = 0.5 * w * 2.0 * r
+    r.setflags(write=False)
+    wr.setflags(write=False)
+    return r, wr
+
+
+_RADII, _RADIAL_WEIGHTS = _radial_rule(_RADIAL_COUNT)
+
+
 def bergman_norm_general(f, p):
     """||f||_{A^p} for real p > 1 by tensor quadrature over the disc."""
     if p <= 1:
@@ -111,13 +125,8 @@ def bergman_norm_general(f, p):
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
-    # Gauss-Legendre mapped to (0, 1) with the area weight 2r folded in, so
-    # the weights sum to the area 1.
-    x, w = roots_legendre(_RADIAL_COUNT)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w * 2.0 * r
     total = 0.0
-    for radius, weight in zip(r.tolist(), wr.tolist()):
+    for radius, weight in zip(_RADII.tolist(), _RADIAL_WEIGHTS.tolist()):
         vals = _circle_values(f, radius, count)
         total += weight * float(np.mean(np.abs(vals) ** p))
     return total ** (1.0 / p)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergex.families import power_decay_kernel
 from bergex.poly import as_poly, monomial
 from bergex.solver import (
     ExtremalProblem,
@@ -182,25 +183,37 @@ class TestGradient:
     def test_zero_input(self):
         assert len(gradient_norm_p(as_poly([]), 4)) == 0
 
-    @pytest.mark.parametrize("p", [4, 6])
-    def test_hessian_matches_gradient_differences(self, p):
+    @pytest.mark.parametrize("p, real", [
+        pytest.param(4, False, id="4"), pytest.param(6, False, id="6"),
+        pytest.param(4, True, id="4-real"), pytest.param(6, True, id="6-real"),
+    ])
+    def test_hessian_matches_gradient_differences(self, p, real):
+        # real coefficients take the coordinates x = Re a alone
         rng = np.random.default_rng(61 + p)
-        a = random_poly(rng, 7).coeffs
+        a = rng.standard_normal(8) if real else random_poly(rng, 7).coeffs
         n1 = len(a)
 
         def real_gradient(x):
+            if real:
+                return 2.0 * gradient_norm_p(as_poly(x), p).real
             g = gradient_norm_p(as_poly(x[:n1] + 1j * x[n1:]), p)
             return np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
         _, grad, H = _newton_terms(a, p)
-        x = np.concatenate([a.real, a.imag])
+        x = a if real else np.concatenate([a.real, a.imag])
+        assert H.shape == (len(x), len(x))
         np.testing.assert_allclose(grad, real_gradient(x), rtol=1e-13, atol=0)
         h = 1e-6
         fd = np.column_stack([
             (real_gradient(x + h * e) - real_gradient(x - h * e)) / (2 * h)
-            for e in np.eye(2 * n1)
+            for e in np.eye(len(x))
         ])
         assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+        if real:
+            # the upper-left block of the Hessian in (Re a, Im a)
+            H_complex = _newton_terms(a.astype(complex), p)[2]
+            np.testing.assert_allclose(H, H_complex[:n1, :n1], rtol=0,
+                                       atol=1e-13 * np.max(np.abs(H)))
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
@@ -348,6 +361,27 @@ class TestSolverProperties:
         np.testing.assert_allclose(solve_coeffs(np.conj(c), n, p),
                                    np.conj(solve_coeffs(c, n, p)),
                                    rtol=0, atol=1e-12)
+        # the extremal function of a real kernel is real: exactly, not to
+        # round-off, since the solve runs in x = Re a
+        assert np.all(solve_coeffs(np.abs(c), n, p).imag == 0)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_real_and_complex_paths_agree(self, p):
+        # e^{i theta} k has extremal function e^{i theta} F and the same
+        # norm; degree 288 puts conv/xcorr on their FFT path, whose
+        # round-off must not leak into F's imaginary parts
+        kernel, theta, n = power_decay_kernel(1.6, 64), 0.7, 288
+        real = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n,
+                                              tolerance=1e-12))
+        turned = solve_extremal(ExtremalProblem(
+            p=p, kernel=as_poly(np.exp(1j * theta) * kernel.coeffs), degree=n,
+            tolerance=1e-12))
+        np.testing.assert_allclose(turned.F.padded(n + 1),
+                                   np.exp(1j * theta) * real.F.padded(n + 1),
+                                   rtol=0, atol=1e-12)
+        assert turned.phi_norm == pytest.approx(real.phi_norm, rel=1e-14, abs=0)
+        assert turned.iterations == real.iterations
+        assert np.all(real.F.coeffs.imag == 0)
 
     def test_non_convergence_carries_trace(self):
         kernel = as_poly([1.0, 1.0, 0.5])
@@ -366,12 +400,17 @@ class TestSolverProperties:
 
     def test_float_floor_stops_early(self):
         # below the gradient's float floor nothing moves; stop, do not
-        # spend the whole iteration budget
-        kernel = as_poly([1.0, 1.0])
-        with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
-            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12,
-                                           tolerance=1e-30))
-        assert len(exc_info.value.trace) <= 50
+        # spend the whole iteration budget. The last two inputs alternate
+        # between two iterates there, one on the real and one on the
+        # complex path.
+        for p, coeffs, degree in [(4, [1.0, 1.0], 12),
+                                  (6, [1.0, 0.5, 0.25], 20),
+                                  (6, [1j, 0.5j, 0.25j], 20)]:
+            kernel = as_poly(coeffs)
+            with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
+                solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=degree,
+                                               tolerance=1e-30))
+            assert len(exc_info.value.trace) <= 50
 
 
 class TestTruncatedFamily:
