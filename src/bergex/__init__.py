@@ -44,7 +44,6 @@ from .solver import (
     gradient_norm_p,
     kernel_from_extremal,
     solve_extremal,
-    solve_truncated_family,
 )
 from .checks import (
     GrowthStudyRow,
@@ -99,7 +98,6 @@ __all__ = [
     "gradient_norm_p",
     "kernel_from_extremal",
     "solve_extremal",
-    "solve_truncated_family",
     "GrowthStudyRow",
     "VerificationReport",
     "check_coefficient_bound",

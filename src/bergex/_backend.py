@@ -4,11 +4,12 @@
 products, powers) and ``xcorr`` is one-sided cross-correlation
 (gradients, Fourier coefficients of |f|^p). Both evaluate directly with
 NumPy for small operands and switch to FFT-based evaluation above a
-degree threshold, where the O(n^2) direct sums start to lose.
+degree threshold, where the O(n^2) direct sums start to lose. The FFT
+path has ``scipy.signal.fftconvolve``'s arithmetic without its slow import.
 """
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import fft, ifft, next_fast_len
 
 # Operations whose full output degree (len(a) + len(b) - 2) is below this
 # run directly. benchmarks/bench_kernels.py times both paths: on equal
@@ -22,6 +23,15 @@ def backend_name():
     return "numpy"
 
 
+def _fft_conv(a, b):
+    """Full convolution of non-empty vectors, as fftconvolve computes it."""
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    size = next_fast_len(n, real=False)
+    return ifft(fft(a, size) * fft(b, size))[:n]
+
+
 def conv(a, b):
     """Cauchy convolution, dispatching direct vs FFT on output size."""
     a = np.asarray(a, dtype=complex)
@@ -30,7 +40,7 @@ def conv(a, b):
         return np.zeros(0, dtype=complex)
     if len(a) + len(b) - 2 < FFT_THRESHOLD:
         return np.convolve(a, b)
-    return fftconvolve(a, b)
+    return _fft_conv(a, b)
 
 
 def xcorr(a, v):
@@ -50,4 +60,4 @@ def xcorr(a, v):
     lo = len(v) - 1
     if len(a) + len(v) - 2 < FFT_THRESHOLD:
         return np.correlate(a, v, "full")[lo:lo + len(a)]
-    return fftconvolve(a, np.conj(v)[::-1])[lo:lo + len(a)]
+    return _fft_conv(a, np.conj(v)[::-1])[lo:lo + len(a)]

@@ -10,16 +10,15 @@ transform of k,
         = (1/(2pi ||phi||)) int F [ (p/2) h conj(k) + (1-p/2) (zh)' conj(K) ] dtheta.
 
 Taking h = 1 gives the norm-equality for ||F||_{H^p}^p; taking h = z^m
-gives the Fourier-coefficient formula for |F|^p. All three checks run
-through literally the same arithmetic core, so specialization consistency
-(the m = 0 Fourier residual equals the norm-equality residual, exactly)
-holds by construction rather than by accident.
+gives the Fourier-coefficient formula for |F|^p. Both sides are linear in
+h, so ``_boundary_sides`` computes them at every h = z^m at once, as two
+arrays that depend on the solution alone; every check reads its entries.
+A single check and a batch give the same floats, and the m = 0 Fourier
+residual equals the norm-equality residual, by construction.
 
-Every left side is read from one spectrum: the Fourier coefficients
-b_0..b_{(p/2) n} of |F|^p, which ``abs_power_spectrum`` returns from a
-single autocorrelation of F^{p/2}. Each check computes it once, and the
-coefficient-bound sweep derives all of its frequencies from that one
-array instead of rebuilding F^{p/2} per frequency.
+The left sides are the Fourier coefficients b_0..b_{(p/2) n} of |F|^p,
+from one autocorrelation of F^{p/2} (``abs_power_spectrum``), and the
+coefficient-bound sweep reads the same array.
 
 The solver works over P_n while the identities hold for the full-space
 extremal function, so residuals measure truncation quality: they shrink
@@ -32,14 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import AnalyticPoly, derivative, k_transform, monomial, multiply, shift
-from .solver import ExtremalProblem, solve_extremal, solve_truncated_family
+from ._backend import xcorr
+from .poly import AnalyticPoly, k_transform, taylor_truncate
+from .solver import ExtremalProblem, solve_extremal
 from .spaces import (
     _circle_values,
     abs_power_spectrum,
     bergman_norm_general,
     fourier_coeff_abs_power,
-    hardy_inner,
     hardy_norm_even,
     hardy_norm_general,
 )
@@ -74,23 +73,33 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _weighted_core(F, k, p, phi_norm, h):
-    """Shared arithmetic for the weighted boundary formula.
+def _boundary_sides(F, k, p, phi_norm):
+    """Both sides of the weighted boundary formula at h = z^m, every m.
 
-    Returns (lhs, rhs) with lhs = sum_j h_j * fourier(-j) = sum_j h_j
-    conj(b_j), b the spectrum of |F|^p, and rhs the kernel-side pairing.
-    Exact coefficient arithmetic throughout.
+    Two arrays of one length, zero past it: lhs[m] = conj(b_m), and
+    rhs[m] = conj((p/2) xcorr(c, a) + (1-p/2)(m+1) xcorr(K, a))[m] / ||phi||
+    for kernel coefficients c, K = k_transform(k) and F's coefficients a.
+    The kernel side vanishes past deg k, so only a_0..a_{deg k} enter it.
     """
     b = abs_power_spectrum(F, p)
-    n = min(len(h.coeffs), len(b))
-    lhs = complex(np.dot(h.coeffs[:n], np.conj(b[:n])))
-    K = k_transform(k)
-    zh_prime = derivative(shift(h, 1))
-    rhs = (
-        (p / 2.0) * hardy_inner(multiply(h, F), k)
-        + (1.0 - p / 2.0) * hardy_inner(multiply(zh_prime, F), K)
-    ) / phi_norm
+    count = len(k.coeffs)
+    a = F.coeffs[:count]
+    kernel_side = ((p / 2.0) * xcorr(k.coeffs, a)
+                   + (1.0 - p / 2.0) * np.arange(1.0, count + 1.0)
+                   * xcorr(k_transform(k).coeffs, a))
+    lhs = np.zeros(max(len(b), count), dtype=complex)
+    rhs = np.zeros_like(lhs)
+    lhs[:len(b)] = np.conj(b)
+    rhs[:count] = np.conj(kernel_side) / phi_norm
     return lhs, rhs
+
+
+def _side_report(name, sides, m, context, tolerance=DEFAULT_EQUALITY_TOL):
+    """The equality report at frequency m, read from ``_boundary_sides``."""
+    if m < 0:
+        raise ValueError("frequency m must be nonnegative")
+    lhs, rhs = (complex(side[m]) if m < len(side) else 0j for side in sides)
+    return _equality_report(name, lhs, rhs, tolerance, context)
 
 
 def _equality_report(name, lhs, rhs, tolerance, context):
@@ -109,9 +118,13 @@ def _equality_report(name, lhs, rhs, tolerance, context):
 def check_weighted_norm_formula(F, k, p, phi_norm, h,
                                 tolerance=DEFAULT_EQUALITY_TOL):
     """Weighted boundary formula for an arbitrary analytic polynomial h."""
-    lhs, rhs = _weighted_core(F, k, p, phi_norm, h)
+    lhs, rhs = _boundary_sides(F, k, p, phi_norm)
+    n = min(len(h.coeffs), len(lhs))
     return _equality_report(
-        "weighted_norm_formula", lhs, rhs, tolerance,
+        "weighted_norm_formula",
+        complex(np.dot(h.coeffs[:n], lhs[:n])),
+        complex(np.dot(h.coeffs[:n], rhs[:n])),
+        tolerance,
         {"p": p, "h_degree": h.degree, "kernel_degree": k.degree},
     )
 
@@ -123,10 +136,9 @@ def check_norm_equality(F, k, p, phi_norm, tolerance=DEFAULT_EQUALITY_TOL):
     the zeroth Fourier coefficient of |F|^p, which equals
     hardy_norm_even(F, p)^p.
     """
-    lhs, rhs = _weighted_core(F, k, p, phi_norm, monomial(0))
-    return _equality_report(
-        "norm_equality", lhs, rhs, tolerance,
-        {"p": p, "kernel_degree": k.degree},
+    return _side_report(
+        "norm_equality", _boundary_sides(F, k, p, phi_norm), 0,
+        {"p": p, "kernel_degree": k.degree}, tolerance,
     )
 
 
@@ -134,14 +146,11 @@ def check_fourier_formula(F, k, p, phi_norm, m, tolerance=DEFAULT_EQUALITY_TOL):
     """Fourier coefficient of |F|^p at frequency m against the kernel side.
 
     The h = z^m specialization; at m = 0 this reproduces the
-    norm-equality residual exactly (same core, same floats).
+    norm-equality residual exactly (same arrays, same entry).
     """
-    if m < 0:
-        raise ValueError("frequency m must be nonnegative")
-    lhs, rhs = _weighted_core(F, k, p, phi_norm, monomial(m))
-    return _equality_report(
-        "fourier_formula", lhs, rhs, tolerance,
-        {"p": p, "m": m, "kernel_degree": k.degree},
+    return _side_report(
+        "fourier_formula", _boundary_sides(F, k, p, phi_norm), m,
+        {"p": p, "m": m, "kernel_degree": k.degree}, tolerance,
     )
 
 
@@ -157,7 +166,7 @@ def check_coefficient_bound(F, k, p, phi_norm, m, tolerance=DEFAULT_SLACK_TOL):
     if m < 0:
         raise ValueError("frequency m must be nonnegative")
     bm = abs(fourier_coeff_abs_power(F, p, m))
-    tail = float(np.sum(np.abs(k.coeffs[m:]) ** 2)) if m <= k.degree else 0.0
+    tail = math.fsum(np.abs(k.coeffs[m:]) ** 2)
     bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * math.sqrt(tail)
     slack = bound - bm
     return VerificationReport(
@@ -179,26 +188,30 @@ def coefficient_bound_sweep(solution, m_max=None, tolerance=DEFAULT_SLACK_TOL):
     """
     if m_max is None:
         m_max = 2 * solution.degree
-    return _coefficient_bound_worst(solution.F, solution.kernel, solution.p,
-                                    solution.phi_norm, m_max, tolerance)
+    return _coefficient_bound_worst(
+        solution.F, solution.kernel, solution.p, solution.phi_norm, m_max,
+        abs_power_spectrum(solution.F, solution.p), tolerance)
 
 
-def _coefficient_bound_worst(F, k, p, phi_norm, m_max,
+def _coefficient_bound_worst(F, k, p, phi_norm, m_max, spectrum,
                              tolerance=DEFAULT_SLACK_TOL):
     """The coefficient bound at every m = 0..m_max at once; worst report.
 
-    |b_m| comes from one spectrum (zero past its end), the kernel tails
-    sum_{t>=m} |c_t|^2 from one reverse cumulative sum, and ||F||_{H^2}
-    is computed once. The worst m is the first minimum of the slack, as
-    a loop keeping the strictly smaller slack would pick. ``bergex
-    verify`` recomputes the sweep through this function too.
+    ``spectrum`` holds the Fourier coefficients b_0, b_1, ... of |F|^p, or
+    their conjugates; only |b_m| is read, and it is zero past the array's
+    end. The kernel tails sum_{t>=m} |c_t|^2 are correctly rounded sums
+    (``math.fsum``), as in ``check_coefficient_bound``, so both give the
+    same bound at every m whatever the summation order; ||F||_{H^2} is
+    computed once. The worst m is the first minimum of the slack, as a
+    loop keeping the strictly smaller slack would pick.
     """
     bm = np.zeros(m_max + 1)
-    spectrum = np.abs(abs_power_spectrum(F, p))[:m_max + 1]
-    bm[:len(spectrum)] = spectrum
+    magnitudes = np.abs(spectrum)[:m_max + 1]
+    bm[:len(magnitudes)] = magnitudes
+    squares = np.abs(k.coeffs) ** 2
     tails = np.zeros(m_max + 1)
-    tail_sums = np.cumsum(np.abs(k.coeffs[::-1]) ** 2)[::-1][:m_max + 1]
-    tails[:len(tail_sums)] = tail_sums
+    count = min(m_max + 1, len(squares))
+    tails[:count] = [math.fsum(squares[m:]) for m in range(count)]
     bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * np.sqrt(tails)
     slack = bound - bm
     m = int(np.argmin(slack))
@@ -238,18 +251,17 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
     degrees = sorted(degrees)
     count = max(degrees) + 1
     k = AnalyticPoly((np.arange(count) + 1.0) ** (-alpha) + 0j)
-    entries = solve_truncated_family(k, p, degrees, tolerance=solver_tolerance)
     sups = {}
     l1 = {}
-    for entry in entries:
-        if entry.error is not None:
-            raise entry.error
-        F = entry.solution.F
+    for n in degrees:
+        F = solve_extremal(ExtremalProblem(
+            p=p, kernel=taylor_truncate(k, n), degree=n,
+            tolerance=solver_tolerance)).F
         grid = 1 << max(10, (4 * F.degree + 4 - 1).bit_length())
         boundary = _circle_values(F, 1.0, grid)
-        sups[entry.degree] = float(np.max(np.abs(boundary)))
+        sups[n] = float(np.max(np.abs(boundary)))
         spec = np.abs(abs_power_spectrum(F, p))
-        l1[entry.degree] = float(spec[0] + 2.0 * np.sum(spec[1:]))
+        l1[n] = float(spec[0] + 2.0 * np.sum(spec[1:]))
     n_hi, n_lo = degrees[-1], degrees[-2]
     growth = sups[n_hi] / sups[n_lo] - 1.0
     verdict = "withheld" if alpha <= 1.5 else (
@@ -333,18 +345,11 @@ def convergence_study(k, p, degrees, solver_tolerance=1e-12):
     N = max(degrees) serves as the reference. Distances decrease as n
     grows once past the small-n regime.
     """
-    degrees = sorted(degrees)
-    entries = solve_truncated_family(k, p, degrees, tolerance=solver_tolerance)
-    ref = entries[-1]
-    if ref.error is not None:
-        raise ref.error
-    F_ref = ref.solution.F
-    out = []
-    for entry in entries:
-        if entry.error is not None:
-            raise entry.error
-        out.append((entry.degree, hardy_norm_even(entry.solution.F - F_ref, p)))
-    return out
+    solutions = [(n, solve_extremal(ExtremalProblem(
+        p=p, kernel=taylor_truncate(k, n), degree=n,
+        tolerance=solver_tolerance)).F) for n in sorted(degrees)]
+    F_ref = solutions[-1][1]
+    return [(n, hardy_norm_even(F - F_ref, p)) for n, F in solutions]
 
 
 def norm_equality_decay_study(k, p, degrees, ref_degree=None,

@@ -6,7 +6,7 @@ and seed produce byte-identical bodies. Solutions serialize to JSON at
 full precision; studies emit CSV rows or JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed or verification
-mismatch, 2 solver non-convergence, 3 invalid input.
+mismatch, 2 solver non-convergence, 3 invalid input or command line.
 """
 
 import argparse
@@ -17,24 +17,23 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from . import kernelspec
 from .checks import (
+    _boundary_sides,
     _coefficient_bound_worst,
-    check_fourier_formula,
-    check_norm_equality,
-    check_ryabykh_bound,
-    coefficient_bound_sweep,
+    _side_report,
     check_hinfty_criterion,
+    check_ryabykh_bound,
     convergence_study,
     growth_study,
 )
 from .families import standard_family
 from .poly import AnalyticPoly
+from .spaces import abs_power_spectrum
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     ExtremalProblem,
@@ -218,7 +217,12 @@ def _solution_body(config, solution, reports):
     }
 
 
-def _check_names(config):
+def _requested_checks(config, degree):
+    """The checks the config asks for, in the form a solution file records.
+
+    "fourier_formula" asks for one report per m = 0..fourier_m_max, and
+    "coefficient_bound" for the sweep over m = 0..2*degree.
+    """
     names = config.get("checks", list(DEFAULT_CHECKS))
     if not (isinstance(names, list)
             and all(isinstance(name, str) for name in names)):
@@ -226,25 +230,49 @@ def _check_names(config):
     for name in names:
         if name not in DEFAULT_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
-    return names
-
-
-def _run_checks(names, m_max, solution):
-    reports = []
+    m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
+                   "fourier_m_max must be >= 0", 8)
+    checks = []
     for name in names:
-        if name == "norm_equality":
-            reports.append(check_norm_equality(
-                solution.F, solution.kernel, solution.p, solution.phi_norm))
-        elif name == "fourier_formula":
-            for m in range(m_max + 1):
-                reports.append(check_fourier_formula(
-                    solution.F, solution.kernel, solution.p,
-                    solution.phi_norm, m))
+        if name == "fourier_formula":
+            checks += [{"check_name": name, "context": {"m": m}}
+                       for m in range(m_max + 1)]
         elif name == "coefficient_bound":
-            reports.append(coefficient_bound_sweep(solution))
+            checks.append({"check_name": "coefficient_bound_sweep",
+                           "context": {"m_max": 2 * degree}})
+        else:
+            checks.append({"check_name": name})
+    return checks
+
+
+def _check_reports(checks, F, kernel, p, phi_norm):
+    """One report per recorded check, or None for a name not known here.
+
+    ``bergex solve`` and ``bergex verify`` both build their reports here,
+    from the check's name and its recorded context. The two sides of the
+    weighted boundary formula, and with them the spectrum of |F|^p, are
+    computed once for all of them.
+    """
+    sides = _boundary_sides(F, kernel, p, phi_norm)
+    reports = []
+    for check in checks:
+        name = check["check_name"]
+        context = check.get("context", {})
+        if name == "norm_equality":
+            report = _side_report(name, sides, 0,
+                                  {"p": p, "kernel_degree": kernel.degree})
+        elif name == "fourier_formula":
+            m = int(context["m"])
+            report = _side_report(name, sides, m, {
+                "p": p, "m": m, "kernel_degree": kernel.degree})
+        elif name == "coefficient_bound_sweep":
+            report = _coefficient_bound_worst(
+                F, kernel, p, phi_norm, int(context["m_max"]), sides[0])
         elif name == "ryabykh_bound":
-            reports.append(check_ryabykh_bound(
-                solution.F, solution.kernel, solution.p))
+            report = check_ryabykh_bound(F, kernel, p)
+        else:
+            report = None
+        reports.append(report)
     return reports
 
 
@@ -264,9 +292,7 @@ def run_solve(config, out=None, fmt="json"):
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
     if fmt != "json":
         raise ConfigError("solve reports are JSON only")
-    checks = _check_names(config)
-    m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
-                   "fourier_m_max must be >= 0", 8)
+    checks = _requested_checks(config, degree)
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
                             DEFAULT_MAX_ITERATIONS)
@@ -275,7 +301,7 @@ def run_solve(config, out=None, fmt="json"):
         max_iterations=max_iterations,
     )
     solution = solve_extremal(problem)
-    reports = _run_checks(checks, m_max, solution)
+    reports = _check_reports(checks, solution.F, kernel, p, solution.phi_norm)
     body = _solution_body(config, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
@@ -296,31 +322,26 @@ def run_verify(solution_path, out=None):
         degree = int(problem["degree"])
         phi_norm = float(solution["phi_norm"])
         recorded_max = float(solution["residual_max"])
-        stored = [_stored_check(recorded, F, kernel, p, phi_norm)
-                  for recorded in body["checks"]]
+        checks = body["checks"]
+        reports = _check_reports(checks, F, kernel, p, phi_norm)
+        pairs = list(zip(checks, reports))
+        rows = [{"check_name": check["check_name"],
+                 "recorded": float(check["residual"]),
+                 "recomputed": float(report.residual)}
+                for check, report in pairs if report is not None]
+        skipped = [check["check_name"]
+                   for check, report in pairs if report is None]
     except (OSError, KeyError, TypeError, ValueError, OverflowError,
             json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
 
     residuals = extremality_residual(F, kernel, p, phi_norm, 2 * degree)
-    recomputed_max = float(np.max(np.abs(residuals)))
-    worst = abs(recomputed_max - recorded_max)
-    rows = [{"check_name": "residual_max",
-             "recorded": recorded_max,
-             "recomputed": recomputed_max,
-             "difference": worst}]
-    skipped = []
-    for name, recompute, recorded_value in stored:
-        if recompute is None:
-            skipped.append(name)
-            continue
-        rep = recompute()
-        diff = float(abs(rep.residual - recorded_value))
-        worst = max(worst, diff)
-        rows.append({"check_name": name,
-                     "recorded": recorded_value,
-                     "recomputed": float(rep.residual),
-                     "difference": diff})
+    rows.insert(0, {"check_name": "residual_max",
+                    "recorded": recorded_max,
+                    "recomputed": float(np.max(np.abs(residuals)))})
+    for row in rows:
+        row["difference"] = abs(row["recomputed"] - row["recorded"])
+    worst = float(np.max([row["difference"] for row in rows]))  # NaN fails
 
     ok = bool(worst <= 1e-14)
     body_out = {"verified": ok, "max_difference": worst, "rows": rows,
@@ -329,32 +350,14 @@ def run_verify(solution_path, out=None):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _stored_check(recorded, F, kernel, p, phi_norm):
-    """One check of a solution file as (name, recompute, recorded residual).
-
-    ``recompute`` reruns the check on the reloaded F. A check that verify
-    does not know has recompute None, and its residual is not read.
-    """
-    name = recorded["check_name"]
-    context = recorded.get("context", {})
-    if name == "norm_equality":
-        recompute = partial(check_norm_equality, F, kernel, p, phi_norm)
-    elif name == "fourier_formula":
-        recompute = partial(check_fourier_formula, F, kernel, p, phi_norm,
-                            int(context["m"]))
-    elif name == "coefficient_bound_sweep":
-        recompute = partial(check_coefficient_sweep_for_verify, F, kernel, p,
-                            phi_norm, int(context["m_max"]))
-    elif name == "ryabykh_bound":
-        recompute = partial(check_ryabykh_bound, F, kernel, p)
-    else:
-        return name, None, None
-    return name, recompute, float(recorded["residual"])
-
-
 def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
-    """The coefficient-bound sweep of a reloaded solution, as solve ran it."""
-    return _coefficient_bound_worst(F, kernel, p, phi_norm, m_max)
+    """The coefficient-bound sweep of a reloaded solution, as solve runs it.
+
+    Unused by the commands, which build the sweep in ``_check_reports``;
+    perfbench/tracer.py still wraps this name.
+    """
+    return _coefficient_bound_worst(F, kernel, p, phi_norm, m_max,
+                                    abs_power_spectrum(F, p))
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
@@ -448,7 +451,7 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
 
 
-def run_oracle_compare(config, out=None, fmt="json", seed=None):
+def run_oracle_compare(config, out=None, seed=None):
     p, tolerance = _validate_common(config)
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
@@ -479,22 +482,32 @@ def run_oracle_compare(config, out=None, fmt="json", seed=None):
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, with usage errors reported as invalid input (exit 3)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bergex",
         description="Extremal problems over Bergman spaces: solve, certify, "
                     "and study.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
-                        help="JSON config file")
+    def add_common(sp, fmt=True, seed=True):
+        sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=["json", "csv"])
-        sp.add_argument("--seed", type=int, default=None)
+        if fmt:
+            sp.add_argument("--format", default=None, choices=["json", "csv"])
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
 
-    add_common(sub.add_parser("solve", help="solve one extremal problem"))
+    add_common(sub.add_parser("solve", help="solve one extremal problem"),
+               seed=False)
     ver = sub.add_parser("verify", help="re-check a serialized solution")
     ver.add_argument("solution", help="solution JSON from `bergex solve`")
     ver.add_argument("--out", default=None)
@@ -502,7 +515,8 @@ def main(argv=None):
     study.add_argument("kind", choices=["growth", "convergence", "hinfty"])
     add_common(study)
     add_common(sub.add_parser("oracle-compare",
-                              help="brute-force small-space oracle vs solver"))
+                              help="brute-force small-space oracle vs solver"),
+               fmt=False)
 
     args = parser.parse_args(argv)
 
@@ -522,9 +536,7 @@ def main(argv=None):
                 return run_convergence_study(config, out=args.out, fmt=fmt)
             return run_hinfty_study(config, out=args.out, fmt=fmt)
         if args.command == "oracle-compare":
-            return run_oracle_compare(config, out=args.out,
-                                      fmt=args.format or "json",
-                                      seed=args.seed)
+            return run_oracle_compare(config, out=args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 from scipy.special import roots_legendre
 
 from ._backend import conv, xcorr
@@ -380,37 +379,6 @@ def solve_extremal(problem, start=None):
     )
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
-    """Per-degree outcome of a truncated-kernel sweep."""
-
-    degree: int
-    solution: ExtremalSolution = None
-    error: Exception = None
-
-
-def solve_truncated_family(k, p, degrees, tolerance=DEFAULT_TOLERANCE,
-                           max_iterations=DEFAULT_MAX_ITERATIONS):
-    """Solve with kernel S_n k over P_n for each n in degrees.
-
-    Failures are recorded per level and do not abort the sweep.
-    """
-    out = []
-    for n in degrees:
-        try:
-            problem = ExtremalProblem(
-                p=p,
-                kernel=taylor_truncate(k, n),
-                degree=n,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-            )
-            out.append(FamilyEntry(degree=n, solution=solve_extremal(problem)))
-        except (ValueError, NonConvergenceError) as exc:
-            out.append(FamilyEntry(degree=n, error=exc))
-    return out
-
-
 def brute_force_oracle(k, p, degree=3, starts=3, seed=7):
     """Independent solve over a small space by derivative-free search.
 
@@ -426,6 +394,9 @@ def brute_force_oracle(k, p, degree=3, starts=3, seed=7):
 
     Returns the unit-norm extremal candidate as an ``AnalyticPoly``.
     """
+    # imported here, its only user: scipy.optimize is slow to import
+    from scipy.optimize import minimize
+
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
     if degree < 0 or degree > 8:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergex.checks import (
+    _boundary_sides,
     check_coefficient_bound,
     check_fourier_formula,
     check_hinfty_criterion,
@@ -17,16 +18,20 @@ from bergex.checks import (
     growth_study,
     norm_equality_decay_study,
 )
-from bergex.poly import as_poly, monomial, taylor_truncate
-from bergex.solver import (
-    ExtremalProblem,
-    ExtremalSolution,
-    solve_extremal,
-    solve_truncated_family,
+from bergex.poly import (
+    as_poly,
+    derivative,
+    k_transform,
+    monomial,
+    multiply,
+    shift,
+    taylor_truncate,
 )
+from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
     fourier_coeff_abs_power,
+    hardy_inner,
     hardy_norm_even,
 )
 
@@ -142,6 +147,59 @@ class TestFourierFormula:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             check_fourier_formula(as_poly([1.0]), as_poly([1.0]), 4, 1.0, -1)
+
+
+def weighted_sides_reference(F, k, p, phi_norm, m):
+    """Both sides of the weighted formula at h = z^m by polynomial products.
+
+    The direct evaluation: lhs = sum_j h_j conj(b_j) and the kernel side
+    from the products h F and (z h)' F paired with k and K on the circle.
+    """
+    h = monomial(m)
+    b = [fourier_coeff_abs_power(F, p, j) for j in range(len(h.coeffs))]
+    lhs = complex(np.dot(h.coeffs, np.conj(b)))
+    rhs = ((p / 2.0) * hardy_inner(multiply(h, F), k)
+           + (1.0 - p / 2.0) * hardy_inner(
+               multiply(derivative(shift(h, 1)), F), k_transform(k))
+           ) / phi_norm
+    return lhs, rhs
+
+
+@st.composite
+def boundary_inputs(draw):
+    """(F, k, p, phi_norm) with deg F <= 7 and deg k <= 11, either larger."""
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def poly(count):
+        return as_poly([complex(draw(parts), draw(parts))
+                        for _ in range(count)])
+
+    F = poly(draw(st.integers(1, 8)))
+    k = poly(draw(st.integers(1, 12)))
+    return F, k, draw(st.sampled_from([4, 6])), draw(st.floats(0.5, 2.0))
+
+
+class TestBoundarySides:
+    @given(boundary_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_matches_polynomial_products(self, inputs):
+        F, k, p, phi_norm = inputs
+        lhs, rhs = _boundary_sides(F, k, p, phi_norm)
+        assert len(lhs) == len(rhs)
+        # bounds on every term either side sums, for a rounding tolerance
+        f1 = float(np.sum(np.abs(F.coeffs)))
+        k1 = float(np.sum(np.abs(k.coeffs)))
+        lhs_scale = f1 ** p
+        rhs_scale = (p / 2.0) * (k.degree + 2) * k1 * f1 / phi_norm
+        # m runs past the kernel degree and past the spectrum's end
+        for m in range(len(lhs) + 3):
+            ref_lhs, ref_rhs = weighted_sides_reference(F, k, p, phi_norm, m)
+            got_lhs = lhs[m] if m < len(lhs) else 0j
+            got_rhs = rhs[m] if m < len(rhs) else 0j
+            assert abs(got_lhs - ref_lhs) <= 1e-14 * lhs_scale, m
+            assert abs(got_rhs - ref_rhs) <= 1e-14 * rhs_scale, m
+            if m > k.degree:
+                assert got_rhs == 0
 
 
 class TestCoefficientBound:
@@ -274,17 +332,18 @@ class TestHinftyCriterion:
         alpha, p, degrees = 2.0, 4, [8, 16]
         report = check_hinfty_criterion(alpha, p, degrees)
         k = as_poly((np.arange(17) + 1.0) ** (-alpha) + 0j)
-        for entry in solve_truncated_family(taylor_truncate(k, 16), p,
-                                            degrees, tolerance=1e-12):
-            F = entry.solution.F
+        for n in degrees:
+            F = solve_extremal(ExtremalProblem(
+                p=p, kernel=taylor_truncate(k, n), degree=n,
+                tolerance=1e-12)).F
             spec = [abs(fourier_coeff_abs_power(F, p, m))
                     for m in range(p // 2 * F.degree + 1)]
             l1 = spec[0] + 2.0 * sum(spec[1:])
-            assert report.context["l1_by_degree"][entry.degree] == (
+            assert report.context["l1_by_degree"][n] == (
                 pytest.approx(l1, rel=1e-14))
             grid = 1024  # the criterion's grid at these degrees
             horner = F(np.exp(2j * np.pi * np.arange(grid) / grid))
-            assert report.context["sup_by_degree"][entry.degree] == (
+            assert report.context["sup_by_degree"][n] == (
                 pytest.approx(float(np.max(np.abs(horner))), rel=1e-14))
 
 
@@ -346,6 +405,11 @@ class TestConvergenceStudy:
         rows = convergence_study(k, 4, [8, 16, 32, 64])
         distances = [d for _, d in rows[:-1]]
         assert all(a > b for a, b in zip(distances, distances[1:]))
+
+    def test_vanishing_truncation_raises(self):
+        # the kernel z truncates to zero on P_0: no problem to solve there
+        with pytest.raises(ValueError, match="identically zero"):
+            convergence_study(monomial(1), 4, [0, 4])
 
 
 class TestNormEqualityDecay:

@@ -9,11 +9,16 @@ headers carry a generation timestamp.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bergex import cli, spaces
+from bergex.checks import check_fourier_formula
 from bergex.poly import as_poly
 from bergex.solver import ExtremalProblem, solve_extremal
 
@@ -253,6 +258,13 @@ class TestVerifyCommand:
         tampered = write_json(tmp_path / "tampered.json", payload)
         assert cli.main(["verify", tampered]) == 1
 
+    def test_nan_recorded_residual_detected(self, solved_artifact, tmp_path):
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        payload["body"]["checks"][-1]["residual"] = math.nan
+        tampered = write_json(tmp_path / "tampered.json", payload)
+        assert cli.main(["verify", tampered]) == 1
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "absent.json")]) == 3
 
@@ -434,12 +446,17 @@ class TestConfigFieldTypes:
 
 
 class TestCheckSuiteWork:
-    def test_power_calls_per_solution_bounded(self, monkeypatch):
-        # every check reads |F|^p's Fourier coefficients from one spectrum;
-        # rebuilding F^{p/2} per frequency would cost one power call per
-        # m = 0..2n (65 here) in the coefficient-bound sweep alone
-        solution = solve_extremal(ExtremalProblem(
+    @pytest.fixture(scope="class")
+    def solution(self):
+        return solve_extremal(ExtremalProblem(
             p=4, kernel=as_poly([1.0, 1.0]), degree=32, tolerance=1e-12))
+
+    def test_power_calls_per_solution_bounded(self, solution, monkeypatch,
+                                              tmp_path):
+        # every report reads |F|^p's Fourier coefficients from one spectrum:
+        # one power call for it, and one each for the sweep's ||F||_{H^2}
+        # and the Ryabykh check's ||F||_{H^p}. Rebuilding F^{p/2} per
+        # frequency would cost one call per m = 0..8 in the Fourier checks.
         calls = []
         original = spaces.power
 
@@ -448,9 +465,29 @@ class TestCheckSuiteWork:
             return original(f, m)
 
         monkeypatch.setattr(spaces, "power", counting_power)
-        reports = cli._run_checks(list(cli.DEFAULT_CHECKS), 8, solution)
+        checks = cli._requested_checks({}, solution.degree)
+        reports = cli._check_reports(checks, solution.F, solution.kernel,
+                                     solution.p, solution.phi_norm)
         assert len(reports) == 12
-        assert 0 < len(calls) <= 16
+        assert 0 < len(calls) <= 4
+
+        body = cli._solution_body({"kernel": ONE_PLUS_Z}, solution, reports)
+        path = tmp_path / "solution.json"
+        cli._emit_json(cli._header(), body, str(path))
+        calls.clear()
+        assert cli.run_verify(str(path), out=str(tmp_path / "v.json")) == 0
+        assert 0 < len(calls) <= 4
+
+    def test_batch_equals_single_calls(self, solution):
+        m_max = 2 * solution.degree + 3  # past the spectrum's end
+        checks = [{"check_name": "fourier_formula", "context": {"m": m}}
+                  for m in range(m_max + 1)]
+        batch = cli._check_reports(checks, solution.F, solution.kernel,
+                                   solution.p, solution.phi_norm)
+        for m, report in enumerate(batch):
+            single = check_fourier_formula(solution.F, solution.kernel,
+                                           solution.p, solution.phi_norm, m)
+            assert report == single, m
 
 
 class TestGrowthStudy:
@@ -619,17 +656,49 @@ class TestOracleCompare:
 
 
 class TestArgumentParsing:
-    """argparse-level failures exit before any computation."""
+    """argparse-level failures exit 3, invalid input, before any work."""
+
+    def exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        return exc_info.value.code
 
     def test_no_subcommand(self):
-        with pytest.raises(SystemExit):
-            cli.main([])
+        assert self.exit_code([]) == 3
 
     def test_unknown_study_kind(self, tmp_path):
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
-        with pytest.raises(SystemExit):
-            cli.main(["study", "sideways", "--config", config])
+        assert self.exit_code(["study", "sideways", "--config", config]) == 3
 
     def test_solve_requires_config(self):
-        with pytest.raises(SystemExit):
-            cli.main(["solve"])
+        assert self.exit_code(["solve"]) == 3
+
+    def test_help_exits_zero(self, capsys):
+        assert self.exit_code(["solve", "--help"]) == 0
+
+    def test_solve_has_no_seed_flag(self, tmp_path):
+        # solve reads its seed from the config
+        config = write_json(tmp_path / "c.json", {"schema_version": 1})
+        assert self.exit_code(["solve", "--config", config,
+                               "--seed", "3"]) == 3
+
+    def test_oracle_compare_has_no_format_flag(self, tmp_path):
+        # oracle-compare reports are JSON only
+        config = write_json(tmp_path / "c.json", {"schema_version": 1})
+        assert self.exit_code(["oracle-compare", "--config", config,
+                               "--format", "csv"]) == 3
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.signal and scipy.optimize each take a large share of start-up;
+    # only the brute-force oracle needs scipy.optimize, and loads it itself
+    code = ("import sys, bergex.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules])")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

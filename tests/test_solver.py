@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergex.families import power_decay_kernel
-from bergex.poly import as_poly, monomial
+from bergex.poly import as_poly, monomial, taylor_truncate
 from bergex.solver import (
     ExtremalProblem,
     NonConvergenceError,
@@ -15,7 +15,6 @@ from bergex.solver import (
     gradient_norm_p,
     kernel_from_extremal,
     solve_extremal,
-    solve_truncated_family,
 )
 from bergex.spaces import bergman_inner, bergman_norm_even, functional_value
 
@@ -414,23 +413,27 @@ class TestSolverProperties:
 
 
 class TestTruncatedFamily:
+    """Solves with the truncated kernel S_n k over P_n, level by level."""
+
+    @staticmethod
+    def solve_truncated(k, p, n, tolerance=1e-10):
+        return solve_extremal(ExtremalProblem(
+            p=p, kernel=taylor_truncate(k, n), degree=n, tolerance=tolerance))
+
     def test_constant_kernel(self):
-        entries = solve_truncated_family(as_poly([1.0]), 4, [2, 4, 8])
-        for entry in entries:
-            assert entry.error is None
-            np.testing.assert_allclose(entry.solution.F.padded(1), [1.0],
-                                       atol=1e-10)
+        for n in [2, 4, 8]:
+            F = self.solve_truncated(as_poly([1.0]), 4, n).F
+            np.testing.assert_allclose(F.padded(1), [1.0], atol=1e-10)
 
     def test_p2_truncated_closed_form(self):
         rng = np.random.default_rng(53)
         k = random_poly(rng, 6)
-        entries = solve_truncated_family(k, 2, [2, 4, 6])
-        for entry in entries:
-            n = entry.degree
+        for n in [2, 4, 6]:
+            F = self.solve_truncated(k, 2, n).F
             kn = as_poly(k.coeffs[:n + 1])
             expected = kn.coeffs / bergman_norm_even(kn, 2)
             np.testing.assert_allclose(
-                entry.solution.F.padded(n + 1),
+                F.padded(n + 1),
                 np.concatenate([expected, np.zeros(n + 1 - len(expected))]),
                 atol=1e-10,
             )
@@ -439,16 +442,8 @@ class TestTruncatedFamily:
         from bergex.spaces import hardy_norm_even
 
         k = as_poly((np.arange(33) + 1.0) ** -2.0 + 0j)
-        entries = solve_truncated_family(k, 4, [8, 16, 32], tolerance=1e-12)
-        f8, f16, f32 = (e.solution.F for e in entries)
+        f8, f16, f32 = (self.solve_truncated(k, 4, n, 1e-12).F
+                        for n in [8, 16, 32])
         later = hardy_norm_even(f32 - f16, 4)
         earlier = hardy_norm_even(f16 - f8, 4)
         assert later < earlier
-
-    def test_error_isolation(self):
-        # degree 0 slot: kernel z truncates to zero there, a per-level error
-        entries = solve_truncated_family(monomial(1), 4, [0, 4])
-        assert entries[0].error is not None
-        assert entries[0].solution is None
-        assert entries[1].error is None
-        assert entries[1].solution is not None
