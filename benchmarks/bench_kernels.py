@@ -1,4 +1,4 @@
-"""Times the coefficient kernels' two paths, and one Newton step.
+"""Times the coefficient kernels' two paths, one Newton step and a solve.
 
 Prints one table per operation (Cauchy convolution and nonnegative-lag
 cross-correlation) with median wall time per call at a range of operand
@@ -22,6 +22,11 @@ vector, which the solver does for a real kernel (n+1 unknowns); the
 Pin OpenBLAS to one thread for this table: on a 2-CPU VM its threads
 made single cells up to 20x slower from run to run.
 
+The ``solve`` table times a whole ``solver.solve_extremal`` call (the
+degree ladder, the certificate included) for the real kernel a_t =
+(t+1)^-1.6, t < 64, at the same degrees and p = 4 and 6, median of 5
+calls, with the iterations taken at the requested degree.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
@@ -35,7 +40,8 @@ import numpy as np
 from scipy.linalg import cho_factor
 
 from bergex import _backend
-from bergex.solver import _newton_terms
+from bergex.families import power_decay_kernel
+from bergex.solver import ExtremalProblem, _newton_terms, solve_extremal
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
@@ -96,6 +102,20 @@ def bench_newton_step(sizes, repeats):
             print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}")
 
 
+def bench_solve(sizes, repeats):
+    print("\nsolve: median milliseconds per solve_extremal call")
+    header = f"{'n':>6}{'p':>4}{'ms':>12}{'iterations':>12}"
+    print(header)
+    print("-" * len(header))
+    kernel = power_decay_kernel(1.6, 64)
+    for n in sizes:
+        for p in (4, 6):
+            problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
+            millis = time_call(solve_extremal, problem, repeats=repeats) * 1e3
+            iterations = solve_extremal(problem).iterations
+            print(f"{n:>6}{p:>4}{millis:>12.2f}{iterations:>12}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -109,6 +129,7 @@ def main():
     bench_operation("conv", _backend.conv, sizes, args.repeats)
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
     bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
 
 
 if __name__ == "__main__":

@@ -80,13 +80,15 @@ def _boundary_sides(F, k, p, phi_norm):
     rhs[m] = conj((p/2) xcorr(c, a) + (1-p/2)(m+1) xcorr(K, a))[m] / ||phi||
     for kernel coefficients c, K = k_transform(k) and F's coefficients a.
     The kernel side vanishes past deg k, so only a_0..a_{deg k} enter it.
+    K is padded to the length of c: c_t/(t+1) can underflow to zero at a
+    subnormal c_t, and trimming would then leave K shorter than c.
     """
     b = abs_power_spectrum(F, p)
     count = len(k.coeffs)
     a = F.coeffs[:count]
     kernel_side = ((p / 2.0) * xcorr(k.coeffs, a)
                    + (1.0 - p / 2.0) * np.arange(1.0, count + 1.0)
-                   * xcorr(k_transform(k).coeffs, a))
+                   * xcorr(k_transform(k).padded(count), a))
     lhs = np.zeros(max(len(b), count), dtype=complex)
     rhs = np.zeros_like(lhs)
     lhs[:len(b)] = np.conj(b)

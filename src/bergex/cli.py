@@ -519,6 +519,11 @@ def main(argv=None):
                fmt=False)
 
     args = parser.parse_args(argv)
+    # only the growth study draws a random family
+    if (args.command == "study" and args.kind != "growth"
+            and args.seed is not None):
+        study.error(f"--seed applies to 'study growth' only, "
+                    f"not 'study {args.kind}'")
 
     try:
         if args.command == "verify":

@@ -23,6 +23,18 @@ these are the iterates of the full system, which never leave the real
 slice from a real start; in floating point F's imaginary parts are then
 exactly zero.
 
+The truncated solutions F_n settle as n grows, so the solve starts by
+degree continuation: it climbs the ladder of degrees n >> j that are at
+least MIN_RUNG_DEGREE (one rung, n itself, below degree 32). The lowest
+rung starts from the normalized truncated kernel; each higher rung starts
+from the iterate of the rung below, zero-padded and divided by its value
+of Re phi_hat so that it lies on the new slice. Each rung is the same
+Newton solve (``_newton``) with the problem's tolerance and iteration
+budget, in real coordinates whenever its truncated kernel is real. The
+requested degree then typically needs one or two iterations instead of
+the whole damped phase at full size; only it can fail the solve, and
+only its iterations and trace are reported.
+
 Everything the optimizer touches is exact coefficient arithmetic: with
 s = p/2, u = f^s and v = f^{s-1}, the Wirtinger gradient of the objective
 is
@@ -53,7 +65,9 @@ from .spaces import bergman_norm_even, functional_value
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_CERTIFICATE_TOL = 1e-8
-DEFAULT_MAX_ITERATIONS = 2000
+DEFAULT_MAX_ITERATIONS = 100
+# lowest degree of the ladder that solve_extremal climbs to degree n
+MIN_RUNG_DEGREE = 16
 
 
 class NonConvergenceError(RuntimeError):
@@ -102,7 +116,8 @@ class ExtremalSolution:
     ``phi_norm`` is the norm of the functional restricted to P_n (it
     approaches the full-space norm from below as n grows). ``residual_max``
     is the largest extremality-characterization residual over the
-    monomials z^j, j = 0..2n.
+    monomials z^j, j = 0..2n. ``iterations`` and ``trace`` belong to the
+    Newton solve at degree n alone, not to the lower rungs of the ladder.
     """
 
     F: AnalyticPoly
@@ -249,38 +264,18 @@ def _newton_terms(a, p):
     return value, grad, H
 
 
-def solve_extremal(problem, start=None):
-    """Solve the extremal problem over P_n and certify the result.
+def _newton(c_hat, p, a, tolerance, max_iterations):
+    """Damped Newton on the slice Re phi_hat(f) = 1, Im phi_hat(f) = 0.
 
-    Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
-    phi_norm equals Re phi(F) for the original kernel. Newton steps run
-    until the gradient projected onto the slice is at most the tolerance;
-    the step already computed there is applied before returning. Raises
-    ``NonConvergenceError`` (trace attached) if the tolerance is not met
-    within ``max_iterations``, or if the line search or the gradient
-    stalls (at its float floor) before it.
-
-    ``start`` optionally seeds the iteration with a candidate polynomial;
-    it is orthogonally projected onto the feasible affine slice, so any
-    polynomial of degree <= n works. The default start is the normalized
-    truncated kernel, which is already optimal for p = 2. The minimized
-    objective is strictly convex on the slice, so every start reaches the
-    same solution.
-
-    A kernel whose coefficients on P_n are all real is solved in the real
-    coordinates x = Re a (see the module docstring), where the slice is the
-    real one: the projection of ``start`` onto it drops its imaginary part.
-    Any other kernel is solved in x = (Re a, Im a).
+    ``c_hat`` is the kernel scaled so that Re phi_hat(c_hat) = 1, and ``a``
+    is the start, projected onto the slice first. A real ``c_hat`` runs in
+    x = Re a with the one row Re phi_hat(f) = 1. Returns the coefficients,
+    the trace and a failure message: None on convergence, when the last
+    trace entry is the iteration that met the tolerance; otherwise the
+    coefficients are the last iterate.
     """
-    p, n = problem.p, problem.degree
-    s, n1 = p // 2, n + 1
-
-    # Scale invariance: dividing by max|c_t| before the A^2 norm keeps any
-    # kernel scale finite, and the normalized c_hat keeps the objective O(1).
-    c = problem.kernel.padded(n1)
-    real = not np.any(c.imag)
-    c = c / np.max(np.abs(c))
-    c_hat = c / np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0)))
+    s, n1 = p // 2, len(c_hat)
+    real = not np.any(c_hat.imag)
     # Rows of A x = (1, 0) in x = (Re a, Im a): Re phi(f) = 1 and
     # Im phi(f) = 0. They are orthogonal with equal norms r, so
     # A A^T = r I and x0 = A_0 / r is the particular point. A real kernel
@@ -303,67 +298,121 @@ def solve_extremal(problem, start=None):
     def project(y):
         return y - A.T @ (A @ y) / r
 
-    a_init = c_hat if start is None else start.padded(n1)
-    x = A[0] / r + project(a_init.real if real
-                           else np.concatenate([a_init.real, a_init.imag]))
+    x = A[0] / r + project(a.real if real else np.concatenate([a.real, a.imag]))
 
     trace = []
     gnorm = best_value = best_gnorm = np.inf
-    for it in range(problem.max_iterations):
+    for it in range(max_iterations):
         value, grad, H = _newton_terms(coeffs(x), p)
         gnorm = float(np.linalg.norm(project(grad)))
         trace.append((it, value, gnorm))
-        converged = gnorm <= problem.tolerance
+        converged = gnorm <= tolerance
         # Only a step at the float floor leaves the objective flat; if the
         # iterate beats neither the best value nor the best gradient so far
         # (which also catches a 2-cycle), no further step can help.
         if not converged and value >= best_value and gnorm >= best_gnorm:
-            raise NonConvergenceError(
+            return coeffs(x), tuple(trace), (
                 f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
-                f"at its float floor, tolerance {problem.tolerance:.1e}",
-                tuple(trace))
+                f"at its float floor, tolerance {tolerance:.1e}")
         best_value, best_gnorm = min(best_value, value), min(best_gnorm, gnorm)
         # KKT system [[H, A^T], [A, 0]] [d; lam] = [-grad; 0]: Cholesky of
         # H (overwritten) and the Schur complement A H^-1 A^T (1 x 1 or 2 x 2)
         try:
             factor = cho_factor(H, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            raise NonConvergenceError(
-                f"Hessian not positive definite at iteration {it}",
-                tuple(trace)) from None
+            return coeffs(x), tuple(trace), (
+                f"Hessian not positive definite at iteration {it}")
         Y = cho_solve(factor, np.column_stack([grad, A.T]), check_finite=False)
         d = Y[:, 1:] @ np.linalg.solve(A @ Y[:, 1:], A @ Y[:, 0]) - Y[:, 0]
         slope = float(grad @ d)
 
+        # Armijo backtracking. A predicted decrease |slope| below the
+        # objective's float resolution cannot be resolved, so the full step
+        # is taken; otherwise equality within round-off counts as
+        # acceptance.
         t = 1.0
-        while True:
-            y = x + t * d
-            new_value = _objective(coeffs(y), s)[0]
-            # Armijo, with an absolute-floor escape: near the optimum the
-            # predicted decrease is below float resolution and equality
-            # within round-off counts as acceptance.
+        while abs(slope) > 1e-15 * value:
+            new_value = _objective(coeffs(x + t * d), s)[0]
             if new_value <= value + 1e-4 * t * slope or new_value <= value * (1 + 1e-15):
-                x = y
                 break
             t *= 0.5
             if t < 1e-16:
                 if converged:
+                    t = 0.0  # keep the converged iterate
                     break
-                raise NonConvergenceError(
+                return coeffs(x), tuple(trace), (
                     f"line search stalled at iteration {it} "
-                    f"(gradient norm {gnorm:.3e}, tolerance {problem.tolerance:.1e})",
-                    tuple(trace),
-                )
+                    f"(gradient norm {gnorm:.3e}, tolerance {tolerance:.1e})")
+        x = x + t * d
         if converged:
-            break
-    else:
-        raise NonConvergenceError(
-            f"no convergence in {problem.max_iterations} iterations "
-            f"(last gradient norm {gnorm:.3e})",
-            tuple(trace),
-        )
+            return coeffs(x), tuple(trace), None
+    return coeffs(x), tuple(trace), (
+        f"no convergence in {max_iterations} iterations "
+        f"(last gradient norm {gnorm:.3e})")
 
-    f = AnalyticPoly(coeffs(x))
+
+def _rungs(n):
+    """The degrees n >> j that are at least MIN_RUNG_DEGREE, then n itself."""
+    rungs = [n]
+    while rungs[0] // 2 >= MIN_RUNG_DEGREE:
+        rungs.insert(0, rungs[0] // 2)
+    return rungs
+
+
+def solve_extremal(problem, start=None):
+    """Solve the extremal problem over P_n and certify the result.
+
+    Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
+    phi_norm equals Re phi(F) for the original kernel. Newton steps run
+    until the gradient projected onto the slice is at most the tolerance;
+    the step already computed there is applied before returning. Raises
+    ``NonConvergenceError`` (trace attached) if the tolerance is not met
+    within ``max_iterations``, or if the line search or the gradient
+    stalls (at its float floor) before it.
+
+    Without a ``start`` the solve climbs the degree ladder ``_rungs(n)``
+    (see the module docstring): the lowest rung starts from the normalized
+    truncated kernel, which is already optimal for p = 2, and each higher
+    rung from the zero-padded solution of the rung below. Every rung has
+    the problem's tolerance and iteration budget; a rung below n that
+    fails passes its last iterate up, and only degree n raises.
+    ``iterations`` and ``trace`` describe degree n alone.
+
+    ``start`` instead seeds one solve at degree n with a candidate
+    polynomial; it is orthogonally projected onto the feasible affine
+    slice, so any polynomial of degree <= n works. The minimized objective
+    is strictly convex on the slice, so every start reaches the same
+    solution.
+
+    A kernel whose coefficients on P_n are all real is solved in the real
+    coordinates x = Re a (see the module docstring), where the slice is the
+    real one: the projection of ``start`` onto it drops its imaginary part.
+    Any other kernel is solved in x = (Re a, Im a).
+    """
+    p, n = problem.p, problem.degree
+    c = problem.kernel.padded(n + 1)
+    # a rung on which the truncated kernel vanishes has no functional
+    rungs = [n] if start is not None else [m for m in _rungs(n)
+                                           if np.any(c[:m + 1])]
+    a = None
+    for m in rungs:
+        # Scale invariance: dividing by max|c_t| before the A^2 norm keeps
+        # any kernel scale finite, and c_hat, with Re phi_hat(c_hat) = 1,
+        # keeps the objective O(1).
+        c_hat = c[:m + 1] / np.max(np.abs(c[:m + 1]))
+        c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
+        if a is None:
+            a = c_hat if start is None else start.padded(m + 1)
+        else:
+            # the rung below's iterate, zero-padded and scaled onto this slice
+            a = np.pad(a, (0, m + 1 - len(a)))
+            a = a / np.real(np.vdot(c_hat / (np.arange(m + 1) + 1.0), a))
+        a, trace, failure = _newton(c_hat, p, a, problem.tolerance,
+                                    problem.max_iterations)
+    if failure is not None:
+        raise NonConvergenceError(failure, trace)
+
+    f = AnalyticPoly(a)
     F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
     phi_norm = float(functional_value(problem.kernel, F).real)
     residuals = extremality_residual(F, problem.kernel, p, phi_norm, 2 * n)
@@ -371,8 +420,8 @@ def solve_extremal(problem, start=None):
         F=F,
         phi_norm=phi_norm,
         residual_max=float(np.max(np.abs(residuals))),
-        iterations=it,
-        trace=tuple(trace),
+        iterations=trace[-1][0],
+        trace=trace,
         p=p,
         kernel=problem.kernel,
         degree=n,

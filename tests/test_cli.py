@@ -682,6 +682,14 @@ class TestArgumentParsing:
         assert self.exit_code(["solve", "--config", config,
                                "--seed", "3"]) == 3
 
+    @pytest.mark.parametrize("kind", ["convergence", "hinfty"])
+    def test_seedless_studies_reject_seed(self, tmp_path, capsys, kind):
+        # neither study draws at random, so a seed would be ignored
+        config = write_json(tmp_path / "c.json", {"schema_version": 1})
+        assert self.exit_code(["study", kind, "--config", config,
+                               "--seed", "5"]) == 3
+        assert "--seed" in capsys.readouterr().err
+
     def test_oracle_compare_has_no_format_flag(self, tmp_path):
         # oracle-compare reports are JSON only
         config = write_json(tmp_path / "c.json", {"schema_version": 1})

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergex.families import power_decay_kernel
+from bergex.families import power_decay_kernel, standard_family
 from bergex.poly import as_poly, monomial, taylor_truncate
 from bergex.solver import (
     ExtremalProblem,
     NonConvergenceError,
     _newton_terms,
+    _rungs,
     extremality_residual,
     gradient_norm_p,
     kernel_from_extremal,
@@ -26,12 +27,17 @@ def random_poly(rng, degree):
 
 @st.composite
 def small_problems(draw):
-    """(kernel coefficients, working degree n <= 24, p in {4, 6})."""
+    """(kernel coefficients, working degree n, p in {4, 6}).
+
+    n is at most 24, a single Newton solve, or 48 or 96, which climb the
+    degree ladder of ``solve_extremal``.
+    """
     parts = st.floats(-1.0, 1.0, allow_nan=False)
     count = draw(st.integers(1, 5))
     c = np.array([complex(draw(parts), draw(parts)) for _ in range(count)])
     assume(np.max(np.abs(c)) >= 0.25)
-    return c, draw(st.integers(count - 1, 24)), draw(st.sampled_from([4, 6]))
+    n = draw(st.one_of(st.integers(count - 1, 24), st.sampled_from([48, 96])))
+    return c, n, draw(st.sampled_from([4, 6]))
 
 
 def solve_coeffs(c, n, p):
@@ -410,6 +416,63 @@ class TestSolverProperties:
                 solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=degree,
                                                tolerance=1e-30))
             assert len(exc_info.value.trace) <= 50
+
+
+class TestDegreeLadder:
+    """Solves at n >= 32 climb the ladder of degrees n >> j >= 16."""
+
+    def test_rungs(self):
+        assert _rungs(16) == [16]
+        assert _rungs(31) == [31]
+        assert _rungs(32) == [16, 32]
+        assert _rungs(352) == [22, 44, 88, 176, 352]
+
+    def test_cubic_mix_needs_at_most_two_iterations(self):
+        kernel, n = next((k, n) for name, k, n in standard_family()
+                         if name == "cubic-mix")
+        sol = solve_extremal(ExtremalProblem(p=6, kernel=kernel, degree=n))
+        assert n == 352
+        assert sol.iterations <= 2
+        assert sol.residual_max <= 1e-14
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_agrees_with_explicit_start(self, p):
+        # an explicit start is one solve at degree n from that start; of
+        # the last two kernels, one vanishes on rung 24 (which is skipped)
+        # and one is real there but not at degree 48
+        n = 96
+        vanishing = np.zeros(31, dtype=complex)
+        vanishing[30] = 1.0
+        turning = np.zeros(41, dtype=complex)
+        turning[:2], turning[40] = [1.0, 0.5], 0.2j
+        for c in [[1.0, 0.5, -0.25, 0.1j], [0.3, -1.0, 0.2j, 0.0, 0.4],
+                  vanishing, turning]:
+            problem = ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
+                                      tolerance=1e-12)
+            ladder = solve_extremal(problem)
+            direct = solve_extremal(problem, start=as_poly(c))
+            np.testing.assert_allclose(ladder.F.padded(n + 1),
+                                       direct.F.padded(n + 1),
+                                       rtol=0, atol=1e-12)
+
+    def test_unreachable_tolerance_raises_from_requested_degree(self):
+        # every rung fails at its float floor; the error carries the trace
+        # of degree 64, which starts at the minimum of rung 32 and ends at
+        # the minimum of degree 64
+        kernel = as_poly([1.0, 1.0])
+
+        def minimum(n):
+            return solve_extremal(ExtremalProblem(
+                p=4, kernel=kernel, degree=n, tolerance=1e-12)).trace[-1][1]
+
+        with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
+            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64,
+                                           tolerance=1e-30))
+        trace = exc_info.value.trace
+        assert trace[0][0] == 0
+        assert minimum(32) - minimum(64) >= 1e-9
+        assert trace[0][1] == pytest.approx(minimum(32), rel=1e-14)
+        assert trace[-1][1] == pytest.approx(minimum(64), rel=1e-14)
 
 
 class TestTruncatedFamily:
