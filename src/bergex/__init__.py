@@ -53,7 +53,6 @@ from .checks import (
     check_hinfty_criterion,
     check_norm_equality,
     check_ryabykh_bound,
-    check_weighted_norm_formula,
     coefficient_bound_sweep,
     convergence_study,
     growth_study,
@@ -105,7 +104,6 @@ __all__ = [
     "check_hinfty_criterion",
     "check_norm_equality",
     "check_ryabykh_bound",
-    "check_weighted_norm_formula",
     "coefficient_bound_sweep",
     "convergence_study",
     "growth_study",

@@ -25,9 +25,9 @@ from . import kernelspec
 from .checks import (
     _boundary_sides,
     _coefficient_bound_worst,
+    _ryabykh_report,
     _side_report,
     check_hinfty_criterion,
-    check_ryabykh_bound,
     convergence_study,
     growth_study,
 )
@@ -36,6 +36,7 @@ from .poly import AnalyticPoly
 from .spaces import abs_power_spectrum
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
     ExtremalProblem,
     NonConvergenceError,
     brute_force_oracle,
@@ -132,7 +133,8 @@ def _validate_common(config):
     p = _field(config, "p", int, lambda v: v >= 2 and v % 2 == 0,
                "p must be an even integer >= 2")
     tolerance = _field(config, "tolerance", float, _positive_finite,
-                       "tolerance must be positive and finite", 1e-10)
+                       "tolerance must be positive and finite",
+                       DEFAULT_TOLERANCE)
     return p, tolerance
 
 
@@ -198,12 +200,12 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _solution_body(config, solution, reports):
+def _solution_body(config, tolerance, solution, reports):
     return {
         "problem": {
             "p": solution.p,
             "degree": solution.degree,
-            "tolerance": config.get("tolerance", 1e-10),
+            "tolerance": tolerance,
             "kernel": kernelspec.to_dict(
                 kernelspec.from_dict(config["kernel"])),
         },
@@ -251,7 +253,8 @@ def _check_reports(checks, F, kernel, p, phi_norm):
     ``bergex solve`` and ``bergex verify`` both build their reports here,
     from the check's name and its recorded context. The two sides of the
     weighted boundary formula, and with them the spectrum of |F|^p, are
-    computed once for all of them.
+    computed once for all of them. A ``ryabykh_bound`` record whose context
+    says "informational" predates the check's gate and is skipped.
     """
     sides = _boundary_sides(F, kernel, p, phi_norm)
     reports = []
@@ -268,8 +271,9 @@ def _check_reports(checks, F, kernel, p, phi_norm):
         elif name == "coefficient_bound_sweep":
             report = _coefficient_bound_worst(
                 F, kernel, p, phi_norm, int(context["m_max"]), sides[0])
-        elif name == "ryabykh_bound":
-            report = check_ryabykh_bound(F, kernel, p)
+        elif (name == "ryabykh_bound"
+              and context.get("kind") != "informational"):
+            report = _ryabykh_report(kernel, p, phi_norm, sides[0])
         else:
             report = None
         reports.append(report)
@@ -277,21 +281,17 @@ def _check_reports(checks, F, kernel, p, phi_norm):
 
 
 def _gating(reports):
-    """Non-informational failures gate the exit code."""
-    failed = [r for r in reports
-              if r.verdict == "fail" and r.context.get("kind") != "informational"]
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    """Any failed report gates the exit code."""
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def run_solve(config, out=None, fmt="json"):
+def run_solve(config, out=None):
     p, tolerance = _validate_common(config)
     degree = _field(config, "degree", int, lambda v: v >= 1,
                     "degree must be >= 1")
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
     kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
-    if fmt != "json":
-        raise ConfigError("solve reports are JSON only")
     checks = _requested_checks(config, degree)
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
@@ -302,7 +302,7 @@ def run_solve(config, out=None, fmt="json"):
     )
     solution = solve_extremal(problem)
     reports = _check_reports(checks, solution.F, kernel, p, solution.phi_norm)
-    body = _solution_body(config, solution, reports)
+    body = _solution_body(config, tolerance, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
 
@@ -507,7 +507,7 @@ def main(argv=None):
             sp.add_argument("--seed", type=int, default=None)
 
     add_common(sub.add_parser("solve", help="solve one extremal problem"),
-               seed=False)
+               fmt=False, seed=False)
     ver = sub.add_parser("verify", help="re-check a serialized solution")
     ver.add_argument("solution", help="solution JSON from `bergex solve`")
     ver.add_argument("--out", default=None)
@@ -530,8 +530,7 @@ def main(argv=None):
             return run_verify(args.solution, out=args.out)
         config = _load_config(args.config)
         if args.command == "solve":
-            return run_solve(config, out=args.out,
-                             fmt=args.format or "json")
+            return run_solve(config, out=args.out)
         if args.command == "study":
             fmt = args.format or "csv"
             if args.kind == "growth":

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bergex import cli
 from bergex.checks import (
     _boundary_sides,
     check_coefficient_bound,
@@ -12,7 +13,6 @@ from bergex.checks import (
     check_hinfty_criterion,
     check_norm_equality,
     check_ryabykh_bound,
-    check_weighted_norm_formula,
     coefficient_bound_sweep,
     convergence_study,
     growth_study,
@@ -27,6 +27,7 @@ from bergex.poly import (
     shift,
     taylor_truncate,
 )
+from bergex.families import standard_family
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
@@ -78,37 +79,6 @@ class TestNormEquality:
         sol = one_plus_z_solution
         report = check_norm_equality(sol.F, sol.kernel, 4, sol.phi_norm)
         assert report.passed
-        assert report.residual <= 1e-10
-
-
-class TestWeightedFormula:
-    def test_h_one_reduces_to_norm_equality(self, one_plus_z_solution):
-        sol = one_plus_z_solution
-        weighted = check_weighted_norm_formula(sol.F, sol.kernel, 4,
-                                               sol.phi_norm, monomial(0))
-        plain = check_norm_equality(sol.F, sol.kernel, 4, sol.phi_norm)
-        assert weighted.lhs == plain.lhs
-        assert weighted.rhs == plain.rhs
-        assert weighted.residual == plain.residual
-
-    def test_h_monomial_reduces_to_fourier(self, one_plus_z_solution):
-        sol = one_plus_z_solution
-        weighted = check_weighted_norm_formula(sol.F, sol.kernel, 4,
-                                               sol.phi_norm, monomial(2))
-        fourier = check_fourier_formula(sol.F, sol.kernel, 4, sol.phi_norm, 2)
-        assert weighted.residual == fourier.residual
-
-    def test_constant_extremal_with_h_z(self):
-        report = check_weighted_norm_formula(as_poly([1.0]), as_poly([1.0]),
-                                             4, 1.0, monomial(1))
-        assert abs(report.lhs) <= 1e-15
-        assert abs(report.rhs) <= 1e-15
-
-    def test_general_h_on_certified_solution(self, one_plus_z_solution):
-        sol = one_plus_z_solution
-        h = as_poly([0.5, -1.0, 2.0j])
-        report = check_weighted_norm_formula(sol.F, sol.kernel, 4,
-                                             sol.phi_norm, h)
         assert report.residual <= 1e-10
 
 
@@ -204,6 +174,15 @@ class TestBoundarySides:
             assert abs(got_rhs - ref_rhs) <= 1e-14 * rhs_scale, m
             if m > k.degree:
                 assert got_rhs == 0
+
+    def test_general_h_on_certified_solution(self, one_plus_z_solution):
+        # both sides are linear in h: the formula at h = sum_m h_m z^m is
+        # the dot product of h with the arrays
+        sol = one_plus_z_solution
+        lhs, rhs = _boundary_sides(sol.F, sol.kernel, 4, sol.phi_norm)
+        h = np.array([0.5, -1.0, 2.0j])
+        lhs_h, rhs_h = np.dot(h, lhs[:3]), np.dot(h, rhs[:3])
+        assert abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)) <= 1e-10
 
 
 class TestCoefficientBound:
@@ -426,27 +405,80 @@ class TestNormEqualityDecay:
         assert residuals[-1] <= 1e-4
 
 
+@st.composite
+def small_problems(draw):
+    """(kernel coefficients, working degree n, p in {4, 6}), drawn as in
+    test_solver: 1-5 coefficients, n up to 24, or 48 or 96."""
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    count = draw(st.integers(1, 5))
+    c = np.array([complex(draw(parts), draw(parts)) for _ in range(count)])
+    assume(np.max(np.abs(c)) >= 0.25)
+    n = draw(st.one_of(st.integers(count - 1, 24), st.sampled_from([48, 96])))
+    return c, n, draw(st.sampled_from([4, 6]))
+
+
 class TestRyabykhBound:
     def test_constant_kernel_value(self):
-        # F=1, k=1: quantity = 1/max(p-1,1)
+        # F = 1, k = 1, p = 4: ||F||^3 ||phi|| = 1 = ||2k - K||_{H^{4/3}}
         report = check_ryabykh_bound(as_poly([1.0]), as_poly([1.0]), 4)
-        assert report.residual == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert report.lhs == 1.0
+        assert report.rhs == 1.0
+        assert report.residual == 0.0
         assert report.passed
 
     def test_p2_value_is_one(self):
+        # at p = 2, G = k and F is proportional to k: Cauchy-Schwarz is
+        # an equality, so lhs/rhs is one
         rng = np.random.default_rng(37)
         k = as_poly(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         F = as_poly(k.coeffs / bergman_norm_even(k, 2))
         report = check_ryabykh_bound(F, k, 2)
-        assert report.residual == pytest.approx(1.0, rel=1e-9)
+        assert abs(report.residual) <= 1e-15
+        assert report.passed
 
-    def test_empirical_cap_enforced(self):
-        report = check_ryabykh_bound(as_poly([1.0]), as_poly([1.0]), 4,
-                                     empirical_cp=0.1)
+    def test_doubled_extremal_fails(self, one_plus_z_solution):
+        # 2F scales lhs by 2^p and leaves rhs alone
+        sol = one_plus_z_solution
+        report = check_ryabykh_bound(2.0 * sol.F, sol.kernel, 4)
+        assert report.residual > 10.0
         assert not report.passed
-        relaxed = check_ryabykh_bound(as_poly([1.0]), as_poly([1.0]), 4,
-                                      empirical_cp=1.0)
-        assert relaxed.passed
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_kernel_scale(self, one_plus_z_solution, scale):
+        # the residual is scale invariant; norms of the raw kernel would
+        # overflow or underflow in |G|^q
+        sol = one_plus_z_solution
+        base = check_ryabykh_bound(sol.F, sol.kernel, 4)
+        scaled = check_ryabykh_bound(sol.F, scale * sol.kernel, 4)
+        assert scaled.residual == pytest.approx(base.residual, abs=1e-14)
+        doubled = check_ryabykh_bound(2.0 * sol.F, scale * sol.kernel, 4)
+        assert not doubled.passed
+
+    @given(small_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_holds_on_solutions(self, problem):
+        c, n, p = problem
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
+                                             tolerance=1e-12))
+        report = check_ryabykh_bound(sol.F, sol.kernel, p)
+        assert report.residual <= 1e-12
+        assert report.lhs <= report.context["kernel_bound"]
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_standard_family_passes_every_check(self, p):
+        for name, kernel, degree in standard_family():
+            sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel,
+                                                 degree=degree,
+                                                 tolerance=1e-12))
+            reports = cli._check_reports(
+                cli._requested_checks({}, degree), sol.F, kernel, p,
+                sol.phi_norm)
+            assert all(r.passed for r in reports), name
+            ryabykh = reports[-1]
+            assert ryabykh.check_name == "ryabykh_bound"
+            # the explicit constant: ||G||_{H^q} <= (p-1) ||k||_{H^q}
+            assert ryabykh.rhs <= ryabykh.context["kernel_bound"], name
+            assert ryabykh.lhs <= ryabykh.context["kernel_bound"], name
 
 
 class TestReportShape:

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergex import cli, spaces
+from bergex import checks, cli, spaces
 from bergex.checks import check_fourier_formula
 from bergex.poly import as_poly
-from bergex.solver import ExtremalProblem, solve_extremal
+from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
 
 MONOMIAL_Z = {"type": "coeffs", "values": [[0.0, 0.0], [1.0, 0.0]]}
 ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
@@ -155,6 +155,8 @@ class TestSolveCommand:
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
         assert cli.main(["verify", out]) == 0
+        problem = load_report(out)["body"]["problem"]
+        assert problem["tolerance"] == DEFAULT_TOLERANCE
 
     def test_checks_subset_respected(self, tmp_path):
         config = write_json(tmp_path / "c.json", {
@@ -213,8 +215,11 @@ class TestSolveCommand:
             "degree": 8,
             "kernel": CONSTANT_ONE,
         })
-        code = cli.main(["solve", "--config", config, "--format", "csv"])
-        assert code == 3
+        # solve reports are JSON only, so solve has no --format: argparse
+        # rejects the flag as a usage error
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["solve", "--config", config, "--format", "csv"])
+        assert exc_info.value.code == 3
 
 
 class TestVerifyCommand:
@@ -243,6 +248,25 @@ class TestVerifyCommand:
         assert body["verified"] is True
         assert body["skipped"] == ["mystery_check"]
         assert "mystery_check" not in {r["check_name"] for r in body["rows"]}
+
+    def test_informational_ryabykh_record_is_skipped(self, solved_artifact,
+                                                     tmp_path):
+        # files written while the Ryabykh check gated nothing record its
+        # old quantity, marked informational; verify does not recompute it
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        for check in payload["body"]["checks"]:
+            if check["check_name"] == "ryabykh_bound":
+                check.update(lhs=1.0 / 3.0, rhs=None, residual=1.0 / 3.0,
+                             tolerance=math.inf, verdict="pass")
+                check["context"]["kind"] = "informational"
+        old = write_json(tmp_path / "old.json", payload)
+        out = str(tmp_path / "verify.json")
+        assert cli.main(["verify", old, "--out", out]) == 0
+        body = load_report(out)["body"]
+        assert body["verified"] is True
+        assert body["skipped"] == ["ryabykh_bound"]
+        assert "ryabykh_bound" not in {r["check_name"] for r in body["rows"]}
 
     def test_tampered_residual_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
@@ -453,9 +477,9 @@ class TestCheckSuiteWork:
 
     def test_power_calls_per_solution_bounded(self, solution, monkeypatch,
                                               tmp_path):
-        # every report reads |F|^p's Fourier coefficients from one spectrum:
-        # one power call for it, and one each for the sweep's ||F||_{H^2}
-        # and the Ryabykh check's ||F||_{H^p}. Rebuilding F^{p/2} per
+        # every report reads |F|^p's Fourier coefficients from one spectrum,
+        # the Ryabykh check its ||F||_{H^p}^p = b_0 too: one power call for
+        # it, and one for the sweep's ||F||_{H^2}. Rebuilding F^{p/2} per
         # frequency would cost one call per m = 0..8 in the Fourier checks.
         calls = []
         original = spaces.power
@@ -469,14 +493,15 @@ class TestCheckSuiteWork:
         reports = cli._check_reports(checks, solution.F, solution.kernel,
                                      solution.p, solution.phi_norm)
         assert len(reports) == 12
-        assert 0 < len(calls) <= 4
+        assert 0 < len(calls) <= 3
 
-        body = cli._solution_body({"kernel": ONE_PLUS_Z}, solution, reports)
+        body = cli._solution_body({"kernel": ONE_PLUS_Z}, 1e-12, solution,
+                                  reports)
         path = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(path))
         calls.clear()
         assert cli.run_verify(str(path), out=str(tmp_path / "v.json")) == 0
-        assert 0 < len(calls) <= 4
+        assert 0 < len(calls) <= 3
 
     def test_batch_equals_single_calls(self, solution):
         m_max = 2 * solution.degree + 3  # past the spectrum's end
@@ -710,3 +735,22 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_solve_and_verify_leave_disc_quadrature_alone(tmp_path, monkeypatch):
+    # the default checks read every norm on the circle; the A^q disc
+    # quadrature serves the growth study alone
+    def disc_quadrature(f, p):
+        raise AssertionError("bergman_norm_general called")
+
+    monkeypatch.setattr(spaces, "bergman_norm_general", disc_quadrature)
+    monkeypatch.setattr(checks, "bergman_norm_general", disc_quadrature)
+    config = write_json(tmp_path / "c.json", {
+        "schema_version": 1,
+        "p": 4,
+        "degree": 160,
+        "kernel": ONE_PLUS_Z,
+    })
+    out = str(tmp_path / "s.json")
+    assert cli.main(["solve", "--config", config, "--out", out]) == 0
+    assert cli.main(["verify", out]) == 0
