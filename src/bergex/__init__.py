@@ -48,7 +48,6 @@ from .solver import (
 from .checks import (
     GrowthStudyRow,
     VerificationReport,
-    check_coefficient_bound,
     check_fourier_formula,
     check_hinfty_criterion,
     check_norm_equality,
@@ -99,7 +98,6 @@ __all__ = [
     "solve_extremal",
     "GrowthStudyRow",
     "VerificationReport",
-    "check_coefficient_bound",
     "check_fourier_formula",
     "check_hinfty_criterion",
     "check_norm_equality",

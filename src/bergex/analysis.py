@@ -15,20 +15,19 @@ from scipy.special import roots_legendre
 from .poly import antiderivative, derivative, multiply, shift
 from .spaces import bergman_inner, hardy_inner
 
-_G_NODES_DEFAULT = 128
+_G_NODES = 128
 
 
-def lp_g_function(f, theta, nodes=_G_NODES_DEFAULT):
+def lp_g_function(f, theta):
     """Square function g(theta, f) = (int_0^1 (1-r) |f'(r e^{i theta})|^2 dr)^{1/2}.
 
     The integrand is a polynomial in r of degree 2 deg(f') + 1, so
-    Gauss-Legendre with the default node count is exact for any input
-    this library produces.
+    Gauss-Legendre with _G_NODES = 128 nodes is exact for deg f <= 128.
     """
     fp = derivative(f)
     if fp.is_zero():
         return 0.0
-    x, w = roots_legendre(nodes)
+    x, w = roots_legendre(_G_NODES)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     vals = np.abs(fp(r * np.exp(1j * theta))) ** 2

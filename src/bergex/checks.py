@@ -13,8 +13,10 @@ Taking h = 1 gives the norm-equality for ||F||_{H^p}^p; taking h = z^m
 gives the Fourier-coefficient formula for |F|^p. Both sides are linear in
 h, so ``_boundary_sides`` computes them at every h = z^m at once, as two
 arrays that depend on the solution alone; every check reads its entries.
-A single check and a batch give the same floats, and the m = 0 Fourier
-residual equals the norm-equality residual, by construction.
+``check_reports`` builds the reports of a list of ``check_records`` from
+one pair of arrays, with the single-check functions' builders, so a single
+check and a batch give the same floats, and the m = 0 Fourier residual
+equals the norm-equality residual, by construction.
 
 The left sides are the Fourier coefficients b_0..b_{(p/2) n} of |F|^p,
 from one autocorrelation of F^{p/2} (``abs_power_spectrum``), and the
@@ -38,13 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._backend import xcorr
+from .families import power_decay_kernel
 from .poly import AnalyticPoly, k_transform, taylor_truncate
 from .solver import ExtremalProblem, solve_extremal
 from .spaces import (
     _circle_values,
     abs_power_spectrum,
     bergman_norm_general,
-    fourier_coeff_abs_power,
     functional_value,
     hardy_norm_even,
     hardy_norm_general,
@@ -52,6 +54,13 @@ from .spaces import (
 
 DEFAULT_EQUALITY_TOL = 1e-4
 DEFAULT_SLACK_TOL = 1e-12
+# the solver tolerance of every solve in a study: growth, convergence,
+# hinfty and norm-equality decay
+STUDY_TOLERANCE = 1e-12
+
+# the check names a solve config may ask for, and asks for by default
+DEFAULT_CHECKS = ("norm_equality", "fourier_formula", "coefficient_bound",
+                  "ryabykh_bound")
 
 
 @dataclass(frozen=True)
@@ -102,111 +111,83 @@ def _boundary_sides(F, k, p, phi_norm):
     return lhs, rhs
 
 
-def _side_report(name, sides, m, context, tolerance=DEFAULT_EQUALITY_TOL):
-    """The equality report at frequency m, read from ``_boundary_sides``."""
+def _equality_report(name, sides, m, k, p):
+    """The ``name`` report at frequency m (0 for "norm_equality"), read
+    from ``_boundary_sides``."""
     if m < 0:
         raise ValueError("frequency m must be nonnegative")
     lhs, rhs = (complex(side[m]) if m < len(side) else 0j for side in sides)
-    return _equality_report(name, lhs, rhs, tolerance, context)
-
-
-def _equality_report(name, lhs, rhs, tolerance, context):
     residual = abs(lhs - rhs) / max(1.0, abs(lhs))
+    context = {"p": p, "kernel_degree": k.degree}
+    if name == "fourier_formula":
+        context["m"] = m
     return VerificationReport(
         check_name=name,
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if residual <= tolerance else "fail",
+        tolerance=DEFAULT_EQUALITY_TOL,
+        verdict="pass" if residual <= DEFAULT_EQUALITY_TOL else "fail",
         context=context,
     )
 
 
-def check_norm_equality(F, k, p, phi_norm, tolerance=DEFAULT_EQUALITY_TOL):
+def check_norm_equality(F, k, p, phi_norm):
     """Norm-equality: ||F||_{H^p}^p against the kernel-side pairing.
 
     The h = 1 specialization of the weighted formula; the left side is
     the zeroth Fourier coefficient of |F|^p, which equals
     hardy_norm_even(F, p)^p.
     """
-    return _side_report(
-        "norm_equality", _boundary_sides(F, k, p, phi_norm), 0,
-        {"p": p, "kernel_degree": k.degree}, tolerance,
-    )
+    return _equality_report("norm_equality", _boundary_sides(F, k, p, phi_norm),
+                            0, k, p)
 
 
-def check_fourier_formula(F, k, p, phi_norm, m, tolerance=DEFAULT_EQUALITY_TOL):
+def check_fourier_formula(F, k, p, phi_norm, m):
     """Fourier coefficient of |F|^p at frequency m against the kernel side.
 
     The h = z^m specialization; at m = 0 this reproduces the
     norm-equality residual exactly (same arrays, same entry).
     """
-    return _side_report(
-        "fourier_formula", _boundary_sides(F, k, p, phi_norm), m,
-        {"p": p, "m": m, "kernel_degree": k.degree}, tolerance,
-    )
+    return _equality_report("fourier_formula",
+                            _boundary_sides(F, k, p, phi_norm), m, k, p)
 
 
-def check_coefficient_bound(F, k, p, phi_norm, m, tolerance=DEFAULT_SLACK_TOL):
-    """One-sided bound on the Fourier coefficients of |F|^p.
+def coefficient_bound_sweep(solution):
+    """The coefficient bound over m = 0..2n; the report of the worst slack.
 
-    |b_m| <= (p / (2 ||phi||)) ||F||_{H^2} (sum_{t>=m} |c_t|^2)^{1/2};
-    in particular b_m = 0 whenever m exceeds the kernel degree. Slack is
-    rhs - |b_m|; verdict tolerates round-off dips to -tolerance. One
-    frequency at a time, from its own F^{p/2}: ``coefficient_bound_sweep``
-    evaluates all frequencies at once and is tested against this.
+    |b_m| <= (p / (2 ||phi||)) ||F||_{H^2} (sum_{t>=m} |c_t|^2)^{1/2}; in
+    particular b_m = 0 whenever m exceeds the kernel degree. Slack is
+    rhs - |b_m|, and the verdict tolerates round-off dips to
+    -DEFAULT_SLACK_TOL. The context notes the frequency of the worst slack.
     """
-    if m < 0:
-        raise ValueError("frequency m must be nonnegative")
-    bm = abs(fourier_coeff_abs_power(F, p, m))
-    tail = math.fsum(np.abs(k.coeffs[m:]) ** 2)
-    bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * math.sqrt(tail)
-    slack = bound - bm
-    return VerificationReport(
-        check_name="coefficient_bound",
-        lhs=bm,
-        rhs=bound,
-        residual=slack,
-        tolerance=tolerance,
-        verdict="pass" if slack >= -tolerance else "fail",
-        context={"p": p, "m": m, "kernel_degree": k.degree},
-    )
+    return _coefficient_bound_report(
+        solution.F, solution.kernel, solution.p, solution.phi_norm,
+        2 * solution.degree, abs_power_spectrum(solution.F, solution.p))
 
 
-def coefficient_bound_sweep(solution, m_max=None, tolerance=DEFAULT_SLACK_TOL):
-    """check_coefficient_bound over m = 0..m_max (default 2n); worst slack.
-
-    Returns the single report with the smallest slack, context noting the
-    frequency where it occurred.
-    """
-    if m_max is None:
-        m_max = 2 * solution.degree
-    return _coefficient_bound_worst(
-        solution.F, solution.kernel, solution.p, solution.phi_norm, m_max,
-        abs_power_spectrum(solution.F, solution.p), tolerance)
-
-
-def _coefficient_bound_worst(F, k, p, phi_norm, m_max, spectrum,
-                             tolerance=DEFAULT_SLACK_TOL):
+def _coefficient_bound_report(F, k, p, phi_norm, m_max, spectrum):
     """The coefficient bound at every m = 0..m_max at once; worst report.
 
     ``spectrum`` holds the Fourier coefficients b_0, b_1, ... of |F|^p, or
     their conjugates; only |b_m| is read, and it is zero past the array's
     end. The kernel tails sum_{t>=m} |c_t|^2 are correctly rounded sums
-    (``math.fsum``), as in ``check_coefficient_bound``, so both give the
-    same bound at every m whatever the summation order; ||F||_{H^2} is
-    computed once. The worst m is the first minimum of the slack, as a
-    loop keeping the strictly smaller slack would pick.
+    (``math.fsum``), independent of the summation order. The bound is
+    homogeneous in (k, ||phi||), so both are first divided by 2^e, with
+    max|c_t| in [2^(e-1), 2^e): the squares neither overflow nor underflow
+    at extreme kernel scales, and at ordinary ones the bound is bit for bit
+    the unscaled one. The worst m is the first minimum of the slack.
     """
     bm = np.zeros(m_max + 1)
     magnitudes = np.abs(spectrum)[:m_max + 1]
     bm[:len(magnitudes)] = magnitudes
-    squares = np.abs(k.coeffs) ** 2
+    exponent = math.frexp(float(np.max(np.abs(k.coeffs))))[1]
+    squares = np.ldexp(np.abs(k.coeffs), -exponent) ** 2
     tails = np.zeros(m_max + 1)
     count = min(m_max + 1, len(squares))
     tails[:count] = [math.fsum(squares[m:]) for m in range(count)]
-    bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * np.sqrt(tails)
+    bound = ((p / (2.0 * math.ldexp(phi_norm, -exponent)))
+             * hardy_norm_even(F, 2) * np.sqrt(tails))
     slack = bound - bm
     m = int(np.argmin(slack))
     return VerificationReport(
@@ -214,16 +195,109 @@ def _coefficient_bound_worst(F, k, p, phi_norm, m_max, spectrum,
         lhs=float(bm[m]),
         rhs=float(bound[m]),
         residual=float(slack[m]),
-        tolerance=tolerance,
-        verdict="pass" if slack[m] >= -tolerance else "fail",
+        tolerance=DEFAULT_SLACK_TOL,
+        verdict="pass" if slack[m] >= -DEFAULT_SLACK_TOL else "fail",
         context={"p": p, "kernel_degree": k.degree, "worst_m": m,
                  "m_max": m_max},
     )
 
 
+def check_ryabykh_bound(F, k, p):
+    """Ryabykh's inequality ||F||_{H^p}^{p-1} ||phi|| <= ||G||_{H^q}.
+
+    G = (p/2) k + (1-p/2) K, q = p/(p-1) and ||phi|| = Re phi(F), as
+    ``solve_extremal`` computes it. ``residual`` is lhs/rhs - 1, at most 0
+    when the inequality holds; pass iff it is <= DEFAULT_EQUALITY_TOL, since
+    on F_n the inequality holds only up to the norm-equality residual. The
+    context's ``kernel_bound`` is the explicit bound (p-1) ||k||_{H^q} on rhs.
+    """
+    return _ryabykh_report(k, p, functional_value(k, F).real,
+                           abs_power_spectrum(F, p))
+
+
+def _ryabykh_report(k, p, phi_norm, spectrum):
+    """``check_ryabykh_bound``, with ||F||_{H^p}^p = b_0 read from
+    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates."""
+    q = p / (p - 1.0)
+    # rhs is homogeneous in k: norms of k / max|c_t| keep |G|^q from a
+    # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
+    scale = float(np.max(np.abs(k.coeffs)))
+    c = k.coeffs / scale
+    t = np.arange(len(c))
+    G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
+    b0 = float(spectrum[0].real) if len(spectrum) else 0.0
+    lhs = b0 ** ((p - 1.0) / p) * phi_norm
+    rhs = scale * _hardy_norm_auto(G, q)
+    residual = lhs / rhs - 1.0
+    return VerificationReport(
+        check_name="ryabykh_bound",
+        lhs=lhs,
+        rhs=rhs,
+        residual=residual,
+        tolerance=DEFAULT_EQUALITY_TOL,
+        verdict="pass" if residual <= DEFAULT_EQUALITY_TOL else "fail",
+        context={"p": p, "q": q, "kernel_degree": k.degree,
+                 "kernel_bound":
+                     (p - 1.0) * scale * _hardy_norm_auto(AnalyticPoly(c), q)},
+    )
+
+
+def check_records(names, degree, fourier_m_max):
+    """The records a solution file keeps for the checks ``names`` asks for.
+
+    "fourier_formula" asks for one record per m = 0..fourier_m_max, and
+    "coefficient_bound" for the sweep over m = 0..2*degree; any other name
+    in DEFAULT_CHECKS is one record. Other names raise ValueError.
+    """
+    records = []
+    for name in names:
+        if name == "fourier_formula":
+            records += [{"check_name": name, "context": {"m": m}}
+                        for m in range(fourier_m_max + 1)]
+        elif name == "coefficient_bound":
+            records.append({"check_name": "coefficient_bound_sweep",
+                            "context": {"m_max": 2 * degree}})
+        elif name in DEFAULT_CHECKS:
+            records.append({"check_name": name})
+        else:
+            raise ValueError(f"unknown check {name!r}")
+    return records
+
+
+def check_reports(records, F, k, p, phi_norm):
+    """One report per check record, or None for a record not known here.
+
+    ``bergex solve`` passes the records of ``check_records``, and ``bergex
+    verify`` the ones a solution file holds; a record's name and context
+    pick the report, built as the single-check functions build it. The two
+    sides of the weighted boundary formula, and with them the spectrum of
+    |F|^p, are computed once for all of them. A ``ryabykh_bound`` record
+    whose context says "informational" predates the check's gate and is
+    skipped.
+    """
+    sides = _boundary_sides(F, k, p, phi_norm)
+    reports = []
+    for record in records:
+        name = record["check_name"]
+        context = record.get("context", {})
+        if name == "norm_equality":
+            report = _equality_report(name, sides, 0, k, p)
+        elif name == "fourier_formula":
+            report = _equality_report(name, sides, int(context["m"]), k, p)
+        elif name == "coefficient_bound_sweep":
+            report = _coefficient_bound_report(
+                F, k, p, phi_norm, int(context["m_max"]), sides[0])
+        elif (name == "ryabykh_bound"
+              and context.get("kind") != "informational"):
+            report = _ryabykh_report(k, p, phi_norm, sides[0])
+        else:
+            report = None
+        reports.append(report)
+    return reports
+
+
 def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
-                           exploratory=False, tolerance=None,
-                           solver_tolerance=1e-12):
+                           exploratory=False):
     """Boundedness probe for kernels with c_t = (t+1)^(-alpha), alpha > 3/2.
 
     Such decay forces the extremal function into H-infinity, so the
@@ -243,14 +317,13 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
         raise ValueError("criterion requires alpha > 3/2; "
                          "pass exploratory=True to run anyway")
     degrees = sorted(degrees)
-    count = max(degrees) + 1
-    k = AnalyticPoly((np.arange(count) + 1.0) ** (-alpha) + 0j)
+    k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}
     for n in degrees:
         F = solve_extremal(ExtremalProblem(
             p=p, kernel=taylor_truncate(k, n), degree=n,
-            tolerance=solver_tolerance)).F
+            tolerance=STUDY_TOLERANCE)).F
         grid = 1 << max(10, (4 * F.degree + 4 - 1).bit_length())
         boundary = _circle_values(F, 1.0, grid)
         sups[n] = float(np.max(np.abs(boundary)))
@@ -313,7 +386,7 @@ def growth_study(family, p, q1_list):
     rows = []
     for kernel_id, kernel, degree in family:
         solution = solve_extremal(ExtremalProblem(
-            p=p, kernel=kernel, degree=degree, tolerance=1e-12,
+            p=p, kernel=kernel, degree=degree, tolerance=STUDY_TOLERANCE,
         ))
         k_bergman = bergman_norm_general(kernel, q)
         for q1 in q1_list:
@@ -332,7 +405,7 @@ def growth_study(family, p, q1_list):
     return rows
 
 
-def convergence_study(k, p, degrees, solver_tolerance=1e-12):
+def convergence_study(k, p, degrees):
     """Distances ||F_n - F_N||_{H^p} to the largest-degree solution.
 
     F_n solves the problem with the truncated kernel S_n k over P_n;
@@ -341,14 +414,12 @@ def convergence_study(k, p, degrees, solver_tolerance=1e-12):
     """
     solutions = [(n, solve_extremal(ExtremalProblem(
         p=p, kernel=taylor_truncate(k, n), degree=n,
-        tolerance=solver_tolerance)).F) for n in sorted(degrees)]
+        tolerance=STUDY_TOLERANCE)).F) for n in sorted(degrees)]
     F_ref = solutions[-1][1]
     return [(n, hardy_norm_even(F - F_ref, p)) for n, F in solutions]
 
 
-def norm_equality_decay_study(k, p, degrees, ref_degree=None,
-                              tolerance=DEFAULT_EQUALITY_TOL,
-                              solver_tolerance=1e-12):
+def norm_equality_decay_study(k, p, degrees):
     """Norm-equality residuals against a reference functional norm.
 
     At the P_n optimum the identity holds exactly with the restricted
@@ -356,61 +427,19 @@ def norm_equality_decay_study(k, p, degrees, ref_degree=None,
     the better estimate of the full-space ||phi|| that a higher-degree
     solve provides. Since the restricted norms increase with n, the
     relative residual (phi_ref - phi_n)/phi_ref decreases monotonically,
-    which is the decay this study exhibits.
+    which is the decay this study exhibits. The reference degree is
+    2 max(degrees) + 32.
 
-    Returns (ref_degree, [(n, VerificationReport), ...]).
+    Returns (reference degree, [(n, VerificationReport), ...]).
     """
-    if ref_degree is None:
-        ref_degree = 2 * max(degrees) + 32
     ref = solve_extremal(ExtremalProblem(
-        p=p, kernel=k, degree=ref_degree, tolerance=solver_tolerance,
+        p=p, kernel=k, degree=2 * max(degrees) + 32,
+        tolerance=STUDY_TOLERANCE,
     ))
     rows = []
     for n in sorted(degrees):
         sol = solve_extremal(ExtremalProblem(
-            p=p, kernel=k, degree=n, tolerance=solver_tolerance,
+            p=p, kernel=k, degree=n, tolerance=STUDY_TOLERANCE,
         ))
-        rows.append((n, check_norm_equality(
-            sol.F, k, p, ref.phi_norm, tolerance=tolerance,
-        )))
+        rows.append((n, check_norm_equality(sol.F, k, p, ref.phi_norm)))
     return ref.degree, rows
-
-
-def check_ryabykh_bound(F, k, p):
-    """Ryabykh's inequality ||F||_{H^p}^{p-1} ||phi|| <= ||G||_{H^q}.
-
-    G = (p/2) k + (1-p/2) K, q = p/(p-1) and ||phi|| = Re phi(F), as
-    ``solve_extremal`` computes it. ``residual`` is lhs/rhs - 1, at most 0
-    when the inequality holds; pass iff it is <= DEFAULT_EQUALITY_TOL, since
-    on F_n the inequality holds only up to the norm-equality residual. The
-    context's ``kernel_bound`` is the explicit bound (p-1) ||k||_{H^q} on rhs.
-    """
-    return _ryabykh_report(k, p, functional_value(k, F).real,
-                           abs_power_spectrum(F, p))
-
-
-def _ryabykh_report(k, p, phi_norm, spectrum):
-    """``check_ryabykh_bound``, with ||F||_{H^p}^p = b_0 read from
-    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates."""
-    q = p / (p - 1.0)
-    # rhs is homogeneous in k: norms of k / max|c_t| keep |G|^q from a
-    # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
-    scale = float(np.max(np.abs(k.coeffs)))
-    c = k.coeffs / scale
-    t = np.arange(len(c))
-    G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
-    b0 = float(spectrum[0].real) if len(spectrum) else 0.0
-    lhs = b0 ** ((p - 1.0) / p) * phi_norm
-    rhs = scale * _hardy_norm_auto(G, q)
-    residual = lhs / rhs - 1.0
-    return VerificationReport(
-        check_name="ryabykh_bound",
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=DEFAULT_EQUALITY_TOL,
-        verdict="pass" if residual <= DEFAULT_EQUALITY_TOL else "fail",
-        context={"p": p, "q": q, "kernel_degree": k.degree,
-                 "kernel_bound":
-                     (p - 1.0) * scale * _hardy_norm_auto(AnalyticPoly(c), q)},
-    )

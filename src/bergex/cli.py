@@ -23,17 +23,16 @@ import numpy as np
 from . import __version__
 from . import kernelspec
 from .checks import (
-    _boundary_sides,
-    _coefficient_bound_worst,
-    _ryabykh_report,
-    _side_report,
+    DEFAULT_CHECKS,
+    STUDY_TOLERANCE,
     check_hinfty_criterion,
+    check_records,
+    check_reports,
     convergence_study,
     growth_study,
 )
 from .families import standard_family
 from .poly import AnalyticPoly
-from .spaces import abs_power_spectrum
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -50,9 +49,6 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID = 3
 
 SCHEMA_VERSION = 1
-
-DEFAULT_CHECKS = ("norm_equality", "fourier_formula", "coefficient_bound",
-                  "ryabykh_bound")
 
 
 class ConfigError(ValueError):
@@ -138,6 +134,15 @@ def _validate_common(config):
     return p, tolerance
 
 
+def _study_exponent(config):
+    """The study field 'p'. Studies solve at STUDY_TOLERANCE, so a
+    'tolerance' field, which they would ignore, is refused."""
+    if "tolerance" in config:
+        raise ConfigError(f"config field 'tolerance' does not apply to "
+                          f"studies, which solve at {STUDY_TOLERANCE:g}")
+    return _validate_common(config)[0]
+
+
 def _json_complex(value):
     value = complex(value)
     return [value.real, value.imag]
@@ -220,64 +225,15 @@ def _solution_body(config, tolerance, solution, reports):
 
 
 def _requested_checks(config, degree):
-    """The checks the config asks for, in the form a solution file records.
-
-    "fourier_formula" asks for one report per m = 0..fourier_m_max, and
-    "coefficient_bound" for the sweep over m = 0..2*degree.
-    """
+    """The check records that the config's 'checks' and 'fourier_m_max'
+    ask for, as ``check_records`` expands them."""
     names = config.get("checks", list(DEFAULT_CHECKS))
     if not (isinstance(names, list)
             and all(isinstance(name, str) for name in names)):
         raise ConfigError("config field 'checks' must be a list of check names")
-    for name in names:
-        if name not in DEFAULT_CHECKS:
-            raise ConfigError(f"unknown check {name!r}")
     m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
                    "fourier_m_max must be >= 0", 8)
-    checks = []
-    for name in names:
-        if name == "fourier_formula":
-            checks += [{"check_name": name, "context": {"m": m}}
-                       for m in range(m_max + 1)]
-        elif name == "coefficient_bound":
-            checks.append({"check_name": "coefficient_bound_sweep",
-                           "context": {"m_max": 2 * degree}})
-        else:
-            checks.append({"check_name": name})
-    return checks
-
-
-def _check_reports(checks, F, kernel, p, phi_norm):
-    """One report per recorded check, or None for a name not known here.
-
-    ``bergex solve`` and ``bergex verify`` both build their reports here,
-    from the check's name and its recorded context. The two sides of the
-    weighted boundary formula, and with them the spectrum of |F|^p, are
-    computed once for all of them. A ``ryabykh_bound`` record whose context
-    says "informational" predates the check's gate and is skipped.
-    """
-    sides = _boundary_sides(F, kernel, p, phi_norm)
-    reports = []
-    for check in checks:
-        name = check["check_name"]
-        context = check.get("context", {})
-        if name == "norm_equality":
-            report = _side_report(name, sides, 0,
-                                  {"p": p, "kernel_degree": kernel.degree})
-        elif name == "fourier_formula":
-            m = int(context["m"])
-            report = _side_report(name, sides, m, {
-                "p": p, "m": m, "kernel_degree": kernel.degree})
-        elif name == "coefficient_bound_sweep":
-            report = _coefficient_bound_worst(
-                F, kernel, p, phi_norm, int(context["m_max"]), sides[0])
-        elif (name == "ryabykh_bound"
-              and context.get("kind") != "informational"):
-            report = _ryabykh_report(kernel, p, phi_norm, sides[0])
-        else:
-            report = None
-        reports.append(report)
-    return reports
+    return check_records(names, degree, m_max)
 
 
 def _gating(reports):
@@ -301,7 +257,7 @@ def run_solve(config, out=None):
         max_iterations=max_iterations,
     )
     solution = solve_extremal(problem)
-    reports = _check_reports(checks, solution.F, kernel, p, solution.phi_norm)
+    reports = check_reports(checks, solution.F, kernel, p, solution.phi_norm)
     body = _solution_body(config, tolerance, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
@@ -323,7 +279,7 @@ def run_verify(solution_path, out=None):
         phi_norm = float(solution["phi_norm"])
         recorded_max = float(solution["residual_max"])
         checks = body["checks"]
-        reports = _check_reports(checks, F, kernel, p, phi_norm)
+        reports = check_reports(checks, F, kernel, p, phi_norm)
         pairs = list(zip(checks, reports))
         rows = [{"check_name": check["check_name"],
                  "recorded": float(check["residual"]),
@@ -335,7 +291,9 @@ def run_verify(solution_path, out=None):
             json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
 
-    residuals = extremality_residual(F, kernel, p, phi_norm, 2 * degree)
+    # the range solve_extremal certifies: every nonzero pairing
+    residuals = extremality_residual(F, kernel, p, phi_norm,
+                                     max(2, p // 2) * degree)
     rows.insert(0, {"check_name": "residual_max",
                     "recorded": recorded_max,
                     "recomputed": float(np.max(np.abs(residuals)))})
@@ -353,15 +311,16 @@ def run_verify(solution_path, out=None):
 def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
     """The coefficient-bound sweep of a reloaded solution, as solve runs it.
 
-    Unused by the commands, which build the sweep in ``_check_reports``;
+    Unused by the commands, which build the sweep in ``check_reports``;
     perfbench/tracer.py still wraps this name.
     """
-    return _coefficient_bound_worst(F, kernel, p, phi_norm, m_max,
-                                    abs_power_spectrum(F, p))
+    return check_reports([{"check_name": "coefficient_bound_sweep",
+                           "context": {"m_max": m_max}}],
+                         F, kernel, p, phi_norm)[0]
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
-    p, tolerance = _validate_common(config)
+    p = _study_exponent(config)
     q = p / (p - 1.0)
     q1_list = _field(config, "q1_list", list,
                      lambda v: v and all(map(_finite_number, v)),
@@ -388,15 +347,19 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
 
 def _study_family(config, seed):
     """Family for studies: the standard one, or explicit kernel specs."""
-    if config.get("family", "standard") == "standard":
+    specs = config.get("family", "standard")
+    if specs == "standard":
         family = standard_family(**({} if seed is None else {"seed": seed}))
         limit = _field(config, "max_study_degree", int, lambda v: v >= 0,
                        "max_study_degree must be >= 0", 128)
         return [(name, k, min(d, limit)) for name, k, d in family]
+    if not (isinstance(specs, list) and specs):
+        raise ConfigError("config field 'family' must be \"standard\" or a "
+                          "non-empty list of kernel specs")
     entries = []
     degree = _field(config, "degree", int, lambda v: v >= 0,
                     "degree must be >= 0", 64)
-    for item in config["family"]:
+    for item in specs:
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
                         degree))
@@ -404,7 +367,7 @@ def _study_family(config, seed):
 
 
 def run_convergence_study(config, out=None, fmt="csv"):
-    p, tolerance = _validate_common(config)
+    p = _study_exponent(config)
     degrees = _degrees(config)
     if "kernel" not in config:
         raise ConfigError("config is missing 'kernel'")
@@ -420,7 +383,7 @@ def run_convergence_study(config, out=None, fmt="csv"):
 
 
 def run_hinfty_study(config, out=None, fmt="csv"):
-    p, tolerance = _validate_common(config)
+    p = _study_exponent(config)
     alpha = _field(config, "alpha", float, _positive_finite,
                    "alpha must be positive and finite")
     degrees = _degrees(config, [16, 32, 64])

@@ -50,14 +50,15 @@ def power_decay_kernel(alpha, count):
     return AnalyticPoly((np.arange(count) + 1.0) ** (-alpha) + 0j)
 
 
-def random_kernels(seed=DEFAULT_SEED, count=_RANDOM_COUNT,
-                   degree=_RANDOM_DEGREE, envelope=_RANDOM_ENVELOPE):
+def random_kernels(seed=DEFAULT_SEED):
     """Seeded complex Gaussian coefficients under a geometric envelope."""
     rng = np.random.default_rng(seed)
+    size = _RANDOM_DEGREE + 1
     out = []
-    for i in range(count):
-        g = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        out.append((f"random-{i}", AnalyticPoly(g * envelope ** -np.arange(degree + 1.0))))
+    for i in range(_RANDOM_COUNT):
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        out.append((f"random-{i}", AnalyticPoly(
+            g * _RANDOM_ENVELOPE ** -np.arange(float(size)))))
     return out
 
 

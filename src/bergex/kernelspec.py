@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import power_decay_kernel
 from .poly import AnalyticPoly, taylor_truncate
 
 
@@ -72,7 +73,7 @@ def realize(spec):
         c = np.array([re + 1j * im for re, im in spec.values], dtype=complex)
         k = AnalyticPoly(c)
     elif spec.type == "power_decay":
-        k = AnalyticPoly((np.arange(spec.count) + 1.0) ** (-spec.alpha) + 0j)
+        k = power_decay_kernel(spec.alpha, spec.count)
     else:
         k = taylor_truncate(realize(spec.inner), spec.n)
     if k.is_zero():

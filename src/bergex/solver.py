@@ -68,6 +68,8 @@ DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # lowest degree of the ladder that solve_extremal climbs to degree n
 MIN_RUNG_DEGREE = 16
+# derivative-free restarts of brute_force_oracle, the first from zero
+_ORACLE_STARTS = 3
 
 
 class NonConvergenceError(RuntimeError):
@@ -116,7 +118,8 @@ class ExtremalSolution:
     ``phi_norm`` is the norm of the functional restricted to P_n (it
     approaches the full-space norm from below as n grows). ``residual_max``
     is the largest extremality-characterization residual over the
-    monomials z^j, j = 0..2n. ``iterations`` and ``trace`` belong to the
+    monomials z^j, j = 0..max(2, p/2) n: the pairings vanish past
+    j = (p/2) n, and the kernel side past deg k. ``iterations`` and ``trace`` belong to the
     Newton solve at degree n alone, not to the lower rungs of the ladder.
     """
 
@@ -415,7 +418,8 @@ def solve_extremal(problem, start=None):
     f = AnalyticPoly(a)
     F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
     phi_norm = float(functional_value(problem.kernel, F).real)
-    residuals = extremality_residual(F, problem.kernel, p, phi_norm, 2 * n)
+    residuals = extremality_residual(F, problem.kernel, p, phi_norm,
+                                     max(2, p // 2) * n)
     return ExtremalSolution(
         F=F,
         phi_norm=phi_norm,
@@ -428,7 +432,7 @@ def solve_extremal(problem, start=None):
     )
 
 
-def brute_force_oracle(k, p, degree=3, starts=3, seed=7):
+def brute_force_oracle(k, p, degree=3, seed=7):
     """Independent solve over a small space by derivative-free search.
 
     Minimizes the unconstrained convex surrogate
@@ -473,7 +477,7 @@ def brute_force_oracle(k, p, degree=3, starts=3, seed=7):
 
     rng = np.random.default_rng(seed)
     best_x, best_f = None, np.inf
-    for i in range(starts):
+    for i in range(_ORACLE_STARTS):
         x = rng.standard_normal(2 * n1) * (0.5 if i else 0.0)
         for _ in range(2):
             res = minimize(J, x, method="Nelder-Mead",

@@ -1,17 +1,23 @@
 """Tests for the identity and inequality checks on extremal solutions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bergex import cli
 from bergex.checks import (
+    DEFAULT_CHECKS,
+    DEFAULT_SLACK_TOL,
+    VerificationReport,
     _boundary_sides,
-    check_coefficient_bound,
     check_fourier_formula,
     check_hinfty_criterion,
     check_norm_equality,
+    check_records,
+    check_reports,
     check_ryabykh_bound,
     coefficient_bound_sweep,
     convergence_study,
@@ -185,6 +191,40 @@ class TestBoundarySides:
         assert abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)) <= 1e-10
 
 
+def check_coefficient_bound(F, k, p, phi_norm, m, tolerance=DEFAULT_SLACK_TOL):
+    """One-sided bound on the Fourier coefficients of |F|^p.
+
+    |b_m| <= (p / (2 ||phi||)) ||F||_{H^2} (sum_{t>=m} |c_t|^2)^{1/2};
+    in particular b_m = 0 whenever m exceeds the kernel degree. Slack is
+    rhs - |b_m|; verdict tolerates round-off dips to -tolerance. One
+    frequency at a time, from its own F^{p/2}: ``coefficient_bound_sweep``
+    evaluates all frequencies at once and is tested against this.
+    """
+    if m < 0:
+        raise ValueError("frequency m must be nonnegative")
+    bm = abs(fourier_coeff_abs_power(F, p, m))
+    tail = math.fsum(np.abs(k.coeffs[m:]) ** 2)
+    bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * math.sqrt(tail)
+    slack = bound - bm
+    return VerificationReport(
+        check_name="coefficient_bound",
+        lhs=bm,
+        rhs=bound,
+        residual=slack,
+        tolerance=tolerance,
+        verdict="pass" if slack >= -tolerance else "fail",
+        context={"p": p, "m": m, "kernel_degree": k.degree},
+    )
+
+
+def sweep_report(solution, m_max):
+    """The coefficient-bound sweep over m = 0..m_max, as a record asks."""
+    record = {"check_name": "coefficient_bound_sweep",
+              "context": {"m_max": m_max}}
+    return check_reports([record], solution.F, solution.kernel, solution.p,
+                         solution.phi_norm)[0]
+
+
 class TestCoefficientBound:
     def test_constant_kernel_slack_one(self):
         report = check_coefficient_bound(as_poly([1.0]), as_poly([1.0]), 4,
@@ -259,7 +299,7 @@ class TestCoefficientBoundSweep:
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_loop(self, case):
         solution, m_max = case
-        report = coefficient_bound_sweep(solution, m_max)
+        report = sweep_report(solution, m_max)
         worst_m, slack = reference_sweep(solution, m_max)
         assert report.context["worst_m"] == worst_m
         assert report.context["m_max"] == m_max
@@ -282,6 +322,25 @@ class TestCoefficientBoundSweep:
         worst_m, slack = reference_sweep(sol, 2 * sol.degree)
         assert report.context["worst_m"] == worst_m
         assert report.residual == pytest.approx(slack, abs=1e-15)
+        assert sweep_report(sol, 2 * sol.degree) == report
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_extreme_kernel_scale(self, one_plus_z_solution, scale):
+        # the bound is homogeneous in (k, ||phi||); squaring the raw
+        # coefficients would underflow the tails to 0 or overflow them to inf
+        base = one_plus_z_solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_extremal(ExtremalProblem(
+                p=4, kernel=scale * base.kernel, degree=160, tolerance=1e-12))
+            reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
+                                    sol.F, sol.kernel, 4, sol.phi_norm)
+            assert all(r.passed for r in reports)
+            for m_max in (0, 1):
+                scaled, unscaled = sweep_report(sol, m_max), sweep_report(
+                    base, m_max)
+                assert scaled.context["worst_m"] == unscaled.context["worst_m"]
+                assert scaled.rhs == pytest.approx(unscaled.rhs, rel=1e-12)
 
 
 class TestHinftyCriterion:
@@ -470,9 +529,8 @@ class TestRyabykhBound:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel,
                                                  degree=degree,
                                                  tolerance=1e-12))
-            reports = cli._check_reports(
-                cli._requested_checks({}, degree), sol.F, kernel, p,
-                sol.phi_norm)
+            reports = check_reports(check_records(DEFAULT_CHECKS, degree, 8),
+                                    sol.F, kernel, p, sol.phi_norm)
             assert all(r.passed for r in reports), name
             ryabykh = reports[-1]
             assert ryabykh.check_name == "ryabykh_bound"
@@ -491,8 +549,31 @@ class TestReportShape:
         assert report.verdict in ("pass", "fail")
 
     def test_verdict_consistent_with_residual(self, one_plus_z_solution):
+        # 2F scales the left side by 2^p and the right side by 2
         sol = one_plus_z_solution
-        strict = check_norm_equality(sol.F, sol.kernel, 4, sol.phi_norm,
-                                     tolerance=1e-300)
-        assert strict.verdict == "fail"
-        assert not strict.passed
+        doubled = check_norm_equality(2.0 * sol.F, sol.kernel, 4, sol.phi_norm)
+        assert doubled.residual > doubled.tolerance
+        assert doubled.verdict == "fail"
+        assert not doubled.passed
+
+
+class TestCheckRecords:
+    def test_default_expansion(self):
+        records = check_records(DEFAULT_CHECKS, 40, 3)
+        assert [r["check_name"] for r in records] == (
+            ["norm_equality"] + ["fourier_formula"] * 4
+            + ["coefficient_bound_sweep", "ryabykh_bound"])
+        assert [r["context"]["m"] for r in records[1:5]] == [0, 1, 2, 3]
+        assert records[5]["context"] == {"m_max": 80}
+
+    def test_reports_match_single_checks(self, one_plus_z_solution):
+        sol = one_plus_z_solution
+        reports = check_reports(check_records(DEFAULT_CHECKS, sol.degree, 8),
+                                sol.F, sol.kernel, 4, sol.phi_norm)
+        assert reports[0] == check_norm_equality(sol.F, sol.kernel, 4,
+                                                 sol.phi_norm)
+        assert reports[1:10] == [
+            check_fourier_formula(sol.F, sol.kernel, 4, sol.phi_norm, m)
+            for m in range(9)]
+        assert reports[10] == coefficient_bound_sweep(sol)
+        assert reports[11] == check_ryabykh_bound(sol.F, sol.kernel, 4)

@@ -268,6 +268,25 @@ class TestVerifyCommand:
         assert body["skipped"] == ["ryabykh_bound"]
         assert "ryabykh_bound" not in {r["check_name"] for r in body["rows"]}
 
+    def test_recomputes_certificate_over_solve_range(self, tmp_path,
+                                                      monkeypatch):
+        # at p = 6 the pairings reach j = 3n, past the 2n of p <= 4
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 6, "degree": 32,
+            "kernel": MONOMIAL_Z, "tolerance": 1e-12})
+        out = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        ranges = []
+        original = cli.extremality_residual
+
+        def recording(F, k, p, phi_norm, max_test_degree):
+            ranges.append(max_test_degree)
+            return original(F, k, p, phi_norm, max_test_degree)
+
+        monkeypatch.setattr(cli, "extremality_residual", recording)
+        assert cli.main(["verify", out]) == 0
+        assert ranges == [96]
+
     def test_tampered_residual_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
         payload = load_report(solution)
@@ -412,6 +431,7 @@ NOT_NUMBERS = [[1], True, {"value": 1}, "1e-10", None, 10 ** 400, -1.0]
 NOT_NUMBER_LISTS = [[], "ab", 2.0, {"q1": 2.0}, None, ["2"], [True],
                     [2.0, None], [math.inf], [10 ** 400]]
 NOT_BOOLS = ["no", "false", 0, 1, None, [True]]
+NOT_FAMILIES = [5, "custom", "", [], None, True, {"type": "coeffs"}]
 
 
 class TestConfigFieldTypes:
@@ -468,6 +488,23 @@ class TestConfigFieldTypes:
         assert code == 3
         assert "'exploratory'" in err
 
+    @pytest.mark.parametrize("value", NOT_FAMILIES, ids=repr)
+    def test_growth_family(self, tmp_path, capsys, value):
+        # "standard" or a non-empty list of kernel specs; a string is not
+        # walked character by character
+        code, err = self.run(tmp_path, capsys, "growth", "family", value)
+        assert code == 3
+        assert "'family'" in err
+
+    @pytest.mark.parametrize("case", ["growth", "growth-explicit",
+                                      "convergence", "hinfty"])
+    def test_studies_reject_tolerance(self, tmp_path, capsys, case):
+        # every study solves at checks.STUDY_TOLERANCE; a tolerance field
+        # would be ignored
+        code, err = self.run(tmp_path, capsys, case, "tolerance", 1e-12)
+        assert code == 3
+        assert "'tolerance'" in err
+
 
 class TestCheckSuiteWork:
     @pytest.fixture(scope="class")
@@ -489,9 +526,9 @@ class TestCheckSuiteWork:
             return original(f, m)
 
         monkeypatch.setattr(spaces, "power", counting_power)
-        checks = cli._requested_checks({}, solution.degree)
-        reports = cli._check_reports(checks, solution.F, solution.kernel,
-                                     solution.p, solution.phi_norm)
+        records = cli._requested_checks({}, solution.degree)
+        reports = checks.check_reports(records, solution.F, solution.kernel,
+                                       solution.p, solution.phi_norm)
         assert len(reports) == 12
         assert 0 < len(calls) <= 3
 
@@ -505,10 +542,10 @@ class TestCheckSuiteWork:
 
     def test_batch_equals_single_calls(self, solution):
         m_max = 2 * solution.degree + 3  # past the spectrum's end
-        checks = [{"check_name": "fourier_formula", "context": {"m": m}}
-                  for m in range(m_max + 1)]
-        batch = cli._check_reports(checks, solution.F, solution.kernel,
-                                   solution.p, solution.phi_norm)
+        records = [{"check_name": "fourier_formula", "context": {"m": m}}
+                   for m in range(m_max + 1)]
+        batch = checks.check_reports(records, solution.F, solution.kernel,
+                                     solution.p, solution.phi_norm)
         for m, report in enumerate(batch):
             single = check_fourier_formula(solution.F, solution.kernel,
                                            solution.p, solution.phi_norm, m)

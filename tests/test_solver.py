@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergex import solver
 from bergex.families import power_decay_kernel, standard_family
 from bergex.poly import as_poly, monomial, taylor_truncate
 from bergex.solver import (
@@ -145,6 +146,27 @@ class TestSolutionInvariants:
         assert float(np.max(np.abs(res))) == pytest.approx(
             solution.residual_max, rel=1e-12, abs=1e-15
         )
+
+    @pytest.mark.parametrize("p, covered", [(2, 48), (4, 48), (6, 72),
+                                            (8, 96)])
+    def test_certificate_covers_every_nonzero_pairing(self, p, covered,
+                                                      monkeypatch):
+        # at n = 24 the pairings reach j = (p/2) n and the kernel side
+        # deg k, so past max(2, p/2) n every residual is exactly zero
+        ranges = []
+
+        def recording(F, k, p, phi_norm, max_test_degree):
+            ranges.append(max_test_degree)
+            return extremality_residual(F, k, p, phi_norm, max_test_degree)
+
+        monkeypatch.setattr(solver, "extremality_residual", recording)
+        sol = solve_extremal(ExtremalProblem(
+            p=p, kernel=as_poly([1.0, 0.5j, -0.25]), degree=24))
+        assert ranges == [covered]
+        res = extremality_residual(sol.F, sol.kernel, p, sol.phi_norm,
+                                   covered + 8)
+        assert np.all(res[covered + 1:] == 0)
+        assert sol.residual_max == float(np.max(np.abs(res)))
 
 
 class TestGradient:
