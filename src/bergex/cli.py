@@ -32,6 +32,7 @@ from .checks import (
     growth_study,
 )
 from .families import standard_family
+from .kernelspec import _REQUIRED, ConfigError, _field, _finite_number
 from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
@@ -51,10 +52,6 @@ EXIT_INVALID = 3
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,48 +68,8 @@ def _load_config(path):
     return data
 
 
-_REQUIRED = object()
-
-
-def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
-    """config[key] checked for its JSON type and by ``predicate``.
-
-    ``int`` takes JSON integers only; ``float`` takes any JSON number and
-    converts it. A JSON true/false is neither, although Python's bool is
-    an int. An absent key gives ``default``, or an error when there is none.
-    """
-    if key not in config:
-        if default is _REQUIRED:
-            raise ConfigError(f"config is missing {key!r}")
-        return default
-    value = config[key]
-    if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(f"config field {key!r} has the wrong type")
-    if kind is float and isinstance(value, int):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(
-                f"config field {key!r} is out of range") from None
-    if not isinstance(value, kind):
-        raise ConfigError(f"config field {key!r} has the wrong type")
-    if predicate is not None and not predicate(value):
-        raise ConfigError(f"config field {key!r} is invalid: {message}")
-    return value
-
-
 def _positive_finite(value):
     return 0 < value < math.inf
-
-
-def _finite_number(value):
-    """A JSON number that fits a finite float; true/false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _degrees(config, default=_REQUIRED):

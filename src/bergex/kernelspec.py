@@ -4,7 +4,8 @@ A KernelSpec is what configs and reports carry instead of raw coefficient
 dumps: an explicit coefficient list, the power-decay family
 c_t = (t+1)^(-alpha), or a truncation of another spec. ``realize``
 produces the AnalyticPoly; ``describe`` gives a stable human-readable id
-used to key study rows.
+used to key study rows. ``_field``, the type rule of every JSON config
+field, lives here so that spec fields and the CLI's fields share it.
 """
 
 import math
@@ -14,6 +15,57 @@ import numpy as np
 
 from .families import power_decay_kernel
 from .poly import AnalyticPoly, taylor_truncate
+
+
+class ConfigError(ValueError):
+    """Malformed input from a config or a kernel spec."""
+
+
+_REQUIRED = object()
+
+
+def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
+    """config[key] checked for its JSON type and by ``predicate``.
+
+    ``int`` takes JSON integers only; ``float`` takes any JSON number and
+    converts it. A JSON true/false is neither, although Python's bool is
+    an int. An absent key gives ``default``, or an error when there is none.
+    """
+    if key not in config:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing {key!r}")
+        return default
+    value = config[key]
+    if isinstance(value, bool) and kind in (int, float):
+        raise ConfigError(f"config field {key!r} has the wrong type")
+    if kind is float and isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"config field {key!r} is out of range") from None
+    if not isinstance(value, kind):
+        raise ConfigError(f"config field {key!r} has the wrong type")
+    if predicate is not None and not predicate(value):
+        raise ConfigError(f"config field {key!r} is invalid: {message}")
+    return value
+
+
+def _finite_number(value):
+    """A JSON number that fits a finite float; true/false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _finite_pairs(values):
+    """A non-empty list of [re, im] pairs of finite JSON numbers."""
+    return values and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2
+        and all(map(_finite_number, pair)) for pair in values)
 
 
 @dataclass(frozen=True)
@@ -99,38 +151,33 @@ def to_dict(spec):
 
 
 def from_dict(data):
-    """Parse a spec from JSON-shaped data, rejecting malformed input."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("kernel spec must be an object with a 'type' field")
-    t = data["type"]
+    """Parse a spec from JSON-shaped data, rejecting malformed input.
+
+    Every field is read by ``_field``, the rule the config's own numeric
+    fields follow, so a wrong type or value raises ``ConfigError`` naming
+    the field instead of being coerced.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("kernel spec must be an object with a 'type' field")
+    t = _field(data, "type", str)
     if t == "coeffs":
-        values = data.get("values")
-        if not isinstance(values, list) or not values:
-            raise ValueError("coeffs spec needs a nonempty 'values' list")
-        for v in values:
-            if not (isinstance(v, (list, tuple)) and len(v) == 2):
-                raise ValueError("each coefficient must be an [re, im] pair")
-        try:
-            pairs = tuple((float(v[0]), float(v[1])) for v in values)
-        except TypeError as exc:
-            raise ValueError(f"malformed coeffs spec: {exc}") from exc
-        return KernelSpec(type="coeffs", values=pairs)
+        values = _field(data, "values", list, _finite_pairs,
+                        "need a non-empty list of [re, im] pairs of finite "
+                        "numbers")
+        return KernelSpec(type="coeffs", values=tuple(
+            (float(re), float(im)) for re, im in values))
     if t == "power_decay":
-        try:
-            return KernelSpec(
-                type="power_decay",
-                alpha=float(data["alpha"]),
-                count=int(data["count"]),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed power_decay spec: {exc}") from exc
+        return KernelSpec(
+            type="power_decay",
+            alpha=_field(data, "alpha", float, math.isfinite,
+                         "alpha must be finite"),
+            count=_field(data, "count", int, lambda v: v >= 1,
+                         "count must be >= 1"),
+        )
     if t == "truncate":
-        try:
-            return KernelSpec(
-                type="truncate",
-                inner=from_dict(data["inner"]),
-                n=int(data["n"]),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed truncate spec: {exc}") from exc
-    raise ValueError(f"unknown kernel spec type {t!r}")
+        return KernelSpec(
+            type="truncate",
+            inner=from_dict(_field(data, "inner", dict)),
+            n=_field(data, "n", int, lambda v: v >= 0, "n must be >= 0"),
+        )
+    raise ConfigError(f"unknown kernel spec type {t!r}")

@@ -4,36 +4,35 @@ For an even integer p and a polynomial kernel k representing the
 functional phi(f) = integral_D f conj(k) dsigma, the problem solved here
 is
 
-    minimize ||f||_{A^p}^p  over  {f in P_n : phi(f) = 1},
+    minimize J(f) = ||f||_{A^p}^p / p - Re phi(f)  over  f in P_n.
 
-whose normalized minimizer F = f / ||f|| maximizes Re phi on the unit
-sphere of P_n. In real coordinates x = (Re a, Im a) the two constraints
-Re phi(f) = 1, Im phi(f) = 0 are two linear rows A x = (1, 0), and the
-objective is smooth and strictly convex because p is even. It is
-minimized by damped Newton on the KKT system [[H, A^T], [A, 0]] with the
-exact Hessian H and a backtracking line search (Nocedal & Wright,
-Numerical Optimization, 2nd ed., ch. 16 and 18).
+J is smooth and strictly convex because p is even, and by homogeneity its
+minimizer is ||phi||^{1/(p-1)} F, where F maximizes Re phi on the unit
+sphere of P_n. Its Wirtinger gradient there is (||phi||/2) conj(res_j),
+for the residuals res_j that ``extremality_residual`` certifies. It is
+minimized without constraints by damped Newton in x = (Re a, Im a), with
+the exact Hessian and a backtracking line search (Nocedal & Wright,
+Numerical Optimization, 2nd ed., ch. 3).
 
 When the kernel's coefficients on P_n are all real, conj(F(conj z)) is
 extremal too, so by uniqueness F has real coefficients. The solve then
-runs in x = Re a alone: n+1 unknowns, the one row Re phi(f) = 1 (the
-imaginary row holds identically), a Gram matrix in real arithmetic and a
-Cholesky factorization of size n+1 instead of 2(n+1). In exact arithmetic
-these are the iterates of the full system, which never leave the real
-slice from a real start; in floating point F's imaginary parts are then
-exactly zero.
+runs in x = Re a alone: n+1 unknowns, a Gram matrix in real arithmetic
+and a Cholesky factorization of size n+1 instead of 2(n+1). In exact
+arithmetic these are the iterates of the full system, which never leave
+the real coefficients from a real start; in floating point F's imaginary
+parts are then exactly zero.
 
 The truncated solutions F_n settle as n grows, so the solve starts by
 degree continuation: it climbs the ladder of degrees n >> j that are at
 least MIN_RUNG_DEGREE (one rung, n itself, below degree 32). The lowest
 rung starts from the normalized truncated kernel; each higher rung starts
-from the iterate of the rung below, zero-padded and divided by its value
-of Re phi_hat so that it lies on the new slice. Each rung is the same
-Newton solve (``_newton``) with the problem's tolerance and iteration
-budget, in real coordinates whenever its truncated kernel is real. The
-requested degree then typically needs one or two iterations instead of
-the whole damped phase at full size; only it can fail the solve, and
-only its iterations and trace are reported.
+from the iterate of the rung below, zero-padded. Every start is scaled to
+the minimum of J on its ray. Each rung is the same Newton solve
+(``_newton``) with the problem's tolerance and iteration budget, in real
+coordinates whenever its truncated kernel is real. The requested degree
+then typically needs one or two iterations instead of the whole damped
+phase at full size; only it can fail the solve, and only its iterations
+and trace are reported.
 
 Everything the optimizer touches is exact coefficient arithmetic: with
 s = p/2, u = f^s and v = f^{s-1}, the Wirtinger gradient of the objective
@@ -51,6 +50,7 @@ which is what ``extremality_residual`` certifies and what
 ``kernel_from_extremal`` inverts.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -97,8 +97,10 @@ class ExtremalProblem:
             raise ValueError("kernel must not be identically zero")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if taylor_truncate(self.kernel, self.degree).is_zero():
             raise ValueError(
                 "kernel vanishes on the working space P_n; raise the degree"
@@ -139,10 +141,7 @@ class ExtremalSolution:
 
 def _pairings(F, p, count):
     """<u, z^j v>_A for j = 0..count-1, with u = F^{p/2}, v = F^{p/2-1}."""
-    s = p // 2
-    u = power(F, s).coeffs
-    v = power(F, s - 1).coeffs
-    wu = u / (np.arange(len(u)) + 1.0)
+    wu, v = _objective(F.coeffs, p // 2)[1:]
     if len(wu) < count:
         wu = np.concatenate([wu, np.zeros(count - len(wu), dtype=complex)])
     out = xcorr(wu, v)[:count]
@@ -268,46 +267,44 @@ def _newton_terms(a, p):
 
 
 def _newton(c_hat, p, a, tolerance, max_iterations):
-    """Damped Newton on the slice Re phi_hat(f) = 1, Im phi_hat(f) = 0.
+    """Damped Newton on J(f) = ||f||_{A^p}^p / p - Re phi_hat(f).
 
     ``c_hat`` is the kernel scaled so that Re phi_hat(c_hat) = 1, and ``a``
-    is the start, projected onto the slice first. A real ``c_hat`` runs in
-    x = Re a with the one row Re phi_hat(f) = 1. Returns the coefficients,
-    the trace and a failure message: None on convergence, when the last
-    trace entry is the iteration that met the tolerance; otherwise the
-    coefficients are the last iterate.
+    is the start, first scaled to the minimum of J on its ray. A real
+    ``c_hat`` runs in x = Re a. Returns the coefficients, the trace and a
+    failure message: None on convergence, when the last trace entry is the
+    iteration that met the tolerance; otherwise the coefficients are the
+    last iterate.
     """
     s, n1 = p // 2, len(c_hat)
-    real = not np.any(c_hat.imag)
-    # Rows of A x = (1, 0) in x = (Re a, Im a): Re phi(f) = 1 and
-    # Im phi(f) = 0. They are orthogonal with equal norms r, so
-    # A A^T = r I and x0 = A_0 / r is the particular point. A real kernel
-    # has a real extremal function, so x = Re a and the one row
-    # Re phi(f) = 1 suffice: Im phi(f) = 0 holds identically there.
     cw = c_hat / (np.arange(n1) + 1.0)
-    if real:
-        A = cw.real[None, :]
+    # b is the gradient of Re phi_hat(f) = b @ x
+    if not np.any(c_hat.imag):
+        b, x = cw.real, a.real
 
         def coeffs(x):
             return x
     else:
-        A = np.array([np.concatenate([cw.real, cw.imag]),
-                      np.concatenate([-cw.imag, cw.real])])
+        b = np.concatenate([cw.real, cw.imag])
+        x = np.concatenate([a.real, a.imag])
 
         def coeffs(x):
             return x[:n1] + 1j * x[n1:]
-    r = A[0] @ A[0]
 
-    def project(y):
-        return y - A.T @ (A @ y) / r
-
-    x = A[0] / r + project(a.real if real else np.concatenate([a.real, a.imag]))
+    if b @ x <= 0:  # an explicit start only: move it onto Re phi_hat = 1
+        x = x + (1.0 - b @ x) / (b @ b) * b
+    # J(t x) = t^p N/p - t b @ x is least at t^(p-1) = b @ x / N, for
+    # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+    x = x * (b @ x / _objective(coeffs(x), s)[0]) ** (1.0 / (p - 1))
 
     trace = []
     gnorm = best_value = best_gnorm = np.inf
     for it in range(max_iterations):
         value, grad, H = _newton_terms(coeffs(x), p)
-        gnorm = float(np.linalg.norm(project(grad)))
+        value, grad = value / p - b @ x, grad / p - b
+        H /= p
+        gnorm = float(np.linalg.norm(grad))
         trace.append((it, value, gnorm))
         converged = gnorm <= tolerance
         # Only a step at the float floor leaves the objective flat; if the
@@ -318,25 +315,24 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
                 f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
                 f"at its float floor, tolerance {tolerance:.1e}")
         best_value, best_gnorm = min(best_value, value), min(best_gnorm, gnorm)
-        # KKT system [[H, A^T], [A, 0]] [d; lam] = [-grad; 0]: Cholesky of
-        # H (overwritten) and the Schur complement A H^-1 A^T (1 x 1 or 2 x 2)
         try:
             factor = cho_factor(H, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             return coeffs(x), tuple(trace), (
                 f"Hessian not positive definite at iteration {it}")
-        Y = cho_solve(factor, np.column_stack([grad, A.T]), check_finite=False)
-        d = Y[:, 1:] @ np.linalg.solve(A @ Y[:, 1:], A @ Y[:, 0]) - Y[:, 0]
+        d = -cho_solve(factor, grad, check_finite=False)
         slope = float(grad @ d)
 
-        # Armijo backtracking. A predicted decrease |slope| below the
-        # objective's float resolution cannot be resolved, so the full step
-        # is taken; otherwise equality within round-off counts as
-        # acceptance.
+        # Armijo backtracking. J is negative near its minimum, so the float
+        # resolution is taken relative to |J|. A predicted decrease |slope|
+        # below it cannot be resolved, so the full step is taken; otherwise
+        # equality within round-off counts as acceptance.
         t = 1.0
-        while abs(slope) > 1e-15 * value:
-            new_value = _objective(coeffs(x + t * d), s)[0]
-            if new_value <= value + 1e-4 * t * slope or new_value <= value * (1 + 1e-15):
+        while abs(slope) > 1e-15 * abs(value):
+            y = x + t * d
+            new_value = _objective(coeffs(y), s)[0] / p - b @ y
+            if (new_value <= value + 1e-4 * t * slope
+                    or new_value <= value + 1e-15 * abs(value)):
                 break
             t *= 0.5
             if t < 1e-16:
@@ -366,12 +362,13 @@ def solve_extremal(problem, start=None):
     """Solve the extremal problem over P_n and certify the result.
 
     Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
-    phi_norm equals Re phi(F) for the original kernel. Newton steps run
-    until the gradient projected onto the slice is at most the tolerance;
-    the step already computed there is applied before returning. Raises
-    ``NonConvergenceError`` (trace attached) if the tolerance is not met
-    within ``max_iterations``, or if the line search or the gradient
-    stalls (at its float floor) before it.
+    phi_norm equals Re phi(F) for the original kernel. Newton steps on J,
+    for the kernel scaled to unit A^2 norm, run until the Euclidean norm
+    of J's gradient in real coordinates is at most the tolerance; the step
+    already computed there is applied before returning. Raises
+    ``NonConvergenceError`` (trace of J values attached) if the tolerance
+    is not met within ``max_iterations``, or if the line search or the
+    gradient stalls (at its float floor) before it.
 
     Without a ``start`` the solve climbs the degree ladder ``_rungs(n)``
     (see the module docstring): the lowest rung starts from the normalized
@@ -382,15 +379,15 @@ def solve_extremal(problem, start=None):
     ``iterations`` and ``trace`` describe degree n alone.
 
     ``start`` instead seeds one solve at degree n with a candidate
-    polynomial; it is orthogonally projected onto the feasible affine
-    slice, so any polynomial of degree <= n works. The minimized objective
-    is strictly convex on the slice, so every start reaches the same
-    solution.
+    polynomial of degree <= n. It is scaled to the minimum of J on its
+    ray; a start with Re phi_hat <= 0, zero included, is first moved
+    along the gradient of Re phi_hat onto Re phi_hat = 1. J is strictly
+    convex, so every start reaches the same solution.
 
     A kernel whose coefficients on P_n are all real is solved in the real
-    coordinates x = Re a (see the module docstring), where the slice is the
-    real one: the projection of ``start`` onto it drops its imaginary part.
-    Any other kernel is solved in x = (Re a, Im a).
+    coordinates x = Re a (see the module docstring), which drop the
+    imaginary part of ``start``. Any other kernel is solved in
+    x = (Re a, Im a).
     """
     p, n = problem.p, problem.degree
     c = problem.kernel.padded(n + 1)
@@ -407,9 +404,7 @@ def solve_extremal(problem, start=None):
         if a is None:
             a = c_hat if start is None else start.padded(m + 1)
         else:
-            # the rung below's iterate, zero-padded and scaled onto this slice
-            a = np.pad(a, (0, m + 1 - len(a)))
-            a = a / np.real(np.vdot(c_hat / (np.arange(m + 1) + 1.0), a))
+            a = np.pad(a, (0, m + 1 - len(a)))  # the rung below's iterate
         a, trace, failure = _newton(c_hat, p, a, problem.tolerance,
                                     problem.max_iterations)
     if failure is not None:
@@ -435,15 +430,16 @@ def solve_extremal(problem, start=None):
 def brute_force_oracle(k, p, degree=3, seed=7):
     """Independent solve over a small space by derivative-free search.
 
-    Minimizes the unconstrained convex surrogate
+    Minimizes the same convex objective as ``solve_extremal``,
 
         J(f) = ||f||_{A^p}^p / p - Re phi(f)
 
-    whose minimizer is ||phi||^{1/(p-1)} F, using disc quadrature for the
-    objective (no coefficient identities, no analytic gradients) and
-    Nelder-Mead/Powell restarts followed by a finite-difference Newton
-    polish. Everything here is deliberately disjoint from the production
-    solver's machinery so the two can check each other.
+    whose minimizer is ||phi||^{1/(p-1)} F, by independent means: disc
+    quadrature for the objective (no coefficient identities, no analytic
+    gradients) and Nelder-Mead/Powell restarts followed by a
+    finite-difference Newton polish. Everything here is deliberately
+    disjoint from the production solver's machinery so the two can check
+    each other.
 
     Returns the unit-norm extremal candidate as an ``AnalyticPoly``.
     """

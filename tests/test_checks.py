@@ -529,6 +529,8 @@ class TestRyabykhBound:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel,
                                                  degree=degree,
                                                  tolerance=1e-12))
+            # the degree ladder leaves at most two Newton steps at degree n
+            assert sol.iterations <= 2, name
             reports = check_reports(check_records(DEFAULT_CHECKS, degree, 8),
                                     sol.F, kernel, p, sol.phi_norm)
             assert all(r.passed for r in reports), name

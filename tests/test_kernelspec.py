@@ -1,5 +1,7 @@
 """Tests for the declarative kernel descriptions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ class TestSerialization:
             {"type": "nonsense"},
         ):
             with pytest.raises(ValueError):
+                from_dict(bad)
+        # no coercion: each field is a JSON value of its own kind, and the
+        # error names it
+        inner = {"type": "coeffs", "values": [[1.0, 0.0]]}
+        for bad, field in (
+            ({"type": "power_decay", "alpha": 2.0, "count": 2.9}, "count"),
+            ({"type": "power_decay", "alpha": 2.0, "count": True}, "count"),
+            ({"type": "power_decay", "alpha": 2.0, "count": "3"}, "count"),
+            ({"type": "power_decay", "alpha": "2", "count": 3}, "alpha"),
+            ({"type": "power_decay", "alpha": True, "count": 3}, "alpha"),
+            ({"type": "coeffs", "values": [["1", 0.0]]}, "values"),
+            ({"type": "coeffs", "values": [[1.0, 0.0], [1.0, False]]},
+             "values"),
+            ({"type": "coeffs", "values": [[10 ** 400, 0.0]]}, "values"),
+            ({"type": "truncate", "inner": inner, "n": 1.5}, "n"),
+            ({"type": "truncate", "inner": inner, "n": True}, "n"),
+            ({"type": "truncate", "inner": [inner], "n": 1}, "inner"),
+            ({"type": 3}, "type"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(field))):
                 from_dict(bad)
 
     @pytest.mark.parametrize("bad", [

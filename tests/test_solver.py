@@ -66,8 +66,16 @@ class TestProblemValidation:
             ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=-1)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4, tolerance=0.0)
+        for tolerance in (0.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4,
+                                tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_bad_iteration_budget_rejected(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4,
+                            max_iterations=max_iterations)
 
     def test_kernel_vanishing_on_working_space_rejected(self):
         # k = z^5 truncated to P_2 leaves no functional at all
@@ -136,9 +144,10 @@ class TestSolutionInvariants:
 
     def test_trace_monotone_objective(self, solution):
         values = [v for _, v, _ in solution.trace]
-        # descent method: objective never increases beyond round-off
+        # descent method: the objective J, negative near its minimum, never
+        # increases beyond round-off
         for earlier, later in zip(values, values[1:]):
-            assert later <= earlier * (1 + 1e-12)
+            assert later <= earlier + 1e-12 * abs(earlier)
 
     def test_residuals_recomputable(self, solution):
         res = extremality_residual(solution.F, solution.kernel, 4,
@@ -209,6 +218,23 @@ class TestGradient:
 
     def test_zero_input(self):
         assert len(gradient_norm_p(as_poly([]), 4)) == 0
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("c", [[1.0, 0.5, -0.25], [1.0, 0.5j, -0.25]],
+                             ids=["real", "complex"])
+    def test_objective_gradient_is_the_certificate(self, p, c):
+        # J(f) = ||f||_{A^p}^p / p - Re phi(f) is least at ||phi||^{1/(p-1)} F,
+        # where d J / d conj(a_j) = (||phi|| / 2) conj(res_j) for j <= n
+        n = 24
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
+                                             tolerance=1e-12))
+        f = as_poly(sol.phi_norm ** (1.0 / (p - 1)) * sol.F.coeffs)
+        kernel_side = sol.kernel.padded(n + 1) / (2.0 * np.arange(1, n + 2))
+        grad = gradient_norm_p(f, p)[:n + 1] / p - kernel_side
+        res = extremality_residual(sol.F, sol.kernel, p, sol.phi_norm, n)
+        np.testing.assert_allclose(
+            grad, 0.5 * sol.phi_norm * np.conj(res), rtol=0,
+            atol=1e-14 * np.max(np.abs(kernel_side)))
 
     @pytest.mark.parametrize("p, real", [
         pytest.param(4, False, id="4"), pytest.param(6, False, id="6"),
@@ -312,6 +338,20 @@ class TestSolverProperties:
             sol = solve_extremal(problem, start=start)
             gap = np.max(np.abs(sol.F.padded(11) - reference.F.padded(11)))
             assert gap <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e300, -1.0,
+                                       0.0])
+    @pytest.mark.parametrize("c", [[1.0, 0.5, -0.25], [1.0, 0.5j, -0.25]],
+                             ids=["real", "complex"])
+    def test_start_at_any_scale(self, scale, c):
+        # the start is rescaled to the minimum of J on its ray; one with
+        # Re phi <= 0 (zero included) is first moved onto Re phi = 1
+        problem = ExtremalProblem(p=4, kernel=as_poly(c), degree=12,
+                                  tolerance=1e-12)
+        reference = solve_extremal(problem)
+        sol = solve_extremal(problem, start=as_poly(scale * np.array(c)))
+        np.testing.assert_allclose(sol.F.padded(13), reference.F.padded(13),
+                                   rtol=0, atol=1e-12)
 
     def test_scaling_law(self):
         kernel = as_poly([1.0, -0.5, 0.2j])
