@@ -62,7 +62,7 @@ from .analysis import (
     disc_pairing,
     lp_g_function,
 )
-from .kernelspec import KernelSpec, coeffs_spec, power_decay_spec, truncate_spec
+from .kernelspec import coeffs_spec, power_decay_spec
 from .families import standard_family
 
 __all__ = [
@@ -109,9 +109,7 @@ __all__ = [
     "antiderivative_product",
     "disc_pairing",
     "lp_g_function",
-    "KernelSpec",
     "coeffs_spec",
     "power_decay_spec",
-    "truncate_spec",
     "standard_family",
 ]

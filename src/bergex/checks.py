@@ -283,10 +283,10 @@ def check_reports(records, F, k, p, phi_norm):
         if name == "norm_equality":
             report = _equality_report(name, sides, 0, k, p)
         elif name == "fourier_formula":
-            report = _equality_report(name, sides, int(context["m"]), k, p)
+            report = _equality_report(name, sides, context["m"], k, p)
         elif name == "coefficient_bound_sweep":
             report = _coefficient_bound_report(
-                F, k, p, phi_norm, int(context["m_max"]), sides[0])
+                F, k, p, phi_norm, context["m_max"], sides[0])
         elif (name == "ryabykh_bound"
               and context.get("kind") != "informational"):
             report = _ryabykh_report(k, p, phi_norm, sides[0])

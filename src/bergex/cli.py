@@ -32,7 +32,8 @@ from .checks import (
     growth_study,
 )
 from .families import standard_family
-from .kernelspec import _REQUIRED, ConfigError, _field, _finite_number
+from .kernelspec import (_REQUIRED, ConfigError, _field, _finite_number,
+                         _pairs_field)
 from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
@@ -62,9 +63,8 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
+    _field(data, "schema_version", int, lambda v: v == SCHEMA_VERSION,
+           f"the supported schema_version is {SCHEMA_VERSION}", SCHEMA_VERSION)
     return data
 
 
@@ -74,12 +74,9 @@ def _positive_finite(value):
 
 def _degrees(config, default=_REQUIRED):
     """The study field 'degrees': at least two integers >= 0."""
-    degrees = _field(config, "degrees", list, lambda v: len(v) >= 2,
-                     "need at least two degrees", default)
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
-               for n in degrees):
-        raise ConfigError("config field 'degrees' must list integers >= 0")
-    return degrees
+    return _field(config, "degrees", list, lambda v: len(v) >= 2 and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in v),
+        "need at least two integers >= 0", default)
 
 
 def _validate_common(config):
@@ -89,6 +86,16 @@ def _validate_common(config):
                        "tolerance must be positive and finite",
                        DEFAULT_TOLERANCE)
     return p, tolerance
+
+
+def _problem(config):
+    """(p, tolerance, degree, kernel spec) of a solve config, or of the
+    problem a solution file records."""
+    p, tolerance = _validate_common(config)
+    degree = _field(config, "degree", int, lambda v: v >= 1,
+                    "degree must be >= 1")
+    return p, tolerance, degree, kernelspec.from_dict(
+        _field(config, "kernel", dict))
 
 
 def _study_exponent(config):
@@ -162,14 +169,13 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _solution_body(config, tolerance, solution, reports):
+def _solution_body(spec, tolerance, solution, reports):
     return {
         "problem": {
             "p": solution.p,
             "degree": solution.degree,
             "tolerance": tolerance,
-            "kernel": kernelspec.to_dict(
-                kernelspec.from_dict(config["kernel"])),
+            "kernel": spec,
         },
         "solution": {
             "coefficients": [_json_complex(c) for c in solution.F.coeffs],
@@ -184,10 +190,9 @@ def _solution_body(config, tolerance, solution, reports):
 def _requested_checks(config, degree):
     """The check records that the config's 'checks' and 'fourier_m_max'
     ask for, as ``check_records`` expands them."""
-    names = config.get("checks", list(DEFAULT_CHECKS))
-    if not (isinstance(names, list)
-            and all(isinstance(name, str) for name in names)):
-        raise ConfigError("config field 'checks' must be a list of check names")
+    names = _field(config, "checks", list,
+                   lambda v: all(isinstance(name, str) for name in v),
+                   "checks must be a list of check names", DEFAULT_CHECKS)
     m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
                    "fourier_m_max must be >= 0", 8)
     return check_records(names, degree, m_max)
@@ -199,12 +204,8 @@ def _gating(reports):
 
 
 def run_solve(config, out=None):
-    p, tolerance = _validate_common(config)
-    degree = _field(config, "degree", int, lambda v: v >= 1,
-                    "degree must be >= 1")
-    if "kernel" not in config:
-        raise ConfigError("config is missing 'kernel'")
-    kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
+    p, tolerance, degree, spec = _problem(config)
+    kernel = kernelspec.realize(spec)
     checks = _requested_checks(config, degree)
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
@@ -215,31 +216,45 @@ def run_solve(config, out=None):
     )
     solution = solve_extremal(problem)
     reports = check_reports(checks, solution.F, kernel, p, solution.phi_norm)
-    body = _solution_body(config, tolerance, solution, reports)
+    body = _solution_body(spec, tolerance, solution, reports)
     _emit_json(_header(config.get("seed")), body, out)
     return _gating(reports)
 
 
+def _recorded_checks(body, degree):
+    """A solution file's check records. The context field that picks a
+    record's report is read by the config rule, in the range solve records."""
+    records = _field(body, "checks", list)
+    for record in records:
+        context = _field(record, "context", dict, default={})
+        if record["check_name"] == "fourier_formula":
+            _field(context, "m", int, lambda v: v >= 0, "m must be >= 0")
+        elif record["check_name"] == "coefficient_bound_sweep":
+            _field(context, "m_max", int, lambda v: 0 <= v <= 2 * degree,
+                   f"m_max must be in 0..{2 * degree}")
+    return records
+
+
 def run_verify(solution_path, out=None):
-    """Re-check a serialized solution; residuals must reproduce to 1e-14."""
+    """Re-check a serialized solution; residuals must reproduce to 1e-14.
+    Every recorded field is read by the rule of ``bergex solve``'s config."""
     try:
         with open(solution_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         body = payload["body"]
-        problem = body["problem"]
+        p, _, degree, spec = _problem(body["problem"])
+        kernel = kernelspec.realize(spec)
         solution = body["solution"]
-        kernel = kernelspec.realize(kernelspec.from_dict(problem["kernel"]))
-        F = AnalyticPoly(np.array([re + 1j * im
-                                   for re, im in solution["coefficients"]]))
-        p = int(problem["p"])
-        degree = int(problem["degree"])
-        phi_norm = float(solution["phi_norm"])
-        recorded_max = float(solution["residual_max"])
-        checks = body["checks"]
+        F = AnalyticPoly(np.array([re + 1j * im for re, im
+                                   in _pairs_field(solution, "coefficients")]))
+        phi_norm = _field(solution, "phi_norm", float, _positive_finite,
+                          "phi_norm must be positive and finite")
+        recorded_max = _field(solution, "residual_max", float)
+        checks = _recorded_checks(body, degree)
         reports = check_reports(checks, F, kernel, p, phi_norm)
         pairs = list(zip(checks, reports))
         rows = [{"check_name": check["check_name"],
-                 "recorded": float(check["residual"]),
+                 "recorded": _field(check, "residual", float),
                  "recomputed": float(report.residual)}
                 for check, report in pairs if report is not None]
         skipped = [check["check_name"]
@@ -326,9 +341,8 @@ def _study_family(config, seed):
 def run_convergence_study(config, out=None, fmt="csv"):
     p = _study_exponent(config)
     degrees = _degrees(config)
-    if "kernel" not in config:
-        raise ConfigError("config is missing 'kernel'")
-    kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
+    kernel = kernelspec.realize(kernelspec.from_dict(
+        _field(config, "kernel", dict)))
     rows = convergence_study(kernel, p, degrees)
     csv_rows = [{"degree": n, "distance": d} for n, d in rows]
     header = _header(config.get("seed"))
@@ -373,9 +387,8 @@ def run_hinfty_study(config, out=None, fmt="csv"):
 
 def run_oracle_compare(config, out=None, seed=None):
     p, tolerance = _validate_common(config)
-    if "kernel" not in config:
-        raise ConfigError("config is missing 'kernel'")
-    kernel = kernelspec.realize(kernelspec.from_dict(config["kernel"]))
+    kernel = kernelspec.realize(kernelspec.from_dict(
+        _field(config, "kernel", dict)))
     degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
                     "oracle_degree must be 2 or 3", 3)
     if seed is None:

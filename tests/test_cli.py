@@ -316,6 +316,36 @@ class TestVerifyCommand:
         path.write_text("not json", encoding="utf-8")
         assert cli.main(["verify", str(path)]) == 3
 
+    @pytest.mark.parametrize("field, where, value", [
+        ("degree", "problem", 32.9),
+        ("p", "problem", "4"),
+        ("coefficients", "solution", [[0.0, 0.0], [True, False]]),
+        ("phi_norm", "solution", "1.0"),
+        ("residual", "norm_equality", "0.0"),
+        ("m", "fourier_formula", True),
+        ("m_max", "coefficient_bound_sweep", "64"),
+        ("m_max", "coefficient_bound_sweep", 64.7),
+        ("m_max", "coefficient_bound_sweep", 10 ** 15),
+        ("m_max", "coefficient_bound_sweep", -1),
+    ])
+    def test_malformed_recorded_field_is_invalid_input(
+            self, solved_artifact, tmp_path, capsys, field, where, value):
+        # every field is read by the config rule, in the range solve
+        # records, with no coercion: 'where' is a body section or the
+        # name of the check record that holds the field
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        body = payload["body"]
+        if where in body:
+            body[where][field] = value
+        for check in body["checks"]:
+            if check["check_name"] == where:
+                (check if field == "residual" else check["context"])[
+                    field] = value
+        broken = write_json(tmp_path / "broken.json", payload)
+        assert cli.main(["verify", broken]) == 3
+        assert repr(field) in capsys.readouterr().err
+
     @pytest.mark.parametrize("check_name, key", [
         ("fourier_formula", "m"),
         ("coefficient_bound_sweep", "m_max"),
@@ -359,6 +389,11 @@ class TestExitCodes:
 
     def test_unknown_schema_version_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"schema_version": 99}) == 3
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_is_an_integer(self, tmp_path, capsys, version):
+        assert self.run_solve(tmp_path, {"schema_version": version}) == 3
+        assert "'schema_version'" in capsys.readouterr().err
 
     def test_unknown_check_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"checks": ["no_such_check"]}) == 3
@@ -532,8 +567,7 @@ class TestCheckSuiteWork:
         assert len(reports) == 12
         assert 0 < len(calls) <= 3
 
-        body = cli._solution_body({"kernel": ONE_PLUS_Z}, 1e-12, solution,
-                                  reports)
+        body = cli._solution_body(ONE_PLUS_Z, 1e-12, solution, reports)
         path = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(path))
         calls.clear()

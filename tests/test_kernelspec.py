@@ -1,60 +1,48 @@
 """Tests for the declarative kernel descriptions."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 from bergex.kernelspec import (
-    KernelSpec,
+    ConfigError,
     coeffs_spec,
     describe,
     from_dict,
     power_decay_spec,
     realize,
     to_dict,
-    truncate_spec,
 )
 
 
 class TestBuilders:
     def test_coeffs_from_complex(self):
-        spec = coeffs_spec([1.0, 2.0 + 1.0j])
-        assert spec.type == "coeffs"
-        assert spec.values == ((1.0, 0.0), (2.0, 1.0))
+        assert coeffs_spec([1.0, 2.0 + 1.0j]) == {
+            "type": "coeffs", "values": [[1.0, 0.0], [2.0, 1.0]]}
 
     def test_coeffs_from_pairs(self):
-        spec = coeffs_spec([(1.0, 0.0), [0.0, -1.0]])
-        assert spec.values == ((1.0, 0.0), (0.0, -1.0))
+        # JSON integers in [re, im] pairs become floats, as solve records them
+        spec = from_dict({"type": "coeffs", "values": [[1, 0], [0.0, -1]]})
+        assert spec["values"] == [[1.0, 0.0], [0.0, -1.0]]
+        assert all(isinstance(x, float) for pair in spec["values"]
+                   for x in pair)
 
     def test_power_decay(self):
-        spec = power_decay_spec(2.0, 8)
-        assert spec.alpha == 2.0
-        assert spec.count == 8
+        assert power_decay_spec(2, 8) == {
+            "type": "power_decay", "alpha": 2.0, "count": 8}
 
     def test_truncate_wraps(self):
         inner = power_decay_spec(2.0, 16)
-        spec = truncate_spec(inner, 4)
-        assert spec.inner is inner
-        assert spec.n == 4
+        spec = from_dict({"type": "truncate", "inner": inner, "n": 4,
+                          "note": "unknown keys are dropped"})
+        assert spec == {"type": "truncate", "inner": inner, "n": 4}
 
-
-class TestValidation:
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(type="mystery")
-
-    def test_empty_coeffs_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(type="coeffs", values=())
-
-    def test_power_decay_needs_count(self):
-        with pytest.raises(ValueError):
-            KernelSpec(type="power_decay", alpha=2.0, count=0)
-
-    def test_truncate_needs_inner(self):
-        with pytest.raises(ValueError):
-            KernelSpec(type="truncate", n=4)
+    @pytest.mark.parametrize("count", [2.9, True])
+    def test_builders_do_not_coerce(self, count):
+        with pytest.raises(ConfigError, match="'count'"):
+            power_decay_spec(2.0, count)
 
 
 class TestRealize:
@@ -67,12 +55,13 @@ class TestRealize:
         np.testing.assert_allclose(k.coeffs, [1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
 
     def test_truncate(self):
-        k = realize(truncate_spec(power_decay_spec(1.0, 8), 2))
+        k = realize(from_dict({"type": "truncate",
+                               "inner": power_decay_spec(1.0, 8), "n": 2}))
         assert k.degree == 2
 
     def test_zero_realization_rejected(self):
         with pytest.raises(ValueError):
-            realize(coeffs_spec([(0.0, 0.0), (0.0, 0.0)]))
+            realize(coeffs_spec([0.0, 0.0]))
 
 
 class TestDescribe:
@@ -80,7 +69,8 @@ class TestDescribe:
         assert describe(coeffs_spec([1.0, 2.0])) == "coeffs[2]"
         assert describe(power_decay_spec(2.0, 64)) == \
             "power_decay(alpha=2, count=64)"
-        nested = truncate_spec(power_decay_spec(1.6, 32), 8)
+        nested = from_dict({"type": "truncate",
+                            "inner": power_decay_spec(1.6, 32), "n": 8})
         assert describe(nested) == \
             "truncate(power_decay(alpha=1.6, count=32), n=8)"
 
@@ -89,10 +79,12 @@ class TestSerialization:
     @pytest.mark.parametrize("spec", [
         coeffs_spec([1.0, 2.0 - 1.0j]),
         power_decay_spec(1.6, 12),
-        truncate_spec(coeffs_spec([1.0, 0.5, 0.25]), 1),
+        {"type": "truncate", "inner": coeffs_spec([1.0, 0.5, 0.25]), "n": 1},
     ])
     def test_round_trip(self, spec):
-        assert from_dict(to_dict(spec)) == spec
+        # a spec is its JSON object, and from_dict keeps a canonical one
+        assert to_dict(spec) is spec
+        assert from_dict(json.loads(json.dumps(spec))) == spec
 
     def test_malformed_rejected(self):
         for bad in (
@@ -124,6 +116,8 @@ class TestSerialization:
             ({"type": "truncate", "inner": inner, "n": 1.5}, "n"),
             ({"type": "truncate", "inner": inner, "n": True}, "n"),
             ({"type": "truncate", "inner": [inner], "n": 1}, "inner"),
+            ({"type": "power_decay", "alpha": 2.0, "count": 0}, "count"),
+            ({"type": "truncate", "n": 4}, "inner"),
             ({"type": 3}, "type"),
         ):
             with pytest.raises(ValueError, match=re.escape(repr(field))):
