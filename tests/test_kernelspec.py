@@ -45,6 +45,24 @@ class TestBuilders:
             power_decay_spec(2.0, count)
 
 
+class TestValidation:
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError):
+            from_dict({"type": "nonsense"})
+
+    def test_empty_coeffs_rejected(self):
+        with pytest.raises(ValueError):
+            from_dict({"type": "coeffs", "values": []})
+
+    def test_power_decay_needs_count(self):
+        with pytest.raises(ValueError, match="'count'"):
+            from_dict({"type": "power_decay", "alpha": 2.0, "count": 0})
+
+    def test_truncate_needs_inner(self):
+        with pytest.raises(ValueError, match="'inner'"):
+            from_dict({"type": "truncate", "n": 4})
+
+
 class TestRealize:
     def test_coeffs(self):
         k = realize(coeffs_spec([1.0, 2.0j]))
@@ -91,12 +109,10 @@ class TestSerialization:
             42,
             {},
             {"type": "coeffs"},
-            {"type": "coeffs", "values": []},
             {"type": "coeffs", "values": [[1.0]]},
             {"type": "coeffs", "values": ["x"]},
             {"type": "coeffs", "values": [[None, 0.0]]},
             {"type": "power_decay", "alpha": 2.0},
-            {"type": "nonsense"},
         ):
             with pytest.raises(ValueError):
                 from_dict(bad)
@@ -116,8 +132,6 @@ class TestSerialization:
             ({"type": "truncate", "inner": inner, "n": 1.5}, "n"),
             ({"type": "truncate", "inner": inner, "n": True}, "n"),
             ({"type": "truncate", "inner": [inner], "n": 1}, "inner"),
-            ({"type": "power_decay", "alpha": 2.0, "count": 0}, "count"),
-            ({"type": "truncate", "n": 4}, "inner"),
             ({"type": 3}, "type"),
         ):
             with pytest.raises(ValueError, match=re.escape(repr(field))):
