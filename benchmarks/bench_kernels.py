@@ -14,13 +14,19 @@ threshold in use, 256 in output degree, switches to the FFT sooner than
 this table asks.
 
 The ``newton_step`` table times the dense part of one solver iteration,
-``solver._newton_terms`` (objective, gradient, Hessian) plus the Cholesky
-factorization of that Hessian, median of 5 calls, at p = 4 and 6 on the
-coefficients a_t = (t+1)^-1.6 of degree n = 96, 352 and 704. The "real" column passes them as a real
-vector, which the solver does for a real kernel (n+1 unknowns); the
-"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
-Pin OpenBLAS to one thread for this table: on a 2-CPU VM its threads
-made single cells up to 20x slower from run to run.
+median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
+of degree n = 96, 352 and 704. The "real" and "complex" columns time an
+iteration that steps before convergence: ``solver._newton_terms``
+(objective and gradient), ``solver._hessian`` and the Cholesky
+factorization of that Hessian. The "real" column passes the
+coefficients as a real vector, which the solver does for a real kernel
+(n+1 unknowns); the "complex" column passes e^{0.7i} a_t, whose Hessian
+has 2(n+1) rows. The "real final" and "complex final" columns time the
+iteration that meets the tolerance: objective and gradient, then the
+step with the Cholesky factor kept from the iteration before, which is
+all the solver's final step costs now that it builds no Hessian. Pin
+OpenBLAS to one thread for this table: on a 2-CPU VM its threads made
+single cells up to 20x slower from run to run.
 
 The ``solve`` table times a whole ``solver.solve_extremal`` call (the
 degree ladder, the certificate included) for the real kernel a_t =
@@ -37,11 +43,12 @@ import statistics
 import time
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 from bergex import _backend
 from bergex.families import power_decay_kernel
-from bergex.solver import ExtremalProblem, _newton_terms, solve_extremal
+from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
+                           solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
@@ -83,23 +90,36 @@ def bench_operation(name, fn, sizes, repeats):
 
 
 def newton_step(a, p):
-    """One iteration's dense work: Newton terms, then the Cholesky factor."""
-    H = _newton_terms(a, p)[2]
-    cho_factor(H, overwrite_a=True, check_finite=False)
+    """One iteration's dense work: Newton terms, Hessian, Cholesky factor."""
+    wu, v = _newton_terms(a, p)[2:]
+    return cho_factor(_hessian(a, p, wu, v), overwrite_a=True,
+                      check_finite=False)
+
+
+def final_step(a, p, factor):
+    """The converged iteration's: Newton terms, then a step with ``factor``."""
+    cho_solve(factor, _newton_terms(a, p)[1], check_finite=False)
 
 
 def bench_newton_step(sizes, repeats):
     print("\nnewton_step: median milliseconds per call")
-    header = f"{'n':>6}{'p':>4}{'real':>12}{'complex':>12}{'ratio':>8}"
+    header = (f"{'n':>6}{'p':>4}{'real':>12}{'complex':>12}{'ratio':>8}"
+              f"{'real final':>12}{'complex final':>15}")
     print(header)
     print("-" * len(header))
     for n in sizes:
         a = (np.arange(n + 1) + 1.0) ** -1.6
         for p in (4, 6):
-            real = time_call(newton_step, a, p, repeats=repeats) * 1e3
-            cplx = time_call(newton_step, np.exp(0.7j) * a, p,
-                             repeats=repeats) * 1e3
-            print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}")
+            times = []
+            for coeffs in (a, np.exp(0.7j) * a):
+                factor = newton_step(coeffs, p)
+                times.append(time_call(newton_step, coeffs, p,
+                                       repeats=repeats))
+                times.append(time_call(final_step, coeffs, p, factor,
+                                       repeats=repeats))
+            real, real_final, cplx, cplx_final = (t * 1e3 for t in times)
+            print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}"
+                  f"{real_final:>12.2f}{cplx_final:>15.2f}")
 
 
 def bench_solve(sizes, repeats):

@@ -92,8 +92,9 @@ def _problem(config):
     """(p, tolerance, degree, kernel spec) of a solve config, or of the
     problem a solution file records."""
     p, tolerance = _validate_common(config)
-    degree = _field(config, "degree", int, lambda v: v >= 1,
-                    "degree must be >= 1")
+    degree = _field(config, "degree", int,
+                    lambda v: 1 <= v <= kernelspec.MAX_DEGREE,
+                    f"degree must be in 1..{kernelspec.MAX_DEGREE}")
     return p, tolerance, degree, kernelspec.from_dict(
         _field(config, "kernel", dict))
 

@@ -22,6 +22,12 @@ class ConfigError(ValueError):
     """Malformed input from a config or a kernel spec."""
 
 
+# The largest working degree a config may ask for, and the largest degree
+# of a power-decay kernel. The solver's dense Hessian has 2(n+1) rows for
+# a complex kernel, 0.5 GB at this degree.
+MAX_DEGREE = 4096
+
+
 _REQUIRED = object()
 
 
@@ -129,8 +135,9 @@ def from_dict(data):
         return {"type": t,
                 "alpha": _field(data, "alpha", float, math.isfinite,
                                 "alpha must be finite"),
-                "count": _field(data, "count", int, lambda v: v >= 1,
-                                "count must be >= 1")}
+                "count": _field(data, "count", int,
+                                lambda v: 1 <= v <= MAX_DEGREE + 1,
+                                f"count must be in 1..{MAX_DEGREE + 1}")}
     if t == "truncate":
         return {"type": t,
                 "inner": from_dict(_field(data, "inner", dict)),

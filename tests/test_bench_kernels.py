@@ -1,9 +1,9 @@
 """Smoke test for the kernel timing script under benchmarks/.
 
 ``benchmarks/bench_kernels.py`` reaches into bergex by name, the private
-``solver._newton_terms`` included, and nothing else runs it. Each of its
-tables runs here once at the smallest size, so a rename that breaks the
-script fails here.
+``solver._newton_terms`` and ``solver._hessian`` included, and nothing
+else runs it. Each of its tables runs here once at the smallest size, so
+a rename that breaks the script fails here.
 """
 
 import importlib

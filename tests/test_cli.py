@@ -318,6 +318,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("field, where, value", [
         ("degree", "problem", 32.9),
+        ("degree", "problem", 10 ** 15),
         ("p", "problem", "4"),
         ("coefficients", "solution", [[0.0, 0.0], [True, False]]),
         ("phi_norm", "solution", "1.0"),
@@ -412,9 +413,17 @@ class TestExitCodes:
     def test_non_finite_input_rejected(self, tmp_path, overrides):
         assert self.run_solve(tmp_path, overrides) == 3
 
-    def test_malformed_kernel_rejected(self, tmp_path):
+    def test_malformed_kernel_rejected(self, tmp_path, capsys):
         bad = {"type": "power_decay", "alpha": 2.0}
         assert self.run_solve(tmp_path, {"kernel": bad}) == 3
+        # a count past kernelspec.MAX_DEGREE + 1 exits 3 before any
+        # allocation, as does a degree past MAX_DEGREE
+        for overrides, field in (
+                ({"kernel": dict(bad, count=10 ** 15)}, "'count'"),
+                ({"degree": 10 ** 15}, "'degree'")):
+            capsys.readouterr()
+            assert self.run_solve(tmp_path, overrides) == 3
+            assert field in capsys.readouterr().err
 
     def test_unknown_kernel_type_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"kernel": {"type": "mystery"}}) == 3

@@ -123,6 +123,9 @@ class TestSerialization:
             ({"type": "power_decay", "alpha": 2.0, "count": 2.9}, "count"),
             ({"type": "power_decay", "alpha": 2.0, "count": True}, "count"),
             ({"type": "power_decay", "alpha": 2.0, "count": "3"}, "count"),
+            # past kernelspec.MAX_DEGREE, before any allocation
+            ({"type": "power_decay", "alpha": 2.0, "count": 10 ** 15},
+             "count"),
             ({"type": "power_decay", "alpha": "2", "count": 3}, "alpha"),
             ({"type": "power_decay", "alpha": True, "count": 3}, "alpha"),
             ({"type": "coeffs", "values": [["1", 0.0]]}, "values"),

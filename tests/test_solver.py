@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from bergex import solver
 from bergex.families import power_decay_kernel, standard_family
-from bergex.poly import as_poly, monomial, taylor_truncate
+from bergex.poly import AnalyticPoly, as_poly, monomial, taylor_truncate
 from bergex.solver import (
     ExtremalProblem,
     NonConvergenceError,
+    _hessian,
     _newton_terms,
     _rungs,
     extremality_residual,
@@ -252,7 +254,8 @@ class TestGradient:
             g = gradient_norm_p(as_poly(x[:n1] + 1j * x[n1:]), p)
             return np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
-        _, grad, H = _newton_terms(a, p)
+        _, grad, wu, v = _newton_terms(a, p)
+        H = _hessian(a, p, wu, v)
         x = a if real else np.concatenate([a.real, a.imag])
         assert H.shape == (len(x), len(x))
         np.testing.assert_allclose(grad, real_gradient(x), rtol=1e-13, atol=0)
@@ -264,7 +267,8 @@ class TestGradient:
         assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
         if real:
             # the upper-left block of the Hessian in (Re a, Im a)
-            H_complex = _newton_terms(a.astype(complex), p)[2]
+            ac = a.astype(complex)
+            H_complex = _hessian(ac, p, *_newton_terms(ac, p)[2:])
             np.testing.assert_allclose(H, H_complex[:n1, :n1], rtol=0,
                                        atol=1e-13 * np.max(np.abs(H)))
 
@@ -535,6 +539,77 @@ class TestDegreeLadder:
         assert minimum(32) - minimum(64) >= 1e-9
         assert trace[0][1] == pytest.approx(minimum(32), rel=1e-14)
         assert trace[-1][1] == pytest.approx(minimum(64), rel=1e-14)
+
+
+class TestFinalStep:
+    """The step at a converged iterate reuses the previous Cholesky factor."""
+
+    FAMILY = {name: (kernel, n) for name, kernel, n in standard_family()}
+
+    # one-plus-z is real and steps on every rung; random-0 is complex and
+    # its upper rungs converge at iteration 0; monomial-z is real and
+    # converges at iteration 0 on both of its rungs
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("name", ["one-plus-z", "monomial-z", "random-0"])
+    def test_one_hessian_per_step_before_convergence(self, monkeypatch, name,
+                                                     p):
+        builds, calls = [0], []
+        gram, newton = solver._gram, solver._newton
+
+        def counting_gram(*args):
+            builds[0] += 1
+            return gram(*args)
+
+        def counting_newton(*args):
+            before = builds[0]
+            a, trace, failure = newton(*args)
+            calls.append((trace[-1][0], builds[0] - before, failure))
+            return a, trace, failure
+
+        monkeypatch.setattr(solver, "_gram", counting_gram)
+        monkeypatch.setattr(solver, "_newton", counting_newton)
+        kernel, n = self.FAMILY[name]
+        solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
+        assert len(calls) == len(_rungs(n))
+        for last, hessians, failure in calls:
+            # iterations 0..last - 1 stepped with a new Hessian; the
+            # converged iteration builds one only when it is iteration 0
+            assert failure is None
+            assert hessians == max(last, 1)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("name", ["one-plus-z", "cubic-mix",
+                                      "power-decay-3.0", "random-0"])
+    def test_reaches_the_float_floor(self, monkeypatch, name, p):
+        # The last _newton_terms call of the solve is at degree n's
+        # converged iterate, and the last cho_solve takes its final step,
+        # whole, since its predicted decrease is below J's resolution; the
+        # reference takes that step with a Hessian built there.
+        seen = {}
+        terms, solve = solver._newton_terms, solver.cho_solve
+
+        def recording_terms(a, *args):
+            seen["a"] = a
+            return terms(a, *args)
+
+        def recording_solve(factor, grad, **kwargs):
+            seen["grad"] = grad
+            return solve(factor, grad, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton_terms", recording_terms)
+        monkeypatch.setattr(solver, "cho_solve", recording_solve)
+        kernel, n = self.FAMILY[name]
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
+
+        a = seen["a"]
+        H = _hessian(a, p, *_newton_terms(a, p)[2:]) / p
+        d = -cho_solve(cho_factor(H), seen["grad"])
+        if np.iscomplexobj(a):
+            d = d[:n + 1] + 1j * d[n + 1:]
+        f = AnalyticPoly(a + d)
+        F = f.coeffs / bergman_norm_even(f, p)
+        np.testing.assert_allclose(sol.F.padded(n + 1), F, rtol=0,
+                                   atol=1e-14)
 
 
 class TestTruncatedFamily:
