@@ -33,22 +33,33 @@ degree ladder, the certificate included) for the real kernel a_t =
 (t+1)^-1.6, t < 64, at the same degrees and p = 4 and 6, median of 5
 calls, with the iterations taken at the requested degree.
 
+The ``emit`` table times the report layer at the same degrees, median
+of 5 calls, on the solution of that kernel at p = 4 with the default
+checks: "write" is ``cli._emit_json`` of its ``cli._solution_body``
+into a temporary file, and "read" is ``json.load`` of that file plus
+``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
+"kB" is the size of the file.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
 """
 
 import argparse
+import json
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from bergex import _backend
+from bergex import _backend, cli, kernelspec
+from bergex.checks import check_reports
 from bergex.families import power_decay_kernel
-from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
-                           solve_extremal)
+from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
+                           _newton_terms, solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
@@ -136,6 +147,34 @@ def bench_solve(sizes, repeats):
             print(f"{n:>6}{p:>4}{millis:>12.2f}{iterations:>12}")
 
 
+def read_solution(path):
+    """What ``bergex verify`` parses first: the file and its coefficients."""
+    with open(path, encoding="utf-8") as fh:
+        return cli._read_coefficients(json.load(fh)["body"]["solution"])
+
+
+def bench_emit(sizes, repeats):
+    print("\nemit: median milliseconds per report")
+    header = f"{'n':>6}{'p':>4}{'write':>12}{'read':>12}{'kB':>10}"
+    print(header)
+    print("-" * len(header))
+    spec = kernelspec.power_decay_spec(1.6, 64)
+    kernel = kernelspec.realize(spec)
+    p = 4
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "solution.json")
+        for n in sizes:
+            sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
+            reports = check_reports(cli._requested_checks({}, n), sol.F,
+                                    kernel, p, sol.phi_norm)
+            body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
+            write = time_call(cli._emit_json, cli._header(), body, path,
+                              repeats=repeats)
+            read = time_call(read_solution, path, repeats=repeats)
+            print(f"{n:>6}{p:>4}{write * 1e3:>12.2f}{read * 1e3:>12.2f}"
+                  f"{os.path.getsize(path) / 1e3:>10.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -150,6 +189,7 @@ def main():
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
     bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
 
 
 if __name__ == "__main__":

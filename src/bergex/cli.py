@@ -2,8 +2,10 @@
 
 Reports separate a header (timestamps, tool version) from a body
 (everything computed), and the body is deterministic: identical config
-and seed produce byte-identical bodies. Solutions serialize to JSON at
-full precision; studies emit CSV rows or JSON.
+and seed produce byte-identical bodies. Every JSON report, a solution
+included, is one line with sorted keys and floats at full precision,
+written by json's C encoder; ``python3 -m json.tool solution.json``
+pretty-prints it. Studies emit CSV rows or JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed or verification
 mismatch, 2 solver non-convergence, 3 invalid input or command line.
@@ -15,7 +17,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -128,9 +129,19 @@ def _jsonable(value):
     return value
 
 
-def _report_payload(report):
-    data = asdict(report)
-    return _jsonable(data)
+def _json_coefficients(coeffs):
+    """Coefficients as [re, im] pairs, the Python floats of the array."""
+    return np.column_stack([coeffs.real, coeffs.imag]).tolist()
+
+
+def _read_coefficients(solution):
+    """The complex coefficients a solution section records, bit for bit.
+
+    The pairs are validated by ``_pairs_field``; viewing each [re, im] row
+    as one complex keeps every bit, the sign of a zero included.
+    """
+    pairs = np.array(_pairs_field(solution, "coefficients"), dtype=float)
+    return pairs.view(complex)[:, 0]
 
 
 def _header(seed=None):
@@ -144,9 +155,9 @@ def _header(seed=None):
 
 
 def _emit_json(header, body, out):
+    """One line of JSON with sorted keys, through json's C encoder."""
     payload = {"header": header, "body": body}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    _write(text + "\n", out)
+    _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
 def _emit_csv(header, fieldnames, rows, out, trailer=()):
@@ -179,12 +190,12 @@ def _solution_body(spec, tolerance, solution, reports):
             "kernel": spec,
         },
         "solution": {
-            "coefficients": [_json_complex(c) for c in solution.F.coeffs],
+            "coefficients": _json_coefficients(solution.F.coeffs),
             "phi_norm": solution.phi_norm,
             "residual_max": solution.residual_max,
             "iterations": solution.iterations,
         },
-        "checks": [_report_payload(r) for r in reports],
+        "checks": [_jsonable(vars(r)) for r in reports],
     }
 
 
@@ -223,14 +234,18 @@ def run_solve(config, out=None):
 
 
 def _recorded_checks(body, degree):
-    """A solution file's check records. The context field that picks a
-    record's report is read by the config rule, in the range solve records."""
-    records = _field(body, "checks", list)
+    """A solution file's check records. Each is an object whose name, and
+    the context field that picks its report, are read by the config rule,
+    in the range solve records."""
+    records = _field(body, "checks", list,
+                     lambda v: all(isinstance(r, dict) for r in v),
+                     "each check record must be an object")
     for record in records:
+        name = _field(record, "check_name", str)
         context = _field(record, "context", dict, default={})
-        if record["check_name"] == "fourier_formula":
+        if name == "fourier_formula":
             _field(context, "m", int, lambda v: v >= 0, "m must be >= 0")
-        elif record["check_name"] == "coefficient_bound_sweep":
+        elif name == "coefficient_bound_sweep":
             _field(context, "m_max", int, lambda v: 0 <= v <= 2 * degree,
                    f"m_max must be in 0..{2 * degree}")
     return records
@@ -246,8 +261,7 @@ def run_verify(solution_path, out=None):
         p, _, degree, spec = _problem(body["problem"])
         kernel = kernelspec.realize(spec)
         solution = body["solution"]
-        F = AnalyticPoly(np.array([re + 1j * im for re, im
-                                   in _pairs_field(solution, "coefficients")]))
+        F = AnalyticPoly(_read_coefficients(solution))
         phi_norm = _field(solution, "phi_norm", float, _positive_finite,
                           "phi_norm must be positive and finite")
         recorded_max = _field(solution, "residual_max", float)
@@ -407,8 +421,8 @@ def run_oracle_compare(config, out=None, seed=None):
         oracle_F.padded(degree + 1) - solution.F.padded(degree + 1))))
     agree = gap <= oracle_tolerance
     body = {
-        "oracle_coefficients": [_json_complex(c) for c in oracle_F.coeffs],
-        "solver_coefficients": [_json_complex(c) for c in solution.F.coeffs],
+        "oracle_coefficients": _json_coefficients(oracle_F.coeffs),
+        "solver_coefficients": _json_coefficients(solution.F.coeffs),
         "max_coefficient_gap": gap,
         "agree": agree,
     }

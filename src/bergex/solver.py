@@ -237,17 +237,18 @@ def _objective(a, s):
     return float(np.real(np.vdot(u, wu))), wu, v
 
 
-def _newton_terms(a, p):
+def _newton_terms(a, p, evaluated=None):
     """Objective and gradient of ||f||_{A^p}^p in real coordinates.
 
     Returns them with W f^s and f^{s-1} (s = p/2), which ``_hessian``
-    takes so that the Hessian at ``a`` shares them. For real ``a`` the
-    coordinates are x = Re a alone and the gradient is 2 Re g for the
-    Wirtinger gradient g; otherwise x = (Re a, Im a) and it is
+    takes so that the Hessian at ``a`` shares them. ``evaluated`` is
+    ``_objective(a, p // 2)`` when the caller has it already. For real
+    ``a`` the coordinates are x = Re a alone and the gradient is 2 Re g
+    for the Wirtinger gradient g; otherwise x = (Re a, Im a) and it is
     2 (Re g, Im g).
     """
     s, n1 = p // 2, len(a)
-    value, wu, v = _objective(a, s)
+    value, wu, v = _objective(a, s) if evaluated is None else evaluated
     g = s * xcorr(wu, v)[:n1]
     if not np.iscomplexobj(a):
         return value, 2.0 * g.real, wu, v
@@ -324,15 +325,20 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     if b @ x <= 0:  # an explicit start only: move it onto Re phi_hat = 1
         x = x + (1.0 - b @ x) / (b @ b) * b
     # J(t x) = t^p N/p - t b @ x is least at t^(p-1) = b @ x / N, for
-    # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite
+    # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite.
+    # A start already at its minimum (a converged rung below, padded) keeps
+    # its evaluation for iteration 0, as does every accepted trial point.
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
-    x = x * (b @ x / _objective(coeffs(x), s)[0]) ** (1.0 / (p - 1))
+    evaluated = _objective(coeffs(x), s)
+    scale = (b @ x / evaluated[0]) ** (1.0 / (p - 1))
+    if scale != 1.0:
+        x, evaluated = x * scale, None
 
     trace = []
     gnorm = best_value = best_gnorm = np.inf
     factor = None
     for it in range(max_iterations):
-        value, grad, wu, v = _newton_terms(coeffs(x), p)
+        value, grad, wu, v = _newton_terms(coeffs(x), p, evaluated)
         value, grad = value / p - b @ x, grad / p - b
         gnorm = float(np.linalg.norm(grad))
         trace.append((it, value, gnorm))
@@ -361,12 +367,14 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         # resolution is taken relative to |J|. A predicted decrease |slope|
         # below it cannot be resolved, so the full step is taken; otherwise
         # equality within round-off counts as acceptance.
-        t = 1.0
+        t, evaluated = 1.0, None
         while abs(slope) > 1e-15 * abs(value):
             y = x + t * d
-            new_value = _objective(coeffs(y), s)[0] / p - b @ y
+            trial = _objective(coeffs(y), s)
+            new_value = trial[0] / p - b @ y
             if (new_value <= value + 1e-4 * t * slope
                     or new_value <= value + 1e-15 * abs(value)):
+                evaluated = trial
                 break
             t *= 0.5
             if t < 1e-16:

@@ -1,9 +1,10 @@
 """Smoke test for the kernel timing script under benchmarks/.
 
 ``benchmarks/bench_kernels.py`` reaches into bergex by name, the private
-``solver._newton_terms`` and ``solver._hessian`` included, and nothing
-else runs it. Each of its tables runs here once at the smallest size, so
-a rename that breaks the script fails here.
+``solver._newton_terms``, ``solver._hessian`` and the report writer and
+reader of ``cli`` included, and nothing else runs it. Each of its tables
+runs here once at the smallest size, so a rename that breaks the script
+fails here.
 """
 
 import importlib
@@ -24,7 +25,7 @@ def bench_kernels():
     sys.path.remove(BENCHMARKS)
 
 
-# the solve table truncates its degree-63 kernel at n = 16
+# the solve and emit tables truncate their degree-63 kernel at n = 16
 @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
 def test_every_table_runs(bench_kernels, capsys):
     threshold = _backend.FFT_THRESHOLD
@@ -32,7 +33,8 @@ def test_every_table_runs(bench_kernels, capsys):
     bench_kernels.bench_operation("xcorr", _backend.xcorr, [16], 1)
     bench_kernels.bench_newton_step([16], 1)
     bench_kernels.bench_solve([16], 1)
+    bench_kernels.bench_emit([16], 1)
     assert _backend.FFT_THRESHOLD == threshold
     out = capsys.readouterr().out
-    for table in ("conv:", "xcorr:", "newton_step:", "solve:"):
+    for table in ("conv:", "xcorr:", "newton_step:", "solve:", "emit:"):
         assert table in out

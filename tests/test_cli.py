@@ -13,13 +13,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bergex import checks, cli, spaces
 from bergex.checks import check_fourier_formula
-from bergex.poly import as_poly
+from bergex.poly import AnalyticPoly, as_poly
 from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
 
 MONOMIAL_Z = {"type": "coeffs", "values": [[0.0, 0.0], [1.0, 0.0]]}
@@ -222,6 +223,34 @@ class TestSolveCommand:
         assert exc_info.value.code == 3
 
 
+class TestReportEncoding:
+    """Reports are compact JSON whose parsed content is the indented one's."""
+
+    def test_report_is_one_line(self, solved_artifact):
+        _, solution = solved_artifact
+        text = Path(solution).read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True) + "\n"
+        body = report["body"]
+        assert body == json.loads(json.dumps(body, indent=2, sort_keys=True))
+
+    def test_coefficients_reload_bit_for_bit(self, tmp_path):
+        coeffs = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2,
+                           1 / 3 - 2j / 7])
+        solution = SimpleNamespace(F=AnalyticPoly(coeffs), p=4, degree=4,
+                                   phi_norm=1.0, residual_max=0.0,
+                                   iterations=0)
+        body = cli._solution_body(CONSTANT_ONE, 1e-10, solution, [])
+        out = tmp_path / "solution.json"
+        cli._emit_json(cli._header(), body, str(out))
+        recorded = load_report(out)["body"]["solution"]
+        reloaded = cli._read_coefficients(recorded)
+        assert reloaded.dtype == complex
+        assert reloaded.tobytes() == solution.F.coeffs.tobytes()
+        assert math.copysign(1.0, reloaded[0].real) == -1.0
+
+
 class TestVerifyCommand:
     """verify re-derives every recorded number from the solution file."""
 
@@ -328,20 +357,26 @@ class TestVerifyCommand:
         ("m_max", "coefficient_bound_sweep", 64.7),
         ("m_max", "coefficient_bound_sweep", 10 ** 15),
         ("m_max", "coefficient_bound_sweep", -1),
+        ("check_name", "norm_equality", 5),
+        ("check_name", "norm_equality", None),
+        ("checks", "body", [["norm_equality", 0.0, {}]]),
     ])
     def test_malformed_recorded_field_is_invalid_input(
             self, solved_artifact, tmp_path, capsys, field, where, value):
         # every field is read by the config rule, in the range solve
-        # records, with no coercion: 'where' is a body section or the
-        # name of the check record that holds the field
+        # records, with no coercion: 'where' is the body, a body section
+        # or the name of the check record that holds the field (in the
+        # record itself, or else in its context)
         _, solution = solved_artifact
         payload = load_report(solution)
         body = payload["body"]
-        if where in body:
+        if where == "body":
+            body[field] = value
+        elif where in body:
             body[where][field] = value
         for check in body["checks"]:
-            if check["check_name"] == where:
-                (check if field == "residual" else check["context"])[
+            if isinstance(check, dict) and check["check_name"] == where:
+                (check if field in check else check["context"])[
                     field] = value
         broken = write_json(tmp_path / "broken.json", payload)
         assert cli.main(["verify", broken]) == 3

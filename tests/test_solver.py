@@ -611,6 +611,38 @@ class TestFinalStep:
         np.testing.assert_allclose(sol.F.padded(n + 1), F, rtol=0,
                                    atol=1e-14)
 
+    # one-plus-z is real, random-0 complex; both take damped steps on
+    # their lowest rung
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("name", ["one-plus-z", "random-0"])
+    def test_each_point_evaluated_once(self, monkeypatch, name, p):
+        # the trial point the line search accepts is the next iterate,
+        # whose objective is not computed again
+        calls, inside = [], [False]
+        objective, newton = solver._objective, solver._newton
+
+        def recording_objective(a, s):
+            if inside[0]:
+                calls[-1].append(a.tobytes())
+            return objective(a, s)
+
+        def recording_newton(*args):
+            calls.append([])
+            inside[0] = True
+            try:
+                return newton(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(solver, "_objective", recording_objective)
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        kernel, n = self.FAMILY[name]
+        solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
+        assert len(calls) == len(_rungs(n))
+        assert max(map(len, calls)) > 2
+        for points in calls:
+            assert len(set(points)) == len(points)
+
 
 class TestTruncatedFamily:
     """Solves with the truncated kernel S_n k over P_n, level by level."""
