@@ -40,6 +40,11 @@ into a temporary file, and "read" is ``json.load`` of that file plus
 ``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
 "kB" is the size of the file.
 
+The ``study`` table times ``checks.convergence_study`` of the same
+kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
+6, with the number of ``solver._newton`` calls one study makes: one per
+rung of the single degree ladder that climbs the study's degrees.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
@@ -55,8 +60,8 @@ import time
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from bergex import _backend, cli, kernelspec
-from bergex.checks import check_reports
+from bergex import _backend, cli, kernelspec, solver
+from bergex.checks import check_reports, convergence_study
 from bergex.families import power_decay_kernel
 from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
                            _newton_terms, solve_extremal)
@@ -64,6 +69,7 @@ from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
 NEWTON_REPEATS = 5
+STUDY_DEGREES = tuple(range(8, 65, 8))
 
 
 def time_call(fn, *args, repeats=200):
@@ -175,6 +181,30 @@ def bench_emit(sizes, repeats):
                   f"{os.path.getsize(path) / 1e3:>10.1f}")
 
 
+def bench_study(degrees, repeats):
+    print("\nstudy: median milliseconds per convergence_study call")
+    header = f"{'p':>4}{'ms':>12}{'newton':>8}"
+    print(header)
+    print("-" * len(header))
+    kernel = power_decay_kernel(1.6, 64)
+    newton, calls = solver._newton, []
+
+    def counting_newton(*args):
+        calls.append(None)
+        return newton(*args)
+
+    for p in (4, 6):
+        millis = time_call(convergence_study, kernel, p, degrees,
+                           repeats=repeats) * 1e3
+        calls.clear()
+        solver._newton = counting_newton
+        try:
+            convergence_study(kernel, p, degrees)
+        finally:
+            solver._newton = newton
+        print(f"{p:>4}{millis:>12.2f}{len(calls):>8}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -190,6 +220,7 @@ def main():
     bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_study(STUDY_DEGREES, NEWTON_REPEATS)
 
 
 if __name__ == "__main__":

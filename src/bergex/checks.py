@@ -41,8 +41,8 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .poly import AnalyticPoly, k_transform, taylor_truncate
-from .solver import ExtremalProblem, solve_extremal
+from .poly import AnalyticPoly, k_transform
+from .solver import ExtremalProblem, solve_extremal, solve_ladder
 from .spaces import (
     _circle_values,
     abs_power_spectrum,
@@ -303,27 +303,26 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
     Such decay forces the extremal function into H-infinity, so the
     boundary sup of the truncated solutions must stabilize as the degree
     grows. The desk-scale proxy: relative growth of sup|F_n| between the
-    two largest degrees at most ``growth_threshold``. The report also
-    records the l1 mass of the Fourier coefficients of |F_n|^p at each
-    degree, the quantity whose summability drives the boundedness
-    argument.
+    two largest degrees at most ``growth_threshold``. One degree ladder
+    (``solve_ladder``) solves S_n k over P_n once per distinct degree n,
+    and there must be two. The report also records the l1 mass of the
+    Fourier coefficients of |F_n|^p at each degree, the quantity whose
+    summability drives the boundedness argument.
 
     alpha <= 3/2 is outside the hypothesis; exploratory=True still runs
     the sweep but withholds the verdict.
     """
+    degrees = sorted(set(degrees))
     if len(degrees) < 2:
-        raise ValueError("need at least two degrees to compare")
+        raise ValueError("need at least two distinct degrees to compare")
     if alpha <= 1.5 and not exploratory:
         raise ValueError("criterion requires alpha > 3/2; "
                          "pass exploratory=True to run anyway")
-    degrees = sorted(degrees)
     k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}
-    for n in degrees:
-        F = solve_extremal(ExtremalProblem(
-            p=p, kernel=taylor_truncate(k, n), degree=n,
-            tolerance=STUDY_TOLERANCE)).F
+    for solution in solve_ladder(p, k, degrees, STUDY_TOLERANCE):
+        n, F = solution.degree, solution.F
         grid = 1 << max(10, (4 * F.degree + 4 - 1).bit_length())
         boundary = _circle_values(F, 1.0, grid)
         sups[n] = float(np.max(np.abs(boundary)))
@@ -408,15 +407,14 @@ def growth_study(family, p, q1_list):
 def convergence_study(k, p, degrees):
     """Distances ||F_n - F_N||_{H^p} to the largest-degree solution.
 
-    F_n solves the problem with the truncated kernel S_n k over P_n;
-    N = max(degrees) serves as the reference. Distances decrease as n
-    grows once past the small-n regime.
+    F_n solves the problem with the truncated kernel S_n k over P_n, on
+    one degree ladder (``solve_ladder``) that yields one row per distinct
+    degree, ascending; N = max(degrees) serves as the reference. Distances
+    decrease as n grows once past the small-n regime.
     """
-    solutions = [(n, solve_extremal(ExtremalProblem(
-        p=p, kernel=taylor_truncate(k, n), degree=n,
-        tolerance=STUDY_TOLERANCE)).F) for n in sorted(degrees)]
-    F_ref = solutions[-1][1]
-    return [(n, hardy_norm_even(F - F_ref, p)) for n, F in solutions]
+    solutions = list(solve_ladder(p, k, degrees, STUDY_TOLERANCE))
+    F_ref = solutions[-1].F
+    return [(s.degree, hardy_norm_even(s.F - F_ref, p)) for s in solutions]
 
 
 def norm_equality_decay_study(k, p, degrees):
@@ -427,19 +425,14 @@ def norm_equality_decay_study(k, p, degrees):
     the better estimate of the full-space ||phi|| that a higher-degree
     solve provides. Since the restricted norms increase with n, the
     relative residual (phi_ref - phi_n)/phi_ref decreases monotonically,
-    which is the decay this study exhibits. The reference degree is
-    2 max(degrees) + 32.
+    which is the decay this study exhibits. One degree ladder
+    (``solve_ladder``) climbs the distinct degrees, one row each, to the
+    reference degree 2 max(degrees) + 32.
 
     Returns (reference degree, [(n, VerificationReport), ...]).
     """
-    ref = solve_extremal(ExtremalProblem(
-        p=p, kernel=k, degree=2 * max(degrees) + 32,
-        tolerance=STUDY_TOLERANCE,
-    ))
-    rows = []
-    for n in sorted(degrees):
-        sol = solve_extremal(ExtremalProblem(
-            p=p, kernel=k, degree=n, tolerance=STUDY_TOLERANCE,
-        ))
-        rows.append((n, check_norm_equality(sol.F, k, p, ref.phi_norm)))
+    *solutions, ref = solve_ladder(p, k, [*degrees, 2 * max(degrees) + 32],
+                                   STUDY_TOLERANCE)
+    rows = [(s.degree, check_norm_equality(s.F, k, p, ref.phi_norm))
+            for s in solutions]
     return ref.degree, rows

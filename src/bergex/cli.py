@@ -33,8 +33,8 @@ from .checks import (
     growth_study,
 )
 from .families import standard_family
-from .kernelspec import (_REQUIRED, ConfigError, _field, _finite_number,
-                         _pairs_field)
+from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
+                         _finite_number, _pairs_field)
 from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
@@ -74,10 +74,12 @@ def _positive_finite(value):
 
 
 def _degrees(config, default=_REQUIRED):
-    """The study field 'degrees': at least two integers >= 0."""
+    """The study field 'degrees': at least two distinct integers >= 0. A
+    study solves each distinct degree once, so a repeat would be dropped."""
     return _field(config, "degrees", list, lambda v: len(v) >= 2 and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in v),
-        "need at least two integers >= 0", default)
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in v)
+        and len(set(v)) == len(v),
+        "need at least two distinct integers >= 0", default)
 
 
 def _validate_common(config):
@@ -109,18 +111,14 @@ def _study_exponent(config):
     return _validate_common(config)[0]
 
 
-def _json_complex(value):
-    value = complex(value)
-    return [value.real, value.imag]
-
-
 def _jsonable(value):
-    """Recursively convert report payloads into JSON-safe structures."""
+    """Recursively convert report payloads into strict JSON structures:
+    a complex number is its [re, im] pair, and NaN and +-inf are null."""
     if isinstance(value, complex):
-        return _json_complex(value)
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, float) and value != value:  # NaN
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -135,13 +133,9 @@ def _json_coefficients(coeffs):
 
 
 def _read_coefficients(solution):
-    """The complex coefficients a solution section records, bit for bit.
-
-    The pairs are validated by ``_pairs_field``; viewing each [re, im] row
-    as one complex keeps every bit, the sign of a zero included.
-    """
-    pairs = np.array(_pairs_field(solution, "coefficients"), dtype=float)
-    return pairs.view(complex)[:, 0]
+    """The complex coefficients a solution section records, bit for bit:
+    the pairs ``_pairs_field`` validates, through ``_complex_pairs``."""
+    return _complex_pairs(_pairs_field(solution, "coefficients"))
 
 
 def _header(seed=None):
@@ -291,7 +285,7 @@ def run_verify(solution_path, out=None):
     ok = bool(worst <= 1e-14)
     body_out = {"verified": ok, "max_difference": worst, "rows": rows,
                 "skipped": skipped}
-    _emit_json(_header(), body_out, out)
+    _emit_json(_header(), _jsonable(body_out), out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -76,6 +76,12 @@ def _pairs_field(data, key):
         "need a non-empty list of [re, im] pairs of finite numbers")
 
 
+def _complex_pairs(pairs):
+    """[re, im] pairs as complex numbers, bit for bit: a row viewed as one
+    complex keeps the sign of a zero, which re + 1j * im turns to +0.0."""
+    return np.array(pairs, dtype=float).view(complex)[:, 0]
+
+
 def coeffs_spec(values):
     """Spec from complex coefficients."""
     values = [[v.real, v.imag] for v in map(complex, values)]
@@ -93,7 +99,7 @@ def realize(spec):
     functional kernel may be.
     """
     if spec["type"] == "coeffs":
-        k = AnalyticPoly(np.array([re + 1j * im for re, im in spec["values"]]))
+        k = AnalyticPoly(_complex_pairs(spec["values"]))
     elif spec["type"] == "power_decay":
         k = power_decay_kernel(spec["alpha"], spec["count"])
     else:

@@ -36,17 +36,19 @@ arithmetic these are the iterates of the full system, which never leave
 the real coefficients from a real start; in floating point F's imaginary
 parts are then exactly zero.
 
-The truncated solutions F_n settle as n grows, so the solve starts by
-degree continuation: it climbs the ladder of degrees n >> j that are at
-least MIN_RUNG_DEGREE (one rung, n itself, below degree 32). The lowest
-rung starts from the normalized truncated kernel; each higher rung starts
-from the iterate of the rung below, zero-padded. Every start is scaled to
-the minimum of J on its ray. Each rung is the same Newton solve
-(``_newton``) with the problem's tolerance and iteration budget, in real
-coordinates whenever its truncated kernel is real. The requested degree
-then typically needs one or two iterations instead of the whole damped
-phase at full size; only it can fail the solve, and only its iterations
-and trace are reported.
+The truncated solutions F_n settle as n grows, so solves climb a degree
+ladder (``solve_ladder``): to n through the degrees n >> j that are at
+least MIN_RUNG_DEGREE (one rung, n itself, below degree 32), and through
+a study's degrees on one ladder, whose rung m solves S_m k over P_m. The
+lowest rung starts from the normalized truncated kernel, which is
+already optimal for p = 2; each higher rung starts from the iterate of
+the rung below, zero-padded. Every start is scaled to the minimum of J
+on its ray. Each rung is the same Newton solve (``_newton``) with the
+problem's tolerance and iteration budget, in real coordinates whenever
+its truncated kernel is real. A requested degree then typically needs
+one or two iterations instead of the whole damped phase at full size;
+only the requested degrees can fail, are certified, and report their
+iterations and trace.
 
 Everything the optimizer touches is exact coefficient arithmetic: with
 s = p/2, u = f^s and v = f^{s-1}, the Wirtinger gradient of the objective
@@ -400,6 +402,63 @@ def _rungs(n):
     return rungs
 
 
+def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
+                 max_iterations=DEFAULT_MAX_ITERATIONS, start=None):
+    """One degree ladder through ``degrees`` (see the module docstring).
+
+    Yields, once per distinct degree d in ascending order, the certified
+    ``ExtremalSolution`` of ``ExtremalProblem(p, kernel, d, tolerance,
+    max_iterations)``. For each d the ladder appends the rungs of
+    ``_rungs(d)`` above its last rung, skipping those on which the
+    truncated kernel vanishes. A rung that is not requested passes its last
+    iterate up, even one that failed; a requested degree that fails raises
+    ``NonConvergenceError`` with its own trace, and one on which the
+    truncated kernel vanishes raises ``ExtremalProblem``'s ValueError.
+
+    ``start`` instead seeds the lowest requested degree, and the ladder
+    climbs the requested degrees alone. It is scaled to the minimum of J on
+    its ray; a start with Re phi_hat <= 0, zero included, is first moved
+    along the gradient of Re phi_hat onto Re phi_hat = 1. J is strictly
+    convex, so every start reaches the same solution.
+    """
+    degrees = sorted(set(degrees))
+    # S_d k contains S_m k for m <= d: checking the lowest degree checks all
+    ExtremalProblem(p, taylor_truncate(kernel, degrees[0]), degrees[0],
+                    tolerance, max_iterations)
+    c = kernel.padded(degrees[-1] + 1)
+    rungs = []
+    for d in degrees:
+        # a rung on which the truncated kernel vanishes has no functional
+        rungs += [m for m in ([d] if start is not None else _rungs(d))
+                  if m > max(rungs, default=-1) and np.any(c[:m + 1])]
+    a = None
+    for m in rungs:
+        # Scale invariance: dividing by max|c_t| before the A^2 norm keeps
+        # any kernel scale finite, and c_hat, with Re phi_hat(c_hat) = 1,
+        # keeps the objective O(1).
+        c_hat = c[:m + 1] / np.max(np.abs(c[:m + 1]))
+        c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
+        if a is None:
+            a = c_hat if start is None else start.padded(m + 1)
+        else:
+            a = np.pad(a, (0, m + 1 - len(a)))  # the rung below's iterate
+        a, trace, failure = _newton(c_hat, p, a, tolerance, max_iterations)
+        if m not in degrees:
+            continue
+        if failure is not None:
+            raise NonConvergenceError(failure, trace)
+        f = AnalyticPoly(a)
+        F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
+        phi_norm = float(functional_value(kernel, F).real)
+        residuals = extremality_residual(F, kernel, p, phi_norm,
+                                         max(2, p // 2) * m)
+        yield ExtremalSolution(
+            F=F, phi_norm=phi_norm,
+            residual_max=float(np.max(np.abs(residuals))),
+            iterations=trace[-1][0], trace=trace, p=p, kernel=kernel,
+            degree=m)
+
+
 def solve_extremal(problem, start=None):
     """Solve the extremal problem over P_n and certify the result.
 
@@ -413,61 +472,18 @@ def solve_extremal(problem, start=None):
     is not met within ``max_iterations``, or if the line search or the
     gradient stalls (at its float floor) before it.
 
-    Without a ``start`` the solve climbs the degree ladder ``_rungs(n)``
-    (see the module docstring): the lowest rung starts from the normalized
-    truncated kernel, which is already optimal for p = 2, and each higher
-    rung from the zero-padded solution of the rung below. Every rung has
-    the problem's tolerance and iteration budget; a rung below n that
-    fails passes its last iterate up, and only degree n raises.
-    ``iterations`` and ``trace`` describe degree n alone.
-
-    ``start`` instead seeds one solve at degree n with a candidate
-    polynomial of degree <= n. It is scaled to the minimum of J on its
-    ray; a start with Re phi_hat <= 0, zero included, is first moved
-    along the gradient of Re phi_hat onto Re phi_hat = 1. J is strictly
-    convex, so every start reaches the same solution.
+    This is ``solve_ladder`` at the one degree n, which climbs
+    ``_rungs(n)``, or with a ``start`` of degree <= n solves degree n
+    alone from it; ``iterations`` and ``trace`` describe degree n alone.
 
     A kernel whose coefficients on P_n are all real is solved in the real
     coordinates x = Re a (see the module docstring), which drop the
     imaginary part of ``start``. Any other kernel is solved in
     x = (Re a, Im a).
     """
-    p, n = problem.p, problem.degree
-    c = problem.kernel.padded(n + 1)
-    # a rung on which the truncated kernel vanishes has no functional
-    rungs = [n] if start is not None else [m for m in _rungs(n)
-                                           if np.any(c[:m + 1])]
-    a = None
-    for m in rungs:
-        # Scale invariance: dividing by max|c_t| before the A^2 norm keeps
-        # any kernel scale finite, and c_hat, with Re phi_hat(c_hat) = 1,
-        # keeps the objective O(1).
-        c_hat = c[:m + 1] / np.max(np.abs(c[:m + 1]))
-        c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
-        if a is None:
-            a = c_hat if start is None else start.padded(m + 1)
-        else:
-            a = np.pad(a, (0, m + 1 - len(a)))  # the rung below's iterate
-        a, trace, failure = _newton(c_hat, p, a, problem.tolerance,
-                                    problem.max_iterations)
-    if failure is not None:
-        raise NonConvergenceError(failure, trace)
-
-    f = AnalyticPoly(a)
-    F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
-    phi_norm = float(functional_value(problem.kernel, F).real)
-    residuals = extremality_residual(F, problem.kernel, p, phi_norm,
-                                     max(2, p // 2) * n)
-    return ExtremalSolution(
-        F=F,
-        phi_norm=phi_norm,
-        residual_max=float(np.max(np.abs(residuals))),
-        iterations=trace[-1][0],
-        trace=trace,
-        p=p,
-        kernel=problem.kernel,
-        degree=n,
-    )
+    return next(solve_ladder(problem.p, problem.kernel, [problem.degree],
+                             problem.tolerance, problem.max_iterations,
+                             start))
 
 
 def brute_force_oracle(k, p, degree=3, seed=7):

@@ -33,7 +33,8 @@ from bergex.poly import (
     shift,
     taylor_truncate,
 )
-from bergex.families import standard_family
+from bergex import solver
+from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
@@ -370,6 +371,11 @@ class TestHinftyCriterion:
         with pytest.raises(ValueError):
             check_hinfty_criterion(2.0, 4, [16])
 
+    def test_repeated_degree_rejected(self):
+        # a degree compared with itself would pass with zero growth
+        with pytest.raises(ValueError, match="two distinct degrees"):
+            check_hinfty_criterion(2.0, 4, [16, 16])
+
     def test_sup_and_l1_mass_match_per_point_references(self):
         alpha, p, degrees = 2.0, 4, [8, 16]
         report = check_hinfty_criterion(alpha, p, degrees)
@@ -447,6 +453,22 @@ class TestConvergenceStudy:
         rows = convergence_study(k, 4, [8, 16, 32, 64])
         distances = [d for _, d in rows[:-1]]
         assert all(a > b for a, b in zip(distances, distances[1:]))
+
+    def test_one_newton_solve_per_rung(self, monkeypatch):
+        # one ladder climbs the study's degrees: every degree is a rung,
+        # and the rungs of _rungs(n) below n are degrees already solved
+        degrees = list(range(8, 65, 8))
+        calls = []
+        newton = solver._newton
+
+        def counting_newton(c_hat, *args):
+            calls.append(len(c_hat) - 1)
+            return newton(c_hat, *args)
+
+        monkeypatch.setattr(solver, "_newton", counting_newton)
+        rows = convergence_study(power_decay_kernel(2.0, 65), 4, degrees)
+        assert [n for n, _ in rows] == degrees
+        assert calls == degrees
 
     def test_vanishing_truncation_raises(self):
         # the kernel z truncates to zero on P_0: no problem to solve there

@@ -337,6 +337,25 @@ class TestVerifyCommand:
         tampered = write_json(tmp_path / "tampered.json", payload)
         assert cli.main(["verify", tampered]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_recomputation_is_strict_json(self, solved_artifact,
+                                                      tmp_path):
+        # F with a 1e300 coefficient overflows every recomputed residual
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        payload["body"]["solution"]["coefficients"][0] = [1e300, 0.0]
+        tampered = write_json(tmp_path / "tampered.json", payload)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", tampered, "--out", str(out)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        body = json.loads(out.read_text(encoding="utf-8"),
+                          parse_constant=reject)["body"]
+        assert body["verified"] is False
+        assert body["max_difference"] is None
+
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "absent.json")]) == 3
 
@@ -749,6 +768,14 @@ class TestHinftyStudy:
                          "--config", self.config(tmp_path, 1.2, [8, 16]),
                          "--out", str(tmp_path / "h.csv")])
         assert code == 3
+
+    def test_repeated_degree_rejected(self, tmp_path, capsys):
+        # [16, 16] once passed with zero growth, a degree against itself
+        code = cli.main(["study", "hinfty",
+                         "--config", self.config(tmp_path, 1.6, [16, 16]),
+                         "--out", str(tmp_path / "h.csv")])
+        assert code == 3
+        assert "'degrees'" in capsys.readouterr().err
 
     def test_infinite_alpha_rejected(self, tmp_path):
         config = self.config(tmp_path, float("inf"), [16, 32])

@@ -1,6 +1,7 @@
 """Tests for the declarative kernel descriptions."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestRealize:
         k = realize(from_dict({"type": "truncate",
                                "inner": power_decay_spec(1.0, 8), "n": 2}))
         assert k.degree == 2
+
+    def test_coeffs_keep_every_bit(self):
+        spec = from_dict({"type": "coeffs",
+                          "values": [[-0.0, 0.0], [1.0, -0.0]]})
+        k = realize(spec)
+        assert math.copysign(1.0, k.coeffs[0].real) == -1.0
+        assert math.copysign(1.0, k.coeffs[1].imag) == -1.0
+        # repr, and so json, writes every bit of a float, -0.0 included
+        assert json.dumps(coeffs_spec(k.coeffs)) == json.dumps(spec)
 
     def test_zero_realization_rejected(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from bergex.solver import (
     gradient_norm_p,
     kernel_from_extremal,
     solve_extremal,
+    solve_ladder,
 )
 from bergex.spaces import bergman_inner, bergman_norm_even, functional_value
 
@@ -539,6 +540,41 @@ class TestDegreeLadder:
         assert minimum(32) - minimum(64) >= 1e-9
         assert trace[0][1] == pytest.approx(minimum(32), rel=1e-14)
         assert trace[-1][1] == pytest.approx(minimum(64), rel=1e-14)
+
+    # the per-degree solves truncate a degree-63 kernel below degree 63
+    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
+    def test_ladder_agrees_with_per_degree_solves(self, p, phase):
+        # one ladder through the degrees against a solve per degree, each
+        # climbing its own ladder; 24 and 40 are rungs of neither 16 nor 64
+        kernel = AnalyticPoly(phase * power_decay_kernel(1.6, 64).coeffs)
+        degrees = [40, 8, 24, 64, 16, 24]
+        ladder = list(solve_ladder(p, kernel, degrees, tolerance=1e-12))
+        assert [sol.degree for sol in ladder] == sorted(set(degrees))
+        for sol in ladder:
+            alone = solve_extremal(ExtremalProblem(
+                p=p, kernel=kernel, degree=sol.degree, tolerance=1e-12))
+            np.testing.assert_allclose(sol.F.coeffs, alone.F.coeffs,
+                                       rtol=0, atol=1e-13)
+            assert sol.phi_norm == pytest.approx(alone.phi_norm, rel=1e-13)
+            assert sol.residual_max == pytest.approx(alone.residual_max,
+                                                     rel=1e-9, abs=1e-12)
+            assert sol.kernel is kernel
+
+    def test_failing_requested_degree_raises_with_its_trace(self):
+        # degree 8 of the kernel 1 + z^40 is the constant kernel, solved at
+        # once; degree 64 starts from it and runs out of iterations
+        kernel = as_poly(np.eye(41)[0] + np.eye(41)[40])
+        ladder = solve_ladder(4, kernel, [8, 64], max_iterations=2)
+        assert next(ladder).degree == 8
+        with pytest.raises(NonConvergenceError,
+                           match="in 2 iterations") as exc_info:
+            next(ladder)
+        trace = exc_info.value.trace
+        assert [entry[0] for entry in trace] == [0, 1]
+        alone = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64))
+        assert trace[0][1] == pytest.approx(alone.trace[0][1], rel=1e-12)
 
 
 class TestFinalStep:
