@@ -1,4 +1,4 @@
-"""Times the coefficient kernels' two paths, one Newton step and a solve.
+"""Times the coefficient kernels, the solver, the reports and the quadrature.
 
 Prints one table per operation (Cauchy convolution and nonnegative-lag
 cross-correlation) with median wall time per call at a range of operand
@@ -45,6 +45,12 @@ kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
 6, with the number of ``solver._newton`` calls one study makes: one per
 rung of the single degree ladder that climbs the study's degrees.
 
+The ``quadrature`` table times the general-exponent norms on each
+standard-family kernel, median of 15 calls: ``spaces.bergman_norm_general``
+(64 circles, one FFT per block of 8) and ``spaces.hardy_norm_general``
+(the unit circle) at q = 4/3 and 6/5. "real" says whether the kernel's
+coefficients are real, which samples the half circle.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
@@ -60,9 +66,9 @@ import time
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from bergex import _backend, cli, kernelspec, solver
+from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_reports, convergence_study
-from bergex.families import power_decay_kernel
+from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
                            _newton_terms, solve_extremal)
 
@@ -70,6 +76,8 @@ THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
 NEWTON_REPEATS = 5
 STUDY_DEGREES = tuple(range(8, 65, 8))
+QUADRATURE_EXPONENTS = (4.0 / 3.0, 6.0 / 5.0)
+QUADRATURE_REPEATS = 15
 
 
 def time_call(fn, *args, repeats=200):
@@ -171,8 +179,8 @@ def bench_emit(sizes, repeats):
         path = os.path.join(workdir, "solution.json")
         for n in sizes:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
-            reports = check_reports(cli._requested_checks({}, n), sol.F,
-                                    kernel, p, sol.phi_norm)
+            reports = check_reports(cli._requested_checks({}, p, n, kernel),
+                                    sol.F, kernel, p, sol.phi_norm)
             body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
             write = time_call(cli._emit_json, cli._header(), body, path,
                               repeats=repeats)
@@ -205,6 +213,23 @@ def bench_study(degrees, repeats):
         print(f"{p:>4}{millis:>12.2f}{len(calls):>8}")
 
 
+def bench_quadrature(repeats):
+    print("\nquadrature: median milliseconds per call")
+    header = (f"{'kernel':>16}{'real':>6}{'q':>6}{'bergman':>10}"
+              f"{'hardy':>10}")
+    print(header)
+    print("-" * len(header))
+    for name, kernel, _ in standard_family():
+        real = not np.any(kernel.coeffs.imag)
+        for q in QUADRATURE_EXPONENTS:
+            bergman, hardy = (
+                time_call(norm, kernel, q, repeats=repeats) * 1e3
+                for norm in (spaces.bergman_norm_general,
+                             spaces.hardy_norm_general))
+            print(f"{name:>16}{'yes' if real else 'no':>6}{q:>6.3f}"
+                  f"{bergman:>10.3f}{hardy:>10.3f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -221,6 +246,7 @@ def main():
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
     bench_study(STUDY_DEGREES, NEWTON_REPEATS)
+    bench_quadrature(QUADRATURE_REPEATS)
 
 
 if __name__ == "__main__":

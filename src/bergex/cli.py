@@ -74,12 +74,15 @@ def _positive_finite(value):
 
 
 def _degrees(config, default=_REQUIRED):
-    """The study field 'degrees': at least two distinct integers >= 0. A
-    study solves each distinct degree once, so a repeat would be dropped."""
+    """The study field 'degrees': at least two distinct integers in
+    0..MAX_DEGREE. A study solves each distinct degree once, so a repeat
+    would be dropped."""
     return _field(config, "degrees", list, lambda v: len(v) >= 2 and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in v)
+        isinstance(n, int) and not isinstance(n, bool)
+        and 0 <= n <= kernelspec.MAX_DEGREE for n in v)
         and len(set(v)) == len(v),
-        "need at least two distinct integers >= 0", default)
+        f"need at least two distinct integers in 0..{kernelspec.MAX_DEGREE}",
+        default)
 
 
 def _validate_common(config):
@@ -193,14 +196,17 @@ def _solution_body(spec, tolerance, solution, reports):
     }
 
 
-def _requested_checks(config, degree):
+def _requested_checks(config, p, degree, kernel):
     """The check records that the config's 'checks' and 'fourier_m_max'
-    ask for, as ``check_records`` expands them."""
+    ask for, as ``check_records`` expands them. 'fourier_m_max' is at most
+    the largest frequency of |F|^p, (p/2) * degree, or of the kernel: past
+    it both sides of the Fourier formula vanish."""
     names = _field(config, "checks", list,
                    lambda v: all(isinstance(name, str) for name in v),
                    "checks must be a list of check names", DEFAULT_CHECKS)
-    m_max = _field(config, "fourier_m_max", int, lambda v: v >= 0,
-                   "fourier_m_max must be >= 0", 8)
+    top = max(p // 2 * degree, kernel.degree)
+    m_max = _field(config, "fourier_m_max", int, lambda v: 0 <= v <= top,
+                   f"fourier_m_max must be in 0..{top}", 8)
     return check_records(names, degree, m_max)
 
 
@@ -212,7 +218,7 @@ def _gating(reports):
 def run_solve(config, out=None):
     p, tolerance, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
-    checks = _requested_checks(config, degree)
+    checks = _requested_checks(config, p, degree, kernel)
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
                             DEFAULT_MAX_ITERATIONS)
@@ -338,8 +344,9 @@ def _study_family(config, seed):
         raise ConfigError("config field 'family' must be \"standard\" or a "
                           "non-empty list of kernel specs")
     entries = []
-    degree = _field(config, "degree", int, lambda v: v >= 0,
-                    "degree must be >= 0", 64)
+    degree = _field(config, "degree", int,
+                    lambda v: 0 <= v <= kernelspec.MAX_DEGREE,
+                    f"degree must be in 0..{kernelspec.MAX_DEGREE}", 64)
     for item in specs:
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),

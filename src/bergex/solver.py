@@ -446,7 +446,7 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
         if m not in degrees:
             continue
         if failure is not None:
-            raise NonConvergenceError(failure, trace)
+            raise NonConvergenceError(f"degree {m}: {failure}", trace)
         f = AnalyticPoly(a)
         F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
         phi_norm = float(functional_value(kernel, F).real)

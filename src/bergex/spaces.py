@@ -10,12 +10,16 @@ so no quadrature error enters the even-p route at all, and every Fourier
 coefficient of |f|^p on the circle comes out of one autocorrelation of b
 (``abs_power_spectrum``). General exponents fall back to tensor quadrature
 on the disc (64 Gauss-Legendre radii, uniform angles) or to quadrature on
-the unit circle; each circle of samples is one inverse FFT of the scaled
-coefficients a_t r^t.
+the unit circle. The circles are sampled by FFT of the scaled coefficients
+a_t r^t, one transform per block of 8 radii (``_circle_means``). Real
+coefficients are conjugate symmetric on each circle, f(r e^{-i theta}) =
+conj f(r e^{i theta}), so their real FFT samples the half circle 0..pi and
+the mean of |f|^p counts the inner angles twice; complex coefficients take
+the full inverse FFT.
 """
 
 import numpy as np
-from scipy.fft import ifft
+from scipy.fft import ifft, rfft
 from scipy.special import roots_legendre
 
 from ._backend import xcorr
@@ -83,6 +87,18 @@ def hardy_norm_even(f, p):
     return float(np.sum(np.abs(u.coeffs) ** 2)) ** (1.0 / p)
 
 
+def _fold(scaled, count):
+    """Rows of coefficients folded onto t mod count: at most ``count``
+    columns, the sum of the entries t, t + count, t + 2 count, ... in
+    column t. An FFT of length ``count`` pads the rows with zeros."""
+    rows, n = scaled.shape[:-1], scaled.shape[-1]
+    if n <= count:
+        return scaled
+    folded = np.zeros(rows + (-(-n // count) * count,), dtype=scaled.dtype)
+    folded[..., :n] = scaled
+    return folded.reshape(rows + (-1, count)).sum(axis=-2)
+
+
 def _circle_values(f, radius, count):
     """f at the ``count`` points radius * e^{2 pi i j / count}, j = 0..count-1.
 
@@ -91,9 +107,7 @@ def _circle_values(f, radius, count):
     folded onto t mod count (the samples cannot tell them apart).
     """
     scaled = f.coeffs * radius ** np.arange(len(f.coeffs))
-    folded = np.zeros(-(-len(scaled) // count) * count, dtype=complex)
-    folded[:len(scaled)] = scaled
-    return count * ifft(folded.reshape(-1, count).sum(axis=0))
+    return count * ifft(_fold(scaled, count), count)
 
 
 # Floor on the grid bandwidth for non-even exponents: |f|^p is then not a
@@ -102,6 +116,9 @@ def _circle_values(f, radius, count):
 # the default grid honest for low-degree inputs.
 _GENERAL_MIN_BANDWIDTH = 256
 _RADIAL_COUNT = 64
+# Radii per FFT in _circle_means. On the 2048 angles of every degree below
+# 512, a block's largest temporary (8 circles of complex samples) is 256 kB.
+_RADIUS_BLOCK = 8
 
 
 def _radial_rule(count):
@@ -118,6 +135,36 @@ def _radial_rule(count):
 _RADII, _RADIAL_WEIGHTS = _radial_rule(_RADIAL_COUNT)
 
 
+def _circle_means(f, p, radii, count):
+    """Mean of |f|^p over the ``count`` points r e^{2 pi i j / count}, for
+    each radius r in ``radii`` and an even ``count``.
+
+    Each block of _RADIUS_BLOCK radii is one FFT along the rows of the
+    scaled coefficients a_t r^t, one row per radius, folded as in
+    _circle_values. Real coefficients give f(r e^{-i theta}) =
+    conj f(r e^{i theta}), so |f| on the circle is |rfft| at the
+    count/2 + 1 angles 0..pi: the mean weights the angles 0 and pi by
+    1/count and the others by 2/count.
+    """
+    coeffs = f.coeffs
+    real = not np.any(coeffs.imag)
+    if real:
+        coeffs = coeffs.real
+        weights = np.full(count // 2 + 1, 2.0 / count)
+        weights[[0, -1]] = 1.0 / count
+    powers = np.arange(len(coeffs))
+    means = []
+    for start in range(0, len(radii), _RADIUS_BLOCK):
+        block = np.asarray(radii[start:start + _RADIUS_BLOCK], dtype=float)
+        folded = _fold(coeffs * block[:, None] ** powers, count)
+        if real:
+            means.append(np.abs(rfft(folded, count)) ** p @ weights)
+        else:
+            vals = count * ifft(folded, count)
+            means.append(np.mean(np.abs(vals) ** p, axis=1))
+    return np.concatenate(means)
+
+
 def bergman_norm_general(f, p):
     """||f||_{A^p} for real p > 1 by tensor quadrature over the disc."""
     if p <= 1:
@@ -125,11 +172,8 @@ def bergman_norm_general(f, p):
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
-    total = 0.0
-    for radius, weight in zip(_RADII.tolist(), _RADIAL_WEIGHTS.tolist()):
-        vals = _circle_values(f, radius, count)
-        total += weight * float(np.mean(np.abs(vals) ** p))
-    return total ** (1.0 / p)
+    means = _circle_means(f, p, _RADII, count)
+    return float(_RADIAL_WEIGHTS @ means) ** (1.0 / p)
 
 
 def hardy_norm_general(f, p):
@@ -143,8 +187,7 @@ def hardy_norm_general(f, p):
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
-    vals = _circle_values(f, 1.0, count)
-    return float(np.mean(np.abs(vals) ** p)) ** (1.0 / p)
+    return float(_circle_means(f, p, [1.0], count)[0]) ** (1.0 / p)
 
 
 def fourier_coeff_abs_power(f, p, m):

@@ -36,9 +36,10 @@ def test_every_table_runs(bench_kernels, capsys):
     bench_kernels.bench_emit([16], 1)
     newton = solver._newton
     bench_kernels.bench_study([8, 16], 1)
+    bench_kernels.bench_quadrature(1)
     assert _backend.FFT_THRESHOLD == threshold
     assert solver._newton is newton
     out = capsys.readouterr().out
     for table in ("conv:", "xcorr:", "newton_step:", "solve:", "emit:",
-                  "study:"):
+                  "study:", "quadrature:"):
         assert table in out

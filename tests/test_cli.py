@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bergex import checks, cli, spaces
+from bergex import checks, cli, kernelspec, spaces
 from bergex.checks import check_fourier_formula
 from bergex.poly import AnalyticPoly, as_poly
 from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
@@ -566,6 +566,36 @@ class TestConfigFieldTypes:
         assert code == 3
         assert "'degrees'" in err
 
+    @pytest.mark.parametrize("case, field, value", [
+        ("convergence", "degrees", [8, kernelspec.MAX_DEGREE + 1]),
+        ("hinfty", "degrees", [16, 10 ** 12]),
+        ("growth-explicit", "degree", kernelspec.MAX_DEGREE + 1),
+        # p = 4 at degree 16 and a linear kernel: |F|^4 has frequencies
+        # up to 32 and the kernel up to 1
+        ("solve", "fourier_m_max", 33),
+    ])
+    def test_size_fields_are_bounded(self, tmp_path, capsys, case, field,
+                                     value):
+        # a size past its bound exits 3 before anything of that size is
+        # allocated, instead of a MemoryError traceback or a file of
+        # records that check nothing
+        code, err = self.run(tmp_path, capsys, case, field, value)
+        assert code == 3
+        assert repr(field) in err
+
+    def test_fourier_m_max_reaches_the_top_frequency(self, tmp_path):
+        # the extremal function of z is a multiple of z, so every Fourier
+        # record passes, up to the bound 32 of p = 4 at degree 16
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": 16, "kernel": MONOMIAL_Z,
+            "fourier_m_max": 32})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", config, "--out", str(out)]) == 0
+        records = load_report(out)["body"]["checks"]
+        ms = [r["context"]["m"] for r in records
+              if r["check_name"] == "fourier_formula"]
+        assert ms == list(range(33))
+
     @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
     @pytest.mark.parametrize("case, field", NUMBER_FIELDS)
     def test_number_fields(self, tmp_path, capsys, case, field, value):
@@ -624,7 +654,8 @@ class TestCheckSuiteWork:
             return original(f, m)
 
         monkeypatch.setattr(spaces, "power", counting_power)
-        records = cli._requested_checks({}, solution.degree)
+        records = cli._requested_checks({}, solution.p, solution.degree,
+                                        solution.kernel)
         reports = checks.check_reports(records, solution.F, solution.kernel,
                                        solution.p, solution.phi_norm)
         assert len(reports) == 12

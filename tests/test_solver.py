@@ -576,6 +576,16 @@ class TestDegreeLadder:
         alone = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64))
         assert trace[0][1] == pytest.approx(alone.trace[0][1], rel=1e-12)
 
+    def test_failure_names_the_requested_degree(self):
+        # one ladder serves several degrees, so its message says which
+        # of them failed; the rung below it (32) is not requested
+        kernel = as_poly(np.eye(41)[0] + np.eye(41)[40])
+        ladder = solve_ladder(4, kernel, [8, 64], max_iterations=2)
+        assert next(ladder).degree == 8
+        with pytest.raises(NonConvergenceError) as exc_info:
+            next(ladder)
+        assert str(exc_info.value).startswith("degree 64: no convergence")
+
 
 class TestFinalStep:
     """The step at a converged iterate reuses the previous Cholesky factor."""

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergex import spaces
 from bergex.poly import as_poly, monomial
 from bergex.spaces import (
     _angular_count,
+    _circle_means,
     _circle_values,
     bergman_inner,
     bergman_norm_even,
@@ -31,6 +33,17 @@ def nonzero_polys(max_degree=10):
         st.lists(entry, min_size=1, max_size=max_degree + 1)
         .map(as_poly)
         .filter(lambda f: not f.is_zero())
+    )
+
+
+def real_polys(max_degree=10):
+    """Real coefficients, one of them at least 0.1 in size: |f|^p of a
+    polynomial of subnormal size would underflow."""
+    return (
+        st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1,
+                 max_size=max_degree + 1)
+        .filter(lambda c: max(map(abs, c)) >= 0.1)
+        .map(as_poly)
     )
 
 
@@ -181,6 +194,82 @@ class TestCircleValues:
         vals = _circle_values(as_poly([]), 0.5, 8)
         assert vals.shape == (8,)
         assert not vals.any()
+
+
+def horner_means(f, p, radii, count):
+    """Mean of |f|^p over count equispaced points on each circle, with f
+    evaluated by Horner: the oracle for the FFT quadrature."""
+    angles = np.exp(2j * np.pi * np.arange(count) / count)
+    return np.array([np.mean(np.abs(f(r * angles)) ** p) for r in radii])
+
+
+def grid_count(f):
+    return _angular_count(max(f.degree, spaces._GENERAL_MIN_BANDWIDTH))
+
+
+class TestCircleMeans:
+    """Batched circle quadrature: one FFT per block of radii, and the half
+    circle for real coefficients."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [6.0 / 5.0, 4.0 / 3.0, 2.7])
+    def test_norms_match_horner_on_the_same_grid(self, kind, p):
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal(41)
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal(41)
+        f = as_poly(c)
+        count = grid_count(f)
+        means = horner_means(f, p, spaces._RADII, count)
+        assert bergman_norm_general(f, p) == pytest.approx(
+            float(spaces._RADIAL_WEIGHTS @ means) ** (1.0 / p), rel=1e-13)
+        assert hardy_norm_general(f, p) == pytest.approx(
+            horner_means(f, p, [1.0], count)[0] ** (1.0 / p), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("count", [16, 64])
+    def test_means_match_horner(self, kind, count):
+        # 19 radii: two full blocks and a partial one; at count 16 the
+        # degree-40 coefficients fold onto t mod 16
+        rng = np.random.default_rng(count)
+        c = rng.standard_normal(41)
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal(41)
+        f = as_poly(c)
+        radii = np.sort(rng.uniform(0.05, 1.0, 19))
+        np.testing.assert_allclose(_circle_means(f, 1.5, radii, count),
+                                   horner_means(f, 1.5, radii, count),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("length", [1, 5, 8, 19])
+    def test_blocks_agree_with_single_radii(self, kind, length):
+        assert 19 % spaces._RADIUS_BLOCK and 5 < spaces._RADIUS_BLOCK
+        rng = np.random.default_rng(length)
+        c = rng.standard_normal(30)
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal(30)
+        f = as_poly(c)
+        radii = spaces._RADII[-length:]
+        means = _circle_means(f, 4.0 / 3.0, radii, 256)
+        assert means.shape == (length,)
+        for radius, mean in zip(radii, means):
+            alone = _circle_means(f, 4.0 / 3.0, [radius], 256)
+            assert alone[0] == pytest.approx(mean, rel=1e-15)
+
+    @given(real_polys(), st.integers(1, 1023), st.floats(1.05, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_rotation_invariance(self, f, step, p):
+        # a rotation by a multiple of the angular step maps the grid onto
+        # itself; f(e^{i theta} z) has complex coefficients, so its norms
+        # take the full circle where f's take the half circle
+        count = grid_count(f)
+        theta = 2.0 * np.pi * step / count
+        g = as_poly(f.coeffs * np.exp(1j * theta * np.arange(len(f.coeffs))))
+        assert bergman_norm_general(g, p) == pytest.approx(
+            bergman_norm_general(f, p), rel=1e-13)
+        assert hardy_norm_general(g, p) == pytest.approx(
+            hardy_norm_general(f, p), rel=1e-13)
 
 
 class TestFourierCoeffAbsPower:
