@@ -18,20 +18,28 @@ median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
 of degree n = 96, 352 and 704. The "real" and "complex" columns time an
 iteration that steps before convergence: ``solver._newton_terms``
 (objective and gradient), ``solver._hessian`` and the Cholesky
-factorization of that Hessian. The "real" column passes the
-coefficients as a real vector, which the solver does for a real kernel
-(n+1 unknowns); the "complex" column passes e^{0.7i} a_t, whose Hessian
-has 2(n+1) rows. The "real final" and "complex final" columns time the
+factorization of that Hessian by LAPACK's ``dpotrf``, called directly as
+the solver calls it. The "real" column passes the coefficients as a real
+vector, which the solver does for a real kernel (n+1 unknowns); the
+"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows. The "real final" and "complex final" columns time the
 iteration that meets the tolerance: objective and gradient, then the
-step with the Cholesky factor kept from the iteration before, which is
-all the solver's final step costs now that it builds no Hessian. Pin
-OpenBLAS to one thread for this table: on a 2-CPU VM its threads made
-single cells up to 20x slower from run to run.
+step with the Cholesky factor kept from the iteration before (LAPACK's
+``dpotrs``), which is all the solver's final step costs now that it
+builds no Hessian. Pin OpenBLAS to one thread for this table: on a
+2-CPU VM its threads made single cells up to 20x slower from run to run.
 
 The ``solve`` table times a whole ``solver.solve_extremal`` call (the
 degree ladder, the certificate included) for the real kernel a_t =
 (t+1)^-1.6, t < 64, at the same degrees and p = 4 and 6, median of 5
 calls, with the iterations taken at the requested degree.
+
+The ``ladder`` table solves each standard-family kernel at its
+calibrated degree, p = 4 and 6 and tolerance 1e-12, median of 5 calls
+per solve. For each rung of the degree ladder it lists the degree and,
+in parentheses, the iterations ``solver._newton`` reported there (the
+iteration that met the rung's tolerance: the square root of 1e-12 below
+the requested degree, 1e-12 at it), and it counts the Hessians the
+whole solve built (calls of ``solver._gram``).
 
 The ``emit`` table times the report layer at the same degrees, median
 of 5 calls, on the solution of that kernel at p = 4 with the default
@@ -64,7 +72,7 @@ import tempfile
 import time
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_reports, convergence_study
@@ -117,13 +125,12 @@ def bench_operation(name, fn, sizes, repeats):
 def newton_step(a, p):
     """One iteration's dense work: Newton terms, Hessian, Cholesky factor."""
     wu, v = _newton_terms(a, p)[2:]
-    return cho_factor(_hessian(a, p, wu, v), overwrite_a=True,
-                      check_finite=False)
+    return dpotrf(_hessian(a, p, wu, v), overwrite_a=1, clean=0)[0]
 
 
 def final_step(a, p, factor):
     """The converged iteration's: Newton terms, then a step with ``factor``."""
-    cho_solve(factor, _newton_terms(a, p)[1], check_finite=False)
+    dpotrs(factor, _newton_terms(a, p)[1])
 
 
 def bench_newton_step(sizes, repeats):
@@ -161,10 +168,46 @@ def bench_solve(sizes, repeats):
             print(f"{n:>6}{p:>4}{millis:>12.2f}{iterations:>12}")
 
 
+def bench_ladder(repeats):
+    print("\nladder: median milliseconds per standard-family solve")
+    header = (f"{'kernel':>16}{'p':>4}{'n':>6}{'ms':>10}{'hessians':>10}"
+              f"  rungs (iterations)")
+    print(header)
+    print("-" * len(header))
+    gram, newton = solver._gram, solver._newton
+    builds, rungs = [0], []
+
+    def counting_gram(*args):
+        builds[0] += 1
+        return gram(*args)
+
+    def recording_newton(c_hat, *args):
+        a, trace, failure = newton(c_hat, *args)
+        rungs.append(f"{len(c_hat) - 1}({trace[-1][0]})")
+        return a, trace, failure
+
+    for p in (4, 6):
+        for name, kernel, n in standard_family():
+            problem = ExtremalProblem(p=p, kernel=kernel, degree=n,
+                                      tolerance=1e-12)
+            millis = time_call(solve_extremal, problem, repeats=repeats) * 1e3
+            builds[0] = 0
+            rungs.clear()
+            solver._gram, solver._newton = counting_gram, recording_newton
+            try:
+                solve_extremal(problem)
+            finally:
+                solver._gram, solver._newton = gram, newton
+            print(f"{name:>16}{p:>4}{n:>6}{millis:>10.2f}{builds[0]:>10}"
+                  f"  {' '.join(rungs)}")
+
+
 def read_solution(path):
     """What ``bergex verify`` parses first: the file and its coefficients."""
     with open(path, encoding="utf-8") as fh:
-        return cli._read_coefficients(json.load(fh)["body"]["solution"])
+        body = json.load(fh)["body"]
+    return cli._read_coefficients(body["solution"],
+                                  body["problem"]["degree"])
 
 
 def bench_emit(sizes, repeats):
@@ -244,6 +287,7 @@ def main():
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
     bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_ladder(NEWTON_REPEATS)
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
     bench_study(STUDY_DEGREES, NEWTON_REPEATS)
     bench_quadrature(QUADRATURE_REPEATS)

@@ -135,10 +135,12 @@ def _json_coefficients(coeffs):
     return np.column_stack([coeffs.real, coeffs.imag]).tolist()
 
 
-def _read_coefficients(solution):
-    """The complex coefficients a solution section records, bit for bit:
-    the pairs ``_pairs_field`` validates, through ``_complex_pairs``."""
-    return _complex_pairs(_pairs_field(solution, "coefficients"))
+def _read_coefficients(solution, degree):
+    """The complex coefficients a solution section of the given degree
+    records, bit for bit: the pairs ``_pairs_field`` validates, through
+    ``_complex_pairs``. F lies in P_degree, so there are at most
+    degree + 1 of them; fewer are valid, since trailing zeros are trimmed."""
+    return _complex_pairs(_pairs_field(solution, "coefficients", degree + 1))
 
 
 def _header(seed=None):
@@ -261,7 +263,7 @@ def run_verify(solution_path, out=None):
         p, _, degree, spec = _problem(body["problem"])
         kernel = kernelspec.realize(spec)
         solution = body["solution"]
-        F = AnalyticPoly(_read_coefficients(solution))
+        F = AnalyticPoly(_read_coefficients(solution, degree))
         phi_norm = _field(solution, "phi_norm", float, _positive_finite,
                           "phi_norm must be positive and finite")
         recorded_max = _field(solution, "residual_max", float)

@@ -23,8 +23,8 @@ class ConfigError(ValueError):
 
 
 # The largest working degree a config may ask for, and the largest degree
-# of a power-decay kernel. The solver's dense Hessian has 2(n+1) rows for
-# a complex kernel, 0.5 GB at this degree.
+# of a kernel, explicit or power-decay. The solver's dense Hessian has
+# 2(n+1) rows for a complex kernel, 0.5 GB at this degree.
 MAX_DEGREE = 4096
 
 
@@ -68,12 +68,15 @@ def _finite_number(value):
         return False
 
 
-def _pairs_field(data, key):
-    """data[key]: a non-empty list of [re, im] pairs of finite numbers."""
-    return _field(data, key, list, lambda values: values and all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2
-        and all(map(_finite_number, pair)) for pair in values),
-        "need a non-empty list of [re, im] pairs of finite numbers")
+def _pairs_field(data, key, limit):
+    """data[key]: a non-empty list of at most ``limit`` [re, im] pairs of
+    finite numbers. The length is checked before any pair is."""
+    return _field(data, key, list, lambda values: (
+        0 < len(values) <= limit and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(map(_finite_number, pair)) for pair in values)),
+        f"need a non-empty list of at most {limit} [re, im] pairs of "
+        f"finite numbers")
 
 
 def _complex_pairs(pairs):
@@ -135,8 +138,10 @@ def from_dict(data):
         raise ConfigError("kernel spec must be an object with a 'type' field")
     t = _field(data, "type", str)
     if t == "coeffs":
-        return {"type": t, "values": [[float(re), float(im)] for re, im
-                                      in _pairs_field(data, "values")]}
+        # a kernel of degree at most MAX_DEGREE, as power_decay's count
+        values = _pairs_field(data, "values", MAX_DEGREE + 1)
+        return {"type": t,
+                "values": [[float(re), float(im)] for re, im in values]}
     if t == "power_decay":
         return {"type": t,
                 "alpha": _field(data, "alpha", float, math.isfinite,

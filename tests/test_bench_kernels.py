@@ -1,10 +1,10 @@
 """Smoke test for the kernel timing script under benchmarks/.
 
 ``benchmarks/bench_kernels.py`` reaches into bergex by name, the private
-``solver._newton_terms``, ``solver._hessian``, ``solver._newton`` and
-the report writer and reader of ``cli`` included, and nothing else runs
-it. Each of its tables runs here once at the smallest size, so a rename
-that breaks the script fails here.
+``solver._newton_terms``, ``solver._hessian``, ``solver._newton``,
+``solver._gram`` and the report writer and reader of ``cli`` included,
+and nothing else runs it. Each of its tables runs here once at the
+smallest size, so a rename that breaks the script fails here.
 """
 
 import importlib
@@ -34,12 +34,14 @@ def test_every_table_runs(bench_kernels, capsys):
     bench_kernels.bench_newton_step([16], 1)
     bench_kernels.bench_solve([16], 1)
     bench_kernels.bench_emit([16], 1)
-    newton = solver._newton
+    newton, gram = solver._newton, solver._gram
+    bench_kernels.bench_ladder(1)
     bench_kernels.bench_study([8, 16], 1)
     bench_kernels.bench_quadrature(1)
     assert _backend.FFT_THRESHOLD == threshold
     assert solver._newton is newton
+    assert solver._gram is gram
     out = capsys.readouterr().out
-    for table in ("conv:", "xcorr:", "newton_step:", "solve:", "emit:",
-                  "study:", "quadrature:"):
+    for table in ("conv:", "xcorr:", "newton_step:", "solve:", "ladder:",
+                  "emit:", "study:", "quadrature:"):
         assert table in out

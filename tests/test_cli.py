@@ -245,7 +245,7 @@ class TestReportEncoding:
         out = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(out))
         recorded = load_report(out)["body"]["solution"]
-        reloaded = cli._read_coefficients(recorded)
+        reloaded = cli._read_coefficients(recorded, solution.degree)
         assert reloaded.dtype == complex
         assert reloaded.tobytes() == solution.F.coeffs.tobytes()
         assert math.copysign(1.0, reloaded[0].real) == -1.0
@@ -379,6 +379,10 @@ class TestVerifyCommand:
         ("check_name", "norm_equality", 5),
         ("check_name", "norm_equality", None),
         ("checks", "body", [["norm_equality", 0.0, {}]]),
+        # F of degree 33 in a file of degree 32, although its top
+        # coefficient is negligible
+        ("coefficients", "solution",
+         [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 31 + [[1e-300, 0.0]]),
     ])
     def test_malformed_recorded_field_is_invalid_input(
             self, solved_artifact, tmp_path, capsys, field, where, value):

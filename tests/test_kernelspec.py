@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bergex.kernelspec import (
+    MAX_DEGREE,
     ConfigError,
     coeffs_spec,
     describe,
@@ -54,6 +55,12 @@ class TestValidation:
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
             from_dict({"type": "coeffs", "values": []})
+
+    def test_coeffs_up_to_max_degree_accepted(self):
+        # one more pair is rejected (TestSerialization)
+        values = [[1.0, 0.0]] * (MAX_DEGREE + 1)
+        assert from_dict({"type": "coeffs", "values": values})["values"] \
+            == values
 
     def test_power_decay_needs_count(self):
         with pytest.raises(ValueError, match="'count'"):
@@ -142,6 +149,9 @@ class TestSerialization:
             ({"type": "coeffs", "values": [[1.0, 0.0], [1.0, False]]},
              "values"),
             ({"type": "coeffs", "values": [[10 ** 400, 0.0]]}, "values"),
+            # a kernel of degree past MAX_DEGREE, as for count
+            ({"type": "coeffs", "values": [[1.0, 0.0]] * (MAX_DEGREE + 2)},
+             "values"),
             ({"type": "truncate", "inner": inner, "n": 1.5}, "n"),
             ({"type": "truncate", "inner": inner, "n": True}, "n"),
             ({"type": "truncate", "inner": [inner], "n": 1}, "inner"),

@@ -504,28 +504,78 @@ class TestDegreeLadder:
 
     @pytest.mark.parametrize("p", [4, 6])
     def test_agrees_with_explicit_start(self, p):
-        # an explicit start is one solve at degree n from that start; of
-        # the last two kernels, one vanishes on rung 24 (which is skipped)
-        # and one is real there but not at degree 48
-        n = 96
+        # an explicit start is one solve at degree n from that start, to
+        # the tolerance at every step, while the ladder's rungs below n
+        # stop at its square root; of the kernels at n = 96, one vanishes
+        # on rung 24 (which is skipped) and one is real there but not at
+        # degree 48; the family kernel climbs four or five rungs
         vanishing = np.zeros(31, dtype=complex)
         vanishing[30] = 1.0
         turning = np.zeros(41, dtype=complex)
         turning[:2], turning[40] = [1.0, 0.5], 0.2j
-        for c in [[1.0, 0.5, -0.25, 0.1j], [0.3, -1.0, 0.2j, 0.0, 0.4],
-                  vanishing, turning]:
-            problem = ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
+        family = {4: "one-plus-z", 6: "cubic-mix"}[p]
+        cases = [(as_poly(c), 96) for c in [[1.0, 0.5, -0.25, 0.1j],
+                                            [0.3, -1.0, 0.2j, 0.0, 0.4],
+                                            vanishing, turning]]
+        cases += [(k, n) for name, k, n in standard_family() if name == family]
+        for kernel, n in cases:
+            problem = ExtremalProblem(p=p, kernel=kernel, degree=n,
                                       tolerance=1e-12)
             ladder = solve_extremal(problem)
-            direct = solve_extremal(problem, start=as_poly(c))
+            direct = solve_extremal(problem, start=kernel)
             np.testing.assert_allclose(ladder.F.padded(n + 1),
                                        direct.F.padded(n + 1),
                                        rtol=0, atol=1e-12)
 
+    def test_unrequested_rungs_solve_to_sqrt_tolerance(self, monkeypatch):
+        # a rung below the requested degrees only starts the one above it,
+        # so it stops at the square root of the tolerance; a tolerance of
+        # at least 1 is never tightened
+        tolerances, newton = [], solver._newton
+
+        def recording_newton(c_hat, p, a, tolerance, max_iterations):
+            tolerances.append(tolerance)
+            return newton(c_hat, p, a, tolerance, max_iterations)
+
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        kernel = as_poly([1.0, 1.0])
+        solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160,
+                                       tolerance=1e-12))
+        assert _rungs(160) == [20, 40, 80, 160]
+        assert tolerances == [1e-6, 1e-6, 1e-6, 1e-12]
+
+        # rungs 8, 24, 32 and 64, of which 32 alone is not requested
+        tolerances.clear()
+        ladder = list(solve_ladder(4, kernel, [8, 24, 64], 1e-12))
+        assert [sol.degree for sol in ladder] == [8, 24, 64]
+        assert tolerances == [1e-12, 1e-12, 1e-6, 1e-12]
+
+        tolerances.clear()
+        solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160,
+                                       tolerance=4.0))
+        assert tolerances == [4.0] * 4
+
+    def test_hessians_per_family_pass_bounded(self, monkeypatch):
+        # the 18 family solves at the default seed build 126 Hessians, 168
+        # when every rung solved to the full tolerance
+        builds, gram = [0], solver._gram
+
+        def counting_gram(*args):
+            builds[0] += 1
+            return gram(*args)
+
+        monkeypatch.setattr(solver, "_gram", counting_gram)
+        for p in (4, 6):
+            for _, kernel, n in standard_family():
+                solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n,
+                                               tolerance=1e-12))
+        assert 0 < builds[0] <= 130
+
     def test_unreachable_tolerance_raises_from_requested_degree(self):
-        # every rung fails at its float floor; the error carries the trace
-        # of degree 64, which starts at the minimum of rung 32 and ends at
-        # the minimum of degree 64
+        # rungs 16 and 32 meet 1e-15, the square root of the tolerance,
+        # and degree 64 fails at its float floor; the error carries the
+        # trace of degree 64, which starts at the minimum of rung 32 and
+        # ends at the minimum of degree 64
         kernel = as_poly([1.0, 1.0])
 
         def minimum(n):
@@ -628,11 +678,12 @@ class TestFinalStep:
                                       "power-decay-3.0", "random-0"])
     def test_reaches_the_float_floor(self, monkeypatch, name, p):
         # The last _newton_terms call of the solve is at degree n's
-        # converged iterate, and the last cho_solve takes its final step,
-        # whole, since its predicted decrease is below J's resolution; the
-        # reference takes that step with a Hessian built there.
+        # converged iterate, and the last dpotrs solve takes its final
+        # step, whole, since its predicted decrease is below J's
+        # resolution; the reference takes that step with a Hessian built
+        # there.
         seen = {}
-        terms, solve = solver._newton_terms, solver.cho_solve
+        terms, solve = solver._newton_terms, solver.dpotrs
 
         def recording_terms(a, *args):
             seen["a"] = a
@@ -643,7 +694,7 @@ class TestFinalStep:
             return solve(factor, grad, **kwargs)
 
         monkeypatch.setattr(solver, "_newton_terms", recording_terms)
-        monkeypatch.setattr(solver, "cho_solve", recording_solve)
+        monkeypatch.setattr(solver, "dpotrs", recording_solve)
         kernel, n = self.FAMILY[name]
         sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
 
