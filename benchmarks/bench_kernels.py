@@ -28,6 +28,15 @@ step with the Cholesky factor kept from the iteration before (LAPACK's
 builds no Hessian. Pin OpenBLAS to one thread for this table: on a
 2-CPU VM its threads made single cells up to 20x slower from run to run.
 
+The ``power`` table times the Fourier coefficients b_0..b_{(p/2) n} of
+|f|^p, f^{p/2} correlated with itself, at p = 4 and 6 on the same
+coefficients and degrees, median of ``--repeats`` calls. "chained" is
+the route of products and one correlation, p/2 - 1 calls of
+``_backend.conv`` and one of ``_backend.xcorr``; "real" and "complex"
+are ``_backend.abs_power_xcorr``, one transform of f, on a_t and on
+e^{0.7i} a_t. "error" is the largest difference between "chained" and
+"complex", relative to the largest |b_m|.
+
 The ``solve`` table times a whole ``solver.solve_extremal`` call (the
 degree ladder, the certificate included) for the real kernel a_t =
 (t+1)^-1.6, t < 64, at the same degrees and p = 4 and 6, median of 5
@@ -152,6 +161,37 @@ def bench_newton_step(sizes, repeats):
             real, real_final, cplx, cplx_final = (t * 1e3 for t in times)
             print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}"
                   f"{real_final:>12.2f}{cplx_final:>15.2f}")
+
+
+def chained_spectrum(a, p):
+    """b_m of |f|^p by p/2 - 1 products and one correlation."""
+    u = a
+    for _ in range(p // 2 - 1):
+        u = _backend.conv(u, a)
+    return _backend.xcorr(u, u)
+
+
+def bench_power(sizes, repeats):
+    print("\npower: median milliseconds per |f|^p spectrum")
+    header = (f"{'n':>6}{'p':>4}{'chained':>10}{'real':>10}{'complex':>10}"
+              f"{'error':>10}")
+    print(header)
+    print("-" * len(header))
+    for n in sizes:
+        a = (np.arange(n + 1) + 1.0) ** -1.6 + 0j
+        rotated = np.exp(0.7j) * a
+        for p in (4, 6):
+            chained, real, cplx = (
+                time_call(fn, coeffs, p, repeats=repeats) * 1e3
+                for fn, coeffs in ((chained_spectrum, rotated),
+                                   (_backend.abs_power_xcorr, a),
+                                   (_backend.abs_power_xcorr, rotated)))
+            expected = chained_spectrum(rotated, p)
+            error = (np.max(np.abs(_backend.abs_power_xcorr(rotated, p)
+                                   - expected))
+                     / np.max(np.abs(expected)))
+            print(f"{n:>6}{p:>4}{chained:>10.3f}{real:>10.3f}{cplx:>10.3f}"
+                  f"{error:>10.1e}")
 
 
 def bench_solve(sizes, repeats):
@@ -286,6 +326,7 @@ def main():
     bench_operation("conv", _backend.conv, sizes, args.repeats)
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
     bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_power(NEWTON_SIZES, args.repeats)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
     bench_ladder(NEWTON_REPEATS)
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)

@@ -42,7 +42,7 @@ import numpy as np
 from ._backend import xcorr
 from .families import power_decay_kernel
 from .poly import AnalyticPoly, k_transform
-from .solver import ExtremalProblem, solve_extremal, solve_ladder
+from .solver import ExtremalProblem, _rescaled, solve_extremal, solve_ladder
 from .spaces import (
     _circle_values,
     abs_power_spectrum,
@@ -107,7 +107,7 @@ def _boundary_sides(F, k, p, phi_norm):
     lhs = np.zeros(max(len(b), count), dtype=complex)
     rhs = np.zeros_like(lhs)
     lhs[:len(b)] = np.conj(b)
-    rhs[:count] = np.conj(kernel_side) / phi_norm
+    rhs[:count] = np.divide(*_rescaled(np.conj(kernel_side), phi_norm))
     return lhs, rhs
 
 
@@ -222,7 +222,7 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     # rhs is homogeneous in k: norms of k / max|c_t| keep |G|^q from a
     # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
     scale = float(np.max(np.abs(k.coeffs)))
-    c = k.coeffs / scale
+    c = np.divide(*_rescaled(k.coeffs, scale))
     t = np.arange(len(c))
     G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
     b0 = float(spectrum[0].real) if len(spectrum) else 0.0

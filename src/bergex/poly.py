@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _backend
 from ._backend import conv
 
 # Trailing coefficients at or below this magnitude are treated as zero
@@ -134,13 +135,12 @@ def multiply(f, g):
 
 
 def power(f, m):
-    """f^m by repeated multiplication; power(f, 0) is the constant 1."""
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    out = ONE
-    for _ in range(m):
-        out = multiply(out, f)
-    return out
+    """f^m; power(f, 0) is the constant 1.
+
+    ``_backend.power``: m - 1 direct products while the degree m deg f is
+    below the FFT threshold, one transform of f above it.
+    """
+    return AnalyticPoly(_backend.power(f.coeffs, m))
 
 
 def derivative(f):

@@ -8,9 +8,16 @@ with u = f^{p/2} and b its coefficient vector,
 
 so no quadrature error enters the even-p route at all, and every Fourier
 coefficient of |f|^p on the circle comes out of one autocorrelation of b
-(``abs_power_spectrum``). General exponents fall back to tensor quadrature
-on the disc (64 Gauss-Legendre radii, uniform angles) or to quadrature on
-the unit circle. The circles are sampled by FFT of the scaled coefficients
+(``abs_power_spectrum``). Above the FFT threshold of ``_backend``
+neither u nor that autocorrelation is built from products: u is a
+polynomial of degree (p/2) deg f and |f|^p a trigonometric polynomial of
+that bandwidth, so one transform of f on enough points of the circle,
+its pointwise power and one inverse give either of them to round-off
+(``_backend.power``, ``_backend.abs_power_xcorr``).
+
+General exponents fall back to tensor quadrature on the disc (64
+Gauss-Legendre radii, uniform angles) or to quadrature on the unit
+circle. The circles are sampled by FFT of the scaled coefficients
 a_t r^t, one transform per block of 8 radii (``_circle_means``). Real
 coefficients are conjugate symmetric on each circle, f(r e^{-i theta}) =
 conj f(r e^{i theta}), so their real FFT samples the half circle 0..pi and
@@ -22,7 +29,7 @@ import numpy as np
 from scipy.fft import ifft, rfft
 from scipy.special import roots_legendre
 
-from ._backend import xcorr
+from ._backend import abs_power_xcorr
 from .poly import power
 
 
@@ -211,11 +218,10 @@ def fourier_coeff_abs_power(f, p, m):
 def abs_power_spectrum(f, p):
     """All nonnegative-frequency Fourier coefficients of |f|^p at once.
 
-    Index m of the result equals fourier_coeff_abs_power(f, p, m); one
-    cross-correlation replaces the per-frequency sums.
+    Index m of the result equals fourier_coeff_abs_power(f, p, m), for
+    m = 0..(p/2) deg f; the zero polynomial gives an empty array. One
+    autocorrelation of f^{p/2} replaces the per-frequency sums
+    (``_backend.abs_power_xcorr``): above the FFT threshold it is one
+    transform of f, the pointwise |.|^p and one inverse.
     """
-    p = _require_even(p)
-    u = power(f, p // 2)
-    if u.is_zero():
-        return np.zeros(0, dtype=complex)
-    return xcorr(u.coeffs, u.coeffs)
+    return abs_power_xcorr(f.coeffs, _require_even(p))

@@ -32,6 +32,7 @@ def test_every_table_runs(bench_kernels, capsys):
     bench_kernels.bench_operation("conv", _backend.conv, [16], 1)
     bench_kernels.bench_operation("xcorr", _backend.xcorr, [16], 1)
     bench_kernels.bench_newton_step([16], 1)
+    bench_kernels.bench_power([16], 1)
     bench_kernels.bench_solve([16], 1)
     bench_kernels.bench_emit([16], 1)
     newton, gram = solver._newton, solver._gram
@@ -42,6 +43,6 @@ def test_every_table_runs(bench_kernels, capsys):
     assert solver._newton is newton
     assert solver._gram is gram
     out = capsys.readouterr().out
-    for table in ("conv:", "xcorr:", "newton_step:", "solve:", "ladder:",
-                  "emit:", "study:", "quadrature:"):
+    for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
+                  "ladder:", "emit:", "study:", "quadrature:"):
         assert table in out

@@ -343,6 +343,23 @@ class TestCoefficientBoundSweep:
                 assert scaled.context["worst_m"] == unscaled.context["worst_m"]
                 assert scaled.rhs == pytest.approx(unscaled.rhs, rel=1e-12)
 
+    def test_subnormal_kernel_scale(self, one_plus_z_solution):
+        # NumPy divides a complex array by a real d as c * (1/d), and 1/d
+        # overflows at a subnormal d: the solver's scaled kernel, the
+        # certificate, the boundary formula and the Ryabykh check all
+        # divide by such a d here, and a power of two scales each exactly
+        base = one_plus_z_solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_extremal(ExtremalProblem(
+                p=4, kernel=2.0 ** -1030 * base.kernel, degree=160,
+                tolerance=1e-12))
+            reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
+                                    sol.F, sol.kernel, 4, sol.phi_norm)
+        assert np.array_equal(sol.F.coeffs, base.F.coeffs)
+        assert sol.certified
+        assert all(r.passed for r in reports)
+
 
 class TestHinftyCriterion:
     def test_alpha_two_bounded(self):

@@ -501,6 +501,15 @@ class TestExitCodes:
         assert "did not converge" in err
         assert "iteration" in err
 
+    def test_nonconvergence_trace_prints_python_floats(self, tmp_path,
+                                                       capsys):
+        # the trace holds floats, so their repr carries no numpy type name
+        code = self.run_solve(tmp_path, {"degree": 64, "max_iterations": 1})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "iteration 0: objective -" in err
+        assert "np.float64" not in err
+
 
 # Smallest valid config per command; each field test sets one field on it.
 FIELD_CASES = {
