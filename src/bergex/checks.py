@@ -44,6 +44,7 @@ from .families import power_decay_kernel
 from .poly import AnalyticPoly, k_transform
 from .solver import ExtremalProblem, _rescaled, solve_extremal, solve_ladder
 from .spaces import (
+    _angular_count,
     _circle_values,
     abs_power_spectrum,
     bergman_norm_general,
@@ -323,7 +324,7 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
     l1 = {}
     for solution in solve_ladder(p, k, degrees, STUDY_TOLERANCE):
         n, F = solution.degree, solution.F
-        grid = 1 << max(10, (4 * F.degree + 4 - 1).bit_length())
+        grid = _angular_count(max(F.degree, 255))  # at least 1024 angles
         boundary = _circle_values(F, 1.0, grid)
         sups[n] = float(np.max(np.abs(boundary)))
         spec = np.abs(abs_power_spectrum(F, p))

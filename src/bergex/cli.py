@@ -62,6 +62,8 @@ def _load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _field(data, "schema_version", int, lambda v: v == SCHEMA_VERSION,
@@ -86,8 +88,9 @@ def _degrees(config, default=_REQUIRED):
 
 
 def _validate_common(config):
-    p = _field(config, "p", int, lambda v: v >= 2 and v % 2 == 0,
-               "p must be an even integer >= 2")
+    p = _field(config, "p", int,
+               lambda v: 2 <= v <= kernelspec.MAX_EXPONENT and v % 2 == 0,
+               f"p must be an even integer in 2..{kernelspec.MAX_EXPONENT}")
     tolerance = _field(config, "tolerance", float, _positive_finite,
                        "tolerance must be positive and finite",
                        DEFAULT_TOLERANCE)
@@ -279,6 +282,9 @@ def run_verify(solution_path, out=None):
     except (OSError, KeyError, TypeError, ValueError, OverflowError,
             json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(
+            "solution file is nested too deeply to read") from None
 
     # the range solve_extremal certifies: every nonzero pairing
     residuals = extremality_residual(F, kernel, p, phi_norm,
@@ -311,10 +317,11 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p = _study_exponent(config)
     q = p / (p - 1.0)
-    q1_list = _field(config, "q1_list", list,
-                     lambda v: v and all(map(_finite_number, v)),
-                     "q1_list must be a non-empty list of finite numbers",
-                     [q, 2.0, 4.0])
+    q1_list = _field(config, "q1_list", list, lambda v: v and all(
+        _finite_number(q1) and (p - 1) * q1 <= kernelspec.MAX_EXPONENT
+        for q1 in v),
+        f"q1_list must be a non-empty list of finite numbers q1 with "
+        f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}", [q, 2.0, 4.0])
     if seed is None:
         seed = _field(config, "seed", int, lambda v: v >= 0,
                       "seed must be >= 0", None)

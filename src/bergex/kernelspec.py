@@ -26,6 +26,9 @@ class ConfigError(ValueError):
 # of a kernel, explicit or power-decay. The solver's dense Hessian has
 # 2(n+1) rows for a complex kernel, 0.5 GB at this degree.
 MAX_DEGREE = 4096
+# The largest Lebesgue exponent a config may ask for: p, and the growth
+# study's (p - 1) q1. At p = 1100 ||f||_{A^p}^p underflows in the solver.
+MAX_EXPONENT = 1024
 
 
 _REQUIRED = object()
@@ -150,8 +153,12 @@ def from_dict(data):
                                 lambda v: 1 <= v <= MAX_DEGREE + 1,
                                 f"count must be in 1..{MAX_DEGREE + 1}")}
     if t == "truncate":
-        return {"type": t,
-                "inner": from_dict(_field(data, "inner", dict)),
+        try:
+            inner = from_dict(_field(data, "inner", dict))
+        except RecursionError:
+            raise ConfigError("kernel spec field 'inner' is nested too "
+                              "deeply") from None
+        return {"type": t, "inner": inner,
                 "n": _field(data, "n", int, lambda v: v >= 0,
                             "n must be >= 0")}
     raise ConfigError(f"unknown kernel spec type {t!r}")

@@ -6,8 +6,11 @@ other module consumes: kernels, extremal candidates, derivatives, all of
 it is coefficient arithmetic here.
 
 Coefficient storage is dense from index zero. Construction trims trailing
-zeros, so the degree is well defined and the zero polynomial is the
-canonical empty vector.
+coefficients that are exactly zero, so the degree is well defined and the
+zero polynomial is the canonical empty vector. The class itself only
+evaluates, pads, adds and subtracts; products, powers and the other
+coefficient maps are the module's functions. Two polynomials are compared
+by their ``coeffs`` or ``padded`` arrays: the class defines no equality.
 """
 
 import contextlib
@@ -19,20 +22,15 @@ import numpy as np
 from . import _backend
 from ._backend import conv
 
-# Trailing coefficients at or below this magnitude are treated as zero
-# when trimming. Exact zeros are the common case; the tiny absolute
-# threshold only guards against -0.0 style artifacts.
-_TRIM_TOL = 0.0
-
 
 def _trim(coeffs):
     end = len(coeffs)
-    while end > 0 and abs(coeffs[end - 1]) <= _TRIM_TOL:
+    while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticPoly:
     """Finite Taylor series f(z) = sum_{t=0}^{n} coeffs[t] z^t.
 
@@ -54,12 +52,6 @@ class AnalyticPoly:
 
     def is_zero(self):
         return len(self.coeffs) == 0
-
-    def coeff(self, t):
-        """Coefficient a_t, zero beyond the stored range."""
-        if 0 <= t < len(self.coeffs):
-            return complex(self.coeffs[t])
-        return 0j
 
     def padded(self, length):
         """Coefficients as a writable array of the given length."""
@@ -84,31 +76,8 @@ class AnalyticPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return AnalyticPoly(self.padded(n) - other.padded(n))
 
-    def __neg__(self):
-        return AnalyticPoly(-self.coeffs)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return AnalyticPoly(self.coeffs * other)
-        return multiply(self, as_poly(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, AnalyticPoly):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
-
-    def __repr__(self):
-        if self.is_zero():
-            return "AnalyticPoly(0)"
-        return f"AnalyticPoly(degree={self.degree})"
-
 
 ZERO = AnalyticPoly()
-ONE = AnalyticPoly(np.array([1.0 + 0j]))
 
 
 def as_poly(value):

@@ -332,11 +332,15 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     """Damped Newton on J(f) = ||f||_{A^p}^p / p - Re phi_hat(f).
 
     ``c_hat`` is the kernel scaled so that Re phi_hat(c_hat) = 1, and ``a``
-    is the start, first scaled to the minimum of J on its ray. A real
-    ``c_hat`` runs in x = Re a. Each iteration that steps before meeting
-    the tolerance builds and factors the Hessian; the iteration that meets
-    it takes its final step with the last factor, and builds one only
-    when it is iteration 0 (see the module docstring). A rung that is not
+    is the start, first scaled to the minimum of J on its ray. That needs
+    Re phi_hat(a) > 0, which every start ``solve_ladder`` passes has: the
+    lowest rung starts at ``c_hat``, and each higher one at an iterate of
+    the rung below, where J < 0 (the line search only lowers J from the
+    negative minimum on the start's ray). A real ``c_hat`` runs in
+    x = Re a. Each iteration that steps before meeting the tolerance
+    builds and factors the Hessian; the iteration that meets it takes its
+    final step with the last factor, and builds one only when it is
+    iteration 0 (see the module docstring). A rung that is not
     requested builds that Hessian too, although its step only refines the
     start of the rung above: without it, the 18 standard-family solves
     (default seed, p = 4 and 6, tolerance 1e-12) built 118 Hessians
@@ -364,8 +368,6 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         def coeffs(x):
             return x[:n1] + 1j * x[n1:]
 
-    if b @ x <= 0:  # an explicit start only: move it onto Re phi_hat = 1
-        x = x + (1.0 - b @ x) / (b @ b) * b
     # J(t x) = t^p N/p - t b @ x is least at t^(p-1) = b @ x / N, for
     # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite.
     # A start already at its minimum (a converged rung below, padded) keeps
@@ -444,7 +446,7 @@ def _rungs(n):
 
 
 def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
-                 max_iterations=DEFAULT_MAX_ITERATIONS, start=None):
+                 max_iterations=DEFAULT_MAX_ITERATIONS):
     """One degree ladder through ``degrees`` (see the module docstring).
 
     Yields, once per distinct degree d in ascending order, the certified
@@ -457,13 +459,9 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
     docstring), and passes its last iterate up, even one that failed; a
     requested degree that fails raises ``NonConvergenceError`` with its
     own trace, and one on which the truncated kernel vanishes raises
-    ``ExtremalProblem``'s ValueError.
-
-    ``start`` instead seeds the lowest requested degree, and the ladder
-    climbs the requested degrees alone. It is scaled to the minimum of J on
-    its ray; a start with Re phi_hat <= 0, zero included, is first moved
-    along the gradient of Re phi_hat onto Re phi_hat = 1. J is strictly
-    convex, so every start reaches the same solution.
+    ``ExtremalProblem``'s ValueError. The lowest rung starts from the
+    normalized truncated kernel, every higher one from the iterate of the
+    rung below.
     """
     degrees = sorted(set(degrees))
     # S_d k contains S_m k for m <= d: checking the lowest degree checks all
@@ -473,7 +471,7 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
     rungs = []
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
-        rungs += [m for m in ([d] if start is not None else _rungs(d))
+        rungs += [m for m in _rungs(d)
                   if m > max(rungs, default=-1) and np.any(c[:m + 1])]
     a = None
     for m in rungs:
@@ -483,10 +481,8 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
         c_hat = np.divide(*_rescaled(c[:m + 1],
                                      float(np.max(np.abs(c[:m + 1])))))
         c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
-        if a is None:
-            a = c_hat if start is None else start.padded(m + 1)
-        else:
-            a = np.pad(a, (0, m + 1 - len(a)))  # the rung below's iterate
+        # c_hat on the lowest rung, then the rung below's iterate
+        a = c_hat if a is None else np.pad(a, (0, m + 1 - len(a)))
         # a rung that is not requested only starts the one above it
         requested = m in degrees
         rung_tolerance = (tolerance if requested
@@ -509,7 +505,7 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
             degree=m)
 
 
-def solve_extremal(problem, start=None):
+def solve_extremal(problem):
     """Solve the extremal problem over P_n and certify the result.
 
     Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
@@ -523,17 +519,15 @@ def solve_extremal(problem, start=None):
     gradient stalls (at its float floor) before it.
 
     This is ``solve_ladder`` at the one degree n, which climbs
-    ``_rungs(n)``, or with a ``start`` of degree <= n solves degree n
-    alone from it; ``iterations`` and ``trace`` describe degree n alone.
+    ``_rungs(n)`` from the normalized kernel; ``iterations`` and ``trace``
+    describe degree n alone.
 
     A kernel whose coefficients on P_n are all real is solved in the real
-    coordinates x = Re a (see the module docstring), which drop the
-    imaginary part of ``start``. Any other kernel is solved in
-    x = (Re a, Im a).
+    coordinates x = Re a (see the module docstring). Any other kernel is
+    solved in x = (Re a, Im a).
     """
     return next(solve_ladder(problem.p, problem.kernel, [problem.degree],
-                             problem.tolerance, problem.max_iterations,
-                             start))
+                             problem.tolerance, problem.max_iterations))
 
 
 def brute_force_oracle(k, p, degree=3, seed=7):

@@ -94,27 +94,16 @@ def hardy_norm_even(f, p):
     return float(np.sum(np.abs(u.coeffs) ** 2)) ** (1.0 / p)
 
 
-def _fold(scaled, count):
-    """Rows of coefficients folded onto t mod count: at most ``count``
-    columns, the sum of the entries t, t + count, t + 2 count, ... in
-    column t. An FFT of length ``count`` pads the rows with zeros."""
-    rows, n = scaled.shape[:-1], scaled.shape[-1]
-    if n <= count:
-        return scaled
-    folded = np.zeros(rows + (-(-n // count) * count,), dtype=scaled.dtype)
-    folded[..., :n] = scaled
-    return folded.reshape(rows + (-1, count)).sum(axis=-2)
-
-
 def _circle_values(f, radius, count):
     """f at the ``count`` points radius * e^{2 pi i j / count}, j = 0..count-1.
 
     f(r e^{i theta_j}) = sum_t a_t r^t e^{2 pi i j t / count} is ``count``
-    times the inverse DFT of a_t r^t, with coefficients past ``count``
-    folded onto t mod count (the samples cannot tell them apart).
+    times the inverse DFT of a_t r^t, zero-padded to length ``count``,
+    which must be at least deg f + 1. Every caller takes ``count`` from
+    ``_angular_count``, at least 4 deg f + 4.
     """
     scaled = f.coeffs * radius ** np.arange(len(f.coeffs))
-    return count * ifft(_fold(scaled, count), count)
+    return count * ifft(scaled, count)
 
 
 # Floor on the grid bandwidth for non-even exponents: |f|^p is then not a
@@ -144,11 +133,11 @@ _RADII, _RADIAL_WEIGHTS = _radial_rule(_RADIAL_COUNT)
 
 def _circle_means(f, p, radii, count):
     """Mean of |f|^p over the ``count`` points r e^{2 pi i j / count}, for
-    each radius r in ``radii`` and an even ``count``.
+    each radius r in ``radii`` and an even ``count`` of at least deg f + 1.
 
     Each block of _RADIUS_BLOCK radii is one FFT along the rows of the
-    scaled coefficients a_t r^t, one row per radius, folded as in
-    _circle_values. Real coefficients give f(r e^{-i theta}) =
+    scaled coefficients a_t r^t, one row per radius, zero-padded to length
+    ``count`` as in _circle_values. Real coefficients give f(r e^{-i theta}) =
     conj f(r e^{i theta}), so |f| on the circle is |rfft| at the
     count/2 + 1 angles 0..pi: the mean weights the angles 0 and pi by
     1/count and the others by 2/count.
@@ -163,11 +152,11 @@ def _circle_means(f, p, radii, count):
     means = []
     for start in range(0, len(radii), _RADIUS_BLOCK):
         block = np.asarray(radii[start:start + _RADIUS_BLOCK], dtype=float)
-        folded = _fold(coeffs * block[:, None] ** powers, count)
+        scaled = coeffs * block[:, None] ** powers
         if real:
-            means.append(np.abs(rfft(folded, count)) ** p @ weights)
+            means.append(np.abs(rfft(scaled, count)) ** p @ weights)
         else:
-            vals = count * ifft(folded, count)
+            vals = count * ifft(scaled, count)
             means.append(np.mean(np.abs(vals) ** p, axis=1))
     return np.concatenate(means)
 

@@ -44,28 +44,29 @@ class TestGFunction:
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, f, scale):
         base = lp_g_function(f, 0.9)
-        scaled = lp_g_function(scale * f, 0.9)
+        scaled = lp_g_function(as_poly(scale * f.coeffs), 0.9)
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
 
 
 class TestAntiderivativeProduct:
     def test_constant_times_z(self):
-        assert antiderivative_product(as_poly([1.0]), monomial(1)) == monomial(1)
+        h = antiderivative_product(as_poly([1.0]), monomial(1))
+        np.testing.assert_array_equal(h.coeffs, monomial(1).coeffs)
 
     def test_z_times_z(self):
         h = antiderivative_product(monomial(1), monomial(1))
-        assert h == as_poly([0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(h.coeffs, [0.0, 0.0, 0.5])
 
     def test_one_plus_z_pair(self):
         f = as_poly([1.0, 1.0])
         h = antiderivative_product(f, f)
-        assert h == as_poly([0.0, 1.0, 0.5])
+        np.testing.assert_array_equal(h.coeffs, [0.0, 1.0, 0.5])
 
     def test_vanishes_at_origin(self):
         rng = np.random.default_rng(67)
         f1 = as_poly(rng.standard_normal(4))
         f2 = as_poly(rng.standard_normal(5))
-        assert antiderivative_product(f1, f2).coeff(0) == 0j
+        assert antiderivative_product(f1, f2).coeffs[0] == 0j
 
 
 class TestDiscPairing:

@@ -333,7 +333,8 @@ class TestCoefficientBoundSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_extremal(ExtremalProblem(
-                p=4, kernel=scale * base.kernel, degree=160, tolerance=1e-12))
+                p=4, kernel=as_poly(scale * base.kernel.coeffs), degree=160,
+                tolerance=1e-12))
             reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
                                     sol.F, sol.kernel, 4, sol.phi_norm)
             assert all(r.passed for r in reports)
@@ -352,8 +353,8 @@ class TestCoefficientBoundSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_extremal(ExtremalProblem(
-                p=4, kernel=2.0 ** -1030 * base.kernel, degree=160,
-                tolerance=1e-12))
+                p=4, kernel=as_poly(2.0 ** -1030 * base.kernel.coeffs),
+                degree=160, tolerance=1e-12))
             reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
                                     sol.F, sol.kernel, 4, sol.phi_norm)
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
@@ -430,7 +431,8 @@ class TestGrowthStudy:
     def test_scaling_invariance(self):
         kernel = as_poly([1.0, 0.5, 0.25])
         base = growth_study([("k", kernel, 12)], 4, [2.0])
-        scaled = growth_study([("5k", 5.0 * kernel, 12)], 4, [2.0])
+        scaled = growth_study([("5k", as_poly(5.0 * kernel.coeffs), 12)], 4,
+                              [2.0])
         assert scaled[0].ratio == pytest.approx(base[0].ratio, rel=1e-10)
 
     def test_q1_below_conjugate_rejected(self):
@@ -537,7 +539,8 @@ class TestRyabykhBound:
     def test_doubled_extremal_fails(self, one_plus_z_solution):
         # 2F scales lhs by 2^p and leaves rhs alone
         sol = one_plus_z_solution
-        report = check_ryabykh_bound(2.0 * sol.F, sol.kernel, 4)
+        report = check_ryabykh_bound(as_poly(2.0 * sol.F.coeffs), sol.kernel,
+                                     4)
         assert report.residual > 10.0
         assert not report.passed
 
@@ -547,9 +550,11 @@ class TestRyabykhBound:
         # overflow or underflow in |G|^q
         sol = one_plus_z_solution
         base = check_ryabykh_bound(sol.F, sol.kernel, 4)
-        scaled = check_ryabykh_bound(sol.F, scale * sol.kernel, 4)
+        scaled = check_ryabykh_bound(sol.F,
+                                     as_poly(scale * sol.kernel.coeffs), 4)
         assert scaled.residual == pytest.approx(base.residual, abs=1e-14)
-        doubled = check_ryabykh_bound(2.0 * sol.F, scale * sol.kernel, 4)
+        doubled = check_ryabykh_bound(as_poly(2.0 * sol.F.coeffs),
+                                      as_poly(scale * sol.kernel.coeffs), 4)
         assert not doubled.passed
 
     @given(small_problems())
@@ -592,7 +597,8 @@ class TestReportShape:
     def test_verdict_consistent_with_residual(self, one_plus_z_solution):
         # 2F scales the left side by 2^p and the right side by 2
         sol = one_plus_z_solution
-        doubled = check_norm_equality(2.0 * sol.F, sol.kernel, 4, sol.phi_norm)
+        doubled = check_norm_equality(as_poly(2.0 * sol.F.coeffs), sol.kernel,
+                                      4, sol.phi_norm)
         assert doubled.residual > doubled.tolerance
         assert doubled.verdict == "fail"
         assert not doubled.passed

@@ -117,6 +117,18 @@ class TestSolveCommand:
         padded[:2] = expected
         assert np.max(np.abs(coeffs - padded)) <= 1e-10
 
+    def test_largest_exponent_solves(self, tmp_path):
+        # p = MAX_EXPONENT: the constant kernel's F = 1 still certifies
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1,
+            "p": kernelspec.MAX_EXPONENT,
+            "degree": 4,
+            "kernel": CONSTANT_ONE,
+        })
+        out = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        assert cli.main(["verify", out]) == 0
+
     def test_report_shape(self, solved_artifact):
         _, solution = solved_artifact
         report = load_report(solution)
@@ -383,6 +395,7 @@ class TestVerifyCommand:
         # coefficient is negligible
         ("coefficients", "solution",
          [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 31 + [[1e-300, 0.0]]),
+        ("p", "problem", kernelspec.MAX_EXPONENT + 2),
     ])
     def test_malformed_recorded_field_is_invalid_input(
             self, solved_artifact, tmp_path, capsys, field, where, value):
@@ -491,6 +504,27 @@ class TestExitCodes:
         path.write_text("{broken", encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("depth", [985, 5000])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_deep_nesting_rejected(self, tmp_path, capsys, solved_artifact,
+                                   command, depth):
+        # a truncate spec nested this deep overflows the recursion limit in
+        # the JSON decoder or, from a shallower stack, in the spec reader
+        kernel = ('{"type": "truncate", "n": 4, "inner": ' * depth
+                  + json.dumps(CONSTANT_ONE) + "}" * depth)
+        if command == "solve":
+            text = '{"p": 4, "degree": 8, "kernel": %s}' % kernel
+        else:
+            payload = load_report(solved_artifact[1])
+            payload["body"]["problem"]["kernel"] = "KERNEL"
+            text = json.dumps(payload).replace('"KERNEL"', kernel)
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["solve", "--config", str(path)] if command == "solve" else [
+            "verify", str(path)]
+        assert cli.main(argv) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_nonconvergence_exits_two(self, tmp_path, capsys):
         code = self.run_solve(tmp_path, {
             "tolerance": 1e-13,
@@ -586,6 +620,10 @@ class TestConfigFieldTypes:
         # p = 4 at degree 16 and a linear kernel: |F|^4 has frequencies
         # up to 32 and the kernel up to 1
         ("solve", "fourier_m_max", 33),
+        # past p = 1024 ||f||_{A^p}^p underflows in the solver, and
+        # (p - 1) q1 = 3e308 overflows to inf
+        *[(case, "p", kernelspec.MAX_EXPONENT + 2) for case in FIELD_CASES],
+        ("growth", "q1_list", [2.0, 1e308]),
     ])
     def test_size_fields_are_bounded(self, tmp_path, capsys, case, field,
                                      value):

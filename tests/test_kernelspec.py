@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ class TestSerialization:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             from_dict(bad)
+
+    def test_deep_nesting_rejected(self):
+        # nested past the recursion limit: an error naming the field
+        # instead of a RecursionError
+        spec = {"type": "coeffs", "values": [[1.0, 0.0]]}
+        for _ in range(sys.getrecursionlimit()):
+            spec = {"type": "truncate", "inner": spec, "n": 4}
+        with pytest.raises(ConfigError, match="'inner' is nested too deeply"):
+            from_dict(spec)
 
     def test_dict_shape(self):
         data = to_dict(coeffs_spec([1.0 + 2.0j]))

@@ -1,10 +1,10 @@
 """The benchmark harness under perfbench/ reaches into bergex by name.
 
 ``perfbench/workloads.py`` imports bergex modules and names and calls
-them, and ``perfbench/tracer.py`` wraps the functions listed in
-``TARGETS``. A rename or deletion in bergex that breaks either fails
-here, before a benchmark run does. The tracer is only read, never
-installed.
+them, ``perfbench/environment.py`` imports names from the package, and
+``perfbench/tracer.py`` wraps the functions listed in ``TARGETS``. A
+rename or deletion in bergex that breaks any of them fails here, before
+a benchmark run does. The tracer is only read, never installed.
 """
 
 import importlib
@@ -32,6 +32,12 @@ def perfbench():
 def test_workloads_import(perfbench):
     workloads = importlib.import_module("workloads")
     assert workloads.WORKLOADS
+
+
+def test_environment_import(perfbench):
+    # imported by run.py at start-up, before any workload runs
+    environment = importlib.import_module("environment")
+    assert callable(environment.record)
 
 
 def test_tracer_targets_resolve(perfbench):

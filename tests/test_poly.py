@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergex.poly import (
-    ONE,
     ZERO,
     AnalyticPoly,
     antiderivative,
@@ -30,23 +29,27 @@ def coefficient_vectors(max_degree=16):
     return st.lists(entry, min_size=0, max_size=max_degree + 1)
 
 
+def assert_coeffs(f, expected):
+    """f's stored coefficients are exactly ``expected``, trimmed."""
+    np.testing.assert_array_equal(f.coeffs,
+                                  np.asarray(expected, dtype=complex))
+
+
 class TestAnalyticPoly:
     def test_trailing_zeros_trimmed(self):
         f = AnalyticPoly(np.array([1.0, 2.0, 0.0, 0.0], dtype=complex))
         assert f.degree == 1
         assert len(f.coeffs) == 2
+        # exact zeros of either sign go; the smallest subnormal stays
+        signed_zeros = np.array([1.0, -0.0, complex(0.0, -0.0)])
+        assert AnalyticPoly(signed_zeros).degree == 0
+        assert AnalyticPoly(np.array([1.0, 5e-324j])).degree == 1
 
     def test_zero_polynomial_conventions(self):
         assert ZERO.is_zero()
         assert ZERO.degree == -1
         assert AnalyticPoly(np.zeros(5, dtype=complex)).is_zero()
-        assert ZERO == AnalyticPoly()
-
-    def test_coeff_out_of_range_is_zero(self):
-        f = as_poly([1.0, 2.0])
-        assert f.coeff(0) == 1.0
-        assert f.coeff(5) == 0j
-        assert f.coeff(-1) == 0j
+        assert_coeffs(AnalyticPoly(), [])
 
     def test_padded(self):
         f = as_poly([1.0, 2.0])
@@ -54,7 +57,7 @@ class TestAnalyticPoly:
         assert padded.shape == (4,)
         assert padded[3] == 0j
         padded[0] = 99.0  # returned array is a private copy
-        assert f.coeff(0) == 1.0
+        assert f.coeffs[0] == 1.0
 
     def test_coeffs_not_writable(self):
         f = as_poly([1.0, 2.0])
@@ -78,14 +81,14 @@ class TestAnalyticPoly:
     def test_arithmetic(self):
         f = as_poly([1.0, 2.0])
         g = as_poly([0.0, 1.0, 1.0])
-        assert (f + g) == as_poly([1.0, 3.0, 1.0])
+        assert_coeffs(f + g, [1.0, 3.0, 1.0])
+        assert_coeffs(f + 2.0, [3.0, 2.0])
         assert (f - f).is_zero()
-        assert (-f) == as_poly([-1.0, -2.0])
-        assert (2.0 * f) == as_poly([2.0, 4.0])
 
     def test_equality_ignores_representation(self):
-        assert as_poly([1.0, 0.0]) == as_poly([1.0])
-        assert as_poly([1.0]) != as_poly([2.0])
+        # trailing zeros do not reach the stored coefficients
+        assert_coeffs(as_poly([1.0, 0.0]), as_poly([1.0]).coeffs)
+        assert not np.array_equal(as_poly([1.0]).coeffs, as_poly([2.0]).coeffs)
 
     def test_high_degrees_need_no_setup(self):
         f = AnalyticPoly(np.ones(2000))
@@ -95,13 +98,12 @@ class TestAnalyticPoly:
 
 class TestOperations:
     def test_monomial(self):
-        assert monomial(3).coeff(3) == 1.0
-        assert monomial(3).degree == 3
-        assert monomial(0, 2.5) == as_poly([2.5])
+        assert_coeffs(monomial(3), [0.0, 0.0, 0.0, 1.0])
+        assert_coeffs(monomial(0, 2.5), [2.5])
 
     def test_multiply_small(self):
         f = as_poly([1.0, 1.0])
-        assert multiply(f, f) == as_poly([1.0, 2.0, 1.0])
+        assert_coeffs(multiply(f, f), [1.0, 2.0, 1.0])
 
     def test_multiply_zero(self):
         assert multiply(ZERO, as_poly([1.0, 2.0])).is_zero()
@@ -109,27 +111,27 @@ class TestOperations:
 
     def test_power(self):
         f = as_poly([1.0, 1.0])
-        assert power(f, 0) == ONE
-        assert power(f, 3) == as_poly([1.0, 3.0, 3.0, 1.0])
+        assert_coeffs(power(f, 0), [1.0])
+        assert_coeffs(power(f, 3), [1.0, 3.0, 3.0, 1.0])
         with pytest.raises(ValueError):
             power(f, -1)
 
     def test_derivative(self):
         f = as_poly([5.0, 1.0, 2.0, 4.0])
-        assert derivative(f) == as_poly([1.0, 4.0, 12.0])
-        assert derivative(ONE).is_zero()
+        assert_coeffs(derivative(f), [1.0, 4.0, 12.0])
+        assert derivative(as_poly([1.0])).is_zero()
         assert derivative(ZERO).is_zero()
 
     def test_antiderivative_inverts_derivative(self):
         f = as_poly([1.0, 2.0, 3.0])
-        assert derivative(antiderivative(f)) == f
-        assert antiderivative(f).coeff(0) == 0j
+        assert_coeffs(derivative(antiderivative(f)), f.coeffs)
+        assert antiderivative(f).coeffs[0] == 0j
 
     def test_k_transform_defining_identity(self):
         # (z K)' = k, exact in coefficients
         k = as_poly([1.0, 0.5, -2.0, 1.0j])
         K = k_transform(k)
-        assert derivative(shift(K, 1)) == k
+        assert_coeffs(derivative(shift(K, 1)), k.coeffs)
 
     def test_k_transform_coefficients(self):
         k = as_poly([1.0, 1.0, 1.0])
@@ -138,17 +140,17 @@ class TestOperations:
 
     def test_taylor_truncate(self):
         f = as_poly([1.0, 2.0, 3.0, 4.0])
-        assert taylor_truncate(f, 1) == as_poly([1.0, 2.0])
-        assert taylor_truncate(f, 10) == f
-        assert taylor_truncate(f, 0) == as_poly([1.0])
+        assert_coeffs(taylor_truncate(f, 1), [1.0, 2.0])
+        assert_coeffs(taylor_truncate(f, 10), f.coeffs)
+        assert_coeffs(taylor_truncate(f, 0), [1.0])
         with pytest.raises(ValueError):
             taylor_truncate(f, -1)
 
     def test_shift(self):
         f = as_poly([1.0, 2.0])
-        assert shift(f, 2) == as_poly([0.0, 0.0, 1.0, 2.0])
+        assert_coeffs(shift(f, 2), [0.0, 0.0, 1.0, 2.0])
         assert shift(ZERO, 3).is_zero()
-        assert shift(f, 0) == f
+        assert_coeffs(shift(f, 0), f.coeffs)
 
     @given(coefficient_vectors(12), coefficient_vectors(12))
     @settings(max_examples=60, deadline=None)

@@ -309,9 +309,10 @@ class TestKernelRoundTrip:
         F = as_poly([0.0, 3.0 ** 0.25])
         k = kernel_from_extremal(F, 4, 3)
         # proportional to z: the only surviving coefficient sits at j=1
-        assert abs(k.coeff(0)) <= 1e-14
-        assert k.coeff(1).real > 0
-        assert abs(k.coeff(2)) <= 1e-14
+        c = k.padded(3)
+        assert abs(c[0]) <= 1e-14
+        assert c[1].real > 0
+        assert abs(c[2]) <= 1e-14
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -331,38 +332,54 @@ class TestKernelRoundTrip:
             assert cosine >= 1.0 - 1e-6
 
 
+def newton_from(kernel, p, start, tolerance):
+    """Unit-norm F of one ``_newton`` solve at degree len(start) - 1 from
+    the explicit start, which must have Re phi_hat > 0."""
+    n1 = len(start)
+    c = kernel.padded(n1)
+    c_hat = c / np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0)))
+    a, _, failure = solver._newton(c_hat, p, start, tolerance, 100)
+    assert failure is None
+    f = AnalyticPoly(a)
+    return f.coeffs / bergman_norm_even(f, p)
+
+
 class TestSolverProperties:
     def test_uniqueness_from_random_starts(self):
+        # J is strictly convex: every start on the side Re phi_hat > 0,
+        # where the ladder's starts lie, reaches the same F
         kernel = as_poly([1.0, 0.5, 0.25])
         problem = ExtremalProblem(p=4, kernel=kernel, degree=10,
                                   tolerance=1e-11)
         reference = solve_extremal(problem)
+        weights = 1.0 / (np.arange(11) + 1.0)
         rng = np.random.default_rng(41)
         for _ in range(16):
-            start = random_poly(rng, 10)
-            sol = solve_extremal(problem, start=start)
-            gap = np.max(np.abs(sol.F.padded(11) - reference.F.padded(11)))
+            start = random_poly(rng, 10).padded(11)
+            start *= np.sign(np.real(np.vdot(kernel.padded(11) * weights,
+                                             start)))
+            F = newton_from(kernel, 4, start, 1e-11)
+            gap = np.max(np.abs(F - reference.F.padded(11)))
             assert gap <= 1e-6
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e300, -1.0,
-                                       0.0])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e300])
     @pytest.mark.parametrize("c", [[1.0, 0.5, -0.25], [1.0, 0.5j, -0.25]],
                              ids=["real", "complex"])
     def test_start_at_any_scale(self, scale, c):
-        # the start is rescaled to the minimum of J on its ray; one with
-        # Re phi <= 0 (zero included) is first moved onto Re phi = 1
-        problem = ExtremalProblem(p=4, kernel=as_poly(c), degree=12,
-                                  tolerance=1e-12)
-        reference = solve_extremal(problem)
-        sol = solve_extremal(problem, start=as_poly(scale * np.array(c)))
-        np.testing.assert_allclose(sol.F.padded(13), reference.F.padded(13),
+        # _newton rescales its start by a power of two and then to the
+        # minimum of J on its ray, so the start's size does not matter
+        kernel = as_poly(c)
+        reference = solve_extremal(ExtremalProblem(p=4, kernel=kernel,
+                                                   degree=12, tolerance=1e-12))
+        F = newton_from(kernel, 4, scale * kernel.padded(13), 1e-12)
+        np.testing.assert_allclose(F, reference.F.padded(13),
                                    rtol=0, atol=1e-12)
 
     def test_scaling_law(self):
         kernel = as_poly([1.0, -0.5, 0.2j])
         base = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12))
-        scaled = solve_extremal(ExtremalProblem(p=4, kernel=3.5 * kernel,
-                                                degree=12))
+        scaled = solve_extremal(ExtremalProblem(
+            p=4, kernel=as_poly(3.5 * kernel.coeffs), degree=12))
         np.testing.assert_allclose(scaled.F.padded(13), base.F.padded(13),
                                    atol=1e-8)
         assert scaled.phi_norm == pytest.approx(3.5 * base.phi_norm, rel=1e-9)
@@ -503,12 +520,14 @@ class TestDegreeLadder:
         assert sol.residual_max <= 1e-14
 
     @pytest.mark.parametrize("p", [4, 6])
-    def test_agrees_with_explicit_start(self, p):
-        # an explicit start is one solve at degree n from that start, to
-        # the tolerance at every step, while the ladder's rungs below n
-        # stop at its square root; of the kernels at n = 96, one vanishes
-        # on rung 24 (which is skipped) and one is real there but not at
-        # degree 48; the family kernel climbs four or five rungs
+    def test_agrees_with_explicit_start(self, p, monkeypatch):
+        # the ladder against one solve at degree n alone, from the
+        # normalized kernel: MIN_RUNG_DEGREE above n leaves n the only
+        # rung. That solve meets the tolerance at every step, while the
+        # ladder's rungs below n stop at its square root; of the kernels
+        # at n = 96, one vanishes on rung 24 (which is skipped) and one is
+        # real there but not at degree 48; the family kernel climbs four
+        # or five rungs
         vanishing = np.zeros(31, dtype=complex)
         vanishing[30] = 1.0
         turning = np.zeros(41, dtype=complex)
@@ -522,7 +541,9 @@ class TestDegreeLadder:
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n,
                                       tolerance=1e-12)
             ladder = solve_extremal(problem)
-            direct = solve_extremal(problem, start=kernel)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "MIN_RUNG_DEGREE", n + 1)
+                direct = solve_extremal(problem)
             np.testing.assert_allclose(ladder.F.padded(n + 1),
                                        direct.F.padded(n + 1),
                                        rtol=0, atol=1e-12)
