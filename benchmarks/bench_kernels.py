@@ -6,12 +6,16 @@ sizes. Each column calls ``bergex._backend.conv``/``xcorr`` with
 ``FFT_THRESHOLD`` pinned so that one path runs at every size: the direct
 NumPy evaluation used below the threshold, or the FFT evaluation used at
 or above it. Both operands have length n, so the output degree is 2n - 2.
+"direct" and "fft" time complex operands; "direct real" and "fft real"
+time their real parts, which the FFT path sends through real transforms
+of half the size.
 
-On a 2-CPU x86-64 VM (NumPy 2.4, 300 repeats) the direct path stayed
-ahead for both kernels up to n = 384 and the FFT path led from n = 512
-on: the crossover is near n = 448, an output degree of about 900. The
-threshold in use, 256 in output degree, switches to the FFT sooner than
-this table asks.
+On a 2-CPU x86-64 VM (NumPy 2.4, 300 repeats, the median of each cell
+over 5 runs) the FFT path, NumPy's transforms at power-of-two lengths,
+led for both kernels from n = 384 on with complex operands, and from
+n = 320-352 on with real ones: crossovers near an output degree of 750
+(complex) and 650 (real). The threshold in use, 256 in output degree,
+switches to the FFT sooner than this table asks.
 
 The ``newton_step`` table times the dense part of one solver iteration,
 median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
@@ -113,7 +117,8 @@ PATHS = (("direct", float("inf")), ("fft", 0))
 
 def bench_operation(name, fn, sizes, repeats):
     print(f"\n{name}: median microseconds per call")
-    header = f"{'n':>6}" + "".join(f"{label:>14}" for label, _ in PATHS)
+    labels = [label + kind for kind in ("", " real") for label, _ in PATHS]
+    header = f"{'n':>6}" + "".join(f"{label:>14}" for label in labels)
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
@@ -121,13 +126,14 @@ def bench_operation(name, fn, sizes, repeats):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         row = f"{n:>6}"
-        for _, threshold in PATHS:
-            _backend.FFT_THRESHOLD = threshold
-            try:
-                micros = time_call(fn, a, b, repeats=repeats) * 1e6
-            finally:
-                _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
-            row += f"{micros:>14.2f}"
+        for x, y in ((a, b), (a.real, b.real)):
+            for _, threshold in PATHS:
+                _backend.FFT_THRESHOLD = threshold
+                try:
+                    micros = time_call(fn, x, y, repeats=repeats) * 1e6
+                finally:
+                    _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
+                row += f"{micros:>14.2f}"
         print(row)
 
 

@@ -5,28 +5,20 @@ products) and ``xcorr`` is one-sided cross-correlation (gradients).
 ``power`` is the m-th power of a polynomial, and ``abs_power_xcorr``
 the nonnegative-frequency Fourier coefficients of |f|^p on the circle,
 p even: the autocorrelation of f^{p/2}. All four evaluate directly with
-NumPy for small operands and switch to FFT-based evaluation above a
-degree threshold, where the O(n^2) direct sums start to lose. The FFT
-path of ``conv`` and ``xcorr`` has ``scipy.signal.fftconvolve``'s
-arithmetic without its slow import.
-
-``power`` and ``abs_power_xcorr`` take one forward transform of f
-whatever the exponent: f^m and |f|^p are pointwise in the samples of f
-on the circle, so one transform, a pointwise power and one inverse
-replace m - 1 products (and for |f|^p one more correlation). The
-transform is long enough that nothing wraps around: f^m has degree
-m deg f, and |f|^p has frequencies -(p/2) deg f..(p/2) deg f. Real
-coefficients take real transforms and give results whose imaginary
-parts are exactly zero.
+NumPy for small operands and above a degree threshold through one
+routine, ``_pointwise``: ``numpy.fft`` transforms at a power of two long
+enough that nothing wraps around, a pointwise function of the samples
+and one inverse. f^m and |f|^p are pointwise in the samples of f, so
+one transform replaces m - 1 products (and for |f|^p a correlation).
 """
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 # Operations whose full output degree (len(a) + len(b) - 2) is below this
 # run directly. benchmarks/bench_kernels.py times both paths: on equal
-# operand lengths the direct NumPy path stays ahead of the transform until
-# an output degree of roughly 900 for both kernels, so 256 switches early.
+# operand lengths the direct NumPy path stays ahead of the transform, for
+# both kernels, until an output degree near 750 for complex and 650 for
+# real operands, so 256 switches early.
 FFT_THRESHOLD = 256
 
 
@@ -35,13 +27,22 @@ def backend_name():
     return "numpy"
 
 
-def _fft_conv(a, b):
-    """Full convolution of non-empty vectors, as fftconvolve computes it."""
-    if len(a) == 1 or len(b) == 1:
-        return a * b
-    n = len(a) + len(b) - 1
-    size = next_fast_len(n, real=False)
-    return ifft(fft(a, size) * fft(b, size))[:n]
+def fft_length(length):
+    """Smallest power of two >= length: the length of every transform."""
+    return 1 << (length - 1).bit_length()
+
+
+def _pointwise(arrays, count, length, fn):
+    """First ``count`` coefficients of the inverse transform of
+    fn(*samples), the samples of each of ``arrays`` on fft_length(length)
+    points of the circle. All-real operands take real transforms, half
+    the size, and give imaginary parts exactly zero.
+    """
+    size = fft_length(length)
+    if not any(np.count_nonzero(a.imag) for a in arrays):
+        samples = [np.fft.rfft(a.real, size) for a in arrays]
+        return np.fft.irfft(fn(*samples), size)[:count].astype(complex)
+    return np.fft.ifft(fn(*[np.fft.fft(a, size) for a in arrays]))[:count]
 
 
 def conv(a, b):
@@ -50,9 +51,10 @@ def conv(a, b):
     b = np.asarray(b, dtype=complex)
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, dtype=complex)
-    if len(a) + len(b) - 2 < FFT_THRESHOLD:
+    n = len(a) + len(b) - 1
+    if n - 1 < FFT_THRESHOLD:
         return np.convolve(a, b)
-    return _fft_conv(a, b)
+    return _pointwise((a, b), n, n, np.multiply)
 
 
 def xcorr(a, v):
@@ -70,9 +72,10 @@ def xcorr(a, v):
     if len(v) == 0:
         return np.zeros(len(a), dtype=complex)
     lo = len(v) - 1
-    if len(a) + len(v) - 2 < FFT_THRESHOLD:
-        return np.correlate(a, v, "full")[lo:lo + len(a)]
-    return _fft_conv(a, np.conj(v)[::-1])[lo:lo + len(a)]
+    n = len(a) + lo
+    if n - 1 < FFT_THRESHOLD:
+        return np.correlate(a, v, "full")[lo:]
+    return _pointwise((a, np.conj(v)[::-1]), n, n, np.multiply)[lo:]
 
 
 def _direct_power(a, m):
@@ -81,20 +84,6 @@ def _direct_power(a, m):
     for _ in range(m - 1):
         out = np.convolve(out, a)
     return out
-
-
-def _pointwise(a, count, length, fn):
-    """First ``count`` coefficients of the inverse transform of fn(samples),
-    for the samples of f on at least ``length`` points of the circle.
-
-    Real ``a`` takes ``rfft``, the samples of the half circle, and the
-    result's imaginary parts are exactly zero.
-    """
-    real = not np.any(a.imag)
-    size = next_fast_len(length, real=real)
-    if real:
-        return irfft(fn(rfft(a.real, size)), size)[:count].astype(complex)
-    return ifft(fn(fft(a, size)))[:count]
 
 
 def power(a, m):
@@ -114,7 +103,7 @@ def power(a, m):
     count = m * (len(a) - 1) + 1
     if m == 1 or count - 1 < FFT_THRESHOLD:
         return _direct_power(a, m)
-    return _pointwise(a, count, count, lambda x: x ** m)
+    return _pointwise((a,), count, count, lambda x: x ** m)
 
 
 def abs_power_xcorr(a, p):
@@ -135,5 +124,5 @@ def abs_power_xcorr(a, p):
     if 2 * (count - 1) < FFT_THRESHOLD:
         u = _direct_power(a, s)
         return np.correlate(u, u, "full")[count - 1:]
-    return _pointwise(a, count, 2 * count - 1,
+    return _pointwise((a,), count, 2 * count - 1,
                       lambda x: (x.real ** 2 + x.imag ** 2) ** s)

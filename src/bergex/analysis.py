@@ -10,7 +10,7 @@ exact Gauss-Legendre quadrature.
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .poly import antiderivative, derivative, multiply, shift
 from .spaces import bergman_inner, hardy_inner
@@ -27,7 +27,7 @@ def lp_g_function(f, theta):
     fp = derivative(f)
     if fp.is_zero():
         return 0.0
-    x, w = roots_legendre(_G_NODES)
+    x, w = leggauss(_G_NODES)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     vals = np.abs(fp(r * np.exp(1j * theta))) ** 2

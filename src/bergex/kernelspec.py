@@ -26,8 +26,9 @@ class ConfigError(ValueError):
 # of a kernel, explicit or power-decay. The solver's dense Hessian has
 # 2(n+1) rows for a complex kernel, 0.5 GB at this degree.
 MAX_DEGREE = 4096
-# The largest Lebesgue exponent a config may ask for: p, and the growth
-# study's (p - 1) q1. At p = 1100 ||f||_{A^p}^p underflows in the solver.
+# The largest Lebesgue exponent a config or an ExtremalProblem may ask
+# for: p, and the growth study's (p - 1) q1. At p = 1100 ||f||_{A^p}^p
+# underflows in the solver.
 MAX_EXPONENT = 1024
 
 
@@ -102,14 +103,19 @@ def realize(spec):
     """Produce the kernel polynomial a spec describes.
 
     Raises ValueError when the result is identically zero, which no
-    functional kernel may be.
+    functional kernel may be, and ConfigError when a coefficient is not
+    finite, as (t+1)^(-alpha) is past the float range for alpha << 0.
     """
     if spec["type"] == "coeffs":
         k = AnalyticPoly(_complex_pairs(spec["values"]))
     elif spec["type"] == "power_decay":
-        k = power_decay_kernel(spec["alpha"], spec["count"])
+        with np.errstate(over="ignore"):
+            k = power_decay_kernel(spec["alpha"], spec["count"])
     else:
         k = taylor_truncate(realize(spec["inner"]), spec["n"])
+    if not np.all(np.isfinite(k.coeffs)):
+        raise ConfigError(f"kernel spec {describe(spec)} has coefficients "
+                          f"past the float range; raise alpha")
     if k.is_zero():
         raise ValueError(f"kernel spec {describe(spec)} realizes to zero")
     return k

@@ -86,10 +86,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import roots_legendre
 
 from ._backend import conv, xcorr
+from .kernelspec import MAX_EXPONENT
 from .poly import AnalyticPoly, power, taylor_truncate
 from .spaces import bergman_norm_even, functional_value
 
@@ -121,8 +122,9 @@ class ExtremalProblem:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        if self.p < 2 or self.p % 2 != 0:
-            raise ValueError(f"p must be an even integer >= 2, got {self.p}")
+        if not 2 <= self.p <= MAX_EXPONENT or self.p % 2 != 0:
+            raise ValueError(f"p must be an even integer in "
+                             f"2..{MAX_EXPONENT}, got {self.p}")
         if self.kernel.is_zero():
             raise ValueError("kernel must not be identically zero")
         if self.degree < 0:
@@ -558,7 +560,7 @@ def brute_force_oracle(k, p, degree=3, seed=7):
     # quadrature exact for |poly of degree n|^p: radial Gauss-Legendre,
     # uniform angular sampling above the integrand bandwidth
     radial = max(16, p * degree // 2 + 4)
-    x_gl, w_gl = roots_legendre(radial)
+    x_gl, w_gl = leggauss(radial)
     r = 0.5 * (x_gl + 1.0)
     wr = 0.5 * w_gl * 2.0 * r
     angular = 1 << max(3, (p * degree + 1).bit_length())

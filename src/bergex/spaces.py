@@ -16,20 +16,21 @@ its pointwise power and one inverse give either of them to round-off
 (``_backend.power``, ``_backend.abs_power_xcorr``).
 
 General exponents fall back to tensor quadrature on the disc (64
-Gauss-Legendre radii, uniform angles) or to quadrature on the unit
-circle. The circles are sampled by FFT of the scaled coefficients
-a_t r^t, one transform per block of 8 radii (``_circle_means``). Real
-coefficients are conjugate symmetric on each circle, f(r e^{-i theta}) =
-conj f(r e^{i theta}), so their real FFT samples the half circle 0..pi and
-the mean of |f|^p counts the inner angles twice; complex coefficients take
-the full inverse FFT.
+Gauss-Legendre radii from NumPy's ``leggauss``, uniform angles) or to
+quadrature on the unit circle. The circles are sampled by ``numpy.fft``
+of the scaled coefficients a_t r^t, at the power-of-two angle counts of
+``_angular_count``, one transform per block of 8 radii
+(``_circle_means``). Real coefficients are conjugate symmetric on each
+circle, f(r e^{-i theta}) = conj f(r e^{i theta}), so their real FFT
+samples the half circle 0..pi and the mean of |f|^p counts the inner
+angles twice; complex coefficients take the full inverse FFT.
 """
 
 import numpy as np
-from scipy.fft import ifft, rfft
-from scipy.special import roots_legendre
+from numpy.fft import ifft, rfft
+from numpy.polynomial.legendre import leggauss
 
-from ._backend import abs_power_xcorr
+from ._backend import abs_power_xcorr, fft_length
 from .poly import power
 
 
@@ -40,8 +41,7 @@ def _angular_count(max_degree):
     polynomials of bandwidth 2*max_degree exactly (the worst case arising
     from |f|^p with p even and headroom for general-p integrands).
     """
-    need = 4 * max(max_degree, 0) + 4
-    return 1 << max(2, (need - 1).bit_length())
+    return fft_length(4 * max(max_degree, 0) + 4)
 
 
 def bergman_inner(f, g):
@@ -120,7 +120,7 @@ _RADIUS_BLOCK = 8
 def _radial_rule(count):
     """Gauss-Legendre radii on (0, 1) and weights with the area weight 2r
     folded in, so that the weights sum to the area 1. Read-only arrays."""
-    x, w = roots_legendre(count)
+    x, w = leggauss(count)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * 2.0 * r
     r.setflags(write=False)

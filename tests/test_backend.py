@@ -25,6 +25,26 @@ def xcorr_by_definition(a, v):
     ])
 
 
+def operand_pairs(rng, n, m):
+    """Complex operands, then two real ones, then a real and a complex."""
+    a, v = random_vectors(rng, n, m)
+    return [(a, v), (a.real + 0j, v.real + 0j), (a.real + 0j, v)]
+
+
+def assert_path_result(dispatched, direct, a, b):
+    """``dispatched`` is ``direct`` to round-off. Two real operands take
+    real transforms and give imaginary parts exactly zero; a real and a
+    complex one take complex transforms, which keep the imaginary parts."""
+    scale = np.max(np.abs(direct))
+    np.testing.assert_allclose(
+        dispatched / scale, direct / scale, rtol=1e-12, atol=1e-12
+    )
+    if not (np.any(a.imag) or np.any(b.imag)):
+        assert not np.any(dispatched.imag)
+    else:
+        assert np.max(np.abs(dispatched.imag)) > 0.1 * scale
+
+
 class TestPythonKernels:
     def test_conv_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -65,26 +85,18 @@ class TestDispatch:
 
     def test_large_conv_matches_direct(self):
         # output degree above the FFT threshold: both paths must agree
-        rng = np.random.default_rng(4)
         half = _backend.FFT_THRESHOLD // 2 + 20
-        a, b = random_vectors(rng, half, half)
-        direct = np.convolve(a, b)
-        dispatched = _backend.conv(a, b)
-        scale = np.max(np.abs(direct))
-        np.testing.assert_allclose(
-            dispatched / scale, direct / scale, rtol=1e-12, atol=1e-12
-        )
+        for a, b in operand_pairs(np.random.default_rng(4), half, half):
+            direct = np.convolve(a, b)
+            dispatched = _backend.conv(a, b)
+            assert_path_result(dispatched, direct, a, b)
 
     def test_large_xcorr_matches_direct(self):
-        rng = np.random.default_rng(5)
         big = _backend.FFT_THRESHOLD + 40
-        a, v = random_vectors(rng, big, big - 30)
-        direct = xcorr_by_definition(a, v)
-        dispatched = _backend.xcorr(a, v)
-        scale = np.max(np.abs(direct))
-        np.testing.assert_allclose(
-            dispatched / scale, direct / scale, rtol=1e-12, atol=1e-12
-        )
+        for a, v in operand_pairs(np.random.default_rng(5), big, big - 30):
+            direct = xcorr_by_definition(a, v)
+            dispatched = _backend.xcorr(a, v)
+            assert_path_result(dispatched, direct, a, v)
 
     def test_xcorr_empty_v(self):
         a = np.ones(5, dtype=complex)

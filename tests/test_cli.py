@@ -499,6 +499,27 @@ class TestExitCodes:
     def test_unknown_kernel_type_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"kernel": {"type": "mystery"}}) == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kernel_rejected(self, tmp_path, capsys,
+                                         solved_artifact):
+        # (t+1)^1000 realizes to [1, 1.07e301, inf, inf]: exit 3 naming
+        # alpha, not NaN iterations and exit 2
+        overflow = {"type": "power_decay", "alpha": -1000, "count": 4}
+        payload = load_report(solved_artifact[1])
+        payload["body"]["problem"]["kernel"] = overflow
+        study = write_json(tmp_path / "study.json", {
+            "schema_version": 1, "p": 4, "degrees": [4, 8],
+            "kernel": overflow})
+        for code in (
+                lambda: self.run_solve(tmp_path, {"kernel": overflow}),
+                lambda: cli.main(["verify", write_json(
+                    tmp_path / "solution.json", payload)]),
+                lambda: cli.main(["study", "convergence", "--config",
+                                  study])):
+            capsys.readouterr()
+            assert code() == 3
+            assert "alpha=-1000" in capsys.readouterr().err
+
     def test_non_json_config_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{broken", encoding="utf-8")
@@ -947,11 +968,12 @@ class TestArgumentParsing:
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.signal and scipy.optimize each take a large share of start-up;
-    # only the brute-force oracle needs scipy.optimize, and loads it itself
+    # each of these takes a large share of start-up; NumPy serves the
+    # transforms and the Gauss-Legendre rule, and only the brute-force
+    # oracle needs scipy.optimize, and loads it itself
     code = ("import sys, bergex.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.optimize') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.signal', 'scipy.optimize', "
+            "'scipy.fft', 'scipy.special') if m in sys.modules])")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -99,6 +99,16 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(coeffs_spec([0.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_decay_rejected(self):
+        # 2^1000 is a float and 3^1000 is not: [1, 1.07e301, inf, inf]
+        spec = power_decay_spec(-1000.0, 4)
+        with pytest.raises(ConfigError, match="alpha=-1000"):
+            realize(spec)
+        with pytest.raises(ConfigError, match="alpha=-1000"):
+            realize(from_dict({"type": "truncate", "inner": spec, "n": 3}))
+        assert realize(power_decay_spec(-1000.0, 2)).coeffs[1] == 2.0 ** 1000
+
 
 class TestDescribe:
     def test_stable_ids(self):

@@ -8,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from bergex import solver
 from bergex.families import power_decay_kernel, standard_family
+from bergex.kernelspec import MAX_EXPONENT
 from bergex.poly import AnalyticPoly, as_poly, monomial, taylor_truncate
 from bergex.solver import (
     ExtremalProblem,
@@ -59,6 +60,19 @@ class TestProblemValidation:
     def test_p_below_two_rejected(self):
         with pytest.raises(ValueError):
             ExtremalProblem(p=0, kernel=as_poly([1.0]), degree=4)
+
+    def test_p_above_max_exponent_rejected(self):
+        # past the bound ||f||_{A^p}^p underflows and Newton runs on NaN
+        with pytest.raises(ValueError, match=r"p .*2\.\.1024, got 1026"):
+            ExtremalProblem(p=MAX_EXPONENT + 2, kernel=as_poly([1.0]),
+                            degree=4)
+
+    def test_p_at_max_exponent_solves(self):
+        sol = solve_extremal(ExtremalProblem(p=MAX_EXPONENT,
+                                             kernel=as_poly([1.0]), degree=4))
+        np.testing.assert_allclose(sol.F.padded(5), [1, 0, 0, 0, 0],
+                                   atol=1e-12)
+        assert sol.phi_norm == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(ValueError):
