@@ -5,10 +5,12 @@ cross-correlation) with median wall time per call at a range of operand
 sizes. Each column calls ``bergex._backend.conv``/``xcorr`` with
 ``FFT_THRESHOLD`` pinned so that one path runs at every size: the direct
 NumPy evaluation used below the threshold, or the FFT evaluation used at
-or above it. Both operands have length n, so the output degree is 2n - 2.
-"direct" and "fft" time complex operands; "direct real" and "fft real"
-time their real parts, which the FFT path sends through real transforms
-of half the size.
+or above it. Both operands have length n, so the output degree is
+2n - 2. "direct" and "fft" time complex operands; "direct real" and
+"fft real" time their real parts, which the FFT path sends through real
+transforms of half the size. The four columns of a row are timed call by
+call in turn, so that drift in the machine's speed lands on all of them
+alike.
 
 On a 2-CPU x86-64 VM (NumPy 2.4, 300 repeats, the median of each cell
 over 5 runs) the FFT path, NumPy's transforms at power-of-two lengths,
@@ -125,16 +127,20 @@ def bench_operation(name, fn, sizes, repeats):
     for n in sizes:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        row = f"{n:>6}"
-        for x, y in ((a, b), (a.real, b.real)):
-            for _, threshold in PATHS:
-                _backend.FFT_THRESHOLD = threshold
-                try:
-                    micros = time_call(fn, x, y, repeats=repeats) * 1e6
-                finally:
-                    _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
-                row += f"{micros:>14.2f}"
-        print(row)
+        cells = [(x, y, threshold) for x, y in ((a, b), (a.real, b.real))
+                 for _, threshold in PATHS]
+        times = [[] for _ in cells]
+        try:
+            for _ in range(repeats):
+                for (x, y, threshold), column in zip(cells, times):
+                    _backend.FFT_THRESHOLD = threshold
+                    start = time.perf_counter()
+                    fn(x, y)
+                    column.append(time.perf_counter() - start)
+        finally:
+            _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
+        print(f"{n:>6}" + "".join(f"{statistics.median(column) * 1e6:>14.2f}"
+                                  for column in times))
 
 
 def newton_step(a, p):

@@ -388,17 +388,24 @@ def growth_study(family, p, q1_list):
         solution = solve_extremal(ExtremalProblem(
             p=p, kernel=kernel, degree=degree, tolerance=STUDY_TOLERANCE,
         ))
-        k_bergman = bergman_norm_general(kernel, q)
+        # The ratio is homogeneous of degree 0 in k, so both kernel norms
+        # are taken of k / 2^e, with max|c_t| in [2^(e-1), 2^e), where
+        # |c_t|^q neither overflows nor underflows, and the columns are
+        # restored by ldexp.
+        scale = float(np.max(np.abs(kernel.coeffs)))
+        exponent = math.frexp(scale)[1]
+        unit = AnalyticPoly(_rescaled(kernel.coeffs, scale)[0])
+        k_bergman = bergman_norm_general(unit, q)
         for q1 in q1_list:
             p1 = (p - 1.0) * q1
             F_hardy = _hardy_norm_auto(solution.F, p1)
-            k_hardy = _hardy_norm_auto(kernel, q1)
+            k_hardy = _hardy_norm_auto(unit, q1)
             rows.append(GrowthStudyRow(
                 kernel_id=kernel_id,
                 q1=float(q1),
                 p1=float(p1),
-                k_hardy=k_hardy,
-                k_bergman=k_bergman,
+                k_hardy=float(np.ldexp(k_hardy, exponent)),
+                k_bergman=float(np.ldexp(k_bergman, exponent)),
                 F_hardy=F_hardy,
                 ratio=F_hardy ** (p - 1) * k_bergman / k_hardy,
             ))

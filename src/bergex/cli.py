@@ -42,6 +42,7 @@ from .solver import (
     ExtremalProblem,
     NonConvergenceError,
     brute_force_oracle,
+    certificate_degree,
     extremality_residual,
     solve_extremal,
 )
@@ -286,9 +287,8 @@ def run_verify(solution_path, out=None):
         raise ConfigError(
             "solution file is nested too deeply to read") from None
 
-    # the range solve_extremal certifies: every nonzero pairing
     residuals = extremality_residual(F, kernel, p, phi_norm,
-                                     max(2, p // 2) * degree)
+                                     certificate_degree(p, degree))
     rows.insert(0, {"check_name": "residual_max",
                     "recorded": recorded_max,
                     "recomputed": float(np.max(np.abs(residuals)))})
@@ -337,7 +337,8 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
         _emit_csv(header, fields, csv_rows, out,
                   trailer=[f"empirical_C: {empirical_c!r}"])
     else:
-        _emit_json(header, {"rows": csv_rows, "empirical_C": empirical_c}, out)
+        _emit_json(header, _jsonable({"rows": csv_rows,
+                                      "empirical_C": empirical_c}), out)
     return EXIT_OK
 
 
@@ -374,7 +375,7 @@ def run_convergence_study(config, out=None, fmt="csv"):
     if fmt == "csv":
         _emit_csv(header, ["degree", "distance"], csv_rows, out)
     else:
-        _emit_json(header, {"rows": csv_rows}, out)
+        _emit_json(header, _jsonable({"rows": csv_rows}), out)
     return EXIT_OK
 
 
@@ -404,9 +405,9 @@ def run_hinfty_study(config, out=None, fmt="csv"):
         _emit_csv(header, ["degree", "sup", "l1_mass"], csv_rows, out,
                   trailer=trailer)
     else:
-        _emit_json(header, {"rows": csv_rows,
-                            "relative_growth": report.residual,
-                            "verdict": report.verdict}, out)
+        _emit_json(header, _jsonable({"rows": csv_rows,
+                                      "relative_growth": report.residual,
+                                      "verdict": report.verdict}), out)
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
 
 
@@ -436,7 +437,7 @@ def run_oracle_compare(config, out=None, seed=None):
         "max_coefficient_gap": gap,
         "agree": agree,
     }
-    _emit_json(_header(seed), body, out)
+    _emit_json(_header(seed), _jsonable(body), out)
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 

@@ -99,8 +99,6 @@ DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # lowest degree of the ladder that solve_extremal climbs to degree n
 MIN_RUNG_DEGREE = 16
-# derivative-free restarts of brute_force_oracle, the first from zero
-_ORACLE_STARTS = 3
 
 
 class NonConvergenceError(RuntimeError):
@@ -152,9 +150,9 @@ class ExtremalSolution:
     ``phi_norm`` is the norm of the functional restricted to P_n (it
     approaches the full-space norm from below as n grows). ``residual_max``
     is the largest extremality-characterization residual over the
-    monomials z^j, j = 0..max(2, p/2) n: the pairings vanish past
-    j = (p/2) n, and the kernel side past deg k. ``iterations`` and ``trace`` belong to the
-    Newton solve at degree n alone, not to the lower rungs of the ladder.
+    monomials z^j, j = 0..``certificate_degree(p, n)``. ``iterations`` and
+    ``trace`` belong to the Newton solve at degree n alone, not to the lower
+    rungs of the ladder.
     """
 
     F: AnalyticPoly
@@ -187,6 +185,12 @@ def _rescaled(c, d):
     out.real = np.ldexp(np.real(c), -e)
     out.imag = np.ldexp(np.imag(c), -e)
     return out, math.ldexp(d, -e)
+
+
+def certificate_degree(p, degree):
+    """The highest monomial degree j the certificate tests, max(2, p/2) n:
+    the pairings vanish past j = (p/2) n, and the kernel side past deg k."""
+    return max(2, p // 2) * degree
 
 
 def _pairings(F, p, count):
@@ -499,7 +503,7 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
         F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
         phi_norm = float(functional_value(kernel, F).real)
         residuals = extremality_residual(F, kernel, p, phi_norm,
-                                         max(2, p // 2) * m)
+                                         certificate_degree(p, m))
         yield ExtremalSolution(
             F=F, phi_norm=phi_norm,
             residual_max=float(np.max(np.abs(residuals))),
@@ -541,10 +545,15 @@ def brute_force_oracle(k, p, degree=3, seed=7):
 
     whose minimizer is ||phi||^{1/(p-1)} F, by independent means: disc
     quadrature for the objective (no coefficient identities, no analytic
-    gradients) and Nelder-Mead/Powell restarts followed by a
-    finite-difference Newton polish. Everything here is deliberately
-    disjoint from the production solver's machinery so the two can check
-    each other.
+    gradients), one Powell search (Comput. J. 7 (1964), 155-162) from
+    0.5 * default_rng(seed).standard_normal(2n+2), and a finite-difference
+    Newton polish. Everything here is deliberately disjoint from the
+    production solver's machinery so the two can check each other. One
+    start suffices: J is strictly convex, so its minimum is its only
+    stationary point, and the quadrature is exact for |f|^p at every
+    degree allowed here. phi on P_n reads the kernel's c_0..c_n alone,
+    taken divided by 2^e with max|c_t| in [2^(e-1), 2^e): F does not
+    depend on the kernel's scale, and J stays of order one at any scale.
 
     Returns the unit-norm extremal candidate as an ``AnalyticPoly``.
     """
@@ -556,45 +565,35 @@ def brute_force_oracle(k, p, degree=3, seed=7):
     if degree < 0 or degree > 8:
         raise ValueError("oracle is meant for small spaces (degree <= 8)")
     n1 = degree + 1
+    c = k.padded(n1)
+    if not np.any(c):
+        raise ValueError("kernel vanishes on the working space P_n")
+    c = _rescaled(c, float(np.max(np.abs(c))))[0]
 
     # quadrature exact for |poly of degree n|^p: radial Gauss-Legendre,
     # uniform angular sampling above the integrand bandwidth
-    radial = max(16, p * degree // 2 + 4)
-    x_gl, w_gl = leggauss(radial)
+    x_gl, w_gl = leggauss(max(16, p * degree // 2 + 4))
     r = 0.5 * (x_gl + 1.0)
-    wr = 0.5 * w_gl * 2.0 * r
     angular = 1 << max(3, (p * degree + 1).bit_length())
     zs = np.exp(2j * np.pi * np.arange(angular) / angular)
     pts = np.outer(r, zs).ravel()
-    wts = np.repeat(wr / angular, angular)
+    # the area measure 2r dr dtheta / 2pi is r dx dtheta / 2pi here
+    wts = np.repeat(w_gl * r / angular, angular)
     V = pts[:, None] ** np.arange(n1)
-    kv = np.polyval(k.coeffs[::-1], pts) if not k.is_zero() else np.zeros_like(pts)
-    wk = wts * np.conj(kv)
+    wk = wts * np.conj(V @ c)
 
     def J(x):
         a = x[:n1] + 1j * x[n1:]
         va = V @ a
         return float(wts @ np.abs(va) ** p) / p - float(np.real(wk @ va))
 
-    rng = np.random.default_rng(seed)
-    best_x, best_f = None, np.inf
-    for i in range(_ORACLE_STARTS):
-        x = rng.standard_normal(2 * n1) * (0.5 if i else 0.0)
-        for _ in range(2):
-            res = minimize(J, x, method="Nelder-Mead",
-                           options=dict(xatol=1e-13, fatol=1e-16,
-                                        maxiter=4000, adaptive=True))
-            x = res.x
-            res = minimize(J, x, method="Powell",
-                           options=dict(xtol=1e-13, ftol=1e-16, maxiter=4000))
-            x = res.x
-        if res.fun < best_f:
-            best_x, best_f = x, res.fun
+    x0 = 0.5 * np.random.default_rng(seed).standard_normal(2 * n1)
+    x = minimize(J, x0, method="Powell",
+                 options=dict(xtol=1e-13, ftol=1e-16, maxiter=4000)).x
 
     # Function-value-only quadratic model: central differences for
     # gradient and Hessian, then Newton steps. Breaks through the
-    # sqrt(eps) accuracy wall that simplex and line-search methods hit.
-    x = best_x
+    # sqrt(eps) accuracy wall that line-search methods hit.
     dim = 2 * n1
     hg, hh = 5e-6, 1e-4
     eye = np.eye(dim)

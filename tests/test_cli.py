@@ -40,6 +40,20 @@ def load_report(path):
         return json.load(fh)
 
 
+def load_strict_report(path):
+    """A report read as strict JSON: NaN, Infinity and -Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def scaled_one_plus_z(scale):
+    """The kernel spec of scale * (1 + z)."""
+    return {"type": "coeffs", "values": [[scale, 0.0], [scale, 0.0]]}
+
+
 def read_csv_report(path):
     """Split a CSV report into header comments, rows, and trailer comments."""
     header, trailer = {}, {}
@@ -359,12 +373,7 @@ class TestVerifyCommand:
         tampered = write_json(tmp_path / "tampered.json", payload)
         out = tmp_path / "verify.json"
         assert cli.main(["verify", tampered, "--out", str(out)]) == 1
-
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
-        body = json.loads(out.read_text(encoding="utf-8"),
-                          parse_constant=reject)["body"]
+        body = load_strict_report(out)["body"]
         assert body["verified"] is False
         assert body["max_difference"] is None
 
@@ -797,6 +806,25 @@ class TestGrowthStudy:
         assert len(body["rows"]) == 4
         assert body["empirical_C"] >= 1.0
 
+    def test_extreme_kernel_scales(self, tmp_path):
+        # the ratio is homogeneous of degree 0 in the kernel
+        def ratios(scale):
+            config = write_json(tmp_path / "g.json", {
+                "schema_version": 1,
+                "p": 4,
+                "family": [scaled_one_plus_z(scale)],
+                "degree": 32,
+            })
+            out = tmp_path / "g_out.json"
+            assert cli.main(["study", "growth", "--config", config,
+                             "--format", "json", "--out", str(out)]) == 0
+            rows = load_strict_report(out)["body"]["rows"]
+            return [row["ratio"] for row in rows]
+
+        base = ratios(1.0)
+        for scale in (1e100, 1e-200, 1e-310, 1e300):
+            assert ratios(scale) == pytest.approx(base, rel=1e-12, abs=0)
+
 
 class TestConvergenceStudy:
     """Truncation distances shrink as the degree grows."""
@@ -915,6 +943,21 @@ class TestOracleCompare:
         assert body["agree"] is True
         assert body["max_coefficient_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    def test_agreement_at_extreme_kernel_scales(self, tmp_path, scale):
+        # F does not depend on the kernel's scale
+        config = write_json(tmp_path / "o.json", {
+            "schema_version": 1,
+            "p": 4,
+            "kernel": scaled_one_plus_z(scale),
+        })
+        out = str(tmp_path / "oracle.json")
+        assert cli.main(["oracle-compare", "--config", config,
+                         "--out", out]) == 0
+        body = load_strict_report(out)["body"]
+        assert body["agree"] is True
+        assert body["max_coefficient_gap"] <= 1e-6
+
     def test_large_oracle_degree_rejected(self, tmp_path):
         config = write_json(tmp_path / "o.json", {
             "schema_version": 1,
@@ -965,6 +1008,36 @@ class TestArgumentParsing:
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
         assert self.exit_code(["oracle-compare", "--config", config,
                                "--format", "csv"]) == 3
+
+
+def strict_json_cases():
+    """(argv, config) of each command with a JSON report; every kernel is
+    scale * (1 + z) at an extreme scale."""
+    for scale in (1e-310, 1e300):
+        kernel = scaled_one_plus_z(scale)
+        for argv, config in [
+            (["solve"], {"degree": 160, "kernel": kernel}),
+            (["study", "growth"], {"degree": 8, "family": [kernel]}),
+            (["study", "convergence"], {"degrees": [4, 8], "kernel": kernel}),
+            (["oracle-compare"], {"kernel": kernel}),
+        ]:
+            yield pytest.param(argv, config, id=f"{argv[-1]}-{scale:g}")
+    yield pytest.param(["study", "hinfty"],
+                       {"alpha": 2.0, "degrees": [16, 32]}, id="hinfty")
+
+
+@pytest.mark.parametrize("argv, config", strict_json_cases())
+def test_json_reports_are_strict(tmp_path, argv, config):
+    path = write_json(tmp_path / "c.json",
+                      dict(config, schema_version=1, p=4))
+    out = str(tmp_path / "report.json")
+    fmt = ["--format", "json"] if argv[0] == "study" else []
+    assert cli.main([*argv, *fmt, "--config", path, "--out", out]) == 0
+    assert load_strict_report(out)["body"]
+    if argv == ["solve"]:
+        verified = str(tmp_path / "verify.json")
+        assert cli.main(["verify", out, "--out", verified]) == 0
+        assert load_strict_report(verified)["body"]["verified"] is True
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

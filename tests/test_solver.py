@@ -811,3 +811,36 @@ class TestTruncatedFamily:
         later = hardy_norm_even(f32 - f16, 4)
         earlier = hardy_norm_even(f16 - f8, 4)
         assert later < earlier
+
+
+class TestBruteForceOracle:
+    """The quadrature oracle against the solver past criterion 2's p = 4
+    and degree 3. J is strictly convex, so the one Powell search finds its
+    one minimum from whatever start the seed picks."""
+
+    @pytest.mark.parametrize("kernel", [[1.0, -0.6, 0.3],
+                                        [1.0, 0.5j, -0.25 + 0.4j]],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("p, n", [(2, 8), (6, 5), (8, 5)])
+    def test_matches_solver_from_two_seeds(self, p, n, kernel):
+        k = as_poly(kernel)
+        F = solve_extremal(ExtremalProblem(p=p, kernel=k, degree=n,
+                                           tolerance=1e-12)).F.padded(n + 1)
+        one, two = (solver.brute_force_oracle(k, p, degree=n, seed=seed)
+                    .padded(n + 1) for seed in (1, 2))
+        assert np.max(np.abs(one - F)) <= 1e-8
+        assert np.max(np.abs(two - one)) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
+    def test_kernel_past_the_angular_grid(self):
+        # at degree 3 the quadrature samples 16 angles, so c_16 z^16 would
+        # alias onto c_0 if the oracle did not truncate the kernel to P_3
+        k = power_decay_kernel(0.5, 40)
+        F = solve_extremal(ExtremalProblem(p=4, kernel=k, degree=3,
+                                           tolerance=1e-12)).F
+        oracle = solver.brute_force_oracle(k, 4, degree=3)
+        assert np.max(np.abs(oracle.padded(4) - F.padded(4))) <= 1e-8
+
+    def test_kernel_vanishing_on_the_space_rejected(self):
+        with pytest.raises(ValueError, match="vanishes"):
+            solver.brute_force_oracle(monomial(5), 4, degree=3)
