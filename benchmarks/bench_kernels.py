@@ -74,6 +74,17 @@ standard-family kernel, median of 15 calls: ``spaces.bergman_norm_general``
 (the unit circle) at q = 4/3 and 6/5. "real" says whether the kernel's
 coefficients are real, which samples the half circle.
 
+The ``startup`` table splits start-up by layer. Each of three statements
+runs in a fresh interpreter, the three in turn, ``STARTUP_REPEATS``
+times: ``import numpy``, ``import bergex.cli``, and ``bergex verify``
+(``cli.main``, its import included) of the family's power-decay-3.0
+solution at p = 6, n = 128, solved once beforehand. "inside" is the
+statement's own time, taken in the interpreter; "process" is the whole
+process, interpreter start-up included. The second row less the first
+is what bergex adds to NumPy's import, and the third less the second is
+what verify and its checks cost. The Newton solve imports LAPACK on its
+first factorization, so none of the three loads SciPy.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
@@ -83,6 +94,8 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -101,6 +114,16 @@ NEWTON_REPEATS = 5
 STUDY_DEGREES = tuple(range(8, 65, 8))
 QUADRATURE_EXPONENTS = (4.0 / 3.0, 6.0 / 5.0)
 QUADRATURE_REPEATS = 15
+STARTUP_REPEATS = 15
+# Each statement runs in a fresh interpreter, which prints the seconds it
+# took; argv[1] is the directory holding the bergex package, argv[2] and
+# argv[3] the solution to verify and the report to write.
+STARTUP_PROBES = (
+    ("import numpy", "import numpy"),
+    ("import bergex.cli", "import bergex.cli"),
+    ("bergex verify", "from bergex import cli; "
+                      "cli.main(['verify', sys.argv[2], '--out', sys.argv[3]])"),
+)
 
 
 def time_call(fn, *args, repeats=200):
@@ -325,6 +348,40 @@ def bench_quadrature(repeats):
                   f"{bergman:>10.3f}{hardy:>10.3f}")
 
 
+def bench_startup(repeats):
+    print("\nstartup: median milliseconds per fresh interpreter")
+    header = f"{'statement':>20}{'inside':>10}{'process':>10}"
+    print(header)
+    print("-" * len(header))
+    package_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    times = [([], []) for _ in STARTUP_PROBES]
+    with tempfile.TemporaryDirectory() as workdir:
+        config = os.path.join(workdir, "config.json")
+        solution = os.path.join(workdir, "solution.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            # the family's power-decay-3.0 job at p = 6
+            json.dump({"schema_version": 1, "p": 6, "degree": 128,
+                       "kernel": {"type": "power_decay", "alpha": 3.0,
+                                  "count": 64}}, fh)
+        cli.main(["solve", "--config", config, "--out", solution])
+        argv = [package_dir, solution, os.path.join(workdir, "verify.json")]
+        for _ in range(repeats):
+            for (_, statement), (inside, process) in zip(STARTUP_PROBES,
+                                                          times):
+                code = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+                        f"t = time.perf_counter(); {statement}; "
+                        "print(time.perf_counter() - t)")
+                start = time.perf_counter()
+                out = subprocess.run([sys.executable, "-c", code, *argv],
+                                     capture_output=True, text=True,
+                                     check=True).stdout
+                process.append(time.perf_counter() - start)
+                inside.append(float(out.split()[-1]))
+    for (label, _), (inside, process) in zip(STARTUP_PROBES, times):
+        print(f"{label:>20}{statistics.median(inside) * 1e3:>10.1f}"
+              f"{statistics.median(process) * 1e3:>10.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
@@ -344,6 +401,7 @@ def main():
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
     bench_study(STUDY_DEGREES, NEWTON_REPEATS)
     bench_quadrature(QUADRATURE_REPEATS)
+    bench_startup(STARTUP_REPEATS)
 
 
 if __name__ == "__main__":

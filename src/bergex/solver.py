@@ -87,7 +87,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._backend import conv, xcorr
 from .kernelspec import MAX_EXPONENT
@@ -139,7 +138,7 @@ class ExtremalProblem:
             warnings.warn(
                 "working degree below kernel degree: the functional is "
                 "truncated to P_n",
-                stacklevel=2,
+                stacklevel=3,  # past the __init__ that dataclass generates
             )
 
 
@@ -359,6 +358,10 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     trace entry is the iteration that met the tolerance; otherwise the
     coefficients are the last iterate.
     """
+    # imported here, its only user: scipy.linalg is slow to import, and
+    # bergex verify and the checks never factor
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     s, n1 = p // 2, len(c_hat)
     cw = c_hat / (np.arange(n1) + 1.0)
     # b is the gradient of Re phi_hat(f) = b @ x
@@ -406,7 +409,9 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
             H = _hessian(coeffs(x), p, wu, v)
             H /= p
             # LAPACK directly: scipy.linalg's cho_factor and cho_solve
-            # call these same routines behind a per-call batching layer
+            # call these same routines behind a per-call batching layer.
+            # Iteration 0 always factors, so the import at the top of this
+            # function comes just before a process's first factorization
             factor, info = dpotrf(H, overwrite_a=1, clean=0)
             if info != 0:
                 return coeffs(x), tuple(trace), (

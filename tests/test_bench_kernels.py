@@ -39,10 +39,11 @@ def test_every_table_runs(bench_kernels, capsys):
     bench_kernels.bench_ladder(1)
     bench_kernels.bench_study([8, 16], 1)
     bench_kernels.bench_quadrature(1)
+    bench_kernels.bench_startup(1)
     assert _backend.FFT_THRESHOLD == threshold
     assert solver._newton is newton
     assert solver._gram is gram
     out = capsys.readouterr().out
     for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
-                  "ladder:", "emit:", "study:", "quadrature:"):
+                  "ladder:", "emit:", "study:", "quadrature:", "startup:"):
         assert table in out

@@ -1040,20 +1040,46 @@ def test_json_reports_are_strict(tmp_path, argv, config):
         assert load_strict_report(verified)["body"]["verified"] is True
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # each of these takes a large share of start-up; NumPy serves the
-    # transforms and the Gauss-Legendre rule, and only the brute-force
-    # oracle needs scipy.optimize, and loads it itself
-    code = ("import sys, bergex.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.optimize', "
-            "'scipy.fft', 'scipy.special') if m in sys.modules])")
+SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def run_fresh(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # SciPy takes a large share of start-up; NumPy serves the transforms
+    # and the Gauss-Legendre rule, and the Newton solve and the
+    # brute-force oracle each import what they need of SciPy themselves
+    out = run_fresh(f"import sys, bergex.cli; print({SCIPY_MODULES})")
     assert out.strip() == "[]"
+
+
+def test_only_the_solve_loads_scipy(tmp_path):
+    # bergex verify and its checks factor nothing, so they load no SciPy;
+    # bergex solve loads LAPACK on its first factorization, and still
+    # not scipy.optimize, which only the brute-force oracle needs
+    config = write_json(tmp_path / "c.json", {
+        "schema_version": 1, "p": 4, "degree": 16, "kernel": MONOMIAL_Z})
+    solution = str(tmp_path / "s.json")
+    assert cli.main(["solve", "--config", config, "--out", solution]) == 0
+    code = ("import sys; from bergex import cli; "
+            "assert cli.main(['verify', sys.argv[1], '--out', sys.argv[2]]) "
+            f"== 0; print({SCIPY_MODULES}); "
+            "assert cli.main(['solve', '--config', sys.argv[3], '--out', "
+            "sys.argv[4]]) == 0; "
+            "print([m in sys.modules for m in ('scipy.linalg.lapack', "
+            "'scipy.optimize')])")
+    out = run_fresh(code, solution, str(tmp_path / "v.json"), config,
+                    str(tmp_path / "s2.json")).split("\n")
+    assert out[0] == "[]"
+    assert out[1] == "[True, False]"
 
 
 def test_solve_and_verify_leave_disc_quadrature_alone(tmp_path, monkeypatch):

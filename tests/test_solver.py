@@ -1,10 +1,12 @@
 """Tests for the extremal solver, its certificate, and the kernel inverse."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from bergex import solver
 from bergex.families import power_decay_kernel, standard_family
@@ -102,6 +104,11 @@ class TestProblemValidation:
     def test_degree_below_kernel_degree_warns(self):
         with pytest.warns(UserWarning):
             ExtremalProblem(p=4, kernel=as_poly([1.0, 0.0, 0.0, 1.0]), degree=1)
+
+    def test_degree_below_kernel_degree_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="below kernel degree") as record:
+            ExtremalProblem(p=4, kernel=as_poly([1.0, 0.0, 0.0, 1.0]), degree=1)
+        assert Path(record[0].filename).resolve() == Path(__file__).resolve()
 
 
 class TestClosedForms:
@@ -718,7 +725,7 @@ class TestFinalStep:
         # resolution; the reference takes that step with a Hessian built
         # there.
         seen = {}
-        terms, solve = solver._newton_terms, solver.dpotrs
+        terms, solve = solver._newton_terms, lapack.dpotrs
 
         def recording_terms(a, *args):
             seen["a"] = a
@@ -729,7 +736,7 @@ class TestFinalStep:
             return solve(factor, grad, **kwargs)
 
         monkeypatch.setattr(solver, "_newton_terms", recording_terms)
-        monkeypatch.setattr(solver, "dpotrs", recording_solve)
+        monkeypatch.setattr(lapack, "dpotrs", recording_solve)
         kernel, n = self.FAMILY[name]
         sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
 
