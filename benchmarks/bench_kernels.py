@@ -21,18 +21,23 @@ switches to the FFT sooner than this table asks.
 
 The ``newton_step`` table times the dense part of one solver iteration,
 median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
-of degree n = 96, 352 and 704. The "real" and "complex" columns time an
-iteration that steps before convergence: ``solver._newton_terms``
+of degree n = 16, 24 and 48, the sizes of the lowest rungs of the
+degree ladders, and 96, 352 and 704. The "real" and "complex" columns
+time an iteration that steps before convergence: ``solver._newton_terms``
 (objective and gradient), ``solver._hessian`` and the Cholesky
 factorization of that Hessian by LAPACK's ``dpotrf``, called directly as
 the solver calls it. The "real" column passes the coefficients as a real
 vector, which the solver does for a real kernel (n+1 unknowns); the
-"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows. The "real final" and "complex final" columns time the
-iteration that meets the tolerance: objective and gradient, then the
-step with the Cholesky factor kept from the iteration before (LAPACK's
-``dpotrs``), which is all the solver's final step costs now that it
-builds no Hessian. Pin OpenBLAS to one thread for this table: on a
-2-CPU VM its threads made single cells up to 20x slower from run to run.
+"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
+The "real final" and "complex final" columns time the iteration that
+meets the tolerance: objective and gradient, then the step with the
+Cholesky factor kept from the iteration before (LAPACK's ``dpotrs``),
+which is all the solver's final step costs now that it builds no
+Hessian. The "real hessian" and "complex hessian" columns time
+``solver._hessian`` alone, from the objective's W f^s and f^{s-1}, so
+that the Hessian's assembly shows apart from its factorization. Pin
+OpenBLAS to one thread for this table: on a 2-CPU VM its threads made
+single cells up to 20x slower from run to run.
 
 The ``power`` table times the Fourier coefficients b_0..b_{(p/2) n} of
 |f|^p, f^{p/2} correlated with itself, at p = 4 and 6 on the same
@@ -110,6 +115,8 @@ from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 NEWTON_SIZES = (96, 352, 704)
+# the newton_step table adds lowest-rung degrees of the family's ladders
+NEWTON_STEP_SIZES = (16, 24, 48) + NEWTON_SIZES
 NEWTON_REPEATS = 5
 STUDY_DEGREES = tuple(range(8, 65, 8))
 QUADRATURE_EXPONENTS = (4.0 / 3.0, 6.0 / 5.0)
@@ -179,8 +186,9 @@ def final_step(a, p, factor):
 
 def bench_newton_step(sizes, repeats):
     print("\nnewton_step: median milliseconds per call")
-    header = (f"{'n':>6}{'p':>4}{'real':>12}{'complex':>12}{'ratio':>8}"
-              f"{'real final':>12}{'complex final':>15}")
+    header = (f"{'n':>6}{'p':>4}{'real':>10}{'complex':>10}{'ratio':>8}"
+              f"{'real final':>12}{'complex final':>15}"
+              f"{'real hessian':>14}{'complex hessian':>17}")
     print(header)
     print("-" * len(header))
     for n in sizes:
@@ -189,13 +197,18 @@ def bench_newton_step(sizes, repeats):
             times = []
             for coeffs in (a, np.exp(0.7j) * a):
                 factor = newton_step(coeffs, p)
+                wu, v = _newton_terms(coeffs, p)[2:]
                 times.append(time_call(newton_step, coeffs, p,
                                        repeats=repeats))
                 times.append(time_call(final_step, coeffs, p, factor,
                                        repeats=repeats))
-            real, real_final, cplx, cplx_final = (t * 1e3 for t in times)
-            print(f"{n:>6}{p:>4}{real:>12.2f}{cplx:>12.2f}{cplx / real:>8.2f}"
-                  f"{real_final:>12.2f}{cplx_final:>15.2f}")
+                times.append(time_call(_hessian, coeffs, p, wu, v,
+                                       repeats=repeats))
+            real, real_final, real_hessian, cplx, cplx_final, cplx_hessian = (
+                t * 1e3 for t in times)
+            print(f"{n:>6}{p:>4}{real:>10.3f}{cplx:>10.3f}{cplx / real:>8.2f}"
+                  f"{real_final:>12.3f}{cplx_final:>15.3f}"
+                  f"{real_hessian:>14.3f}{cplx_hessian:>17.3f}")
 
 
 def chained_spectrum(a, p):
@@ -394,7 +407,7 @@ def main():
     print(f"FFT_THRESHOLD in use: {THRESHOLD_IN_USE} (output degree)")
     bench_operation("conv", _backend.conv, sizes, args.repeats)
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
-    bench_newton_step(NEWTON_SIZES, NEWTON_REPEATS)
+    bench_newton_step(NEWTON_STEP_SIZES, NEWTON_REPEATS)
     bench_power(NEWTON_SIZES, args.repeats)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
     bench_ladder(NEWTON_REPEATS)

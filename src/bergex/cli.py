@@ -88,6 +88,13 @@ def _degrees(config, default=_REQUIRED):
         default)
 
 
+def _seed(config, default=None):
+    """The config field 'seed', an integer >= 0 that reports record in
+    their header."""
+    return _field(config, "seed", int, lambda v: v >= 0, "seed must be >= 0",
+                  default)
+
+
 def _validate_common(config):
     p = _field(config, "p", int,
                lambda v: 2 <= v <= kernelspec.MAX_EXPONENT and v % 2 == 0,
@@ -228,6 +235,7 @@ def run_solve(config, out=None):
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
                             DEFAULT_MAX_ITERATIONS)
+    seed = _seed(config)
     problem = ExtremalProblem(
         p=p, kernel=kernel, degree=degree, tolerance=tolerance,
         max_iterations=max_iterations,
@@ -235,7 +243,7 @@ def run_solve(config, out=None):
     solution = solve_extremal(problem)
     reports = check_reports(checks, solution.F, kernel, p, solution.phi_norm)
     body = _solution_body(spec, tolerance, solution, reports)
-    _emit_json(_header(config.get("seed")), body, out)
+    _emit_json(_header(seed), body, out)
     return _gating(reports)
 
 
@@ -323,8 +331,7 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
         f"q1_list must be a non-empty list of finite numbers q1 with "
         f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}", [q, 2.0, 4.0])
     if seed is None:
-        seed = _field(config, "seed", int, lambda v: v >= 0,
-                      "seed must be >= 0", None)
+        seed = _seed(config)
     family = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
     ratios = [r.ratio for r in rows]
@@ -369,9 +376,10 @@ def run_convergence_study(config, out=None, fmt="csv"):
     degrees = _degrees(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
+    seed = _seed(config)
     rows = convergence_study(kernel, p, degrees)
     csv_rows = [{"degree": n, "distance": d} for n, d in rows]
-    header = _header(config.get("seed"))
+    header = _header(seed)
     if fmt == "csv":
         _emit_csv(header, ["degree", "distance"], csv_rows, out)
     else:
@@ -388,6 +396,7 @@ def run_hinfty_study(config, out=None, fmt="csv"):
                        lambda v: 0 <= v < math.inf,
                        "growth_threshold must be >= 0 and finite", 0.01)
     exploratory = _field(config, "exploratory", bool, default=False)
+    seed = _seed(config)
     try:
         report = check_hinfty_criterion(
             alpha, p, degrees, growth_threshold=threshold,
@@ -398,7 +407,7 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     l1 = report.context["l1_by_degree"]
     csv_rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
                 for n in sorted(sups)]
-    header = _header(config.get("seed"))
+    header = _header(seed)
     trailer = [f"relative_growth: {report.residual!r}",
                f"verdict: {report.verdict}"]
     if fmt == "csv":
@@ -418,8 +427,7 @@ def run_oracle_compare(config, out=None, seed=None):
     degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
                     "oracle_degree must be 2 or 3", 3)
     if seed is None:
-        seed = _field(config, "seed", int, lambda v: v >= 0,
-                      "seed must be >= 0", 7)
+        seed = _seed(config, 7)
     oracle_tolerance = _field(config, "oracle_tolerance", float,
                               _positive_finite,
                               "oracle_tolerance must be positive and finite",

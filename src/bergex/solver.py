@@ -85,7 +85,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, xcorr
@@ -251,16 +251,25 @@ def _gram(v, n1):
     """T_v^H W T_v for the convolution matrix T_v of v cut to n1 columns.
 
     Entry (i, j) is sum_m conj(v_{m-i}) v_{m-j} / (m+1). The sum runs over
-    row blocks of T_v, each cut to the band where it is nonzero, so that no
-    temporary is larger than the n1 x n1 result. The result has the dtype
-    of v (real v, real arithmetic) and Fortran order.
+    row blocks of T_v, each cut to the band where it is nonzero, of
+    n1 // 2 + 1 rows but at least 128, so that no temporary is larger than
+    max(n1, 128) x n1. The floor is for small Hessians, whose cost is NumPy
+    call overhead rather than arithmetic: a T_v of up to 128 rows is one
+    product. The result has the dtype of v (real v, real arithmetic) and
+    Fortran order, so that ``dpotrf`` can overwrite it in place.
     """
     rows = len(v) + n1 - 1
-    # T[m, i] = v_{m-i}, a strided view of the zero-padded v
-    T = sliding_window_view(np.pad(v, n1 - 1), n1)[:, ::-1]
+    # T[m, i] = v_{m-i} = padded[n1 - 1 + m - i]: one read-only view of v
+    # between n1 - 1 zeros on each side, rows stepping forward and columns
+    # back
+    padded = np.zeros(len(v) + 2 * (n1 - 1), dtype=v.dtype)
+    padded[n1 - 1:n1 - 1 + len(v)] = v
+    step = padded.strides[0]
+    T = as_strided(padded[n1 - 1:], (rows, n1), (step, -step),
+                   writeable=False)
     root_w = 1.0 / np.sqrt(np.arange(rows) + 1.0)
     out = np.zeros((n1, n1), dtype=v.dtype, order="F")
-    block = n1 // 2 + 1
+    block = max(n1 // 2 + 1, 128)
     for m0 in range(0, rows, block):
         c0, c1 = max(0, m0 - len(v) + 1), min(n1, m0 + block)
         b = T[m0:m0 + block, c0:c1] * root_w[m0:m0 + block, None]
@@ -310,9 +319,14 @@ def _hessian(a, p, wu, v):
     P = _gram(v.real if real else v, n1)
     P *= 2.0 * s * s
     if s > 1:
-        # zero tail so that h reaches index 2n when f^s is shorter
-        h = xcorr(np.pad(wu, (0, n1)), power(AnalyticPoly(a), s - 2).coeffs)
-        hank = sliding_window_view(h[:2 * n1 - 1], n1)
+        # zero tail so that h reaches index 2n when f^s is shorter; f^s
+        # has len(wu) >= n1 coefficients (u = conv(v, a), a untrimmed), so
+        # h has the 2n1 - 1 entries the Hankel view reads
+        padded = np.zeros(len(wu) + n1, dtype=wu.dtype)
+        padded[:len(wu)] = wu
+        h = xcorr(padded, power(AnalyticPoly(a), s - 2).coeffs)
+        # hank[i, j] = h_{i+j}, a read-only view of h[:2n1-1]
+        hank = as_strided(h, (n1, n1), (h.strides[0],) * 2, writeable=False)
     if real:
         if s > 1:
             P += 2.0 * s * (s - 1) * hank.real

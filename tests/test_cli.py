@@ -594,7 +594,8 @@ INTEGER_FIELDS = [
     ("solve", "degree"), ("solve", "max_iterations"),
     ("solve", "fourier_m_max"), ("growth", "max_study_degree"),
     ("growth-explicit", "degree"), ("growth", "seed"),
-    ("oracle", "oracle_degree"), ("oracle", "seed"),
+    ("oracle", "oracle_degree"), ("oracle", "seed"), ("solve", "seed"),
+    ("convergence", "seed"), ("hinfty", "seed"),
 ]
 NOT_INTEGERS = [math.inf, True, False, 8.0, "8", [8], {"n": 8}, None, -1]
 

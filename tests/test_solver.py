@@ -260,15 +260,45 @@ class TestGradient:
             grad, 0.5 * sol.phi_norm * np.conj(res), rtol=0,
             atol=1e-14 * np.max(np.abs(kernel_side)))
 
-    @pytest.mark.parametrize("p, real", [
-        pytest.param(4, False, id="4"), pytest.param(6, False, id="6"),
-        pytest.param(4, True, id="4-real"), pytest.param(6, True, id="6-real"),
+    @pytest.mark.parametrize("n1", [1, 17, 130, 300])
+    @pytest.mark.parametrize("length", ["1", "n1", "2n1-1"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_gram_matches_definition(self, n1, length, real):
+        # n1 = 130 and 300 take two and more row blocks
+        count = {"1": 1, "n1": n1, "2n1-1": 2 * n1 - 1}[length]
+        rng = np.random.default_rng(n1 + count)
+        v = rng.standard_normal(count)
+        if not real:
+            v = v + 1j * rng.standard_normal(count)
+        rows = count + n1 - 1
+        T = np.zeros((rows, n1), dtype=v.dtype)
+        for i in range(n1):
+            T[i:i + count, i] = v
+        expected = T.conj().T @ np.diag(1.0 / (np.arange(rows) + 1.0)) @ T
+        G = solver._gram(v, n1)
+        # dpotrf factors the real Hessian, this array, in place
+        assert G.dtype == v.dtype
+        assert G.flags.f_contiguous
+        # relative to sqrt(G_ii G_jj), which bounds |G_ij| and the sum of
+        # the moduli of its terms: entries that cancel keep the round-off
+        # of their terms
+        diag = np.diag(expected).real
+        assert np.all(np.abs(G - expected)
+                      <= 1e-13 * np.sqrt(np.outer(diag, diag)))
+
+    @pytest.mark.parametrize("p, real, n1", [
+        pytest.param(4, False, 8, id="4"), pytest.param(6, False, 8, id="6"),
+        pytest.param(4, True, 8, id="4-real"),
+        pytest.param(6, True, 8, id="6-real"),
+        # T_v has 208 rows, more than one row block of _gram
+        pytest.param(6, False, 70, id="6-n70"),
+        pytest.param(6, True, 70, id="6-real-n70"),
     ])
-    def test_hessian_matches_gradient_differences(self, p, real):
+    def test_hessian_matches_gradient_differences(self, p, real, n1):
         # real coefficients take the coordinates x = Re a alone
         rng = np.random.default_rng(61 + p)
-        a = rng.standard_normal(8) if real else random_poly(rng, 7).coeffs
-        n1 = len(a)
+        a = (rng.standard_normal(n1) if real
+             else random_poly(rng, n1 - 1).coeffs)
 
         def real_gradient(x):
             if real:
