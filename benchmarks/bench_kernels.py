@@ -63,10 +63,12 @@ whole solve built (calls of ``solver._gram``).
 
 The ``emit`` table times the report layer at the same degrees, median
 of 5 calls, on the solution of that kernel at p = 4 with the default
-checks: "write" is ``cli._emit_json`` of its ``cli._solution_body``
-into a temporary file, and "read" is ``json.load`` of that file plus
-``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
-"kB" is the size of the file.
+checks. "new" is ``cli._emit_json`` of its ``cli._solution_body`` into
+a fresh file of a temporary directory on every call, and "overwrite"
+the same into one file that exists already, the case of a solve or
+verify that reruns with the same ``--out``. "read" is ``json.load`` of
+that file plus ``cli._read_coefficients``, the coefficient parse of
+``bergex verify``. "kB" is the size of the file.
 
 The ``study`` table times ``checks.convergence_study`` of the same
 kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
@@ -96,6 +98,7 @@ Run from the repository root:
 """
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -300,7 +303,8 @@ def read_solution(path):
 
 def bench_emit(sizes, repeats):
     print("\nemit: median milliseconds per report")
-    header = f"{'n':>6}{'p':>4}{'write':>12}{'read':>12}{'kB':>10}"
+    header = (f"{'n':>6}{'p':>4}{'new':>12}{'overwrite':>12}{'read':>12}"
+              f"{'kB':>10}")
     print(header)
     print("-" * len(header))
     spec = kernelspec.power_decay_spec(1.6, 64)
@@ -308,16 +312,22 @@ def bench_emit(sizes, repeats):
     p = 4
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "solution.json")
+        fresh = (os.path.join(workdir, f"new-{i}.json")
+                 for i in itertools.count())
         for n in sizes:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
             reports = check_reports(cli._requested_checks({}, p, n, kernel),
                                     sol.F, kernel, p, sol.phi_norm)
             body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
-            write = time_call(cli._emit_json, cli._header(), body, path,
-                              repeats=repeats)
+            stamp = cli._header()
+            new = time_call(lambda: cli._emit_json(stamp, body, next(fresh)),
+                            repeats=repeats)
+            cli._emit_json(stamp, body, path)  # every timed call overwrites
+            overwrite = time_call(cli._emit_json, stamp, body, path,
+                                  repeats=repeats)
             read = time_call(read_solution, path, repeats=repeats)
-            print(f"{n:>6}{p:>4}{write * 1e3:>12.2f}{read * 1e3:>12.2f}"
-                  f"{os.path.getsize(path) / 1e3:>10.1f}")
+            print(f"{n:>6}{p:>4}{new * 1e3:>12.2f}{overwrite * 1e3:>12.2f}"
+                  f"{read * 1e3:>12.2f}{os.path.getsize(path) / 1e3:>10.1f}")
 
 
 def bench_study(degrees, repeats):

@@ -2,10 +2,11 @@
 
 Reports separate a header (timestamps, tool version) from a body
 (everything computed), and the body is deterministic: identical config
-and seed produce byte-identical bodies. Every JSON report, a solution
-included, is one line with sorted keys and floats at full precision,
-written by json's C encoder; ``python3 -m json.tool solution.json``
-pretty-prints it. Studies emit CSV rows or JSON.
+and seed produce byte-identical bodies at one BLAS thread count. Every
+JSON report, a solution included, is one line with sorted keys and
+floats at full precision, written by json's C encoder;
+``python3 -m json.tool solution.json`` pretty-prints it. Studies emit
+CSV rows or JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed or verification
 mismatch, 2 solver non-convergence, 3 invalid input or command line.
@@ -16,6 +17,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -184,11 +187,28 @@ def _emit_csv(header, fieldnames, rows, out, trailer=()):
 
 
 def _write(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write a report to the path ``out``, or to stdout when it is unset.
+
+    An existing file is written over in place and then cut to the new
+    length. Opening it with ``O_TRUNC`` instead makes ext4
+    (``auto_da_alloc``) start writeback when the file is closed, which
+    costs more than the whole in-place write of a small report. The
+    write is neither atomic nor fsynced, as a truncating one was not: a
+    file torn by a power loss fails to parse or fails ``bergex verify``'s
+    residual recomputation. Only a regular file is cut; ``/dev/null``
+    cannot be.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _solution_body(spec, tolerance, solution, reports):

@@ -7,6 +7,7 @@ headers carry a generation timestamp.
 """
 
 import csv
+import errno
 import json
 import math
 import os
@@ -1009,6 +1010,122 @@ class TestArgumentParsing:
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
         assert self.exit_code(["oracle-compare", "--config", config,
                                "--format", "csv"]) == 3
+
+
+class TestReportFiles:
+    """``--out`` is written over in place and cut to the new length."""
+
+    SMALL_SOLVE = {
+        "schema_version": 1,
+        "p": 4,
+        "degree": 8,
+        "kernel": CONSTANT_ONE,
+        "checks": ["norm_equality"],
+    }
+
+    def solve(self, tmp_path, out):
+        config = write_json(tmp_path / "c.json", self.SMALL_SOLVE)
+        return cli.main(["solve", "--config", config, "--out", str(out)])
+
+    def test_shorter_report_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("stale " * 1000, encoding="utf-8")
+        cli._write("short\n", str(path))
+        assert path.read_bytes() == b"short\n"
+
+    def test_solve_over_a_longer_file_parses(self, tmp_path):
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        reused.write_text("x" * 100_000, encoding="utf-8")
+        assert self.solve(tmp_path, fresh) == 0
+        assert self.solve(tmp_path, reused) == 0
+        assert body_text(reused) == body_text(fresh)
+        assert reused.stat().st_size == fresh.stat().st_size
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old " * 1000, encoding="utf-8")
+        link.symlink_to(target)
+        assert self.solve(tmp_path, link) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert load_report(target)["body"]["problem"]["degree"] == 8
+
+    def test_dev_null_exits_zero(self, tmp_path):
+        assert self.solve(tmp_path, os.devnull) == 0
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, mask):
+        previous = os.umask(mask)
+        try:
+            reference = tmp_path / "reference"
+            with open(reference, "w", encoding="utf-8"):
+                pass
+            out = tmp_path / "s.json"
+            assert self.solve(tmp_path, out) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode == reference.stat().st_mode
+
+    def test_rewrite_gives_identical_bodies(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert self.solve(tmp_path, out) == 0
+        first = body_text(out)
+        assert self.solve(tmp_path, out) == 0
+        assert body_text(out) == first
+
+
+def unwritable_cases():
+    """(argv builder, --out builder) of each command and each way its
+    --out can fail to open."""
+    def solve(tmp_path, config, solution):
+        return ["solve", "--config", config]
+
+    def verify(tmp_path, config, solution):
+        return ["verify", solution]
+
+    def study(tmp_path, config, solution):
+        path = write_json(tmp_path / "study.json", {
+            "schema_version": 1, "p": 4, "kernel": CONSTANT_ONE,
+            "degrees": [4, 8]})
+        return ["study", "convergence", "--config", path]
+
+    def missing_directory(tmp_path):
+        return tmp_path / "absent" / "out"
+
+    def directory(tmp_path):
+        return tmp_path
+
+    def read_only(tmp_path):
+        path = tmp_path / "read-only"
+        path.write_text("", encoding="utf-8")
+        path.chmod(0o444)
+        return path
+
+    for command in (solve, verify, study):
+        for where in (missing_directory, directory, read_only):
+            yield pytest.param(command, where,
+                               id=f"{command.__name__}-{where.__name__}")
+
+
+@pytest.mark.parametrize("command, where", unwritable_cases())
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch,
+                                         solved_artifact, command, where):
+    config, solution = solved_artifact
+    out = where(tmp_path)
+    if os.access(out, os.W_OK) and not out.is_dir():
+        # root may write to a read-only file; refuse it as the kernel would
+        real_open = os.open
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse)
+    code = cli.main([*command(tmp_path, config, solution), "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
 
 
 def strict_json_cases():
