@@ -317,8 +317,9 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
     if len(degrees) < 2:
         raise ValueError("need at least two distinct degrees to compare")
     if alpha <= 1.5 and not exploratory:
-        raise ValueError("criterion requires alpha > 3/2; "
-                         "pass exploratory=True to run anyway")
+        raise ValueError("criterion requires alpha > 3/2; set "
+                         "'exploratory' to true to run it with the verdict "
+                         "withheld")
     k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}

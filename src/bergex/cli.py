@@ -173,16 +173,22 @@ def _emit_json(header, body, out):
     _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
-def _emit_csv(header, fieldnames, rows, out, trailer=()):
+def _emit_study(header, rows, out, fmt, **summary):
+    """A study report: its rows of like-keyed dicts, then its summary.
+
+    CSV writes the header as ``# key: value`` lines, then the rows under
+    the first row's keys, then the summary the same way as the header.
+    JSON writes the rows as ``rows`` beside the summary's keys.
+    """
+    if fmt != "csv":
+        _emit_json(header, _jsonable({"rows": rows, **summary}), out)
+        return
     buf = io.StringIO()
-    for key, value in header.items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    buf.writelines(f"# {key}: {value}\n" for key, value in header.items())
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    for line in trailer:
-        buf.write(f"# {line}\n")
+    writer.writerows(rows)
+    buf.writelines(f"# {key}: {value}\n" for key, value in summary.items())
     _write(buf.getvalue(), out)
 
 
@@ -355,17 +361,8 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
     family = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
     ratios = [r.ratio for r in rows]
-    empirical_c = max(max(ratios), 1.0 / min(ratios))
-    fields = ["kernel_id", "q1", "p1", "k_hardy", "k_bergman", "F_hardy",
-              "ratio"]
-    csv_rows = [{f: getattr(r, f) for f in fields} for r in rows]
-    header = _header(seed)
-    if fmt == "csv":
-        _emit_csv(header, fields, csv_rows, out,
-                  trailer=[f"empirical_C: {empirical_c!r}"])
-    else:
-        _emit_json(header, _jsonable({"rows": csv_rows,
-                                      "empirical_C": empirical_c}), out)
+    _emit_study(_header(seed), [vars(r) for r in rows], out, fmt,
+                empirical_C=max(max(ratios), 1.0 / min(ratios)))
     return EXIT_OK
 
 
@@ -398,12 +395,8 @@ def run_convergence_study(config, out=None, fmt="csv"):
         _field(config, "kernel", dict)))
     seed = _seed(config)
     rows = convergence_study(kernel, p, degrees)
-    csv_rows = [{"degree": n, "distance": d} for n, d in rows]
-    header = _header(seed)
-    if fmt == "csv":
-        _emit_csv(header, ["degree", "distance"], csv_rows, out)
-    else:
-        _emit_json(header, _jsonable({"rows": csv_rows}), out)
+    _emit_study(_header(seed), [{"degree": n, "distance": d} for n, d in rows],
+                out, fmt)
     return EXIT_OK
 
 
@@ -417,26 +410,15 @@ def run_hinfty_study(config, out=None, fmt="csv"):
                        "growth_threshold must be >= 0 and finite", 0.01)
     exploratory = _field(config, "exploratory", bool, default=False)
     seed = _seed(config)
-    try:
-        report = check_hinfty_criterion(
-            alpha, p, degrees, growth_threshold=threshold,
-            exploratory=exploratory)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = check_hinfty_criterion(alpha, p, degrees,
+                                    growth_threshold=threshold,
+                                    exploratory=exploratory)
     sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
-    csv_rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
-                for n in sorted(sups)]
-    header = _header(seed)
-    trailer = [f"relative_growth: {report.residual!r}",
-               f"verdict: {report.verdict}"]
-    if fmt == "csv":
-        _emit_csv(header, ["degree", "sup", "l1_mass"], csv_rows, out,
-                  trailer=trailer)
-    else:
-        _emit_json(header, _jsonable({"rows": csv_rows,
-                                      "relative_growth": report.residual,
-                                      "verdict": report.verdict}), out)
+    rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
+            for n in sorted(sups)]
+    _emit_study(_header(seed), rows, out, fmt,
+                relative_growth=report.residual, verdict=report.verdict)
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
 
 

@@ -378,7 +378,7 @@ class TestHinftyCriterion:
             assert sup == pytest.approx(1.0, abs=1e-6)
 
     def test_low_alpha_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exploratory"):
             check_hinfty_criterion(1.2, 4, [8, 16])
 
     def test_low_alpha_exploratory_withheld(self):

@@ -896,11 +896,13 @@ class TestHinftyStudy:
                          "--out", str(tmp_path / "h.csv")])
         assert code == 1
 
-    def test_slow_decay_needs_exploratory_flag(self, tmp_path):
+    def test_slow_decay_needs_exploratory_flag(self, tmp_path, capsys):
         code = cli.main(["study", "hinfty",
                          "--config", self.config(tmp_path, 1.2, [8, 16]),
                          "--out", str(tmp_path / "h.csv")])
         assert code == 3
+        # the config field, not the Python keyword
+        assert "'exploratory'" in capsys.readouterr().err
 
     def test_repeated_degree_rejected(self, tmp_path, capsys):
         # [16, 16] once passed with zero growth, a degree against itself
@@ -925,6 +927,57 @@ class TestHinftyStudy:
         assert code == 0
         _, _, trailer = read_csv_report(out)
         assert trailer["verdict"] == "withheld"
+
+
+def csv_cell(text):
+    """A CSV cell read back as the JSON value it stands for: an int, a
+    float (exactly, from its shortest repr; NaN is null), else the text."""
+    for parse in (int, float):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        return None if math.isnan(value) else value
+    return text
+
+
+@pytest.mark.parametrize("kind, config, code, columns, summary", [
+    pytest.param("growth", {"family": [ONE_PLUS_Z, CONSTANT_ONE],
+                            "degree": 16, "q1_list": [2.0, 3.5]}, 0,
+                 ["kernel_id", "q1", "p1", "k_hardy", "k_bergman", "F_hardy",
+                  "ratio"], ["empirical_C"], id="growth"),
+    pytest.param("convergence", {"kernel": ONE_PLUS_Z, "degrees": [8, 16]},
+                 0, ["degree", "distance"], [], id="convergence"),
+    pytest.param("hinfty", {"alpha": 2.0, "degrees": [16, 32]}, 0,
+                 ["degree", "sup", "l1_mass"],
+                 ["relative_growth", "verdict"], id="hinfty-pass"),
+    pytest.param("hinfty", {"alpha": 1.2, "degrees": [8, 16],
+                            "exploratory": True}, 0,
+                 ["degree", "sup", "l1_mass"],
+                 ["relative_growth", "verdict"], id="hinfty-withheld"),
+])
+def test_study_csv_and_json_carry_one_report(tmp_path, kind, config, code,
+                                              columns, summary):
+    path = write_json(tmp_path / "c.json", dict(config, schema_version=1, p=4))
+    outs = {fmt: str(tmp_path / f"report.{fmt}") for fmt in ("csv", "json")}
+    for fmt, out in outs.items():
+        assert cli.main(["study", kind, "--config", path, "--format", fmt,
+                         "--out", out]) == code
+    header, rows, trailer = read_csv_report(outs["csv"])
+    report = load_report(outs["json"])
+    body = report["body"]
+
+    del header["generated_at"], report["header"]["generated_at"]
+    assert header == {key: str(value)
+                      for key, value in report["header"].items()}
+    assert list(rows[0]) == columns
+    # JSON sorts keys, so its rows hold the CSV columns in sorted order
+    assert all(list(row) == sorted(columns) for row in body["rows"])
+    assert [{key: csv_cell(text) for key, text in row.items()}
+            for row in rows] == body["rows"]
+    assert list(trailer) == summary
+    assert {key: csv_cell(text) for key, text in trailer.items()} == {
+        key: value for key, value in body.items() if key != "rows"}
 
 
 class TestOracleCompare:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergex import solver
+from bergex import cli, solver
 from bergex.families import DEFAULT_SEED, standard_family
 from bergex.kernelspec import from_dict, realize
 
@@ -65,3 +65,20 @@ def test_certify_recheck_builds_a_solution():
                 "kernel", "degree")
     inspect.signature(solver.ExtremalSolution).bind(
         **dict.fromkeys(keywords))
+
+
+def test_cli_calls_bind(perfbench, tmp_path):
+    # the calls StudyJob, SolveJob and CertifyJob make, bound to the
+    # runners' signatures: a renamed keyword fails here, not in a run
+    workloads = importlib.import_module("workloads")
+    jobs = workloads.prepare_studies(DEFAULT_SEED, str(tmp_path), {})
+    assert {job.runner for job in jobs} == {
+        "run_growth_study", "run_convergence_study", "run_hinfty_study"}
+    for job in jobs:
+        seed = {} if job.seed is None else {"seed": job.seed}
+        signature = inspect.signature(getattr(cli, job.runner))
+        signature.bind(job.config, out="study.csv", **seed)
+        # StudyJob passes no format and parses the report as CSV
+        assert signature.parameters["fmt"].default == "csv"
+    inspect.signature(cli.run_solve).bind({}, out="solution.json")
+    inspect.signature(cli.run_verify).bind("solution.json", out="verify.json")
