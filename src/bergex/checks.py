@@ -41,8 +41,8 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .poly import AnalyticPoly, k_transform
-from .solver import ExtremalProblem, _rescaled, solve_extremal, solve_ladder
+from .poly import AnalyticPoly, rescaled
+from .solver import ExtremalProblem, solve_extremal, solve_ladder
 from .spaces import (
     _angular_count,
     _circle_values,
@@ -94,21 +94,21 @@ def _boundary_sides(F, k, p, phi_norm):
 
     Two arrays of one length, zero past it: lhs[m] = conj(b_m), and
     rhs[m] = conj((p/2) xcorr(c, a) + (1-p/2)(m+1) xcorr(K, a))[m] / ||phi||
-    for kernel coefficients c, K = k_transform(k) and F's coefficients a.
+    for kernel coefficients c, K_t = c_t/(t+1) and F's coefficients a.
     The kernel side vanishes past deg k, so only a_0..a_{deg k} enter it.
-    K is padded to the length of c: c_t/(t+1) can underflow to zero at a
-    subnormal c_t, and trimming would then leave K shorter than c.
+    c and ||phi|| are ``rescaled`` before the sums.
     """
     b = abs_power_spectrum(F, p)
-    count = len(k.coeffs)
+    c, phi_norm, _ = rescaled(k.coeffs, phi_norm)
+    count = len(c)
     a = F.coeffs[:count]
-    kernel_side = ((p / 2.0) * xcorr(k.coeffs, a)
-                   + (1.0 - p / 2.0) * np.arange(1.0, count + 1.0)
-                   * xcorr(k_transform(k).padded(count), a))
+    t1 = np.arange(1.0, count + 1.0)
+    kernel_side = ((p / 2.0) * xcorr(c, a)
+                   + (1.0 - p / 2.0) * t1 * xcorr(c / t1, a))
     lhs = np.zeros(max(len(b), count), dtype=complex)
     rhs = np.zeros_like(lhs)
     lhs[:len(b)] = np.conj(b)
-    rhs[:count] = np.divide(*_rescaled(np.conj(kernel_side), phi_norm))
+    rhs[:count] = np.conj(kernel_side) / phi_norm
     return lhs, rhs
 
 
@@ -174,21 +174,19 @@ def _coefficient_bound_report(F, k, p, phi_norm, m_max, spectrum):
     their conjugates; only |b_m| is read, and it is zero past the array's
     end. The kernel tails sum_{t>=m} |c_t|^2 are correctly rounded sums
     (``math.fsum``), independent of the summation order. The bound is
-    homogeneous in (k, ||phi||), so both are first divided by 2^e, with
-    max|c_t| in [2^(e-1), 2^e): the squares neither overflow nor underflow
-    at extreme kernel scales, and at ordinary ones the bound is bit for bit
-    the unscaled one. The worst m is the first minimum of the slack.
+    homogeneous in (k, ||phi||), so both are ``rescaled`` by ||phi|| first:
+    the squares neither overflow nor underflow at extreme kernel scales.
+    The worst m is the first minimum of the slack.
     """
     bm = np.zeros(m_max + 1)
     magnitudes = np.abs(spectrum)[:m_max + 1]
     bm[:len(magnitudes)] = magnitudes
-    exponent = math.frexp(float(np.max(np.abs(k.coeffs))))[1]
-    squares = np.ldexp(np.abs(k.coeffs), -exponent) ** 2
+    c, phi_norm, _ = rescaled(k.coeffs, phi_norm)
+    squares = np.abs(c) ** 2
     tails = np.zeros(m_max + 1)
     count = min(m_max + 1, len(squares))
     tails[:count] = [math.fsum(squares[m:]) for m in range(count)]
-    bound = ((p / (2.0 * math.ldexp(phi_norm, -exponent)))
-             * hardy_norm_even(F, 2) * np.sqrt(tails))
+    bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * np.sqrt(tails)
     slack = bound - bm
     m = int(np.argmin(slack))
     return VerificationReport(
@@ -220,26 +218,25 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     """``check_ryabykh_bound``, with ||F||_{H^p}^p = b_0 read from
     ``spectrum``: the Fourier coefficients of |F|^p or their conjugates."""
     q = p / (p - 1.0)
-    # rhs is homogeneous in k: norms of k / max|c_t| keep |G|^q from a
+    # homogeneous in (k, ||phi||): the rescaled pair keeps |G|^q from a
     # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
-    scale = float(np.max(np.abs(k.coeffs)))
-    c = np.divide(*_rescaled(k.coeffs, scale))
+    c, phi_norm, e = rescaled(k.coeffs, phi_norm)
     t = np.arange(len(c))
     G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
     b0 = float(spectrum[0].real) if len(spectrum) else 0.0
     lhs = b0 ** ((p - 1.0) / p) * phi_norm
-    rhs = scale * _hardy_norm_auto(G, q)
+    rhs = _hardy_norm_auto(G, q)
     residual = lhs / rhs - 1.0
     return VerificationReport(
         check_name="ryabykh_bound",
-        lhs=lhs,
-        rhs=rhs,
+        lhs=np.ldexp(lhs, e),
+        rhs=np.ldexp(rhs, e),
         residual=residual,
         tolerance=DEFAULT_EQUALITY_TOL,
         verdict="pass" if residual <= DEFAULT_EQUALITY_TOL else "fail",
         context={"p": p, "q": q, "kernel_degree": k.degree,
-                 "kernel_bound":
-                     (p - 1.0) * scale * _hardy_norm_auto(AnalyticPoly(c), q)},
+                 "kernel_bound": np.ldexp(
+                     (p - 1.0) * _hardy_norm_auto(AnalyticPoly(c), q), e)},
     )
 
 
@@ -390,12 +387,10 @@ def growth_study(family, p, q1_list):
             p=p, kernel=kernel, degree=degree, tolerance=STUDY_TOLERANCE,
         ))
         # The ratio is homogeneous of degree 0 in k, so both kernel norms
-        # are taken of k / 2^e, with max|c_t| in [2^(e-1), 2^e), where
-        # |c_t|^q neither overflows nor underflows, and the columns are
-        # restored by ldexp.
-        scale = float(np.max(np.abs(kernel.coeffs)))
-        exponent = math.frexp(scale)[1]
-        unit = AnalyticPoly(_rescaled(kernel.coeffs, scale)[0])
+        # are taken of the ``rescaled`` kernel, where |c_t|^q neither
+        # overflows nor underflows, and the columns are restored by ldexp.
+        c, _, exponent = rescaled(kernel.coeffs)
+        unit = AnalyticPoly(c)
         k_bergman = bergman_norm_general(unit, q)
         for q1 in q1_list:
             p1 = (p - 1.0) * q1

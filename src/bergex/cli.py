@@ -267,6 +267,9 @@ def run_solve(config, out=None):
         max_iterations=max_iterations,
     )
     solution = solve_extremal(problem)
+    if not math.isfinite(solution.phi_norm):
+        raise ValueError("the functional norm ||phi|| overflows the float "
+                         "range; scale the kernel down")
     reports = check_reports(checks, solution.F, kernel, p, solution.phi_norm)
     body = _solution_body(spec, tolerance, solution, reports)
     _emit_json(_header(seed), body, out)

@@ -129,15 +129,24 @@ def antiderivative(f):
     return AnalyticPoly(out)
 
 
-def k_transform(k):
-    """K with K(z) = (1/z) * integral of k from 0 to z.
+def rescaled(c, d=None):
+    """(c / 2^e, d / 2^e, e) for the power of two with |d| in (2^(e-1), 2^e].
 
-    Coefficientwise this divides c_t by t+1, and the defining identity
-    (z K)' = k holds exactly in coefficients.
+    The extremal problem is homogeneous in the kernel, so every kernel-side
+    computation divides the kernel by this power of two before it sums
+    anything: with d = ||phi|| where it has one, else the default d, the
+    largest |Re c_t| or |Im c_t|, which is finite where |c_t| may not be.
+    Each part of c is scaled by ldexp, since 2^-e itself can overflow, and
+    exactly wherever it does not underflow; c keeps its dtype.
     """
-    if k.is_zero():
-        return ZERO
-    return AnalyticPoly(k.coeffs / (np.arange(len(k.coeffs)) + 1.0))
+    c = np.ascontiguousarray(c)
+    parts = c.view(np.float64)  # Re, Im interleaved
+    if d is None:
+        d = float(np.max(np.abs(parts)))
+    mantissa, e = math.frexp(d)
+    if abs(mantissa) == 0.5:  # a power of two keeps its scale
+        e -= 1
+    return np.ldexp(parts, -e).view(c.dtype), math.ldexp(d, -e), e
 
 
 def taylor_truncate(f, n):

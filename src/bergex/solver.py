@@ -90,7 +90,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, xcorr
 from .kernelspec import MAX_EXPONENT
-from .poly import AnalyticPoly, power, taylor_truncate
+from .poly import AnalyticPoly, power, rescaled, taylor_truncate
 from .spaces import bergman_norm_even, functional_value
 
 DEFAULT_TOLERANCE = 1e-10
@@ -168,24 +168,6 @@ class ExtremalSolution:
         return self.residual_max <= DEFAULT_CERTIFICATE_TOL
 
 
-def _rescaled(c, d):
-    """Complex coefficients c and a float d > 0, both divided by 2^e for
-    d in [2^(e-1), 2^e).
-
-    NumPy divides a complex array by a real d as c * (1/d), and 1/d
-    overflows when d is subnormal. The power of two is exact and commutes
-    with rounding, so the quotient of the rescaled pair is finite at every
-    d and, wherever no part of c / d overflows or underflows, bit for bit
-    c / d. The factor 2^-e itself can overflow, so each part of c is
-    scaled by ldexp.
-    """
-    e = math.frexp(d)[1]
-    out = np.empty(np.shape(c), dtype=complex)
-    out.real = np.ldexp(np.real(c), -e)
-    out.imag = np.ldexp(np.imag(c), -e)
-    return out, math.ldexp(d, -e)
-
-
 def certificate_degree(p, degree):
     """The highest monomial degree j the certificate tests, max(2, p/2) n:
     the pairings vanish past j = (p/2) n, and the kernel side past deg k."""
@@ -197,10 +179,7 @@ def _pairings(F, p, count):
     wu, v = _objective(F.coeffs, p // 2)[1:]
     if len(wu) < count:
         wu = np.concatenate([wu, np.zeros(count - len(wu), dtype=complex)])
-    out = xcorr(wu, v)[:count]
-    if len(out) < count:
-        out = np.concatenate([out, np.zeros(count - len(out), dtype=complex)])
-    return out
+    return xcorr(wu, v)[:count]
 
 
 def gradient_norm_p(f, p):
@@ -228,7 +207,7 @@ def extremality_residual(F, k, p, phi_norm, max_test_degree):
     """
     count = max_test_degree + 1
     pair = np.conj(_pairings(F, p, count))
-    conj_c, phi_norm = _rescaled(np.conj(k.padded(count)), phi_norm)
+    conj_c, phi_norm, _ = rescaled(np.conj(k.padded(count)), phi_norm)
     rhs = conj_c / ((np.arange(count) + 1.0) * phi_norm)
     return pair - rhs
 
@@ -395,7 +374,7 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite.
     # A start already at its minimum (a converged rung below, padded) keeps
     # its evaluation for iteration 0, as does every accepted trial point.
-    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+    x = rescaled(x)[0]
     evaluated = _objective(coeffs(x), s)
     scale = (b @ x / evaluated[0]) ** (1.0 / (p - 1))
     if scale != 1.0:
@@ -500,11 +479,10 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
                   if m > max(rungs, default=-1) and np.any(c[:m + 1])]
     a = None
     for m in rungs:
-        # Scale invariance: dividing by max|c_t| before the A^2 norm keeps
-        # any kernel scale finite, and c_hat, with Re phi_hat(c_hat) = 1,
-        # keeps the objective O(1).
-        c_hat = np.divide(*_rescaled(c[:m + 1],
-                                     float(np.max(np.abs(c[:m + 1])))))
+        # F depends on the kernel's direction alone: the A^2 norm of the
+        # rescaled kernel is finite at any scale, and c_hat, with
+        # Re phi_hat(c_hat) = 1, keeps the objective O(1).
+        c_hat = rescaled(c[:m + 1])[0]
         c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
         # c_hat on the lowest rung, then the rung below's iterate
         a = c_hat if a is None else np.pad(a, (0, m + 1 - len(a)))
@@ -571,8 +549,8 @@ def brute_force_oracle(k, p, degree=3, seed=7):
     start suffices: J is strictly convex, so its minimum is its only
     stationary point, and the quadrature is exact for |f|^p at every
     degree allowed here. phi on P_n reads the kernel's c_0..c_n alone,
-    taken divided by 2^e with max|c_t| in [2^(e-1), 2^e): F does not
-    depend on the kernel's scale, and J stays of order one at any scale.
+    taken divided by ``rescaled``'s power of two: F does not depend on the
+    kernel's scale, and J stays of order one at any scale.
 
     Returns the unit-norm extremal candidate as an ``AnalyticPoly``.
     """
@@ -587,7 +565,7 @@ def brute_force_oracle(k, p, degree=3, seed=7):
     c = k.padded(n1)
     if not np.any(c):
         raise ValueError("kernel vanishes on the working space P_n")
-    c = _rescaled(c, float(np.max(np.abs(c))))[0]
+    c = rescaled(c)[0]
 
     # quadrature exact for |poly of degree n|^p: radial Gauss-Legendre,
     # uniform angular sampling above the integrand bandwidth

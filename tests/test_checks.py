@@ -27,7 +27,6 @@ from bergex.checks import (
 from bergex.poly import (
     as_poly,
     derivative,
-    k_transform,
     monomial,
     multiply,
     shift,
@@ -135,9 +134,11 @@ def weighted_sides_reference(F, k, p, phi_norm, m):
     h = monomial(m)
     b = [fourier_coeff_abs_power(F, p, j) for j in range(len(h.coeffs))]
     lhs = complex(np.dot(h.coeffs, np.conj(b)))
+    # K_t = c_t/(t+1), so that (z K)' = k
+    K = as_poly(k.coeffs / (np.arange(len(k.coeffs)) + 1.0))
     rhs = ((p / 2.0) * hardy_inner(multiply(h, F), k)
            + (1.0 - p / 2.0) * hardy_inner(
-               multiply(derivative(shift(h, 1)), F), k_transform(k))
+               multiply(derivative(shift(h, 1)), F), K)
            ) / phi_norm
     return lhs, rhs
 
@@ -158,8 +159,7 @@ def boundary_inputs(draw):
 
 class TestBoundarySides:
     @given(boundary_inputs())
-    # a trailing subnormal kernel coefficient c_t underflows in c_t/(t+1),
-    # so K = k_transform(k) is shorter than k
+    # a trailing subnormal kernel coefficient c_t underflows in c_t/(t+1)
     @example((as_poly([1j]), as_poly([1j, 0.0, 5e-324j]), 4, 1.0))
     @example((as_poly([1j, 0.5]), as_poly([1.0, 1.0, 5e-324]), 6, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -345,10 +345,11 @@ class TestCoefficientBoundSweep:
                 assert scaled.rhs == pytest.approx(unscaled.rhs, rel=1e-12)
 
     def test_subnormal_kernel_scale(self, one_plus_z_solution):
-        # NumPy divides a complex array by a real d as c * (1/d), and 1/d
-        # overflows at a subnormal d: the solver's scaled kernel, the
-        # certificate, the boundary formula and the Ryabykh check all
-        # divide by such a d here, and a power of two scales each exactly
+        # NumPy promotes a real divisor d of a complex array to complex,
+        # and its complex division multiplies by 1/d, which overflows at a
+        # subnormal d; the solver, the certificate and every check divide
+        # the kernel by an exact power of two first, so nothing here
+        # divides by the kernel's scale
         base = one_plus_z_solution
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -583,6 +584,53 @@ class TestRyabykhBound:
             # the explicit constant: ||G||_{H^q} <= (p-1) ||k||_{H^q}
             assert ryabykh.rhs <= ryabykh.context["kernel_bound"], name
             assert ryabykh.lhs <= ryabykh.context["kernel_bound"], name
+
+
+@st.composite
+def dyadic_kernels(draw):
+    """Kernels of one to three coefficients whose parts are multiples of
+    1/8 in [-1, 1], not all zero: 2^j c_t is a normal float for every j in
+    [-1000, 1022], and ||phi|| <= ||k||_{A^2} < 2."""
+    part = st.integers(-8, 8).map(lambda i: i / 8.0)
+    coeffs = draw(st.lists(st.builds(complex, part, part),
+                           min_size=1, max_size=3))
+    assume(any(coeffs))
+    return coeffs
+
+
+class TestScaleCovariance:
+    # F depends on the kernel's direction alone and ||phi|| scales with
+    # it; every kernel-side computation divides the kernel by an exact
+    # power of two first, so both hold bit for bit
+    @given(dyadic_kernels(), st.sampled_from([4, 6]),
+           st.integers(-1000, 1022))
+    # at the top of the range, norms of the raw kernel overflow
+    @example([1.0, 1.0], 6, 1022)
+    @example([0j, 0.5 + 1j, -1 - 0.75j], 4, 1022)
+    @settings(max_examples=30, deadline=None)
+    def test_solution_and_checks(self, coeffs, p, j):
+        records = check_records(DEFAULT_CHECKS, 16, 8)
+        runs = []
+        for c in (np.array(coeffs), np.ldexp(np.real(coeffs), j)
+                  + 1j * np.ldexp(np.imag(coeffs), j)):
+            sol = solve_extremal(ExtremalProblem(
+                p=p, kernel=as_poly(c), degree=16, tolerance=1e-12))
+            runs.append((sol, check_reports(records, sol.F, sol.kernel, p,
+                                            sol.phi_norm)))
+        (base, base_reports), (scaled, scaled_reports) = runs
+        assert scaled.F.coeffs.tobytes() == base.F.coeffs.tobytes()
+        assert scaled.residual_max == base.residual_max
+        assert scaled.phi_norm == np.ldexp(base.phi_norm, j)
+        for got, want in zip(scaled_reports, base_reports):
+            assert (got.residual, got.verdict) == (want.residual, want.verdict)
+            if got.check_name != "ryabykh_bound":
+                assert got == want
+                continue
+            # lhs, rhs and the kernel bound scale with the kernel
+            assert got.lhs == np.ldexp(want.lhs, j)
+            assert got.rhs == np.ldexp(want.rhs, j)
+            assert (got.context["kernel_bound"]
+                    == np.ldexp(want.context["kernel_bound"], j))
 
 
 class TestReportShape:

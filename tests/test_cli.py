@@ -1183,8 +1183,9 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch,
 
 def strict_json_cases():
     """(argv, config) of each command with a JSON report; every kernel is
-    scale * (1 + z) at an extreme scale."""
-    for scale in (1e-310, 1e300):
+    scale * (1 + z) at an extreme scale. At 1.5e308 the kernel's parts and
+    ||phi|| = 1.138 * scale (p = 4) are near the top of the float range."""
+    for scale in (1e-310, 1e300, 1.5e308):
         kernel = scaled_one_plus_z(scale)
         for argv, config in [
             (["solve"], {"degree": 160, "kernel": kernel}),
@@ -1209,6 +1210,36 @@ def test_json_reports_are_strict(tmp_path, argv, config):
         verified = str(tmp_path / "verify.json")
         assert cli.main(["verify", out, "--out", verified]) == 0
         assert load_strict_report(verified)["body"]["verified"] is True
+
+
+@pytest.mark.parametrize("values", [
+    # |c_0| overflows, and ||phi|| with it; the parts are finite
+    [[1.5e308, 1.5e308], [1.0, 0.0]],
+    # finite |c_t|, but ||phi|| = 1.138 * 1.7e308 at p = 4
+    [[1.7e308, 0.0], [1.7e308, 0.0]],
+], ids=["complex-c0", "one-plus-z"])
+def test_overflowing_phi_norm(tmp_path, capsys, values):
+    # F depends on the kernel's direction alone, so every command that
+    # reports no ||phi|| runs; solve refuses to write a non-finite one
+    kernel = {"type": "coeffs", "values": values}
+    for argv, config in [
+        (["study", "growth"], {"degree": 8, "family": [kernel]}),
+        (["study", "convergence"], {"degrees": [4, 8], "kernel": kernel}),
+        (["oracle-compare"], {"kernel": kernel}),
+    ]:
+        path = write_json(tmp_path / "c.json",
+                          dict(config, schema_version=1, p=4))
+        out = str(tmp_path / f"{argv[-1]}.json")
+        fmt = ["--format", "json"] if argv[0] == "study" else []
+        assert cli.main([*argv, *fmt, "--config", path, "--out", out]) == 0
+        assert load_strict_report(out)["body"]
+    path = write_json(tmp_path / "c.json", {
+        "schema_version": 1, "p": 4, "degree": 160, "kernel": kernel})
+    out = tmp_path / "solution.json"
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 3
+    assert "||phi|| overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"

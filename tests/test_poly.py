@@ -11,7 +11,6 @@ from bergex.poly import (
     antiderivative,
     as_poly,
     derivative,
-    k_transform,
     monomial,
     multiply,
     power,
@@ -126,17 +125,6 @@ class TestOperations:
         f = as_poly([1.0, 2.0, 3.0])
         assert_coeffs(derivative(antiderivative(f)), f.coeffs)
         assert antiderivative(f).coeffs[0] == 0j
-
-    def test_k_transform_defining_identity(self):
-        # (z K)' = k, exact in coefficients
-        k = as_poly([1.0, 0.5, -2.0, 1.0j])
-        K = k_transform(k)
-        assert_coeffs(derivative(shift(K, 1)), k.coeffs)
-
-    def test_k_transform_coefficients(self):
-        k = as_poly([1.0, 1.0, 1.0])
-        K = k_transform(k)
-        np.testing.assert_allclose(K.coeffs, [1.0, 0.5, 1.0 / 3.0])
 
     def test_taylor_truncate(self):
         f = as_poly([1.0, 2.0, 3.0, 4.0])
