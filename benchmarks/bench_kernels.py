@@ -26,12 +26,14 @@ degree ladders, and 96, 352 and 704. The "real" and "complex" columns
 time an iteration that steps before convergence: ``solver._newton_terms``
 (objective and gradient), ``solver._hessian`` and the Cholesky
 factorization of that Hessian by LAPACK's ``dpotrf``, called directly as
-the solver calls it. The "real" column passes the coefficients as a real
+the solver calls it, on the lower triangle (``lower=1``), the one
+``_hessian`` builds. The "real" column passes the coefficients as a real
 vector, which the solver does for a real kernel (n+1 unknowns); the
 "complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
 The "real final" and "complex final" columns time the iteration that
 meets the tolerance: objective and gradient, then the step with the
-Cholesky factor kept from the iteration before (LAPACK's ``dpotrs``),
+lower Cholesky factor kept from the iteration before (LAPACK's
+``dpotrs``, ``lower=1``),
 which is all the solver's final step costs now that it builds no
 Hessian. The "real hessian" and "complex hessian" columns time
 ``solver._hessian`` alone, from the objective's W f^s and f^{s-1}, so
@@ -177,14 +179,17 @@ def bench_operation(name, fn, sizes, repeats):
 
 
 def newton_step(a, p):
-    """One iteration's dense work: Newton terms, Hessian, Cholesky factor."""
+    """One iteration's dense work: Newton terms, Hessian, Cholesky factor.
+
+    Returns ``dpotrf``'s factor and info, 0 when the factorization
+    succeeded."""
     wu, v = _newton_terms(a, p)[2:]
-    return dpotrf(_hessian(a, p, wu, v), overwrite_a=1, clean=0)[0]
+    return dpotrf(_hessian(a, p, wu, v), lower=1, overwrite_a=1, clean=0)
 
 
 def final_step(a, p, factor):
     """The converged iteration's: Newton terms, then a step with ``factor``."""
-    dpotrs(factor, _newton_terms(a, p)[1])
+    dpotrs(factor, _newton_terms(a, p)[1], lower=1)
 
 
 def bench_newton_step(sizes, repeats):
@@ -199,7 +204,7 @@ def bench_newton_step(sizes, repeats):
         for p in (4, 6):
             times = []
             for coeffs in (a, np.exp(0.7j) * a):
-                factor = newton_step(coeffs, p)
+                factor = newton_step(coeffs, p)[0]
                 wu, v = _newton_terms(coeffs, p)[2:]
                 times.append(time_call(newton_step, coeffs, p,
                                        repeats=repeats))

@@ -182,7 +182,9 @@ def _coefficient_bound_report(F, k, p, phi_norm, m_max, spectrum):
     magnitudes = np.abs(spectrum)[:m_max + 1]
     bm[:len(magnitudes)] = magnitudes
     c, phi_norm, _ = rescaled(k.coeffs, phi_norm)
-    squares = np.abs(c) ** 2
+    # fsum over a list: the same sums as over NumPy slices, without a
+    # NumPy scalar per term
+    squares = (np.abs(c) ** 2).tolist()
     tails = np.zeros(m_max + 1)
     count = min(m_max + 1, len(squares))
     tails[:count] = [math.fsum(squares[m:]) for m in range(count)]
@@ -216,7 +218,11 @@ def check_ryabykh_bound(F, k, p):
 
 def _ryabykh_report(k, p, phi_norm, spectrum):
     """``check_ryabykh_bound``, with ||F||_{H^p}^p = b_0 read from
-    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates."""
+    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates.
+
+    The residual is taken at the ``rescaled`` scale; lhs, rhs and
+    ``kernel_bound`` are restored to the kernel's own, where a value past
+    the float range is inf and a report records it as null."""
     q = p / (p - 1.0)
     # homogeneous in (k, ||phi||): the rescaled pair keeps |G|^q from a
     # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
@@ -227,16 +233,18 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     lhs = b0 ** ((p - 1.0) / p) * phi_norm
     rhs = _hardy_norm_auto(G, q)
     residual = lhs / rhs - 1.0
+    kernel_bound = (p - 1.0) * _hardy_norm_auto(AnalyticPoly(c), q)
+    with np.errstate(over="ignore"):
+        lhs, rhs, kernel_bound = np.ldexp([lhs, rhs, kernel_bound], e)
     return VerificationReport(
         check_name="ryabykh_bound",
-        lhs=np.ldexp(lhs, e),
-        rhs=np.ldexp(rhs, e),
+        lhs=lhs,
+        rhs=rhs,
         residual=residual,
         tolerance=DEFAULT_EQUALITY_TOL,
         verdict="pass" if residual <= DEFAULT_EQUALITY_TOL else "fail",
         context={"p": p, "q": q, "kernel_degree": k.degree,
-                 "kernel_bound": np.ldexp(
-                     (p - 1.0) * _hardy_norm_auto(AnalyticPoly(c), q), e)},
+                 "kernel_bound": kernel_bound},
     )
 
 

@@ -72,15 +72,32 @@ def _finite_number(value):
         return False
 
 
+def _finite_pairs(values, limit):
+    """Whether ``values`` holds 1..limit [re, im] pairs of finite numbers,
+    each as ``_finite_number`` takes it, checked by one pass over the
+    types of the numbers and one conversion to a float array (which
+    raises OverflowError for an integer past the float range) instead of
+    a call per number. The length is checked before any pair is."""
+    if not 0 < len(values) <= limit or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            for pair in values):
+        return False
+    kinds = {type(number) for pair in values for number in pair}
+    if not all(issubclass(kind, (int, float)) and kind is not bool
+               for kind in kinds):
+        return False
+    try:
+        return bool(np.isfinite(np.array(values, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
 def _pairs_field(data, key, limit):
     """data[key]: a non-empty list of at most ``limit`` [re, im] pairs of
-    finite numbers. The length is checked before any pair is."""
-    return _field(data, key, list, lambda values: (
-        0 < len(values) <= limit and all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2
-            and all(map(_finite_number, pair)) for pair in values)),
-        f"need a non-empty list of at most {limit} [re, im] pairs of "
-        f"finite numbers")
+    finite numbers."""
+    return _field(data, key, list, lambda values: _finite_pairs(values, limit),
+                  f"need a non-empty list of at most {limit} [re, im] pairs "
+                  f"of finite numbers")
 
 
 def _complex_pairs(pairs):

@@ -12,7 +12,12 @@ sphere of P_n. Its Wirtinger gradient there is (||phi||/2) conj(res_j),
 for the residuals res_j that ``extremality_residual`` certifies. It is
 minimized without constraints by damped Newton in x = (Re a, Im a), with
 the exact Hessian and a backtracking line search (Nocedal & Wright,
-Numerical Optimization, 2nd ed., ch. 3).
+Numerical Optimization, 2nd ed., ch. 3). Each Newton system is built as
+the lower triangle of the Hessian of J alone, and LAPACK's Cholesky
+factorization of that triangle overwrites it in place: the
+factorization and the solves with its factor read one triangle
+(Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2), so the
+strict upper one is left unspecified.
 
 Once the gradient meets the tolerance, one more step puts it at its
 float floor, and that step reuses the Cholesky factor of the step before
@@ -71,7 +76,9 @@ is
     d/d conj(a_j) ||f||_p^p = s * <u, z^j v>_A = s * sum_t u_{t+j} conj(v_t)/(t+j+1),
 
 a single weighted cross-correlation (``_newton_terms``); the exact
-Hessian adds one more and a banded Gram matrix (``_hessian``). The same
+Hessian adds one more and a banded Gram matrix (``_hessian``), whose
+subdiagonals are the rows of one product with a Hilbert matrix
+(``_gram``). The same
 pairings at the optimum reproduce the extremality characterization
 
     integral_D z^j F^{s-1} conj(F)^s dsigma = phi(z^j) / ||phi||,
@@ -85,7 +92,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, xcorr
@@ -226,34 +232,78 @@ def kernel_from_extremal(F, p, out_degree):
     return AnalyticPoly(c)
 
 
-def _gram(v, n1):
-    """T_v^H W T_v for the convolution matrix T_v of v cut to n1 columns.
+def _strided(base, shape, steps, start=0):
+    """The view of the 1-d contiguous ``base`` whose entry (i, j) is
+    base[start + i * steps[0] + j * steps[1]]. ``np.ndarray`` over base's
+    buffer checks that every entry lies inside it, and takes a tenth of
+    the time of ``as_strided``, which matters to the small Hessians of
+    the lowest rungs."""
+    size = base.itemsize
+    return np.ndarray(shape, base.dtype, base, start * size,
+                      (steps[0] * size, steps[1] * size))
 
-    Entry (i, j) is sum_m conj(v_{m-i}) v_{m-j} / (m+1). The sum runs over
-    row blocks of T_v, each cut to the band where it is nonzero, of
-    n1 // 2 + 1 rows but at least 128, so that no temporary is larger than
-    max(n1, 128) x n1. The floor is for small Hessians, whose cost is NumPy
-    call overhead rather than arithmetic: a T_v of up to 128 rows is one
-    product. The result has the dtype of v (real v, real arithmetic) and
-    Fortran order, so that ``dpotrf`` can overwrite it in place.
+
+def _gram(v, n1, scale=1.0):
+    """Lower triangle of scale T_v^H W T_v, for the convolution matrix T_v
+    of v cut to n1 columns and W = diag(1/(m+1)).
+
+    Entry (j+d, j) is scale sum_m conj(v_{m-d}) v_m / (m+j+1), so the d-th
+    subdiagonal is row d of one product Z = B^T Hilb: B[m, d] =
+    conj(v_{m-d}) v_m, m < len(v), is v times a Toeplitz view of conj(v),
+    and the Hilbert matrix Hilb[m, j] = scale/(m+j+1) is a Hankel view of
+    one vector. Hilb is real, so for complex v the real and imaginary
+    parts of B go through one real product, half the arithmetic of a
+    complex one. Rows d >= len(v) of Z vanish (the Gram matrix is banded);
+    of the others, row d is needed for j < n1 - d alone and meets
+    B[m, d] != 0 for m >= d alone, so Z is built in two halves of its
+    rows, each cut to those ranges. Z is written onto the subdiagonals
+    through one skewed view of the Fortran-order result, whose entry
+    (d, j) is entry (j+d, j); the strict upper triangle is left
+    unspecified.
+
+    Each half sums over m in bands that hold at most n1 x n1 entries of
+    Hilb, so that no temporary is larger than n1 x n1 and at most four
+    n1 x n1 arrays of v's dtype are held at once: the result, a band of B,
+    a band of Hilb and, past the first band, a product. The result has
+    the dtype of v (real v, real arithmetic) and Fortran order, so that
+    ``dpotrf`` can factor it in place.
     """
-    rows = len(v) + n1 - 1
-    # T[m, i] = v_{m-i} = padded[n1 - 1 + m - i]: one read-only view of v
-    # between n1 - 1 zeros on each side, rows stepping forward and columns
-    # back
-    padded = np.zeros(len(v) + 2 * (n1 - 1), dtype=v.dtype)
-    padded[n1 - 1:n1 - 1 + len(v)] = v
-    step = padded.strides[0]
-    T = as_strided(padded[n1 - 1:], (rows, n1), (step, -step),
-                   writeable=False)
-    root_w = 1.0 / np.sqrt(np.arange(rows) + 1.0)
-    out = np.zeros((n1, n1), dtype=v.dtype, order="F")
-    block = max(n1 // 2 + 1, 128)
-    for m0 in range(0, rows, block):
-        c0, c1 = max(0, m0 - len(v) + 1), min(n1, m0 + block)
-        b = T[m0:m0 + block, c0:c1] * root_w[m0:m0 + block, None]
-        out[c0:c1, c0:c1] += b.conj().T @ b
-    return out
+    count, rows = len(v), min(len(v), n1)
+    # T[m, d] = conj(v_{m-d}) = conj_v[rows - 1 + m - d]: conj(v) after
+    # rows - 1 zeros, rows stepping forward and columns back
+    conj_v = np.zeros(count + rows - 1, dtype=v.dtype)
+    np.conjugate(v, out=conj_v[rows - 1:])
+    T = _strided(conj_v, (count, rows), (1, -1), rows - 1)
+    weights = scale / np.arange(1.0, count + n1)
+    hilbert = _strided(weights, (count, n1), (1, 1))
+    # zeros: the rows d >= len(v) of the band, which Z leaves out. Entry
+    # (d, j) of the skewed view is entry (j+d, j) of the result, or past
+    # the lower triangle when j+d >= n1 (into the strict upper triangle
+    # or the n1 spare entries at the end). A complex entry is two rows of
+    # the real view, its real part over its imaginary one.
+    flat = np.zeros(n1 * (n1 + 1), dtype=v.dtype)
+    parts = flat.itemsize // 8
+    skew = _strided(flat.view(float), (parts * rows, n1),
+                    (1, parts * (n1 + 1)))
+    half = (rows + 1) // 2
+    for d0, d1 in ((0, half), (half, rows)):
+        if d0 == d1:
+            continue
+        # B[m, d] vanishes for m < d, and j < n1 - d in the triangle; a
+        # band of the m-sum holds at most n1 x n1 entries of Hilb
+        width = n1 - d0
+        step = n1 * n1 // width
+        out = skew[parts * d0:parts * d1, :width]
+        for m0 in range(d0, count, step):
+            B = np.array(T[m0:m0 + step, d0:d1])
+            B *= v[m0:m0 + step, None]
+            # real and imaginary parts in alternate columns
+            terms = B.view(float).T, hilbert[m0:m0 + step, :width]
+            if m0 == d0:
+                np.matmul(*terms, out=out)
+            else:
+                out += np.matmul(*terms)
+    return flat[:n1 * n1].reshape((n1, n1), order="F")
 
 
 def _objective(a, s):
@@ -283,20 +333,26 @@ def _newton_terms(a, p, evaluated=None):
 
 
 def _hessian(a, p, wu, v):
-    """Hessian of ||f||_{A^p}^p at ``a``, from ``_newton_terms``' W f^s and v.
+    """Lower triangle of the Hessian of ||f||_{A^p}^p / p at ``a``, from
+    ``_newton_terms``' W f^s and v.
 
-    With s = p/2, P = s^2 T_v^H W T_v for v = f^{s-1} and
-    Q = s(s-1) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the Hessian in
-    x = (Re a, Im a) is 2 [[Re(P+Q), -Im(P+Q)], [Im(P-Q), Re(P-Q)]]. For
-    real ``a`` the coordinates are x = Re a alone: f, v and h are then real
-    (up to FFT round-off, which is dropped), so the Hessian is the
-    upper-left block 2 (P+Q), built in real arithmetic. Either Hessian is
-    in Fortran order, so that its Cholesky factorization can overwrite it.
+    With s = p/2, P = (2s^2/p) T_v^H W T_v for v = f^{s-1} and
+    Q = (2s(s-1)/p) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the
+    Hessian in x = (Re a, Im a) is [[Re(P+Q), -Im(P+Q)], [Im(P-Q),
+    Re(P-Q)]]. For real ``a`` the coordinates are x = Re a alone: f, v and
+    h are then real (up to FFT round-off, which is dropped), so the
+    Hessian is the upper-left block Re P + Re Q, built in real arithmetic.
+    Only the lower triangle is built, and the strict upper triangle is
+    left unspecified: LAPACK's lower Cholesky factorization reads none of
+    it. Of the complex Hessian that is the lower triangles of its two
+    diagonal blocks and the whole block Im(P-Q), where Im P, antisymmetric,
+    is the strict lower triangle of Im P less its transpose. Either
+    Hessian is in Fortran order, so that its factorization can overwrite
+    it.
     """
     s, n1 = p // 2, len(a)
     real = not np.iscomplexobj(a)
-    P = _gram(v.real if real else v, n1)
-    P *= 2.0 * s * s
+    P = _gram(v.real if real else v, n1, 2.0 * s * s / p)
     if s > 1:
         # zero tail so that h reaches index 2n when f^s is shorter; f^s
         # has len(wu) >= n1 coefficients (u = conv(v, a), a untrimmed), so
@@ -304,25 +360,21 @@ def _hessian(a, p, wu, v):
         padded = np.zeros(len(wu) + n1, dtype=wu.dtype)
         padded[:len(wu)] = wu
         h = xcorr(padded, power(AnalyticPoly(a), s - 2).coeffs)
-        # hank[i, j] = h_{i+j}, a read-only view of h[:2n1-1]
-        hank = as_strided(h, (n1, n1), (h.strides[0],) * 2, writeable=False)
+        h *= 2.0 * s * (s - 1) / p
+    else:
+        h = np.zeros(2 * n1 - 1, dtype=complex)  # Q = 0 at p = 2
+    # hank[i, j] = h_{i+j}, a view of h[:2n1-1]
+    hank = _strided(h, (n1, n1), (1, 1))
     if real:
-        if s > 1:
-            P += 2.0 * s * (s - 1) * hank.real
+        P += hank.real
         return P
 
     H = np.empty((2 * n1, 2 * n1), order="F")
-    H[:n1, :n1] = P.real
-    np.negative(P.imag, out=H[:n1, n1:])
-    H[n1:, :n1] = P.imag
-    H[n1:, n1:] = P.real
-    if s > 1:
-        P[...] = hank
-        P *= 2.0 * s * (s - 1)
-        H[:n1, :n1] += P.real
-        H[:n1, n1:] += P.imag
-        H[n1:, :n1] += P.imag
-        H[n1:, n1:] -= P.real
+    np.add(P.real, hank.real, out=H[:n1, :n1])
+    np.subtract(P.real, hank.real, out=H[n1:, n1:])
+    lower = np.tril(P.imag, -1)
+    np.subtract(lower, lower.T, out=H[n1:, :n1])
+    H[n1:, :n1] += hank.imag
     return H
 
 
@@ -399,17 +451,18 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         best_value, best_gnorm = min(best_value, value), min(best_gnorm, gnorm)
         # the final step reuses the last factor (module docstring)
         if not converged or factor is None:
-            H = _hessian(coeffs(x), p, wu, v)
-            H /= p
             # LAPACK directly: scipy.linalg's cho_factor and cho_solve
             # call these same routines behind a per-call batching layer.
             # Iteration 0 always factors, so the import at the top of this
-            # function comes just before a process's first factorization
-            factor, info = dpotrf(H, overwrite_a=1, clean=0)
+            # function comes just before a process's first factorization.
+            # The lower triangle, the one _hessian builds, is factored in
+            # place and the strict upper triangle is never read.
+            factor, info = dpotrf(_hessian(coeffs(x), p, wu, v),
+                                  lower=1, overwrite_a=1, clean=0)
             if info != 0:
                 return coeffs(x), tuple(trace), (
                     f"Hessian not positive definite at iteration {it}")
-        d = -dpotrs(factor, grad)[0]
+        d = -dpotrs(factor, grad, lower=1)[0]
         slope = float(grad @ d)
 
         # Armijo backtracking. J is negative near its minimum, so the float

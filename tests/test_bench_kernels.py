@@ -11,6 +11,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergex import _backend, solver
@@ -47,3 +48,14 @@ def test_every_table_runs(bench_kernels, capsys):
     for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
                   "ladder:", "emit:", "study:", "quadrature:", "startup:"):
         assert table in out
+
+
+@pytest.mark.parametrize("n", [16, 96])
+@pytest.mark.parametrize("p", [4, 6])
+def test_newton_step_factors_the_hessian(bench_kernels, n, p):
+    # the table factors the triangle _hessian builds, as the solver does
+    a = (np.arange(n + 1) + 1.0) ** -1.6
+    for coeffs in (a, np.exp(0.7j) * a):
+        factor, info = bench_kernels.newton_step(coeffs, p)
+        assert info == 0
+        assert np.all(np.isfinite(np.tril(factor)))

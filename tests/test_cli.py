@@ -1245,14 +1245,46 @@ def test_overflowing_phi_norm(tmp_path, capsys, values):
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
 
 
-def run_fresh(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter."""
+def fresh_process(code, *args):
+    """``code`` run in a fresh interpreter, its output captured."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
+                          capture_output=True, text=True)
+
+
+def run_fresh(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter."""
+    done = fresh_process(code, *args)
+    done.check_returncode()
+    return done.stdout
+
+
+def test_ryabykh_sides_past_the_float_range_are_null(tmp_path):
+    # at a kernel near the float maximum the Ryabykh check passes at the
+    # rescaled scale, and its lhs, rhs and kernel bound, past the float
+    # range at the kernel's own, are recorded as null without a warning
+    config = write_json(tmp_path / "c.json", {
+        "schema_version": 1, "p": 4, "degree": 160,
+        "kernel": {"type": "coeffs",
+                   "values": [[1.5e308, 0], [1.5e308, 0]]}})
+    solution = str(tmp_path / "s.json")
+    done = fresh_process(
+        "import sys; from bergex import cli; sys.exit(cli.main(['solve', "
+        "'--config', sys.argv[1], '--out', sys.argv[2]]))",
+        config, solution)
+    assert (done.returncode, done.stderr) == (0, "")
+    recorded = load_strict_report(solution)["body"]["checks"]
+    [report] = [check for check in recorded
+                if check["check_name"] == "ryabykh_bound"]
+    assert report["verdict"] == "pass"
+    assert report["lhs"] is report["rhs"] is None
+    assert report["context"]["kernel_bound"] is None
+    verified = str(tmp_path / "v.json")
+    assert cli.main(["verify", solution, "--out", verified]) == 0
+    assert load_strict_report(verified)["body"]["verified"] is True
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

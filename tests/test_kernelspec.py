@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bergex import cli
 from bergex.kernelspec import (
     MAX_DEGREE,
     ConfigError,
@@ -170,6 +171,24 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match=re.escape(repr(field))):
                 from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [True, 10 ** 400, "1", None])
+    def test_one_bad_number_among_many_pairs_rejected(self, bad):
+        # 353 pairs, a kernel's values or a degree-352 solution's
+        # coefficients: the valid list reads back bit for bit, and one bad
+        # number at index 300 rejects it, naming the field
+        values = np.random.default_rng(353).standard_normal((353, 2)).tolist()
+        values[7] = [-0.0, 2 ** 60]
+        spec = from_dict({"type": "coeffs", "values": values})
+        expected = np.array(values, dtype=float)
+        assert np.array(spec["values"]).tobytes() == expected.tobytes()
+        read = cli._read_coefficients({"coefficients": values}, 352)
+        assert read.tobytes() == expected.tobytes()
+        values[300] = [values[300][0], bad]
+        with pytest.raises(ConfigError, match="'values'"):
+            from_dict({"type": "coeffs", "values": values})
+        with pytest.raises(ConfigError, match="'coefficients'"):
+            cli._read_coefficients({"coefficients": values}, 352)
 
     @pytest.mark.parametrize("bad", [
         {"type": "coeffs", "values": [[float("nan"), 0.0], [1.0, 0.0]]},

@@ -1,5 +1,6 @@
 """Tests for the extremal solver, its certificate, and the kernel inverse."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,11 +262,15 @@ class TestGradient:
             atol=1e-14 * np.max(np.abs(kernel_side)))
 
     @pytest.mark.parametrize("n1", [1, 17, 130, 300])
-    @pytest.mark.parametrize("length", ["1", "n1", "2n1-1"])
+    @pytest.mark.parametrize("length", ["1", "n1/2", "n1", "2n1-1", "3n1-2"])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_gram_matches_definition(self, n1, length, real):
-        # n1 = 130 and 300 take two and more row blocks
-        count = {"1": 1, "n1": n1, "2n1-1": 2 * n1 - 1}[length]
+        # v of length n1/2, f^{s-1} of an iterate padded from the rung
+        # below, leaves a band of zero subdiagonals; one of length
+        # 2n1 - 1 or 3n1 - 2 (p = 6 or 8) takes more than one band of the
+        # m-sum
+        count = {"1": 1, "n1/2": (n1 + 1) // 2, "n1": n1,
+                 "2n1-1": 2 * n1 - 1, "3n1-2": 3 * n1 - 2}[length]
         rng = np.random.default_rng(n1 + count)
         v = rng.standard_normal(count)
         if not real:
@@ -281,16 +286,18 @@ class TestGradient:
         assert G.flags.f_contiguous
         # relative to sqrt(G_ii G_jj), which bounds |G_ij| and the sum of
         # the moduli of its terms: entries that cancel keep the round-off
-        # of their terms
+        # of their terms; the lower triangle is the contract, the strict
+        # upper one is left unspecified
         diag = np.diag(expected).real
-        assert np.all(np.abs(G - expected)
-                      <= 1e-13 * np.sqrt(np.outer(diag, diag)))
+        i, j = np.tril_indices(n1)
+        assert np.all(np.abs(G - expected)[i, j]
+                      <= 1e-13 * np.sqrt(diag[i] * diag[j]))
 
     @pytest.mark.parametrize("p, real, n1", [
         pytest.param(4, False, 8, id="4"), pytest.param(6, False, 8, id="6"),
         pytest.param(4, True, 8, id="4-real"),
         pytest.param(6, True, 8, id="6-real"),
-        # T_v has 208 rows, more than one row block of _gram
+        # v has 139 coefficients, two bands of _gram's m-sum
         pytest.param(6, False, 70, id="6-n70"),
         pytest.param(6, True, 70, id="6-real-n70"),
     ])
@@ -316,13 +323,33 @@ class TestGradient:
             (real_gradient(x + h * e) - real_gradient(x - h * e)) / (2 * h)
             for e in np.eye(len(x))
         ])
-        assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+        # _hessian builds the lower triangle of the Hessian of the
+        # objective over p, the triangle the solver factors
+        H = np.tril(p * H)
+        assert np.max(np.abs(H - np.tril(fd))) <= 1e-6 * np.max(np.abs(H))
         if real:
             # the upper-left block of the Hessian in (Re a, Im a)
             ac = a.astype(complex)
             H_complex = _hessian(ac, p, *_newton_terms(ac, p)[2:])
-            np.testing.assert_allclose(H, H_complex[:n1, :n1], rtol=0,
+            np.testing.assert_allclose(H, np.tril(p * H_complex[:n1, :n1]),
+                                       rtol=0,
                                        atol=1e-13 * np.max(np.abs(H)))
+
+    def test_gram_memory_stays_within_its_bound(self):
+        # a complex v of length 2n1 - 1, a full iterate's f^2 at p = 6,
+        # takes more than one band of the m-sum; _gram holds at most four
+        # n1 x n1 complex arrays at once, its result included
+        n1 = 300
+        rng = np.random.default_rng(300)
+        v = rng.standard_normal(2 * n1 - 1) + 1j * rng.standard_normal(
+            2 * n1 - 1)
+        tracemalloc.start()
+        try:
+            solver._gram(v, n1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n1 * n1 * v.itemsize <= peak <= 4 * n1 * n1 * v.itemsize
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
@@ -770,15 +797,41 @@ class TestFinalStep:
         kernel, n = self.FAMILY[name]
         sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
 
+        # the Hessian's lower triangle, the one _hessian builds
         a = seen["a"]
-        H = _hessian(a, p, *_newton_terms(a, p)[2:]) / p
-        d = -cho_solve(cho_factor(H), seen["grad"])
+        H = _hessian(a, p, *_newton_terms(a, p)[2:])
+        d = -cho_solve(cho_factor(H, lower=True, check_finite=False),
+                       seen["grad"], check_finite=False)
         if np.iscomplexobj(a):
             d = d[:n + 1] + 1j * d[n + 1:]
         f = AnalyticPoly(a + d)
         F = f.coeffs / bergman_norm_even(f, p)
         np.testing.assert_allclose(sol.F.padded(n + 1), F, rtol=0,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("name", ["one-plus-z", "random-0"])
+    def test_never_reads_the_strict_upper_triangle(self, monkeypatch, name,
+                                                    p):
+        # _hessian builds the lower triangle alone, and the lower Cholesky
+        # factorization and solves read nothing else: NaN above the
+        # diagonal leaves every bit of the solve as it was
+        kernel, n = self.FAMILY[name]
+        problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
+        expected = solve_extremal(problem)
+        hessian = solver._hessian
+
+        def nan_above_diagonal(*args):
+            H = hessian(*args)
+            H[np.triu_indices(len(H), 1)] = np.nan
+            return H
+
+        monkeypatch.setattr(solver, "_hessian", nan_above_diagonal)
+        sol = solve_extremal(problem)
+        assert sol.F.coeffs.tobytes() == expected.F.coeffs.tobytes()
+        assert sol.phi_norm == expected.phi_norm
+        assert sol.iterations == expected.iterations
+        assert sol.trace == expected.trace
 
     # one-plus-z is real, random-0 complex; both take damped steps on
     # their lowest rung
