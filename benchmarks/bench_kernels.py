@@ -5,7 +5,9 @@ cross-correlation) with median wall time per call at a range of operand
 sizes. Each column calls ``bergex._backend.conv``/``xcorr`` with
 ``FFT_THRESHOLD`` pinned so that one path runs at every size: the direct
 NumPy evaluation used below the threshold, or the FFT evaluation used at
-or above it. Both operands have length n, so the output degree is
+or above it. ``xcorr`` is ``conv`` of the reversed conjugate, so its
+columns time that convolution plus the conjugate and the slice of its
+upper half. Both operands have length n, so the output degree is
 2n - 2. "direct" and "fft" time complex operands; "direct real" and
 "fft real" time their real parts, which the FFT path sends through real
 transforms of half the size. The four columns of a row are timed call by

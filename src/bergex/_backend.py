@@ -4,12 +4,13 @@
 products) and ``xcorr`` is one-sided cross-correlation (gradients).
 ``power`` is the m-th power of a polynomial, and ``abs_power_xcorr``
 the nonnegative-frequency Fourier coefficients of |f|^p on the circle,
-p even: the autocorrelation of f^{p/2}. All four evaluate directly with
-NumPy for small operands and above a degree threshold through one
-routine, ``_pointwise``: ``numpy.fft`` transforms at a power of two long
-enough that nothing wraps around, a pointwise function of the samples
-and one inverse. f^m and |f|^p are pointwise in the samples of f, so
-one transform replaces m - 1 products (and for |f|^p a correlation).
+p even: the autocorrelation of f^{p/2}. Below a degree threshold all
+four evaluate by ``conv``'s ``np.convolve``, the one direct evaluator,
+and above it through one routine, ``_pointwise``: ``numpy.fft``
+transforms at a power of two long enough that nothing wraps around, a
+pointwise function of the samples and one inverse. f^m and |f|^p are
+pointwise in the samples of f, so one transform replaces m - 1 products
+(and for |f|^p a correlation).
 """
 
 import numpy as np
@@ -65,36 +66,21 @@ def xcorr(a, v):
     """Nonnegative-lag cross-correlation out[j] = sum_t a[t+j]*conj(v[t]).
 
     Lags run from 0 to len(a)-1; terms with t+j beyond the end of ``a``
-    are dropped, so ``v`` may be shorter or longer than ``a``. Same
-    dispatch rule as ``conv``; the FFT path uses the identity
-    xcorr(a, v) = conv(a, reverse(conj(v)))[len(v)-1:].
+    are dropped, so ``v`` may be shorter or longer than ``a``. It is
+    conv(a, reverse(conj(v)))[len(v)-1:], which for len(v) <= len(a) is
+    bit for bit NumPy's full correlation below the threshold.
     """
-    a = np.asarray(a, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if len(a) == 0:
-        return np.zeros(0, dtype=complex)
     if len(v) == 0:
         return np.zeros(len(a), dtype=complex)
-    lo = len(v) - 1
-    n = len(a) + lo
-    if n - 1 < FFT_THRESHOLD:
-        return np.correlate(a, v, "full")[lo:]
-    return _pointwise((a, np.conj(v)[::-1]), n, n, np.multiply)[lo:]
-
-
-def _direct_power(a, m):
-    """a^m for m >= 1 by m - 1 direct products, lowest power first."""
-    out = a.copy()
-    for _ in range(m - 1):
-        out = np.convolve(out, a)
-    return out
+    return conv(a, np.conj(v)[::-1])[len(v) - 1:]
 
 
 def power(a, m):
     """Coefficients of f^m for f = sum a_t z^t; the constant 1 at m = 0.
 
-    Direct when the output degree m (len(a) - 1) is below FFT_THRESHOLD,
-    as are m = 0 and 1, which take no product. Otherwise one transform of
+    m - 1 direct ``conv`` products while the output degree m (len(a) - 1)
+    is below FFT_THRESHOLD, and at m = 1. Otherwise one transform of
     length at least m deg f + 1, raised to the m-th power and inverted.
     """
     a = np.asarray(a, dtype=complex)
@@ -106,7 +92,10 @@ def power(a, m):
         return np.zeros(0, dtype=complex)
     count = m * (len(a) - 1) + 1
     if m == 1 or count - 1 < FFT_THRESHOLD:
-        return _direct_power(a, m)
+        out = a.copy()
+        for _ in range(m - 1):
+            out = conv(out, a)
+        return out
     return _pointwise((a,), count, count, lambda x: x ** m)
 
 
@@ -115,8 +104,8 @@ def abs_power_xcorr(a, p):
 
     For even p and u = f^{p/2}, b_m = sum_t u_{t+m} conj(u_t), which is
     xcorr(u, u). The full autocorrelation has degree p deg f, and the
-    dispatch follows ``xcorr``'s rule on it: below FFT_THRESHOLD u comes
-    from direct products and the sums from ``np.correlate``; otherwise one
+    dispatch follows ``xcorr``'s rule on it: below FFT_THRESHOLD it is
+    xcorr(u, u) of u = power(a, p/2), both direct; otherwise one
     transform of length at least p deg f + 1 gives |f|^p at as many
     points on the circle, and its inverse the b_m.
     """
@@ -126,7 +115,7 @@ def abs_power_xcorr(a, p):
         return np.zeros(0, dtype=complex)
     count = s * (len(a) - 1) + 1
     if 2 * (count - 1) < FFT_THRESHOLD:
-        u = _direct_power(a, s)
-        return np.correlate(u, u, "full")[count - 1:]
+        u = power(a, s)
+        return xcorr(u, u)
     return _pointwise((a,), count, 2 * count - 1,
                       lambda x: (x.real ** 2 + x.imag ** 2) ** s)

@@ -404,12 +404,14 @@ def growth_study(family, p, q1_list):
             p1 = (p - 1.0) * q1
             F_hardy = _hardy_norm_auto(solution.F, p1)
             k_hardy = _hardy_norm_auto(unit, q1)
+            with np.errstate(over="ignore"):  # inf past the float range
+                k_norms = np.ldexp([k_hardy, k_bergman], exponent)
             rows.append(GrowthStudyRow(
                 kernel_id=kernel_id,
                 q1=float(q1),
                 p1=float(p1),
-                k_hardy=float(np.ldexp(k_hardy, exponent)),
-                k_bergman=float(np.ldexp(k_bergman, exponent)),
+                k_hardy=float(k_norms[0]),
+                k_bergman=float(k_norms[1]),
                 F_hardy=F_hardy,
                 ratio=F_hardy ** (p - 1) * k_bergman / k_hardy,
             ))

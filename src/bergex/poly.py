@@ -98,8 +98,6 @@ def monomial(t, coefficient=1.0):
 
 def multiply(f, g):
     """Product of two polynomials via coefficient convolution."""
-    if f.is_zero() or g.is_zero():
-        return ZERO
     return AnalyticPoly(conv(f.coeffs, g.coeffs))
 
 
@@ -142,7 +140,7 @@ def rescaled(c, d=None):
     c = np.ascontiguousarray(c)
     parts = c.view(np.float64)  # Re, Im interleaved
     if d is None:
-        d = float(np.max(np.abs(parts)))
+        d = float(np.max(np.abs(parts), initial=0.0))
     mantissa, e = math.frexp(d)
     if abs(mantissa) == 0.5:  # a power of two keeps its scale
         e -= 1

@@ -31,7 +31,7 @@ from numpy.fft import ifft, rfft
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import abs_power_xcorr, fft_length
-from .poly import power
+from .poly import AnalyticPoly, power, rescaled
 
 
 def _angular_count(max_degree):
@@ -57,8 +57,12 @@ def bergman_inner(f, g):
 
 
 def functional_value(k, f):
-    """phi(f) for the functional represented by kernel k: integral f conj(k)."""
-    return bergman_inner(f, k)
+    """phi(f) = integral f conj(k), summed on the ``rescaled`` kernel and
+    restored by ldexp: past the float range its parts are inf, not NaN."""
+    c, _, e = rescaled(k.coeffs)
+    value = bergman_inner(f, AnalyticPoly(c))
+    with np.errstate(over="ignore"):
+        return complex(*np.ldexp([value.real, value.imag], e))
 
 
 def hardy_inner(f, g):

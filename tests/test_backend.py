@@ -2,7 +2,9 @@
 
 ``conv``, ``xcorr``, ``power`` and ``abs_power_xcorr`` evaluate directly
 below ``FFT_THRESHOLD`` and by FFT above it; both paths must return the
-defining sums to round-off.
+defining sums to round-off. The direct path of all four is ``conv``'s
+``np.convolve``, which the tests compare with NumPy's own correlation
+and chained products bit for bit.
 """
 
 import numpy as np
@@ -60,12 +62,24 @@ class TestPythonKernels:
         assert np.max(np.abs(out - xcorr_by_definition(a, v))) <= 1e-12
 
     def test_xcorr_v_longer_than_a(self):
-        rng = np.random.default_rng(2)
-        a, v = random_vectors(rng, 4, 10)
-        out = _backend.xcorr(a, v)
-        assert len(out) == 4
-        expected = sum(a[t] * np.conj(v[t]) for t in range(4))
-        assert abs(out[0] - expected) <= 1e-12
+        # every lag, on the direct path and on the FFT path
+        big = _backend.FFT_THRESHOLD
+        for n, m in [(4, 10), (big // 2, big)]:
+            for a, v in operand_pairs(np.random.default_rng(2), n, m):
+                out = _backend.xcorr(a, v)
+                assert len(out) == n
+                assert_path_result(out, xcorr_by_definition(a, v), a, v)
+
+    def test_small_xcorr_is_numpy_correlate(self):
+        # below the threshold and with len(v) <= len(a), the convolution
+        # with the reversed conjugate is NumPy's correlation bit for bit
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(1, _backend.FFT_THRESHOLD // 2))
+            m = int(rng.integers(1, n + 1))
+            for a, v in operand_pairs(rng, n, m):
+                expected = np.correlate(a, v, "full")[m - 1:]
+                assert _backend.xcorr(a, v).tobytes() == expected.tobytes()
 
     def test_empty_inputs(self):
         empty = np.zeros(0, dtype=complex)

@@ -1199,6 +1199,8 @@ def strict_json_cases():
 
 
 @pytest.mark.parametrize("argv, config", strict_json_cases())
+# norms restored past the float range are inf, with no overflow warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_json_reports_are_strict(tmp_path, argv, config):
     path = write_json(tmp_path / "c.json",
                       dict(config, schema_version=1, p=4))
@@ -1218,10 +1220,15 @@ def test_json_reports_are_strict(tmp_path, argv, config):
     # finite |c_t|, but ||phi|| = 1.138 * 1.7e308 at p = 4
     [[1.7e308, 0.0], [1.7e308, 0.0]],
 ], ids=["complex-c0", "one-plus-z"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_phi_norm(tmp_path, capsys, values):
     # F depends on the kernel's direction alone, so every command that
-    # reports no ||phi|| runs; solve refuses to write a non-finite one
+    # reports no ||phi|| runs; solve refuses to write a non-finite one.
+    # phi(F) is summed on the rescaled kernel: inf, not NaN, and no warning
     kernel = {"type": "coeffs", "values": values}
+    solution = solve_extremal(ExtremalProblem(
+        p=4, kernel=as_poly([complex(*v) for v in values]), degree=8))
+    assert solution.phi_norm == math.inf
     for argv, config in [
         (["study", "growth"], {"degree": 8, "family": [kernel]}),
         (["study", "convergence"], {"degrees": [4, 8], "kernel": kernel}),
