@@ -91,11 +91,11 @@ def _degrees(config, default=_REQUIRED):
         default)
 
 
-def _seed(config, default=None):
+def _seed(config):
     """The config field 'seed', an integer >= 0 that reports record in
     their header."""
     return _field(config, "seed", int, lambda v: v >= 0, "seed must be >= 0",
-                  default)
+                  None)
 
 
 def _validate_common(config):
@@ -425,19 +425,18 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
 
 
-def run_oracle_compare(config, out=None, seed=None):
+def run_oracle_compare(config, out=None):
     p, tolerance = _validate_common(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
     degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
                     "oracle_degree must be 2 or 3", 3)
-    if seed is None:
-        seed = _seed(config, 7)
+    seed = _seed(config)
     oracle_tolerance = _field(config, "oracle_tolerance", float,
                               _positive_finite,
                               "oracle_tolerance must be positive and finite",
                               1e-6)
-    oracle_F = brute_force_oracle(kernel, p, degree=degree, seed=seed)
+    oracle_F = brute_force_oracle(kernel, p, degree=degree)
     problem = ExtremalProblem(p=p, kernel=kernel, degree=degree,
                               tolerance=min(tolerance, 1e-12))
     solution = solve_extremal(problem)
@@ -470,24 +469,23 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, fmt=True, seed=True):
+    def add_common(sp, fmt=True):
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             sp.add_argument("--format", default=None, choices=["json", "csv"])
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
 
     add_common(sub.add_parser("solve", help="solve one extremal problem"),
-               fmt=False, seed=False)
+               fmt=False)
     ver = sub.add_parser("verify", help="re-check a serialized solution")
     ver.add_argument("solution", help="solution JSON from `bergex solve`")
     ver.add_argument("--out", default=None)
     study = sub.add_parser("study", help="run a family study")
     study.add_argument("kind", choices=["growth", "convergence", "hinfty"])
     add_common(study)
+    study.add_argument("--seed", type=int, default=None)
     add_common(sub.add_parser("oracle-compare",
-                              help="brute-force small-space oracle vs solver"),
+                              help="Newton quadrature oracle vs solver"),
                fmt=False)
 
     args = parser.parse_args(argv)
@@ -512,7 +510,7 @@ def main(argv=None):
                 return run_convergence_study(config, out=args.out, fmt=fmt)
             return run_hinfty_study(config, out=args.out, fmt=fmt)
         if args.command == "oracle-compare":
-            return run_oracle_compare(config, out=args.out, seed=args.seed)
+            return run_oracle_compare(config, out=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -134,14 +134,17 @@ def rescaled(c, d=None):
     computation divides the kernel by this power of two before it sums
     anything: with d = ||phi|| where it has one, else the default d, the
     largest |Re c_t| or |Im c_t|, which is finite where |c_t| may not be.
-    Each part of c is scaled by ldexp, since 2^-e itself can overflow, and
-    exactly wherever it does not underflow; c keeps its dtype.
+    A d past the float range has no exponent, so c's largest part stands
+    in for it there, and d / 2^e stays inf. Each part of c is scaled by
+    ldexp, since 2^-e itself can overflow, and exactly wherever it does
+    not underflow; c keeps its dtype.
     """
     c = np.ascontiguousarray(c)
     parts = c.view(np.float64)  # Re, Im interleaved
     if d is None:
         d = float(np.max(np.abs(parts), initial=0.0))
-    mantissa, e = math.frexp(d)
+    mantissa, e = math.frexp(d if math.isfinite(d) else
+                             float(np.max(np.abs(parts), initial=0.0)))
     if abs(mantissa) == 0.5:  # a power of two keeps its scale
         e -= 1
     return np.ldexp(parts, -e).view(c.dtype), math.ldexp(d, -e), e

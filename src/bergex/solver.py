@@ -586,30 +586,36 @@ def solve_extremal(problem):
                              problem.tolerance, problem.max_iterations))
 
 
-def brute_force_oracle(k, p, degree=3, seed=7):
-    """Independent solve over a small space by derivative-free search.
+def brute_force_oracle(k, p, degree=3):
+    """Independent solve over a small space by Newton on disc quadrature.
 
-    Minimizes the same convex objective as ``solve_extremal``,
+    Returns the unit-norm extremal F as an ``AnalyticPoly``. Minimizes the
+    same convex objective as ``solve_extremal``, J(f) = ||f||_{A^p}^p / p
+    - Re phi(f), whose minimizer is ||phi||^{1/(p-1)} F, by point sums on
+    a disc quadrature (radial Gauss-Legendre times uniform angles, exact
+    for |f|^p at every degree allowed here), sharing nothing with the
+    solver's coefficient machinery so that the two check each other. With
+    V the Vandermonde matrix at the nodes, w the weights, y = V a,
+    x = (Re a, Im a), R = [Re V, -Im V] and I = [Im V, Re V] (so
+    Re y = R x, Im y = I x), alpha = w |y|^{p-2} and
+    beta = (p-2) w |y|^{p-4}, J has
 
-        J(f) = ||f||_{A^p}^p / p - Re phi(f)
+        gradient  R^T (alpha Re y) + I^T (alpha Im y) - b,
+        Hessian   R^T diag(alpha) R + I^T diag(alpha) I + M^T diag(beta) M,
 
-    whose minimizer is ||phi||^{1/(p-1)} F, by independent means: disc
-    quadrature for the objective (no coefficient identities, no analytic
-    gradients), one Powell search (Comput. J. 7 (1964), 155-162) from
-    0.5 * default_rng(seed).standard_normal(2n+2), and a finite-difference
-    Newton polish. Everything here is deliberately disjoint from the
-    production solver's machinery so the two can check each other. One
-    start suffices: J is strictly convex, so its minimum is its only
-    stationary point, and the quadrature is exact for |f|^p at every
-    degree allowed here. phi on P_n reads the kernel's c_0..c_n alone,
-    taken divided by ``rescaled``'s power of two: F does not depend on the
-    kernel's scale, and J stays of order one at any scale.
-
-    Returns the unit-norm extremal candidate as an ``AnalyticPoly``.
+    for b the gradient of Re phi and M = diag(Re y) R + diag(Im y) I; the
+    beta term vanishes at p = 2. Damped Newton with Armijo backtracking
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3) starts from
+    the truncated kernel scaled to the minimum of J on its ray, the p = 2
+    answer. One deterministic start suffices: J is strictly convex, so its
+    minimum is its only stationary point. A trial point whose |y|^p
+    overflows has J = inf and is rejected. Once the predicted decrease
+    -g^T d is below the float resolution of |J|, one full step ends the
+    solve; after DEFAULT_MAX_ITERATIONS steps without that,
+    ``NonConvergenceError`` carries the trace of (iteration, J, gradient
+    norm). phi reads c_0..c_n alone, divided by ``rescaled``'s power of
+    two, since F does not depend on the kernel's scale.
     """
-    # imported here, its only user: scipy.optimize is slow to import
-    from scipy.optimize import minimize
-
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
     if degree < 0 or degree > 8:
@@ -619,57 +625,49 @@ def brute_force_oracle(k, p, degree=3, seed=7):
     if not np.any(c):
         raise ValueError("kernel vanishes on the working space P_n")
     c = rescaled(c)[0]
-
-    # quadrature exact for |poly of degree n|^p: radial Gauss-Legendre,
-    # uniform angular sampling above the integrand bandwidth
+    # angles above the bandwidth p n of |f|^p, and radii by Gauss-Legendre
     x_gl, w_gl = leggauss(max(16, p * degree // 2 + 4))
     r = 0.5 * (x_gl + 1.0)
     angular = 1 << max(3, (p * degree + 1).bit_length())
-    zs = np.exp(2j * np.pi * np.arange(angular) / angular)
-    pts = np.outer(r, zs).ravel()
+    pts = np.outer(r, np.exp(2j * np.pi * np.arange(angular) / angular))
     # the area measure 2r dr dtheta / 2pi is r dx dtheta / 2pi here
     wts = np.repeat(w_gl * r / angular, angular)
-    V = pts[:, None] ** np.arange(n1)
-    wk = wts * np.conj(V @ c)
+    # R and I contiguous: BLAS reads the strided parts of V 3x slower
+    V = pts.ravel()[:, None] ** np.arange(n1)
+    R, I = np.hstack([V.real, -V.imag]), np.hstack([V.imag, V.real])
 
     def J(x):
-        a = x[:n1] + 1j * x[n1:]
-        va = V @ a
-        return float(wts @ np.abs(va) ** p) / p - float(np.real(wk @ va))
-
-    x0 = 0.5 * np.random.default_rng(seed).standard_normal(2 * n1)
-    x = minimize(J, x0, method="Powell",
-                 options=dict(xtol=1e-13, ftol=1e-16, maxiter=4000)).x
-
-    # Function-value-only quadratic model: central differences for
-    # gradient and Hessian, then Newton steps. Breaks through the
-    # sqrt(eps) accuracy wall that line-search methods hit.
-    dim = 2 * n1
-    hg, hh = 5e-6, 1e-4
-    eye = np.eye(dim)
-    for _ in range(3):
-        g = np.array([(J(x + hg * e) - J(x - hg * e)) / (2 * hg) for e in eye])
-        Hm = np.zeros((dim, dim))
-        j0 = J(x)
-        for i in range(dim):
-            Hm[i, i] = (J(x + hh * eye[i]) - 2 * j0 + J(x - hh * eye[i])) / hh ** 2
-            for jj in range(i):
-                Hm[i, jj] = Hm[jj, i] = (
-                    J(x + hh * (eye[i] + eye[jj]))
-                    - J(x + hh * (eye[i] - eye[jj]))
-                    - J(x - hh * (eye[i] - eye[jj]))
-                    + J(x - hh * (eye[i] + eye[jj]))
-                ) / (4 * hh ** 2)
-        try:
-            step = np.linalg.solve(Hm, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1.0:
-            break
-        x = x + step
-        if np.linalg.norm(step) < 1e-12:
-            break
-
-    a = x[:n1] + 1j * x[n1:]
-    scale = float(wts @ np.abs(V @ a) ** p) ** (1.0 / p)
-    return AnalyticPoly(a / scale)
+        y = R @ x, I @ x
+        with np.errstate(over="ignore"):
+            return float(wts @ np.hypot(*y) ** p / p - b @ x), y
+    # b = R^T (w Re k) + I^T (w Im k) at the nodes. J(t x) is least at
+    # t^(p-1) = b @ x / N, N = sum w |y|^p, in (0, 1] once max |y| = 1
+    x = np.concatenate([c.real, c.imag])
+    b = R.T @ (wts * (R @ x)) + I.T @ (wts * (I @ x))
+    x /= np.max(np.hypot(R @ x, I @ x))
+    x *= (b @ x / (wts @ np.hypot(R @ x, I @ x) ** p)) ** (1.0 / (p - 1))
+    value, (re, im) = J(x)
+    trace = []
+    for it in range(DEFAULT_MAX_ITERATIONS):
+        modulus = np.hypot(re, im)
+        alpha = wts * modulus ** (p - 2)
+        grad = R.T @ (alpha * re) + I.T @ (alpha * im) - b
+        hess = R.T @ (alpha[:, None] * R) + I.T @ (alpha[:, None] * I)
+        if p > 2:
+            M = re[:, None] * R + im[:, None] * I
+            hess += M.T @ (((p - 2) * wts * modulus ** (p - 4))[:, None] * M)
+        d = np.linalg.solve(hess, -grad)
+        slope = float(grad @ d)
+        trace.append((it, value, float(np.linalg.norm(grad))))
+        if -slope <= 1e-15 * abs(value):
+            x += d
+            scale = float(wts @ np.hypot(R @ x, I @ x) ** p) ** (1.0 / p)
+            return AnalyticPoly((x[:n1] + 1j * x[n1:]) / scale)
+        # Armijo; as t shrinks, x + t d rounds to x, which ends the loop
+        t = 1.0
+        while (trial := J(x + t * d))[0] > value + 1e-4 * t * slope:
+            t *= 0.5
+        x, (value, (re, im)) = x + t * d, trial
+    raise NonConvergenceError(
+        f"oracle: no convergence in {DEFAULT_MAX_ITERATIONS} iterations",
+        tuple(trace))

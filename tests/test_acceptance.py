@@ -81,7 +81,7 @@ def test_criterion_02_brute_force_oracle():
     oracle_err = solver_err = math.inf
     for coeffs in ([0.0, 1.0], [1.0, 1.0], [1.0, -0.7]):
         k = as_poly(coeffs)
-        F_oracle = brute_force_oracle(k, P, degree=3, seed=5)
+        F_oracle = brute_force_oracle(k, P, degree=3)
         sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=3,
                                              tolerance=1e-12))
         gap = float(np.max(np.abs(F_oracle.padded(4) - sol.F.padded(4))))

@@ -1013,6 +1013,22 @@ class TestOracleCompare:
         assert body["agree"] is True
         assert body["max_coefficient_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("p", [64, 128])
+    def test_agreement_at_large_exponents(self, tmp_path, p):
+        # every trial step of the oracle's line search stays free of
+        # overflow warnings, which Tier-1 turns into failures
+        config = write_json(tmp_path / "o.json", {
+            "schema_version": 1,
+            "p": p,
+            "kernel": ONE_PLUS_Z,
+        })
+        out = str(tmp_path / "oracle.json")
+        assert cli.main(["oracle-compare", "--config", config,
+                         "--out", out]) == 0
+        body = load_strict_report(out)["body"]
+        assert body["agree"] is True
+        assert body["max_coefficient_gap"] <= 1e-12
+
     def test_large_oracle_degree_rejected(self, tmp_path):
         config = write_json(tmp_path / "o.json", {
             "schema_version": 1,
@@ -1044,10 +1060,11 @@ class TestArgumentParsing:
     def test_help_exits_zero(self, capsys):
         assert self.exit_code(["solve", "--help"]) == 0
 
-    def test_solve_has_no_seed_flag(self, tmp_path):
-        # solve reads its seed from the config
+    @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
+    def test_solve_has_no_seed_flag(self, tmp_path, command):
+        # both read their seed from the config, where reports record it
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
-        assert self.exit_code(["solve", "--config", config,
+        assert self.exit_code([command, "--config", config,
                                "--seed", "3"]) == 3
 
     @pytest.mark.parametrize("kind", ["convergence", "hinfty"])
@@ -1229,6 +1246,10 @@ def test_overflowing_phi_norm(tmp_path, capsys, values):
     solution = solve_extremal(ExtremalProblem(
         p=4, kernel=as_poly([complex(*v) for v in values]), degree=8))
     assert solution.phi_norm == math.inf
+    # the kernel-side sums given the infinite ||phi|| still run on a
+    # rescaled kernel: the bound fails, with no overflow on the way
+    report = checks.check_ryabykh_bound(solution.F, solution.kernel, 4)
+    assert report.verdict == "fail"
     for argv, config in [
         (["study", "growth"], {"degree": 8, "family": [kernel]}),
         (["study", "convergence"], {"degrees": [4, 8], "kernel": kernel}),
@@ -1296,16 +1317,16 @@ def test_ryabykh_sides_past_the_float_range_are_null(tmp_path):
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # SciPy takes a large share of start-up; NumPy serves the transforms
-    # and the Gauss-Legendre rule, and the Newton solve and the
-    # brute-force oracle each import what they need of SciPy themselves
+    # and the Gauss-Legendre rule, and the Newton solve imports the LAPACK
+    # routines it needs itself
     out = run_fresh(f"import sys, bergex.cli; print({SCIPY_MODULES})")
     assert out.strip() == "[]"
 
 
 def test_only_the_solve_loads_scipy(tmp_path):
     # bergex verify and its checks factor nothing, so they load no SciPy;
-    # bergex solve loads LAPACK on its first factorization, and still
-    # not scipy.optimize, which only the brute-force oracle needs
+    # bergex solve loads LAPACK on its first factorization, and the
+    # quadrature oracle of oracle-compare needs no scipy.optimize
     config = write_json(tmp_path / "c.json", {
         "schema_version": 1, "p": 4, "degree": 16, "kernel": MONOMIAL_Z})
     solution = str(tmp_path / "s.json")
@@ -1315,10 +1336,13 @@ def test_only_the_solve_loads_scipy(tmp_path):
             f"== 0; print({SCIPY_MODULES}); "
             "assert cli.main(['solve', '--config', sys.argv[3], '--out', "
             "sys.argv[4]]) == 0; "
+            "assert cli.main(['oracle-compare', '--config', sys.argv[3], "
+            "'--out', sys.argv[5]]) == 0; "
             "print([m in sys.modules for m in ('scipy.linalg.lapack', "
             "'scipy.optimize')])")
     out = run_fresh(code, solution, str(tmp_path / "v.json"), config,
-                    str(tmp_path / "s2.json")).split("\n")
+                    str(tmp_path / "s2.json"),
+                    str(tmp_path / "o.json")).split("\n")
     assert out[0] == "[]"
     assert out[1] == "[True, False]"
 

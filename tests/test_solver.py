@@ -904,22 +904,40 @@ class TestTruncatedFamily:
 
 
 class TestBruteForceOracle:
-    """The quadrature oracle against the solver past criterion 2's p = 4
-    and degree 3. J is strictly convex, so the one Powell search finds its
-    one minimum from whatever start the seed picks."""
+    """The quadrature oracle against the solver, past criterion 2's p = 4
+    and degree 3 up to the oracle's largest degree. J is strictly convex,
+    so damped Newton from the one deterministic start finds its one
+    minimum, to round-off."""
 
     @pytest.mark.parametrize("kernel", [[1.0, -0.6, 0.3],
                                         [1.0, 0.5j, -0.25 + 0.4j]],
                              ids=["real", "complex"])
-    @pytest.mark.parametrize("p, n", [(2, 8), (6, 5), (8, 5)])
+    @pytest.mark.parametrize("p, n", [(2, 8), (4, 3), (4, 8), (6, 5),
+                                      (8, 5)])
     def test_matches_solver_from_two_seeds(self, p, n, kernel):
+        # two calls give the same bits: the oracle draws nothing at random
         k = as_poly(kernel)
         F = solve_extremal(ExtremalProblem(p=p, kernel=k, degree=n,
                                            tolerance=1e-12)).F.padded(n + 1)
-        one, two = (solver.brute_force_oracle(k, p, degree=n, seed=seed)
-                    .padded(n + 1) for seed in (1, 2))
-        assert np.max(np.abs(one - F)) <= 1e-8
-        assert np.max(np.abs(two - one)) <= 1e-8
+        one, two = (solver.brute_force_oracle(k, p, degree=n).padded(n + 1)
+                    for _ in range(2))
+        assert one.tobytes() == two.tobytes()
+        assert np.max(np.abs(one - F)) <= 1e-12
+
+    def test_shares_nothing_with_the_coefficient_machinery(self,
+                                                          monkeypatch):
+        # the oracle checks the solver only if it never calls the kernels
+        # and the Newton solve that the solver is built from
+        k = as_poly([1.0, 0.5j, -0.25 + 0.4j])
+        F = solve_extremal(ExtremalProblem(p=6, kernel=k, degree=3,
+                                           tolerance=1e-12)).F.padded(4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the solver's machinery")
+        for name in ("conv", "xcorr", "power", "_newton"):
+            monkeypatch.setattr(solver, name, forbidden)
+        oracle = solver.brute_force_oracle(k, 6, degree=3).padded(4)
+        assert np.max(np.abs(oracle - F)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
     def test_kernel_past_the_angular_grid(self):
