@@ -73,7 +73,8 @@ class VerificationReport:
     slack rhs - lhs, pass iff >= -tolerance (solver round-off). Ryabykh
     bound lhs <= rhs: lhs/rhs - 1, pass iff <= tolerance. H-infinity
     criterion: the relative growth of the boundary sup, pass iff <=
-    tolerance, or "withheld" for an exploratory run outside the hypothesis.
+    tolerance, or "withheld" when alpha <= 3/2 puts the run outside the
+    hypothesis.
     """
 
     check_name: str
@@ -302,8 +303,7 @@ def check_reports(records, F, k, p, phi_norm):
     return reports
 
 
-def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
-                           exploratory=False):
+def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01):
     """Boundedness probe for kernels with c_t = (t+1)^(-alpha), alpha > 3/2.
 
     Such decay forces the extremal function into H-infinity, so the
@@ -315,16 +315,12 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01,
     Fourier coefficients of |F_n|^p at each degree, the quantity whose
     summability drives the boundedness argument.
 
-    alpha <= 3/2 is outside the hypothesis; exploratory=True still runs
-    the sweep but withholds the verdict.
+    alpha <= 3/2 is outside the hypothesis: the sweep still runs, but the
+    verdict is withheld.
     """
     degrees = sorted(set(degrees))
     if len(degrees) < 2:
         raise ValueError("need at least two distinct degrees to compare")
-    if alpha <= 1.5 and not exploratory:
-        raise ValueError("criterion requires alpha > 3/2; set "
-                         "'exploratory' to true to run it with the verdict "
-                         "withheld")
     k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}

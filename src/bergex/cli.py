@@ -411,11 +411,9 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     threshold = _field(config, "growth_threshold", float,
                        lambda v: 0 <= v < math.inf,
                        "growth_threshold must be >= 0 and finite", 0.01)
-    exploratory = _field(config, "exploratory", bool, default=False)
     seed = _seed(config)
     report = check_hinfty_criterion(alpha, p, degrees,
-                                    growth_threshold=threshold,
-                                    exploratory=exploratory)
+                                    growth_threshold=threshold)
     sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
     rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
@@ -473,7 +471,7 @@ def main(argv=None):
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
-            sp.add_argument("--format", default=None, choices=["json", "csv"])
+            sp.add_argument("--format", default="csv", choices=["json", "csv"])
 
     add_common(sub.add_parser("solve", help="solve one extremal problem"),
                fmt=False)
@@ -483,17 +481,11 @@ def main(argv=None):
     study = sub.add_parser("study", help="run a family study")
     study.add_argument("kind", choices=["growth", "convergence", "hinfty"])
     add_common(study)
-    study.add_argument("--seed", type=int, default=None)
     add_common(sub.add_parser("oracle-compare",
                               help="Newton quadrature oracle vs solver"),
                fmt=False)
 
     args = parser.parse_args(argv)
-    # only the growth study draws a random family
-    if (args.command == "study" and args.kind != "growth"
-            and args.seed is not None):
-        study.error(f"--seed applies to 'study growth' only, "
-                    f"not 'study {args.kind}'")
 
     try:
         if args.command == "verify":
@@ -502,18 +494,12 @@ def main(argv=None):
         if args.command == "solve":
             return run_solve(config, out=args.out)
         if args.command == "study":
-            fmt = args.format or "csv"
-            if args.kind == "growth":
-                return run_growth_study(config, out=args.out, fmt=fmt,
-                                        seed=args.seed)
-            if args.kind == "convergence":
-                return run_convergence_study(config, out=args.out, fmt=fmt)
-            return run_hinfty_study(config, out=args.out, fmt=fmt)
+            runner = {"growth": run_growth_study,
+                      "convergence": run_convergence_study,
+                      "hinfty": run_hinfty_study}[args.kind]
+            return runner(config, out=args.out, fmt=args.format)
         if args.command == "oracle-compare":
             return run_oracle_compare(config, out=args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         tail = exc.trace[-3:]

@@ -1,9 +1,10 @@
 """Kernel recipes: declarative descriptions of functional kernels.
 
 A kernel spec is the JSON object that configs and reports carry instead
-of raw coefficient dumps: an explicit coefficient list, the power-decay
-family c_t = (t+1)^(-alpha), or a truncation of another spec. Every spec,
-the Python builders' too, is the canonical object ``from_dict`` returns.
+of raw coefficient dumps: an explicit coefficient list, or the
+power-decay family c_t = (t+1)^(-alpha). A truncation is written with
+fewer ``values`` or a smaller ``count``. Every spec, the Python builders'
+too, is the canonical object ``from_dict`` returns.
 ``realize`` produces the AnalyticPoly; ``describe`` gives a stable
 human-readable id used to key study rows. ``_field``, the type rule of
 every JSON config field, lives here so that spec fields and the CLI's
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .families import power_decay_kernel
-from .poly import AnalyticPoly, taylor_truncate
+from .poly import AnalyticPoly
 
 
 class ConfigError(ValueError):
@@ -125,11 +126,9 @@ def realize(spec):
     """
     if spec["type"] == "coeffs":
         k = AnalyticPoly(_complex_pairs(spec["values"]))
-    elif spec["type"] == "power_decay":
+    else:
         with np.errstate(over="ignore"):
             k = power_decay_kernel(spec["alpha"], spec["count"])
-    else:
-        k = taylor_truncate(realize(spec["inner"]), spec["n"])
     if not np.all(np.isfinite(k.coeffs)):
         raise ConfigError(f"kernel spec {describe(spec)} has coefficients "
                           f"past the float range; raise alpha")
@@ -142,9 +141,7 @@ def describe(spec):
     """Stable short identifier for reports."""
     if spec["type"] == "coeffs":
         return f"coeffs[{len(spec['values'])}]"
-    if spec["type"] == "power_decay":
-        return f"power_decay(alpha={spec['alpha']:g}, count={spec['count']})"
-    return f"truncate({describe(spec['inner'])}, n={spec['n']})"
+    return f"power_decay(alpha={spec['alpha']:g}, count={spec['count']})"
 
 
 def to_dict(spec):
@@ -154,7 +151,7 @@ def to_dict(spec):
 
 def from_dict(data):
     """The canonical spec of JSON-shaped data: known fields only, and
-    every number a float but ``count`` and ``n``.
+    every number a float but ``count``.
 
     Every field is read by ``_field``, the rule the config's own numeric
     fields follow, so a wrong type or value raises ``ConfigError`` naming
@@ -175,13 +172,4 @@ def from_dict(data):
                 "count": _field(data, "count", int,
                                 lambda v: 1 <= v <= MAX_DEGREE + 1,
                                 f"count must be in 1..{MAX_DEGREE + 1}")}
-    if t == "truncate":
-        try:
-            inner = from_dict(_field(data, "inner", dict))
-        except RecursionError:
-            raise ConfigError("kernel spec field 'inner' is nested too "
-                              "deeply") from None
-        return {"type": t, "inner": inner,
-                "n": _field(data, "n", int, lambda v: v >= 0,
-                            "n must be >= 0")}
     raise ConfigError(f"unknown kernel spec type {t!r}")

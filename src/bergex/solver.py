@@ -472,7 +472,10 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         t, evaluated = 1.0, None
         while abs(slope) > 1e-15 * abs(value):
             y = x + t * d
-            trial = _objective(coeffs(y), s)
+            # a long step at large p can overflow |f|^p; its J is then
+            # inf or NaN, which fails both tests below and backtracks
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = _objective(coeffs(y), s)
             new_value = trial[0] / p - b @ y
             if (new_value <= value + 1e-4 * t * slope
                     or new_value <= value + 1e-15 * abs(value)):

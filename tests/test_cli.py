@@ -530,19 +530,27 @@ class TestExitCodes:
             assert code() == 3
             assert "alpha=-1000" in capsys.readouterr().err
 
+    def test_truncate_spec_rejected(self, tmp_path, capsys):
+        # a truncation is written with fewer values or a smaller count
+        kernel = {"type": "truncate", "n": 4,
+                  "inner": {"type": "power_decay", "alpha": 2.0, "count": 16}}
+        assert self.run_solve(tmp_path, {"kernel": kernel}) == 3
+        assert ("unknown kernel spec type 'truncate'"
+                in capsys.readouterr().err)
+
     def test_non_json_config_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{broken", encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 3
 
-    @pytest.mark.parametrize("depth", [985, 5000])
+    @pytest.mark.parametrize("depth", [5000, 50000])
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_deep_nesting_rejected(self, tmp_path, capsys, solved_artifact,
                                    command, depth):
-        # a truncate spec nested this deep overflows the recursion limit in
-        # the JSON decoder or, from a shallower stack, in the spec reader
-        kernel = ('{"type": "truncate", "n": 4, "inner": ' * depth
-                  + json.dumps(CONSTANT_ONE) + "}" * depth)
+        # arrays nested this deep in the kernel's values overflow the
+        # recursion limit in the JSON decoder, from any stack depth
+        kernel = ('{"type": "coeffs", "values": ' + "[" * depth
+                  + "]" * depth + "}")
         if command == "solve":
             text = '{"p": 4, "degree": 8, "kernel": %s}' % kernel
         else:
@@ -607,7 +615,6 @@ NUMBER_FIELDS = [
 NOT_NUMBERS = [[1], True, {"value": 1}, "1e-10", None, 10 ** 400, -1.0]
 NOT_NUMBER_LISTS = [[], "ab", 2.0, {"q1": 2.0}, None, ["2"], [True],
                     [2.0, None], [math.inf], [10 ** 400]]
-NOT_BOOLS = ["no", "false", 0, 1, None, [True]]
 NOT_FAMILIES = [5, "custom", "", [], None, True, {"type": "coeffs"}]
 
 
@@ -691,13 +698,6 @@ class TestConfigFieldTypes:
         code, err = self.run(tmp_path, capsys, "growth", "q1_list", value)
         assert code == 3
         assert "'q1_list'" in err
-
-    @pytest.mark.parametrize("value", NOT_BOOLS, ids=repr)
-    def test_exploratory_flag(self, tmp_path, capsys, value):
-        code, err = self.run(tmp_path, capsys, "hinfty-slow", "exploratory",
-                             value)
-        assert code == 3
-        assert "'exploratory'" in err
 
     @pytest.mark.parametrize("value", NOT_FAMILIES, ids=repr)
     def test_growth_family(self, tmp_path, capsys, value):
@@ -808,6 +808,31 @@ class TestGrowthStudy:
         assert len(body["rows"]) == 4
         assert body["empirical_C"] >= 1.0
 
+    # max_study_degree 16 truncates the 64-term power-decay kernels
+    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
+    def test_seed_from_config_or_keyword(self, tmp_path):
+        # the config's seed and run_growth_study's seed= keyword draw the
+        # same random kernels and record the same header seed
+        def report(config_seed=None, **kwargs):
+            config = {"schema_version": 1, "p": 4, "max_study_degree": 16}
+            if config_seed is not None:
+                config["seed"] = config_seed
+            out = tmp_path / "g.json"
+            assert cli.run_growth_study(config, out=str(out), fmt="json",
+                                        **kwargs) == 0
+            return load_report(out)
+
+        by_config, by_keyword = report(3), report(seed=3)
+        assert by_config["header"]["seed"] == by_keyword["header"]["seed"] == 3
+        assert by_config["body"] == by_keyword["body"]
+
+        def random_rows(body):
+            return [row for row in body["rows"]
+                    if row["kernel_id"].startswith("random-")]
+
+        assert random_rows(by_config["body"])
+        assert random_rows(report(4)["body"]) != random_rows(by_config["body"])
+
     def test_extreme_kernel_scales(self, tmp_path):
         # the ratio is homogeneous of degree 0 in the kernel
         def ratios(scale):
@@ -896,14 +921,6 @@ class TestHinftyStudy:
                          "--out", str(tmp_path / "h.csv")])
         assert code == 1
 
-    def test_slow_decay_needs_exploratory_flag(self, tmp_path, capsys):
-        code = cli.main(["study", "hinfty",
-                         "--config", self.config(tmp_path, 1.2, [8, 16]),
-                         "--out", str(tmp_path / "h.csv")])
-        assert code == 3
-        # the config field, not the Python keyword
-        assert "'exploratory'" in capsys.readouterr().err
-
     def test_repeated_degree_rejected(self, tmp_path, capsys):
         # [16, 16] once passed with zero growth, a degree against itself
         code = cli.main(["study", "hinfty",
@@ -919,10 +936,11 @@ class TestHinftyStudy:
         assert code == 3
 
     def test_exploratory_verdict_withheld(self, tmp_path):
+        # alpha <= 3/2 is outside the hypothesis: the study runs, exits 0
+        # and withholds its verdict, with no switch in the config
         out = str(tmp_path / "h.csv")
         code = cli.main(["study", "hinfty",
-                         "--config", self.config(tmp_path, 1.2, [8, 16],
-                                                 exploratory=True),
+                         "--config", self.config(tmp_path, 1.2, [8, 16]),
                          "--out", out])
         assert code == 0
         _, _, trailer = read_csv_report(out)
@@ -951,8 +969,7 @@ def csv_cell(text):
     pytest.param("hinfty", {"alpha": 2.0, "degrees": [16, 32]}, 0,
                  ["degree", "sup", "l1_mass"],
                  ["relative_growth", "verdict"], id="hinfty-pass"),
-    pytest.param("hinfty", {"alpha": 1.2, "degrees": [8, 16],
-                            "exploratory": True}, 0,
+    pytest.param("hinfty", {"alpha": 1.2, "degrees": [8, 16]}, 0,
                  ["degree", "sup", "l1_mass"],
                  ["relative_growth", "verdict"], id="hinfty-withheld"),
 ])
@@ -1067,9 +1084,10 @@ class TestArgumentParsing:
         assert self.exit_code([command, "--config", config,
                                "--seed", "3"]) == 3
 
-    @pytest.mark.parametrize("kind", ["convergence", "hinfty"])
-    def test_seedless_studies_reject_seed(self, tmp_path, capsys, kind):
-        # neither study draws at random, so a seed would be ignored
+    @pytest.mark.parametrize("kind", ["growth", "convergence", "hinfty"])
+    def test_studies_have_no_seed_flag(self, tmp_path, capsys, kind):
+        # the growth study reads its seed from the config, as solve does;
+        # the others draw nothing at random
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
         assert self.exit_code(["study", kind, "--config", config,
                                "--seed", "5"]) == 3
@@ -1313,6 +1331,20 @@ def test_ryabykh_sides_past_the_float_range_are_null(tmp_path):
     verified = str(tmp_path / "v.json")
     assert cli.main(["verify", solution, "--out", verified]) == 0
     assert load_strict_report(verified)["body"]["verified"] is True
+
+
+def test_overflowing_trial_steps_leave_stderr_empty(tmp_path):
+    # at p = 1024 the line search backtracks from trial steps whose |f|^p
+    # overflows, and says nothing about them; degree 1 is too low for the
+    # checks to pass, so the solve exits 1
+    config = write_json(tmp_path / "c.json", {
+        "schema_version": 1, "p": 1024, "degree": 1, "tolerance": 1e-12,
+        "kernel": {"type": "coeffs", "values": [[1, 0], [0, 0.5]]}})
+    done = fresh_process(
+        "import sys; from bergex import cli; sys.exit(cli.main(['solve', "
+        "'--config', sys.argv[1], '--out', sys.argv[2]]))",
+        config, str(tmp_path / "s.json"))
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -3,7 +3,6 @@
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -27,21 +26,18 @@ class TestBuilders:
             "type": "coeffs", "values": [[1.0, 0.0], [2.0, 1.0]]}
 
     def test_coeffs_from_pairs(self):
-        # JSON integers in [re, im] pairs become floats, as solve records them
-        spec = from_dict({"type": "coeffs", "values": [[1, 0], [0.0, -1]]})
-        assert spec["values"] == [[1.0, 0.0], [0.0, -1.0]]
+        # JSON integers in [re, im] pairs become floats, as solve records
+        # them, and unknown keys are dropped
+        spec = from_dict({"type": "coeffs", "values": [[1, 0], [0.0, -1]],
+                          "note": "dropped"})
+        assert spec == {"type": "coeffs",
+                        "values": [[1.0, 0.0], [0.0, -1.0]]}
         assert all(isinstance(x, float) for pair in spec["values"]
                    for x in pair)
 
     def test_power_decay(self):
         assert power_decay_spec(2, 8) == {
             "type": "power_decay", "alpha": 2.0, "count": 8}
-
-    def test_truncate_wraps(self):
-        inner = power_decay_spec(2.0, 16)
-        spec = from_dict({"type": "truncate", "inner": inner, "n": 4,
-                          "note": "unknown keys are dropped"})
-        assert spec == {"type": "truncate", "inner": inner, "n": 4}
 
     @pytest.mark.parametrize("count", [2.9, True])
     def test_builders_do_not_coerce(self, count):
@@ -53,6 +49,13 @@ class TestValidation:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             from_dict({"type": "nonsense"})
+
+    def test_truncate_is_not_a_spec_type(self):
+        # a truncation is written with fewer values or a smaller count
+        with pytest.raises(ConfigError,
+                           match="unknown kernel spec type 'truncate'"):
+            from_dict({"type": "truncate", "n": 4,
+                       "inner": power_decay_spec(2.0, 16)})
 
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
@@ -68,10 +71,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="'count'"):
             from_dict({"type": "power_decay", "alpha": 2.0, "count": 0})
 
-    def test_truncate_needs_inner(self):
-        with pytest.raises(ValueError, match="'inner'"):
-            from_dict({"type": "truncate", "n": 4})
-
 
 class TestRealize:
     def test_coeffs(self):
@@ -81,11 +80,6 @@ class TestRealize:
     def test_power_decay_values(self):
         k = realize(power_decay_spec(2.0, 4))
         np.testing.assert_allclose(k.coeffs, [1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
-
-    def test_truncate(self):
-        k = realize(from_dict({"type": "truncate",
-                               "inner": power_decay_spec(1.0, 8), "n": 2}))
-        assert k.degree == 2
 
     def test_coeffs_keep_every_bit(self):
         spec = from_dict({"type": "coeffs",
@@ -106,8 +100,6 @@ class TestRealize:
         spec = power_decay_spec(-1000.0, 4)
         with pytest.raises(ConfigError, match="alpha=-1000"):
             realize(spec)
-        with pytest.raises(ConfigError, match="alpha=-1000"):
-            realize(from_dict({"type": "truncate", "inner": spec, "n": 3}))
         assert realize(power_decay_spec(-1000.0, 2)).coeffs[1] == 2.0 ** 1000
 
 
@@ -116,17 +108,12 @@ class TestDescribe:
         assert describe(coeffs_spec([1.0, 2.0])) == "coeffs[2]"
         assert describe(power_decay_spec(2.0, 64)) == \
             "power_decay(alpha=2, count=64)"
-        nested = from_dict({"type": "truncate",
-                            "inner": power_decay_spec(1.6, 32), "n": 8})
-        assert describe(nested) == \
-            "truncate(power_decay(alpha=1.6, count=32), n=8)"
 
 
 class TestSerialization:
     @pytest.mark.parametrize("spec", [
         coeffs_spec([1.0, 2.0 - 1.0j]),
         power_decay_spec(1.6, 12),
-        {"type": "truncate", "inner": coeffs_spec([1.0, 0.5, 0.25]), "n": 1},
     ])
     def test_round_trip(self, spec):
         # a spec is its JSON object, and from_dict keeps a canonical one
@@ -147,7 +134,6 @@ class TestSerialization:
                 from_dict(bad)
         # no coercion: each field is a JSON value of its own kind, and the
         # error names it
-        inner = {"type": "coeffs", "values": [[1.0, 0.0]]}
         for bad, field in (
             ({"type": "power_decay", "alpha": 2.0, "count": 2.9}, "count"),
             ({"type": "power_decay", "alpha": 2.0, "count": True}, "count"),
@@ -164,9 +150,6 @@ class TestSerialization:
             # a kernel of degree past MAX_DEGREE, as for count
             ({"type": "coeffs", "values": [[1.0, 0.0]] * (MAX_DEGREE + 2)},
              "values"),
-            ({"type": "truncate", "inner": inner, "n": 1.5}, "n"),
-            ({"type": "truncate", "inner": inner, "n": True}, "n"),
-            ({"type": "truncate", "inner": [inner], "n": 1}, "inner"),
             ({"type": 3}, "type"),
         ):
             with pytest.raises(ValueError, match=re.escape(repr(field))):
@@ -197,23 +180,10 @@ class TestSerialization:
         {"type": "power_decay", "alpha": float("inf"), "count": 4},
         {"type": "power_decay", "alpha": float("nan"), "count": 4},
         {"type": "power_decay", "alpha": 2.0, "count": float("inf")},
-        {"type": "truncate", "n": float("inf"),
-         "inner": {"type": "coeffs", "values": [[1.0, 0.0]]}},
-        {"type": "truncate", "n": 2,
-         "inner": {"type": "coeffs", "values": [[float("nan"), 0.0]]}},
     ])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             from_dict(bad)
-
-    def test_deep_nesting_rejected(self):
-        # nested past the recursion limit: an error naming the field
-        # instead of a RecursionError
-        spec = {"type": "coeffs", "values": [[1.0, 0.0]]}
-        for _ in range(sys.getrecursionlimit()):
-            spec = {"type": "truncate", "inner": spec, "n": 4}
-        with pytest.raises(ConfigError, match="'inner' is nested too deeply"):
-            from_dict(spec)
 
     def test_dict_shape(self):
         data = to_dict(coeffs_spec([1.0 + 2.0j]))

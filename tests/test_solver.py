@@ -19,6 +19,7 @@ from bergex.solver import (
     _hessian,
     _newton_terms,
     _rungs,
+    brute_force_oracle,
     extremality_residual,
     gradient_norm_p,
     kernel_from_extremal,
@@ -76,6 +77,17 @@ class TestProblemValidation:
         np.testing.assert_allclose(sol.F.padded(5), [1, 0, 0, 0, 0],
                                    atol=1e-12)
         assert sol.phi_norm == pytest.approx(1.0, rel=1e-12)
+
+    def test_overflowing_trial_steps_are_backtracked_quietly(self):
+        # at p = 1024 a long Armijo trial step overflows |f|^p; the line
+        # search rejects it and backtracks with no RuntimeWarning (the
+        # suite's filter makes one an error)
+        kernel = as_poly([1.0, 0.5j])
+        sol = solve_extremal(ExtremalProblem(p=MAX_EXPONENT, kernel=kernel,
+                                             degree=1, tolerance=1e-12))
+        oracle = brute_force_oracle(kernel, MAX_EXPONENT, degree=1)
+        np.testing.assert_allclose(sol.F.padded(2), oracle.padded(2),
+                                   rtol=0, atol=1e-14)
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(ValueError):
