@@ -9,17 +9,23 @@ or above it. ``xcorr`` is ``conv`` of the reversed conjugate, so its
 columns time that convolution plus the conjugate and the slice of its
 upper half. Both operands have length n, so the output degree is
 2n - 2. "direct" and "fft" time complex operands; "direct real" and
-"fft real" time their real parts, which the FFT path sends through real
+"fft real" time their real parts as float64 arrays, which stay real: the
+direct path is a real ``np.convolve`` and the FFT path takes real
 transforms of half the size. The four columns of a row are timed call by
 call in turn, so that drift in the machine's speed lands on all of them
-alike.
+alike. Under each table a crossover line gives, for complex and for real
+operands, the first size from which the FFT column is below the direct
+one at every larger size, and the output degree there, which is what
+``FFT_THRESHOLD`` is compared with.
 
-On a 2-CPU x86-64 VM (NumPy 2.4, 300 repeats, the median of each cell
-over 5 runs) the FFT path, NumPy's transforms at power-of-two lengths,
-led for both kernels from n = 384 on with complex operands, and from
-n = 320-352 on with real ones: crossovers near an output degree of 750
-(complex) and 650 (real). The threshold in use, 256 in output degree,
-switches to the FFT sooner than this table asks.
+On a 2-CPU x86-64 VM (NumPy 2.4, one BLAS thread, 200 repeats, three
+runs) the FFT path, NumPy's transforms at power-of-two lengths, led for
+both kernels from n = 384-448 on with complex operands (output degree
+766-894) and from n = 768 on with real ones (output degree 1534): a real
+``np.convolve`` took 1/1.3 (n = 64) to 1/2.6 (n = 1024) of the complex
+one's time. The ``power`` table below crosses much sooner, and
+``FFT_THRESHOLD`` (512) follows it; ``bergex._backend`` gives the
+reasons.
 
 The ``newton_step`` table times the dense part of one solver iteration,
 median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
@@ -43,14 +49,18 @@ that the Hessian's assembly shows apart from its factorization. Pin
 OpenBLAS to one thread for this table: on a 2-CPU VM its threads made
 single cells up to 20x slower from run to run.
 
-The ``power`` table times the Fourier coefficients b_0..b_{(p/2) n} of
-|f|^p, f^{p/2} correlated with itself, at p = 4 and 6 on the same
-coefficients and degrees, median of ``--repeats`` calls. "chained" is
-the route of products and one correlation, p/2 - 1 calls of
-``_backend.conv`` and one of ``_backend.xcorr``; "real" and "complex"
-are ``_backend.abs_power_xcorr``, one transform of f, on a_t and on
-e^{0.7i} a_t. "error" is the largest difference between "chained" and
-"complex", relative to the largest |b_m|.
+The ``power`` table times ``_backend.abs_power_xcorr``, the Fourier
+coefficients b_0..b_{(p/2)(n-1)} of |f|^p, at p = 4 and 6 for the n
+coefficients a_t = (t+1)^-1.6, at the ``--sizes`` of the tables above,
+median of ``--repeats`` calls, with the columns and the crossover lines
+of those tables. Its direct path is ``_backend.power``'s p/2 - 1
+products and one correlation, and its FFT path one transform of f; the
+output degree it dispatches on is p (n - 1). "direct" and "fft" time
+e^{0.7i} a_t, "direct real" and "fft real" the float64 a_t. "error" is
+the largest difference between the two paths on e^{0.7i} a_t, relative
+to the largest |b_m|. In the same three runs the FFT led from an output
+degree of 380-444 (p = 4) and 378 (p = 6) with complex coefficients, and
+from 508 (p = 4) and 474-666 (p = 6) with real ones.
 
 The ``solve`` table times a whole ``solver.solve_extremal`` call (the
 degree ladder, the certificate included) for the real kernel a_t =
@@ -152,32 +162,59 @@ def time_call(fn, *args, repeats=200):
 
 # Values of FFT_THRESHOLD that force each path for every operand size.
 PATHS = (("direct", float("inf")), ("fft", 0))
+# the columns of a path table: each path on complex, then on real operands
+PATH_LABELS = [label + kind for kind in ("", " real") for label, _ in PATHS]
+
+
+def time_paths(fn, operands, repeats):
+    """Median seconds per call of fn(*args) for args in ``operands`` (the
+    complex arguments, then the real ones), on each path of PATHS: the
+    four cells of a row in PATH_LABELS' order. The cells are timed call
+    by call in turn."""
+    cells = [(args, threshold) for args in operands for _, threshold in PATHS]
+    times = [[] for _ in cells]
+    try:
+        for _ in range(repeats):
+            for (args, threshold), column in zip(cells, times):
+                _backend.FFT_THRESHOLD = threshold
+                start = time.perf_counter()
+                fn(*args)
+                column.append(time.perf_counter() - start)
+    finally:
+        _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
+    return [statistics.median(column) for column in times]
+
+
+def crossover(sizes, degrees, rows):
+    """The line under a path table: for each operand kind, the first size
+    from which its fft column is below its direct column at every larger
+    size, with the output degree there, which is what FFT_THRESHOLD is
+    compared with."""
+    parts = []
+    for kind, direct, fft in (("complex", 0, 1), ("real", 2, 3)):
+        first = None
+        for n, degree, row in zip(sizes, degrees, rows):
+            if row[fft] >= row[direct]:
+                first = None
+            elif first is None:
+                first = f"n = {n} (output degree {degree})"
+        parts.append(f"{kind} from {first or 'no size here'}")
+    return "crossover, fft ahead: " + "; ".join(parts)
 
 
 def bench_operation(name, fn, sizes, repeats):
     print(f"\n{name}: median microseconds per call")
-    labels = [label + kind for kind in ("", " real") for label, _ in PATHS]
-    header = f"{'n':>6}" + "".join(f"{label:>14}" for label in labels)
+    header = f"{'n':>6}" + "".join(f"{label:>14}" for label in PATH_LABELS)
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
+    rows = []
     for n in sizes:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cells = [(x, y, threshold) for x, y in ((a, b), (a.real, b.real))
-                 for _, threshold in PATHS]
-        times = [[] for _ in cells]
-        try:
-            for _ in range(repeats):
-                for (x, y, threshold), column in zip(cells, times):
-                    _backend.FFT_THRESHOLD = threshold
-                    start = time.perf_counter()
-                    fn(x, y)
-                    column.append(time.perf_counter() - start)
-        finally:
-            _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
-        print(f"{n:>6}" + "".join(f"{statistics.median(column) * 1e6:>14.2f}"
-                                  for column in times))
+        rows.append(time_paths(fn, ((a, b), (a.real, b.real)), repeats))
+        print(f"{n:>6}" + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1]))
+    print(crossover(sizes, [2 * n - 2 for n in sizes], rows))
 
 
 def newton_step(a, p):
@@ -221,35 +258,32 @@ def bench_newton_step(sizes, repeats):
                   f"{real_hessian:>14.3f}{cplx_hessian:>17.3f}")
 
 
-def chained_spectrum(a, p):
-    """b_m of |f|^p by p/2 - 1 products and one correlation."""
-    u = a
-    for _ in range(p // 2 - 1):
-        u = _backend.conv(u, a)
-    return _backend.xcorr(u, u)
-
-
 def bench_power(sizes, repeats):
-    print("\npower: median milliseconds per |f|^p spectrum")
-    header = (f"{'n':>6}{'p':>4}{'chained':>10}{'real':>10}{'complex':>10}"
-              f"{'error':>10}")
+    print("\npower: median microseconds per |f|^p spectrum")
+    header = (f"{'n':>6}{'p':>4}"
+              + "".join(f"{label:>14}" for label in PATH_LABELS)
+              + f"{'error':>10}")
     print(header)
     print("-" * len(header))
-    for n in sizes:
-        a = (np.arange(n + 1) + 1.0) ** -1.6 + 0j
-        rotated = np.exp(0.7j) * a
-        for p in (4, 6):
-            chained, real, cplx = (
-                time_call(fn, coeffs, p, repeats=repeats) * 1e3
-                for fn, coeffs in ((chained_spectrum, rotated),
-                                   (_backend.abs_power_xcorr, a),
-                                   (_backend.abs_power_xcorr, rotated)))
-            expected = chained_spectrum(rotated, p)
-            error = (np.max(np.abs(_backend.abs_power_xcorr(rotated, p)
-                                   - expected))
-                     / np.max(np.abs(expected)))
-            print(f"{n:>6}{p:>4}{chained:>10.3f}{real:>10.3f}{cplx:>10.3f}"
-                  f"{error:>10.1e}")
+    for p in (4, 6):
+        rows = []
+        for n in sizes:
+            a = (np.arange(n) + 1.0) ** -1.6
+            rotated = np.exp(0.7j) * a
+            rows.append(time_paths(_backend.abs_power_xcorr,
+                                   ((rotated, p), (a, p)), repeats))
+            spectra = []
+            for _, threshold in PATHS:
+                _backend.FFT_THRESHOLD = threshold
+                spectra.append(_backend.abs_power_xcorr(rotated, p))
+            _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
+            direct, fft = spectra
+            error = np.max(np.abs(fft - direct)) / np.max(np.abs(direct))
+            print(f"{n:>6}{p:>4}"
+                  + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1])
+                  + f"{error:>10.1e}")
+        print(f"p = {p}: "
+              + crossover(sizes, [p * (n - 1) for n in sizes], rows))
 
 
 def bench_solve(sizes, repeats):
@@ -425,7 +459,7 @@ def main():
     bench_operation("conv", _backend.conv, sizes, args.repeats)
     bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
     bench_newton_step(NEWTON_STEP_SIZES, NEWTON_REPEATS)
-    bench_power(NEWTON_SIZES, args.repeats)
+    bench_power(sizes, args.repeats)
     bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
     bench_ladder(NEWTON_REPEATS)
     bench_emit(NEWTON_SIZES, NEWTON_REPEATS)

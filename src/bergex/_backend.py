@@ -11,20 +11,43 @@ transforms at a power of two long enough that nothing wraps around, a
 pointwise function of the samples and one inverse. f^m and |f|^p are
 pointwise in the samples of f, so one transform replaces m - 1 products
 (and for |f|^p a correlation).
+
+Real operands stay real. Each kernel takes a complex-typed operand as
+complex and any other as float64, and returns float64 when no operand
+is complex-typed: the direct path is then a real ``np.convolve``, with a
+quarter of the multiplications of a complex one, and the FFT path real
+transforms of half the size (Frigo & Johnson, "The Design and
+Implementation of FFTW3", Proc. IEEE 93, 2005). A complex-typed operand,
+alone or mixed with a real one, gives a complex result, with imaginary
+parts exactly zero when every operand's are; so every ``AnalyticPoly``
+caller, whose coefficients are complex, gets complex arrays back.
 """
 
 import numpy as np
 
-# Operations whose full output degree (len(a) + len(b) - 2) is below this
-# run directly. benchmarks/bench_kernels.py times both paths: on equal
-# operand lengths the direct NumPy path stays ahead of the transform, for
-# both kernels, until an output degree near 750 for complex and 650 for
-# real operands. End to end the gap is small: in one process alternating
-# the thresholds over 30 whole passes of the perfbench family workload
-# (seed 1, one BLAS thread, 2-CPU x86-64 VM), 512 and 768 took 0.968 and
-# 0.972 of the time at 256 (medians of the per-pass ratios, lower in 26
-# and 25 of 30 passes).
-FFT_THRESHOLD = 256
+# Operations whose full output degree (len(a) + len(b) - 2, p deg f for
+# |f|^p, m deg f for f^m) is below this run directly. The tables of
+# benchmarks/bench_kernels.py time both paths (2-CPU x86-64 VM, NumPy 2.4,
+# one BLAS thread, 200 repeats). In one run their crossover lines read
+#   conv:  crossover, fft ahead: complex from n = 384 (output degree 766);
+#          real from n = 768 (output degree 1534)
+#   xcorr: crossover, fft ahead: complex from n = 384 (output degree 766);
+#          real from n = 768 (output degree 1534)
+#   power: p = 4: crossover, fft ahead: complex from n = 112 (output
+#          degree 444); real from n = 128 (output degree 508)
+#          p = 6: crossover, fft ahead: complex from n = 64 (output
+#          degree 378); real from n = 112 (output degree 666)
+# and over three runs: conv and xcorr complex 766-894, real 1534; |f|^p
+# complex 378-444, real 508 (p = 4) and 474-666 (p = 6). One transform of
+# f replaces a chain of products and a correlation, so |f|^p leads near
+# 500 where a single real product waits for 1534; 512 sits at the real
+# |f|^p crossovers. End to end, 512 and 768 are level on the perfbench
+# family workload, and its certify workload, mostly |f|^p spectra,
+# favours 512: alternating the thresholds over whole passes in one
+# process, 768 and 1024 took 0.997 and 1.005 of the time at 512 on family
+# (seed 1, 60 passes each) and 1.043 and 1.070 on certify (seed 1, 40
+# passes each; medians of the per-pass ratios).
+FFT_THRESHOLD = 512
 
 
 def backend_name():
@@ -37,25 +60,39 @@ def fft_length(length):
     return 1 << (length - 1).bit_length()
 
 
+_KEPT_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
+def _operand(a):
+    """``a`` as a complex array if it is complex-typed, else as float64;
+    an array of either dtype already is returned as it is."""
+    a = np.asarray(a)
+    if a.dtype in _KEPT_DTYPES:
+        return a
+    return a.astype(complex if a.dtype.kind == "c" else float)
+
+
 def _pointwise(arrays, count, length, fn):
     """First ``count`` coefficients of the inverse transform of
     fn(*samples), the samples of each of ``arrays`` on fft_length(length)
-    points of the circle. All-real operands take real transforms, half
-    the size, and give imaginary parts exactly zero.
+    points of the circle. Operands whose imaginary parts are all zero take
+    real transforms, half the size; the result is then float64, or complex
+    with imaginary parts exactly zero when an operand is complex-typed.
     """
     size = fft_length(length)
-    if not any(np.count_nonzero(a.imag) for a in arrays):
+    complex_typed = [a for a in arrays if np.iscomplexobj(a)]
+    if not any(np.count_nonzero(a.imag) for a in complex_typed):
         samples = [np.fft.rfft(a.real, size) for a in arrays]
-        return np.fft.irfft(fn(*samples), size)[:count].astype(complex)
+        out = np.fft.irfft(fn(*samples), size)[:count]
+        return out.astype(complex) if complex_typed else out
     return np.fft.ifft(fn(*[np.fft.fft(a, size) for a in arrays]))[:count]
 
 
 def conv(a, b):
     """Cauchy convolution, dispatching direct vs FFT on output size."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _operand(a), _operand(b)
     if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=np.result_type(a, b))
     n = len(a) + len(b) - 1
     if n - 1 < FFT_THRESHOLD:
         return np.convolve(a, b)
@@ -70,9 +107,9 @@ def xcorr(a, v):
     conv(a, reverse(conj(v)))[len(v)-1:], which for len(v) <= len(a) is
     bit for bit NumPy's full correlation below the threshold.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _operand(v)
     if len(v) == 0:
-        return np.zeros(len(a), dtype=complex)
+        return np.zeros(len(a), dtype=np.result_type(_operand(a), v))
     return conv(a, np.conj(v)[::-1])[len(v) - 1:]
 
 
@@ -83,13 +120,13 @@ def power(a, m):
     is below FFT_THRESHOLD, and at m = 1. Otherwise one transform of
     length at least m deg f + 1, raised to the m-th power and inverted.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _operand(a)
     if m < 0:
         raise ValueError("exponent must be nonnegative")
     if m == 0:
-        return np.ones(1, dtype=complex)
+        return np.ones(1, dtype=a.dtype)
     if len(a) == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=a.dtype)
     count = m * (len(a) - 1) + 1
     if m == 1 or count - 1 < FFT_THRESHOLD:
         out = a.copy()
@@ -109,10 +146,10 @@ def abs_power_xcorr(a, p):
     transform of length at least p deg f + 1 gives |f|^p at as many
     points on the circle, and its inverse the b_m.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _operand(a)
     s = p // 2
     if len(a) == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=a.dtype)
     count = s * (len(a) - 1) + 1
     if 2 * (count - 1) < FFT_THRESHOLD:
         u = power(a, s)

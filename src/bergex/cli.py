@@ -35,7 +35,7 @@ from .checks import (
     convergence_study,
     growth_study,
 )
-from .families import standard_family
+from .families import DEFAULT_SEED, standard_family
 from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
                          _finite_number, _pairs_field)
 from .poly import AnalyticPoly
@@ -361,7 +361,7 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
         f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}", [q, 2.0, 4.0])
     if seed is None:
         seed = _seed(config)
-    family = _study_family(config, seed)
+    family, seed = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
     ratios = [r.ratio for r in rows]
     _emit_study(_header(seed), [vars(r) for r in rows], out, fmt,
@@ -370,13 +370,16 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
 
 
 def _study_family(config, seed):
-    """Family for studies: the standard one, or explicit kernel specs."""
+    """Family for studies, the standard one or explicit kernel specs, and
+    the seed to record: the standard family's random kernels are drawn
+    from ``seed``, or from DEFAULT_SEED when it is None."""
     specs = config.get("family", "standard")
     if specs == "standard":
-        family = standard_family(**({} if seed is None else {"seed": seed}))
+        seed = DEFAULT_SEED if seed is None else seed
         limit = _field(config, "max_study_degree", int, lambda v: v >= 0,
                        "max_study_degree must be >= 0", 128)
-        return [(name, k, min(d, limit)) for name, k, d in family]
+        return [(name, k, min(d, limit))
+                for name, k, d in standard_family(seed)], seed
     if not (isinstance(specs, list) and specs):
         raise ConfigError("config field 'family' must be \"standard\" or a "
                           "non-empty list of kernel specs")
@@ -388,7 +391,7 @@ def _study_family(config, seed):
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
                         degree))
-    return entries
+    return entries, seed
 
 
 def run_convergence_study(config, out=None, fmt="csv"):

@@ -23,11 +23,12 @@ from . import _backend
 from ._backend import conv
 
 
-def _trim(coeffs):
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return coeffs[:end]
+def trimmed(coeffs):
+    """The coefficient array without its trailing zeros, as a view."""
+    if len(coeffs) == 0 or coeffs[-1] != 0:
+        return coeffs
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[:nonzero[-1] + 1 if len(nonzero) else 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +42,7 @@ class AnalyticPoly:
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
     def __post_init__(self):
-        arr = _trim(np.asarray(self.coeffs, dtype=complex))
+        arr = trimmed(np.asarray(self.coeffs, dtype=complex))
         arr = np.array(arr, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -36,10 +36,12 @@ and builds one.
 When the kernel's coefficients on P_n are all real, conj(F(conj z)) is
 extremal too, so by uniqueness F has real coefficients. The solve then
 runs in x = Re a alone: n+1 unknowns, a Gram matrix in real arithmetic
-and a Cholesky factorization of size n+1 instead of 2(n+1). In exact
-arithmetic these are the iterates of the full system, which never leave
-the real coefficients from a real start; in floating point F's imaginary
-parts are then exactly zero.
+and a Cholesky factorization of size n+1 instead of 2(n+1). The
+coefficient kernels keep float64 operands real (``_backend``), so the
+objective, its gradient and Hessian and the line search all run in real
+arithmetic too. In exact arithmetic these are the iterates of the full
+system, which never leave the real coefficients from a real start; in
+floating point F's imaginary parts are then exactly zero.
 
 The truncated solutions F_n settle as n grows, so solves climb a degree
 ladder (``solve_ladder``): to n through the degrees n >> j that are at
@@ -94,9 +96,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._backend import conv, xcorr
+from ._backend import conv, power, xcorr
 from .kernelspec import MAX_EXPONENT
-from .poly import AnalyticPoly, power, rescaled, taylor_truncate
+from .poly import AnalyticPoly, rescaled, taylor_truncate, trimmed
 from .spaces import bergman_norm_even, functional_value
 
 DEFAULT_TOLERANCE = 1e-10
@@ -307,8 +309,10 @@ def _gram(v, n1, scale=1.0):
 
 
 def _objective(a, s):
-    """||f||_{A^p}^p for f = sum a_t z^t, with W f^s and f^{s-1}."""
-    v = power(AnalyticPoly(a), s - 1).coeffs
+    """||f||_{A^p}^p for f = sum a_t z^t, with W f^s and f^{s-1}, both of
+    a's dtype: real coefficients stay real (``_backend``). The power is of
+    ``a`` less its trailing zeros, which a padded rung start has."""
+    v = power(trimmed(a), s - 1)
     u = conv(v, a)
     wu = u / (np.arange(len(u)) + 1.0)
     return float(np.real(np.vdot(u, wu))), wu, v
@@ -328,7 +332,7 @@ def _newton_terms(a, p, evaluated=None):
     value, wu, v = _objective(a, s) if evaluated is None else evaluated
     g = s * xcorr(wu, v)[:n1]
     if not np.iscomplexobj(a):
-        return value, 2.0 * g.real, wu, v
+        return value, 2.0 * g, wu, v
     return value, np.concatenate([2.0 * g.real, 2.0 * g.imag]), wu, v
 
 
@@ -340,8 +344,8 @@ def _hessian(a, p, wu, v):
     Q = (2s(s-1)/p) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the
     Hessian in x = (Re a, Im a) is [[Re(P+Q), -Im(P+Q)], [Im(P-Q),
     Re(P-Q)]]. For real ``a`` the coordinates are x = Re a alone: f, v and
-    h are then real (up to FFT round-off, which is dropped), so the
-    Hessian is the upper-left block Re P + Re Q, built in real arithmetic.
+    h are then float64 arrays, so the Hessian is the upper-left block
+    P + Q, built in real arithmetic.
     Only the lower triangle is built, and the strict upper triangle is
     left unspecified: LAPACK's lower Cholesky factorization reads none of
     it. Of the complex Hessian that is the lower triangles of its two
@@ -352,21 +356,21 @@ def _hessian(a, p, wu, v):
     """
     s, n1 = p // 2, len(a)
     real = not np.iscomplexobj(a)
-    P = _gram(v.real if real else v, n1, 2.0 * s * s / p)
+    P = _gram(v, n1, 2.0 * s * s / p)
     if s > 1:
         # zero tail so that h reaches index 2n when f^s is shorter; f^s
         # has len(wu) >= n1 coefficients (u = conv(v, a), a untrimmed), so
         # h has the 2n1 - 1 entries the Hankel view reads
         padded = np.zeros(len(wu) + n1, dtype=wu.dtype)
         padded[:len(wu)] = wu
-        h = xcorr(padded, power(AnalyticPoly(a), s - 2).coeffs)
+        h = xcorr(padded, power(trimmed(a), s - 2))
         h *= 2.0 * s * (s - 1) / p
     else:
-        h = np.zeros(2 * n1 - 1, dtype=complex)  # Q = 0 at p = 2
+        h = np.zeros(2 * n1 - 1, dtype=a.dtype)  # Q = 0 at p = 2
     # hank[i, j] = h_{i+j}, a view of h[:2n1-1]
     hank = _strided(h, (n1, n1), (1, 1))
     if real:
-        P += hank.real
+        P += hank
         return P
 
     H = np.empty((2 * n1, 2 * n1), order="F")

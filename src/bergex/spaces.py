@@ -23,11 +23,12 @@ of the scaled coefficients a_t r^t, at the power-of-two angle counts of
 (``_circle_means``). Real coefficients are conjugate symmetric on each
 circle, f(r e^{-i theta}) = conj f(r e^{i theta}), so their real FFT
 samples the half circle 0..pi and the mean of |f|^p counts the inner
-angles twice; complex coefficients take the full inverse FFT.
+angles twice; complex coefficients take the full FFT, which samples f at
+the angles -theta_j, the same set of points.
 """
 
 import numpy as np
-from numpy.fft import ifft, rfft
+from numpy.fft import fft, ifft, rfft
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import abs_power_xcorr, fft_length
@@ -141,10 +142,12 @@ def _circle_means(f, p, radii, count):
 
     Each block of _RADIUS_BLOCK radii is one FFT along the rows of the
     scaled coefficients a_t r^t, one row per radius, zero-padded to length
-    ``count`` as in _circle_values. Real coefficients give f(r e^{-i theta}) =
-    conj f(r e^{i theta}), so |f| on the circle is |rfft| at the
-    count/2 + 1 angles 0..pi: the mean weights the angles 0 and pi by
-    1/count and the others by 2/count.
+    ``count``. The forward FFT gives f at the angles -2 pi j / count, which
+    run over the same points as _circle_values' angles, so the mean over
+    them is the same without the inverse's scaling. Real coefficients give
+    f(r e^{-i theta}) = conj f(r e^{i theta}), so |f| on the circle is
+    |rfft| at the count/2 + 1 angles 0..pi: the mean weights the angles 0
+    and pi by 1/count and the others by 2/count.
     """
     coeffs = f.coeffs
     real = not np.any(coeffs.imag)
@@ -160,8 +163,7 @@ def _circle_means(f, p, radii, count):
         if real:
             means.append(np.abs(rfft(scaled, count)) ** p @ weights)
         else:
-            vals = count * ifft(scaled, count)
-            means.append(np.mean(np.abs(vals) ** p, axis=1))
+            means.append(np.mean(np.abs(fft(scaled, count)) ** p, axis=1))
     return np.concatenate(means)
 
 

@@ -130,9 +130,18 @@ def chained_power(a, m):
     return out
 
 
-# one length whose powers m >= 2 stay below FFT_THRESHOLD, one whose
-# powers and |f|^p spectra all go through one transform
-SMALL, LARGE = 11, _backend.FFT_THRESHOLD // 2 + 11
+# Two operand lengths. Each test below runs at FFT_THRESHOLD as it is
+# and again with every power and |f|^p spectrum forced through one
+# transform (threshold 0), so both paths are covered whatever the
+# threshold.
+SMALL, LARGE = 11, 139
+PINNED = (None, 0)
+
+
+def pinned(monkeypatch, threshold):
+    """Set FFT_THRESHOLD to ``threshold``, or leave it when None."""
+    if threshold is not None:
+        monkeypatch.setattr(_backend, "FFT_THRESHOLD", threshold)
 
 
 def coefficient_vector(rng, n, real):
@@ -146,43 +155,50 @@ class TestTransformKernels:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [SMALL, LARGE])
     @pytest.mark.parametrize("m", range(5))
-    def test_power_matches_chained_products(self, m, n, real):
+    def test_power_matches_chained_products(self, m, n, real, monkeypatch):
         a = coefficient_vector(np.random.default_rng(10 * m + n), n, real)
         expected = chained_power(a, m)
-        out = _backend.power(a, m)
-        assert out.dtype == complex and len(out) == len(expected)
-        if m * (n - 1) < _backend.FFT_THRESHOLD:
-            # the direct path takes the same products
-            assert np.array_equal(out, expected)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out - expected)) <= 1e-14 * scale
-        if not real and m >= 1:
-            # sensitive to a conjugated result
-            assert np.max(np.abs(np.conj(out) - expected)) > 0.1 * scale
+        for threshold in PINNED:
+            pinned(monkeypatch, threshold)
+            out = _backend.power(a, m)
+            assert out.dtype == complex and len(out) == len(expected)
+            if m * (n - 1) < _backend.FFT_THRESHOLD:
+                # the direct path takes the same products
+                assert np.array_equal(out, expected)
+            assert np.max(np.abs(out - expected)) <= 1e-14 * scale
+            if not real and m >= 1:
+                # sensitive to a conjugated result
+                assert np.max(np.abs(np.conj(out) - expected)) > 0.1 * scale
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [SMALL, LARGE])
     @pytest.mark.parametrize("p", [2, 4, 6, 8])
-    def test_abs_power_matches_correlated_power(self, p, n, real):
+    def test_abs_power_matches_correlated_power(self, p, n, real,
+                                                monkeypatch):
         a = coefficient_vector(np.random.default_rng(10 * p + n), n, real)
         u = chained_power(a, p // 2)
         expected = np.correlate(u, u, "full")[len(u) - 1:]
-        out = _backend.abs_power_xcorr(a, p)
-        assert out.dtype == complex and len(out) == len(u)
-        if 2 * (len(u) - 1) < _backend.FFT_THRESHOLD:
-            assert np.array_equal(out, expected)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out - expected)) <= 1e-14 * scale
-        if not real:
-            assert np.max(np.abs(np.conj(out) - expected)) > 0.1 * scale
+        for threshold in PINNED:
+            pinned(monkeypatch, threshold)
+            out = _backend.abs_power_xcorr(a, p)
+            assert out.dtype == complex and len(out) == len(u)
+            if 2 * (len(u) - 1) < _backend.FFT_THRESHOLD:
+                assert np.array_equal(out, expected)
+            assert np.max(np.abs(out - expected)) <= 1e-14 * scale
+            if not real:
+                assert np.max(np.abs(np.conj(out) - expected)) > 0.1 * scale
 
     @pytest.mark.parametrize("n", [SMALL, LARGE])
-    def test_real_input_gives_zero_imaginary_parts(self, n):
+    def test_real_input_gives_zero_imaginary_parts(self, n, monkeypatch):
         a = coefficient_vector(np.random.default_rng(n), n, True)
-        for m in range(5):
-            assert not np.any(_backend.power(a, m).imag)
-        for p in (2, 4, 6):
-            assert not np.any(_backend.abs_power_xcorr(a, p).imag)
+        for threshold in PINNED:
+            pinned(monkeypatch, threshold)
+            for m in range(5):
+                assert not np.any(_backend.power(a, m).imag)
+            for p in (2, 4, 6):
+                assert not np.any(_backend.abs_power_xcorr(a, p).imag)
 
     def test_edge_cases(self):
         empty = np.zeros(0, dtype=complex)
@@ -195,3 +211,74 @@ class TestTransformKernels:
         assert np.array_equal(out, a) and out is not a
         with pytest.raises(ValueError):
             _backend.power(a, -1)
+
+
+# conv, xcorr and power as calls on one or two operands of one length:
+# all three run directly at the first, through a transform at the second
+BOTH_PATHS = [pytest.param(SMALL, id="direct"),
+              pytest.param(_backend.FFT_THRESHOLD // 2 + 11, id="fft")]
+DTYPE_CALLS = [
+    pytest.param(_backend.conv, 2, id="conv"),
+    pytest.param(_backend.xcorr, 2, id="xcorr"),
+    pytest.param(lambda a: _backend.power(a, 3), 1, id="power"),
+]
+
+
+class TestDtypes:
+    """Real operands stay float64; complex-typed or mixed ones give
+    complex, as every AnalyticPoly caller expects."""
+
+    @pytest.mark.parametrize("n", BOTH_PATHS)
+    @pytest.mark.parametrize("fn, arity", DTYPE_CALLS)
+    def test_real_operands_give_float64(self, fn, arity, n):
+        rng = np.random.default_rng(n + arity)
+        args = [rng.standard_normal(n) for _ in range(arity)]
+        out = fn(*args)
+        assert out.dtype == np.float64
+        typed = fn(*[x + 0j for x in args])
+        assert typed.dtype == complex and not np.any(typed.imag)
+        assert len(out) == len(typed)
+        scale = np.max(np.abs(typed))
+        assert np.max(np.abs(out - typed.real)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", BOTH_PATHS)
+    @pytest.mark.parametrize("fn, arity", DTYPE_CALLS)
+    def test_complex_and_mixed_operands_give_complex(self, fn, arity, n):
+        rng = np.random.default_rng(n + arity)
+        real = [rng.standard_normal(n) for _ in range(arity)]
+        cplx = [x + 1j * rng.standard_normal(n) for x in real]
+        cases = [cplx]
+        if arity == 2:
+            cases += [[cplx[0], real[1]], [real[0], cplx[1]]]
+        for args in cases:
+            out = fn(*args)
+            assert out.dtype == complex
+            expected = fn(*[x + 0j for x in args])
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(out.imag)) > 0.1 * scale
+
+    def test_integer_operands_give_float64(self):
+        assert _backend.conv([1, 2], [3]).dtype == np.float64
+        assert _backend.power(np.arange(3), 2).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, complex])
+    def test_edge_cases_keep_their_dtypes(self, dtype):
+        empty, one = np.zeros(0, dtype), np.full(1, 2.0, dtype)
+        for out in (_backend.conv(empty, one), _backend.conv(one, empty),
+                    _backend.conv(one, one), _backend.xcorr(empty, one),
+                    _backend.xcorr(one, empty), _backend.xcorr(one, one),
+                    _backend.abs_power_xcorr(empty, 4),
+                    _backend.abs_power_xcorr(one, 4),
+                    *(_backend.power(x, m) for x in (empty, one)
+                      for m in range(4))):
+            assert out.dtype == dtype
+        assert np.array_equal(_backend.conv(one, one), [4.0])
+        assert np.array_equal(_backend.power(one, 3), [8.0])
+
+    def test_mixed_edge_cases_give_complex(self):
+        real, cplx = np.ones(1), np.ones(1, dtype=complex)
+        for out in (_backend.conv(real[:0], cplx), _backend.conv(cplx, real),
+                    _backend.xcorr(real, cplx[:0]),
+                    _backend.xcorr(real, cplx)):
+            assert out.dtype == complex

@@ -48,6 +48,17 @@ def test_every_table_runs(bench_kernels, capsys):
     for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
                   "ladder:", "emit:", "study:", "quadrature:", "startup:"):
         assert table in out
+    # under conv, xcorr and the power table's p = 4 and p = 6
+    assert out.count("crossover, fft ahead: complex from ") == 4
+
+
+def test_crossover_is_where_the_fft_stays_ahead(bench_kernels):
+    # cells: direct, fft, direct real, fft real. The complex fft leads at
+    # n = 2, falls behind at 3 and leads from 4 on; the real one never
+    rows = [(1, 2, 1, 2), (2, 1, 1, 2), (1, 2, 1, 2), (2, 1, 1, 2)]
+    assert bench_kernels.crossover([1, 2, 3, 4], [0, 2, 4, 6], rows) == (
+        "crossover, fft ahead: complex from n = 4 (output degree 6); "
+        "real from no size here")
 
 
 @pytest.mark.parametrize("n", [16, 96])

@@ -833,6 +833,30 @@ class TestGrowthStudy:
         assert random_rows(by_config["body"])
         assert random_rows(report(4)["body"]) != random_rows(by_config["body"])
 
+    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
+    def test_header_records_the_default_seed(self, tmp_path):
+        # without a config seed the standard family's random kernels are
+        # drawn from families.DEFAULT_SEED, and the header says which
+        def report(**seed):
+            config = write_json(tmp_path / "g.json", {
+                "schema_version": 1, "p": 4, "max_study_degree": 16, **seed})
+            out = tmp_path / "g_out.json"
+            assert cli.main(["study", "growth", "--config", config,
+                             "--format", "json", "--out", str(out)]) == 0
+            return load_report(out)
+
+        default, explicit = report(), report(seed=20240901)
+        assert default["header"]["seed"] == explicit["header"]["seed"]
+        assert default["header"]["seed"] == 20240901
+        assert default["body"] == explicit["body"]
+
+    def test_explicit_family_records_no_seed(self, tmp_path):
+        # explicit kernel specs draw nothing at random
+        out = tmp_path / "g.json"
+        assert cli.main(["study", "growth", "--config", self.config(tmp_path),
+                         "--format", "json", "--out", str(out)]) == 0
+        assert load_report(out)["header"]["seed"] is None
+
     def test_extreme_kernel_scales(self, tmp_path):
         # the ratio is homogeneous of degree 0 in the kernel
         def ratios(scale):

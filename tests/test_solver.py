@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, lapack
 
-from bergex import solver
+from bergex import _backend, poly, solver
 from bergex.families import power_decay_kernel, standard_family
 from bergex.kernelspec import MAX_EXPONENT
 from bergex.poly import AnalyticPoly, as_poly, monomial, taylor_truncate
@@ -561,6 +561,42 @@ class TestSolverProperties:
         assert turned.phi_norm == pytest.approx(real.phi_norm, rel=1e-14, abs=0)
         assert turned.iterations == real.iterations
         assert np.all(real.F.coeffs.imag == 0)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_real_kernel_solves_in_float64(self, p, monkeypatch):
+        # a real kernel's Newton solve hands the coefficient kernels
+        # float64 operands alone, in its objective, gradient, Hessian and
+        # line search; at degree 288 conv and xcorr take both paths. The
+        # certificate pairs the complex-typed F afterwards, outside _newton.
+        kernels = [getattr(_backend, name) for name in ("conv", "power")]
+        dtypes, newton, inside = [], solver._newton, [False]
+
+        def recorded(fn):
+            def call(*args):
+                if inside[0]:
+                    dtypes.extend(x.dtype for x in args
+                                  if isinstance(x, np.ndarray))
+                return fn(*args)
+            return call
+
+        def newton_recorded(*args):
+            inside[0] = True
+            try:
+                return newton(*args)
+            finally:
+                inside[0] = False
+
+        # every module-level name of the two kernels, xcorr's and
+        # power's inner calls of conv included
+        for module in (_backend, poly, solver):
+            for name in ("conv", "power"):
+                if getattr(module, name) in kernels:
+                    monkeypatch.setattr(module, name,
+                                        recorded(getattr(module, name)))
+        monkeypatch.setattr(solver, "_newton", newton_recorded)
+        solve_extremal(ExtremalProblem(p=p, kernel=power_decay_kernel(1.6, 64),
+                                       degree=288, tolerance=1e-12))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     def test_non_convergence_carries_trace(self):
         kernel = as_poly([1.0, 1.0, 0.5])

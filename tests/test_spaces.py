@@ -255,6 +255,20 @@ class TestCircleMeans:
             alone = _circle_means(f, 4.0 / 3.0, [radius], 256)
             assert alone[0] == pytest.approx(mean, rel=1e-15)
 
+    @pytest.mark.parametrize("p", [6.0 / 5.0, 4.0 / 3.0, 2.7, 5.0])
+    def test_forward_transform_matches_the_inverse(self, p):
+        # complex coefficients: the forward FFT samples f at the angles
+        # -theta_j, which are the angles theta_j of count * ifft over again
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        f = as_poly(c)
+        count = grid_count(f)
+        scaled = c * spaces._RADII[:, None] ** np.arange(len(c))
+        inverse = np.mean(np.abs(count * np.fft.ifft(scaled, count)) ** p,
+                          axis=1)
+        means = _circle_means(f, p, spaces._RADII, count)
+        assert np.max(np.abs(means - inverse) / inverse) <= 1e-15
+
     @given(real_polys(), st.integers(1, 1023), st.floats(1.05, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_rotation_invariance(self, f, step, p):
