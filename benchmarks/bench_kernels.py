@@ -402,7 +402,7 @@ def bench_quadrature(repeats):
     print(header)
     print("-" * len(header))
     for name, kernel, _ in standard_family():
-        real = not np.any(kernel.coeffs.imag)
+        real = not np.iscomplexobj(kernel.coeffs)
         for q in QUADRATURE_EXPONENTS:
             bergman, hardy = (
                 time_call(norm, kernel, q, repeats=repeats) * 1e3

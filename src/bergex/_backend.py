@@ -18,9 +18,10 @@ is complex-typed: the direct path is then a real ``np.convolve``, with a
 quarter of the multiplications of a complex one, and the FFT path real
 transforms of half the size (Frigo & Johnson, "The Design and
 Implementation of FFTW3", Proc. IEEE 93, 2005). A complex-typed operand,
-alone or mixed with a real one, gives a complex result, with imaginary
-parts exactly zero when every operand's are; so every ``AnalyticPoly``
-caller, whose coefficients are complex, gets complex arrays back.
+alone or mixed with a real one, gives a complex result. The kernels read
+the dtype alone, never the values: ``AnalyticPoly`` stores a real
+polynomial as float64 (``poly``), so its callers pass real coefficients
+as float64.
 """
 
 import numpy as np
@@ -75,16 +76,13 @@ def _operand(a):
 def _pointwise(arrays, count, length, fn):
     """First ``count`` coefficients of the inverse transform of
     fn(*samples), the samples of each of ``arrays`` on fft_length(length)
-    points of the circle. Operands whose imaginary parts are all zero take
-    real transforms, half the size; the result is then float64, or complex
-    with imaginary parts exactly zero when an operand is complex-typed.
+    points of the circle. Without a complex-typed operand the transforms
+    are real, half the size, and the result is float64.
     """
     size = fft_length(length)
-    complex_typed = [a for a in arrays if np.iscomplexobj(a)]
-    if not any(np.count_nonzero(a.imag) for a in complex_typed):
-        samples = [np.fft.rfft(a.real, size) for a in arrays]
-        out = np.fft.irfft(fn(*samples), size)[:count]
-        return out.astype(complex) if complex_typed else out
+    if not any(np.iscomplexobj(a) for a in arrays):
+        samples = [np.fft.rfft(a, size) for a in arrays]
+        return np.fft.irfft(fn(*samples), size)[:count]
     return np.fft.ifft(fn(*[np.fft.fft(a, size) for a in arrays]))[:count]
 
 

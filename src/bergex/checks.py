@@ -45,7 +45,6 @@ from .poly import AnalyticPoly, rescaled
 from .solver import ExtremalProblem, solve_extremal, solve_ladder
 from .spaces import (
     _angular_count,
-    _circle_values,
     abs_power_spectrum,
     bergman_norm_general,
     functional_value,
@@ -106,7 +105,7 @@ def _boundary_sides(F, k, p, phi_norm):
     t1 = np.arange(1.0, count + 1.0)
     kernel_side = ((p / 2.0) * xcorr(c, a)
                    + (1.0 - p / 2.0) * t1 * xcorr(c / t1, a))
-    lhs = np.zeros(max(len(b), count), dtype=complex)
+    lhs = np.zeros(max(len(b), count), dtype=np.result_type(b, kernel_side))
     rhs = np.zeros_like(lhs)
     lhs[:len(b)] = np.conj(b)
     rhs[:count] = np.conj(kernel_side) / phi_norm
@@ -326,9 +325,10 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01):
     l1 = {}
     for solution in solve_ladder(p, k, degrees, STUDY_TOLERANCE):
         n, F = solution.degree, solution.F
-        grid = _angular_count(max(F.degree, 255))  # at least 1024 angles
-        boundary = _circle_values(F, 1.0, grid)
-        sups[n] = float(np.max(np.abs(boundary)))
+        # at least 1024 angles; the forward FFT samples F at the angles
+        # -2 pi j / grid, the same points as _circle_means' (spaces)
+        grid = _angular_count(max(F.degree, 255))
+        sups[n] = float(np.max(np.abs(np.fft.fft(F.coeffs, grid))))
         spec = np.abs(abs_power_spectrum(F, p))
         l1[n] = float(spec[0] + 2.0 * np.sum(spec[1:]))
     n_hi, n_lo = degrees[-1], degrees[-2]

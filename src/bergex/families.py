@@ -47,7 +47,7 @@ _RANDOM_PRODUCTION_DEGREE = 96
 
 def power_decay_kernel(alpha, count):
     """c_t = (t+1)^(-alpha) for t = 0..count-1."""
-    return AnalyticPoly((np.arange(count) + 1.0) ** (-alpha) + 0j)
+    return AnalyticPoly((np.arange(count) + 1.0) ** (-alpha))
 
 
 def random_kernels(seed=DEFAULT_SEED):
@@ -65,7 +65,7 @@ def random_kernels(seed=DEFAULT_SEED):
 def standard_family(seed=DEFAULT_SEED):
     """The full certification family: [(kernel_id, kernel, degree), ...]."""
     family = [
-        (name, AnalyticPoly(np.array(c, dtype=complex)), degree)
+        (name, AnalyticPoly(c), degree)
         for name, c, degree in _EXPLICIT
     ]
     family += [

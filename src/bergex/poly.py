@@ -7,10 +7,14 @@ it is coefficient arithmetic here.
 
 Coefficient storage is dense from index zero. Construction trims trailing
 coefficients that are exactly zero, so the degree is well defined and the
-zero polynomial is the canonical empty vector. The class itself only
-evaluates, pads, adds and subtracts; products, powers and the other
-coefficient maps are the module's functions. Two polynomials are compared
-by their ``coeffs`` or ``padded`` arrays: the class defines no equality.
+zero polynomial is the canonical empty vector. Construction also decides,
+once for bergex, whether a polynomial is real: it stores float64 when
+every imaginary part is +0.0, so that no bit is dropped, and complex128
+otherwise (-0.0 included). Every other module reads that dtype. The class
+itself only evaluates, pads, adds and subtracts; products, powers and the
+other coefficient maps are the module's functions. Two polynomials are
+compared by their ``coeffs`` or ``padded`` arrays: the class defines no
+equality.
 """
 
 import contextlib
@@ -39,11 +43,16 @@ class AnalyticPoly:
     degree -1 by convention, which keeps degree queries total.
     """
 
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        arr = trimmed(np.asarray(self.coeffs, dtype=complex))
-        arr = np.array(arr, dtype=complex)
+        arr = np.asarray(self.coeffs)
+        if arr.dtype != np.float64:
+            arr = trimmed(np.asarray(arr, dtype=complex))
+            # +0.0 is the one float whose bits are all zero
+            if not np.any(arr.imag.view(np.int64)):
+                arr = arr.real
+        arr = np.array(trimmed(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -55,8 +64,8 @@ class AnalyticPoly:
         return len(self.coeffs) == 0
 
     def padded(self, length):
-        """Coefficients as a writable array of the given length."""
-        out = np.zeros(length, dtype=complex)
+        """Coefficients as a writable array of the given length, same dtype."""
+        out = np.zeros(length, dtype=self.coeffs.dtype)
         m = min(length, len(self.coeffs))
         out[:m] = self.coeffs[:m]
         return out
@@ -85,9 +94,7 @@ def as_poly(value):
     """Coerce a scalar or coefficient sequence into an AnalyticPoly."""
     if isinstance(value, AnalyticPoly):
         return value
-    if np.isscalar(value):
-        return AnalyticPoly(np.array([value], dtype=complex))
-    return AnalyticPoly(np.asarray(value, dtype=complex))
+    return AnalyticPoly(np.atleast_1d(value))
 
 
 def monomial(t, coefficient=1.0):
@@ -123,7 +130,7 @@ def antiderivative(f):
     """The primitive of f vanishing at 0: coefficient t+1 is a_t/(t+1)."""
     if f.is_zero():
         return ZERO
-    out = np.zeros(len(f.coeffs) + 1, dtype=complex)
+    out = np.zeros(len(f.coeffs) + 1, dtype=f.coeffs.dtype)
     out[1:] = f.coeffs / (np.arange(len(f.coeffs)) + 1.0)
     return AnalyticPoly(out)
 
@@ -162,7 +169,7 @@ def shift(f, m):
     """Multiply by z^m, shifting coefficients up by m slots."""
     if f.is_zero():
         return ZERO
-    out = np.zeros(len(f.coeffs) + m, dtype=complex)
+    out = np.zeros(len(f.coeffs) + m, dtype=f.coeffs.dtype)
     out[m:] = f.coeffs
     return AnalyticPoly(out)
 

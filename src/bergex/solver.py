@@ -34,14 +34,15 @@ size about 1, and the reused and the fresh factor gave the same F to
 and builds one.
 
 When the kernel's coefficients on P_n are all real, conj(F(conj z)) is
-extremal too, so by uniqueness F has real coefficients. The solve then
+extremal too, so by uniqueness F has real coefficients. ``AnalyticPoly``
+stores such a truncated kernel as float64 (``poly``), and the solve then
 runs in x = Re a alone: n+1 unknowns, a Gram matrix in real arithmetic
 and a Cholesky factorization of size n+1 instead of 2(n+1). The
 coefficient kernels keep float64 operands real (``_backend``), so the
 objective, its gradient and Hessian and the line search all run in real
 arithmetic too. In exact arithmetic these are the iterates of the full
 system, which never leave the real coefficients from a real start; in
-floating point F's imaginary parts are then exactly zero.
+floating point F is then float64 as well.
 
 The truncated solutions F_n settle as n grows, so solves climb a degree
 ladder (``solve_ladder``): to n through the degrees n >> j that are at
@@ -52,7 +53,7 @@ already optimal for p = 2; each higher rung starts from the iterate of
 the rung below, zero-padded. Every start is scaled to the minimum of J
 on its ray. Each rung is the same Newton solve (``_newton``) with the
 problem's iteration budget, in real coordinates whenever its truncated
-kernel is real. A requested degree then typically needs one or two
+kernel is float64. A requested degree then typically needs one or two
 iterations instead of the whole damped phase at full size; only the
 requested degrees can fail, are certified, and report their iterations
 and trace.
@@ -186,7 +187,7 @@ def _pairings(F, p, count):
     """<u, z^j v>_A for j = 0..count-1, with u = F^{p/2}, v = F^{p/2-1}."""
     wu, v = _objective(F.coeffs, p // 2)[1:]
     if len(wu) < count:
-        wu = np.concatenate([wu, np.zeros(count - len(wu), dtype=complex)])
+        wu = np.concatenate([wu, np.zeros(count - len(wu), dtype=wu.dtype)])
     return xcorr(wu, v)[:count]
 
 
@@ -200,7 +201,7 @@ def gradient_norm_p(f, p):
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
     if f.is_zero():
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=f.coeffs.dtype)
     s = p // 2
     return s * _pairings(f, p, len(f.coeffs))
 
@@ -390,7 +391,7 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     Re phi_hat(a) > 0, which every start ``solve_ladder`` passes has: the
     lowest rung starts at ``c_hat``, and each higher one at an iterate of
     the rung below, where J < 0 (the line search only lowers J from the
-    negative minimum on the start's ray). A real ``c_hat`` runs in
+    negative minimum on the start's ray). A float64 ``c_hat`` runs in
     x = Re a. Each iteration that steps before meeting the tolerance
     builds and factors the Hessian; the iteration that meets it takes its
     final step with the last factor, and builds one only when it is
@@ -414,8 +415,8 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     s, n1 = p // 2, len(c_hat)
     cw = c_hat / (np.arange(n1) + 1.0)
     # b is the gradient of Re phi_hat(f) = b @ x
-    if not np.any(c_hat.imag):
-        b, x = cw.real, a.real
+    if not np.iscomplexobj(c_hat):
+        b, x = cw, a
 
         def coeffs(x):
             return x
@@ -531,18 +532,17 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
     # S_d k contains S_m k for m <= d: checking the lowest degree checks all
     ExtremalProblem(p, taylor_truncate(kernel, degrees[0]), degrees[0],
                     tolerance, max_iterations)
-    c = kernel.padded(degrees[-1] + 1)
     rungs = []
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
-        rungs += [m for m in _rungs(d)
-                  if m > max(rungs, default=-1) and np.any(c[:m + 1])]
+        rungs += [m for m in _rungs(d) if m > max(rungs, default=-1)
+                  and not taylor_truncate(kernel, m).is_zero()]
     a = None
     for m in rungs:
         # F depends on the kernel's direction alone: the A^2 norm of the
         # rescaled kernel is finite at any scale, and c_hat, with
         # Re phi_hat(c_hat) = 1, keeps the objective O(1).
-        c_hat = rescaled(c[:m + 1])[0]
+        c_hat = rescaled(taylor_truncate(kernel, m).padded(m + 1))[0]
         c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
         # c_hat on the lowest rung, then the rung below's iterate
         a = c_hat if a is None else np.pad(a, (0, m + 1 - len(a)))
@@ -585,7 +585,7 @@ def solve_extremal(problem):
     ``_rungs(n)`` from the normalized kernel; ``iterations`` and ``trace``
     describe degree n alone.
 
-    A kernel whose coefficients on P_n are all real is solved in the real
+    A kernel whose truncation to P_n is float64 is solved in the real
     coordinates x = Re a (see the module docstring). Any other kernel is
     solved in x = (Re a, Im a).
     """

@@ -20,15 +20,16 @@ Gauss-Legendre radii from NumPy's ``leggauss``, uniform angles) or to
 quadrature on the unit circle. The circles are sampled by ``numpy.fft``
 of the scaled coefficients a_t r^t, at the power-of-two angle counts of
 ``_angular_count``, one transform per block of 8 radii
-(``_circle_means``). Real coefficients are conjugate symmetric on each
-circle, f(r e^{-i theta}) = conj f(r e^{i theta}), so their real FFT
-samples the half circle 0..pi and the mean of |f|^p counts the inner
-angles twice; complex coefficients take the full FFT, which samples f at
-the angles -theta_j, the same set of points.
+(``_circle_means``). A real f, one whose coefficients ``AnalyticPoly``
+stores as float64, is conjugate symmetric on each circle,
+f(r e^{-i theta}) = conj f(r e^{i theta}), so its real FFT samples the
+half circle 0..pi and the mean of |f|^p counts the inner angles twice;
+complex coefficients take the full FFT, which samples f at the angles
+-theta_j, the same set of points.
 """
 
 import numpy as np
-from numpy.fft import fft, ifft, rfft
+from numpy.fft import fft, rfft
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import abs_power_xcorr, fft_length
@@ -99,18 +100,6 @@ def hardy_norm_even(f, p):
     return float(np.sum(np.abs(u.coeffs) ** 2)) ** (1.0 / p)
 
 
-def _circle_values(f, radius, count):
-    """f at the ``count`` points radius * e^{2 pi i j / count}, j = 0..count-1.
-
-    f(r e^{i theta_j}) = sum_t a_t r^t e^{2 pi i j t / count} is ``count``
-    times the inverse DFT of a_t r^t, zero-padded to length ``count``,
-    which must be at least deg f + 1. Every caller takes ``count`` from
-    ``_angular_count``, at least 4 deg f + 4.
-    """
-    scaled = f.coeffs * radius ** np.arange(len(f.coeffs))
-    return count * ifft(scaled, count)
-
-
 # Floor on the grid bandwidth for non-even exponents: |f|^p is then not a
 # trigonometric polynomial, so convergence is spectral at best (zeros of f
 # off the circle) and algebraic at worst (zeros on it). The floor keeps
@@ -143,16 +132,15 @@ def _circle_means(f, p, radii, count):
     Each block of _RADIUS_BLOCK radii is one FFT along the rows of the
     scaled coefficients a_t r^t, one row per radius, zero-padded to length
     ``count``. The forward FFT gives f at the angles -2 pi j / count, which
-    run over the same points as _circle_values' angles, so the mean over
-    them is the same without the inverse's scaling. Real coefficients give
-    f(r e^{-i theta}) = conj f(r e^{i theta}), so |f| on the circle is
-    |rfft| at the count/2 + 1 angles 0..pi: the mean weights the angles 0
-    and pi by 1/count and the others by 2/count.
+    run over the same points as the angles 2 pi j / count. Real
+    (float64) coefficients give f(r e^{-i theta}) = conj f(r e^{i theta}),
+    so |f| on the circle is |rfft| at the count/2 + 1 angles 0..pi: the
+    mean weights the angles 0 and pi by 1/count and the others by
+    2/count.
     """
     coeffs = f.coeffs
-    real = not np.any(coeffs.imag)
+    real = not np.iscomplexobj(coeffs)
     if real:
-        coeffs = coeffs.real
         weights = np.full(count // 2 + 1, 2.0 / count)
         weights[[0, -1]] = 1.0 / count
     powers = np.arange(len(coeffs))

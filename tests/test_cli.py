@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bergex import checks, cli, kernelspec, spaces
+from bergex import _backend, checks, cli, kernelspec, poly, solver, spaces
 from bergex.checks import check_fourier_formula
 from bergex.poly import AnalyticPoly, as_poly
 from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
@@ -236,6 +236,34 @@ class TestSolveCommand:
         with pytest.warns(UserWarning, match="below kernel degree"):
             assert cli.main(["solve", "--config", config, "--out", out]) == 0
 
+    def test_negative_zero_imaginary_part_takes_the_complex_path(
+            self, tmp_path, monkeypatch):
+        # -0.0 sets a bit, so the kernel keeps complex storage and solves
+        # in (Re a, Im a), to the F of the kernel with +0.0 in its place
+        c_hat_dtypes, newton = [], solver._newton
+
+        def recording(c_hat, *args):
+            c_hat_dtypes.append(c_hat.dtype)
+            return newton(c_hat, *args)
+
+        monkeypatch.setattr(solver, "_newton", recording)
+        solved = {}
+        for name, im in (("signed", -0.0), ("real", 0.0)):
+            kernel = {"type": "coeffs", "values": [[1.0, im], [0.5, 0.0]]}
+            stored = kernelspec.realize(kernelspec.from_dict(kernel)).coeffs
+            assert stored.dtype == (complex if name == "signed" else float)
+            config = write_json(tmp_path / f"{name}.json", {
+                "schema_version": 1, "p": 4, "degree": 64,
+                "kernel": kernel, "tolerance": 1e-12})
+            out = str(tmp_path / f"{name}-solution.json")
+            c_hat_dtypes.clear()
+            assert cli.main(["solve", "--config", config, "--out", out]) == 0
+            assert set(c_hat_dtypes) == {stored.dtype}
+            solved[name] = cli._read_coefficients(
+                load_report(out)["body"]["solution"], 64)
+        gap = np.abs(solved["signed"] - solved["real"])
+        assert len(gap) == 65 and np.max(gap) <= 1e-14
+
     def test_csv_format_rejected_for_solve(self, tmp_path):
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
@@ -342,6 +370,36 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "extremality_residual", recording)
         assert cli.main(["verify", out]) == 0
         assert ranges == [96]
+
+    def test_real_kernel_verifies_in_float64(self, tmp_path, monkeypatch):
+        # a real F reloads as float64, so every kernel call of verify, on
+        # the direct path and through a transform, runs in real arithmetic
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": 288, "tolerance": 1e-12,
+            "kernel": {"type": "power_decay", "alpha": 1.6, "count": 64}})
+        out = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        dtypes = {"conv": [], "_pointwise": []}
+
+        def recorded(name, fn):
+            def call(*args):
+                operands = args[0] if name == "_pointwise" else args
+                dtypes[name].extend(np.asarray(x).dtype for x in operands)
+                return fn(*args)
+            return call
+
+        # every module-level name of the two, xcorr's and power's inner
+        # calls of conv included
+        for name in dtypes:
+            original = getattr(_backend, name)
+            for module in (_backend, poly, solver):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name,
+                                        recorded(name, original))
+        assert cli.main(["verify", out, "--out",
+                         str(tmp_path / "v.json")]) == 0
+        for name, seen in dtypes.items():
+            assert seen and set(seen) == {np.dtype(np.float64)}, name
 
     def test_tampered_residual_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact

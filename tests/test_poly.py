@@ -1,10 +1,15 @@
 """Tests for the polynomial carriers and coefficient operations."""
 
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergex import _backend, poly
 from bergex.poly import (
     ZERO,
     AnalyticPoly,
@@ -16,6 +21,7 @@ from bergex.poly import (
     power,
     shift,
     taylor_truncate,
+    trimmed,
 )
 
 
@@ -167,3 +173,73 @@ class TestOperations:
         g = multiply(f, f)
         z = 0.37 - 0.21j
         assert abs(g(z) - f(z) ** 2) <= 1e-9 * max(1.0, abs(f(z)) ** 2)
+
+
+def signed_zero_vectors(max_degree=12):
+    """Strategy: complex vectors whose real parts include -0.0 and whose
+    imaginary parts are +0.0, -0.0 or nonzero; in about half the draws
+    every imaginary part is +0.0."""
+    part = st.floats(-4.0, 4.0, allow_nan=False)
+    real = st.sampled_from([0.0, -0.0]) | part
+    imag = st.sampled_from([0.0, -0.0]) | part.filter(bool)
+    entries = (st.builds(complex, real, st.just(0.0))
+               | st.builds(complex, real, imag))
+    return st.lists(entries, max_size=max_degree + 1) | st.lists(
+        st.builds(complex, real, st.just(0.0)), max_size=max_degree + 1)
+
+
+class TestRealness:
+    """The one realness rule: float64 storage exactly when no imaginary
+    bit is set, and no bit lost either way."""
+
+    @given(signed_zero_vectors(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_float64_exactly_when_every_imaginary_part_is_plus_zero(
+            self, values, extra):
+        c = trimmed(np.array(values, dtype=complex))
+        f = AnalyticPoly(np.array(values, dtype=complex))
+        real = all(x.imag == 0.0 and math.copysign(1.0, x.imag) > 0
+                   for x in c)
+        assert f.coeffs.dtype == (np.float64 if real else complex)
+        padded = f.padded(len(c) + extra)
+        assert padded.dtype == f.coeffs.dtype
+        expected = np.concatenate([c, np.zeros(extra, dtype=complex)])
+        assert padded.astype(complex).tobytes() == expected.tobytes()
+
+    def test_defaults_and_copies_keep_the_dtype(self):
+        assert AnalyticPoly().coeffs.dtype == np.float64
+        assert as_poly([1.0, 2.0]).coeffs.dtype == np.float64
+        assert as_poly([1.0, complex(2.0, -0.0)]).coeffs.dtype == complex
+        f = as_poly([1.0, 0.5])
+        for g in (shift(f, 2), antiderivative(f), derivative(f),
+                  taylor_truncate(f, 0), f + f, monomial(3)):
+            assert g.coeffs.dtype == np.float64
+
+    @pytest.mark.parametrize("threshold", [None, 0])
+    def test_power_of_a_real_poly_is_float64(self, threshold, monkeypatch):
+        # both paths, direct products and one transform, return real
+        # coefficients, the imaginary part never rounded in
+        if threshold is not None:
+            monkeypatch.setattr(_backend, "FFT_THRESHOLD", threshold)
+        f = as_poly(np.random.default_rng(5).standard_normal(40))
+        expected = np.ones(1)
+        for m in range(5):
+            out = power(f, m).coeffs
+            assert out.dtype == np.float64
+            np.testing.assert_allclose(out, expected, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(expected)))
+            expected = np.convolve(expected, f.coeffs)
+
+
+def test_only_poly_decides_realness_by_value():
+    # AnalyticPoly decides once whether coefficients are real; every other
+    # module of the package reads the dtype instead of the imaginary parts
+    by_value = re.compile(
+        r"(np\.any|np\.all|count_nonzero|np\.isreal)\([^)]*\.imag"
+        r"|\.imag\.(any|all)\(")
+    package = Path(poly.__file__).parent
+    assert by_value.search((package / "poly.py").read_text(encoding="utf-8"))
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "poly.py" and by_value.search(
+                     path.read_text(encoding="utf-8"))]
+    assert offenders == []

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergex import spaces
+from bergex import _backend, spaces
 from bergex.poly import as_poly, monomial
 from bergex.spaces import (
     _angular_count,
     _circle_means,
-    _circle_values,
+    abs_power_spectrum,
     bergman_inner,
     bergman_norm_even,
     bergman_norm_general,
@@ -171,30 +171,6 @@ class TestGeneralNorms:
             )
 
 
-class TestCircleValues:
-    """FFT circle sampling against Horner evaluation at the same points."""
-
-    @pytest.mark.parametrize("radius, count, degree", [
-        (0.3, 64, 20),
-        (0.97, 256, 100),
-        (1.0, 64, 40),
-        (0.8, 32, 30),     # count = len(coeffs) + 1
-    ])
-    def test_matches_horner(self, radius, count, degree):
-        rng = np.random.default_rng(degree + count)
-        f = as_poly(rng.standard_normal(degree + 1)
-                    + 1j * rng.standard_normal(degree + 1))
-        z = radius * np.exp(2j * np.pi * np.arange(count) / count)
-        scale = float(np.sum(np.abs(f.coeffs)))
-        np.testing.assert_allclose(_circle_values(f, radius, count), f(z),
-                                   rtol=0, atol=1e-14 * scale)
-
-    def test_zero_polynomial(self):
-        vals = _circle_values(as_poly([]), 0.5, 8)
-        assert vals.shape == (8,)
-        assert not vals.any()
-
-
 def horner_means(f, p, radii, count):
     """Mean of |f|^p over count equispaced points on each circle, with f
     evaluated by Horner: the oracle for the FFT quadrature."""
@@ -321,6 +297,22 @@ class TestFourierCoeffAbsPower:
             assert fourier_coeff_abs_power(f, 4, m) == pytest.approx(
                 direct, abs=1e-12
             )
+
+    @pytest.mark.parametrize("threshold", [None, 0])
+    def test_spectrum_of_a_real_poly_is_float64(self, threshold,
+                                                monkeypatch):
+        # a real f has a real |f|^p spectrum on both paths, the direct
+        # correlation and one transform, the imaginary part never rounded in
+        if threshold is not None:
+            monkeypatch.setattr(_backend, "FFT_THRESHOLD", threshold)
+        f = as_poly(np.random.default_rng(9).standard_normal(40))
+        for p in (2, 4, 6):
+            spectrum = abs_power_spectrum(f, p)
+            assert spectrum.dtype == np.float64
+            expected = [fourier_coeff_abs_power(f, p, m)
+                        for m in range(len(spectrum))]
+            np.testing.assert_allclose(spectrum, expected, rtol=0,
+                                       atol=1e-14 * spectrum[0])
 
 
 class TestNormProperties:
