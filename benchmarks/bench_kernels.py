@@ -76,13 +76,14 @@ the requested degree, 1e-12 at it), and it counts the Hessians the
 whole solve built (calls of ``solver._gram``).
 
 The ``emit`` table times the report layer at the same degrees, median
-of 5 calls, on the solution of that kernel at p = 4 with the default
-checks. "new" is ``cli._emit_json`` of its ``cli._solution_body`` into
-a fresh file of a temporary directory on every call, and "overwrite"
-the same into one file that exists already, the case of a solve or
-verify that reruns with the same ``--out``. "read" is ``json.load`` of
-that file plus ``cli._read_coefficients``, the coefficient parse of
-``bergex verify``. "kB" is the size of the file.
+of 5 calls, on the solution of that kernel at p = 4 with the checks
+every solve records (``checks.check_records``). "new" is
+``cli._emit_json`` of its ``cli._solution_body`` into a fresh file of a
+temporary directory on every call, and "overwrite" the same into one
+file that exists already, the case of a solve or verify that reruns
+with the same ``--out``. "read" is ``json.load`` of that file plus
+``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
+"kB" is the size of the file.
 
 The ``study`` table times ``checks.convergence_study`` of the same
 kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
@@ -125,7 +126,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from bergex import _backend, cli, kernelspec, solver, spaces
-from bergex.checks import check_reports, convergence_study
+from bergex.checks import check_records, check_reports, convergence_study
 from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
                            _newton_terms, solve_extremal)
@@ -357,8 +358,8 @@ def bench_emit(sizes, repeats):
                  for i in itertools.count())
         for n in sizes:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
-            reports = check_reports(cli._requested_checks({}, p, n, kernel),
-                                    sol.F, kernel, p, sol.phi_norm)
+            reports = check_reports(check_records(n), sol.F, kernel, p,
+                                    sol.phi_norm)
             body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
             stamp = cli._header()
             new = time_call(lambda: cli._emit_json(stamp, body, next(fresh)),

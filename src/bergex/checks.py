@@ -13,10 +13,11 @@ Taking h = 1 gives the norm-equality for ||F||_{H^p}^p; taking h = z^m
 gives the Fourier-coefficient formula for |F|^p. Both sides are linear in
 h, so ``_boundary_sides`` computes them at every h = z^m at once, as two
 arrays that depend on the solution alone; every check reads its entries.
-``check_reports`` builds the reports of a list of ``check_records`` from
-one pair of arrays, with the single-check functions' builders, so a single
-check and a batch give the same floats, and the m = 0 Fourier residual
-equals the norm-equality residual, by construction.
+``check_reports`` builds the reports of a list of check records, such as
+the fixed table of ``check_records``, from one pair of arrays, with the
+single-check functions' builders, so a single check and a batch give the
+same floats, and the m = 0 Fourier residual equals the norm-equality
+residual, by construction.
 
 The left sides are the Fourier coefficients b_0..b_{(p/2) n} of |F|^p,
 from one autocorrelation of F^{p/2} (``abs_power_spectrum``), and the
@@ -57,10 +58,10 @@ DEFAULT_SLACK_TOL = 1e-12
 # the solver tolerance of every solve in a study: growth, convergence,
 # hinfty and norm-equality decay
 STUDY_TOLERANCE = 1e-12
-
-# the check names a solve config may ask for, and asks for by default
-DEFAULT_CHECKS = ("norm_equality", "fourier_formula", "coefficient_bound",
-                  "ryabykh_bound")
+# the Fourier formula's records run over m = 0..FOURIER_M_MAX
+FOURIER_M_MAX = 8
+# the largest relative growth of sup|F_n| that the hinfty criterion passes
+HINFTY_GROWTH_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -248,38 +249,28 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     )
 
 
-def check_records(names, degree, fourier_m_max):
-    """The records a solution file keeps for the checks ``names`` asks for.
-
-    "fourier_formula" asks for one record per m = 0..fourier_m_max, and
-    "coefficient_bound" for the sweep over m = 0..2*degree; any other name
-    in DEFAULT_CHECKS is one record. Other names raise ValueError.
-    """
-    records = []
-    for name in names:
-        if name == "fourier_formula":
-            records += [{"check_name": name, "context": {"m": m}}
-                        for m in range(fourier_m_max + 1)]
-        elif name == "coefficient_bound":
-            records.append({"check_name": "coefficient_bound_sweep",
-                            "context": {"m_max": 2 * degree}})
-        elif name in DEFAULT_CHECKS:
-            records.append({"check_name": name})
-        else:
-            raise ValueError(f"unknown check {name!r}")
-    return records
+def check_records(degree):
+    """The records ``bergex solve`` keeps for a solution of this degree, in
+    order: the norm equality, the Fourier formula at m = 0..FOURIER_M_MAX,
+    the coefficient-bound sweep over m = 0..2*degree and Ryabykh's bound."""
+    return [{"check_name": "norm_equality"},
+            *({"check_name": "fourier_formula", "context": {"m": m}}
+              for m in range(FOURIER_M_MAX + 1)),
+            {"check_name": "coefficient_bound_sweep",
+             "context": {"m_max": 2 * degree}},
+            {"check_name": "ryabykh_bound"}]
 
 
 def check_reports(records, F, k, p, phi_norm):
     """One report per check record, or None for a record not known here.
 
-    ``bergex solve`` passes the records of ``check_records``, and ``bergex
-    verify`` the ones a solution file holds; a record's name and context
-    pick the report, built as the single-check functions build it. The two
-    sides of the weighted boundary formula, and with them the spectrum of
-    |F|^p, are computed once for all of them. A ``ryabykh_bound`` record
-    whose context says "informational" predates the check's gate and is
-    skipped.
+    ``bergex solve`` passes the fixed table of ``check_records``, and
+    ``bergex verify`` the ones a solution file holds; a record's name and
+    context pick the report, built as the single-check functions build it.
+    The two sides of the weighted boundary formula, and with them the
+    spectrum of |F|^p, are computed once for all of them. A
+    ``ryabykh_bound`` record whose context says "informational" predates
+    the check's gate and is skipped.
     """
     sides = _boundary_sides(F, k, p, phi_norm)
     reports = []
@@ -302,13 +293,22 @@ def check_reports(records, F, k, p, phi_norm):
     return reports
 
 
-def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01):
+def _boundary_sup(f):
+    """max |f| sampled on the unit circle by one forward FFT.
+
+    At least 1024 angles; the forward FFT samples f at the angles
+    -2 pi j / grid, the same points as ``_circle_means``' (spaces)."""
+    grid = _angular_count(max(f.degree, 255))
+    return float(np.max(np.abs(np.fft.fft(f.coeffs, grid))))
+
+
+def check_hinfty_criterion(alpha, p, degrees):
     """Boundedness probe for kernels with c_t = (t+1)^(-alpha), alpha > 3/2.
 
     Such decay forces the extremal function into H-infinity, so the
     boundary sup of the truncated solutions must stabilize as the degree
     grows. The desk-scale proxy: relative growth of sup|F_n| between the
-    two largest degrees at most ``growth_threshold``. One degree ladder
+    two largest degrees at most HINFTY_GROWTH_TOL. One degree ladder
     (``solve_ladder``) solves S_n k over P_n once per distinct degree n,
     and there must be two. The report also records the l1 mass of the
     Fourier coefficients of |F_n|^p at each degree, the quantity whose
@@ -325,22 +325,19 @@ def check_hinfty_criterion(alpha, p, degrees, growth_threshold=0.01):
     l1 = {}
     for solution in solve_ladder(p, k, degrees, STUDY_TOLERANCE):
         n, F = solution.degree, solution.F
-        # at least 1024 angles; the forward FFT samples F at the angles
-        # -2 pi j / grid, the same points as _circle_means' (spaces)
-        grid = _angular_count(max(F.degree, 255))
-        sups[n] = float(np.max(np.abs(np.fft.fft(F.coeffs, grid))))
+        sups[n] = _boundary_sup(F)
         spec = np.abs(abs_power_spectrum(F, p))
         l1[n] = float(spec[0] + 2.0 * np.sum(spec[1:]))
     n_hi, n_lo = degrees[-1], degrees[-2]
     growth = sups[n_hi] / sups[n_lo] - 1.0
     verdict = "withheld" if alpha <= 1.5 else (
-        "pass" if growth <= growth_threshold else "fail")
+        "pass" if growth <= HINFTY_GROWTH_TOL else "fail")
     return VerificationReport(
         check_name="hinfty_criterion",
         lhs=sups[n_hi],
         rhs=sups[n_lo],
         residual=growth,
-        tolerance=growth_threshold,
+        tolerance=HINFTY_GROWTH_TOL,
         verdict=verdict,
         context={"p": p, "alpha": alpha, "degrees": list(degrees),
                  "sup_by_degree": sups, "l1_by_degree": l1},
@@ -366,6 +363,13 @@ def _hardy_norm_auto(f, exponent):
     if abs(exponent - rounded) < 1e-9 and rounded >= 2 and rounded % 2 == 0:
         return hardy_norm_even(f, rounded)
     return hardy_norm_general(f, exponent)
+
+
+def _sup_scaled(f):
+    """(f / 2^e, e) for the power of two 2^e at or above ``_boundary_sup(f)``,
+    as ``rescaled`` picks it."""
+    c, _, e = rescaled(f.coeffs, _boundary_sup(f))
+    return AnalyticPoly(c), e
 
 
 def growth_study(family, p, q1_list):
@@ -396,10 +400,16 @@ def growth_study(family, p, q1_list):
         c, _, exponent = rescaled(kernel.coeffs)
         unit = AnalyticPoly(c)
         k_bergman = bergman_norm_general(unit, q)
+        # The Hardy norms are taken of F and of the unit kernel divided by
+        # the power of two at or above their sampled boundary sup, where
+        # |f|^p1 stays near or below 1 at every exponent, and restored by
+        # ldexp.
+        F_low, F_exp = _sup_scaled(solution.F)
+        k_low, k_exp = _sup_scaled(unit)
         for q1 in q1_list:
             p1 = (p - 1.0) * q1
-            F_hardy = _hardy_norm_auto(solution.F, p1)
-            k_hardy = _hardy_norm_auto(unit, q1)
+            F_hardy = math.ldexp(_hardy_norm_auto(F_low, p1), F_exp)
+            k_hardy = math.ldexp(_hardy_norm_auto(k_low, q1), k_exp)
             with np.errstate(over="ignore"):  # inf past the float range
                 k_norms = np.ldexp([k_hardy, k_bergman], exponent)
             rows.append(GrowthStudyRow(

@@ -8,8 +8,12 @@ floats at full precision, written by json's C encoder;
 ``python3 -m json.tool solution.json`` pretty-prints it. Studies emit
 CSV rows or JSON.
 
-Exit codes: 0 all checks passed, 1 a check failed or verification
-mismatch, 2 solver non-convergence, 3 invalid input or command line.
+``bergex solve`` records one fixed table of checks (``check_records``)
+and gates on it and on its extremality certificate.
+
+Exit codes: 0 all checks passed, 1 a check failed, the certificate's
+residual_max exceeds DEFAULT_CERTIFICATE_TOL or verification mismatched,
+2 solver non-convergence, 3 invalid input or command line.
 """
 
 import argparse
@@ -27,7 +31,6 @@ import numpy as np
 from . import __version__
 from . import kernelspec
 from .checks import (
-    DEFAULT_CHECKS,
     STUDY_TOLERANCE,
     check_hinfty_criterion,
     check_records,
@@ -56,6 +59,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID = 3
 
 SCHEMA_VERSION = 1
+# the largest coefficient gap at which oracle-compare calls the quadrature
+# oracle and the solver in agreement
+ORACLE_TOLERANCE = 1e-6
 
 
 def _load_config(path):
@@ -235,29 +241,9 @@ def _solution_body(spec, tolerance, solution, reports):
     }
 
 
-def _requested_checks(config, p, degree, kernel):
-    """The check records that the config's 'checks' and 'fourier_m_max'
-    ask for, as ``check_records`` expands them. 'fourier_m_max' is at most
-    the largest frequency of |F|^p, (p/2) * degree, or of the kernel: past
-    it both sides of the Fourier formula vanish."""
-    names = _field(config, "checks", list,
-                   lambda v: all(isinstance(name, str) for name in v),
-                   "checks must be a list of check names", DEFAULT_CHECKS)
-    top = max(p // 2 * degree, kernel.degree)
-    m_max = _field(config, "fourier_m_max", int, lambda v: 0 <= v <= top,
-                   f"fourier_m_max must be in 0..{top}", 8)
-    return check_records(names, degree, m_max)
-
-
-def _gating(reports):
-    """Any failed report gates the exit code."""
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
-
-
 def run_solve(config, out=None):
     p, tolerance, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
-    checks = _requested_checks(config, p, degree, kernel)
     max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
                             "max_iterations must be >= 1",
                             DEFAULT_MAX_ITERATIONS)
@@ -270,10 +256,12 @@ def run_solve(config, out=None):
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
-    reports = check_reports(checks, solution.F, kernel, p, solution.phi_norm)
+    reports = check_reports(check_records(degree), solution.F, kernel, p,
+                            solution.phi_norm)
     body = _solution_body(spec, tolerance, solution, reports)
     _emit_json(_header(seed), body, out)
-    return _gating(reports)
+    passed = solution.certified and all(r.passed for r in reports)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _recorded_checks(body, degree):
@@ -363,9 +351,10 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
         seed = _seed(config)
     family, seed = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
-    ratios = [r.ratio for r in rows]
+    # np.max, unlike max(), keeps a NaN ratio
+    ratios = np.array([r.ratio for r in rows])
     _emit_study(_header(seed), [vars(r) for r in rows], out, fmt,
-                empirical_C=max(max(ratios), 1.0 / min(ratios)))
+                empirical_C=float(np.max([ratios.max(), 1.0 / ratios.min()])))
     return EXIT_OK
 
 
@@ -411,12 +400,8 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     alpha = _field(config, "alpha", float, _positive_finite,
                    "alpha must be positive and finite")
     degrees = _degrees(config, [16, 32, 64])
-    threshold = _field(config, "growth_threshold", float,
-                       lambda v: 0 <= v < math.inf,
-                       "growth_threshold must be >= 0 and finite", 0.01)
     seed = _seed(config)
-    report = check_hinfty_criterion(alpha, p, degrees,
-                                    growth_threshold=threshold)
+    report = check_hinfty_criterion(alpha, p, degrees)
     sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
     rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
@@ -433,17 +418,13 @@ def run_oracle_compare(config, out=None):
     degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
                     "oracle_degree must be 2 or 3", 3)
     seed = _seed(config)
-    oracle_tolerance = _field(config, "oracle_tolerance", float,
-                              _positive_finite,
-                              "oracle_tolerance must be positive and finite",
-                              1e-6)
     oracle_F = brute_force_oracle(kernel, p, degree=degree)
     problem = ExtremalProblem(p=p, kernel=kernel, degree=degree,
                               tolerance=min(tolerance, 1e-12))
     solution = solve_extremal(problem)
     gap = float(np.max(np.abs(
         oracle_F.padded(degree + 1) - solution.F.padded(degree + 1))))
-    agree = gap <= oracle_tolerance
+    agree = gap <= ORACLE_TOLERANCE
     body = {
         "oracle_coefficients": _json_coefficients(oracle_F.coeffs),
         "solver_coefficients": _json_coefficients(solution.F.coeffs),

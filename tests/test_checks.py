@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bergex.checks import (
-    DEFAULT_CHECKS,
     DEFAULT_SLACK_TOL,
     VerificationReport,
     _boundary_sides,
@@ -343,7 +342,7 @@ class TestCoefficientBoundSweep:
             sol = solve_extremal(ExtremalProblem(
                 p=4, kernel=as_poly(scale * base.kernel.coeffs), degree=160,
                 tolerance=1e-12))
-            reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
+            reports = check_reports(check_records(160),
                                     sol.F, sol.kernel, 4, sol.phi_norm)
             assert all(r.passed for r in reports)
             for m_max in (0, 1):
@@ -364,7 +363,7 @@ class TestCoefficientBoundSweep:
             sol = solve_extremal(ExtremalProblem(
                 p=4, kernel=as_poly(2.0 ** -1030 * base.kernel.coeffs),
                 degree=160, tolerance=1e-12))
-            reports = check_reports(check_records(DEFAULT_CHECKS, 160, 8),
+            reports = check_reports(check_records(160),
                                     sol.F, sol.kernel, 4, sol.phi_norm)
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
         assert sol.certified
@@ -583,7 +582,7 @@ class TestRyabykhBound:
                                                  tolerance=1e-12))
             # the degree ladder leaves at most two Newton steps at degree n
             assert sol.iterations <= 2, name
-            reports = check_reports(check_records(DEFAULT_CHECKS, degree, 8),
+            reports = check_reports(check_records(degree),
                                     sol.F, kernel, p, sol.phi_norm)
             assert all(r.passed for r in reports), name
             ryabykh = reports[-1]
@@ -616,7 +615,7 @@ class TestScaleCovariance:
     @example([0j, 0.5 + 1j, -1 - 0.75j], 4, 1022)
     @settings(max_examples=30, deadline=None)
     def test_solution_and_checks(self, coeffs, p, j):
-        records = check_records(DEFAULT_CHECKS, 16, 8)
+        records = check_records(16)
         runs = []
         for c in (np.array(coeffs), np.ldexp(np.real(coeffs), j)
                   + 1j * np.ldexp(np.imag(coeffs), j)):
@@ -663,17 +662,18 @@ class TestReportShape:
 
 class TestCheckRecords:
     def test_default_expansion(self):
-        records = check_records(DEFAULT_CHECKS, 40, 3)
+        # the one table every solve records, whatever its config says
+        records = check_records(40)
         assert [r["check_name"] for r in records] == (
-            ["norm_equality"] + ["fourier_formula"] * 4
+            ["norm_equality"] + ["fourier_formula"] * 9
             + ["coefficient_bound_sweep", "ryabykh_bound"])
-        assert [r["context"]["m"] for r in records[1:5]] == [0, 1, 2, 3]
-        assert records[5]["context"] == {"m_max": 80}
+        assert [r["context"]["m"] for r in records[1:10]] == list(range(9))
+        assert records[10]["context"] == {"m_max": 80}
 
     def test_reports_match_single_checks(self, one_plus_z_solution):
         sol = one_plus_z_solution
-        reports = check_reports(check_records(DEFAULT_CHECKS, sol.degree, 8),
-                                sol.F, sol.kernel, 4, sol.phi_norm)
+        reports = check_reports(check_records(sol.degree), sol.F, sol.kernel,
+                                4, sol.phi_norm)
         assert reports[0] == check_norm_equality(sol.F, sol.kernel, 4,
                                                  sol.phi_norm)
         assert reports[1:10] == [

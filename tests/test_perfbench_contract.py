@@ -9,6 +9,7 @@ a benchmark run does. The tracer is only read, never installed.
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -82,3 +83,19 @@ def test_cli_calls_bind(perfbench, tmp_path):
         assert signature.parameters["fmt"].default == "csv"
     inspect.signature(cli.run_solve).bind({}, out="solution.json")
     inspect.signature(cli.run_verify).bind("solution.json", out="verify.json")
+
+
+def test_readme_config_checks_key_moves_nothing(perfbench, tmp_path):
+    # the family workload's README config still carries the 'checks' key;
+    # nothing reads it, so the benchmark's solve gives the body and exit
+    # code of the same config without it
+    workloads = importlib.import_module("workloads")
+    config = workloads.README_CONFIG
+    assert "checks" in config
+    bare = {key: value for key, value in config.items() if key != "checks"}
+    runs = []
+    for name, cfg in (("with", config), ("without", bare)):
+        path = tmp_path / f"{name}.json"
+        code = cli.run_solve(cfg, out=str(path))
+        runs.append((code, json.loads(path.read_text())["body"]))
+    assert runs[0] == runs[1]
