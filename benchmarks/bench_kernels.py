@@ -77,7 +77,7 @@ whole solve built (calls of ``solver._gram``).
 
 The ``emit`` table times the report layer at the same degrees, median
 of 5 calls, on the solution of that kernel at p = 4 with the checks
-every solve records (``checks.check_records``). "new" is
+every solve records (``checks.check_table``). "new" is
 ``cli._emit_json`` of its ``cli._solution_body`` into a fresh file of a
 temporary directory on every call, and "overwrite" the same into one
 file that exists already, the case of a solve or verify that reruns
@@ -126,7 +126,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from bergex import _backend, cli, kernelspec, solver, spaces
-from bergex.checks import check_records, check_reports, convergence_study
+from bergex.checks import check_table, convergence_study
 from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
                            _newton_terms, solve_extremal)
@@ -358,8 +358,7 @@ def bench_emit(sizes, repeats):
                  for i in itertools.count())
         for n in sizes:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
-            reports = check_reports(check_records(n), sol.F, kernel, p,
-                                    sol.phi_norm)
+            reports = check_table(sol.F, kernel, p, sol.phi_norm, n)
             body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
             stamp = cli._header()
             new = time_call(lambda: cli._emit_json(stamp, body, next(fresh)),

@@ -13,11 +13,11 @@ Taking h = 1 gives the norm-equality for ||F||_{H^p}^p; taking h = z^m
 gives the Fourier-coefficient formula for |F|^p. Both sides are linear in
 h, so ``_boundary_sides`` computes them at every h = z^m at once, as two
 arrays that depend on the solution alone; every check reads its entries.
-``check_reports`` builds the reports of a list of check records, such as
-the fixed table of ``check_records``, from one pair of arrays, with the
-single-check functions' builders, so a single check and a batch give the
-same floats, and the m = 0 Fourier residual equals the norm-equality
-residual, by construction.
+``check_table`` builds the one fixed table of reports that ``bergex
+solve`` records and ``bergex verify`` recomputes from one pair of arrays,
+with the single-check functions' builders, so a single check and the
+table give the same floats, and the m = 0 Fourier residual equals the
+norm-equality residual, by construction.
 
 The left sides are the Fourier coefficients b_0..b_{(p/2) n} of |F|^p,
 from one autocorrelation of F^{p/2} (``abs_power_spectrum``), and the
@@ -58,7 +58,7 @@ DEFAULT_SLACK_TOL = 1e-12
 # the solver tolerance of every solve in a study: growth, convergence,
 # hinfty and norm-equality decay
 STUDY_TOLERANCE = 1e-12
-# the Fourier formula's records run over m = 0..FOURIER_M_MAX
+# the fixed table's Fourier formula runs over m = 0..FOURIER_M_MAX
 FOURIER_M_MAX = 8
 # the largest relative growth of sup|F_n| that the hinfty criterion passes
 HINFTY_GROWTH_TOL = 0.01
@@ -233,7 +233,9 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     b0 = float(spectrum[0].real) if len(spectrum) else 0.0
     lhs = b0 ** ((p - 1.0) / p) * phi_norm
     rhs = _hardy_norm_auto(G, q)
-    residual = lhs / rhs - 1.0
+    # rhs underflows to 0 only when ||phi|| lies far above the kernel's
+    # scale, as in a tampered file: the bound then fails
+    residual = lhs / rhs - 1.0 if rhs else math.inf
     kernel_bound = (p - 1.0) * _hardy_norm_auto(AnalyticPoly(c), q)
     with np.errstate(over="ignore"):
         lhs, rhs, kernel_bound = np.ldexp([lhs, rhs, kernel_bound], e)
@@ -249,48 +251,22 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     )
 
 
-def check_records(degree):
-    """The records ``bergex solve`` keeps for a solution of this degree, in
-    order: the norm equality, the Fourier formula at m = 0..FOURIER_M_MAX,
-    the coefficient-bound sweep over m = 0..2*degree and Ryabykh's bound."""
-    return [{"check_name": "norm_equality"},
-            *({"check_name": "fourier_formula", "context": {"m": m}}
-              for m in range(FOURIER_M_MAX + 1)),
-            {"check_name": "coefficient_bound_sweep",
-             "context": {"m_max": 2 * degree}},
-            {"check_name": "ryabykh_bound"}]
+def check_table(F, k, p, phi_norm, degree):
+    """The fixed table of reports of a solution of this degree, in order:
+    the norm equality, the Fourier formula at m = 0..FOURIER_M_MAX, the
+    coefficient-bound sweep over m = 0..2*degree and Ryabykh's bound.
 
-
-def check_reports(records, F, k, p, phi_norm):
-    """One report per check record, or None for a record not known here.
-
-    ``bergex solve`` passes the fixed table of ``check_records``, and
-    ``bergex verify`` the ones a solution file holds; a record's name and
-    context pick the report, built as the single-check functions build it.
-    The two sides of the weighted boundary formula, and with them the
-    spectrum of |F|^p, are computed once for all of them. A
-    ``ryabykh_bound`` record whose context says "informational" predates
-    the check's gate and is skipped.
+    ``bergex solve`` records it and ``bergex verify`` recomputes it, as
+    the single-check functions build each report. The two sides of the
+    weighted boundary formula, and with them the spectrum of |F|^p, are
+    computed once for all of them.
     """
     sides = _boundary_sides(F, k, p, phi_norm)
-    reports = []
-    for record in records:
-        name = record["check_name"]
-        context = record.get("context", {})
-        if name == "norm_equality":
-            report = _equality_report(name, sides, 0, k, p)
-        elif name == "fourier_formula":
-            report = _equality_report(name, sides, context["m"], k, p)
-        elif name == "coefficient_bound_sweep":
-            report = _coefficient_bound_report(
-                F, k, p, phi_norm, context["m_max"], sides[0])
-        elif (name == "ryabykh_bound"
-              and context.get("kind") != "informational"):
-            report = _ryabykh_report(k, p, phi_norm, sides[0])
-        else:
-            report = None
-        reports.append(report)
-    return reports
+    return [_equality_report("norm_equality", sides, 0, k, p),
+            *(_equality_report("fourier_formula", sides, m, k, p)
+              for m in range(FOURIER_M_MAX + 1)),
+            _coefficient_bound_report(F, k, p, phi_norm, 2 * degree, sides[0]),
+            _ryabykh_report(k, p, phi_norm, sides[0])]
 
 
 def _boundary_sup(f):

@@ -8,8 +8,9 @@ floats at full precision, written by json's C encoder;
 ``python3 -m json.tool solution.json`` pretty-prints it. Studies emit
 CSV rows or JSON.
 
-``bergex solve`` records one fixed table of checks (``check_records``)
-and gates on it and on its extremality certificate.
+``bergex solve`` records one fixed table of checks (``check_table``)
+and gates on it and on its extremality certificate; ``bergex verify``
+recomputes both from the file's problem, F and ||phi|| and compares.
 
 Exit codes: 0 all checks passed, 1 a check failed, the certificate's
 residual_max exceeds DEFAULT_CERTIFICATE_TOL or verification mismatched,
@@ -32,9 +33,9 @@ from . import __version__
 from . import kernelspec
 from .checks import (
     STUDY_TOLERANCE,
+    _coefficient_bound_report,
     check_hinfty_criterion,
-    check_records,
-    check_reports,
+    check_table,
     convergence_study,
     growth_study,
 )
@@ -43,6 +44,7 @@ from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
                          _finite_number, _pairs_field)
 from .poly import AnalyticPoly
 from .solver import (
+    DEFAULT_CERTIFICATE_TOL,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     ExtremalProblem,
@@ -52,6 +54,7 @@ from .solver import (
     extremality_residual,
     solve_extremal,
 )
+from .spaces import abs_power_spectrum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -256,35 +259,34 @@ def run_solve(config, out=None):
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
-    reports = check_reports(check_records(degree), solution.F, kernel, p,
-                            solution.phi_norm)
+    reports = check_table(solution.F, kernel, p, solution.phi_norm, degree)
     body = _solution_body(spec, tolerance, solution, reports)
     _emit_json(_header(seed), body, out)
-    passed = solution.certified and all(r.passed for r in reports)
+    passed = _certified(solution.residual_max, reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _recorded_checks(body, degree):
-    """A solution file's check records. Each is an object whose name, and
-    the context field that picks its report, are read by the config rule,
-    in the range solve records."""
-    records = _field(body, "checks", list,
-                     lambda v: all(isinstance(r, dict) for r in v),
-                     "each check record must be an object")
-    for record in records:
-        name = _field(record, "check_name", str)
-        context = _field(record, "context", dict, default={})
-        if name == "fourier_formula":
-            _field(context, "m", int, lambda v: v >= 0, "m must be >= 0")
-        elif name == "coefficient_bound_sweep":
-            _field(context, "m_max", int, lambda v: 0 <= v <= 2 * degree,
-                   f"m_max must be in 0..{2 * degree}")
-    return records
+def _certified(residual_max, reports):
+    """The gate of ``bergex solve``: the certificate's residual_max is at
+    most DEFAULT_CERTIFICATE_TOL and every report of the table passes."""
+    return bool(residual_max <= DEFAULT_CERTIFICATE_TOL
+                and all(r.passed for r in reports))
+
+
+def _identity(name, context):
+    """A check's name, its context's keys and, type for type, its m and
+    m_max, so that JSON true is no m = 1."""
+    return (name, sorted(context),
+            *((type(context.get(key)), context.get(key))
+              for key in ("m", "m_max")))
 
 
 def run_verify(solution_path, out=None):
-    """Re-check a serialized solution; residuals must reproduce to 1e-14.
-    Every recorded field is read by the rule of ``bergex solve``'s config."""
+    """Recompute a serialized solution's table and certificate. Each table
+    entry needs the one record of its ``_identity`` (else it is missing,
+    and a record left over is unexpected), whose residual must reproduce
+    to 1e-14. Every recorded field is read by the rule of ``bergex
+    solve``'s config. ``certified`` does not move the exit code."""
     try:
         with open(solution_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -296,15 +298,13 @@ def run_verify(solution_path, out=None):
         phi_norm = _field(solution, "phi_norm", float, _positive_finite,
                           "phi_norm must be positive and finite")
         recorded_max = _field(solution, "residual_max", float)
-        checks = _recorded_checks(body, degree)
-        reports = check_reports(checks, F, kernel, p, phi_norm)
-        pairs = list(zip(checks, reports))
-        rows = [{"check_name": check["check_name"],
-                 "recorded": _field(check, "residual", float),
-                 "recomputed": float(report.residual)}
-                for check, report in pairs if report is not None]
-        skipped = [check["check_name"]
-                   for check, report in pairs if report is None]
+        records = [(_identity(_field(record, "check_name", str),
+                              _field(record, "context", dict, default={})),
+                    _field(record, "residual", float))
+                   for record in _field(
+                       body, "checks", list,
+                       lambda v: all(isinstance(r, dict) for r in v),
+                       "each check record must be an object")]
     except (OSError, KeyError, TypeError, ValueError, OverflowError,
             json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
@@ -312,31 +312,46 @@ def run_verify(solution_path, out=None):
         raise ConfigError(
             "solution file is nested too deeply to read") from None
 
-    residuals = extremality_residual(F, kernel, p, phi_norm,
-                                     certificate_degree(p, degree))
-    rows.insert(0, {"check_name": "residual_max",
-                    "recorded": recorded_max,
-                    "recomputed": float(np.max(np.abs(residuals)))})
-    for row in rows:
-        row["difference"] = abs(row["recomputed"] - row["recorded"])
+    # an extreme F or ||phi|| gives inf or NaN residuals, written as null
+    with np.errstate(all="ignore"):
+        reports = check_table(F, kernel, p, phi_norm, degree)
+        residual_max = float(np.max(np.abs(extremality_residual(
+            F, kernel, p, phi_norm, certificate_degree(p, degree)))))
+    unpaired = [_identity(r.check_name, r.context) for r in reports]
+    recorded, unexpected = {}, []  # recorded: residual per table index
+    for identity, residual in records:
+        if identity in unpaired:
+            i = unpaired.index(identity)
+            unpaired[i], recorded[i] = None, residual
+        else:
+            unexpected.append(identity[0])
+    rows = [("residual_max", recorded_max, residual_max, "pass"
+             if residual_max <= DEFAULT_CERTIFICATE_TOL else "fail")]
+    rows += [(r.check_name, recorded[i], float(r.residual), r.verdict)
+             for i, r in enumerate(reports) if i in recorded]
+    rows = [{"check_name": name, "recorded": old, "recomputed": new,
+             "verdict": verdict, "difference": abs(new - old)}
+            for name, old, new, verdict in rows]
     worst = float(np.max([row["difference"] for row in rows]))  # NaN fails
+    missing = [r.check_name for i, r in enumerate(reports) if unpaired[i]]
 
-    ok = bool(worst <= 1e-14)
-    body_out = {"verified": ok, "max_difference": worst, "rows": rows,
-                "skipped": skipped}
+    ok = bool(worst <= 1e-14) and not missing and not unexpected
+    body_out = {"verified": ok,
+                "certified": _certified(residual_max, reports),
+                "max_difference": worst, "rows": rows, "missing": missing,
+                "unexpected": unexpected}
     _emit_json(_header(), _jsonable(body_out), out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
-    """The coefficient-bound sweep of a reloaded solution, as solve runs it.
+    """The coefficient-bound sweep over m = 0..m_max of a reloaded solution.
 
-    Unused by the commands, which build the sweep in ``check_reports``;
+    Unused by the commands, which build the sweep in ``check_table``;
     perfbench/tracer.py still wraps this name.
     """
-    return check_reports([{"check_name": "coefficient_bound_sweep",
-                           "context": {"m_max": m_max}}],
-                         F, kernel, p, phi_norm)[0]
+    return _coefficient_bound_report(F, kernel, p, phi_norm, m_max,
+                                     abs_power_spectrum(F, p))
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):

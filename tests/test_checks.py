@@ -12,12 +12,12 @@ from bergex.checks import (
     DEFAULT_SLACK_TOL,
     VerificationReport,
     _boundary_sides,
+    _coefficient_bound_report,
     check_fourier_formula,
     check_hinfty_criterion,
     check_norm_equality,
-    check_records,
-    check_reports,
     check_ryabykh_bound,
+    check_table,
     coefficient_bound_sweep,
     convergence_study,
     growth_study,
@@ -226,11 +226,12 @@ def check_coefficient_bound(F, k, p, phi_norm, m, tolerance=DEFAULT_SLACK_TOL):
 
 
 def sweep_report(solution, m_max):
-    """The coefficient-bound sweep over m = 0..m_max, as a record asks."""
-    record = {"check_name": "coefficient_bound_sweep",
-              "context": {"m_max": m_max}}
-    return check_reports([record], solution.F, solution.kernel, solution.p,
-                         solution.phi_norm)[0]
+    """The coefficient-bound sweep over m = 0..m_max, built from the left
+    side of the weighted boundary formula, as ``check_table`` builds it."""
+    F, k, p, phi_norm = (solution.F, solution.kernel, solution.p,
+                         solution.phi_norm)
+    return _coefficient_bound_report(F, k, p, phi_norm, m_max,
+                                     _boundary_sides(F, k, p, phi_norm)[0])
 
 
 class TestCoefficientBound:
@@ -342,8 +343,7 @@ class TestCoefficientBoundSweep:
             sol = solve_extremal(ExtremalProblem(
                 p=4, kernel=as_poly(scale * base.kernel.coeffs), degree=160,
                 tolerance=1e-12))
-            reports = check_reports(check_records(160),
-                                    sol.F, sol.kernel, 4, sol.phi_norm)
+            reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 160)
             assert all(r.passed for r in reports)
             for m_max in (0, 1):
                 scaled, unscaled = sweep_report(sol, m_max), sweep_report(
@@ -363,8 +363,7 @@ class TestCoefficientBoundSweep:
             sol = solve_extremal(ExtremalProblem(
                 p=4, kernel=as_poly(2.0 ** -1030 * base.kernel.coeffs),
                 degree=160, tolerance=1e-12))
-            reports = check_reports(check_records(160),
-                                    sol.F, sol.kernel, 4, sol.phi_norm)
+            reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 160)
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
         assert sol.certified
         assert all(r.passed for r in reports)
@@ -582,8 +581,7 @@ class TestRyabykhBound:
                                                  tolerance=1e-12))
             # the degree ladder leaves at most two Newton steps at degree n
             assert sol.iterations <= 2, name
-            reports = check_reports(check_records(degree),
-                                    sol.F, kernel, p, sol.phi_norm)
+            reports = check_table(sol.F, kernel, p, sol.phi_norm, degree)
             assert all(r.passed for r in reports), name
             ryabykh = reports[-1]
             assert ryabykh.check_name == "ryabykh_bound"
@@ -615,14 +613,13 @@ class TestScaleCovariance:
     @example([0j, 0.5 + 1j, -1 - 0.75j], 4, 1022)
     @settings(max_examples=30, deadline=None)
     def test_solution_and_checks(self, coeffs, p, j):
-        records = check_records(16)
         runs = []
         for c in (np.array(coeffs), np.ldexp(np.real(coeffs), j)
                   + 1j * np.ldexp(np.imag(coeffs), j)):
             sol = solve_extremal(ExtremalProblem(
                 p=p, kernel=as_poly(c), degree=16, tolerance=1e-12))
-            runs.append((sol, check_reports(records, sol.F, sol.kernel, p,
-                                            sol.phi_norm)))
+            runs.append((sol, check_table(sol.F, sol.kernel, p, sol.phi_norm,
+                                          16)))
         (base, base_reports), (scaled, scaled_reports) = runs
         assert scaled.F.coeffs.tobytes() == base.F.coeffs.tobytes()
         assert scaled.residual_max == base.residual_max
@@ -661,19 +658,21 @@ class TestReportShape:
 
 
 class TestCheckRecords:
-    def test_default_expansion(self):
+    """``check_table``: the records every solve keeps."""
+
+    def test_default_expansion(self, one_plus_z_solution):
         # the one table every solve records, whatever its config says
-        records = check_records(40)
-        assert [r["check_name"] for r in records] == (
+        sol = one_plus_z_solution
+        reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 40)
+        assert [r.check_name for r in reports] == (
             ["norm_equality"] + ["fourier_formula"] * 9
             + ["coefficient_bound_sweep", "ryabykh_bound"])
-        assert [r["context"]["m"] for r in records[1:10]] == list(range(9))
-        assert records[10]["context"] == {"m_max": 80}
+        assert [r.context["m"] for r in reports[1:10]] == list(range(9))
+        assert reports[10].context["m_max"] == 80
 
     def test_reports_match_single_checks(self, one_plus_z_solution):
         sol = one_plus_z_solution
-        reports = check_reports(check_records(sol.degree), sol.F, sol.kernel,
-                                4, sol.phi_norm)
+        reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, sol.degree)
         assert reports[0] == check_norm_equality(sol.F, sol.kernel, 4,
                                                  sol.phi_norm)
         assert reports[1:10] == [

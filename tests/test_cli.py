@@ -21,6 +21,7 @@ import pytest
 
 from bergex import _backend, checks, cli, kernelspec, poly, solver, spaces
 from bergex.checks import check_fourier_formula
+from bergex.families import standard_family
 from bergex.poly import AnalyticPoly, as_poly
 from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
 
@@ -207,10 +208,14 @@ class TestSolveCommand:
         assert {c["verdict"] for c in body["checks"]} == {"pass"}
         verified = str(tmp_path / "v.json")
         assert cli.main(["verify", out, "--out", verified]) == 0
+        # verify reproduces the file, and names its failed gate
+        report = load_report(verified)["body"]
+        assert report["verified"] is True and report["certified"] is False
+        assert report["rows"][0]["verdict"] == "fail"
 
     def test_check_fields_are_ignored(self, tmp_path):
         # 'checks' and 'fourier_m_max' are keys nothing reads: every solve
-        # records the one table of check_records
+        # records the one table of check_table
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
             "p": 4,
@@ -341,42 +346,143 @@ class TestVerifyCommand:
         assert cli.main(["verify", solution, "--out", out]) == 0
         body = load_report(out)["body"]
         assert body["verified"] is True
+        assert body["certified"] is True
         assert body["max_difference"] <= 1e-14
-        assert any(r["check_name"] == "residual_max" for r in body["rows"])
-        assert body["skipped"] == []
+        assert [r["check_name"] for r in body["rows"]] == ["residual_max"] + [
+            r["check_name"] for r in load_report(solution)["body"]["checks"]]
+        assert {r["verdict"] for r in body["rows"]} == {"pass"}
+        assert body["missing"] == [] and body["unexpected"] == []
 
-    def test_unknown_check_is_named_as_skipped(self, solved_artifact,
-                                              tmp_path):
-        _, solution = solved_artifact
+    def verify_edited(self, solution, tmp_path, edit):
+        """Exit code and report body of verify on the file after
+        ``edit(checks)`` changed its check records in place."""
         payload = load_report(solution)
-        payload["body"]["checks"].append({"check_name": "mystery_check",
-                                          "residual": 0.0, "context": {}})
-        extended = write_json(tmp_path / "extended.json", payload)
-        out = str(tmp_path / "verify.json")
-        assert cli.main(["verify", extended, "--out", out]) == 0
-        body = load_report(out)["body"]
-        assert body["verified"] is True
-        assert body["skipped"] == ["mystery_check"]
+        edit(payload["body"]["checks"])
+        edited = write_json(tmp_path / "edited.json", payload)
+        out = tmp_path / "verify.json"
+        code = cli.main(["verify", edited, "--out", str(out)])
+        return code, load_strict_report(out)["body"]
+
+    def test_unknown_check_is_named_as_unexpected(self, solved_artifact,
+                                                 tmp_path):
+        code, body = self.verify_edited(
+            solved_artifact[1], tmp_path, lambda checks: checks.append(
+                {"check_name": "mystery_check", "residual": 0.0,
+                 "context": {}}))
+        assert code == 1
+        assert body["verified"] is False
+        assert body["unexpected"] == ["mystery_check"]
+        assert body["missing"] == []
         assert "mystery_check" not in {r["check_name"] for r in body["rows"]}
 
-    def test_informational_ryabykh_record_is_skipped(self, solved_artifact,
-                                                     tmp_path):
+    def test_informational_ryabykh_record_is_unexpected(self, solved_artifact,
+                                                        tmp_path):
         # files written while the Ryabykh check gated nothing record its
-        # old quantity, marked informational; verify does not recompute it
-        _, solution = solved_artifact
-        payload = load_report(solution)
-        for check in payload["body"]["checks"]:
-            if check["check_name"] == "ryabykh_bound":
-                check.update(lhs=1.0 / 3.0, rhs=None, residual=1.0 / 3.0,
-                             tolerance=math.inf, verdict="pass")
-                check["context"]["kind"] = "informational"
-        old = write_json(tmp_path / "old.json", payload)
-        out = str(tmp_path / "verify.json")
-        assert cli.main(["verify", old, "--out", out]) == 0
-        body = load_report(out)["body"]
-        assert body["verified"] is True
-        assert body["skipped"] == ["ryabykh_bound"]
+        # old quantity, marked informational; it is not the table's entry,
+        # which such a file lacks
+        def edit(checks):
+            for check in checks:
+                if check["check_name"] == "ryabykh_bound":
+                    check.update(lhs=1.0 / 3.0, rhs=None, residual=1.0 / 3.0,
+                                 tolerance=math.inf, verdict="pass")
+                    check["context"]["kind"] = "informational"
+
+        code, body = self.verify_edited(solved_artifact[1], tmp_path, edit)
+        assert code == 1
+        assert body["verified"] is False
+        assert body["unexpected"] == ["ryabykh_bound"]
+        assert body["missing"] == ["ryabykh_bound"]
         assert "ryabykh_bound" not in {r["check_name"] for r in body["rows"]}
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_deleted_record_is_missing(self, solved_artifact, tmp_path,
+                                       index):
+        name = load_report(solved_artifact[1])["body"]["checks"][index][
+            "check_name"]
+        code, body = self.verify_edited(solved_artifact[1], tmp_path,
+                                        lambda checks: checks.pop(index))
+        assert code == 1
+        assert body["verified"] is False
+        assert body["missing"] == [name]
+        assert body["unexpected"] == []
+
+    def test_duplicated_record_is_unexpected(self, solved_artifact, tmp_path):
+        code, body = self.verify_edited(
+            solved_artifact[1], tmp_path,
+            lambda checks: checks.insert(3, dict(checks[3])))
+        assert code == 1
+        assert body["verified"] is False
+        assert body["unexpected"] == ["fourier_formula"]
+        assert body["missing"] == []
+        # the table's rows are there once each, with a zero difference
+        assert len(body["rows"]) == 13
+        assert body["max_difference"] == 0.0
+
+    @pytest.mark.parametrize("check_name, key, value", [
+        ("fourier_formula", "m", True),
+        ("fourier_formula", "m", None),
+        ("coefficient_bound_sweep", "m_max", "64"),
+        ("coefficient_bound_sweep", "m_max", 64.0),
+        ("coefficient_bound_sweep", "m_max", 64.7),
+        ("coefficient_bound_sweep", "m_max", 10 ** 15),
+        ("coefficient_bound_sweep", "m_max", -1),
+        ("coefficient_bound_sweep", "m_max", None),
+    ])
+    def test_unpaired_record(self, solved_artifact, tmp_path, check_name,
+                             key, value):
+        # a record whose m or m_max is not, type for type, the table's is
+        # no entry of it, so the table's entry is missing; None deletes
+        # the field. The Fourier record edited is the one at m = 1, which
+        # true would pair with if bool were int.
+        def edit(checks):
+            record = [c for c in checks if c["check_name"] == check_name][-1]
+            if check_name == "fourier_formula":
+                record = checks[2]
+                assert record["context"]["m"] == 1
+            if value is None:
+                del record["context"][key]
+            else:
+                record["context"][key] = value
+
+        code, body = self.verify_edited(solved_artifact[1], tmp_path, edit)
+        assert code == 1
+        assert body["verified"] is False
+        assert body["unexpected"] == [check_name]
+        assert body["missing"] == [check_name]
+
+    def test_random_kernel_file_is_uncertified(self, tmp_path):
+        # seed 1's random-0 at p = 4 fails its slack gate at its family
+        # degree: verify reproduces the file and says so, and a file whose
+        # failing record is deleted, or that holds no records, fails
+        kernel, degree = {name: (k, n) for name, k, n
+                          in standard_family(1)}["random-0"]
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": degree,
+            "kernel": kernelspec.coeffs_spec(kernel.coeffs),
+            "tolerance": 1e-12})
+        solution = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", solution]) == 1
+        table = [c["check_name"]
+                 for c in load_report(solution)["body"]["checks"]]
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", solution, "--out", str(out)]) == 0
+        body = load_strict_report(out)["body"]
+        assert body["verified"] is True and body["certified"] is False
+        sweep = next(r for r in body["rows"]
+                     if r["check_name"] == "coefficient_bound_sweep")
+        assert sweep["verdict"] == "fail"
+
+        def drop_sweep(checks):
+            checks[:] = [c for c in checks
+                         if c["check_name"] != "coefficient_bound_sweep"]
+
+        for edit, missing in ((drop_sweep, ["coefficient_bound_sweep"]),
+                              (list.clear, table)):
+            code, body = self.verify_edited(solution, tmp_path, edit)
+            assert code == 1
+            assert body["verified"] is False and body["certified"] is False
+            assert body["missing"] == missing
+            assert body["unexpected"] == []
 
     def test_recomputes_certificate_over_solve_range(self, tmp_path,
                                                       monkeypatch):
@@ -448,19 +554,46 @@ class TestVerifyCommand:
         tampered = write_json(tmp_path / "tampered.json", payload)
         assert cli.main(["verify", tampered]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_recomputation_is_strict_json(self, solved_artifact,
                                                       tmp_path):
-        # F with a 1e300 coefficient overflows every recomputed residual
+        # F with a 1e300 or 1e308 coefficient overflows every recomputed
+        # residual, with no warning on the way
         _, solution = solved_artifact
+        for value in (1e300, 1e308):
+            payload = load_report(solution)
+            payload["body"]["solution"]["coefficients"][0] = [value, 0.0]
+            tampered = write_json(tmp_path / "tampered.json", payload)
+            out = tmp_path / "verify.json"
+            assert cli.main(["verify", tampered, "--out", str(out)]) == 1
+            body = load_strict_report(out)["body"]
+            assert body["verified"] is False
+            assert body["certified"] is False
+            assert body["max_difference"] is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_phi_norm_is_reported(self, tmp_path, capsys):
+        # ||phi|| = 1e308 divides the kernel by 2^1024 before the Ryabykh
+        # ratio, whose right side underflows to 0: the bound fails with an
+        # infinite residual, and verify writes its report
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": 8,
+            "kernel": {"type": "coeffs",
+                       "values": [[1.0, 0.0], [0.5, 0.25]]}})
+        solution = tmp_path / "s.json"
+        cli.main(["solve", "--config", config, "--out", str(solution)])
         payload = load_report(solution)
-        payload["body"]["solution"]["coefficients"][0] = [1e300, 0.0]
+        payload["body"]["solution"]["phi_norm"] = 1e308
         tampered = write_json(tmp_path / "tampered.json", payload)
         out = tmp_path / "verify.json"
+        capsys.readouterr()
         assert cli.main(["verify", tampered, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
         body = load_strict_report(out)["body"]
-        assert body["verified"] is False
-        assert body["max_difference"] is None
+        assert body["verified"] is False and body["certified"] is False
+        ryabykh = body["rows"][-1]
+        assert ryabykh["check_name"] == "ryabykh_bound"
+        assert ryabykh["recomputed"] is None and ryabykh["verdict"] == "fail"
 
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "absent.json")]) == 3
@@ -477,11 +610,6 @@ class TestVerifyCommand:
         ("coefficients", "solution", [[0.0, 0.0], [True, False]]),
         ("phi_norm", "solution", "1.0"),
         ("residual", "norm_equality", "0.0"),
-        ("m", "fourier_formula", True),
-        ("m_max", "coefficient_bound_sweep", "64"),
-        ("m_max", "coefficient_bound_sweep", 64.7),
-        ("m_max", "coefficient_bound_sweep", 10 ** 15),
-        ("m_max", "coefficient_bound_sweep", -1),
         ("check_name", "norm_equality", 5),
         ("check_name", "norm_equality", None),
         ("checks", "body", [["norm_equality", 0.0, {}]]),
@@ -494,9 +622,10 @@ class TestVerifyCommand:
     def test_malformed_recorded_field_is_invalid_input(
             self, solved_artifact, tmp_path, capsys, field, where, value):
         # every field is read by the config rule, in the range solve
-        # records, with no coercion: 'where' is the body, a body section
-        # or the name of the check record that holds the field (in the
-        # record itself, or else in its context)
+        # records, with no coercion (a check record's m and m_max pair it
+        # with the table, test_unpaired_record): 'where' is the body, a
+        # body section or the name of the check record that holds the
+        # field (in the record itself, or else in its context)
         _, solution = solved_artifact
         payload = load_report(solution)
         body = payload["body"]
@@ -513,8 +642,6 @@ class TestVerifyCommand:
         assert repr(field) in capsys.readouterr().err
 
     @pytest.mark.parametrize("check_name, key", [
-        ("fourier_formula", "m"),
-        ("coefficient_bound_sweep", "m_max"),
         ("norm_equality", "residual"),
     ])
     def test_missing_recorded_field_is_invalid_input(
@@ -797,9 +924,8 @@ class TestCheckSuiteWork:
             return original(f, m)
 
         monkeypatch.setattr(spaces, "power", counting_power)
-        records = checks.check_records(solution.degree)
-        reports = checks.check_reports(records, solution.F, solution.kernel,
-                                       solution.p, solution.phi_norm)
+        reports = checks.check_table(solution.F, solution.kernel, solution.p,
+                                     solution.phi_norm, solution.degree)
         assert len(reports) == 12
         assert 0 < len(calls) <= 3
 
@@ -810,16 +936,20 @@ class TestCheckSuiteWork:
         assert cli.run_verify(str(path), out=str(tmp_path / "v.json")) == 0
         assert 0 < len(calls) <= 3
 
-    def test_batch_equals_single_calls(self, solution):
-        m_max = 2 * solution.degree + 3  # past the spectrum's end
-        records = [{"check_name": "fourier_formula", "context": {"m": m}}
-                   for m in range(m_max + 1)]
-        batch = checks.check_reports(records, solution.F, solution.kernel,
-                                     solution.p, solution.phi_norm)
-        for m, report in enumerate(batch):
-            single = check_fourier_formula(solution.F, solution.kernel,
-                                           solution.p, solution.phi_norm, m)
-            assert report == single, m
+    def test_batch_equals_single_calls(self, solution, tmp_path):
+        # the records of a solve are the single checks' reports
+        F, k, phi = solution.F, solution.kernel, solution.phi_norm
+        p = solution.p
+        singles = [checks.check_norm_equality(F, k, p, phi),
+                   *(check_fourier_formula(F, k, p, phi, m) for m in range(9)),
+                   checks.coefficient_bound_sweep(solution),
+                   checks.check_ryabykh_bound(F, k, p)]
+        config = {"schema_version": 1, "p": p, "degree": solution.degree,
+                  "kernel": ONE_PLUS_Z, "tolerance": 1e-12}
+        out = tmp_path / "s.json"
+        cli.run_solve(config, out=str(out))  # degree 32 leaves residual_max
+        assert load_report(out)["body"]["checks"] == json.loads(json.dumps(
+            [cli._jsonable(vars(r)) for r in singles]))
 
 
 class TestGrowthStudy:
