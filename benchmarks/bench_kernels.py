@@ -96,16 +96,25 @@ standard-family kernel, median of 15 calls: ``spaces.bergman_norm_general``
 (the unit circle) at q = 4/3 and 6/5. "real" says whether the kernel's
 coefficients are real, which samples the half circle.
 
-The ``startup`` table splits start-up by layer. Each of three statements
-runs in a fresh interpreter, the three in turn, ``STARTUP_REPEATS``
-times: ``import numpy``, ``import bergex.cli``, and ``bergex verify``
+The ``startup`` table splits start-up by layer. Each of four statements
+runs in a fresh interpreter, the four in turn, ``STARTUP_REPEATS``
+times: ``import numpy``, ``import bergex.cli``, ``bergex verify``
 (``cli.main``, its import included) of the family's power-decay-3.0
-solution at p = 6, n = 128, solved once beforehand. "inside" is the
-statement's own time, taken in the interpreter; "process" is the whole
-process, interpreter start-up included. The second row less the first
-is what bergex adds to NumPy's import, and the third less the second is
-what verify and its checks cost. The Newton solve imports LAPACK on its
-first factorization, so none of the three loads SciPy.
+solution at p = 6, n = 128, solved once beforehand, and ``bergex solve``
+of the same config. "inside" is the statement's own time, taken in the
+interpreter; "process" is the whole process, interpreter start-up
+included. The second row less the first is what bergex adds to NumPy's
+import, the third less the second is what verify and its checks cost,
+and the fourth less the second what the solve costs, its first
+factorization included. The Newton solve loads SciPy's compiled LAPACK
+module, and not the ``scipy.linalg`` package, on its first
+factorization (``solver._flapack``), so only the last row loads SciPy.
+On a 2-CPU x86-64 VM (one BLAS thread, 15 repeats) the four "process"
+medians were 163, 226, 236 and 267 ms. Importing ``scipy.linalg``
+whole, as ``from scipy.linalg.lapack import dpotrf`` does, doubles the
+last: over 12 alternating pairs of fresh processes the whole-process
+solve took 0.448 s that way and 0.224 s with the module alone, and its
+peak RSS 59.1 MB against 36.7 MB.
 
 Run from the repository root:
 
@@ -123,7 +132,6 @@ import tempfile
 import time
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
@@ -132,6 +140,9 @@ from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
                            _newton_terms, solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
+# SciPy's compiled LAPACK module, loaded as the solver loads it, so that
+# the newton_step table times the routines _newton calls
+LAPACK = solver._flapack()
 NEWTON_SIZES = (96, 352, 704)
 # the newton_step table adds lowest-rung degrees of the family's ladders
 NEWTON_STEP_SIZES = (16, 24, 48) + NEWTON_SIZES
@@ -142,12 +153,16 @@ QUADRATURE_REPEATS = 15
 STARTUP_REPEATS = 15
 # Each statement runs in a fresh interpreter, which prints the seconds it
 # took; argv[1] is the directory holding the bergex package, argv[2] and
-# argv[3] the solution to verify and the report to write.
+# argv[3] the solution to verify and the report to write, argv[4] and
+# argv[5] the config to solve and the solution to write.
 STARTUP_PROBES = (
     ("import numpy", "import numpy"),
     ("import bergex.cli", "import bergex.cli"),
     ("bergex verify", "from bergex import cli; "
                       "cli.main(['verify', sys.argv[2], '--out', sys.argv[3]])"),
+    ("bergex solve", "from bergex import cli; "
+                     "cli.main(['solve', '--config', sys.argv[4], "
+                     "'--out', sys.argv[5]])"),
 )
 
 
@@ -224,12 +239,13 @@ def newton_step(a, p):
     Returns ``dpotrf``'s factor and info, 0 when the factorization
     succeeded."""
     wu, v = _newton_terms(a, p)[2:]
-    return dpotrf(_hessian(a, p, wu, v), lower=1, overwrite_a=1, clean=0)
+    return LAPACK.dpotrf(_hessian(a, p, wu, v), lower=1, overwrite_a=1,
+                         clean=0)
 
 
 def final_step(a, p, factor):
     """The converged iteration's: Newton terms, then a step with ``factor``."""
-    dpotrs(factor, _newton_terms(a, p)[1], lower=1)
+    LAPACK.dpotrs(factor, _newton_terms(a, p)[1], lower=1)
 
 
 def bench_newton_step(sizes, repeats):
@@ -428,7 +444,8 @@ def bench_startup(repeats):
                        "kernel": {"type": "power_decay", "alpha": 3.0,
                                   "count": 64}}, fh)
         cli.main(["solve", "--config", config, "--out", solution])
-        argv = [package_dir, solution, os.path.join(workdir, "verify.json")]
+        argv = [package_dir, solution, os.path.join(workdir, "verify.json"),
+                config, os.path.join(workdir, "resolved.json")]
         for _ in range(repeats):
             for (_, statement), (inside, process) in zip(STARTUP_PROBES,
                                                           times):

@@ -90,7 +90,11 @@ which is what ``extremality_residual`` certifies and what
 ``kernel_from_extremal`` inverts.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -383,6 +387,44 @@ def _hessian(a, p, wu, v):
     return H
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """SciPy's compiled LAPACK module, without the ``scipy.linalg`` package.
+
+    ``_newton`` needs two of its routines, ``dpotrf`` and ``dpotrs``, but
+    importing ``scipy.linalg`` takes about half of a whole-process
+    ``bergex solve`` and pulls in SciPy's array-API layer and
+    ``numpy.f2py``. So only the top-level ``scipy`` package is imported,
+    whose ``__init__`` is lazy and sets up the wheel's library path, and
+    the f2py extension ``scipy/linalg/_flapack`` is loaded from its file.
+    It is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` reuses it, and ``scipy.linalg.lapack``
+    re-exports these same routine objects; when ``scipy.linalg`` came
+    first, its module is returned.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(
+            f"no compiled LAPACK module _flapack in {directory} "
+            f"(SciPy {scipy.__version__})")
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
 def _newton(c_hat, p, a, tolerance, max_iterations):
     """Damped Newton on J(f) = ||f||_{A^p}^p / p - Re phi_hat(f).
 
@@ -408,9 +450,9 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     trace entry is the iteration that met the tolerance; otherwise the
     coefficients are the last iterate.
     """
-    # imported here, its only user: scipy.linalg is slow to import, and
-    # bergex verify and the checks never factor
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    # loaded here, its only user: bergex verify and the checks never factor
+    lapack = _flapack()
+    dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
     s, n1 = p // 2, len(c_hat)
     cw = c_hat / (np.arange(n1) + 1.0)
@@ -458,7 +500,7 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         if not converged or factor is None:
             # LAPACK directly: scipy.linalg's cho_factor and cho_solve
             # call these same routines behind a per-call batching layer.
-            # Iteration 0 always factors, so the import at the top of this
+            # Iteration 0 always factors, so the load at the top of this
             # function comes just before a process's first factorization.
             # The lower triangle, the one _hessian builds, is factored in
             # place and the strict upper triangle is never read.

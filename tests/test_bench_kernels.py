@@ -8,6 +8,7 @@ smallest size, so a rename that breaks the script fails here.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 
 from bergex import _backend, solver
 
-BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = str(ROOT / "benchmarks")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,9 @@ def test_every_table_runs(bench_kernels, capsys):
     for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
                   "ladder:", "emit:", "study:", "quadrature:", "startup:"):
         assert table in out
+    for row in ("import numpy", "import bergex.cli", "bergex verify",
+                "bergex solve"):
+        assert row in out.split("startup:")[1]
     # under conv, xcorr and the power table's p = 4 and p = 6
     assert out.count("crossover, fft ahead: complex from ") == 4
 
@@ -70,3 +75,15 @@ def test_newton_step_factors_the_hessian(bench_kernels, n, p):
         factor, info = bench_kernels.newton_step(coeffs, p)
         assert info == 0
         assert np.all(np.isfinite(np.tril(factor)))
+
+
+def test_newton_step_times_the_solvers_routines(bench_kernels):
+    # the script takes dpotrf and dpotrs from the module the solver loads
+    # them from, and loads no scipy.linalg package around it
+    assert bench_kernels.LAPACK is solver._flapack()
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import bench_kernels; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, BENCHMARKS,
+                          str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -8,6 +8,7 @@ headers carry a generation timestamp.
 
 import csv
 import errno
+import importlib.machinery
 import json
 import math
 import os
@@ -1619,8 +1620,10 @@ def test_import_leaves_slow_scipy_modules_unloaded():
 
 def test_only_the_solve_loads_scipy(tmp_path):
     # bergex verify and its checks factor nothing, so they load no SciPy;
-    # bergex solve loads LAPACK on its first factorization, and the
-    # quadrature oracle of oracle-compare needs no scipy.optimize
+    # bergex solve loads SciPy's compiled LAPACK module on its first
+    # factorization and not the scipy.linalg package, with its array-API
+    # layer, around it; the quadrature oracle of oracle-compare needs no
+    # scipy.optimize
     config = write_json(tmp_path / "c.json", {
         "schema_version": 1, "p": 4, "degree": 16, "kernel": MONOMIAL_Z})
     solution = str(tmp_path / "s.json")
@@ -1632,13 +1635,61 @@ def test_only_the_solve_loads_scipy(tmp_path):
             "sys.argv[4]]) == 0; "
             "assert cli.main(['oracle-compare', '--config', sys.argv[3], "
             "'--out', sys.argv[5]]) == 0; "
-            "print([m in sys.modules for m in ('scipy.linalg.lapack', "
+            "print([m in sys.modules for m in ('scipy.linalg._flapack', "
+            "'scipy.linalg', 'scipy.linalg.lapack', 'scipy._lib._array_api', "
             "'scipy.optimize')])")
     out = run_fresh(code, solution, str(tmp_path / "v.json"), config,
                     str(tmp_path / "s2.json"),
                     str(tmp_path / "o.json")).split("\n")
     assert out[0] == "[]"
-    assert out[1] == "[True, False]"
+    assert out[1] == "[True, False, False, False, False]"
+
+
+# the module objects named scipy.linalg._flapack in the process
+FLAPACK_MODULES = ("[m for m in gc.get_objects() if isinstance(m, "
+                   "types.ModuleType) and m.__name__ == "
+                   "'scipy.linalg._flapack']")
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True])
+def test_one_lapack_module_in_either_import_order(tmp_path,
+                                                  scipy_linalg_first):
+    # whichever of bergex solve and scipy.linalg loads LAPACK first, the
+    # other takes the same module, so scipy.linalg.lapack's routines are
+    # the ones the solver calls, and scipy.linalg still works
+    config = write_json(tmp_path / "c.json", {
+        "schema_version": 1, "p": 4, "degree": 16, "kernel": MONOMIAL_Z})
+    solve = ("assert cli.main(['solve', '--config', sys.argv[1], '--out', "
+             "sys.argv[2]]) == 0; ")
+    linalg = "import scipy.linalg, scipy.linalg.lapack; "
+    code = ("import gc, sys, types; import numpy as np; "
+            "from bergex import cli, solver; "
+            + (linalg + solve if scipy_linalg_first else solve + linalg)
+            + "from scipy.linalg import cho_factor, cho_solve, lapack; "
+            "A, b = np.array([[4.0, 2.0], [2.0, 3.0]]), np.array([2.0, 1.0]); "
+            "print(lapack.dpotrf is solver._flapack().dpotrf, "
+            "lapack.dpotrs is solver._flapack().dpotrs, "
+            "lapack._flapack is sys.modules['scipy.linalg._flapack'], "
+            f"len({FLAPACK_MODULES}), "
+            "np.allclose(cho_solve(cho_factor(A), b), np.linalg.solve(A, b)))")
+    out = run_fresh(code, config, str(tmp_path / "s.json"))
+    assert out.strip() == "True True True 1 True"
+
+
+def test_missing_lapack_extension_names_the_directory(monkeypatch):
+    # with no _flapack file among the extension suffixes the solve raises
+    # ImportError naming the directory it searched and SciPy's version
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".absent"])
+    with pytest.raises(ImportError) as raised:
+        solve_extremal(ExtremalProblem(p=4, kernel=as_poly([1.0, 0.5]),
+                                       degree=8))
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    assert directory in str(raised.value)
+    assert f"SciPy {scipy.__version__}" in str(raised.value)
 
 
 def test_solve_and_verify_leave_disc_quadrature_alone(tmp_path, monkeypatch):

@@ -1,15 +1,17 @@
 """Tests for the extremal solver, its certificate, and the kernel inverse."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_factor, cho_solve
 
 from bergex import _backend, poly, solver
+from bergex.checks import check_table
 from bergex.families import power_decay_kernel, standard_family
 from bergex.kernelspec import MAX_EXPONENT
 from bergex.poly import AnalyticPoly, as_poly, monomial, taylor_truncate
@@ -124,6 +126,32 @@ class TestProblemValidation:
         assert Path(record[0].filename).resolve() == Path(__file__).resolve()
 
 
+def linear_threshold(p):
+    """|c_1| below which the extremal of 1 + c_1 z is a root of a linear G."""
+    return 2 * p / (3 * p - 2)
+
+
+def linear_extremal(p, c1):
+    """(g_0, g_1, N) for the kernel k = 1 + c_1 z at even p.
+
+    With s = p/2, suppose F = G^{1/s} / N for G = g_0 + g_1 z, g_0 > 0,
+    zero-free in the closed disc, and N = (g_0^2 + |g_1|^2/2)^{1/p}, so
+    that ||F||_p^p = ||G||_2^2 / N^p = 1. Then F^{s-1} conj(F)^s pairs
+    with 1 and z through the first two Taylor coefficients of
+    G^{(s-1)/s} alone, and the extremality conditions for j = 0, 1 give
+    g_1 = c_1 g_0^{-(s-1)/s} and, for Y = g_0^{(2s-1)/s},
+    Y^2 - Y + ((s-1)/(2s)) |c_1|^2 = 0, whose larger root is taken.
+    ||phi|| = N^{p-1}. G is zero-free in the closed disc, |g_1| < g_0,
+    exactly when |c_1| < ``linear_threshold(p)``; at p = 2 the formula is
+    the normalized kernel at every c_1.
+    """
+    s = p // 2
+    y = (1.0 + math.sqrt(1.0 - 2.0 * (s - 1) * abs(c1) ** 2 / s)) / 2.0
+    g0 = y ** (s / (2 * s - 1))
+    g1 = c1 * g0 ** (-(s - 1) / s)
+    return g0, g1, (g0 ** 2 + abs(g1) ** 2 / 2) ** (1.0 / p)
+
+
 class TestClosedForms:
     def test_p2_closed_form(self):
         rng = np.random.default_rng(11)
@@ -151,6 +179,39 @@ class TestClosedForms:
         expected = np.zeros(2)
         expected[1] = 3.0 ** 0.25
         np.testing.assert_allclose(sol.F.padded(2), expected, atol=1e-8)
+
+    @given(st.sampled_from([2, 4, 6, 8, 16]), st.floats(0.0, 0.9),
+           st.floats(0.0, 2 * np.pi))
+    # just below and just above the threshold 4/5 at p = 4
+    @example(4, 0.76 / 0.8, 0.0)
+    @example(4, 0.82 / 0.8, 0.0)
+    @settings(max_examples=25, deadline=None)
+    def test_linear_kernel(self, p, fraction, theta):
+        # below the threshold, at a degree n past which F's Taylor
+        # coefficients, of order (|g_1|/g_0)^n, are below the float floor,
+        # the solve of 1 + c_1 z is the closed form; above it G would
+        # vanish in the closed disc and the closed form is not the answer
+        r = fraction * linear_threshold(p)
+        c1 = r * np.exp(1j * theta) if theta else r
+        g0, g1, N = linear_extremal(p, c1)
+        rho = abs(g1) / g0
+        assert (r < linear_threshold(p)) == (rho < 1)
+        n = next((n for n in range(1, 1025) if rho ** n < 1e-17), 1024)
+        sol = solve_extremal(ExtremalProblem(
+            p=p, kernel=as_poly([1.0, c1]), degree=n, tolerance=1e-12))
+        gap = sol.phi_norm / N ** (p - 1) - 1
+        if rho >= 1:
+            assert abs(gap) > 1e-9
+            return
+        assert abs(gap) <= 1e-14
+        # the binomial series of (g_0 + g_1 z)^{2/p}, over N
+        j = np.arange(1, n + 1)
+        binomial = np.concatenate([[1.0], np.cumprod((2 / p - j + 1) / j)])
+        series = g0 ** (2 / p) * binomial * (g1 / g0) ** np.arange(n + 1)
+        np.testing.assert_allclose(sol.F.padded(n + 1), series / N, rtol=0,
+                                   atol=1e-13)
+        reports = check_table(sol.F, sol.kernel, p, sol.phi_norm, n)
+        assert all(report.passed for report in reports)
 
 
 @pytest.fixture(scope="module")
@@ -822,6 +883,7 @@ class TestFinalStep:
         # resolution; the reference takes that step with a Hessian built
         # there.
         seen = {}
+        lapack = solver._flapack()
         terms, solve = solver._newton_terms, lapack.dpotrs
 
         def recording_terms(a, *args):
