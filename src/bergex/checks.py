@@ -43,7 +43,7 @@ import numpy as np
 from ._backend import xcorr
 from .families import power_decay_kernel
 from .poly import AnalyticPoly, rescaled
-from .solver import ExtremalProblem, solve_extremal, solve_ladder
+from .solver import solve_ladder
 from .spaces import (
     _angular_count,
     abs_power_spectrum,
@@ -367,9 +367,9 @@ def growth_study(family, p, q1_list):
             raise ValueError(f"q1 = {q1} below the conjugate exponent {q}")
     rows = []
     for kernel_id, kernel, degree in family:
-        solution = solve_extremal(ExtremalProblem(
-            p=p, kernel=kernel, degree=degree, tolerance=STUDY_TOLERANCE,
-        ))
+        # S_n k on purpose: the ladder, unlike solve_extremal, warns of no
+        # truncation
+        solution = next(solve_ladder(p, kernel, [degree], STUDY_TOLERANCE))
         # The ratio is homogeneous of degree 0 in k, so both kernel norms
         # are taken of the ``rescaled`` kernel, where |c_t|^q neither
         # overflows nor underflows, and the columns are restored by ldexp.

@@ -1,8 +1,8 @@
 """Command-line driver: solve, verify, studies, oracle comparison.
 
 Reports separate a header (timestamps, tool version) from a body
-(everything computed), and the body is deterministic: identical config
-and seed produce byte-identical bodies at one BLAS thread count. Every
+(everything computed), and the body is deterministic: identical configs
+produce byte-identical bodies at one BLAS thread count. Every
 JSON report, a solution included, is one line with sorted keys and
 floats at full precision, written by json's C encoder;
 ``python3 -m json.tool solution.json`` pretty-prints it. Studies emit
@@ -45,7 +45,6 @@ from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
 from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_CERTIFICATE_TOL,
-    DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     ExtremalProblem,
     NonConvergenceError,
@@ -53,6 +52,7 @@ from .solver import (
     certificate_degree,
     extremality_residual,
     solve_extremal,
+    solve_ladder,
 )
 from .spaces import abs_power_spectrum
 
@@ -65,6 +65,8 @@ SCHEMA_VERSION = 1
 # the largest coefficient gap at which oracle-compare calls the quadrature
 # oracle and the solver in agreement
 ORACLE_TOLERANCE = 1e-6
+# the degree at which oracle-compare solves, within the oracle's reach
+ORACLE_DEGREE = 3
 
 
 def _load_config(path):
@@ -100,27 +102,20 @@ def _degrees(config, default=_REQUIRED):
         default)
 
 
-def _seed(config):
-    """The config field 'seed', an integer >= 0 that reports record in
-    their header."""
-    return _field(config, "seed", int, lambda v: v >= 0, "seed must be >= 0",
-                  None)
-
-
-def _validate_common(config):
-    p = _field(config, "p", int,
-               lambda v: 2 <= v <= kernelspec.MAX_EXPONENT and v % 2 == 0,
-               f"p must be an even integer in 2..{kernelspec.MAX_EXPONENT}")
-    tolerance = _field(config, "tolerance", float, _positive_finite,
-                       "tolerance must be positive and finite",
-                       DEFAULT_TOLERANCE)
-    return p, tolerance
+def _exponent(config):
+    """The config field 'p', an even integer in 2..MAX_EXPONENT."""
+    return _field(config, "p", int,
+                  lambda v: 2 <= v <= kernelspec.MAX_EXPONENT and v % 2 == 0,
+                  f"p must be an even integer in 2..{kernelspec.MAX_EXPONENT}")
 
 
 def _problem(config):
     """(p, tolerance, degree, kernel spec) of a solve config, or of the
     problem a solution file records."""
-    p, tolerance = _validate_common(config)
+    p = _exponent(config)
+    tolerance = _field(config, "tolerance", float, _positive_finite,
+                       "tolerance must be positive and finite",
+                       DEFAULT_TOLERANCE)
     degree = _field(config, "degree", int,
                     lambda v: 1 <= v <= kernelspec.MAX_DEGREE,
                     f"degree must be in 1..{kernelspec.MAX_DEGREE}")
@@ -128,13 +123,15 @@ def _problem(config):
         _field(config, "kernel", dict))
 
 
-def _study_exponent(config):
-    """The study field 'p'. Studies solve at STUDY_TOLERANCE, so a
-    'tolerance' field, which they would ignore, is refused."""
+def _fixed_tolerance_exponent(config):
+    """The field 'p' of a study or oracle-compare config. These commands
+    solve at STUDY_TOLERANCE, so a 'tolerance' field, which they would
+    ignore, is refused."""
     if "tolerance" in config:
         raise ConfigError(f"config field 'tolerance' does not apply to "
-                          f"studies, which solve at {STUDY_TOLERANCE:g}")
-    return _validate_common(config)[0]
+                          f"studies or oracle-compare, which solve at "
+                          f"{STUDY_TOLERANCE:g}")
+    return _exponent(config)
 
 
 def _jsonable(value):
@@ -247,21 +244,14 @@ def _solution_body(spec, tolerance, solution, reports):
 def run_solve(config, out=None):
     p, tolerance, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
-    max_iterations = _field(config, "max_iterations", int, lambda v: v >= 1,
-                            "max_iterations must be >= 1",
-                            DEFAULT_MAX_ITERATIONS)
-    seed = _seed(config)
-    problem = ExtremalProblem(
-        p=p, kernel=kernel, degree=degree, tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-    solution = solve_extremal(problem)
+    solution = solve_extremal(ExtremalProblem(
+        p=p, kernel=kernel, degree=degree, tolerance=tolerance))
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
     reports = check_table(solution.F, kernel, p, solution.phi_norm, degree)
     body = _solution_body(spec, tolerance, solution, reports)
-    _emit_json(_header(seed), body, out)
+    _emit_json(_header(), body, out)
     passed = _certified(solution.residual_max, reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -355,7 +345,7 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
-    p = _study_exponent(config)
+    p = _fixed_tolerance_exponent(config)
     q = p / (p - 1.0)
     q1_list = _field(config, "q1_list", list, lambda v: v and all(
         _finite_number(q1) and (p - 1) * q1 <= kernelspec.MAX_EXPONENT
@@ -363,7 +353,8 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
         f"q1_list must be a non-empty list of finite numbers q1 with "
         f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}", [q, 2.0, 4.0])
     if seed is None:
-        seed = _seed(config)
+        seed = _field(config, "seed", int, lambda v: v >= 0,
+                      "seed must be >= 0", None)
     family, seed = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
     # np.max, unlike max(), keeps a NaN ratio
@@ -399,46 +390,42 @@ def _study_family(config, seed):
 
 
 def run_convergence_study(config, out=None, fmt="csv"):
-    p = _study_exponent(config)
+    p = _fixed_tolerance_exponent(config)
     degrees = _degrees(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
-    seed = _seed(config)
     rows = convergence_study(kernel, p, degrees)
-    _emit_study(_header(seed), [{"degree": n, "distance": d} for n, d in rows],
+    _emit_study(_header(), [{"degree": n, "distance": d} for n, d in rows],
                 out, fmt)
     return EXIT_OK
 
 
 def run_hinfty_study(config, out=None, fmt="csv"):
-    p = _study_exponent(config)
+    p = _fixed_tolerance_exponent(config)
     alpha = _field(config, "alpha", float, _positive_finite,
                    "alpha must be positive and finite")
     degrees = _degrees(config, [16, 32, 64])
-    seed = _seed(config)
     report = check_hinfty_criterion(alpha, p, degrees)
     sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
     rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
             for n in sorted(sups)]
-    _emit_study(_header(seed), rows, out, fmt,
+    _emit_study(_header(), rows, out, fmt,
                 relative_growth=report.residual, verdict=report.verdict)
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
 
 
 def run_oracle_compare(config, out=None):
-    p, tolerance = _validate_common(config)
+    """The quadrature oracle against the solver, both on S_3 k over P_3,
+    a truncation made on purpose: so the solve is ``solve_ladder``'s,
+    which gives no truncation warning."""
+    p = _fixed_tolerance_exponent(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
-    degree = _field(config, "oracle_degree", int, lambda v: v in (2, 3),
-                    "oracle_degree must be 2 or 3", 3)
-    seed = _seed(config)
-    oracle_F = brute_force_oracle(kernel, p, degree=degree)
-    problem = ExtremalProblem(p=p, kernel=kernel, degree=degree,
-                              tolerance=min(tolerance, 1e-12))
-    solution = solve_extremal(problem)
-    gap = float(np.max(np.abs(
-        oracle_F.padded(degree + 1) - solution.F.padded(degree + 1))))
+    oracle_F = brute_force_oracle(kernel, p, degree=ORACLE_DEGREE)
+    solution = next(solve_ladder(p, kernel, [ORACLE_DEGREE], STUDY_TOLERANCE))
+    gap = float(np.max(np.abs(oracle_F.padded(ORACLE_DEGREE + 1)
+                              - solution.F.padded(ORACLE_DEGREE + 1))))
     agree = gap <= ORACLE_TOLERANCE
     body = {
         "oracle_coefficients": _json_coefficients(oracle_F.coeffs),
@@ -446,7 +433,7 @@ def run_oracle_compare(config, out=None):
         "max_coefficient_gap": gap,
         "agree": agree,
     }
-    _emit_json(_header(seed), _jsonable(body), out)
+    _emit_json(_header(), _jsonable(body), out)
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 

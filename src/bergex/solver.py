@@ -51,10 +51,10 @@ a study's degrees on one ladder, whose rung m solves S_m k over P_m. The
 lowest rung starts from the normalized truncated kernel, which is
 already optimal for p = 2; each higher rung starts from the iterate of
 the rung below, zero-padded. Every start is scaled to the minimum of J
-on its ray. Each rung is the same Newton solve (``_newton``) with the
-problem's iteration budget, in real coordinates whenever its truncated
-kernel is float64. A requested degree then typically needs one or two
-iterations instead of the whole damped phase at full size; only the
+on its ray. Each rung is the same Newton solve (``_newton``), with at
+most DEFAULT_MAX_ITERATIONS iterations, in real coordinates whenever its
+truncated kernel is float64. A requested degree then typically needs one
+or two iterations instead of the whole damped phase at full size; only the
 requested degrees can fail, are certified, and report their iterations
 and trace.
 
@@ -123,13 +123,12 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExtremalProblem:
-    """One solve: exponent p, kernel k, working degree n, and tolerances."""
+    """One solve: exponent p, kernel k, working degree n, and tolerance."""
 
     p: int
     kernel: AnalyticPoly
     degree: int
     tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         if not 2 <= self.p <= MAX_EXPONENT or self.p % 2 != 0:
@@ -141,8 +140,6 @@ class ExtremalProblem:
             raise ValueError("degree must be nonnegative")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if taylor_truncate(self.kernel, self.degree).is_zero():
             raise ValueError(
                 "kernel vanishes on the working space P_n; raise the degree"
@@ -425,7 +422,7 @@ def _flapack():
     return module
 
 
-def _newton(c_hat, p, a, tolerance, max_iterations):
+def _newton(c_hat, p, a, tolerance):
     """Damped Newton on J(f) = ||f||_{A^p}^p / p - Re phi_hat(f).
 
     ``c_hat`` is the kernel scaled so that Re phi_hat(c_hat) = 1, and ``a``
@@ -448,7 +445,10 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     Returns the coefficients, the trace of (iteration, J, gradient norm)
     floats and a failure message: None on convergence, when the last
     trace entry is the iteration that met the tolerance; otherwise the
-    coefficients are the last iterate.
+    coefficients are the last iterate. The budget is
+    DEFAULT_MAX_ITERATIONS iterations: on the standard family and the
+    random kernels of seeds 1-40, at p = 4..32 and tolerance 1e-12, no
+    rung took more than 25.
     """
     # loaded here, its only user: bergex verify and the checks never factor
     lapack = _flapack()
@@ -482,7 +482,7 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
     trace = []
     gnorm = best_value = best_gnorm = np.inf
     factor = None
-    for it in range(max_iterations):
+    for it in range(DEFAULT_MAX_ITERATIONS):
         value, grad, wu, v = _newton_terms(coeffs(x), p, evaluated)
         value, grad = value / p - b @ x, grad / p - b
         gnorm = float(np.linalg.norm(grad))
@@ -540,7 +540,7 @@ def _newton(c_hat, p, a, tolerance, max_iterations):
         if converged:
             return coeffs(x), tuple(trace), None
     return coeffs(x), tuple(trace), (
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {DEFAULT_MAX_ITERATIONS} iterations "
         f"(last gradient norm {gnorm:.3e})")
 
 
@@ -552,15 +552,14 @@ def _rungs(n):
     return rungs
 
 
-def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
-                 max_iterations=DEFAULT_MAX_ITERATIONS):
+def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE):
     """One degree ladder through ``degrees`` (see the module docstring).
 
     Yields, once per distinct degree d in ascending order, the certified
-    ``ExtremalSolution`` of ``ExtremalProblem(p, kernel, d, tolerance,
-    max_iterations)``. For each d the ladder appends the rungs of
-    ``_rungs(d)`` above its last rung, skipping those on which the
-    truncated kernel vanishes. A requested degree solves to ``tolerance``.
+    ``ExtremalSolution`` of ``ExtremalProblem(p, kernel, d, tolerance)``.
+    For each d the ladder appends the rungs of ``_rungs(d)`` above its last
+    rung, skipping those on which the truncated kernel vanishes. A
+    requested degree solves to ``tolerance``.
     A rung that is not requested solves to ``max(tolerance,
     sqrt(tolerance))``, its chord final step included (see the module
     docstring), and passes its last iterate up, even one that failed; a
@@ -568,12 +567,14 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
     own trace, and one on which the truncated kernel vanishes raises
     ``ExtremalProblem``'s ValueError. The lowest rung starts from the
     normalized truncated kernel, every higher one from the iterate of the
-    rung below.
+    rung below. The problem it validates is that of S_d k, so unlike
+    ``solve_extremal`` it gives no warning for a degree below the
+    kernel's: the studies and oracle-compare truncate on purpose.
     """
     degrees = sorted(set(degrees))
     # S_d k contains S_m k for m <= d: checking the lowest degree checks all
     ExtremalProblem(p, taylor_truncate(kernel, degrees[0]), degrees[0],
-                    tolerance, max_iterations)
+                    tolerance)
     rungs = []
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
@@ -592,8 +593,7 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE,
         requested = m in degrees
         rung_tolerance = (tolerance if requested
                           else max(tolerance, math.sqrt(tolerance)))
-        a, trace, failure = _newton(c_hat, p, a, rung_tolerance,
-                                    max_iterations)
+        a, trace, failure = _newton(c_hat, p, a, rung_tolerance)
         if not requested:
             continue
         if failure is not None:
@@ -620,8 +620,8 @@ def solve_extremal(problem):
     step, with the Cholesky factor of the step before it, is applied
     before returning and puts the gradient at its float floor. Raises
     ``NonConvergenceError`` (trace of J values attached) if the tolerance
-    is not met within ``max_iterations``, or if the line search or the
-    gradient stalls (at its float floor) before it.
+    is not met within DEFAULT_MAX_ITERATIONS Newton iterations, or if the
+    line search or the gradient stalls (at its float floor) before it.
 
     This is ``solve_ladder`` at the one degree n, which climbs
     ``_rungs(n)`` from the normalized kernel; ``iterations`` and ``trace``
@@ -632,7 +632,7 @@ def solve_extremal(problem):
     solved in x = (Re a, Im a).
     """
     return next(solve_ladder(problem.p, problem.kernel, [problem.degree],
-                             problem.tolerance, problem.max_iterations))
+                             problem.tolerance))
 
 
 def brute_force_oracle(k, p, degree=3):

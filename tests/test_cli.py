@@ -75,6 +75,17 @@ def read_csv_report(path):
     return header, rows, trailer
 
 
+def report_without_timestamp(path):
+    """A JSON or CSV report, less the header's generation timestamp."""
+    text = Path(path).read_text(encoding="utf-8")
+    if text.startswith("{"):
+        report = json.loads(text)
+        del report["header"]["generated_at"]
+        return report
+    return [line for line in text.splitlines()
+            if not line.startswith("# generated_at: ")]
+
+
 def body_text(path):
     """Canonical serialization of the body, for determinism comparisons."""
     return json.dumps(load_report(path)["body"], sort_keys=True)
@@ -235,6 +246,8 @@ class TestSolveCommand:
         assert records[10]["context"]["m_max"] == 32
 
     def test_seed_recorded_in_header(self, tmp_path):
+        # a solve draws nothing at random: its header records seed null,
+        # and a config's 'seed' is a key nothing reads
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
             "p": 4,
@@ -243,8 +256,21 @@ class TestSolveCommand:
             "seed": 5,
         })
         out = str(tmp_path / "s.json")
-        cli.main(["solve", "--config", config, "--out", out])
-        assert load_report(out)["header"]["seed"] == 5
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        assert load_report(out)["header"]["seed"] is None
+
+    def test_iteration_budget_field_ignored(self, tmp_path):
+        # the Newton budget is solver.DEFAULT_MAX_ITERATIONS, not an input:
+        # a config's 'max_iterations' changes neither exit code nor body
+        bodies = []
+        for extra in ({}, {"max_iterations": 1}):
+            config = write_json(tmp_path / "c.json", {
+                "schema_version": 1, "p": 4, "degree": 128,
+                "kernel": POWER_DECAY_3, **extra})
+            out = str(tmp_path / "s.json")
+            assert cli.main(["solve", "--config", config, "--out", out]) == 0
+            bodies.append(body_text(out))
+        assert bodies[0] == bodies[1]
 
     def test_stdout_when_no_out_path(self, tmp_path, capsys):
         config = write_json(tmp_path / "c.json", {
@@ -770,19 +796,19 @@ class TestExitCodes:
         assert "nested too deeply" in capsys.readouterr().err
 
     def test_nonconvergence_exits_two(self, tmp_path, capsys):
-        code = self.run_solve(tmp_path, {
-            "tolerance": 1e-13,
-            "max_iterations": 2,
-        })
+        # no step moves a gradient at its float floor down to 1e-30
+        code = self.run_solve(tmp_path, {"tolerance": 1e-30})
         assert code == 2
         err = capsys.readouterr().err
         assert "did not converge" in err
         assert "iteration" in err
 
     def test_nonconvergence_trace_prints_python_floats(self, tmp_path,
-                                                       capsys):
-        # the trace holds floats, so their repr carries no numpy type name
-        code = self.run_solve(tmp_path, {"degree": 64, "max_iterations": 1})
+                                                       capsys, monkeypatch):
+        # the trace holds floats, so their repr carries no numpy type name;
+        # a budget of one Newton iteration stops degree 64 at iteration 0
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 1)
+        code = self.run_solve(tmp_path, {"degree": 64})
         assert code == 2
         err = capsys.readouterr().err
         assert "iteration 0: objective -" in err
@@ -805,10 +831,14 @@ FIELD_CASES = {
 }
 
 INTEGER_FIELDS = [
-    ("solve", "degree"), ("solve", "max_iterations"),
-    ("growth", "max_study_degree"),
+    ("solve", "degree"), ("growth", "max_study_degree"),
     ("growth-explicit", "degree"), ("growth", "seed"),
-    ("oracle", "oracle_degree"), ("oracle", "seed"), ("solve", "seed"),
+]
+# integer fields that configs no longer read: keys nothing reads, which
+# change neither the exit code nor the report
+IGNORED_FIELDS = [
+    ("solve", "max_iterations"), ("solve", "seed"),
+    ("oracle", "oracle_degree"), ("oracle", "seed"),
     ("convergence", "seed"), ("hinfty", "seed"),
 ]
 NOT_INTEGERS = [math.inf, True, False, 8.0, "8", [8], {"n": 8}, None, -1]
@@ -824,24 +854,33 @@ class TestConfigFieldTypes:
     """Every numeric config field is a JSON number of its kind, in range.
 
     A wrong value exits 3 before any solve, with a message naming the
-    field, instead of a traceback or a silent coercion.
+    field, instead of a traceback or a silent coercion. A field that no
+    command reads is ignored, whatever its value.
     """
 
     def run(self, tmp_path, capsys, case, field, value, element=False):
         argv, base = FIELD_CASES[case]
         config = dict(base, schema_version=1)
-        config[field] = [8, value] if element else value
+        if field is not None:
+            config[field] = [8, value] if element else value
         path = write_json(tmp_path / "c.json", config)
         code = cli.main(argv + ["--config", path,
                                 "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
-    @pytest.mark.parametrize("case, field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("case, field", INTEGER_FIELDS + IGNORED_FIELDS)
     def test_integer_fields(self, tmp_path, capsys, case, field, value):
         code, err = self.run(tmp_path, capsys, case, field, value)
-        assert code == 3
-        assert repr(field) in err
+        if (case, field) not in IGNORED_FIELDS:
+            assert code == 3
+            assert repr(field) in err
+            return
+        # the exit code and report, header included, of the same config
+        # without the field
+        report = report_without_timestamp(tmp_path / "out")
+        assert (code, err) == self.run(tmp_path, capsys, case, None, None)
+        assert report == report_without_timestamp(tmp_path / "out")
 
     @pytest.mark.parametrize("value", NOT_INTEGERS + [[8]], ids=repr)
     @pytest.mark.parametrize("case", ["convergence", "hinfty"])
@@ -998,8 +1037,6 @@ class TestGrowthStudy:
         assert len(body["rows"]) == 4
         assert body["empirical_C"] >= 1.0
 
-    # max_study_degree 16 truncates the 64-term power-decay kernels
-    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
     def test_seed_from_config_or_keyword(self, tmp_path):
         # the config's seed and run_growth_study's seed= keyword draw the
         # same random kernels and record the same header seed
@@ -1023,7 +1060,6 @@ class TestGrowthStudy:
         assert random_rows(by_config["body"])
         assert random_rows(report(4)["body"]) != random_rows(by_config["body"])
 
-    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
     def test_header_records_the_default_seed(self, tmp_path):
         # without a config seed the standard family's random kernels are
         # drawn from families.DEFAULT_SEED, and the header says which
@@ -1039,6 +1075,23 @@ class TestGrowthStudy:
         assert default["header"]["seed"] == explicit["header"]["seed"]
         assert default["header"]["seed"] == 20240901
         assert default["body"] == explicit["body"]
+
+    # max_study_degree 16 truncates the 64-term power-decay kernels, and
+    # degree 8 a 40-term one: the study solves S_n k on purpose, and warns
+    # of no truncation
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config", [
+        {"max_study_degree": 16},
+        {"family": [{"type": "power_decay", "alpha": 2.0, "count": 40}],
+         "degree": 8},
+    ], ids=["capped-standard", "explicit"])
+    def test_truncating_study_warns_nothing(self, tmp_path, capsys, config):
+        path = write_json(tmp_path / "g.json",
+                          {"schema_version": 1, "p": 4, **config})
+        out = str(tmp_path / "g.csv")
+        assert cli.main(["study", "growth", "--config", path,
+                         "--out", out]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_explicit_family_records_no_seed(self, tmp_path):
         # explicit kernel specs draw nothing at random
@@ -1248,7 +1301,7 @@ def test_gate_fields_move_no_verdict(tmp_path):
             (["study", "hinfty", "--format", "json"],
              {"alpha": 2.0, "degrees": [8, 16]}, {"growth_threshold": 0.5},
              1),
-            (["oracle-compare"], {"kernel": ONE_PLUS_Z, "oracle_degree": 2},
+            (["oracle-compare"], {"kernel": ONE_PLUS_Z},
              {"oracle_tolerance": 1.0}, 0)):
         bodies = []
         for fields in ({}, extra):
@@ -1269,8 +1322,6 @@ class TestOracleCompare:
             "schema_version": 1,
             "p": 4,
             "kernel": ONE_PLUS_Z,
-            "oracle_degree": 2,
-            "seed": 11,
         })
         out = str(tmp_path / "oracle.json")
         code = cli.main(["oracle-compare", "--config", config, "--out", out])
@@ -1310,14 +1361,29 @@ class TestOracleCompare:
         assert body["agree"] is True
         assert body["max_coefficient_gap"] <= 1e-12
 
-    def test_large_oracle_degree_rejected(self, tmp_path):
+    def test_tolerance_field_rejected(self, tmp_path, capsys):
+        # oracle-compare solves at checks.STUDY_TOLERANCE, as the studies
+        # do, and refuses a tolerance it would ignore
         config = write_json(tmp_path / "o.json", {
-            "schema_version": 1,
-            "p": 4,
-            "kernel": ONE_PLUS_Z,
-            "oracle_degree": 5,
-        })
+            "schema_version": 1, "p": 4, "kernel": ONE_PLUS_Z,
+            "tolerance": 1e-10})
         assert cli.main(["oracle-compare", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'tolerance'")
+        assert "1e-12" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_truncated_kernel_warns_nothing(self, tmp_path, capsys):
+        # the comparison is on S_3 k over P_3 by design, for a kernel of
+        # any degree
+        config = write_json(tmp_path / "o.json", {
+            "schema_version": 1, "p": 4,
+            "kernel": {"type": "power_decay", "alpha": 2.0, "count": 8}})
+        out = str(tmp_path / "oracle.json")
+        assert cli.main(["oracle-compare", "--config", config,
+                         "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_report(out)["body"]["agree"] is True
 
 
 class TestArgumentParsing:
@@ -1343,7 +1409,7 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("command", ["solve", "oracle-compare"])
     def test_solve_has_no_seed_flag(self, tmp_path, command):
-        # both read their seed from the config, where reports record it
+        # neither draws anything at random
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
         assert self.exit_code([command, "--config", config,
                                "--seed", "3"]) == 3

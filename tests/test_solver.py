@@ -105,12 +105,6 @@ class TestProblemValidation:
                 ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4,
                                 tolerance=tolerance)
 
-    @pytest.mark.parametrize("max_iterations", [0, -3])
-    def test_bad_iteration_budget_rejected(self, max_iterations):
-        with pytest.raises(ValueError, match="max_iterations"):
-            ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4,
-                            max_iterations=max_iterations)
-
     def test_kernel_vanishing_on_working_space_rejected(self):
         # k = z^5 truncated to P_2 leaves no functional at all
         with pytest.raises(ValueError):
@@ -210,6 +204,15 @@ class TestClosedForms:
         series = g0 ** (2 / p) * binomial * (g1 / g0) ** np.arange(n + 1)
         np.testing.assert_allclose(sol.F.padded(n + 1), series / N, rtol=0,
                                    atol=1e-13)
+        # sup|F| = (g_0 + |g_1|)^{2/p} / N, taken where g_1 z points along
+        # g_0 > 0: at z = e^{-i arg c_1}, since arg g_1 = arg c_1. The
+        # forward FFT samples F at the 8192nd roots of unity, and none is
+        # larger.
+        at_max = abs(sol.F(np.exp(-1j * np.angle(c1))))
+        assert at_max == pytest.approx((g0 + abs(g1)) ** (2 / p) / N,
+                                       rel=1e-13, abs=0)
+        assert np.max(np.abs(np.fft.fft(sol.F.padded(8192)))) <= at_max * (
+            1 + 1e-14)
         reports = check_table(sol.F, sol.kernel, p, sol.phi_norm, n)
         assert all(report.passed for report in reports)
 
@@ -490,7 +493,7 @@ def newton_from(kernel, p, start, tolerance):
     n1 = len(start)
     c = kernel.padded(n1).astype(np.result_type(kernel.coeffs, start))
     c_hat = c / np.sqrt(np.sum(np.abs(c) ** 2 / (np.arange(n1) + 1.0)))
-    a, _, failure = solver._newton(c_hat, p, start, tolerance, 100)
+    a, _, failure = solver._newton(c_hat, p, start, tolerance)
     assert failure is None
     f = AnalyticPoly(a)
     return f.coeffs / bergman_norm_even(f, p)
@@ -651,11 +654,13 @@ class TestSolverProperties:
                                        degree=288, tolerance=1e-12))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
-    def test_non_convergence_carries_trace(self):
+    def test_non_convergence_carries_trace(self, monkeypatch):
+        # a budget of three Newton iterations, too few for this solve
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 3)
         kernel = as_poly([1.0, 1.0, 0.5])
         with pytest.raises(NonConvergenceError) as exc_info:
             solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=16,
-                                           tolerance=1e-12, max_iterations=3))
+                                           tolerance=1e-12))
         trace = exc_info.value.trace
         assert len(trace) == 3
         assert all(len(entry) == 3 for entry in trace)
@@ -733,9 +738,9 @@ class TestDegreeLadder:
         # at least 1 is never tightened
         tolerances, newton = [], solver._newton
 
-        def recording_newton(c_hat, p, a, tolerance, max_iterations):
+        def recording_newton(c_hat, p, a, tolerance):
             tolerances.append(tolerance)
-            return newton(c_hat, p, a, tolerance, max_iterations)
+            return newton(c_hat, p, a, tolerance)
 
         monkeypatch.setattr(solver, "_newton", recording_newton)
         kernel = as_poly([1.0, 1.0])
@@ -812,25 +817,30 @@ class TestDegreeLadder:
                                                      rel=1e-9, abs=1e-12)
             assert sol.kernel is kernel
 
-    def test_failing_requested_degree_raises_with_its_trace(self):
+    def test_failing_requested_degree_raises_with_its_trace(self,
+                                                            monkeypatch):
         # degree 8 of the kernel 1 + z^40 is the constant kernel, solved at
-        # once; degree 64 starts from it and runs out of iterations
+        # once; degree 64 starts from it and runs out of a budget of two
+        # iterations
         kernel = as_poly(np.eye(41)[0] + np.eye(41)[40])
-        ladder = solve_ladder(4, kernel, [8, 64], max_iterations=2)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 2)
+        ladder = solve_ladder(4, kernel, [8, 64])
         assert next(ladder).degree == 8
         with pytest.raises(NonConvergenceError,
                            match="in 2 iterations") as exc_info:
             next(ladder)
         trace = exc_info.value.trace
         assert [entry[0] for entry in trace] == [0, 1]
+        monkeypatch.undo()
         alone = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64))
         assert trace[0][1] == pytest.approx(alone.trace[0][1], rel=1e-12)
 
-    def test_failure_names_the_requested_degree(self):
+    def test_failure_names_the_requested_degree(self, monkeypatch):
         # one ladder serves several degrees, so its message says which
         # of them failed; the rung below it (32) is not requested
         kernel = as_poly(np.eye(41)[0] + np.eye(41)[40])
-        ladder = solve_ladder(4, kernel, [8, 64], max_iterations=2)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 2)
+        ladder = solve_ladder(4, kernel, [8, 64])
         assert next(ladder).degree == 8
         with pytest.raises(NonConvergenceError) as exc_info:
             next(ladder)
