@@ -42,6 +42,7 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
+from .kernelspec import MAX_EXPONENT
 from .poly import AnalyticPoly, rescaled
 from .solver import solve_ladder
 from .spaces import (
@@ -352,10 +353,10 @@ def growth_study(family, p, q1_list):
     """Two-sided Hardy-growth ratios over a kernel family.
 
     ``family`` is a sequence of (kernel_id, kernel, solve_degree). For
-    each kernel and each q1 >= q = p/(p-1) the row records
+    each kernel and each q1 in [q, MAX_EXPONENT/(p-1)] the row records
 
         ratio = ||F||_{H^{p1}}^{p-1} * ||k||_{A^q} / ||k||_{H^{q1}},
-        p1 = (p-1) * q1.
+        p1 = (p-1) * q1,  q = p/(p-1).
 
     F lies in H^{p1} precisely when k lies in H^{q1}, with two-sided
     norm bounds, so the ratios stay inside a fixed band [1/C, C]; C is
@@ -363,8 +364,9 @@ def growth_study(family, p, q1_list):
     """
     q = p / (p - 1.0)
     for q1 in q1_list:
-        if q1 < q - 1e-12:
-            raise ValueError(f"q1 = {q1} below the conjugate exponent {q}")
+        # past MAX_EXPONENT the sup-scaled |F|^p1 underflows to norm 0
+        if q1 < q - 1e-12 or (p - 1) * q1 > MAX_EXPONENT:
+            raise ValueError(f"q1 = {q1} outside [{q}, {MAX_EXPONENT}/(p-1)]")
     rows = []
     for kernel_id, kernel, degree in family:
         # S_n k on purpose: the ladder, unlike solve_extremal, warns of no

@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -244,14 +245,20 @@ def _solution_body(spec, tolerance, solution, reports):
 def run_solve(config, out=None):
     p, tolerance, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
-    solution = solve_extremal(ExtremalProblem(
-        p=p, kernel=kernel, degree=degree, tolerance=tolerance))
+    with warnings.catch_warnings():  # a truncation is one line, below
+        warnings.simplefilter("ignore", UserWarning)
+        problem = ExtremalProblem(p, kernel, degree, tolerance)
+    solution = solve_extremal(problem)
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
     reports = check_table(solution.F, kernel, p, solution.phi_norm, degree)
     body = _solution_body(spec, tolerance, solution, reports)
     _emit_json(_header(), body, out)
+    if degree < kernel.degree:
+        print(f"warning: working degree {degree} below kernel degree "
+              f"{kernel.degree}: the functional is truncated to P_{degree}",
+              file=sys.stderr)
     passed = _certified(solution.residual_max, reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -347,11 +354,14 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p = _fixed_tolerance_exponent(config)
     q = p / (p - 1.0)
+
+    def solvable(q1):  # p1 = (p - 1) q1 is an exponent bergex takes
+        return (p - 1) * q1 <= kernelspec.MAX_EXPONENT
     q1_list = _field(config, "q1_list", list, lambda v: v and all(
-        _finite_number(q1) and (p - 1) * q1 <= kernelspec.MAX_EXPONENT
-        for q1 in v),
+        _finite_number(q1) and solvable(q1) for q1 in v),
         f"q1_list must be a non-empty list of finite numbers q1 with "
-        f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}", [q, 2.0, 4.0])
+        f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}",
+        [q1 for q1 in (q, 2.0, 4.0) if solvable(q1)])
     if seed is None:
         seed = _field(config, "seed", int, lambda v: v >= 0,
                       "seed must be >= 0", None)

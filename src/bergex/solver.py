@@ -10,9 +10,10 @@ J is smooth and strictly convex because p is even, and by homogeneity its
 minimizer is ||phi||^{1/(p-1)} F, where F maximizes Re phi on the unit
 sphere of P_n. Its Wirtinger gradient there is (||phi||/2) conj(res_j),
 for the residuals res_j that ``extremality_residual`` certifies. It is
-minimized without constraints by damped Newton in x = (Re a, Im a), with
-the exact Hessian and a backtracking line search (Nocedal & Wright,
-Numerical Optimization, 2nd ed., ch. 3). Each Newton system is built as
+minimized without constraints by damped Newton in the real coordinates
+x = a.view(float64), Re a_j and Im a_j interleaved, with the exact
+Hessian and a backtracking line search (Nocedal & Wright, Numerical
+Optimization, 2nd ed., ch. 3). Each Newton system is built as
 the lower triangle of the Hessian of J alone, and LAPACK's Cholesky
 factorization of that triangle overwrites it in place: the
 factorization and the solves with its factor read one triangle
@@ -40,9 +41,10 @@ runs in x = Re a alone: n+1 unknowns, a Gram matrix in real arithmetic
 and a Cholesky factorization of size n+1 instead of 2(n+1). The
 coefficient kernels keep float64 operands real (``_backend``), so the
 objective, its gradient and Hessian and the line search all run in real
-arithmetic too. In exact arithmetic these are the iterates of the full
-system, which never leave the real coefficients from a real start; in
-floating point F is then float64 as well.
+arithmetic too, and only ``_hessian`` branches on the dtype. In exact
+arithmetic these are the iterates of the full system, which never leave
+the real coefficients from a real start; in floating point F is then
+float64 as well.
 
 The truncated solutions F_n settle as n grows, so solves climb a degree
 ladder (``solve_ladder``): to n through the degrees n >> j that are at
@@ -52,7 +54,7 @@ lowest rung starts from the normalized truncated kernel, which is
 already optimal for p = 2; each higher rung starts from the iterate of
 the rung below, zero-padded. Every start is scaled to the minimum of J
 on its ray. Each rung is the same Newton solve (``_newton``), with at
-most DEFAULT_MAX_ITERATIONS iterations, in real coordinates whenever its
+most DEFAULT_MAX_ITERATIONS iterations, in real arithmetic whenever its
 truncated kernel is float64. A requested degree then typically needs one
 or two iterations instead of the whole damped phase at full size; only the
 requested degrees can fail, are certified, and report their iterations
@@ -111,6 +113,7 @@ DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # lowest degree of the ladder that solve_extremal climbs to degree n
 MIN_RUNG_DEGREE = 16
+VANISHING = "kernel vanishes on the working space P_{}; raise the degree"
 
 
 class NonConvergenceError(RuntimeError):
@@ -141,9 +144,7 @@ class ExtremalProblem:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if taylor_truncate(self.kernel, self.degree).is_zero():
-            raise ValueError(
-                "kernel vanishes on the working space P_n; raise the degree"
-            )
+            raise ValueError(VANISHING.format(self.degree))
         if self.degree < self.kernel.degree:
             warnings.warn(
                 "working degree below kernel degree: the functional is "
@@ -325,17 +326,15 @@ def _newton_terms(a, p, evaluated=None):
 
     Returns them with W f^s and f^{s-1} (s = p/2), which ``_hessian``
     takes so that the Hessian at ``a`` shares them. ``evaluated`` is
-    ``_objective(a, p // 2)`` when the caller has it already. For real
-    ``a`` the coordinates are x = Re a alone and the gradient is 2 Re g
-    for the Wirtinger gradient g; otherwise x = (Re a, Im a) and it is
-    2 (Re g, Im g).
+    ``_objective(a, p // 2)`` when the caller has it already. The
+    coordinates are x = a.view(float), and the gradient is the float view
+    of 2 g for the Wirtinger gradient g: 2 g itself for real ``a``, and
+    2 Re g_j, 2 Im g_j interleaved for complex ``a``.
     """
-    s, n1 = p // 2, len(a)
+    s = p // 2
     value, wu, v = _objective(a, s) if evaluated is None else evaluated
-    g = s * xcorr(wu, v)[:n1]
-    if not np.iscomplexobj(a):
-        return value, 2.0 * g, wu, v
-    return value, np.concatenate([2.0 * g.real, 2.0 * g.imag]), wu, v
+    grad = 2.0 * s * xcorr(wu, v)[:len(a)]
+    return value, grad.view(float), wu, v
 
 
 def _hessian(a, p, wu, v):
@@ -344,20 +343,19 @@ def _hessian(a, p, wu, v):
 
     With s = p/2, P = (2s^2/p) T_v^H W T_v for v = f^{s-1} and
     Q = (2s(s-1)/p) conj(Hank(h)) for h = xcorr(W f^s, f^{s-2}), the
-    Hessian in x = (Re a, Im a) is [[Re(P+Q), -Im(P+Q)], [Im(P-Q),
-    Re(P-Q)]]. For real ``a`` the coordinates are x = Re a alone: f, v and
-    h are then float64 arrays, so the Hessian is the upper-left block
-    P + Q, built in real arithmetic.
+    Hessian in x = a.view(float) has, in the rows of Re a_i and Im a_i
+    and the columns of Re a_j and Im a_j, the 2 x 2 block
+    [[Re(P+Q), -Im(P+Q)], [Im(P-Q), Re(P-Q)]] of entries (i, j). For real
+    ``a`` the coordinates are x = Re a alone: f, v and h are then float64
+    arrays, so the Hessian is P + Q, built in real arithmetic.
     Only the lower triangle is built, and the strict upper triangle is
     left unspecified: LAPACK's lower Cholesky factorization reads none of
-    it. Of the complex Hessian that is the lower triangles of its two
-    diagonal blocks and the whole block Im(P-Q), where Im P, antisymmetric,
-    is the strict lower triangle of Im P less its transpose. Either
-    Hessian is in Fortran order, so that its factorization can overwrite
-    it.
+    it. In interleaved order the lower triangle of the complex Hessian
+    reads the lower triangle of P alone, the only one ``_gram`` builds.
+    Either Hessian is in Fortran order, so that its factorization can
+    overwrite it.
     """
     s, n1 = p // 2, len(a)
-    real = not np.iscomplexobj(a)
     P = _gram(v, n1, 2.0 * s * s / p)
     if s > 1:
         # zero tail so that h reaches index 2n when f^s is shorter; f^s
@@ -371,16 +369,17 @@ def _hessian(a, p, wu, v):
         h = np.zeros(2 * n1 - 1, dtype=a.dtype)  # Q = 0 at p = 2
     # hank[i, j] = h_{i+j}, a view of h[:2n1-1]
     hank = _strided(h, (n1, n1), (1, 1))
-    if real:
+    if not np.iscomplexobj(a):
         P += hank
         return P
 
     H = np.empty((2 * n1, 2 * n1), order="F")
-    np.add(P.real, hank.real, out=H[:n1, :n1])
-    np.subtract(P.real, hank.real, out=H[n1:, n1:])
-    lower = np.tril(P.imag, -1)
-    np.subtract(lower, lower.T, out=H[n1:, :n1])
-    H[n1:, :n1] += hank.imag
+    # blocks[k, i, l, j] is H[2i + k, 2j + l]: Re a_i is row 2i, Im a_i 2i + 1
+    blocks = H.reshape((2, n1, 2, n1), order="F")
+    np.add(P.real, hank.real, out=blocks[0, :, 0])
+    np.subtract(P.real, hank.real, out=blocks[1, :, 1])
+    np.add(P.imag, hank.imag, out=blocks[1, :, 0])
+    np.subtract(hank.imag, P.imag, out=blocks[0, :, 1])
     return H
 
 
@@ -430,17 +429,18 @@ def _newton(c_hat, p, a, tolerance):
     Re phi_hat(a) > 0, which every start ``solve_ladder`` passes has: the
     lowest rung starts at ``c_hat``, and each higher one at an iterate of
     the rung below, where J < 0 (the line search only lowers J from the
-    negative minimum on the start's ray). A float64 ``c_hat`` runs in
-    x = Re a. Each iteration that steps before meeting the tolerance
-    builds and factors the Hessian; the iteration that meets it takes its
-    final step with the last factor, and builds one only when it is
-    iteration 0 (see the module docstring). A rung that is not
-    requested builds that Hessian too, although its step only refines the
-    start of the rung above: without it, the 18 standard-family solves
-    (default seed, p = 4 and 6, tolerance 1e-12) built 118 Hessians
-    instead of 126, but their requested degrees took more iterations,
-    each with a full-size Hessian (cubic-mix at n = 352 2 instead of 1,
-    random-0 1 instead of 0 at both p, random-1 1 instead of 0 at p = 6).
+    negative minimum on the start's ray). The iterate is x = a.view(float)
+    for coefficients a of ``c_hat``'s dtype. Each iteration that steps
+    before meeting the tolerance builds and factors the Hessian; the
+    iteration that meets it takes its final step with the last factor, and
+    builds one only when it is iteration 0 (see the module docstring). A
+    rung that is not requested builds that Hessian too, although its step
+    only refines the start of the rung above: without it, the 18
+    standard-family solves (default seed, p = 4 and 6, tolerance 1e-12)
+    built 118 Hessians instead of 126, but their requested degrees took
+    more iterations, each with a full-size Hessian (cubic-mix at n = 352 2
+    instead of 1, random-0 1 instead of 0 at both p, random-1 1 instead of
+    0 at p = 6).
 
     Returns the coefficients, the trace of (iteration, J, gradient norm)
     floats and a failure message: None on convergence, when the last
@@ -454,27 +454,16 @@ def _newton(c_hat, p, a, tolerance):
     lapack = _flapack()
     dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
-    s, n1 = p // 2, len(c_hat)
-    cw = c_hat / (np.arange(n1) + 1.0)
-    # b is the gradient of Re phi_hat(f) = b @ x
-    if not np.iscomplexobj(c_hat):
-        b, x = cw, a
-
-        def coeffs(x):
-            return x
-    else:
-        b = np.concatenate([cw.real, cw.imag])
-        x = np.concatenate([a.real, a.imag])
-
-        def coeffs(x):
-            return x[:n1] + 1j * x[n1:]
-
+    s, dtype = p // 2, c_hat.dtype
+    # b is the gradient of Re phi_hat(f) = b @ x. A start from a real rung
+    # below a complex one takes c_hat's dtype.
+    b = (c_hat / (np.arange(len(c_hat)) + 1.0)).view(float)
     # J(t x) = t^p N/p - t b @ x is least at t^(p-1) = b @ x / N, for
     # N = ||x||_{A^p}^p; an exact power-of-two rescale first keeps N finite.
     # A start already at its minimum (a converged rung below, padded) keeps
     # its evaluation for iteration 0, as does every accepted trial point.
-    x = rescaled(x)[0]
-    evaluated = _objective(coeffs(x), s)
+    x = rescaled(a.astype(dtype, copy=False))[0].view(float)
+    evaluated = _objective(x.view(dtype), s)
     scale = (b @ x / evaluated[0]) ** (1.0 / (p - 1))
     if scale != 1.0:
         x, evaluated = x * scale, None
@@ -483,7 +472,7 @@ def _newton(c_hat, p, a, tolerance):
     gnorm = best_value = best_gnorm = np.inf
     factor = None
     for it in range(DEFAULT_MAX_ITERATIONS):
-        value, grad, wu, v = _newton_terms(coeffs(x), p, evaluated)
+        value, grad, wu, v = _newton_terms(x.view(dtype), p, evaluated)
         value, grad = value / p - b @ x, grad / p - b
         gnorm = float(np.linalg.norm(grad))
         trace.append((it, float(value), gnorm))
@@ -492,7 +481,7 @@ def _newton(c_hat, p, a, tolerance):
         # iterate beats neither the best value nor the best gradient so far
         # (which also catches a 2-cycle), no further step can help.
         if not converged and value >= best_value and gnorm >= best_gnorm:
-            return coeffs(x), tuple(trace), (
+            return x.view(dtype), tuple(trace), (
                 f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
                 f"at its float floor, tolerance {tolerance:.1e}")
         best_value, best_gnorm = min(best_value, value), min(best_gnorm, gnorm)
@@ -504,10 +493,10 @@ def _newton(c_hat, p, a, tolerance):
             # function comes just before a process's first factorization.
             # The lower triangle, the one _hessian builds, is factored in
             # place and the strict upper triangle is never read.
-            factor, info = dpotrf(_hessian(coeffs(x), p, wu, v),
+            factor, info = dpotrf(_hessian(x.view(dtype), p, wu, v),
                                   lower=1, overwrite_a=1, clean=0)
             if info != 0:
-                return coeffs(x), tuple(trace), (
+                return x.view(dtype), tuple(trace), (
                     f"Hessian not positive definite at iteration {it}")
         d = -dpotrs(factor, grad, lower=1)[0]
         slope = float(grad @ d)
@@ -522,7 +511,7 @@ def _newton(c_hat, p, a, tolerance):
             # a long step at large p can overflow |f|^p; its J is then
             # inf or NaN, which fails both tests below and backtracks
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = _objective(coeffs(y), s)
+                trial = _objective(y.view(dtype), s)
             new_value = trial[0] / p - b @ y
             if (new_value <= value + 1e-4 * t * slope
                     or new_value <= value + 1e-15 * abs(value)):
@@ -533,13 +522,13 @@ def _newton(c_hat, p, a, tolerance):
                 if converged:
                     t = 0.0  # keep the converged iterate
                     break
-                return coeffs(x), tuple(trace), (
+                return x.view(dtype), tuple(trace), (
                     f"line search stalled at iteration {it} "
                     f"(gradient norm {gnorm:.3e}, tolerance {tolerance:.1e})")
         x = x + t * d
         if converged:
-            return coeffs(x), tuple(trace), None
-    return coeffs(x), tuple(trace), (
+            return x.view(dtype), tuple(trace), None
+    return x.view(dtype), tuple(trace), (
         f"no convergence in {DEFAULT_MAX_ITERATIONS} iterations "
         f"(last gradient norm {gnorm:.3e})")
 
@@ -565,16 +554,19 @@ def solve_ladder(p, kernel, degrees, tolerance=DEFAULT_TOLERANCE):
     docstring), and passes its last iterate up, even one that failed; a
     requested degree that fails raises ``NonConvergenceError`` with its
     own trace, and one on which the truncated kernel vanishes raises
-    ``ExtremalProblem``'s ValueError. The lowest rung starts from the
-    normalized truncated kernel, every higher one from the iterate of the
-    rung below. The problem it validates is that of S_d k, so unlike
+    ``ExtremalProblem``'s ValueError for it. The lowest rung starts from
+    the normalized truncated kernel, every higher one from the iterate of
+    the rung below. The problem it validates is that of S_d k, so unlike
     ``solve_extremal`` it gives no warning for a degree below the
     kernel's: the studies and oracle-compare truncate on purpose.
     """
     degrees = sorted(set(degrees))
-    # S_d k contains S_m k for m <= d: checking the lowest degree checks all
-    ExtremalProblem(p, taylor_truncate(kernel, degrees[0]), degrees[0],
-                    tolerance)
+    # S_d k contains S_m k for m <= d: checking the lowest degree checks
+    # all. A vanishing S_d k is no zero kernel but a degree too low.
+    low = taylor_truncate(kernel, degrees[0])
+    if low.is_zero():
+        raise ValueError(VANISHING.format(degrees[0]))
+    ExtremalProblem(p, low, degrees[0], tolerance)
     rungs = []
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
@@ -629,7 +621,7 @@ def solve_extremal(problem):
 
     A kernel whose truncation to P_n is float64 is solved in the real
     coordinates x = Re a (see the module docstring). Any other kernel is
-    solved in x = (Re a, Im a).
+    solved in x = a.view(float64), Re a_j and Im a_j interleaved.
     """
     return next(solve_ladder(problem.p, problem.kernel, [problem.degree],
                              problem.tolerance))
@@ -641,12 +633,12 @@ def brute_force_oracle(k, p, degree=3):
     Returns the unit-norm extremal F as an ``AnalyticPoly``. Minimizes the
     same convex objective as ``solve_extremal``, J(f) = ||f||_{A^p}^p / p
     - Re phi(f), whose minimizer is ||phi||^{1/(p-1)} F, by point sums on
-    a disc quadrature (radial Gauss-Legendre times uniform angles, exact
-    for |f|^p at every degree allowed here), sharing nothing with the
-    solver's coefficient machinery so that the two check each other. With
-    V the Vandermonde matrix at the nodes, w the weights, y = V a,
-    x = (Re a, Im a), R = [Re V, -Im V] and I = [Im V, Re V] (so
-    Re y = R x, Im y = I x), alpha = w |y|^{p-2} and
+    a disc quadrature (Gauss-Legendre in r^2 times uniform angles, exact
+    for |f|^p at every degree allowed here, summed over blocks of radii),
+    sharing nothing with the solver's coefficient machinery so that the
+    two check each other. With V the Vandermonde matrix at the nodes, w
+    the weights, y = V a, x = (Re a, Im a), R = [Re V, -Im V] and
+    I = [Im V, Re V] (so Re y = R x, Im y = I x), alpha = w |y|^{p-2} and
     beta = (p-2) w |y|^{p-4}, J has
 
         gradient  R^T (alpha Re y) + I^T (alpha Im y) - b,
@@ -672,51 +664,64 @@ def brute_force_oracle(k, p, degree=3):
     n1 = degree + 1
     c = k.padded(n1)
     if not np.any(c):
-        raise ValueError("kernel vanishes on the working space P_n")
+        raise ValueError(f"kernel vanishes on the working space P_{degree}")
     c = rescaled(c)[0]
-    # angles above the bandwidth p n of |f|^p, and radii by Gauss-Legendre
-    x_gl, w_gl = leggauss(max(16, p * degree // 2 + 4))
-    r = 0.5 * (x_gl + 1.0)
+    # angles above the bandwidth p n of |f|^p, and Gauss-Legendre in rho =
+    # r^2, in which every integrand's angular mean has degree (p/2) n; the
+    # area measure is d rho dtheta / 2pi
+    x_gl, w_gl = leggauss(max(8, p * degree // 4 + 2))
     angular = 1 << max(3, (p * degree + 1).bit_length())
-    pts = np.outer(r, np.exp(2j * np.pi * np.arange(angular) / angular))
-    # the area measure 2r dr dtheta / 2pi is r dx dtheta / 2pi here
-    wts = np.repeat(w_gl * r / angular, angular)
-    # R and I contiguous: BLAS reads the strided parts of V 3x slower
-    V = pts.ravel()[:, None] ** np.arange(n1)
-    R, I = np.hstack([V.real, -V.imag]), np.hstack([V.imag, V.real])
+    circle = np.exp(2j * np.pi * np.arange(angular) / angular)
+    # blocks of radii, of at most 2^16 points, so that no temporary holds
+    # the grid; R and I contiguous: BLAS reads V's strided parts 3x slower
+    blocks, radii = [], max(1, (1 << 16) // angular)
+    for i in range(0, len(x_gl), radii):
+        rho = 0.5 * (x_gl[i:i + radii] + 1.0)
+        V = np.outer(np.sqrt(rho), circle).ravel()[:, None] ** np.arange(n1)
+        blocks.append((np.hstack([V.real, -V.imag]),
+                       np.hstack([V.imag, V.real]),
+                       np.repeat(w_gl[i:i + radii] / (2 * angular), angular)))
+
+    def at(x):  # each block with Re y and Im y on it
+        return [(R, I, w, R @ x, I @ x) for R, I, w in blocks]
+
+    def norm_p(x):  # sum w |y|^p, inf once |y|^p overflows
+        with np.errstate(over="ignore"):
+            return sum(w @ np.hypot(re, im) ** p for _, _, w, re, im in at(x))
 
     def J(x):
-        y = R @ x, I @ x
-        with np.errstate(over="ignore"):
-            return float(wts @ np.hypot(*y) ** p / p - b @ x), y
+        return float(norm_p(x) / p - b @ x)
     # b = R^T (w Re k) + I^T (w Im k) at the nodes. J(t x) is least at
     # t^(p-1) = b @ x / N, N = sum w |y|^p, in (0, 1] once max |y| = 1
     x = np.concatenate([c.real, c.imag])
-    b = R.T @ (wts * (R @ x)) + I.T @ (wts * (I @ x))
-    x /= np.max(np.hypot(R @ x, I @ x))
-    x *= (b @ x / (wts @ np.hypot(R @ x, I @ x) ** p)) ** (1.0 / (p - 1))
-    value, (re, im) = J(x)
-    trace = []
+    b = sum(R.T @ (w * re) + I.T @ (w * im) for R, I, w, re, im in at(x))
+    x /= max(np.max(np.hypot(re, im)) for *_, re, im in at(x))
+    x *= (b @ x / norm_p(x)) ** (1.0 / (p - 1))
+    value, trace = J(x), []
     for it in range(DEFAULT_MAX_ITERATIONS):
-        modulus = np.hypot(re, im)
-        alpha = wts * modulus ** (p - 2)
-        grad = R.T @ (alpha * re) + I.T @ (alpha * im) - b
-        hess = R.T @ (alpha[:, None] * R) + I.T @ (alpha[:, None] * I)
-        if p > 2:
-            M = re[:, None] * R + im[:, None] * I
-            hess += M.T @ (((p - 2) * wts * modulus ** (p - 4))[:, None] * M)
+        grad, hess = -b, 0.0
+        for R, I, w, re, im in at(x):
+            modulus = np.hypot(re, im)
+            alpha = w * modulus ** (p - 2)
+            grad = grad + R.T @ (alpha * re) + I.T @ (alpha * im)
+            hess = (hess + R.T @ (alpha[:, None] * R)
+                    + I.T @ (alpha[:, None] * I))
+            if p > 2:
+                M = re[:, None] * R + im[:, None] * I
+                beta = (p - 2) * w * modulus ** (p - 4)
+                hess = hess + M.T @ (beta[:, None] * M)
         d = np.linalg.solve(hess, -grad)
         slope = float(grad @ d)
         trace.append((it, value, float(np.linalg.norm(grad))))
         if -slope <= 1e-15 * abs(value):
             x += d
-            scale = float(wts @ np.hypot(R @ x, I @ x) ** p) ** (1.0 / p)
+            scale = float(norm_p(x)) ** (1.0 / p)
             return AnalyticPoly((x[:n1] + 1j * x[n1:]) / scale)
         # Armijo; as t shrinks, x + t d rounds to x, which ends the loop
         t = 1.0
-        while (trial := J(x + t * d))[0] > value + 1e-4 * t * slope:
+        while (trial := J(x + t * d)) > value + 1e-4 * t * slope:
             t *= 0.5
-        x, (value, (re, im)) = x + t * d, trial
+        x, value = x + t * d, trial
     raise NonConvergenceError(
         f"oracle: no convergence in {DEFAULT_MAX_ITERATIONS} iterations",
         tuple(trace))

@@ -445,6 +445,12 @@ class TestGrowthStudy:
         with pytest.raises(ValueError):
             growth_study([("k", as_poly([1.0]), 4)], 4, [1.0])
 
+    def test_q1_past_the_largest_exponent_rejected(self):
+        # p1 = 299 * 4 = 1196: the sup-scaled |F|^p1 would underflow to a
+        # zero norm
+        with pytest.raises(ValueError, match=r"outside \[.*, 1024/\(p-1\)\]"):
+            growth_study([("k", as_poly([1.0, 0.3]), 8)], 300, [4.0])
+
 
 class TestConvergenceStudy:
     def test_polynomial_kernel_tail_shrinks(self):
@@ -496,8 +502,10 @@ class TestConvergenceStudy:
         assert calls == degrees
 
     def test_vanishing_truncation_raises(self):
-        # the kernel z truncates to zero on P_0: no problem to solve there
-        with pytest.raises(ValueError, match="identically zero"):
+        # the kernel z truncates to zero on P_0: no problem to solve there,
+        # and the error names that space, not a zero kernel
+        with pytest.raises(ValueError, match=r"vanishes on the working "
+                           r"space P_0; raise the degree"):
             convergence_study(monomial(1), 4, [0, 4])
 
 

@@ -33,6 +33,8 @@ CONSTANT_ONE = {"type": "coeffs", "values": [[1.0, 0.0]]}
 LONG_POWER_DECAY = {"type": "power_decay", "alpha": 3.0, "count": 600}
 # the standard family's power-decay-3.0, calibrated to degree 128
 POWER_DECAY_3 = {"type": "power_decay", "alpha": 3.0, "count": 64}
+TRUNCATED_AT_16 = ("warning: working degree 16 below kernel degree 63: the "
+                   "functional is truncated to P_16\n")
 
 
 def write_json(path, payload):
@@ -200,7 +202,7 @@ class TestSolveCommand:
         problem = load_report(out)["body"]["problem"]
         assert problem["tolerance"] == DEFAULT_TOLERANCE
 
-    def test_uncertified_solve_exits_one(self, tmp_path):
+    def test_uncertified_solve_exits_one(self, tmp_path, capsys):
         # every check passes, but degree 16 leaves the certificate's
         # residual_max near 1e-5, above DEFAULT_CERTIFICATE_TOL; the
         # solution file is still written, and verify reproduces it
@@ -212,8 +214,8 @@ class TestSolveCommand:
             "tolerance": 1e-12,
         })
         out = str(tmp_path / "s.json")
-        with pytest.warns(UserWarning, match="below kernel degree"):
-            assert cli.main(["solve", "--config", config, "--out", out]) == 1
+        assert cli.main(["solve", "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == TRUNCATED_AT_16
         body = load_report(out)["body"]
         residual_max = body["solution"]["residual_max"]
         assert residual_max > solver.DEFAULT_CERTIFICATE_TOL
@@ -283,7 +285,7 @@ class TestSolveCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["body"]["solution"]["iterations"] >= 0
 
-    def test_long_kernel_solves(self, tmp_path):
+    def test_long_kernel_solves(self, tmp_path, capsys):
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
             "p": 4,
@@ -291,8 +293,31 @@ class TestSolveCommand:
             "kernel": LONG_POWER_DECAY,
         })
         out = str(tmp_path / "s.json")
-        with pytest.warns(UserWarning, match="below kernel degree"):
-            assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        assert cli.main(["solve", "--config", config, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: working degree 128 below kernel degree 599: the "
+            "functional is truncated to P_128\n")
+
+    @pytest.mark.parametrize("kernel, degree, code", [
+        (POWER_DECAY_3, 16, 1), (LONG_POWER_DECAY, 128, 0)])
+    def test_truncation_is_no_python_warning(self, tmp_path, kernel, degree,
+                                             code):
+        # under -W error a UserWarning would end the solve in a traceback;
+        # the truncation is one stderr line, and the exit code is the gate's
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": degree, "kernel": kernel,
+            "tolerance": 1e-12})
+        kernel_degree = kernelspec.realize(kernelspec.from_dict(kernel)).degree
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys; from bergex import cli; sys.exit(cli.main(['solve', "
+             "'--config', sys.argv[1], '--out', sys.argv[2]]))",
+             config, str(tmp_path / "s.json")],
+            env=fresh_env(), capture_output=True, text=True)
+        assert done.returncode == code
+        assert done.stderr == (
+            f"warning: working degree {degree} below kernel degree "
+            f"{kernel_degree}: the functional is truncated to P_{degree}\n")
 
     def test_negative_zero_imaginary_part_takes_the_complex_path(
             self, tmp_path, monkeypatch):
@@ -1135,6 +1160,25 @@ class TestGrowthStudy:
             assert abs(row["ratio"] - 1.0) <= 1e-12, row
         assert abs(body["empirical_C"] - 1.0) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_default_q1_list_stays_within_the_largest_exponent(
+            self, tmp_path, capsys):
+        # at p = 300 the default q1 = 4 gives p1 = 1196, past the largest
+        # exponent, whose sup-scaled |F|^p1 underflows to a zero norm; the
+        # default keeps q and 2 alone
+        config = write_json(tmp_path / "g.json", {
+            "schema_version": 1, "p": 300, "degree": 8,
+            "family": [{"type": "coeffs", "values": [[1.0, 0.0],
+                                                     [0.3, 0.0]]}]})
+        out = tmp_path / "g_out.json"
+        assert cli.main(["study", "growth", "--config", config,
+                         "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        body = load_strict_report(out)["body"]
+        assert [row["q1"] for row in body["rows"]] == [300 / 299, 2.0]
+        assert all(row["F_hardy"] > 0 for row in body["rows"])
+        assert math.isfinite(body["empirical_C"])
+
     def test_nan_ratio_gives_nan_constant(self, tmp_path, monkeypatch):
         # the empirical constant is the largest of the ratios and their
         # reciprocals, and a NaN among them is not dropped
@@ -1185,6 +1229,23 @@ class TestConvergenceStudy:
             "degrees": [8],
         })
         assert cli.main(["study", "convergence", "--config", config]) == 3
+
+
+# the kernel z vanishes on P_0: each study names that space, as bergex
+# solve does, and does not call the kernel zero
+@pytest.mark.parametrize("kind, config", [
+    ("convergence", {"kernel": MONOMIAL_Z, "degrees": [0, 4]}),
+    ("growth", {"family": [MONOMIAL_Z], "degree": 0}),
+    # the standard family's monomial-z
+    ("growth", {"max_study_degree": 0}),
+], ids=["convergence", "growth-explicit", "growth-standard"])
+def test_study_degree_on_which_the_kernel_vanishes(tmp_path, capsys, kind,
+                                                    config):
+    path = write_json(tmp_path / "c.json",
+                      {"schema_version": 1, "p": 4, **config})
+    assert cli.main(["study", kind, "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: kernel vanishes on the working space P_0; raise the degree\n")
 
 
 class TestHinftyStudy:
@@ -1620,13 +1681,18 @@ def test_overflowing_phi_norm(tmp_path, capsys, values):
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
 
 
-def fresh_process(code, *args):
-    """``code`` run in a fresh interpreter, its output captured."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this bergex."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return env
+
+
+def fresh_process(code, *args):
+    """``code`` run in a fresh interpreter, its output captured."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
                           capture_output=True, text=True)
 
 
