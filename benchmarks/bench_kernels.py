@@ -68,11 +68,11 @@ degree ladder, the certificate included) for the real kernel a_t =
 calls, with the iterations taken at the requested degree.
 
 The ``ladder`` table solves each standard-family kernel at its
-calibrated degree, p = 4 and 6 and tolerance 1e-12, median of 5 calls
-per solve. For each rung of the degree ladder it lists the degree and,
-in parentheses, the iterations ``solver._newton`` reported there (the
-iteration that met the rung's tolerance: the square root of 1e-12 below
-the requested degree, 1e-12 at it), and it counts the Hessians the
+calibrated degree, p = 4 and 6, median of 5 calls per solve. For each
+rung of the degree ladder it lists the degree and, in parentheses, the
+iterations ``solver._newton`` reported there (the iteration that met the
+rung's tolerance: the square root of ``solver.TOLERANCE`` below the
+requested degree, ``TOLERANCE`` at it), and it counts the Hessians the
 whole solve built (calls of ``solver._gram``).
 
 The ``emit`` table times the report layer at the same degrees, median
@@ -136,8 +136,8 @@ import numpy as np
 from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
 from bergex.families import power_decay_kernel, standard_family
-from bergex.solver import (DEFAULT_TOLERANCE, ExtremalProblem, _hessian,
-                           _newton_terms, solve_extremal)
+from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
+                           solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 # SciPy's compiled LAPACK module, loaded as the solver loads it, so that
@@ -337,8 +337,7 @@ def bench_ladder(repeats):
 
     for p in (4, 6):
         for name, kernel, n in standard_family():
-            problem = ExtremalProblem(p=p, kernel=kernel, degree=n,
-                                      tolerance=1e-12)
+            problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
             millis = time_call(solve_extremal, problem, repeats=repeats) * 1e3
             builds[0] = 0
             rungs.clear()
@@ -375,7 +374,7 @@ def bench_emit(sizes, repeats):
         for n in sizes:
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
             reports = check_table(sol.F, kernel, p, sol.phi_norm, n)
-            body = cli._solution_body(spec, DEFAULT_TOLERANCE, sol, reports)
+            body = cli._solution_body(spec, sol, reports)
             stamp = cli._header()
             new = time_call(lambda: cli._emit_json(stamp, body, next(fresh)),
                             repeats=repeats)

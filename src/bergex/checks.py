@@ -56,9 +56,6 @@ from .spaces import (
 
 DEFAULT_EQUALITY_TOL = 1e-4
 DEFAULT_SLACK_TOL = 1e-12
-# the solver tolerance of every solve in a study: growth, convergence,
-# hinfty and norm-equality decay
-STUDY_TOLERANCE = 1e-12
 # the fixed table's Fourier formula runs over m = 0..FOURIER_M_MAX
 FOURIER_M_MAX = 8
 # the largest relative growth of sup|F_n| that the hinfty criterion passes
@@ -300,7 +297,7 @@ def check_hinfty_criterion(alpha, p, degrees):
     k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}
-    for solution in solve_ladder(p, k, degrees, STUDY_TOLERANCE):
+    for solution in solve_ladder(p, k, degrees):
         n, F = solution.degree, solution.F
         sups[n] = _boundary_sup(F)
         spec = np.abs(abs_power_spectrum(F, p))
@@ -371,7 +368,7 @@ def growth_study(family, p, q1_list):
     for kernel_id, kernel, degree in family:
         # S_n k on purpose: the ladder, unlike solve_extremal, warns of no
         # truncation
-        solution = next(solve_ladder(p, kernel, [degree], STUDY_TOLERANCE))
+        solution = next(solve_ladder(p, kernel, [degree]))
         # The ratio is homogeneous of degree 0 in k, so both kernel norms
         # are taken of the ``rescaled`` kernel, where |c_t|^q neither
         # overflows nor underflows, and the columns are restored by ldexp.
@@ -410,7 +407,7 @@ def convergence_study(k, p, degrees):
     degree, ascending; N = max(degrees) serves as the reference. Distances
     decrease as n grows once past the small-n regime.
     """
-    solutions = list(solve_ladder(p, k, degrees, STUDY_TOLERANCE))
+    solutions = list(solve_ladder(p, k, degrees))
     F_ref = solutions[-1].F
     return [(s.degree, hardy_norm_even(s.F - F_ref, p)) for s in solutions]
 
@@ -429,8 +426,7 @@ def norm_equality_decay_study(k, p, degrees):
 
     Returns (reference degree, [(n, VerificationReport), ...]).
     """
-    *solutions, ref = solve_ladder(p, k, [*degrees, 2 * max(degrees) + 32],
-                                   STUDY_TOLERANCE)
+    *solutions, ref = solve_ladder(p, k, [*degrees, 2 * max(degrees) + 32])
     rows = [(s.degree, check_norm_equality(s.F, k, p, ref.phi_norm))
             for s in solutions]
     return ref.degree, rows

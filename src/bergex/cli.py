@@ -11,6 +11,9 @@ CSV rows or JSON.
 ``bergex solve`` records one fixed table of checks (``check_table``)
 and gates on it and on its extremality certificate; ``bergex verify``
 recomputes both from the file's problem, F and ||phi|| and compares.
+Every command solves at ``solver.TOLERANCE``: a config holds the problem
+alone, and a key nothing reads, such as the 'tolerance' of older configs
+and solution files, is ignored.
 
 Exit codes: 0 all checks passed, 1 a check failed, the certificate's
 residual_max exceeds DEFAULT_CERTIFICATE_TOL or verification mismatched,
@@ -33,7 +36,6 @@ import numpy as np
 from . import __version__
 from . import kernelspec
 from .checks import (
-    STUDY_TOLERANCE,
     _coefficient_bound_report,
     check_hinfty_criterion,
     check_table,
@@ -46,7 +48,6 @@ from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
 from .poly import AnalyticPoly
 from .solver import (
     DEFAULT_CERTIFICATE_TOL,
-    DEFAULT_TOLERANCE,
     ExtremalProblem,
     NonConvergenceError,
     brute_force_oracle,
@@ -111,28 +112,13 @@ def _exponent(config):
 
 
 def _problem(config):
-    """(p, tolerance, degree, kernel spec) of a solve config, or of the
-    problem a solution file records."""
+    """(p, degree, kernel spec) of a solve config, or of the problem a
+    solution file records."""
     p = _exponent(config)
-    tolerance = _field(config, "tolerance", float, _positive_finite,
-                       "tolerance must be positive and finite",
-                       DEFAULT_TOLERANCE)
     degree = _field(config, "degree", int,
                     lambda v: 1 <= v <= kernelspec.MAX_DEGREE,
                     f"degree must be in 1..{kernelspec.MAX_DEGREE}")
-    return p, tolerance, degree, kernelspec.from_dict(
-        _field(config, "kernel", dict))
-
-
-def _fixed_tolerance_exponent(config):
-    """The field 'p' of a study or oracle-compare config. These commands
-    solve at STUDY_TOLERANCE, so a 'tolerance' field, which they would
-    ignore, is refused."""
-    if "tolerance" in config:
-        raise ConfigError(f"config field 'tolerance' does not apply to "
-                          f"studies or oracle-compare, which solve at "
-                          f"{STUDY_TOLERANCE:g}")
-    return _exponent(config)
+    return p, degree, kernelspec.from_dict(_field(config, "kernel", dict))
 
 
 def _jsonable(value):
@@ -224,12 +210,11 @@ def _write(text, out):
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _solution_body(spec, tolerance, solution, reports):
+def _solution_body(spec, solution, reports):
     return {
         "problem": {
             "p": solution.p,
             "degree": solution.degree,
-            "tolerance": tolerance,
             "kernel": spec,
         },
         "solution": {
@@ -243,17 +228,17 @@ def _solution_body(spec, tolerance, solution, reports):
 
 
 def run_solve(config, out=None):
-    p, tolerance, degree, spec = _problem(config)
+    p, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
     with warnings.catch_warnings():  # a truncation is one line, below
         warnings.simplefilter("ignore", UserWarning)
-        problem = ExtremalProblem(p, kernel, degree, tolerance)
+        problem = ExtremalProblem(p, kernel, degree)
     solution = solve_extremal(problem)
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
     reports = check_table(solution.F, kernel, p, solution.phi_norm, degree)
-    body = _solution_body(spec, tolerance, solution, reports)
+    body = _solution_body(spec, solution, reports)
     _emit_json(_header(), body, out)
     if degree < kernel.degree:
         print(f"warning: working degree {degree} below kernel degree "
@@ -288,7 +273,7 @@ def run_verify(solution_path, out=None):
         with open(solution_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         body = payload["body"]
-        p, _, degree, spec = _problem(body["problem"])
+        p, degree, spec = _problem(body["problem"])
         kernel = kernelspec.realize(spec)
         solution = body["solution"]
         F = AnalyticPoly(_read_coefficients(solution, degree))
@@ -352,7 +337,7 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
-    p = _fixed_tolerance_exponent(config)
+    p = _exponent(config)
     q = p / (p - 1.0)
 
     def solvable(q1):  # p1 = (p - 1) q1 is an exponent bergex takes
@@ -377,7 +362,8 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
 def _study_family(config, seed):
     """Family for studies, the standard one or explicit kernel specs, and
     the seed to record: the standard family's random kernels are drawn
-    from ``seed``, or from DEFAULT_SEED when it is None."""
+    from ``seed``, or from DEFAULT_SEED when it is None, and explicit specs
+    draw nothing, so they record None."""
     specs = config.get("family", "standard")
     if specs == "standard":
         seed = DEFAULT_SEED if seed is None else seed
@@ -396,11 +382,11 @@ def _study_family(config, seed):
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
                         degree))
-    return entries, seed
+    return entries, None
 
 
 def run_convergence_study(config, out=None, fmt="csv"):
-    p = _fixed_tolerance_exponent(config)
+    p = _exponent(config)
     degrees = _degrees(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
@@ -411,7 +397,7 @@ def run_convergence_study(config, out=None, fmt="csv"):
 
 
 def run_hinfty_study(config, out=None, fmt="csv"):
-    p = _fixed_tolerance_exponent(config)
+    p = _exponent(config)
     alpha = _field(config, "alpha", float, _positive_finite,
                    "alpha must be positive and finite")
     degrees = _degrees(config, [16, 32, 64])
@@ -429,11 +415,11 @@ def run_oracle_compare(config, out=None):
     """The quadrature oracle against the solver, both on S_3 k over P_3,
     a truncation made on purpose: so the solve is ``solve_ladder``'s,
     which gives no truncation warning."""
-    p = _fixed_tolerance_exponent(config)
+    p = _exponent(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
     oracle_F = brute_force_oracle(kernel, p, degree=ORACLE_DEGREE)
-    solution = next(solve_ladder(p, kernel, [ORACLE_DEGREE], STUDY_TOLERANCE))
+    solution = next(solve_ladder(p, kernel, [ORACLE_DEGREE]))
     gap = float(np.max(np.abs(oracle_F.padded(ORACLE_DEGREE + 1)
                               - solution.F.padded(ORACLE_DEGREE + 1))))
     agree = gap <= ORACLE_TOLERANCE

@@ -51,7 +51,7 @@ def family_solutions():
     out = []
     for name, kernel, deg in standard_family():
         sol = solve_extremal(ExtremalProblem(
-            p=P, kernel=kernel, degree=deg, tolerance=1e-12))
+            p=P, kernel=kernel, degree=deg))
         out.append((name, sol))
     return out
 
@@ -82,8 +82,7 @@ def test_criterion_02_brute_force_oracle():
     for coeffs in ([0.0, 1.0], [1.0, 1.0], [1.0, -0.7]):
         k = as_poly(coeffs)
         F_oracle = brute_force_oracle(k, P, degree=3)
-        sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=3,
-                                             tolerance=1e-12))
+        sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=3))
         gap = float(np.max(np.abs(F_oracle.padded(4) - sol.F.padded(4))))
         worst_gap = max(worst_gap, gap)
         if coeffs == [0.0, 1.0]:
@@ -127,10 +126,8 @@ def test_criterion_04_norm_equality_decay():
 
 def test_criterion_05_fourier_formula_through_m8():
     k = as_poly([1.0, 2.0, 0.0, -1.0])
-    ref = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=160,
-                                         tolerance=1e-12))
-    sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=64,
-                                         tolerance=1e-12))
+    ref = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=160))
+    sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=64))
     equality = check_norm_equality(sol.F, k, P, ref.phi_norm)
     residuals = [check_fourier_formula(sol.F, k, P, ref.phi_norm, m).residual
                  for m in range(9)]
@@ -192,8 +189,7 @@ def test_criterion_09_kernel_round_trip():
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         coeffs *= 0.7 ** np.arange(deg + 1)
         k = as_poly(coeffs)
-        sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=48,
-                                             tolerance=1e-12))
+        sol = solve_extremal(ExtremalProblem(p=P, kernel=k, degree=48))
         out_deg = 2 * deg + 8
         k_hat = kernel_from_extremal(sol.F, P, out_deg)
         a = k.padded(out_deg + 1)

@@ -48,8 +48,7 @@ def one_plus_z_solution():
     # certifies: coefficient tails beyond the kernel degree sit at the
     # solver's round-off floor
     kernel = as_poly([1.0, 1.0])
-    return solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160,
-                                          tolerance=1e-12))
+    return solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160))
 
 
 class TestNormEquality:
@@ -258,8 +257,7 @@ class TestCoefficientBound:
         from bergex.families import random_kernels
 
         _, kernel = random_kernels()[0]
-        sol = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=96,
-                                             tolerance=1e-12))
+        sol = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=96))
         for m in range(17):
             report = check_coefficient_bound(sol.F, kernel, 4, sol.phi_norm, m)
             assert report.residual >= -1e-12, f"m={m}"
@@ -341,8 +339,7 @@ class TestCoefficientBoundSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_extremal(ExtremalProblem(
-                p=4, kernel=as_poly(scale * base.kernel.coeffs), degree=160,
-                tolerance=1e-12))
+                p=4, kernel=as_poly(scale * base.kernel.coeffs), degree=160))
             reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 160)
             assert all(r.passed for r in reports)
             for m_max in (0, 1):
@@ -362,7 +359,7 @@ class TestCoefficientBoundSweep:
             warnings.simplefilter("error")
             sol = solve_extremal(ExtremalProblem(
                 p=4, kernel=as_poly(2.0 ** -1030 * base.kernel.coeffs),
-                degree=160, tolerance=1e-12))
+                degree=160))
             reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 160)
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
         assert sol.certified
@@ -406,8 +403,7 @@ class TestHinftyCriterion:
         k = as_poly((np.arange(17) + 1.0) ** (-alpha) + 0j)
         for n in degrees:
             F = solve_extremal(ExtremalProblem(
-                p=p, kernel=taylor_truncate(k, n), degree=n,
-                tolerance=1e-12)).F
+                p=p, kernel=taylor_truncate(k, n), degree=n)).F
             spec = [abs(fourier_coeff_abs_power(F, p, m))
                     for m in range(p // 2 * F.degree + 1)]
             l1 = spec[0] + 2.0 * sum(spec[1:])
@@ -575,8 +571,7 @@ class TestRyabykhBound:
     @settings(max_examples=25, deadline=None)
     def test_holds_on_solutions(self, problem):
         c, n, p = problem
-        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
-                                             tolerance=1e-12))
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n))
         report = check_ryabykh_bound(sol.F, sol.kernel, p)
         assert report.residual <= 1e-12
         assert report.lhs <= report.context["kernel_bound"]
@@ -585,8 +580,7 @@ class TestRyabykhBound:
     def test_standard_family_passes_every_check(self, p):
         for name, kernel, degree in standard_family():
             sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel,
-                                                 degree=degree,
-                                                 tolerance=1e-12))
+                                                 degree=degree))
             # the degree ladder leaves at most two Newton steps at degree n
             assert sol.iterations <= 2, name
             reports = check_table(sol.F, kernel, p, sol.phi_norm, degree)
@@ -625,7 +619,7 @@ class TestScaleCovariance:
         for c in (np.array(coeffs), np.ldexp(np.real(coeffs), j)
                   + 1j * np.ldexp(np.imag(coeffs), j)):
             sol = solve_extremal(ExtremalProblem(
-                p=p, kernel=as_poly(c), degree=16, tolerance=1e-12))
+                p=p, kernel=as_poly(c), degree=16))
             runs.append((sol, check_table(sol.F, sol.kernel, p, sol.phi_norm,
                                           16)))
         (base, base_reports), (scaled, scaled_reports) = runs

@@ -24,7 +24,7 @@ from bergex import _backend, checks, cli, kernelspec, poly, solver, spaces
 from bergex.checks import check_fourier_formula
 from bergex.families import standard_family
 from bergex.poly import AnalyticPoly, as_poly
-from bergex.solver import DEFAULT_TOLERANCE, ExtremalProblem, solve_extremal
+from bergex.solver import ExtremalProblem, solve_extremal
 
 MONOMIAL_Z = {"type": "coeffs", "values": [[0.0, 0.0], [1.0, 0.0]]}
 ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
@@ -102,7 +102,6 @@ def solved_artifact(tmp_path_factory):
         "p": 4,
         "degree": 32,
         "kernel": MONOMIAL_Z,
-        "tolerance": 1e-12,
     })
     solution = str(root / "solution.json")
     code = cli.main(["solve", "--config", config, "--out", solution])
@@ -137,7 +136,6 @@ class TestSolveCommand:
             "p": 2,
             "degree": 16,
             "kernel": ONE_PLUS_Z,
-            "tolerance": 1e-12,
         })
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
@@ -179,7 +177,6 @@ class TestSolveCommand:
             "p": 4,
             "degree": 128,
             "kernel": POWER_DECAY_3,
-            "tolerance": 1e-10,
         })
         first = str(tmp_path / "a.json")
         second = str(tmp_path / "b.json")
@@ -188,8 +185,8 @@ class TestSolveCommand:
         assert body_text(first) == body_text(second)
 
     def test_readme_config_without_tolerance_passes(self, tmp_path):
-        # The default tolerance (1e-10) must clear the -1e-12
-        # coefficient-bound gate at the README's degree.
+        # solver.TOLERANCE must clear the -1e-12 coefficient-bound gate at
+        # the README's degree, and a solution file records no tolerance
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1,
             "p": 4,
@@ -200,7 +197,7 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
         assert cli.main(["verify", out]) == 0
         problem = load_report(out)["body"]["problem"]
-        assert problem["tolerance"] == DEFAULT_TOLERANCE
+        assert "tolerance" not in problem
 
     def test_uncertified_solve_exits_one(self, tmp_path, capsys):
         # every check passes, but degree 16 leaves the certificate's
@@ -211,7 +208,6 @@ class TestSolveCommand:
             "p": 4,
             "degree": 16,
             "kernel": POWER_DECAY_3,
-            "tolerance": 1e-12,
         })
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 1
@@ -305,8 +301,7 @@ class TestSolveCommand:
         # under -W error a UserWarning would end the solve in a traceback;
         # the truncation is one stderr line, and the exit code is the gate's
         config = write_json(tmp_path / "c.json", {
-            "schema_version": 1, "p": 4, "degree": degree, "kernel": kernel,
-            "tolerance": 1e-12})
+            "schema_version": 1, "p": 4, "degree": degree, "kernel": kernel})
         kernel_degree = kernelspec.realize(kernelspec.from_dict(kernel)).degree
         done = subprocess.run(
             [sys.executable, "-W", "error", "-c",
@@ -337,7 +332,7 @@ class TestSolveCommand:
             assert stored.dtype == (complex if name == "signed" else float)
             config = write_json(tmp_path / f"{name}.json", {
                 "schema_version": 1, "p": 4, "degree": 64,
-                "kernel": kernel, "tolerance": 1e-12})
+                "kernel": kernel})
             out = str(tmp_path / f"{name}-solution.json")
             c_hat_dtypes.clear()
             assert cli.main(["solve", "--config", config, "--out", out]) == 0
@@ -379,7 +374,7 @@ class TestReportEncoding:
         solution = SimpleNamespace(F=AnalyticPoly(coeffs), p=4, degree=4,
                                    phi_norm=1.0, residual_max=0.0,
                                    iterations=0)
-        body = cli._solution_body(CONSTANT_ONE, 1e-10, solution, [])
+        body = cli._solution_body(CONSTANT_ONE, solution, [])
         out = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(out))
         recorded = load_report(out)["body"]["solution"]
@@ -510,8 +505,7 @@ class TestVerifyCommand:
                           in standard_family(1)}["random-0"]
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1, "p": 4, "degree": degree,
-            "kernel": kernelspec.coeffs_spec(kernel.coeffs),
-            "tolerance": 1e-12})
+            "kernel": kernelspec.coeffs_spec(kernel.coeffs)})
         solution = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", solution]) == 1
         table = [c["check_name"]
@@ -541,7 +535,7 @@ class TestVerifyCommand:
         # at p = 6 the pairings reach j = 3n, past the 2n of p <= 4
         config = write_json(tmp_path / "c.json", {
             "schema_version": 1, "p": 6, "degree": 32,
-            "kernel": MONOMIAL_Z, "tolerance": 1e-12})
+            "kernel": MONOMIAL_Z})
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
         ranges = []
@@ -559,7 +553,7 @@ class TestVerifyCommand:
         # a real F reloads as float64, so every kernel call of verify, on
         # the direct path and through a transform, runs in real arithmetic
         config = write_json(tmp_path / "c.json", {
-            "schema_version": 1, "p": 4, "degree": 288, "tolerance": 1e-12,
+            "schema_version": 1, "p": 4, "degree": 288,
             "kernel": {"type": "power_decay", "alpha": 1.6, "count": 64}})
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
@@ -747,8 +741,20 @@ class TestExitCodes:
         {"tolerance": float("nan")},
         {"tolerance": float("inf")},
     ])
-    def test_non_finite_input_rejected(self, tmp_path, overrides):
-        assert self.run_solve(tmp_path, overrides) == 3
+    def test_non_finite_input_rejected(self, tmp_path, capsys, overrides):
+        # 'tolerance' is a key nothing reads: whatever its value, the exit
+        # code and report are those of the config without it
+        if "tolerance" not in overrides:
+            assert self.run_solve(tmp_path, overrides) == 3
+            return
+        runs = []
+        for fields in (overrides, {}):
+            code = self.run_solve(tmp_path, fields)
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            del report["header"]["generated_at"]
+            runs.append((code, report, err))
+        assert runs[0] == runs[1]
 
     def test_malformed_kernel_rejected(self, tmp_path, capsys):
         bad = {"type": "power_decay", "alpha": 2.0}
@@ -820,9 +826,10 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "nested too deeply" in capsys.readouterr().err
 
-    def test_nonconvergence_exits_two(self, tmp_path, capsys):
+    def test_nonconvergence_exits_two(self, tmp_path, capsys, monkeypatch):
         # no step moves a gradient at its float floor down to 1e-30
-        code = self.run_solve(tmp_path, {"tolerance": 1e-30})
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-30)
+        code = self.run_solve(tmp_path, {})
         assert code == 2
         err = capsys.readouterr().err
         assert "did not converge" in err
@@ -868,7 +875,9 @@ IGNORED_FIELDS = [
 ]
 NOT_INTEGERS = [math.inf, True, False, 8.0, "8", [8], {"n": 8}, None, -1]
 
-NUMBER_FIELDS = [("solve", "tolerance")]
+NUMBER_FIELDS = [("hinfty", "alpha")]
+# number fields that configs no longer read, likewise ignored
+IGNORED_NUMBER_FIELDS = [("solve", "tolerance")]
 NOT_NUMBERS = [[1], True, {"value": 1}, "1e-10", None, 10 ** 400, -1.0]
 NOT_NUMBER_LISTS = [[], "ab", 2.0, {"q1": 2.0}, None, ["2"], [True],
                     [2.0, None], [math.inf], [10 ** 400]]
@@ -893,19 +902,23 @@ class TestConfigFieldTypes:
                                 "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
-    @pytest.mark.parametrize("case, field", INTEGER_FIELDS + IGNORED_FIELDS)
-    def test_integer_fields(self, tmp_path, capsys, case, field, value):
+    def assert_moves_nothing(self, tmp_path, capsys, case, field, value):
+        """The field, set to the value, leaves the exit code, stderr and
+        report, header included, of the same config without it."""
         code, err = self.run(tmp_path, capsys, case, field, value)
-        if (case, field) not in IGNORED_FIELDS:
-            assert code == 3
-            assert repr(field) in err
-            return
-        # the exit code and report, header included, of the same config
-        # without the field
         report = report_without_timestamp(tmp_path / "out")
         assert (code, err) == self.run(tmp_path, capsys, case, None, None)
         assert report == report_without_timestamp(tmp_path / "out")
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("case, field", INTEGER_FIELDS + IGNORED_FIELDS)
+    def test_integer_fields(self, tmp_path, capsys, case, field, value):
+        if (case, field) in IGNORED_FIELDS:
+            self.assert_moves_nothing(tmp_path, capsys, case, field, value)
+            return
+        code, err = self.run(tmp_path, capsys, case, field, value)
+        assert code == 3
+        assert repr(field) in err
 
     @pytest.mark.parametrize("value", NOT_INTEGERS + [[8]], ids=repr)
     @pytest.mark.parametrize("case", ["convergence", "hinfty"])
@@ -939,8 +952,12 @@ class TestConfigFieldTypes:
         assert repr(field) in err
 
     @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
-    @pytest.mark.parametrize("case, field", NUMBER_FIELDS)
+    @pytest.mark.parametrize("case, field",
+                             NUMBER_FIELDS + IGNORED_NUMBER_FIELDS)
     def test_number_fields(self, tmp_path, capsys, case, field, value):
+        if (case, field) in IGNORED_NUMBER_FIELDS:
+            self.assert_moves_nothing(tmp_path, capsys, case, field, value)
+            return
         code, err = self.run(tmp_path, capsys, case, field, value)
         assert code == 3
         assert repr(field) in err
@@ -960,20 +977,18 @@ class TestConfigFieldTypes:
         assert "'family'" in err
 
     @pytest.mark.parametrize("case", ["growth", "growth-explicit",
-                                      "convergence", "hinfty"])
-    def test_studies_reject_tolerance(self, tmp_path, capsys, case):
-        # every study solves at checks.STUDY_TOLERANCE; a tolerance field
-        # would be ignored
-        code, err = self.run(tmp_path, capsys, case, "tolerance", 1e-12)
-        assert code == 3
-        assert "'tolerance'" in err
+                                      "convergence", "hinfty", "oracle"])
+    def test_tolerance_key_moves_nothing(self, tmp_path, capsys, case):
+        # every command solves at solver.TOLERANCE, so a 'tolerance' key,
+        # even one no solve could meet, is a key nothing reads
+        self.assert_moves_nothing(tmp_path, capsys, case, "tolerance", 1e-30)
 
 
 class TestCheckSuiteWork:
     @pytest.fixture(scope="class")
     def solution(self):
         return solve_extremal(ExtremalProblem(
-            p=4, kernel=as_poly([1.0, 1.0]), degree=32, tolerance=1e-12))
+            p=4, kernel=as_poly([1.0, 1.0]), degree=32))
 
     def test_power_calls_per_solution_bounded(self, solution, monkeypatch,
                                               tmp_path):
@@ -994,7 +1009,7 @@ class TestCheckSuiteWork:
         assert len(reports) == 12
         assert 0 < len(calls) <= 3
 
-        body = cli._solution_body(ONE_PLUS_Z, 1e-12, solution, reports)
+        body = cli._solution_body(ONE_PLUS_Z, solution, reports)
         path = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(path))
         calls.clear()
@@ -1010,7 +1025,7 @@ class TestCheckSuiteWork:
                    checks.coefficient_bound_sweep(solution),
                    checks.check_ryabykh_bound(F, k, p)]
         config = {"schema_version": 1, "p": p, "degree": solution.degree,
-                  "kernel": ONE_PLUS_Z, "tolerance": 1e-12}
+                  "kernel": ONE_PLUS_Z}
         out = tmp_path / "s.json"
         cli.run_solve(config, out=str(out))  # degree 32 leaves residual_max
         assert load_report(out)["body"]["checks"] == json.loads(json.dumps(
@@ -1119,11 +1134,19 @@ class TestGrowthStudy:
         assert capsys.readouterr().err == ""
 
     def test_explicit_family_records_no_seed(self, tmp_path):
-        # explicit kernel specs draw nothing at random
+        # explicit kernel specs draw nothing at random, so a config's seed
+        # is not recorded either
         out = tmp_path / "g.json"
         assert cli.main(["study", "growth", "--config", self.config(tmp_path),
                          "--format", "json", "--out", str(out)]) == 0
         assert load_report(out)["header"]["seed"] is None
+        config = write_json(tmp_path / "seeded.json", {
+            "schema_version": 1, "p": 4, "seed": 7, "degree": 8,
+            "family": [{"type": "coeffs", "values": [[1.0, 0.0], [0.3, 0.0]]}]})
+        out = str(tmp_path / "g.csv")
+        assert cli.main(["study", "growth", "--config", config,
+                         "--out", out]) == 0
+        assert read_csv_report(out)[0]["seed"] == "None"
 
     def test_extreme_kernel_scales(self, tmp_path):
         # the ratio is homogeneous of degree 0 in the kernel
@@ -1422,16 +1445,23 @@ class TestOracleCompare:
         assert body["agree"] is True
         assert body["max_coefficient_gap"] <= 1e-12
 
-    def test_tolerance_field_rejected(self, tmp_path, capsys):
-        # oracle-compare solves at checks.STUDY_TOLERANCE, as the studies
-        # do, and refuses a tolerance it would ignore
-        config = write_json(tmp_path / "o.json", {
-            "schema_version": 1, "p": 4, "kernel": ONE_PLUS_Z,
-            "tolerance": 1e-10})
-        assert cli.main(["oracle-compare", "--config", config]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: config field 'tolerance'")
-        assert "1e-12" in err
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    @pytest.mark.parametrize("kernel", [
+        ONE_PLUS_Z,
+        {"type": "coeffs", "values": [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0],
+                                      [-1.0, 0.0]]},  # cubic-mix
+        {"type": "coeffs", "values": [[1.0, 0.0], [0.5, 0.3]]},
+        {"type": "coeffs", "values": [[0.2, 0.0], [1.0, 0.0], [0.4, -0.1]]},
+    ], ids=["one-plus-z", "cubic-mix", "complex-linear", "quadratic"])
+    def test_solver_side_is_the_solve(self, tmp_path, p, kernel):
+        # one problem, one answer: oracle-compare's solver coefficients are
+        # those of bergex solve at degree 3, bit for bit
+        config = {"schema_version": 1, "p": p, "kernel": kernel}
+        oracle, solution = tmp_path / "o.json", tmp_path / "s.json"
+        cli.run_oracle_compare(config, out=str(oracle))
+        cli.run_solve(dict(config, degree=3), out=str(solution))
+        assert (load_report(oracle)["body"]["solver_coefficients"]
+                == load_report(solution)["body"]["solution"]["coefficients"])
 
     @pytest.mark.filterwarnings("error")
     def test_truncated_kernel_warns_nothing(self, tmp_path, capsys):
@@ -1733,7 +1763,7 @@ def test_overflowing_trial_steps_leave_stderr_empty(tmp_path):
     # overflows, and says nothing about them; degree 1 is too low for the
     # checks to pass, so the solve exits 1
     config = write_json(tmp_path / "c.json", {
-        "schema_version": 1, "p": 1024, "degree": 1, "tolerance": 1e-12,
+        "schema_version": 1, "p": 1024, "degree": 1,
         "kernel": {"type": "coeffs", "values": [[1, 0], [0, 0.5]]}})
     done = fresh_process(
         "import sys; from bergex import cli; sys.exit(cli.main(['solve', "

@@ -59,10 +59,10 @@ SPEC = st.one_of(
 KERNEL = field(SPEC)
 P = field(st.sampled_from([2, 4, 6]))
 DEGREES = field(st.lists(st.integers(0, 16), min_size=2, max_size=4))
-TOLERANCE = field(st.sampled_from([1e-30, 1e-12, 1e-6, 1.0]))
 # keys that no command reads any more, whatever their value
 IGNORED = {(key,): field(st.integers(-3, 3))
-           for key in ("max_iterations", "oracle_degree", "checks")}
+           for key in ("max_iterations", "oracle_degree", "checks",
+                       "tolerance")}
 SEED = {("seed",): field(st.integers(0, 2 ** 64))}
 VERSION = {("schema_version",): field(st.just(1))}
 
@@ -70,8 +70,8 @@ ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
 SOLVE = {"schema_version": 1, "p": 4, "degree": 8,
          "kernel": {"type": "coeffs", "values": [[1.0, 0.0], [0.5, 0.25]]}}
 PROBLEM_FIELDS = {("p",): P, ("degree",): field(st.integers(1, 16)),
-                  ("tolerance",): TOLERANCE, ("kernel",): KERNEL}
-STUDY_FIELDS = {("p",): P, ("tolerance",): TOLERANCE, **VERSION, **IGNORED}
+                  ("kernel",): KERNEL}
+STUDY_FIELDS = {("p",): P, **VERSION, **IGNORED}
 
 
 def under(prefix, fields):

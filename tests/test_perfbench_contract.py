@@ -101,6 +101,29 @@ def test_readme_config_checks_key_moves_nothing(perfbench, tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_family_tolerance_key_moves_nothing(perfbench, tmp_path):
+    # the family configs still carry 'tolerance'; every solve stops at
+    # solver.TOLERANCE, so a real and a random kernel's job gives the body
+    # and exit code of its config without the key, and the README config,
+    # which never had it, solves as one-plus-z's job does
+    workloads = importlib.import_module("workloads")
+
+    def run(config, name):
+        path = tmp_path / f"{name}.json"
+        code = cli.run_solve(config, out=str(path))
+        return code, json.loads(path.read_text())["body"]
+
+    runs = {}
+    for name in ("one-plus-z-p4", "random-0-p4"):
+        config, _ = family_job(workloads, DEFAULT_SEED, name)
+        assert "tolerance" in config
+        bare = {key: value for key, value in config.items()
+                if key != "tolerance"}
+        runs[name] = run(config, "with")
+        assert runs[name] == run(bare, "without")
+    assert run(workloads.README_CONFIG, "readme") == runs["one-plus-z-p4"]
+
+
 def family_job(workloads, seed, name):
     """(config, known failure) of the family job of this name and seed."""
     return next((config, known) for job, config, known

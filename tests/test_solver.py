@@ -1,5 +1,6 @@
 """Tests for the extremal solver, its certificate, and the kernel inverse."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -53,8 +54,7 @@ def small_problems(draw):
 
 def solve_coeffs(c, n, p):
     """F's coefficients, padded to n + 1, for the kernel with coefficients c."""
-    sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
-                                         tolerance=1e-12))
+    sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n))
     return sol.F.padded(n + 1)
 
 
@@ -86,7 +86,7 @@ class TestProblemValidation:
         # suite's filter makes one an error)
         kernel = as_poly([1.0, 0.5j])
         sol = solve_extremal(ExtremalProblem(p=MAX_EXPONENT, kernel=kernel,
-                                             degree=1, tolerance=1e-12))
+                                             degree=1))
         oracle = brute_force_oracle(kernel, MAX_EXPONENT, degree=1)
         np.testing.assert_allclose(sol.F.padded(2), oracle.padded(2),
                                    rtol=0, atol=1e-14)
@@ -99,11 +99,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=-1)
 
-    def test_bad_tolerance_rejected(self):
-        for tolerance in (0.0, -1e-12, float("nan")):
-            with pytest.raises(ValueError, match="tolerance"):
-                ExtremalProblem(p=4, kernel=as_poly([1.0]), degree=4,
-                                tolerance=tolerance)
+    def test_fields_are_the_problem(self):
+        # the problem alone is input: every solve stops at solver.TOLERANCE
+        assert [f.name for f in dataclasses.fields(ExtremalProblem)] == [
+            "p", "kernel", "degree"]
 
     def test_kernel_vanishing_on_working_space_rejected(self):
         # k = z^5 truncated to P_2 leaves no functional at all
@@ -192,7 +191,7 @@ class TestClosedForms:
         assert (r < linear_threshold(p)) == (rho < 1)
         n = next((n for n in range(1, 1025) if rho ** n < 1e-17), 1024)
         sol = solve_extremal(ExtremalProblem(
-            p=p, kernel=as_poly([1.0, c1]), degree=n, tolerance=1e-12))
+            p=p, kernel=as_poly([1.0, c1]), degree=n))
         gap = sol.phi_norm / N ** (p - 1) - 1
         if rho >= 1:
             assert abs(gap) > 1e-9
@@ -226,8 +225,7 @@ def solution():
     decays slowly, so smaller degrees leave a visible gap.
     """
     kernel = as_poly([1.0, 0.5, -0.25, 0.1j])
-    return solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=128,
-                                          tolerance=1e-11))
+    return solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=128))
 
 
 class TestSolutionInvariants:
@@ -327,8 +325,7 @@ class TestGradient:
         # J(f) = ||f||_{A^p}^p / p - Re phi(f) is least at ||phi||^{1/(p-1)} F,
         # where d J / d conj(a_j) = (||phi|| / 2) conj(res_j) for j <= n
         n = 24
-        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n,
-                                             tolerance=1e-12))
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=as_poly(c), degree=n))
         f = as_poly(sol.phi_norm ** (1.0 / (p - 1)) * sol.F.coeffs)
         kernel_side = sol.kernel.padded(n + 1) / (2.0 * np.arange(1, n + 2))
         grad = gradient_norm_p(f, p)[:n + 1] / p - kernel_side
@@ -476,8 +473,7 @@ class TestKernelRoundTrip:
         rng = np.random.default_rng(31)
         for _ in range(3):
             k = random_poly(rng, 5)
-            sol = solve_extremal(ExtremalProblem(p=4, kernel=k, degree=20,
-                                                 tolerance=1e-12))
+            sol = solve_extremal(ExtremalProblem(p=4, kernel=k, degree=20))
             rec = kernel_from_extremal(sol.F, 4, 5)
             a, b = rec.padded(6), k.padded(6)
             cosine = np.real(np.vdot(a, b)) / (
@@ -504,8 +500,7 @@ class TestSolverProperties:
         # J is strictly convex: every start on the side Re phi_hat > 0,
         # where the ladder's starts lie, reaches the same F
         kernel = as_poly([1.0, 0.5, 0.25])
-        problem = ExtremalProblem(p=4, kernel=kernel, degree=10,
-                                  tolerance=1e-11)
+        problem = ExtremalProblem(p=4, kernel=kernel, degree=10)
         reference = solve_extremal(problem)
         weights = 1.0 / (np.arange(11) + 1.0)
         rng = np.random.default_rng(41)
@@ -525,7 +520,7 @@ class TestSolverProperties:
         # minimum of J on its ray, so the start's size does not matter
         kernel = as_poly(c)
         reference = solve_extremal(ExtremalProblem(p=4, kernel=kernel,
-                                                   degree=12, tolerance=1e-12))
+                                                   degree=12))
         F = newton_from(kernel, 4, scale * kernel.padded(13), 1e-12)
         np.testing.assert_allclose(F, reference.F.padded(13),
                                    rtol=0, atol=1e-12)
@@ -615,11 +610,9 @@ class TestSolverProperties:
         # norm; degree 288 puts conv/xcorr on their FFT path, whose
         # round-off must not leak into F's imaginary parts
         kernel, theta, n = power_decay_kernel(1.6, 64), 0.7, 288
-        real = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n,
-                                              tolerance=1e-12))
+        real = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
         turned = solve_extremal(ExtremalProblem(
-            p=p, kernel=as_poly(np.exp(1j * theta) * kernel.coeffs), degree=n,
-            tolerance=1e-12))
+            p=p, kernel=as_poly(np.exp(1j * theta) * kernel.coeffs), degree=n))
         np.testing.assert_allclose(turned.F.padded(n + 1),
                                    np.exp(1j * theta) * real.F.padded(n + 1),
                                    rtol=0, atol=1e-12)
@@ -651,7 +644,7 @@ class TestSolverProperties:
                     monkeypatch.setattr(module, name,
                                         recorded(getattr(module, name)))
         solve_extremal(ExtremalProblem(p=p, kernel=power_decay_kernel(1.6, 64),
-                                       degree=288, tolerance=1e-12))
+                                       degree=288))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     def test_non_convergence_carries_trace(self, monkeypatch):
@@ -659,30 +652,30 @@ class TestSolverProperties:
         monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 3)
         kernel = as_poly([1.0, 1.0, 0.5])
         with pytest.raises(NonConvergenceError) as exc_info:
-            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=16,
-                                           tolerance=1e-12))
+            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=16))
         trace = exc_info.value.trace
         assert len(trace) == 3
         assert all(len(entry) == 3 for entry in trace)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-30)
         kernel = as_poly([1.0, 1.0])
         with pytest.raises(NonConvergenceError):
-            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12,
-                                           tolerance=1e-30))
+            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=12))
 
-    def test_float_floor_stops_early(self):
+    def test_float_floor_stops_early(self, monkeypatch):
         # below the gradient's float floor nothing moves; stop, do not
         # spend the whole iteration budget. The last two inputs alternate
         # between two iterates there, one on the real and one on the
         # complex path.
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-30)
         for p, coeffs, degree in [(4, [1.0, 1.0], 12),
                                   (6, [1.0, 0.5, 0.25], 20),
                                   (6, [1j, 0.5j, 0.25j], 20)]:
             kernel = as_poly(coeffs)
             with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
-                solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=degree,
-                                               tolerance=1e-30))
+                solve_extremal(ExtremalProblem(p=p, kernel=kernel,
+                                               degree=degree))
             assert len(exc_info.value.trace) <= 50
 
 
@@ -722,8 +715,7 @@ class TestDegreeLadder:
                                             vanishing, turning]]
         cases += [(k, n) for name, k, n in standard_family() if name == family]
         for kernel, n in cases:
-            problem = ExtremalProblem(p=p, kernel=kernel, degree=n,
-                                      tolerance=1e-12)
+            problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
             ladder = solve_extremal(problem)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "MIN_RUNG_DEGREE", n + 1)
@@ -734,8 +726,7 @@ class TestDegreeLadder:
 
     def test_unrequested_rungs_solve_to_sqrt_tolerance(self, monkeypatch):
         # a rung below the requested degrees only starts the one above it,
-        # so it stops at the square root of the tolerance; a tolerance of
-        # at least 1 is never tightened
+        # so it stops at the square root of the tolerance
         tolerances, newton = [], solver._newton
 
         def recording_newton(c_hat, p, a, tolerance):
@@ -744,21 +735,15 @@ class TestDegreeLadder:
 
         monkeypatch.setattr(solver, "_newton", recording_newton)
         kernel = as_poly([1.0, 1.0])
-        solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160,
-                                       tolerance=1e-12))
+        solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160))
         assert _rungs(160) == [20, 40, 80, 160]
         assert tolerances == [1e-6, 1e-6, 1e-6, 1e-12]
 
         # rungs 8, 24, 32 and 64, of which 32 alone is not requested
         tolerances.clear()
-        ladder = list(solve_ladder(4, kernel, [8, 24, 64], 1e-12))
+        ladder = list(solve_ladder(4, kernel, [8, 24, 64]))
         assert [sol.degree for sol in ladder] == [8, 24, 64]
         assert tolerances == [1e-12, 1e-12, 1e-6, 1e-12]
-
-        tolerances.clear()
-        solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=160,
-                                       tolerance=4.0))
-        assert tolerances == [4.0] * 4
 
     def test_hessians_per_family_pass_bounded(self, monkeypatch):
         # the 18 family solves at the default seed build 126 Hessians, 168
@@ -772,11 +757,11 @@ class TestDegreeLadder:
         monkeypatch.setattr(solver, "_gram", counting_gram)
         for p in (4, 6):
             for _, kernel, n in standard_family():
-                solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n,
-                                               tolerance=1e-12))
+                solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
         assert 0 < builds[0] <= 130
 
-    def test_unreachable_tolerance_raises_from_requested_degree(self):
+    def test_unreachable_tolerance_raises_from_requested_degree(
+            self, monkeypatch):
         # rungs 16 and 32 meet 1e-15, the square root of the tolerance,
         # and degree 64 fails at its float floor; the error carries the
         # trace of degree 64, which starts at the minimum of rung 32 and
@@ -785,11 +770,13 @@ class TestDegreeLadder:
 
         def minimum(n):
             return solve_extremal(ExtremalProblem(
-                p=4, kernel=kernel, degree=n, tolerance=1e-12)).trace[-1][1]
+                p=4, kernel=kernel, degree=n)).trace[-1][1]
 
-        with pytest.raises(NonConvergenceError, match="no progress") as exc_info:
-            solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64,
-                                           tolerance=1e-30))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "TOLERANCE", 1e-30)
+            with pytest.raises(NonConvergenceError,
+                               match="no progress") as exc_info:
+                solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=64))
         trace = exc_info.value.trace
         assert trace[0][0] == 0
         assert minimum(32) - minimum(64) >= 1e-9
@@ -805,11 +792,11 @@ class TestDegreeLadder:
         # climbing its own ladder; 24 and 40 are rungs of neither 16 nor 64
         kernel = AnalyticPoly(phase * power_decay_kernel(1.6, 64).coeffs)
         degrees = [40, 8, 24, 64, 16, 24]
-        ladder = list(solve_ladder(p, kernel, degrees, tolerance=1e-12))
+        ladder = list(solve_ladder(p, kernel, degrees))
         assert [sol.degree for sol in ladder] == sorted(set(degrees))
         for sol in ladder:
             alone = solve_extremal(ExtremalProblem(
-                p=p, kernel=kernel, degree=sol.degree, tolerance=1e-12))
+                p=p, kernel=kernel, degree=sol.degree))
             np.testing.assert_allclose(sol.F.coeffs, alone.F.coeffs,
                                        rtol=0, atol=1e-13)
             assert sol.phi_norm == pytest.approx(alone.phi_norm, rel=1e-13)
@@ -982,9 +969,9 @@ class TestTruncatedFamily:
     """Solves with the truncated kernel S_n k over P_n, level by level."""
 
     @staticmethod
-    def solve_truncated(k, p, n, tolerance=1e-10):
+    def solve_truncated(k, p, n):
         return solve_extremal(ExtremalProblem(
-            p=p, kernel=taylor_truncate(k, n), degree=n, tolerance=tolerance))
+            p=p, kernel=taylor_truncate(k, n), degree=n))
 
     def test_constant_kernel(self):
         for n in [2, 4, 8]:
@@ -1008,7 +995,7 @@ class TestTruncatedFamily:
         from bergex.spaces import hardy_norm_even
 
         k = as_poly((np.arange(33) + 1.0) ** -2.0 + 0j)
-        f8, f16, f32 = (self.solve_truncated(k, 4, n, 1e-12).F
+        f8, f16, f32 = (self.solve_truncated(k, 4, n).F
                         for n in [8, 16, 32])
         later = hardy_norm_even(f32 - f16, 4)
         earlier = hardy_norm_even(f16 - f8, 4)
@@ -1029,8 +1016,8 @@ class TestBruteForceOracle:
     def test_matches_solver_from_two_seeds(self, p, n, kernel):
         # two calls give the same bits: the oracle draws nothing at random
         k = as_poly(kernel)
-        F = solve_extremal(ExtremalProblem(p=p, kernel=k, degree=n,
-                                           tolerance=1e-12)).F.padded(n + 1)
+        F = solve_extremal(ExtremalProblem(p=p, kernel=k,
+                                           degree=n)).F.padded(n + 1)
         one, two = (solver.brute_force_oracle(k, p, degree=n).padded(n + 1)
                     for _ in range(2))
         assert one.tobytes() == two.tobytes()
@@ -1041,8 +1028,8 @@ class TestBruteForceOracle:
         # the oracle checks the solver only if it never calls the kernels
         # and the Newton solve that the solver is built from
         k = as_poly([1.0, 0.5j, -0.25 + 0.4j])
-        F = solve_extremal(ExtremalProblem(p=6, kernel=k, degree=3,
-                                           tolerance=1e-12)).F.padded(4)
+        F = solve_extremal(ExtremalProblem(p=6, kernel=k,
+                                           degree=3)).F.padded(4)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached the solver's machinery")
@@ -1056,8 +1043,7 @@ class TestBruteForceOracle:
         # at degree 3 the quadrature samples 16 angles, so c_16 z^16 would
         # alias onto c_0 if the oracle did not truncate the kernel to P_3
         k = power_decay_kernel(0.5, 40)
-        F = solve_extremal(ExtremalProblem(p=4, kernel=k, degree=3,
-                                           tolerance=1e-12)).F
+        F = solve_extremal(ExtremalProblem(p=4, kernel=k, degree=3)).F
         oracle = solver.brute_force_oracle(k, 4, degree=3)
         assert np.max(np.abs(oracle.padded(4) - F.padded(4))) <= 1e-8
 
