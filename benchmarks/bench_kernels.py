@@ -116,9 +116,23 @@ last: over 12 alternating pairs of fresh processes the whole-process
 solve took 0.448 s that way and 0.224 s with the module alone, and its
 peak RSS 59.1 MB against 36.7 MB.
 
+With ``--out PATH`` the script also writes every table to PATH as one
+JSON object. ``tables`` maps each table's name to its rows. A timed cell
+of a row is an object holding the ``median``, ``min`` and ``max`` seconds
+of its repeats and their count, ``repeats``; a row's other entries (the
+sizes, iterations, rungs, kB or error) are the printed ones.
+``environment`` records ``nproc``, ``OPENBLAS_NUM_THREADS``, the NumPy,
+SciPy and Python versions, the commit checked out where the timed
+bergex package lives (null outside a git work tree), the date and
+``FFT_THRESHOLD``. A default run took DEFAULT_RUN_TIME on a 2-CPU x86-64
+VM with one BLAS thread. To compare two versions of bergex, run the
+script on each in turn, with PYTHONPATH at each one's ``src``, in one
+session, and keep both files.
+
 Run from the repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_kernels.py [--sizes 16,64,256,1024] [--repeats 200]
+        [--out BENCH_label.json]
 """
 
 import argparse
@@ -130,8 +144,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
@@ -166,14 +182,21 @@ STARTUP_PROBES = (
 )
 
 
+def cell(times):
+    """One timed cell of a table: the median, min and max seconds of its
+    repeats, and their count."""
+    return {"median": statistics.median(times), "min": min(times),
+            "max": max(times), "repeats": len(times)}
+
+
 def time_call(fn, *args, repeats=200):
-    """Median seconds per call over the given number of repeats."""
+    """The ``cell`` of fn(*args) over the given number of repeats."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return cell(times)
 
 
 # Values of FFT_THRESHOLD that force each path for every operand size.
@@ -183,10 +206,10 @@ PATH_LABELS = [label + kind for kind in ("", " real") for label, _ in PATHS]
 
 
 def time_paths(fn, operands, repeats):
-    """Median seconds per call of fn(*args) for args in ``operands`` (the
-    complex arguments, then the real ones), on each path of PATHS: the
-    four cells of a row in PATH_LABELS' order. The cells are timed call
-    by call in turn."""
+    """The ``cell`` of fn(*args) for args in ``operands`` (the complex
+    arguments, then the real ones), on each path of PATHS: the four cells
+    of a row in PATH_LABELS' order. The cells are timed call by call in
+    turn."""
     cells = [(args, threshold) for args in operands for _, threshold in PATHS]
     times = [[] for _ in cells]
     try:
@@ -198,14 +221,19 @@ def time_paths(fn, operands, repeats):
                 column.append(time.perf_counter() - start)
     finally:
         _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
-    return [statistics.median(column) for column in times]
+    return [cell(column) for column in times]
+
+
+def medians(cells):
+    """The median seconds of each cell of a row."""
+    return [c["median"] for c in cells]
 
 
 def crossover(sizes, degrees, rows):
     """The line under a path table: for each operand kind, the first size
     from which its fft column is below its direct column at every larger
     size, with the output degree there, which is what FFT_THRESHOLD is
-    compared with."""
+    compared with. ``rows`` holds the median seconds of each row."""
     parts = []
     for kind, direct, fft in (("complex", 0, 1), ("real", 2, 3)):
         first = None
@@ -224,13 +252,16 @@ def bench_operation(name, fn, sizes, repeats):
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
-    rows = []
+    rows, table = [], []
     for n in sizes:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rows.append(time_paths(fn, ((a, b), (a.real, b.real)), repeats))
+        cells = time_paths(fn, ((a, b), (a.real, b.real)), repeats)
+        rows.append(medians(cells))
+        table.append({"n": n, **dict(zip(PATH_LABELS, cells))})
         print(f"{n:>6}" + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1]))
     print(crossover(sizes, [2 * n - 2 for n in sizes], rows))
+    return table
 
 
 def newton_step(a, p):
@@ -255,24 +286,29 @@ def bench_newton_step(sizes, repeats):
               f"{'real hessian':>14}{'complex hessian':>17}")
     print(header)
     print("-" * len(header))
+    table = []
     for n in sizes:
         a = (np.arange(n + 1) + 1.0) ** -1.6
         for p in (4, 6):
-            times = []
+            cells = []
             for coeffs in (a, np.exp(0.7j) * a):
                 factor = newton_step(coeffs, p)[0]
                 wu, v = _newton_terms(coeffs, p)[2:]
-                times.append(time_call(newton_step, coeffs, p,
+                cells.append(time_call(newton_step, coeffs, p,
                                        repeats=repeats))
-                times.append(time_call(final_step, coeffs, p, factor,
+                cells.append(time_call(final_step, coeffs, p, factor,
                                        repeats=repeats))
-                times.append(time_call(_hessian, coeffs, p, wu, v,
+                cells.append(time_call(_hessian, coeffs, p, wu, v,
                                        repeats=repeats))
+            table.append({"n": n, "p": p, **dict(zip(
+                ("real", "real final", "real hessian", "complex",
+                 "complex final", "complex hessian"), cells))})
             real, real_final, real_hessian, cplx, cplx_final, cplx_hessian = (
-                t * 1e3 for t in times)
+                t * 1e3 for t in medians(cells))
             print(f"{n:>6}{p:>4}{real:>10.3f}{cplx:>10.3f}{cplx / real:>8.2f}"
                   f"{real_final:>12.3f}{cplx_final:>15.3f}"
                   f"{real_hessian:>14.3f}{cplx_hessian:>17.3f}")
+    return table
 
 
 def bench_power(sizes, repeats):
@@ -282,25 +318,31 @@ def bench_power(sizes, repeats):
               + f"{'error':>10}")
     print(header)
     print("-" * len(header))
+    table = []
     for p in (4, 6):
         rows = []
         for n in sizes:
             a = (np.arange(n) + 1.0) ** -1.6
             rotated = np.exp(0.7j) * a
-            rows.append(time_paths(_backend.abs_power_xcorr,
-                                   ((rotated, p), (a, p)), repeats))
+            cells = time_paths(_backend.abs_power_xcorr,
+                               ((rotated, p), (a, p)), repeats)
+            rows.append(medians(cells))
             spectra = []
             for _, threshold in PATHS:
                 _backend.FFT_THRESHOLD = threshold
                 spectra.append(_backend.abs_power_xcorr(rotated, p))
             _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
             direct, fft = spectra
-            error = np.max(np.abs(fft - direct)) / np.max(np.abs(direct))
+            error = float(np.max(np.abs(fft - direct))
+                          / np.max(np.abs(direct)))
+            table.append({"n": n, "p": p, **dict(zip(PATH_LABELS, cells)),
+                          "error": error})
             print(f"{n:>6}{p:>4}"
                   + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1])
                   + f"{error:>10.1e}")
         print(f"p = {p}: "
               + crossover(sizes, [p * (n - 1) for n in sizes], rows))
+    return table
 
 
 def bench_solve(sizes, repeats):
@@ -309,12 +351,17 @@ def bench_solve(sizes, repeats):
     print(header)
     print("-" * len(header))
     kernel = power_decay_kernel(1.6, 64)
+    table = []
     for n in sizes:
         for p in (4, 6):
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
-            millis = time_call(solve_extremal, problem, repeats=repeats) * 1e3
+            timed = time_call(solve_extremal, problem, repeats=repeats)
             iterations = solve_extremal(problem).iterations
-            print(f"{n:>6}{p:>4}{millis:>12.2f}{iterations:>12}")
+            table.append({"n": n, "p": p, "solve": timed,
+                          "iterations": iterations})
+            print(f"{n:>6}{p:>4}{timed['median'] * 1e3:>12.2f}"
+                  f"{iterations:>12}")
+    return table
 
 
 def bench_ladder(repeats):
@@ -335,10 +382,11 @@ def bench_ladder(repeats):
         rungs.append(f"{len(c_hat) - 1}({trace[-1][0]})")
         return a, trace, failure
 
+    table = []
     for p in (4, 6):
         for name, kernel, n in standard_family():
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
-            millis = time_call(solve_extremal, problem, repeats=repeats) * 1e3
+            timed = time_call(solve_extremal, problem, repeats=repeats)
             builds[0] = 0
             rungs.clear()
             solver._gram, solver._newton = counting_gram, recording_newton
@@ -346,8 +394,11 @@ def bench_ladder(repeats):
                 solve_extremal(problem)
             finally:
                 solver._gram, solver._newton = gram, newton
-            print(f"{name:>16}{p:>4}{n:>6}{millis:>10.2f}{builds[0]:>10}"
-                  f"  {' '.join(rungs)}")
+            table.append({"kernel": name, "p": p, "n": n, "solve": timed,
+                          "hessians": builds[0], "rungs": list(rungs)})
+            print(f"{name:>16}{p:>4}{n:>6}{timed['median'] * 1e3:>10.2f}"
+                  f"{builds[0]:>10}  {' '.join(rungs)}")
+    return table
 
 
 def read_solution(path):
@@ -367,6 +418,7 @@ def bench_emit(sizes, repeats):
     spec = kernelspec.power_decay_spec(1.6, 64)
     kernel = kernelspec.realize(spec)
     p = 4
+    table = []
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "solution.json")
         fresh = (os.path.join(workdir, f"new-{i}.json")
@@ -382,8 +434,13 @@ def bench_emit(sizes, repeats):
             overwrite = time_call(cli._emit_json, stamp, body, path,
                                   repeats=repeats)
             read = time_call(read_solution, path, repeats=repeats)
+            kilobytes = os.path.getsize(path) / 1e3
+            table.append({"n": n, "p": p, "new": new, "overwrite": overwrite,
+                          "read": read, "kB": kilobytes})
+            new, overwrite, read = medians((new, overwrite, read))
             print(f"{n:>6}{p:>4}{new * 1e3:>12.2f}{overwrite * 1e3:>12.2f}"
-                  f"{read * 1e3:>12.2f}{os.path.getsize(path) / 1e3:>10.1f}")
+                  f"{read * 1e3:>12.2f}{kilobytes:>10.1f}")
+    return table
 
 
 def bench_study(degrees, repeats):
@@ -398,16 +455,20 @@ def bench_study(degrees, repeats):
         calls.append(None)
         return newton(*args)
 
+    table = []
     for p in (4, 6):
-        millis = time_call(convergence_study, kernel, p, degrees,
-                           repeats=repeats) * 1e3
+        timed = time_call(convergence_study, kernel, p, degrees,
+                          repeats=repeats)
         calls.clear()
         solver._newton = counting_newton
         try:
             convergence_study(kernel, p, degrees)
         finally:
             solver._newton = newton
-        print(f"{p:>4}{millis:>12.2f}{len(calls):>8}")
+        table.append({"p": p, "degrees": list(degrees), "study": timed,
+                      "newton": len(calls)})
+        print(f"{p:>4}{timed['median'] * 1e3:>12.2f}{len(calls):>8}")
+    return table
 
 
 def bench_quadrature(repeats):
@@ -416,15 +477,20 @@ def bench_quadrature(repeats):
               f"{'hardy':>10}")
     print(header)
     print("-" * len(header))
+    table = []
     for name, kernel, _ in standard_family():
         real = not np.iscomplexobj(kernel.coeffs)
         for q in QUADRATURE_EXPONENTS:
             bergman, hardy = (
-                time_call(norm, kernel, q, repeats=repeats) * 1e3
+                time_call(norm, kernel, q, repeats=repeats)
                 for norm in (spaces.bergman_norm_general,
                              spaces.hardy_norm_general))
+            table.append({"kernel": name, "real": real, "q": q,
+                          "bergman": bergman, "hardy": hardy})
+            bergman, hardy = medians((bergman, hardy))
             print(f"{name:>16}{'yes' if real else 'no':>6}{q:>6.3f}"
-                  f"{bergman:>10.3f}{hardy:>10.3f}")
+                  f"{bergman * 1e3:>10.3f}{hardy * 1e3:>10.3f}")
+    return table
 
 
 def bench_startup(repeats):
@@ -457,31 +523,67 @@ def bench_startup(repeats):
                                      check=True).stdout
                 process.append(time.perf_counter() - start)
                 inside.append(float(out.split()[-1]))
+    table = []
     for (label, _), (inside, process) in zip(STARTUP_PROBES, times):
+        table.append({"statement": label, "inside": cell(inside),
+                      "process": cell(process)})
         print(f"{label:>20}{statistics.median(inside) * 1e3:>10.1f}"
               f"{statistics.median(process) * 1e3:>10.1f}")
+    return table
 
 
-def main():
+def head_commit():
+    """The commit checked out where the timed bergex package lives, or
+    None outside a git work tree."""
+    try:
+        result = subprocess.run(
+            ["git", "-C", os.path.dirname(cli.__file__), "rev-parse", "HEAD"],
+            capture_output=True, text=True)
+    except OSError:
+        return None
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
+def environment():
+    """What a run's numbers depend on besides the code."""
+    return {"nproc": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": sys.version.split()[0], "commit": head_commit(),
+            "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "fft_threshold": THRESHOLD_IN_USE}
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="16,32,64,128,256,512,1024",
                         help="comma-separated operand lengths")
     parser.add_argument("--repeats", type=int, default=200,
                         help="timing repeats per cell (median reported)")
-    args = parser.parse_args()
+    parser.add_argument("--out", default=None,
+                        help="also write every table as one JSON object")
+    args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print(f"FFT_THRESHOLD in use: {THRESHOLD_IN_USE} (output degree)")
-    bench_operation("conv", _backend.conv, sizes, args.repeats)
-    bench_operation("xcorr", _backend.xcorr, sizes, args.repeats)
-    bench_newton_step(NEWTON_STEP_SIZES, NEWTON_REPEATS)
-    bench_power(sizes, args.repeats)
-    bench_solve(NEWTON_SIZES, NEWTON_REPEATS)
-    bench_ladder(NEWTON_REPEATS)
-    bench_emit(NEWTON_SIZES, NEWTON_REPEATS)
-    bench_study(STUDY_DEGREES, NEWTON_REPEATS)
-    bench_quadrature(QUADRATURE_REPEATS)
-    bench_startup(STARTUP_REPEATS)
+    tables = {
+        "conv": bench_operation("conv", _backend.conv, sizes, args.repeats),
+        "xcorr": bench_operation("xcorr", _backend.xcorr, sizes,
+                                 args.repeats),
+        "newton_step": bench_newton_step(NEWTON_STEP_SIZES, NEWTON_REPEATS),
+        "power": bench_power(sizes, args.repeats),
+        "solve": bench_solve(NEWTON_SIZES, NEWTON_REPEATS),
+        "ladder": bench_ladder(NEWTON_REPEATS),
+        "emit": bench_emit(NEWTON_SIZES, NEWTON_REPEATS),
+        "study": bench_study(STUDY_DEGREES, NEWTON_REPEATS),
+        "quadrature": bench_quadrature(QUADRATURE_REPEATS),
+        "startup": bench_startup(STARTUP_REPEATS),
+    }
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"environment": environment(), "tables": tables}, fh,
+                      indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -88,17 +88,18 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _boundary_sides(F, k, p, phi_norm):
+def _boundary_sides(F, p, scaled):
     """Both sides of the weighted boundary formula at h = z^m, every m.
 
     Two arrays of one length, zero past it: lhs[m] = conj(b_m), and
     rhs[m] = conj((p/2) xcorr(c, a) + (1-p/2)(m+1) xcorr(K, a))[m] / ||phi||
     for kernel coefficients c, K_t = c_t/(t+1) and F's coefficients a.
     The kernel side vanishes past deg k, so only a_0..a_{deg k} enter it.
-    c and ||phi|| are ``rescaled`` before the sums.
+    ``scaled`` is ``rescaled(k.coeffs, phi_norm)``: c and ||phi|| enter the
+    sums divided by its power of two.
     """
     b = abs_power_spectrum(F, p)
-    c, phi_norm, _ = rescaled(k.coeffs, phi_norm)
+    c, phi_norm, _ = scaled
     count = len(c)
     a = F.coeffs[:count]
     t1 = np.arange(1.0, count + 1.0)
@@ -116,7 +117,11 @@ def _equality_report(name, sides, m, k, p):
     from ``_boundary_sides``."""
     if m < 0:
         raise ValueError("frequency m must be nonnegative")
-    lhs, rhs = (complex(side[m]) if m < len(side) else 0j for side in sides)
+    lhs_side, rhs_side = sides
+    if m < len(lhs_side):
+        lhs, rhs = complex(lhs_side[m]), complex(rhs_side[m])
+    else:
+        lhs = rhs = 0j
     residual = abs(lhs - rhs) / max(1.0, abs(lhs))
     context = {"p": p, "kernel_degree": k.degree}
     if name == "fourier_formula":
@@ -139,8 +144,9 @@ def check_norm_equality(F, k, p, phi_norm):
     the zeroth Fourier coefficient of |F|^p, which equals
     hardy_norm_even(F, p)^p.
     """
-    return _equality_report("norm_equality", _boundary_sides(F, k, p, phi_norm),
-                            0, k, p)
+    return _equality_report(
+        "norm_equality", _boundary_sides(F, p, rescaled(k.coeffs, phi_norm)),
+        0, k, p)
 
 
 def check_fourier_formula(F, k, p, phi_norm, m):
@@ -149,8 +155,9 @@ def check_fourier_formula(F, k, p, phi_norm, m):
     The h = z^m specialization; at m = 0 this reproduces the
     norm-equality residual exactly (same arrays, same entry).
     """
-    return _equality_report("fourier_formula",
-                            _boundary_sides(F, k, p, phi_norm), m, k, p)
+    return _equality_report(
+        "fourier_formula", _boundary_sides(F, p, rescaled(k.coeffs, phi_norm)),
+        m, k, p)
 
 
 def coefficient_bound_sweep(solution):
@@ -161,32 +168,63 @@ def coefficient_bound_sweep(solution):
     rhs - |b_m|, and the verdict tolerates round-off dips to
     -DEFAULT_SLACK_TOL. The context notes the frequency of the worst slack.
     """
+    F, k = solution.F, solution.kernel
     return _coefficient_bound_report(
-        solution.F, solution.kernel, solution.p, solution.phi_norm,
-        2 * solution.degree, abs_power_spectrum(solution.F, solution.p))
+        F, k, solution.p, rescaled(k.coeffs, solution.phi_norm),
+        2 * solution.degree, abs_power_spectrum(F, solution.p))
 
 
-def _coefficient_bound_report(F, k, p, phi_norm, m_max, spectrum):
+def _tails(squares):
+    """The sums of ``squares[m:]`` for every m, each as ``math.fsum`` gives
+    it, in time linear in the length.
+
+    Each finite float is an integer over a power of two, so over the
+    largest denominator 2^shift every suffix sum is one exact Python int,
+    and an int's true division rounds correctly, as fsum does. A sum that
+    holds an inf or NaN square is the sum of those, as in fsum. A sum of
+    finite squares past the float range, on which fsum raises, is inf.
+    """
+    try:
+        ratios = list(map(float.as_integer_ratio, squares))
+    except (OverflowError, ValueError):  # an inf or NaN square
+        last = max(m for m, x in enumerate(squares) if not math.isfinite(x))
+        special, head = 0.0, []
+        for x in reversed(squares[:last + 1]):
+            if not math.isfinite(x):
+                special += x
+            head.append(special)
+        return head[::-1] + _tails(squares[last + 1:])
+    shift = max((d for _, d in ratios), default=1).bit_length() - 1
+    scale, exact, tails = 1 << shift, 0, []
+    for numerator, denominator in reversed(ratios):
+        exact += numerator << (shift + 1 - denominator.bit_length())
+        try:
+            tails.append(exact / scale)
+        except OverflowError:
+            tails.append(math.inf)
+    tails.reverse()
+    return tails
+
+
+def _coefficient_bound_report(F, k, p, scaled, m_max, spectrum):
     """The coefficient bound at every m = 0..m_max at once; worst report.
 
     ``spectrum`` holds the Fourier coefficients b_0, b_1, ... of |F|^p, or
     their conjugates; only |b_m| is read, and it is zero past the array's
     end. The kernel tails sum_{t>=m} |c_t|^2 are correctly rounded sums
-    (``math.fsum``), independent of the summation order. The bound is
-    homogeneous in (k, ||phi||), so both are ``rescaled`` by ||phi|| first:
-    the squares neither overflow nor underflow at extreme kernel scales.
-    The worst m is the first minimum of the slack.
+    (``_tails``), independent of the summation order. The bound is
+    homogeneous in (k, ||phi||), so both enter divided by the power of two
+    of ``scaled``, ``rescaled(k.coeffs, phi_norm)``: the squares neither
+    overflow nor underflow at extreme kernel scales. The worst m is the
+    first minimum of the slack.
     """
     bm = np.zeros(m_max + 1)
     magnitudes = np.abs(spectrum)[:m_max + 1]
     bm[:len(magnitudes)] = magnitudes
-    c, phi_norm, _ = rescaled(k.coeffs, phi_norm)
-    # fsum over a list: the same sums as over NumPy slices, without a
-    # NumPy scalar per term
-    squares = (np.abs(c) ** 2).tolist()
+    c, phi_norm, _ = scaled
+    count = min(m_max + 1, len(c))
     tails = np.zeros(m_max + 1)
-    count = min(m_max + 1, len(squares))
-    tails[:count] = [math.fsum(squares[m:]) for m in range(count)]
+    tails[:count] = _tails((np.abs(c) ** 2).tolist())[:count]
     bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * np.sqrt(tails)
     slack = bound - bm
     m = int(np.argmin(slack))
@@ -211,13 +249,15 @@ def check_ryabykh_bound(F, k, p):
     on F_n the inequality holds only up to the norm-equality residual. The
     context's ``kernel_bound`` is the explicit bound (p-1) ||k||_{H^q} on rhs.
     """
-    return _ryabykh_report(k, p, functional_value(k, F).real,
+    phi_norm = functional_value(k, F).real
+    return _ryabykh_report(k, p, rescaled(k.coeffs, phi_norm),
                            abs_power_spectrum(F, p))
 
 
-def _ryabykh_report(k, p, phi_norm, spectrum):
+def _ryabykh_report(k, p, scaled, spectrum):
     """``check_ryabykh_bound``, with ||F||_{H^p}^p = b_0 read from
-    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates.
+    ``spectrum``: the Fourier coefficients of |F|^p or their conjugates,
+    and (c, ||phi||, e) = ``scaled``, ``rescaled(k.coeffs, phi_norm)``.
 
     The residual is taken at the ``rescaled`` scale; lhs, rhs and
     ``kernel_bound`` are restored to the kernel's own, where a value past
@@ -225,7 +265,7 @@ def _ryabykh_report(k, p, phi_norm, spectrum):
     q = p / (p - 1.0)
     # homogeneous in (k, ||phi||): the rescaled pair keeps |G|^q from a
     # vacuous inf at extreme scales. G_t = c_t ((p/2) + (1-p/2)/(t+1)).
-    c, phi_norm, e = rescaled(k.coeffs, phi_norm)
+    c, phi_norm, e = scaled
     t = np.arange(len(c))
     G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
     b0 = float(spectrum[0].real) if len(spectrum) else 0.0
@@ -257,14 +297,15 @@ def check_table(F, k, p, phi_norm, degree):
     ``bergex solve`` records it and ``bergex verify`` recomputes it, as
     the single-check functions build each report. The two sides of the
     weighted boundary formula, and with them the spectrum of |F|^p, are
-    computed once for all of them.
+    computed once for all of them, as is the ``rescaled`` kernel.
     """
-    sides = _boundary_sides(F, k, p, phi_norm)
+    scaled = rescaled(k.coeffs, phi_norm)
+    sides = _boundary_sides(F, p, scaled)
     return [_equality_report("norm_equality", sides, 0, k, p),
             *(_equality_report("fourier_formula", sides, m, k, p)
               for m in range(FOURIER_M_MAX + 1)),
-            _coefficient_bound_report(F, k, p, phi_norm, 2 * degree, sides[0]),
-            _ryabykh_report(k, p, phi_norm, sides[0])]
+            _coefficient_bound_report(F, k, p, scaled, 2 * degree, sides[0]),
+            _ryabykh_report(k, p, scaled, sides[0])]
 
 
 def _boundary_sup(f):

@@ -45,7 +45,7 @@ from .checks import (
 from .families import DEFAULT_SEED, standard_family
 from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
                          _finite_number, _pairs_field)
-from .poly import AnalyticPoly
+from .poly import AnalyticPoly, rescaled
 from .solver import (
     DEFAULT_CERTIFICATE_TOL,
     ExtremalProblem,
@@ -124,6 +124,11 @@ def _problem(config):
 def _jsonable(value):
     """Recursively convert report payloads into strict JSON structures:
     a complex number is its [re, im] pair, and NaN and +-inf are null."""
+    kind = type(value)  # the common exact types first, the cheap tests
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
     if isinstance(value, complex):
         return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
@@ -144,8 +149,8 @@ def _json_coefficients(coeffs):
 
 def _read_coefficients(solution, degree):
     """The complex coefficients a solution section of the given degree
-    records, bit for bit: the pairs ``_pairs_field`` validates, through
-    ``_complex_pairs``. F lies in P_degree, so there are at most
+    records, bit for bit: the array of pairs ``_pairs_field`` validates,
+    viewed by ``_complex_pairs``. F lies in P_degree, so there are at most
     degree + 1 of them; fewer are valid, since trailing zeros are trimmed."""
     return _complex_pairs(_pairs_field(solution, "coefficients", degree + 1))
 
@@ -332,7 +337,8 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
     Unused by the commands, which build the sweep in ``check_table``;
     perfbench/tracer.py still wraps this name.
     """
-    return _coefficient_bound_report(F, kernel, p, phi_norm, m_max,
+    return _coefficient_bound_report(F, kernel, p,
+                                     rescaled(kernel.coeffs, phi_norm), m_max,
                                      abs_power_spectrum(F, p))
 
 

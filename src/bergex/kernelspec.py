@@ -12,6 +12,7 @@ fields share it.
 """
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -74,37 +75,44 @@ def _finite_number(value):
 
 
 def _finite_pairs(values, limit):
-    """Whether ``values`` holds 1..limit [re, im] pairs of finite numbers,
-    each as ``_finite_number`` takes it, checked by one pass over the
-    types of the numbers and one conversion to a float array (which
-    raises OverflowError for an integer past the float range) instead of
-    a call per number. The length is checked before any pair is."""
+    """``values`` as an (n, 2) float64 array when it holds 1..limit [re, im]
+    pairs of finite numbers, each as ``_finite_number`` takes it, else
+    None. Passes in C over the pairs and the types of the numbers, and one
+    conversion to a float array (which raises OverflowError for an integer
+    past the float range), check them instead of a call per number. The
+    length is checked before any pair is."""
     if not 0 < len(values) <= limit or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2
-            for pair in values):
-        return False
-    kinds = {type(number) for pair in values for number in pair}
+            map(isinstance, values, repeat((list, tuple)))) or set(
+            map(len, values)) != {2}:
+        return None
+    kinds = set(map(type, chain.from_iterable(values)))
     if not all(issubclass(kind, (int, float)) and kind is not bool
                for kind in kinds):
-        return False
+        return None
     try:
-        return bool(np.isfinite(np.array(values, dtype=float)).all())
+        pairs = np.fromiter(chain.from_iterable(values), float,
+                            2 * len(values)).reshape(-1, 2)
     except OverflowError:
-        return False
+        return None
+    return pairs if np.isfinite(pairs).all() else None
 
 
 def _pairs_field(data, key, limit):
-    """data[key]: a non-empty list of at most ``limit`` [re, im] pairs of
-    finite numbers."""
-    return _field(data, key, list, lambda values: _finite_pairs(values, limit),
-                  f"need a non-empty list of at most {limit} [re, im] pairs "
-                  f"of finite numbers")
+    """data[key], a non-empty list of at most ``limit`` [re, im] pairs of
+    finite numbers, as the (n, 2) float64 array of those pairs."""
+    pairs = _finite_pairs(_field(data, key, list), limit)
+    if pairs is None:
+        raise ConfigError(
+            f"config field {key!r} is invalid: need a non-empty list of at "
+            f"most {limit} [re, im] pairs of finite numbers")
+    return pairs
 
 
 def _complex_pairs(pairs):
-    """[re, im] pairs as complex numbers, bit for bit: a row viewed as one
-    complex keeps the sign of a zero, which re + 1j * im turns to +0.0."""
-    return np.array(pairs, dtype=float).view(complex)[:, 0]
+    """[re, im] pairs, a list or ``_pairs_field``'s array, as complex
+    numbers, bit for bit: a row viewed as one complex keeps the sign of a
+    zero, which re + 1j * im turns to +0.0."""
+    return np.asarray(pairs, dtype=float).view(complex)[:, 0]
 
 
 def coeffs_spec(values):
@@ -163,8 +171,7 @@ def from_dict(data):
     if t == "coeffs":
         # a kernel of degree at most MAX_DEGREE, as power_decay's count
         values = _pairs_field(data, "values", MAX_DEGREE + 1)
-        return {"type": t,
-                "values": [[float(re), float(im)] for re, im in values]}
+        return {"type": t, "values": values.tolist()}
     if t == "power_decay":
         return {"type": t,
                 "alpha": _field(data, "alpha", float, math.isfinite,

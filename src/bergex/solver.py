@@ -575,7 +575,7 @@ def solve_ladder(p, kernel, degrees):
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
         rungs += [m for m in _rungs(d) if m > max(rungs, default=-1)
-                  and not taylor_truncate(kernel, m).is_zero()]
+                  and kernel.coeffs[:m + 1].any()]
     a = None
     for m in rungs:
         # F depends on the kernel's direction alone: the A^2 norm of the
@@ -583,8 +583,14 @@ def solve_ladder(p, kernel, degrees):
         # Re phi_hat(c_hat) = 1, keeps the objective O(1).
         c_hat = rescaled(taylor_truncate(kernel, m).padded(m + 1))[0]
         c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / (np.arange(m + 1) + 1.0)))
-        # c_hat on the lowest rung, then the rung below's iterate
-        a = c_hat if a is None else np.pad(a, (0, m + 1 - len(a)))
+        # c_hat on the lowest rung, then the rung below's iterate,
+        # zero-filled (np.pad costs far more per call)
+        if a is None:
+            a = c_hat
+        else:
+            start = np.zeros(m + 1, a.dtype)
+            start[:len(a)] = a
+            a = start
         # a rung that is not requested only starts the one above it
         requested = m in degrees
         tolerance = TOLERANCE if requested else math.sqrt(TOLERANCE)

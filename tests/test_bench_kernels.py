@@ -8,6 +8,7 @@ smallest size, so a rename that breaks the script fails here.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,33 +29,56 @@ def bench_kernels():
     sys.path.remove(BENCHMARKS)
 
 
+def cells(value):
+    """Every timed cell, a dict with a median, anywhere inside ``value``."""
+    if isinstance(value, dict):
+        if "median" in value:
+            return [value]
+        return [c for item in value.values() for c in cells(item)]
+    if isinstance(value, list):
+        return [c for item in value for c in cells(item)]
+    return []
+
+
 # the solve and emit tables truncate their degree-63 kernel at n = 16
 @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
-def test_every_table_runs(bench_kernels, capsys):
+def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
+    # the whole script at size 16 and one repeat, its fixed sizes and
+    # repeat counts cut to the same, with --out
+    for name, value in (("NEWTON_STEP_SIZES", (16,)), ("NEWTON_SIZES", (16,)),
+                        ("NEWTON_REPEATS", 1), ("STUDY_DEGREES", (8, 16)),
+                        ("QUADRATURE_REPEATS", 1), ("STARTUP_REPEATS", 1)):
+        monkeypatch.setattr(bench_kernels, name, value)
     threshold = _backend.FFT_THRESHOLD
-    bench_kernels.bench_operation("conv", _backend.conv, [16], 1)
-    bench_kernels.bench_operation("xcorr", _backend.xcorr, [16], 1)
-    bench_kernels.bench_newton_step([16], 1)
-    bench_kernels.bench_power([16], 1)
-    bench_kernels.bench_solve([16], 1)
-    bench_kernels.bench_emit([16], 1)
     newton, gram = solver._newton, solver._gram
-    bench_kernels.bench_ladder(1)
-    bench_kernels.bench_study([8, 16], 1)
-    bench_kernels.bench_quadrature(1)
-    bench_kernels.bench_startup(1)
+    out = tmp_path / "bench.json"
+    bench_kernels.main(["--sizes", "16", "--repeats", "1", "--out", str(out)])
     assert _backend.FFT_THRESHOLD == threshold
     assert solver._newton is newton
     assert solver._gram is gram
-    out = capsys.readouterr().out
-    for table in ("conv:", "xcorr:", "newton_step:", "power:", "solve:",
-                  "ladder:", "emit:", "study:", "quadrature:", "startup:"):
-        assert table in out
+    text = capsys.readouterr().out
+    tables = ("conv", "xcorr", "newton_step", "power", "solve", "ladder",
+              "emit", "study", "quadrature", "startup")
+    for table in tables:
+        assert f"{table}:" in text
     for row in ("import numpy", "import bergex.cli", "bergex verify",
                 "bergex solve"):
-        assert row in out.split("startup:")[1]
+        assert row in text.split("startup:")[1]
     # under conv, xcorr and the power table's p = 4 and p = 6
-    assert out.count("crossover, fft ahead: complex from ") == 4
+    assert text.count("crossover, fft ahead: complex from ") == 4
+
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["environment"]) >= {
+        "nproc", "OPENBLAS_NUM_THREADS", "numpy", "scipy", "commit", "date"}
+    assert set(report["tables"]) == set(tables)
+    for table in tables:
+        assert report["tables"][table], table
+        # each row of a table times at least one cell
+        for row in report["tables"][table]:
+            assert cells(row), (table, row)
+    for c in cells(report["tables"]):
+        assert c["min"] <= c["median"] <= c["max"]
+        assert c["repeats"] >= 1
 
 
 def test_crossover_is_where_the_fft_stays_ahead(bench_kernels):

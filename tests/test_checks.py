@@ -1,6 +1,7 @@
 """Tests for the identity and inequality checks on extremal solutions."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from bergex.checks import (
     VerificationReport,
     _boundary_sides,
     _coefficient_bound_report,
+    _tails,
     check_fourier_formula,
     check_hinfty_criterion,
     check_norm_equality,
@@ -28,6 +30,7 @@ from bergex.poly import (
     derivative,
     monomial,
     multiply,
+    rescaled,
     shift,
     taylor_truncate,
 )
@@ -166,7 +169,7 @@ class TestBoundarySides:
     @settings(max_examples=60, deadline=None)
     def test_every_entry_matches_polynomial_products(self, inputs):
         F, k, p, phi_norm = inputs
-        lhs, rhs = _boundary_sides(F, k, p, phi_norm)
+        lhs, rhs = _boundary_sides(F, p, rescaled(k.coeffs, phi_norm))
         assert len(lhs) == len(rhs)
         # bounds on every term either side sums, for a rounding tolerance
         f1 = float(np.sum(np.abs(F.coeffs)))
@@ -192,7 +195,8 @@ class TestBoundarySides:
         # both sides are linear in h: the formula at h = sum_m h_m z^m is
         # the dot product of h with the arrays
         sol = one_plus_z_solution
-        lhs, rhs = _boundary_sides(sol.F, sol.kernel, 4, sol.phi_norm)
+        lhs, rhs = _boundary_sides(sol.F, 4,
+                                   rescaled(sol.kernel.coeffs, sol.phi_norm))
         h = np.array([0.5, -1.0, 2.0j])
         lhs_h, rhs_h = np.dot(h, lhs[:3]), np.dot(h, rhs[:3])
         assert abs(lhs_h - rhs_h) / max(1.0, abs(lhs_h)) <= 1e-10
@@ -229,8 +233,9 @@ def sweep_report(solution, m_max):
     side of the weighted boundary formula, as ``check_table`` builds it."""
     F, k, p, phi_norm = (solution.F, solution.kernel, solution.p,
                          solution.phi_norm)
-    return _coefficient_bound_report(F, k, p, phi_norm, m_max,
-                                     _boundary_sides(F, k, p, phi_norm)[0])
+    scaled = rescaled(k.coeffs, phi_norm)
+    return _coefficient_bound_report(F, k, p, scaled, m_max,
+                                     _boundary_sides(F, p, scaled)[0])
 
 
 class TestCoefficientBound:
@@ -364,6 +369,37 @@ class TestCoefficientBoundSweep:
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
         assert sol.certified
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("count", [4, 64, 1025])
+    def test_tails_are_fsum_of_every_suffix(self, count):
+        # squares from 1 down to the subnormals, zeros among them, then
+        # an inf and a NaN square, which fsum carries through every sum
+        # that holds them
+        rng = np.random.default_rng(count)
+        squares = np.exp(rng.uniform(-745.0, 0.0, count)).tolist()
+        squares[1:4] = [0.0, 5e-324, 2.0 ** -1022]
+        for case in (squares, [math.inf, *squares[:3], math.nan, 1.0]):
+            tails = _tails(case)
+            assert len(tails) == len(case)
+            for m, tail in enumerate(tails):
+                assert repr(tail) == repr(math.fsum(case[m:])), m
+        # finite squares whose sum is past the float range, where fsum
+        # raises: inf
+        big = [1.5e308, *squares[:3]]
+        assert _tails([1e308, *big]) == [math.inf, *_tails(big)]
+
+    def test_sweep_tails_take_linear_time(self):
+        # a 4097-coefficient kernel over ten decades per coefficient: one
+        # fsum per suffix took about a second, the sums of exact ints 5 ms
+        rng = np.random.default_rng(4097)
+        kernel = as_poly(10.0 ** rng.uniform(-150.0, 0.0, 4097))
+        solution = ExtremalSolution(
+            F=as_poly([1.0, 0.5]), phi_norm=1.0, residual_max=0.0,
+            iterations=0, trace=(), p=4, kernel=kernel, degree=4096)
+        coefficient_bound_sweep(solution)  # warm-up
+        start = time.perf_counter()
+        coefficient_bound_sweep(solution)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestHinftyCriterion:

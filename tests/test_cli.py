@@ -382,6 +382,34 @@ class TestReportEncoding:
         assert reloaded.dtype == complex
         assert reloaded.tobytes() == solution.F.coeffs.tobytes()
         assert math.copysign(1.0, reloaded[0].real) == -1.0
+        # the validated pairs are one float64 array, -0.0 bits kept
+        pairs = kernelspec._pairs_field(recorded, "coefficients", 5)
+        assert pairs.dtype == np.float64 and pairs.shape == (5, 2)
+        assert pairs.tobytes() == solution.F.coeffs.view(float).tobytes()
+        # one pair too many for degree 3, with the reader's own message
+        with pytest.raises(kernelspec.ConfigError) as exc_info:
+            cli._read_coefficients(recorded, 3)
+        assert str(exc_info.value) == (
+            "config field 'coefficients' is invalid: need a non-empty list "
+            "of at most 4 [re, im] pairs of finite numbers")
+
+    def test_jsonable_text(self):
+        # exact types first, then NumPy scalars, complex numbers, dicts and
+        # sequences: NaN and +-inf are null wherever they sit, -0.0 stays
+        report = checks.VerificationReport(
+            check_name="x", lhs=complex(1.5, math.inf), rhs=-0.0,
+            residual=np.float64(math.nan), tolerance=1e-4, verdict="fail",
+            context={"nan": np.float64(math.nan), "n": np.int64(3),
+                     "ok": np.bool_(True), 7: "seven",
+                     "nested": [[-0.0, complex(-0.0, 2.0)],
+                                (np.float64(2.5), None, -math.inf)]})
+        text = json.dumps(cli._jsonable(vars(report)), sort_keys=True,
+                          allow_nan=False)
+        assert text == (
+            '{"check_name": "x", "context": {"7": "seven", "n": 3, '
+            '"nan": null, "nested": [[-0.0, [-0.0, 2.0]], [2.5, null, '
+            'null]], "ok": true}, "lhs": [1.5, null], "residual": null, '
+            '"rhs": -0.0, "tolerance": 0.0001, "verdict": "fail"}')
 
 
 class TestVerifyCommand:
@@ -640,6 +668,27 @@ class TestVerifyCommand:
         ryabykh = body["rows"][-1]
         assert ryabykh["check_name"] == "ryabykh_bound"
         assert ryabykh["recomputed"] is None and ryabykh["verdict"] == "fail"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kernel_tail_is_reported(self, tmp_path, capsys):
+        # ||phi|| = 2^-512 multiplies the kernel 0.8 + 0.8 z by 2^512: each
+        # square is finite, and their sum, the coefficient bound's tail at
+        # m = 0, is past the float range. The tail is inf and verify
+        # writes its report, with no traceback
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": 8,
+            "kernel": {"type": "coeffs", "values": [[0.8, 0.0], [0.8, 0.0]]}})
+        solution = tmp_path / "s.json"
+        cli.main(["solve", "--config", config, "--out", str(solution)])
+        payload = load_report(solution)
+        payload["body"]["solution"]["phi_norm"] = 2.0 ** -512
+        tampered = write_json(tmp_path / "tampered.json", payload)
+        out = tmp_path / "verify.json"
+        capsys.readouterr()
+        assert cli.main(["verify", tampered, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        body = load_strict_report(out)["body"]
+        assert body["verified"] is False and body["certified"] is False
 
     def test_missing_file_is_invalid_input(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "absent.json")]) == 3

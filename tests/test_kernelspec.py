@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bergex import cli
+from bergex import cli, kernelspec
 from bergex.kernelspec import (
     MAX_DEGREE,
     ConfigError,
@@ -165,13 +165,21 @@ class TestSerialization:
         spec = from_dict({"type": "coeffs", "values": values})
         expected = np.array(values, dtype=float)
         assert np.array(spec["values"]).tobytes() == expected.tobytes()
+        assert all(type(x) is float for pair in spec["values"] for x in pair)
+        pairs = kernelspec._pairs_field({"values": values}, "values", 353)
+        assert pairs.dtype == np.float64 and pairs.shape == (353, 2)
+        assert pairs.tobytes() == expected.tobytes()
         read = cli._read_coefficients({"coefficients": values}, 352)
         assert read.tobytes() == expected.tobytes()
         values[300] = [values[300][0], bad]
-        with pytest.raises(ConfigError, match="'values'"):
+        message = ("config field {!r} is invalid: need a non-empty list of "
+                   "at most {} [re, im] pairs of finite numbers")
+        with pytest.raises(ConfigError) as exc_info:
             from_dict({"type": "coeffs", "values": values})
-        with pytest.raises(ConfigError, match="'coefficients'"):
+        assert str(exc_info.value) == message.format("values", MAX_DEGREE + 1)
+        with pytest.raises(ConfigError) as exc_info:
             cli._read_coefficients({"coefficients": values}, 352)
+        assert str(exc_info.value) == message.format("coefficients", 353)
 
     @pytest.mark.parametrize("bad", [
         {"type": "coeffs", "values": [[float("nan"), 0.0], [1.0, 0.0]]},
