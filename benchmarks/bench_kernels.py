@@ -124,10 +124,10 @@ sizes, iterations, rungs, kB or error) are the printed ones.
 ``environment`` records ``nproc``, ``OPENBLAS_NUM_THREADS``, the NumPy,
 SciPy and Python versions, the commit checked out where the timed
 bergex package lives (null outside a git work tree), the date and
-``FFT_THRESHOLD``. A default run took DEFAULT_RUN_TIME on a 2-CPU x86-64
-VM with one BLAS thread. To compare two versions of bergex, run the
-script on each in turn, with PYTHONPATH at each one's ``src``, in one
-session, and keep both files.
+``FFT_THRESHOLD``. A default run took 15-18 s on a 2-CPU x86-64 VM with
+one BLAS thread. To compare two versions of bergex, run the script on
+each in turn, with PYTHONPATH at each one's ``src``, in one session, and
+keep both files.
 
 Run from the repository root:
 
