@@ -85,6 +85,17 @@ with the same ``--out``. "read" is ``json.load`` of that file plus
 ``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
 "kB" is the size of the file.
 
+The ``certificate`` and ``check_table`` tables time the two layers that
+certify a solve, on the solution of each standard-family kernel at its
+calibrated degree n, p = 4 and 6, median of 50 calls, since each call
+takes well under a millisecond. ``certificate`` is
+``solver.extremality_residual`` over the monomials j = 0..
+``solver.certificate_degree(p, n)``, the j listed as "j max";
+"residual" is the largest modulus, the solve's ``residual_max``.
+``check_table`` is ``checks.check_table``, the reports every ``bergex
+solve`` records and every ``bergex verify`` recomputes; "checks" counts
+them. The solutions are solved once, before either table is timed.
+
 The ``study`` table times ``checks.convergence_study`` of the same
 kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
 6, with the number of ``solver._newton`` calls one study makes: one per
@@ -124,7 +135,7 @@ sizes, iterations, rungs, kB or error) are the printed ones.
 ``environment`` records ``nproc``, ``OPENBLAS_NUM_THREADS``, the NumPy,
 SciPy and Python versions, the commit checked out where the timed
 bergex package lives (null outside a git work tree), the date and
-``FFT_THRESHOLD``. A default run took 15-18 s on a 2-CPU x86-64 VM with
+``FFT_THRESHOLD``. A default run took 17-20 s on a 2-CPU x86-64 VM with
 one BLAS thread. To compare two versions of bergex, run the script on
 each in turn, with PYTHONPATH at each one's ``src``, in one session, and
 keep both files.
@@ -153,6 +164,7 @@ from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
 from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
+                           certificate_degree, extremality_residual,
                            solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
@@ -166,6 +178,7 @@ NEWTON_REPEATS = 5
 STUDY_DEGREES = tuple(range(8, 65, 8))
 QUADRATURE_EXPONENTS = (4.0 / 3.0, 6.0 / 5.0)
 QUADRATURE_REPEATS = 15
+CERTIFY_REPEATS = 50
 STARTUP_REPEATS = 15
 # Each statement runs in a fresh interpreter, which prints the seconds it
 # took; argv[1] is the directory holding the bergex package, argv[2] and
@@ -401,6 +414,49 @@ def bench_ladder(repeats):
     return table
 
 
+def family_solutions():
+    """(kernel name, kernel, p, n, solution) for each standard-family
+    kernel at its calibrated degree n, at p = 4 and 6."""
+    return [(name, kernel, p, n,
+             solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n)))
+            for p in (4, 6) for name, kernel, n in standard_family()]
+
+
+def bench_certificate(solutions, repeats):
+    print("\ncertificate: median milliseconds per extremality_residual call")
+    header = (f"{'kernel':>16}{'p':>4}{'n':>6}{'j max':>8}{'ms':>10}"
+              f"{'residual':>11}")
+    print(header)
+    print("-" * len(header))
+    table = []
+    for name, kernel, p, n, sol in solutions:
+        top = certificate_degree(p, n)
+        timed = time_call(extremality_residual, sol.F, kernel, p,
+                          sol.phi_norm, top, repeats=repeats)
+        table.append({"kernel": name, "p": p, "n": n, "j_max": top,
+                      "certificate": timed, "residual": sol.residual_max})
+        print(f"{name:>16}{p:>4}{n:>6}{top:>8}{timed['median'] * 1e3:>10.3f}"
+              f"{sol.residual_max:>11.1e}")
+    return table
+
+
+def bench_check_table(solutions, repeats):
+    print("\ncheck_table: median milliseconds per check_table call")
+    header = f"{'kernel':>16}{'p':>4}{'n':>6}{'ms':>10}{'checks':>8}"
+    print(header)
+    print("-" * len(header))
+    table = []
+    for name, kernel, p, n, sol in solutions:
+        timed = time_call(check_table, sol.F, kernel, p, sol.phi_norm, n,
+                          repeats=repeats)
+        checks = len(check_table(sol.F, kernel, p, sol.phi_norm, n))
+        table.append({"kernel": name, "p": p, "n": n, "check_table": timed,
+                      "checks": checks})
+        print(f"{name:>16}{p:>4}{n:>6}{timed['median'] * 1e3:>10.3f}"
+              f"{checks:>8}")
+    return table
+
+
 def read_solution(path):
     """What ``bergex verify`` parses first: the file and its coefficients."""
     with open(path, encoding="utf-8") as fh:
@@ -566,6 +622,7 @@ def main(argv=None):
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print(f"FFT_THRESHOLD in use: {THRESHOLD_IN_USE} (output degree)")
+    solutions = family_solutions()
     tables = {
         "conv": bench_operation("conv", _backend.conv, sizes, args.repeats),
         "xcorr": bench_operation("xcorr", _backend.xcorr, sizes,
@@ -574,6 +631,8 @@ def main(argv=None):
         "power": bench_power(sizes, args.repeats),
         "solve": bench_solve(NEWTON_SIZES, NEWTON_REPEATS),
         "ladder": bench_ladder(NEWTON_REPEATS),
+        "certificate": bench_certificate(solutions, CERTIFY_REPEATS),
+        "check_table": bench_check_table(solutions, CERTIFY_REPEATS),
         "emit": bench_emit(NEWTON_SIZES, NEWTON_REPEATS),
         "study": bench_study(STUDY_DEGREES, NEWTON_REPEATS),
         "quadrature": bench_quadrature(QUADRATURE_REPEATS),

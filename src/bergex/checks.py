@@ -407,8 +407,7 @@ def growth_study(family, p, q1_list):
             raise ValueError(f"q1 = {q1} outside [{q}, {MAX_EXPONENT}/(p-1)]")
     rows = []
     for kernel_id, kernel, degree in family:
-        # S_n k on purpose: the ladder, unlike solve_extremal, warns of no
-        # truncation
+        # S_n k over P_n: a degree below deg k truncates on purpose
         solution = next(solve_ladder(p, kernel, [degree]))
         # The ratio is homogeneous of degree 0 in k, so both kernel norms
         # are taken of the ``rescaled`` kernel, where |c_t|^q neither

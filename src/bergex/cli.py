@@ -28,7 +28,6 @@ import math
 import os
 import stat
 import sys
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -235,10 +234,7 @@ def _solution_body(spec, solution, reports):
 def run_solve(config, out=None):
     p, degree, spec = _problem(config)
     kernel = kernelspec.realize(spec)
-    with warnings.catch_warnings():  # a truncation is one line, below
-        warnings.simplefilter("ignore", UserWarning)
-        problem = ExtremalProblem(p, kernel, degree)
-    solution = solve_extremal(problem)
+    solution = solve_extremal(ExtremalProblem(p, kernel, degree))
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
                          "range; scale the kernel down")
@@ -419,8 +415,7 @@ def run_hinfty_study(config, out=None, fmt="csv"):
 
 def run_oracle_compare(config, out=None):
     """The quadrature oracle against the solver, both on S_3 k over P_3,
-    a truncation made on purpose: so the solve is ``solve_ladder``'s,
-    which gives no truncation warning."""
+    a truncation made on purpose."""
     p = _exponent(config)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))

@@ -102,9 +102,9 @@ which is what ``extremality_residual`` certifies and what
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,30 +131,37 @@ class NonConvergenceError(RuntimeError):
         self.trace = trace
 
 
+def _check_exponent(p):
+    """Raise ValueError unless p is an even integer in 2..MAX_EXPONENT. A
+    float such as 4.0 is no integer: the powers f^{p/2} need an int."""
+    if (not isinstance(p, numbers.Integral) or not 2 <= p <= MAX_EXPONENT
+            or p % 2 != 0):
+        raise ValueError(f"p must be an even integer in 2..{MAX_EXPONENT}, "
+                         f"got {p}")
+
+
 @dataclass(frozen=True)
 class ExtremalProblem:
-    """One solve: exponent p, kernel k and working degree n."""
+    """One solve: exponent p, kernel k and working degree n.
+
+    Constructing one checks the solve's input and has no other effect. A
+    degree n below deg k is no error: on P_n the functional reads
+    c_0..c_n alone, so the problem is that of S_n k, and the certificate,
+    taken against the whole kernel, reports the rest.
+    """
 
     p: int
     kernel: AnalyticPoly
     degree: int
 
     def __post_init__(self):
-        if not 2 <= self.p <= MAX_EXPONENT or self.p % 2 != 0:
-            raise ValueError(f"p must be an even integer in "
-                             f"2..{MAX_EXPONENT}, got {self.p}")
+        _check_exponent(self.p)
         if self.kernel.is_zero():
             raise ValueError("kernel must not be identically zero")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if taylor_truncate(self.kernel, self.degree).is_zero():
+        if not self.kernel.coeffs[:self.degree + 1].any():
             raise ValueError(VANISHING.format(self.degree))
-        if self.degree < self.kernel.degree:
-            warnings.warn(
-                "working degree below kernel degree: the functional is "
-                "truncated to P_n",
-                stacklevel=3,  # past the __init__ that dataclass generates
-            )
 
 
 @dataclass(frozen=True)
@@ -204,8 +211,7 @@ def gradient_norm_p(f, p):
     coefficients; the solver's ``_newton_terms`` evaluates the same
     expression.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError("p must be an even integer >= 2")
+    _check_exponent(p)
     if f.is_zero():
         return np.zeros(0, dtype=f.coeffs.dtype)
     s = p // 2
@@ -220,6 +226,7 @@ def extremality_residual(F, k, p, phi_norm, max_test_degree):
     a true extremal function every entry vanishes; the maximum modulus is
     the certificate the solver reports.
     """
+    _check_exponent(p)
     count = max_test_degree + 1
     pair = np.conj(_pairings(F, p, count))
     conj_c, phi_norm, _ = rescaled(np.conj(k.padded(count)), phi_norm)
@@ -234,6 +241,7 @@ def kernel_from_extremal(F, p, out_degree):
     normalization ||phi|| = 1. The kernel of the original problem is this
     one up to a positive scalar.
     """
+    _check_exponent(p)
     if F.is_zero():
         raise ValueError("extremal function must not be zero")
     pair = _pairings(F, p, out_degree + 1)
@@ -556,21 +564,17 @@ def solve_ladder(p, kernel, degrees):
     not requested solves to sqrt(TOLERANCE), its chord final step
     included (see the module docstring), and passes its last iterate up,
     even one that failed; a requested degree that fails raises
-    ``NonConvergenceError`` with its own trace, and one on which the
-    truncated kernel vanishes raises ``ExtremalProblem``'s ValueError for
-    it. The lowest rung starts from the normalized truncated kernel, every
-    higher one from the iterate of the rung below. The problem it
-    validates is that of S_d k, so unlike ``solve_extremal`` it gives no
-    warning for a degree below the kernel's: the studies and
-    oracle-compare truncate on purpose.
+    ``NonConvergenceError`` with its own trace. Input that
+    ``ExtremalProblem(p, kernel, d)`` rejects at the lowest d raises its
+    ValueError. The lowest rung starts from the normalized truncated
+    kernel, every higher one from the iterate of the rung below. A degree
+    below the kernel's solves S_d k, as the studies and oracle-compare do
+    on purpose.
     """
     degrees = sorted(set(degrees))
-    # S_d k contains S_m k for m <= d: checking the lowest degree checks
-    # all. A vanishing S_d k is no zero kernel but a degree too low.
-    low = taylor_truncate(kernel, degrees[0])
-    if low.is_zero():
-        raise ValueError(VANISHING.format(degrees[0]))
-    ExtremalProblem(p, low, degrees[0])
+    # the problem at the lowest degree checks all: S_d k contains S_m k
+    # for m <= d
+    ExtremalProblem(p, kernel, degrees[0])
     rungs = []
     for d in degrees:
         # a rung on which the truncated kernel vanishes has no functional
@@ -665,8 +669,7 @@ def brute_force_oracle(k, p, degree=3):
     norm). phi reads c_0..c_n alone, divided by ``rescaled``'s power of
     two, since F does not depend on the kernel's scale.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError("p must be an even integer >= 2")
+    _check_exponent(p)
     if degree < 0 or degree > 8:
         raise ValueError("oracle is meant for small spaces (degree <= 8)")
     n1 = degree + 1

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from bergex import _backend, solver
+from bergex.checks import check_table
+from bergex.families import standard_family
+from bergex.poly import as_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = str(ROOT / "benchmarks")
@@ -40,14 +43,13 @@ def cells(value):
     return []
 
 
-# the solve and emit tables truncate their degree-63 kernel at n = 16
-@pytest.mark.filterwarnings("ignore:working degree below kernel degree")
 def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
     # the whole script at size 16 and one repeat, its fixed sizes and
     # repeat counts cut to the same, with --out
     for name, value in (("NEWTON_STEP_SIZES", (16,)), ("NEWTON_SIZES", (16,)),
                         ("NEWTON_REPEATS", 1), ("STUDY_DEGREES", (8, 16)),
-                        ("QUADRATURE_REPEATS", 1), ("STARTUP_REPEATS", 1)):
+                        ("QUADRATURE_REPEATS", 1), ("CERTIFY_REPEATS", 1),
+                        ("STARTUP_REPEATS", 1)):
         monkeypatch.setattr(bench_kernels, name, value)
     threshold = _backend.FFT_THRESHOLD
     newton, gram = solver._newton, solver._gram
@@ -58,7 +60,8 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
     assert solver._gram is gram
     text = capsys.readouterr().out
     tables = ("conv", "xcorr", "newton_step", "power", "solve", "ladder",
-              "emit", "study", "quadrature", "startup")
+              "certificate", "check_table", "emit", "study", "quadrature",
+              "startup")
     for table in tables:
         assert f"{table}:" in text
     for row in ("import numpy", "import bergex.cli", "bergex verify",
@@ -79,6 +82,20 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
     for c in cells(report["tables"]):
         assert c["min"] <= c["median"] <= c["max"]
         assert c["repeats"] >= 1
+    # the certifying layers time each standard-family solution at its
+    # calibrated degree, at p = 4 and 6
+    family = [(name, n) for name, _, n in standard_family()]
+    for table, cell_name in (("certificate", "certificate"),
+                             ("check_table", "check_table")):
+        rows = report["tables"][table]
+        assert [(r["kernel"], r["n"], r["p"]) for r in rows] == [
+            (name, n, p) for p in (4, 6) for name, n in family]
+        for row in rows:
+            assert set(row[cell_name]) == {"median", "min", "max", "repeats"}
+    for row in report["tables"]["certificate"]:
+        assert row["j_max"] == solver.certificate_degree(row["p"], row["n"])
+    assert {row["checks"] for row in report["tables"]["check_table"]} == {
+        len(check_table(as_poly([1.0]), as_poly([1.0]), 4, 1.0, 0))}
 
 
 def test_crossover_is_where_the_fft_stays_ahead(bench_kernels):

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -109,14 +109,53 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ExtremalProblem(p=4, kernel=monomial(5), degree=2)
 
-    def test_degree_below_kernel_degree_warns(self):
-        with pytest.warns(UserWarning):
-            ExtremalProblem(p=4, kernel=as_poly([1.0, 0.0, 0.0, 1.0]), degree=1)
+    @pytest.mark.parametrize("p, kernel, degree, message", [
+        (3, as_poly([1.0]), 4, "p must be an even integer in 2..1024, got 3"),
+        (4.0, as_poly([1.0]), 4,
+         "p must be an even integer in 2..1024, got 4.0"),
+        (MAX_EXPONENT + 2, as_poly([1.0]), 4,
+         "p must be an even integer in 2..1024, got 1026"),
+        (4, as_poly([]), 4, "kernel must not be identically zero"),
+        (4, monomial(5), 2,
+         "kernel vanishes on the working space P_2; raise the degree"),
+        (4, as_poly([1.0]), -1, "degree must be nonnegative"),
+    ])
+    def test_ladder_rejects_what_the_problem_rejects(self, p, kernel, degree,
+                                                     message):
+        # solve_ladder checks its input as ExtremalProblem at its lowest
+        # degree, with the same message
+        with pytest.raises(ValueError) as direct:
+            ExtremalProblem(p=p, kernel=kernel, degree=degree)
+        with pytest.raises(ValueError) as ladder:
+            next(solve_ladder(p, kernel, [degree]))
+        assert str(direct.value) == str(ladder.value) == message
 
-    def test_degree_below_kernel_degree_warning_names_the_caller(self):
-        with pytest.warns(UserWarning, match="below kernel degree") as record:
-            ExtremalProblem(p=4, kernel=as_poly([1.0, 0.0, 0.0, 1.0]), degree=1)
-        assert Path(record[0].filename).resolve() == Path(__file__).resolve()
+    def test_degree_below_kernel_degree_warns_nothing(self):
+        # on P_1 the functional reads c_0 and c_1 alone: the problem is
+        # that of S_1 k, no error and no warning
+        kernel = as_poly([1.0, 0.5, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_extremal(ExtremalProblem(p=4, kernel=kernel, degree=1))
+        truncated = solve_extremal(ExtremalProblem(
+            p=4, kernel=taylor_truncate(kernel, 1), degree=1))
+        np.testing.assert_array_equal(sol.F.coeffs, truncated.F.coeffs)
+
+
+@pytest.mark.parametrize("p", [0, 5, 4.0, MAX_EXPONENT + 2])
+@pytest.mark.parametrize("call", [
+    lambda p: gradient_norm_p(as_poly([1.0, 0.5]), p),
+    lambda p: extremality_residual(as_poly([1.0]), as_poly([1.0]), p, 1.0, 2),
+    lambda p: kernel_from_extremal(as_poly([1.0, 0.5]), p, 2),
+    lambda p: brute_force_oracle(as_poly([1.0]), p, degree=0),
+], ids=["gradient_norm_p", "extremality_residual", "kernel_from_extremal",
+        "brute_force_oracle"])
+def test_every_entry_point_takes_the_one_p_rule(call, p):
+    # without the rule kernel_from_extremal at p = 5 returns the p = 4 kernel
+    with pytest.raises(ValueError,
+                       match=rf"^p must be an even integer in 2\.\.1024, "
+                             rf"got {p}$"):
+        call(p)
 
 
 def linear_threshold(p):
@@ -783,8 +822,6 @@ class TestDegreeLadder:
         assert trace[0][1] == pytest.approx(minimum(32), rel=1e-14)
         assert trace[-1][1] == pytest.approx(minimum(64), rel=1e-14)
 
-    # the per-degree solves truncate a degree-63 kernel below degree 63
-    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
     @pytest.mark.parametrize("p", [4, 6])
     @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
     def test_ladder_agrees_with_per_degree_solves(self, p, phase):
@@ -1038,7 +1075,6 @@ class TestBruteForceOracle:
         oracle = solver.brute_force_oracle(k, 6, degree=3).padded(4)
         assert np.max(np.abs(oracle - F)) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:working degree below kernel degree")
     def test_kernel_past_the_angular_grid(self):
         # at degree 3 the quadrature samples 16 angles, so c_16 z^16 would
         # alias onto c_0 if the oracle did not truncate the kernel to P_3
