@@ -1,66 +1,64 @@
 """Times the coefficient kernels, the solver, the reports and the quadrature.
 
-Prints one table per operation (Cauchy convolution and nonnegative-lag
-cross-correlation) with median wall time per call at a range of operand
-sizes. Each column calls ``bergex._backend.conv``/``xcorr`` with
-``FFT_THRESHOLD`` pinned so that one path runs at every size: the direct
-NumPy evaluation used below the threshold, or the FFT evaluation used at
-or above it. ``xcorr`` is ``conv`` of the reversed conjugate, so its
-columns time that convolution plus the conjugate and the slice of its
-upper half. Both operands have length n, so the output degree is
-2n - 2. "direct" and "fft" time complex operands; "direct real" and
-"fft real" time their real parts as float64 arrays, which stay real: the
-direct path is a real ``np.convolve`` and the FFT path takes real
-transforms of half the size. The four columns of a row are timed call by
-call in turn, so that drift in the machine's speed lands on all of them
-alike. Under each table a crossover line gives, for complex and for real
-operands, the first size from which the FFT column is below the direct
-one at every larger size, and the output degree there, which is what
-``FFT_THRESHOLD`` is compared with.
+Prints twelve tables, in this order: ``conv``, ``xcorr``,
+``newton_step``, ``power``, ``solve``, ``ladder``, ``certificate``,
+``check_table``, ``emit``, ``study``, ``quadrature`` and ``startup``.
+A table's title names its unit, its headers are the keys of the rows
+that ``--out`` writes, and a timed cell prints the median of its
+repeats. The cells of a row are timed call by call in turn
+(``time_cells``), so that drift in the machine's speed lands on all of
+them alike. ``BENCH_layers.json`` holds a default run on a 2-CPU x86-64
+VM with one BLAS thread; the text below restates none of its figures.
 
-On a 2-CPU x86-64 VM (NumPy 2.4, one BLAS thread, 200 repeats, three
-runs) the FFT path, NumPy's transforms at power-of-two lengths, led for
-both kernels from n = 384-448 on with complex operands (output degree
-766-894) and from n = 768 on with real ones (output degree 1534): a real
-``np.convolve`` took 1/1.3 (n = 64) to 1/2.6 (n = 1024) of the complex
-one's time. The ``power`` table below crosses much sooner, and
+The ``conv`` and ``xcorr`` tables time ``bergex._backend.conv`` and
+``xcorr`` at a range of operand sizes n, with ``FFT_THRESHOLD`` pinned
+so that one path runs at every size: the direct NumPy evaluation used
+below the threshold, or the FFT evaluation used at or above it, NumPy's
+transforms at power-of-two lengths. ``xcorr`` is ``conv`` of the
+reversed conjugate, so its cells time that convolution plus the
+conjugate and the slice of its upper half. Both operands have length n,
+so the output degree is 2n - 2. "direct" and "fft" time complex
+operands; "direct real" and "fft real" time their real parts as float64
+arrays, which stay real: the direct path is a real ``np.convolve`` and
+the FFT path takes real transforms of half the size. Under each table a
+crossover line gives, for complex and for real operands, the first size
+from which the FFT cell is below the direct one at every larger size,
+and the output degree there, which is what ``FFT_THRESHOLD`` is
+compared with. The ``power`` table crosses much sooner, and
 ``FFT_THRESHOLD`` (512) follows it; ``bergex._backend`` gives the
 reasons.
 
 The ``newton_step`` table times the dense part of one solver iteration,
 median of 5 calls, at p = 4 and 6 on the coefficients a_t = (t+1)^-1.6
 of degree n = 16, 24 and 48, the sizes of the lowest rungs of the
-degree ladders, and 96, 352 and 704. The "real" and "complex" columns
+degree ladders, and 96, 352 and 704. The "real" and "complex" cells
 time an iteration that steps before convergence: ``solver._newton_terms``
 (objective and gradient), ``solver._hessian`` and the Cholesky
 factorization of that Hessian by LAPACK's ``dpotrf``, called directly as
 the solver calls it, on the lower triangle (``lower=1``), the one
-``_hessian`` builds. The "real" column passes the coefficients as a real
+``_hessian`` builds. The "real" cell passes the coefficients as a real
 vector, which the solver does for a real kernel (n+1 unknowns); the
-"complex" column passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
-The "real final" and "complex final" columns time the iteration that
+"complex" cell passes e^{0.7i} a_t, whose Hessian has 2(n+1) rows.
+The "real final" and "complex final" cells time the iteration that
 meets the tolerance: objective and gradient, then the step with the
 lower Cholesky factor kept from the iteration before (LAPACK's
-``dpotrs``, ``lower=1``),
-which is all the solver's final step costs now that it builds no
-Hessian. The "real hessian" and "complex hessian" columns time
-``solver._hessian`` alone, from the objective's W f^s and f^{s-1}, so
-that the Hessian's assembly shows apart from its factorization. Pin
-OpenBLAS to one thread for this table: on a 2-CPU VM its threads made
-single cells up to 20x slower from run to run.
+``dpotrs``, ``lower=1``), which is all the solver's final step costs
+now that it builds no Hessian. The "real hessian" and "complex hessian"
+cells time ``solver._hessian`` alone, from the objective's W f^s and
+f^{s-1}, so that the Hessian's assembly shows apart from its
+factorization. Pin OpenBLAS to one thread for this table: on a 2-CPU VM
+its threads made single cells up to 20x slower from run to run.
 
 The ``power`` table times ``_backend.abs_power_xcorr``, the Fourier
 coefficients b_0..b_{(p/2)(n-1)} of |f|^p, at p = 4 and 6 for the n
 coefficients a_t = (t+1)^-1.6, at the ``--sizes`` of the tables above,
-median of ``--repeats`` calls, with the columns and the crossover lines
+median of ``--repeats`` calls, with the cells and the crossover lines
 of those tables. Its direct path is ``_backend.power``'s p/2 - 1
 products and one correlation, and its FFT path one transform of f; the
 output degree it dispatches on is p (n - 1). "direct" and "fft" time
 e^{0.7i} a_t, "direct real" and "fft real" the float64 a_t. "error" is
 the largest difference between the two paths on e^{0.7i} a_t, relative
-to the largest |b_m|. In the same three runs the FFT led from an output
-degree of 380-444 (p = 4) and 378 (p = 6) with complex coefficients, and
-from 508 (p = 4) and 474-666 (p = 6) with real ones.
+to the largest |b_m|.
 
 The ``solve`` table times a whole ``solver.solve_extremal`` call (the
 degree ladder, the certificate included) for the real kernel a_t =
@@ -75,31 +73,32 @@ rung's tolerance: the square root of ``solver.TOLERANCE`` below the
 requested degree, ``TOLERANCE`` at it), and it counts the Hessians the
 whole solve built (calls of ``solver._gram``).
 
-The ``emit`` table times the report layer at the same degrees, median
-of 5 calls, on the solution of that kernel at p = 4 with the checks
-every solve records (``checks.check_table``). "new" is
-``cli._emit_json`` of its ``cli._solution_body`` into a fresh file of a
-temporary directory on every call, and "overwrite" the same into one
-file that exists already, the case of a solve or verify that reruns
-with the same ``--out``. "read" is ``json.load`` of that file plus
-``cli._read_coefficients``, the coefficient parse of ``bergex verify``.
-"kB" is the size of the file.
-
 The ``certificate`` and ``check_table`` tables time the two layers that
 certify a solve, on the solution of each standard-family kernel at its
 calibrated degree n, p = 4 and 6, median of 50 calls, since each call
 takes well under a millisecond. ``certificate`` is
 ``solver.extremality_residual`` over the monomials j = 0..
-``solver.certificate_degree(p, n)``, the j listed as "j max";
+``solver.certificate_degree(p, n)``, the j listed as "j_max";
 "residual" is the largest modulus, the solve's ``residual_max``.
 ``check_table`` is ``checks.check_table``, the reports every ``bergex
 solve`` records and every ``bergex verify`` recomputes; "checks" counts
 them. The solutions are solved once, before either table is timed.
 
-The ``study`` table times ``checks.convergence_study`` of the same
-kernel over the degrees 8, 16, ..., 64, median of 5 calls, at p = 4 and
-6, with the number of ``solver._newton`` calls one study makes: one per
-rung of the single degree ladder that climbs the study's degrees.
+The ``emit`` table times the report layer at the degrees of the
+``solve`` table, median of 5 calls, on the solution of its kernel at
+p = 4 with the checks every solve records (``checks.check_table``).
+"new" is ``cli._emit_json`` of its ``cli._solution_body`` into a fresh
+file of a temporary directory on every call, and "overwrite" the same
+into one file that exists already, the case of a solve or verify that
+reruns with the same ``--out``. "read" is ``json.load`` of that file
+plus ``cli._read_coefficients``, the coefficient parse of ``bergex
+verify``. "kB" is the size of the file.
+
+The ``study`` table times ``checks.convergence_study`` of the ``solve``
+table's kernel over the degrees 8, 16, ..., 64, median of 5 calls, at
+p = 4 and 6, with the number of ``solver._newton`` calls one study
+makes: one per rung of the single degree ladder that climbs the study's
+degrees.
 
 The ``quadrature`` table times the general-exponent norms on each
 standard-family kernel, median of 15 calls: ``spaces.bergman_norm_general``
@@ -120,12 +119,11 @@ and the fourth less the second what the solve costs, its first
 factorization included. The Newton solve loads SciPy's compiled LAPACK
 module, and not the ``scipy.linalg`` package, on its first
 factorization (``solver._flapack``), so only the last row loads SciPy.
-On a 2-CPU x86-64 VM (one BLAS thread, 15 repeats) the four "process"
-medians were 163, 226, 236 and 267 ms. Importing ``scipy.linalg``
-whole, as ``from scipy.linalg.lapack import dpotrf`` does, doubles the
-last: over 12 alternating pairs of fresh processes the whole-process
-solve took 0.448 s that way and 0.224 s with the module alone, and its
-peak RSS 59.1 MB against 36.7 MB.
+Importing ``scipy.linalg`` whole, as ``from scipy.linalg.lapack import
+dpotrf`` does, doubles the last: over 12 alternating pairs of fresh
+processes on a 2-CPU x86-64 VM the whole-process solve took 0.448 s
+that way and 0.224 s with the module alone, and its peak RSS 59.1 MB
+against 36.7 MB.
 
 With ``--out PATH`` the script also writes every table to PATH as one
 JSON object. ``tables`` maps each table's name to its rows. A timed cell
@@ -147,15 +145,19 @@ Run from the repository root:
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
+import re
 import statistics
+import string
 import subprocess
 import sys
 import tempfile
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 import scipy
@@ -202,44 +204,65 @@ def cell(times):
             "max": max(times), "repeats": len(times)}
 
 
-def time_call(fn, *args, repeats=200):
-    """The ``cell`` of fn(*args) over the given number of repeats."""
-    times = []
+@contextlib.contextmanager
+def replaced(module, name, value):
+    """``module.name`` bound to ``value`` inside the block, and to its old
+    value again after it, whatever the block raises."""
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, old)
+
+
+def time_cells(calls, repeats, thresholds=None):
+    """The ``cell`` of each of ``calls``, functions of no argument, over
+    ``repeats`` rounds that call each once, in turn. Each call runs with
+    FFT_THRESHOLD at its entry of ``thresholds``, THRESHOLD_IN_USE when
+    none is given, pinned outside the timed span."""
+    thresholds = thresholds or [THRESHOLD_IN_USE] * len(calls)
+    times = [[] for _ in calls]
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn(*args)
-        times.append(time.perf_counter() - start)
-    return cell(times)
+        for call, threshold, column in zip(calls, thresholds, times):
+            with replaced(_backend, "FFT_THRESHOLD", threshold):
+                start = time.perf_counter()
+                call()
+                column.append(time.perf_counter() - start)
+    return [cell(column) for column in times]
+
+
+def table(title, row_format, rows, scale=1e3):
+    """Prints ``title``, a header, a rule and ``rows``, the row dicts that
+    --out writes, through ``row_format``, a str.format string over their
+    keys. The header prints each key at its field's alignment and width.
+    A timed cell prints its median seconds times ``scale``, a list its
+    items joined by spaces."""
+    header = "".join(
+        literal + format(key or "", re.match(r"[<>^]?\d*", spec or "")[0])
+        for literal, key, spec, _ in string.Formatter().parse(row_format))
+    print(f"\n{title}\n{header}\n{'-' * len(header)}")
+    for row in rows:
+        print(row_format.format(**{
+            key: value["median"] * scale if isinstance(value, dict)
+            else " ".join(map(str, value)) if isinstance(value, list)
+            else value for key, value in row.items()}))
 
 
 # Values of FFT_THRESHOLD that force each path for every operand size.
 PATHS = (("direct", float("inf")), ("fft", 0))
-# the columns of a path table: each path on complex, then on real operands
+# the cells of a path table: each path on complex, then on real operands
 PATH_LABELS = [label + kind for kind in ("", " real") for label, _ in PATHS]
+PATH_FORMAT = "".join(f"{{{label}:>14.2f}}" for label in PATH_LABELS)
 
 
-def time_paths(fn, operands, repeats):
-    """The ``cell`` of fn(*args) for args in ``operands`` (the complex
-    arguments, then the real ones), on each path of PATHS: the four cells
-    of a row in PATH_LABELS' order. The cells are timed call by call in
-    turn."""
-    cells = [(args, threshold) for args in operands for _, threshold in PATHS]
-    times = [[] for _ in cells]
-    try:
-        for _ in range(repeats):
-            for (args, threshold), column in zip(cells, times):
-                _backend.FFT_THRESHOLD = threshold
-                start = time.perf_counter()
-                fn(*args)
-                column.append(time.perf_counter() - start)
-    finally:
-        _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
-    return [cell(column) for column in times]
-
-
-def medians(cells):
-    """The median seconds of each cell of a row."""
-    return [c["median"] for c in cells]
+def path_cells(fn, operands, repeats):
+    """The cells of fn(*args) for args in ``operands`` (the complex
+    arguments, then the real ones), on each path of PATHS, keyed by
+    PATH_LABELS."""
+    calls, thresholds = zip(*[(partial(fn, *args), threshold)
+                              for args in operands for _, threshold in PATHS])
+    return dict(zip(PATH_LABELS, time_cells(calls, repeats, thresholds)))
 
 
 def crossover(sizes, degrees, rows):
@@ -259,22 +282,23 @@ def crossover(sizes, degrees, rows):
     return "crossover, fft ahead: " + "; ".join(parts)
 
 
+def path_medians(rows):
+    """The median seconds of the PATH_LABELS cells of each row."""
+    return [[row[label]["median"] for label in PATH_LABELS] for row in rows]
+
+
 def bench_operation(name, fn, sizes, repeats):
-    print(f"\n{name}: median microseconds per call")
-    header = f"{'n':>6}" + "".join(f"{label:>14}" for label in PATH_LABELS)
-    print(header)
-    print("-" * len(header))
     rng = np.random.default_rng(0)
-    rows, table = [], []
+    rows = []
     for n in sizes:
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cells = time_paths(fn, ((a, b), (a.real, b.real)), repeats)
-        rows.append(medians(cells))
-        table.append({"n": n, **dict(zip(PATH_LABELS, cells))})
-        print(f"{n:>6}" + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1]))
-    print(crossover(sizes, [2 * n - 2 for n in sizes], rows))
-    return table
+        rows.append({"n": n, **path_cells(fn, ((a, b), (a.real, b.real)),
+                                          repeats)})
+    table(f"{name}: median microseconds per call", "{n:>6}" + PATH_FORMAT,
+          rows, scale=1e6)
+    print(crossover(sizes, [2 * n - 2 for n in sizes], path_medians(rows)))
+    return rows
 
 
 def newton_step(a, p):
@@ -293,101 +317,73 @@ def final_step(a, p, factor):
 
 
 def bench_newton_step(sizes, repeats):
-    print("\nnewton_step: median milliseconds per call")
-    header = (f"{'n':>6}{'p':>4}{'real':>10}{'complex':>10}{'ratio':>8}"
-              f"{'real final':>12}{'complex final':>15}"
-              f"{'real hessian':>14}{'complex hessian':>17}")
-    print(header)
-    print("-" * len(header))
-    table = []
+    rows = []
     for n in sizes:
         a = (np.arange(n + 1) + 1.0) ** -1.6
         for p in (4, 6):
-            cells = []
+            calls = []
             for coeffs in (a, np.exp(0.7j) * a):
                 factor = newton_step(coeffs, p)[0]
                 wu, v = _newton_terms(coeffs, p)[2:]
-                cells.append(time_call(newton_step, coeffs, p,
-                                       repeats=repeats))
-                cells.append(time_call(final_step, coeffs, p, factor,
-                                       repeats=repeats))
-                cells.append(time_call(_hessian, coeffs, p, wu, v,
-                                       repeats=repeats))
-            table.append({"n": n, "p": p, **dict(zip(
+                calls += [partial(newton_step, coeffs, p),
+                          partial(final_step, coeffs, p, factor),
+                          partial(_hessian, coeffs, p, wu, v)]
+            rows.append({"n": n, "p": p, **dict(zip(
                 ("real", "real final", "real hessian", "complex",
-                 "complex final", "complex hessian"), cells))})
-            real, real_final, real_hessian, cplx, cplx_final, cplx_hessian = (
-                t * 1e3 for t in medians(cells))
-            print(f"{n:>6}{p:>4}{real:>10.3f}{cplx:>10.3f}{cplx / real:>8.2f}"
-                  f"{real_final:>12.3f}{cplx_final:>15.3f}"
-                  f"{real_hessian:>14.3f}{cplx_hessian:>17.3f}")
-    return table
+                 "complex final", "complex hessian"),
+                time_cells(calls, repeats)))})
+    table("newton_step: median milliseconds per call",
+          "{n:>6}{p:>4}{real:>10.3f}{complex:>10.3f}{real final:>12.3f}"
+          "{complex final:>15.3f}{real hessian:>14.3f}"
+          "{complex hessian:>17.3f}", rows)
+    return rows
 
 
 def bench_power(sizes, repeats):
-    print("\npower: median microseconds per |f|^p spectrum")
-    header = (f"{'n':>6}{'p':>4}"
-              + "".join(f"{label:>14}" for label in PATH_LABELS)
-              + f"{'error':>10}")
-    print(header)
-    print("-" * len(header))
-    table = []
+    rows = []
     for p in (4, 6):
-        rows = []
         for n in sizes:
             a = (np.arange(n) + 1.0) ** -1.6
             rotated = np.exp(0.7j) * a
-            cells = time_paths(_backend.abs_power_xcorr,
+            cells = path_cells(_backend.abs_power_xcorr,
                                ((rotated, p), (a, p)), repeats)
-            rows.append(medians(cells))
             spectra = []
             for _, threshold in PATHS:
-                _backend.FFT_THRESHOLD = threshold
-                spectra.append(_backend.abs_power_xcorr(rotated, p))
-            _backend.FFT_THRESHOLD = THRESHOLD_IN_USE
+                with replaced(_backend, "FFT_THRESHOLD", threshold):
+                    spectra.append(_backend.abs_power_xcorr(rotated, p))
             direct, fft = spectra
             error = float(np.max(np.abs(fft - direct))
                           / np.max(np.abs(direct)))
-            table.append({"n": n, "p": p, **dict(zip(PATH_LABELS, cells)),
-                          "error": error})
-            print(f"{n:>6}{p:>4}"
-                  + "".join(f"{t * 1e6:>14.2f}" for t in rows[-1])
-                  + f"{error:>10.1e}")
-        print(f"p = {p}: "
-              + crossover(sizes, [p * (n - 1) for n in sizes], rows))
-    return table
+            rows.append({"n": n, "p": p, **cells, "error": error})
+    table("power: median microseconds per |f|^p spectrum",
+          "{n:>6}{p:>4}" + PATH_FORMAT + "{error:>10.1e}", rows, scale=1e6)
+    for p in (4, 6):
+        print(f"p = {p}: " + crossover(
+            sizes, [p * (n - 1) for n in sizes],
+            path_medians(row for row in rows if row["p"] == p)))
+    return rows
 
 
 def bench_solve(sizes, repeats):
-    print("\nsolve: median milliseconds per solve_extremal call")
-    header = f"{'n':>6}{'p':>4}{'ms':>12}{'iterations':>12}"
-    print(header)
-    print("-" * len(header))
     kernel = power_decay_kernel(1.6, 64)
-    table = []
+    rows = []
     for n in sizes:
         for p in (4, 6):
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
-            timed = time_call(solve_extremal, problem, repeats=repeats)
-            iterations = solve_extremal(problem).iterations
-            table.append({"n": n, "p": p, "solve": timed,
-                          "iterations": iterations})
-            print(f"{n:>6}{p:>4}{timed['median'] * 1e3:>12.2f}"
-                  f"{iterations:>12}")
-    return table
+            [timed] = time_cells([partial(solve_extremal, problem)], repeats)
+            rows.append({"n": n, "p": p, "solve": timed,
+                         "iterations": solve_extremal(problem).iterations})
+    table("solve: median milliseconds per solve_extremal call",
+          "{n:>6}{p:>4}{solve:>12.2f}{iterations:>12}", rows)
+    return rows
 
 
 def bench_ladder(repeats):
-    print("\nladder: median milliseconds per standard-family solve")
-    header = (f"{'kernel':>16}{'p':>4}{'n':>6}{'ms':>10}{'hessians':>10}"
-              f"  rungs (iterations)")
-    print(header)
-    print("-" * len(header))
     gram, newton = solver._gram, solver._newton
-    builds, rungs = [0], []
+    builds, rungs = [], []
 
     def counting_gram(*args):
-        builds[0] += 1
+        builds.append(None)
         return gram(*args)
 
     def recording_newton(c_hat, *args):
@@ -395,23 +391,22 @@ def bench_ladder(repeats):
         rungs.append(f"{len(c_hat) - 1}({trace[-1][0]})")
         return a, trace, failure
 
-    table = []
+    rows = []
     for p in (4, 6):
         for name, kernel, n in standard_family():
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
-            timed = time_call(solve_extremal, problem, repeats=repeats)
-            builds[0] = 0
+            [timed] = time_cells([partial(solve_extremal, problem)], repeats)
+            builds.clear()
             rungs.clear()
-            solver._gram, solver._newton = counting_gram, recording_newton
-            try:
+            with replaced(solver, "_gram", counting_gram), \
+                    replaced(solver, "_newton", recording_newton):
                 solve_extremal(problem)
-            finally:
-                solver._gram, solver._newton = gram, newton
-            table.append({"kernel": name, "p": p, "n": n, "solve": timed,
-                          "hessians": builds[0], "rungs": list(rungs)})
-            print(f"{name:>16}{p:>4}{n:>6}{timed['median'] * 1e3:>10.2f}"
-                  f"{builds[0]:>10}  {' '.join(rungs)}")
-    return table
+            rows.append({"kernel": name, "p": p, "n": n, "solve": timed,
+                         "hessians": len(builds), "rungs": list(rungs)})
+    table("ladder: median milliseconds per standard-family solve",
+          "{kernel:>16}{p:>4}{n:>6}{solve:>10.2f}{hessians:>10}  {rungs}",
+          rows)
+    return rows
 
 
 def family_solutions():
@@ -423,38 +418,29 @@ def family_solutions():
 
 
 def bench_certificate(solutions, repeats):
-    print("\ncertificate: median milliseconds per extremality_residual call")
-    header = (f"{'kernel':>16}{'p':>4}{'n':>6}{'j max':>8}{'ms':>10}"
-              f"{'residual':>11}")
-    print(header)
-    print("-" * len(header))
-    table = []
+    rows = []
     for name, kernel, p, n, sol in solutions:
         top = certificate_degree(p, n)
-        timed = time_call(extremality_residual, sol.F, kernel, p,
-                          sol.phi_norm, top, repeats=repeats)
-        table.append({"kernel": name, "p": p, "n": n, "j_max": top,
-                      "certificate": timed, "residual": sol.residual_max})
-        print(f"{name:>16}{p:>4}{n:>6}{top:>8}{timed['median'] * 1e3:>10.3f}"
-              f"{sol.residual_max:>11.1e}")
-    return table
+        [timed] = time_cells([partial(extremality_residual, sol.F, kernel, p,
+                                      sol.phi_norm, top)], repeats)
+        rows.append({"kernel": name, "p": p, "n": n, "j_max": top,
+                     "certificate": timed, "residual": sol.residual_max})
+    table("certificate: median milliseconds per extremality_residual call",
+          "{kernel:>16}{p:>4}{n:>6}{j_max:>8}{certificate:>12.3f}"
+          "{residual:>11.1e}", rows)
+    return rows
 
 
 def bench_check_table(solutions, repeats):
-    print("\ncheck_table: median milliseconds per check_table call")
-    header = f"{'kernel':>16}{'p':>4}{'n':>6}{'ms':>10}{'checks':>8}"
-    print(header)
-    print("-" * len(header))
-    table = []
+    rows = []
     for name, kernel, p, n, sol in solutions:
-        timed = time_call(check_table, sol.F, kernel, p, sol.phi_norm, n,
-                          repeats=repeats)
-        checks = len(check_table(sol.F, kernel, p, sol.phi_norm, n))
-        table.append({"kernel": name, "p": p, "n": n, "check_table": timed,
-                      "checks": checks})
-        print(f"{name:>16}{p:>4}{n:>6}{timed['median'] * 1e3:>10.3f}"
-              f"{checks:>8}")
-    return table
+        args = (sol.F, kernel, p, sol.phi_norm, n)
+        [timed] = time_cells([partial(check_table, *args)], repeats)
+        rows.append({"kernel": name, "p": p, "n": n, "check_table": timed,
+                     "checks": len(check_table(*args))})
+    table("check_table: median milliseconds per check_table call",
+          "{kernel:>16}{p:>4}{n:>6}{check_table:>12.3f}{checks:>8}", rows)
+    return rows
 
 
 def read_solution(path):
@@ -466,15 +452,10 @@ def read_solution(path):
 
 
 def bench_emit(sizes, repeats):
-    print("\nemit: median milliseconds per report")
-    header = (f"{'n':>6}{'p':>4}{'new':>12}{'overwrite':>12}{'read':>12}"
-              f"{'kB':>10}")
-    print(header)
-    print("-" * len(header))
     spec = kernelspec.power_decay_spec(1.6, 64)
     kernel = kernelspec.realize(spec)
     p = 4
-    table = []
+    rows = []
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "solution.json")
         fresh = (os.path.join(workdir, f"new-{i}.json")
@@ -484,26 +465,20 @@ def bench_emit(sizes, repeats):
             reports = check_table(sol.F, kernel, p, sol.phi_norm, n)
             body = cli._solution_body(spec, sol, reports)
             stamp = cli._header()
-            new = time_call(lambda: cli._emit_json(stamp, body, next(fresh)),
-                            repeats=repeats)
             cli._emit_json(stamp, body, path)  # every timed call overwrites
-            overwrite = time_call(cli._emit_json, stamp, body, path,
-                                  repeats=repeats)
-            read = time_call(read_solution, path, repeats=repeats)
-            kilobytes = os.path.getsize(path) / 1e3
-            table.append({"n": n, "p": p, "new": new, "overwrite": overwrite,
-                          "read": read, "kB": kilobytes})
-            new, overwrite, read = medians((new, overwrite, read))
-            print(f"{n:>6}{p:>4}{new * 1e3:>12.2f}{overwrite * 1e3:>12.2f}"
-                  f"{read * 1e3:>12.2f}{kilobytes:>10.1f}")
-    return table
+            new, overwrite, read = time_cells(
+                [lambda: cli._emit_json(stamp, body, next(fresh)),
+                 partial(cli._emit_json, stamp, body, path),
+                 partial(read_solution, path)], repeats)
+            rows.append({"n": n, "p": p, "new": new, "overwrite": overwrite,
+                         "read": read, "kB": os.path.getsize(path) / 1e3})
+    table("emit: median milliseconds per report",
+          "{n:>6}{p:>4}{new:>12.2f}{overwrite:>12.2f}{read:>12.2f}{kB:>10.1f}",
+          rows)
+    return rows
 
 
 def bench_study(degrees, repeats):
-    print("\nstudy: median milliseconds per convergence_study call")
-    header = f"{'p':>4}{'ms':>12}{'newton':>8}"
-    print(header)
-    print("-" * len(header))
     kernel = power_decay_kernel(1.6, 64)
     newton, calls = solver._newton, []
 
@@ -511,49 +486,38 @@ def bench_study(degrees, repeats):
         calls.append(None)
         return newton(*args)
 
-    table = []
+    rows = []
     for p in (4, 6):
-        timed = time_call(convergence_study, kernel, p, degrees,
-                          repeats=repeats)
+        [timed] = time_cells([partial(convergence_study, kernel, p, degrees)],
+                             repeats)
         calls.clear()
-        solver._newton = counting_newton
-        try:
+        with replaced(solver, "_newton", counting_newton):
             convergence_study(kernel, p, degrees)
-        finally:
-            solver._newton = newton
-        table.append({"p": p, "degrees": list(degrees), "study": timed,
-                      "newton": len(calls)})
-        print(f"{p:>4}{timed['median'] * 1e3:>12.2f}{len(calls):>8}")
-    return table
+        rows.append({"p": p, "degrees": list(degrees), "study": timed,
+                     "newton": len(calls)})
+    table("study: median milliseconds per convergence_study call",
+          "{p:>4}{study:>12.2f}{newton:>8}", rows)
+    return rows
 
 
 def bench_quadrature(repeats):
-    print("\nquadrature: median milliseconds per call")
-    header = (f"{'kernel':>16}{'real':>6}{'q':>6}{'bergman':>10}"
-              f"{'hardy':>10}")
-    print(header)
-    print("-" * len(header))
-    table = []
+    rows = []
     for name, kernel, _ in standard_family():
-        real = not np.iscomplexobj(kernel.coeffs)
         for q in QUADRATURE_EXPONENTS:
-            bergman, hardy = (
-                time_call(norm, kernel, q, repeats=repeats)
-                for norm in (spaces.bergman_norm_general,
-                             spaces.hardy_norm_general))
-            table.append({"kernel": name, "real": real, "q": q,
-                          "bergman": bergman, "hardy": hardy})
-            bergman, hardy = medians((bergman, hardy))
-            print(f"{name:>16}{'yes' if real else 'no':>6}{q:>6.3f}"
-                  f"{bergman * 1e3:>10.3f}{hardy * 1e3:>10.3f}")
-    return table
+            bergman, hardy = time_cells(
+                [partial(norm, kernel, q) for norm in (
+                    spaces.bergman_norm_general, spaces.hardy_norm_general)],
+                repeats)
+            rows.append({"kernel": name,
+                         "real": not np.iscomplexobj(kernel.coeffs), "q": q,
+                         "bergman": bergman, "hardy": hardy})
+    table("quadrature: median milliseconds per call",
+          "{kernel:>16}{real!s:>6}{q:>6.3f}{bergman:>10.3f}{hardy:>10.3f}",
+          rows)
+    return rows
 
 
 def bench_startup(repeats):
-    print("\nstartup: median milliseconds per fresh interpreter")
-    header = f"{'statement':>20}{'inside':>10}{'process':>10}"
-    print(header)
-    print("-" * len(header))
     package_dir = os.path.dirname(os.path.dirname(cli.__file__))
     times = [([], []) for _ in STARTUP_PROBES]
     with tempfile.TemporaryDirectory() as workdir:
@@ -579,13 +543,12 @@ def bench_startup(repeats):
                                      check=True).stdout
                 process.append(time.perf_counter() - start)
                 inside.append(float(out.split()[-1]))
-    table = []
-    for (label, _), (inside, process) in zip(STARTUP_PROBES, times):
-        table.append({"statement": label, "inside": cell(inside),
-                      "process": cell(process)})
-        print(f"{label:>20}{statistics.median(inside) * 1e3:>10.1f}"
-              f"{statistics.median(process) * 1e3:>10.1f}")
-    return table
+    rows = [{"statement": label, "inside": cell(inside),
+             "process": cell(process)}
+            for (label, _), (inside, process) in zip(STARTUP_PROBES, times)]
+    table("startup: median milliseconds per fresh interpreter",
+          "{statement:>20}{inside:>10.1f}{process:>10.1f}", rows)
+    return rows
 
 
 def head_commit():

@@ -8,10 +8,12 @@ too, is the canonical object ``from_dict`` returns.
 ``realize`` produces the AnalyticPoly; ``describe`` gives a stable
 human-readable id used to key study rows. ``_field``, the type rule of
 every JSON config field, lives here so that spec fields and the CLI's
-fields share it.
+fields share it, and ``_check_exponent``, the rule for p, so that the
+solver and ``spaces``, which cannot import the solver, share it.
 """
 
 import math
+import numbers
 from itertools import chain, repeat
 
 import numpy as np
@@ -28,10 +30,21 @@ class ConfigError(ValueError):
 # of a kernel, explicit or power-decay. The solver's dense Hessian has
 # 2(n+1) rows for a complex kernel, 0.5 GB at this degree.
 MAX_DEGREE = 4096
-# The largest Lebesgue exponent a config or an ExtremalProblem may ask
-# for: p, and the growth study's (p - 1) q1. At p = 1100 ||f||_{A^p}^p
-# underflows in the solver.
+# The largest Lebesgue exponent a config, an ExtremalProblem or an
+# even-exponent norm of ``spaces`` may ask for: p, and the growth study's
+# (p - 1) q1. At p = 1100 ||f||_{A^p}^p underflows in the solver.
 MAX_EXPONENT = 1024
+
+
+def _check_exponent(p):
+    """Raise ValueError unless p is an even integer in 2..MAX_EXPONENT, the
+    one rule for p of the solver and of the even-exponent routines of
+    ``spaces``. A float such as 4.0 is no integer: the powers f^{p/2}
+    need an int."""
+    if (not isinstance(p, numbers.Integral) or not 2 <= p <= MAX_EXPONENT
+            or p % 2 != 0):
+        raise ValueError(f"p must be an even integer in 2..{MAX_EXPONENT}, "
+                         f"got {p}")
 
 
 _REQUIRED = object()

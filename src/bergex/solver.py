@@ -102,7 +102,6 @@ which is what ``extremality_residual`` certifies and what
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -111,7 +110,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, power, xcorr
-from .kernelspec import MAX_EXPONENT
+from .kernelspec import _check_exponent
 from .poly import AnalyticPoly, rescaled, taylor_truncate, trimmed
 from .spaces import bergman_norm_even, functional_value
 
@@ -129,15 +128,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
-
-
-def _check_exponent(p):
-    """Raise ValueError unless p is an even integer in 2..MAX_EXPONENT. A
-    float such as 4.0 is no integer: the powers f^{p/2} need an int."""
-    if (not isinstance(p, numbers.Integral) or not 2 <= p <= MAX_EXPONENT
-            or p % 2 != 0):
-        raise ValueError(f"p must be an even integer in 2..{MAX_EXPONENT}, "
-                         f"got {p}")
 
 
 @dataclass(frozen=True)

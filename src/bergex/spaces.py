@@ -33,6 +33,7 @@ from numpy.fft import fft, rfft
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import abs_power_xcorr, fft_length
+from .kernelspec import _check_exponent
 from .poly import AnalyticPoly, power, rescaled
 
 
@@ -75,15 +76,9 @@ def hardy_inner(f, g):
     return complex(np.sum(f.coeffs[:n] * np.conj(g.coeffs[:n])))
 
 
-def _require_even(p):
-    if p < 2 or p != int(p) or int(p) % 2 != 0:
-        raise ValueError(f"exponent must be an even integer >= 2, got {p}")
-    return int(p)
-
-
 def bergman_norm_even(f, p):
     """||f||_{A^p} for even p via the exact coefficient identity."""
-    p = _require_even(p)
+    _check_exponent(p)
     u = power(f, p // 2)
     if u.is_zero():
         return 0.0
@@ -93,7 +88,7 @@ def bergman_norm_even(f, p):
 
 def hardy_norm_even(f, p):
     """||f||_{H^p} for even p via Parseval on the boundary."""
-    p = _require_even(p)
+    _check_exponent(p)
     u = power(f, p // 2)
     if u.is_zero():
         return 0.0
@@ -187,7 +182,7 @@ def fourier_coeff_abs_power(f, p, m):
     u = f^{p/2} this is the exact autocorrelation sum_t u_{t+m} conj(u_t)
     for m >= 0, and the conjugate of that for m < 0, since |f|^p is real.
     """
-    p = _require_even(p)
+    _check_exponent(p)
     m = int(m)
     u = power(f, p // 2)
     if u.is_zero() or abs(m) >= len(u.coeffs):
@@ -207,4 +202,5 @@ def abs_power_spectrum(f, p):
     (``_backend.abs_power_xcorr``): above the FFT threshold it is one
     transform of f, the pointwise |.|^p and one inverse.
     """
-    return abs_power_xcorr(f.coeffs, _require_even(p))
+    _check_exponent(p)
+    return abs_power_xcorr(f.coeffs, p)

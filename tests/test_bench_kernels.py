@@ -128,3 +128,32 @@ def test_newton_step_times_the_solvers_routines(bench_kernels):
                           str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_time_cells_times_the_calls_in_turn(bench_kernels):
+    # drift in the machine's speed lands on every cell of a row alike
+    order = []
+    cells = bench_kernels.time_cells(
+        [lambda: order.append("a"), lambda: order.append("b")], 2)
+    assert order == ["a", "b", "a", "b"]
+    assert [c["repeats"] for c in cells] == [2, 2]
+
+
+def test_power_table_restores_the_threshold(bench_kernels, monkeypatch):
+    # the fft spectrum of the table's error check raises: FFT_THRESHOLD is
+    # back at the value in use, not at the 0 that forced the fft path
+    spectrum = _backend.abs_power_xcorr
+
+    def failing_fft(a, p):
+        if _backend.FFT_THRESHOLD == 0:
+            raise FloatingPointError("fft path")
+        return spectrum(a, p)
+
+    def untimed(calls, repeats, thresholds=None):
+        return [bench_kernels.cell([0.0]) for _ in calls]
+
+    monkeypatch.setattr(bench_kernels, "time_cells", untimed)
+    monkeypatch.setattr(_backend, "abs_power_xcorr", failing_fft)
+    with pytest.raises(FloatingPointError, match="fft path"):
+        bench_kernels.bench_power([16], 1)
+    assert _backend.FFT_THRESHOLD == bench_kernels.THRESHOLD_IN_USE

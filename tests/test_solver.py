@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from bergex import _backend, poly, solver
+from bergex import _backend, poly, solver, spaces
 from bergex.checks import check_table
 from bergex.families import power_decay_kernel, standard_family
 from bergex.kernelspec import MAX_EXPONENT
@@ -148,10 +148,17 @@ class TestProblemValidation:
     lambda p: extremality_residual(as_poly([1.0]), as_poly([1.0]), p, 1.0, 2),
     lambda p: kernel_from_extremal(as_poly([1.0, 0.5]), p, 2),
     lambda p: brute_force_oracle(as_poly([1.0]), p, degree=0),
+    lambda p: spaces.bergman_norm_even(as_poly([1.0, 0.5]), p),
+    lambda p: spaces.hardy_norm_even(as_poly([1.0, 0.5]), p),
+    lambda p: spaces.fourier_coeff_abs_power(as_poly([1.0, 0.5]), p, 1),
+    lambda p: spaces.abs_power_spectrum(as_poly([1.0, 0.5]), p),
 ], ids=["gradient_norm_p", "extremality_residual", "kernel_from_extremal",
-        "brute_force_oracle"])
+        "brute_force_oracle", "bergman_norm_even", "hardy_norm_even",
+        "fourier_coeff_abs_power", "abs_power_spectrum"])
 def test_every_entry_point_takes_the_one_p_rule(call, p):
-    # without the rule kernel_from_extremal at p = 5 returns the p = 4 kernel
+    # without the rule kernel_from_extremal at p = 5 returns the p = 4
+    # kernel, and the even norms take p = 4.0 and overflow past
+    # MAX_EXPONENT
     with pytest.raises(ValueError,
                        match=rf"^p must be an even integer in 2\.\.1024, "
                              rf"got {p}$"):
