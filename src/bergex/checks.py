@@ -42,7 +42,8 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .kernelspec import MAX_EXPONENT
+from .kernelspec import (_check_degrees, _check_growth_exponents,
+                         _check_positive)
 from .poly import AnalyticPoly, rescaled
 from .solver import solve_ladder
 from .spaces import (
@@ -330,11 +331,14 @@ def check_hinfty_criterion(alpha, p, degrees):
     summability drives the boundedness argument.
 
     alpha <= 3/2 is outside the hypothesis: the sweep still runs, but the
-    verdict is withheld.
+    verdict is withheld. Before any solve it raises ValueError unless
+    alpha is positive and finite (``_check_positive``), ``degrees`` holds
+    two distinct working degrees (``_check_degrees``) and p is an exponent
+    (``_check_exponent``, through the ladder).
     """
+    _check_positive(alpha)
+    _check_degrees(degrees)
     degrees = sorted(set(degrees))
-    if len(degrees) < 2:
-        raise ValueError("need at least two distinct degrees to compare")
     k = power_decay_kernel(alpha, degrees[-1] + 1)
     sups = {}
     l1 = {}
@@ -398,13 +402,12 @@ def growth_study(family, p, q1_list):
 
     F lies in H^{p1} precisely when k lies in H^{q1}, with two-sided
     norm bounds, so the ratios stay inside a fixed band [1/C, C]; C is
-    recorded empirically by the caller, not asserted here.
+    recorded empirically by the caller, not asserted here. Before any
+    solve it raises ValueError unless p is an exponent and ``q1_list`` a
+    non-empty list of such q1 (``_check_growth_exponents``).
     """
+    _check_growth_exponents(q1_list, p)
     q = p / (p - 1.0)
-    for q1 in q1_list:
-        # past MAX_EXPONENT the sup-scaled |F|^p1 underflows to norm 0
-        if q1 < q - 1e-12 or (p - 1) * q1 > MAX_EXPONENT:
-            raise ValueError(f"q1 = {q1} outside [{q}, {MAX_EXPONENT}/(p-1)]")
     rows = []
     for kernel_id, kernel, degree in family:
         # S_n k over P_n: a degree below deg k truncates on purpose
@@ -445,8 +448,11 @@ def convergence_study(k, p, degrees):
     F_n solves the problem with the truncated kernel S_n k over P_n, on
     one degree ladder (``solve_ladder``) that yields one row per distinct
     degree, ascending; N = max(degrees) serves as the reference. Distances
-    decrease as n grows once past the small-n regime.
+    decrease as n grows once past the small-n regime. Before any solve it
+    raises ValueError unless ``degrees`` holds two distinct working degrees
+    (``_check_degrees``), and as ``solve_ladder`` does.
     """
+    _check_degrees(degrees)
     solutions = list(solve_ladder(p, k, degrees))
     F_ref = solutions[-1].F
     return [(s.degree, hardy_norm_even(s.F - F_ref, p)) for s in solutions]

@@ -42,8 +42,10 @@ from .checks import (
     growth_study,
 )
 from .families import DEFAULT_SEED, standard_family
-from .kernelspec import (_REQUIRED, ConfigError, _complex_pairs, _field,
-                         _finite_number, _pairs_field)
+from .kernelspec import (ConfigError, _check_degree, _check_degrees,
+                         _check_exponent, _check_growth_exponents,
+                         _check_positive, _complex_pairs, _field,
+                         _growth_exponent, _pairs_field, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import (
     DEFAULT_CERTIFICATE_TOL,
@@ -70,54 +72,29 @@ ORACLE_TOLERANCE = 1e-6
 ORACLE_DEGREE = 3
 
 
-def _load_config(path):
+def _load_json(path, what):
+    """The JSON object in the file at ``path``, the ``what`` (a config or
+    a solution file) that the messages name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise ConfigError("config is nested too deeply to read") from None
+        raise ConfigError(f"{what} is nested too deeply to read") from None
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _field(data, "schema_version", int, lambda v: v == SCHEMA_VERSION,
-           f"the supported schema_version is {SCHEMA_VERSION}", SCHEMA_VERSION)
+        raise ConfigError(f"{what} must be a JSON object")
     return data
-
-
-def _positive_finite(value):
-    return 0 < value < math.inf
-
-
-def _degrees(config, default=_REQUIRED):
-    """The study field 'degrees': at least two distinct integers in
-    0..MAX_DEGREE. A study solves each distinct degree once, so a repeat
-    would be dropped."""
-    return _field(config, "degrees", list, lambda v: len(v) >= 2 and all(
-        isinstance(n, int) and not isinstance(n, bool)
-        and 0 <= n <= kernelspec.MAX_DEGREE for n in v)
-        and len(set(v)) == len(v),
-        f"need at least two distinct integers in 0..{kernelspec.MAX_DEGREE}",
-        default)
-
-
-def _exponent(config):
-    """The config field 'p', an even integer in 2..MAX_EXPONENT."""
-    return _field(config, "p", int,
-                  lambda v: 2 <= v <= kernelspec.MAX_EXPONENT and v % 2 == 0,
-                  f"p must be an even integer in 2..{kernelspec.MAX_EXPONENT}")
 
 
 def _problem(config):
     """(p, degree, kernel spec) of a solve config, or of the problem a
     solution file records."""
-    p = _exponent(config)
-    degree = _field(config, "degree", int,
-                    lambda v: 1 <= v <= kernelspec.MAX_DEGREE,
-                    f"degree must be in 1..{kernelspec.MAX_DEGREE}")
-    return p, degree, kernelspec.from_dict(_field(config, "kernel", dict))
+    return (_field(config, "p", int, _check_exponent),
+            _field(config, "degree", int, _check_degree),
+            kernelspec.from_dict(_field(config, "kernel", dict)))
 
 
 def _jsonable(value):
@@ -268,32 +245,27 @@ def run_verify(solution_path, out=None):
     """Recompute a serialized solution's table and certificate. Each table
     entry needs the one record of its ``_identity`` (else it is missing,
     and a record left over is unexpected), whose residual must reproduce
-    to 1e-14. Every recorded field is read by the rule of ``bergex
-    solve``'s config. ``certified`` does not move the exit code."""
+    to 1e-14. The file is read as ``bergex solve``'s config is, and
+    every recorded field by the rule of that config. ``certified`` does
+    not move the exit code."""
+    payload = _load_json(solution_path, "solution file")
     try:
-        with open(solution_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        body = payload["body"]
-        p, degree, spec = _problem(body["problem"])
+        body = _field(payload, "body", dict)
+        p, degree, spec = _problem(_field(body, "problem", dict))
         kernel = kernelspec.realize(spec)
-        solution = body["solution"]
+        solution = _field(body, "solution", dict)
         F = AnalyticPoly(_read_coefficients(solution, degree))
-        phi_norm = _field(solution, "phi_norm", float, _positive_finite,
-                          "phi_norm must be positive and finite")
+        phi_norm = _field(solution, "phi_norm", float,
+                          lambda v: _check_positive(v, "phi_norm"))
         recorded_max = _field(solution, "residual_max", float)
         records = [(_identity(_field(record, "check_name", str),
                               _field(record, "context", dict, default={})),
                     _field(record, "residual", float))
-                   for record in _field(
-                       body, "checks", list,
-                       lambda v: all(isinstance(r, dict) for r in v),
-                       "each check record must be an object")]
-    except (OSError, KeyError, TypeError, ValueError, OverflowError,
-            json.JSONDecodeError) as exc:
+                   for record in _field(body, "checks", list, lambda v: (
+                       _require(all(isinstance(r, dict) for r in v),
+                                "each check record must be an object")))]
+    except ValueError as exc:
         raise ConfigError(f"unreadable solution file: {exc}") from exc
-    except RecursionError:
-        raise ConfigError(
-            "solution file is nested too deeply to read") from None
 
     # an extreme F or ||phi|| gives inf or NaN residuals, written as null
     with np.errstate(all="ignore"):
@@ -339,19 +311,15 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
-    p = _exponent(config)
-    q = p / (p - 1.0)
-
-    def solvable(q1):  # p1 = (p - 1) q1 is an exponent bergex takes
-        return (p - 1) * q1 <= kernelspec.MAX_EXPONENT
-    q1_list = _field(config, "q1_list", list, lambda v: v and all(
-        _finite_number(q1) and solvable(q1) for q1 in v),
-        f"q1_list must be a non-empty list of finite numbers q1 with "
-        f"(p - 1) * q1 <= {kernelspec.MAX_EXPONENT}",
-        [q1 for q1 in (q, 2.0, 4.0) if solvable(q1)])
+    p = _field(config, "p", int, _check_exponent)
+    # by default q, 2 and 4, less those past the rule's bound
+    q1_list = _field(config, "q1_list", list,
+                     lambda v: _check_growth_exponents(v, p),
+                     [q1 for q1 in (p / (p - 1.0), 2.0, 4.0)
+                      if _growth_exponent(q1, p)])
     if seed is None:
-        seed = _field(config, "seed", int, lambda v: v >= 0,
-                      "seed must be >= 0", None)
+        seed = _field(config, "seed", int, lambda v: _require(
+            v >= 0, "seed must be >= 0"), None)
     family, seed = _study_family(config, seed)
     rows = growth_study(family, p, q1_list)
     # np.max, unlike max(), keeps a NaN ratio
@@ -369,17 +337,15 @@ def _study_family(config, seed):
     specs = config.get("family", "standard")
     if specs == "standard":
         seed = DEFAULT_SEED if seed is None else seed
-        limit = _field(config, "max_study_degree", int, lambda v: v >= 0,
-                       "max_study_degree must be >= 0", 128)
+        limit = _field(config, "max_study_degree", int, lambda v: _require(
+            v >= 0, "max_study_degree must be >= 0"), 128)
         return [(name, k, min(d, limit))
                 for name, k, d in standard_family(seed)], seed
     if not (isinstance(specs, list) and specs):
         raise ConfigError("config field 'family' must be \"standard\" or a "
                           "non-empty list of kernel specs")
     entries = []
-    degree = _field(config, "degree", int,
-                    lambda v: 0 <= v <= kernelspec.MAX_DEGREE,
-                    f"degree must be in 0..{kernelspec.MAX_DEGREE}", 64)
+    degree = _field(config, "degree", int, _check_degree, 64)
     for item in specs:
         spec = kernelspec.from_dict(item)
         entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
@@ -388,8 +354,8 @@ def _study_family(config, seed):
 
 
 def run_convergence_study(config, out=None, fmt="csv"):
-    p = _exponent(config)
-    degrees = _degrees(config)
+    p = _field(config, "p", int, _check_exponent)
+    degrees = _field(config, "degrees", list, _check_degrees)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
     rows = convergence_study(kernel, p, degrees)
@@ -399,10 +365,9 @@ def run_convergence_study(config, out=None, fmt="csv"):
 
 
 def run_hinfty_study(config, out=None, fmt="csv"):
-    p = _exponent(config)
-    alpha = _field(config, "alpha", float, _positive_finite,
-                   "alpha must be positive and finite")
-    degrees = _degrees(config, [16, 32, 64])
+    p = _field(config, "p", int, _check_exponent)
+    alpha = _field(config, "alpha", float, _check_positive)
+    degrees = _field(config, "degrees", list, _check_degrees, [16, 32, 64])
     report = check_hinfty_criterion(alpha, p, degrees)
     sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
@@ -416,7 +381,7 @@ def run_hinfty_study(config, out=None, fmt="csv"):
 def run_oracle_compare(config, out=None):
     """The quadrature oracle against the solver, both on S_3 k over P_3,
     a truncation made on purpose."""
-    p = _exponent(config)
+    p = _field(config, "p", int, _check_exponent)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
     oracle_F = brute_force_oracle(kernel, p, degree=ORACLE_DEGREE)
@@ -473,7 +438,10 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return run_verify(args.solution, out=args.out)
-        config = _load_config(args.config)
+        config = _load_json(args.config, "config")
+        _field(config, "schema_version", int, lambda v: _require(
+            v == SCHEMA_VERSION,
+            f"the supported schema_version is {SCHEMA_VERSION}"), None)
         if args.command == "solve":
             return run_solve(config, out=args.out)
         if args.command == "study":

@@ -8,8 +8,12 @@ too, is the canonical object ``from_dict`` returns.
 ``realize`` produces the AnalyticPoly; ``describe`` gives a stable
 human-readable id used to key study rows. ``_field``, the type rule of
 every JSON config field, lives here so that spec fields and the CLI's
-fields share it, and ``_check_exponent``, the rule for p, so that the
-solver and ``spaces``, which cannot import the solver, share it.
+fields share it, and so do the input rules, each a ``_check_*`` function
+that raises ValueError naming its parameter: p, a working degree, a
+study's degree list, the growth study's q1, a positive number (the
+hinfty study's alpha) and a kernel nonzero on its working space. The
+solver, the checks, ``spaces`` (which cannot import the solver) and the
+CLI's readers call them, and state them nowhere else.
 """
 
 import math
@@ -36,22 +40,82 @@ MAX_DEGREE = 4096
 MAX_EXPONENT = 1024
 
 
+def _require(ok, message):
+    """Raise ValueError(message) unless ``ok``: the form of every rule."""
+    if not ok:
+        raise ValueError(message)
+
+
 def _check_exponent(p):
-    """Raise ValueError unless p is an even integer in 2..MAX_EXPONENT, the
-    one rule for p of the solver and of the even-exponent routines of
-    ``spaces``. A float such as 4.0 is no integer: the powers f^{p/2}
-    need an int."""
-    if (not isinstance(p, numbers.Integral) or not 2 <= p <= MAX_EXPONENT
-            or p % 2 != 0):
-        raise ValueError(f"p must be an even integer in 2..{MAX_EXPONENT}, "
-                         f"got {p}")
+    """Raise ValueError unless p is an even integer in 2..MAX_EXPONENT. A
+    float such as 4.0 is no integer: the powers f^{p/2} need an int."""
+    _require(isinstance(p, numbers.Integral) and 2 <= p <= MAX_EXPONENT
+             and p % 2 == 0,
+             f"p must be an even integer in 2..{MAX_EXPONENT}, got {p!r}")
+
+
+def _check_degree(n, name="degree"):
+    """Raise ValueError unless n, a working degree or the kernel degree
+    that ``name`` names, is an integer in 0..MAX_DEGREE. true and false are
+    no integers, as in a JSON config."""
+    _require(not isinstance(n, bool) and isinstance(n, numbers.Integral)
+             and 0 <= n <= MAX_DEGREE,
+             f"{name} must be an integer in 0..{MAX_DEGREE}, got {n!r}")
+
+
+def _check_degrees(degrees, least=2):
+    """Raise ValueError unless ``degrees`` is a list of working degrees
+    (``_check_degree``), at least ``least`` of them distinct: two for a
+    study, which compares them, and one for a degree ladder. A repeated
+    degree is allowed, and solved once."""
+    for n in degrees:
+        _check_degree(n)
+    need = "two distinct degrees" if least == 2 else "one degree"
+    _require(len(set(degrees)) >= least,
+             f"need at least {need}, got {degrees!r}")
+
+
+def _growth_exponent(q1, p):
+    """Whether q1 is a finite number in [q, MAX_EXPONENT/(p-1)], q =
+    p/(p-1), with room for a q rounded below by 1e-12: the range of the
+    H^{(p-1) q1} theorem, where past MAX_EXPONENT the growth study's
+    sup-scaled |F|^{(p-1) q1} underflows to norm 0."""
+    return (_finite_number(q1) and p / (p - 1.0) - 1e-12 <= q1
+            and (p - 1) * q1 <= MAX_EXPONENT)
+
+
+def _check_growth_exponents(q1_list, p):
+    """Raise ValueError unless p passes ``_check_exponent`` and ``q1_list``
+    is a non-empty list of q1 that ``_growth_exponent`` takes."""
+    _check_exponent(p)
+    _require(q1_list, "need at least one q1")
+    for q1 in q1_list:
+        _require(_growth_exponent(q1, p), f"q1 = {q1!r} outside "
+                 f"[{p / (p - 1.0)!r}, {MAX_EXPONENT}/(p-1)]")
+
+
+def _check_positive(value, name="alpha"):
+    """Raise ValueError unless ``value``, the hinfty study's alpha or the
+    parameter that ``name`` names, is a positive finite number."""
+    _require(_finite_number(value) and value > 0,
+             f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_kernel(kernel, degree):
+    """Raise ValueError unless the kernel is nonzero on the working space
+    P_degree, where the functional reads c_0..c_degree alone."""
+    _require(not kernel.is_zero(), "kernel must not be identically zero")
+    _require(kernel.coeffs[:degree + 1].any(), f"kernel vanishes on the "
+             f"working space P_{degree}; raise the degree")
 
 
 _REQUIRED = object()
 
 
-def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
-    """config[key] checked for its JSON type and by ``predicate``.
+def _field(config, key, kind, check=None, default=_REQUIRED):
+    """config[key] checked for its JSON type and then by ``check``, one of
+    the ``_check_*`` rules or a ``_require``, whose ValueError becomes the
+    field's: ``config field '<key>' is invalid: <its message>``.
 
     ``int`` takes JSON integers only; ``float`` takes any JSON number and
     converts it. A JSON true/false is neither, although Python's bool is
@@ -72,8 +136,12 @@ def _field(config, key, kind, predicate=None, message="", default=_REQUIRED):
                 f"config field {key!r} is out of range") from None
     if not isinstance(value, kind):
         raise ConfigError(f"config field {key!r} has the wrong type")
-    if predicate is not None and not predicate(value):
-        raise ConfigError(f"config field {key!r} is invalid: {message}")
+    if check is not None:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config field {key!r} is invalid: {exc}") from None
     return value
 
 
@@ -187,9 +255,9 @@ def from_dict(data):
         return {"type": t, "values": values.tolist()}
     if t == "power_decay":
         return {"type": t,
-                "alpha": _field(data, "alpha", float, math.isfinite,
-                                "alpha must be finite"),
+                "alpha": _field(data, "alpha", float, lambda v: _require(
+                    math.isfinite(v), "alpha must be finite")),
+                # the kernel's degree count - 1 is a working degree
                 "count": _field(data, "count", int,
-                                lambda v: 1 <= v <= MAX_DEGREE + 1,
-                                f"count must be in 1..{MAX_DEGREE + 1}")}
+                                lambda v: _check_degree(v - 1, "count - 1"))}
     raise ConfigError(f"unknown kernel spec type {t!r}")

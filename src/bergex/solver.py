@@ -110,7 +110,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, power, xcorr
-from .kernelspec import _check_exponent
+from .kernelspec import (_check_degree, _check_degrees, _check_exponent,
+                         _check_kernel, _require)
 from .poly import AnalyticPoly, rescaled, taylor_truncate, trimmed
 from .spaces import bergman_norm_even, functional_value
 
@@ -119,7 +120,6 @@ DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # lowest degree of the ladder that solve_extremal climbs to degree n
 MIN_RUNG_DEGREE = 16
-VANISHING = "kernel vanishes on the working space P_{}; raise the degree"
 
 
 class NonConvergenceError(RuntimeError):
@@ -134,10 +134,13 @@ class NonConvergenceError(RuntimeError):
 class ExtremalProblem:
     """One solve: exponent p, kernel k and working degree n.
 
-    Constructing one checks the solve's input and has no other effect. A
-    degree n below deg k is no error: on P_n the functional reads
-    c_0..c_n alone, so the problem is that of S_n k, and the certificate,
-    taken against the whole kernel, reports the rest.
+    Constructing one checks the solve's input and has no other effect: it
+    raises ValueError unless p passes ``_check_exponent``, n
+    ``_check_degree`` (an integer in 0..MAX_DEGREE) and k ``_check_kernel``
+    (nonzero on P_n), the rules of ``kernelspec``. A degree n below deg k
+    is no error: on P_n the functional reads c_0..c_n alone, so the
+    problem is that of S_n k, and the certificate, taken against the whole
+    kernel, reports the rest.
     """
 
     p: int
@@ -146,12 +149,8 @@ class ExtremalProblem:
 
     def __post_init__(self):
         _check_exponent(self.p)
-        if self.kernel.is_zero():
-            raise ValueError("kernel must not be identically zero")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if not self.kernel.coeffs[:self.degree + 1].any():
-            raise ValueError(VANISHING.format(self.degree))
+        _check_degree(self.degree)
+        _check_kernel(self.kernel, self.degree)
 
 
 @dataclass(frozen=True)
@@ -554,15 +553,17 @@ def solve_ladder(p, kernel, degrees):
     not requested solves to sqrt(TOLERANCE), its chord final step
     included (see the module docstring), and passes its last iterate up,
     even one that failed; a requested degree that fails raises
-    ``NonConvergenceError`` with its own trace. Input that
-    ``ExtremalProblem(p, kernel, d)`` rejects at the lowest d raises its
-    ValueError. The lowest rung starts from the normalized truncated
-    kernel, every higher one from the iterate of the rung below. A degree
-    below the kernel's solves S_d k, as the studies and oracle-compare do
-    on purpose.
+    ``NonConvergenceError`` with its own trace. Before any solve it raises
+    ValueError unless ``degrees`` is a non-empty list of working degrees
+    (``_check_degrees`` with ``least=1``) and ``ExtremalProblem(p, kernel,
+    d)`` takes the lowest d, with that problem's message. The lowest rung
+    starts from the normalized truncated kernel, every higher one from the
+    iterate of the rung below. A degree below the kernel's solves S_d k, as
+    the studies and oracle-compare do on purpose.
     """
+    _check_degrees(degrees, least=1)
     degrees = sorted(set(degrees))
-    # the problem at the lowest degree checks all: S_d k contains S_m k
+    # the problem at the lowest degree checks the rest: S_d k contains S_m k
     # for m <= d
     ExtremalProblem(p, kernel, degrees[0])
     rungs = []
@@ -657,16 +658,13 @@ def brute_force_oracle(k, p, degree=3):
     solve; after DEFAULT_MAX_ITERATIONS steps without that,
     ``NonConvergenceError`` carries the trace of (iteration, J, gradient
     norm). phi reads c_0..c_n alone, divided by ``rescaled``'s power of
-    two, since F does not depend on the kernel's scale.
+    two, since F does not depend on the kernel's scale. Raises ValueError
+    as ``ExtremalProblem(p, k, degree)`` does, and for a degree above 8.
     """
-    _check_exponent(p)
-    if degree < 0 or degree > 8:
-        raise ValueError("oracle is meant for small spaces (degree <= 8)")
+    ExtremalProblem(p, k, degree)
+    _require(degree <= 8, "oracle is meant for small spaces (degree <= 8)")
     n1 = degree + 1
-    c = k.padded(n1)
-    if not np.any(c):
-        raise ValueError(f"kernel vanishes on the working space P_{degree}")
-    c = rescaled(c)[0]
+    c = rescaled(k.padded(n1))[0]
     # angles above the bandwidth p n of |f|^p, and Gauss-Legendre in rho =
     # r^2, in which every integrand's angular mean has degree (p/2) n; the
     # area measure is d rho dtheta / 2pi

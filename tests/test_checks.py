@@ -34,7 +34,7 @@ from bergex.poly import (
     shift,
     taylor_truncate,
 )
-from bergex import solver
+from bergex import checks, solver
 from bergex.families import power_decay_kernel, standard_family
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
@@ -432,6 +432,18 @@ class TestHinftyCriterion:
         # a degree compared with itself would pass with zero growth
         with pytest.raises(ValueError, match="two distinct degrees"):
             check_hinfty_criterion(2.0, 4, [16, 16])
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0])
+    def test_alpha_not_positive_rejected_before_any_solve(self, monkeypatch,
+                                                          alpha):
+        # NaN ran 100 NaN iterations into NonConvergenceError, and 0 and
+        # -1 a sweep to a withheld verdict
+        def unreachable(*args):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(checks, "solve_ladder", unreachable)
+        with pytest.raises(ValueError, match=r"^alpha must be positive "
+                           r"and finite, got "):
+            check_hinfty_criterion(alpha, 4, [8, 16])
 
     def test_sup_and_l1_mass_match_per_point_references(self):
         alpha, p, degrees = 2.0, 4, [8, 16]

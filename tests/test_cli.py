@@ -772,6 +772,16 @@ class TestExitCodes:
     def test_odd_p_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"p": 3}) == 3
 
+    def test_degree_zero_solves(self, tmp_path, capsys):
+        # P_0 is a working space as for the library and the studies: the
+        # constant kernel's solve there certifies
+        overrides = {"degree": 0, "kernel": CONSTANT_ONE}
+        assert self.run_solve(tmp_path, overrides) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["body"]["solution"]["coefficients"] == [
+            [1.0, 0.0]]
+
     def test_missing_degree_rejected(self, tmp_path):
         assert self.run_solve(tmp_path, {"degree": None}) == 3
 
@@ -999,6 +1009,38 @@ class TestConfigFieldTypes:
         code, err = self.run(tmp_path, capsys, case, field, value)
         assert code == 3
         assert repr(field) in err
+
+    @pytest.mark.parametrize("case, field, value, library", [
+        pytest.param(case, field, value, library,
+                     id=f"{case}-{field}-{value}")
+        for case, field, values, library in [
+            ("solve", "p", [0, 5, kernelspec.MAX_EXPONENT + 2],
+             lambda v: ExtremalProblem(v, as_poly([1.0, 1.0]), 16)),
+            ("solve", "degree", [-1, kernelspec.MAX_DEGREE + 1],
+             lambda v: ExtremalProblem(4, as_poly([1.0, 1.0]), v)),
+            ("convergence", "degrees",
+             [[8], [8, 8], [8, kernelspec.MAX_DEGREE + 1]],
+             lambda v: checks.convergence_study(as_poly([1.0, 1.0]), 4, v)),
+            ("hinfty", "degrees", [[8, kernelspec.MAX_DEGREE + 1]],
+             lambda v: checks.check_hinfty_criterion(2.0, 4, v)),
+            ("growth", "q1_list", [[0.5], [400.0]],
+             lambda v: checks.growth_study([], 4, v)),
+            ("hinfty", "alpha", [0.0, -1.0],
+             lambda v: checks.check_hinfty_criterion(v, 4, [16, 32])),
+        ]
+        for value in values])
+    def test_rejection_reads_the_library_rule(self, tmp_path, capsys,
+                                              monkeypatch, case, field,
+                                              value, library):
+        # each rule is the library's: the command and the entry point
+        # reject the same value with the same message, before any solve
+        def unreachable(*args):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(solver, "_newton", unreachable)
+        with pytest.raises(ValueError) as raised:
+            library(value)
+        assert self.run(tmp_path, capsys, case, field, value) == (
+            3, f"error: config field {field!r} is invalid: {raised.value}\n")
 
     @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
     @pytest.mark.parametrize("case, field",

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from bergex import _backend, poly, solver, spaces
-from bergex.checks import check_table
+from bergex.checks import (check_hinfty_criterion, check_table,
+                           convergence_study, growth_study)
 from bergex.families import power_decay_kernel, standard_family
-from bergex.kernelspec import MAX_EXPONENT
+from bergex.kernelspec import MAX_DEGREE, MAX_EXPONENT
 from bergex.poly import AnalyticPoly, as_poly, monomial, taylor_truncate
 from bergex.solver import (
     ExtremalProblem,
@@ -118,17 +119,28 @@ class TestProblemValidation:
         (4, as_poly([]), 4, "kernel must not be identically zero"),
         (4, monomial(5), 2,
          "kernel vanishes on the working space P_2; raise the degree"),
-        (4, as_poly([1.0]), -1, "degree must be nonnegative"),
+        (4, as_poly([1.0]), -1,
+         "degree must be an integer in 0..4096, got -1"),
+        # past the bound the problem was accepted, and a ladder through
+        # [8, 4097] solved degree 8 before it reached 4097; a float degree
+        # raised TypeError
+        (4, as_poly([1.0]), MAX_DEGREE + 1,
+         "degree must be an integer in 0..4096, got 4097"),
+        (4, as_poly([1.0]), 4.0,
+         "degree must be an integer in 0..4096, got 4.0"),
     ])
     def test_ladder_rejects_what_the_problem_rejects(self, p, kernel, degree,
                                                      message):
-        # solve_ladder checks its input as ExtremalProblem at its lowest
-        # degree, with the same message
+        # solve_ladder checks its input as ExtremalProblem does, with the
+        # same message, before any solve: each degree, wherever it stands
+        # in the list, and the problem at the lowest
         with pytest.raises(ValueError) as direct:
             ExtremalProblem(p=p, kernel=kernel, degree=degree)
-        with pytest.raises(ValueError) as ladder:
-            next(solve_ladder(p, kernel, [degree]))
-        assert str(direct.value) == str(ladder.value) == message
+        assert str(direct.value) == message
+        for degrees in ([degree], [8, degree]):
+            with pytest.raises(ValueError) as ladder:
+                next(solve_ladder(p, kernel, degrees))
+            assert str(ladder.value) == message
 
     def test_degree_below_kernel_degree_warns_nothing(self):
         # on P_1 the functional reads c_0 and c_1 alone: the problem is
@@ -152,13 +164,17 @@ class TestProblemValidation:
     lambda p: spaces.hardy_norm_even(as_poly([1.0, 0.5]), p),
     lambda p: spaces.fourier_coeff_abs_power(as_poly([1.0, 0.5]), p, 1),
     lambda p: spaces.abs_power_spectrum(as_poly([1.0, 0.5]), p),
+    lambda p: growth_study([], p, [2.0]),
+    lambda p: convergence_study(as_poly([1.0]), p, [0, 1]),
+    lambda p: check_hinfty_criterion(2.0, p, [0, 1]),
 ], ids=["gradient_norm_p", "extremality_residual", "kernel_from_extremal",
         "brute_force_oracle", "bergman_norm_even", "hardy_norm_even",
-        "fourier_coeff_abs_power", "abs_power_spectrum"])
+        "fourier_coeff_abs_power", "abs_power_spectrum", "growth_study",
+        "convergence_study", "check_hinfty_criterion"])
 def test_every_entry_point_takes_the_one_p_rule(call, p):
     # without the rule kernel_from_extremal at p = 5 returns the p = 4
-    # kernel, and the even norms take p = 4.0 and overflow past
-    # MAX_EXPONENT
+    # kernel, the even norms take p = 4.0 and overflow past MAX_EXPONENT,
+    # and growth_study of an empty family took every p
     with pytest.raises(ValueError,
                        match=rf"^p must be an even integer in 2\.\.1024, "
                              rf"got {p}$"):
@@ -728,6 +744,15 @@ class TestSolverProperties:
 class TestDegreeLadder:
     """Solves at n >= 32 climb the ladder of degrees n >> j >= 16."""
 
+    @pytest.mark.parametrize("call", [
+        lambda: next(solve_ladder(4, as_poly([1.0]), [])),
+        lambda: convergence_study(as_poly([1.0]), 4, []),
+    ], ids=["solve_ladder", "convergence_study"])
+    def test_empty_degree_list_rejected(self, call):
+        # both raised IndexError on degrees[0] and solutions[-1]
+        with pytest.raises(ValueError, match=r"^need at least "):
+            call()
+
     def test_rungs(self):
         assert _rungs(16) == [16]
         assert _rungs(31) == [31]
@@ -1091,8 +1116,12 @@ class TestBruteForceOracle:
         assert np.max(np.abs(oracle.padded(4) - F.padded(4))) <= 1e-8
 
     def test_kernel_vanishing_on_the_space_rejected(self):
-        with pytest.raises(ValueError, match="vanishes"):
+        # the oracle takes the problem's rule, message and all
+        with pytest.raises(ValueError, match="vanishes") as oracle:
             solver.brute_force_oracle(monomial(5), 4, degree=3)
+        with pytest.raises(ValueError) as problem:
+            ExtremalProblem(p=4, kernel=monomial(5), degree=3)
+        assert str(oracle.value) == str(problem.value)
 
     def test_traced_peak_at_large_p(self):
         # at p = 128 Gauss-Legendre in r^2 takes 98 radii of 512 angles,
