@@ -100,11 +100,19 @@ p = 4 and 6, with the number of ``solver._newton`` calls one study
 makes: one per rung of the single degree ladder that climbs the study's
 degrees.
 
-The ``quadrature`` table times the general-exponent norms on each
-standard-family kernel, median of 15 calls: ``spaces.bergman_norm_general``
-(64 circles, one FFT per block of 8) and ``spaces.hardy_norm_general``
-(the unit circle) at q = 4/3 and 6/5. "real" says whether the kernel's
-coefficients are real, which samples the half circle.
+The ``quadrature`` table times the general-exponent norms, median of
+15 calls, on each standard-family kernel at q = 4/3 and 6/5 and on
+random polynomials of the ``QUADRATURE_DEGREES``, 8 to 255, with real
+and with complex coefficients, at q = 4/3. "bergman" is
+``spaces.bergman_norm_general`` as it dispatches, "product" and "fft"
+the same with ``spaces._PRODUCT_THRESHOLD`` pinned so that one route
+runs at every degree: the matrix product of ``spaces._product_means``
+or the FFTs of ``spaces._circle_means``. "hardy" is
+``spaces.hardy_norm_general`` (the unit circle). "real" says whether
+the coefficients are real, which samples the half circle. A crossover
+line under the table gives, for complex and for real polynomials, the
+first degree from which the FFT route is ahead at every larger degree,
+which is what ``_PRODUCT_THRESHOLD`` is compared with.
 
 The ``startup`` table splits start-up by layer. Each of four statements
 runs in a fresh interpreter, the four in turn, ``STARTUP_REPEATS``
@@ -132,8 +140,8 @@ of its repeats and their count, ``repeats``; a row's other entries (the
 sizes, iterations, rungs, kB or error) are the printed ones.
 ``environment`` records ``nproc``, ``OPENBLAS_NUM_THREADS``, the NumPy,
 SciPy and Python versions, the commit checked out where the timed
-bergex package lives (null outside a git work tree), the date and
-``FFT_THRESHOLD``. A default run took 17-20 s on a 2-CPU x86-64 VM with
+bergex package lives (null outside a git work tree), the date,
+``FFT_THRESHOLD`` and ``spaces._PRODUCT_THRESHOLD``. A default run took 17-20 s on a 2-CPU x86-64 VM with
 one BLAS thread. To compare two versions of bergex, run the script on
 each in turn, with PYTHONPATH at each one's ``src``, in one session, and
 keep both files.
@@ -165,6 +173,7 @@ import scipy
 from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
 from bergex.families import power_decay_kernel, standard_family
+from bergex.poly import as_poly
 from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
                            certificate_degree, extremality_residual,
                            solve_extremal)
@@ -179,6 +188,11 @@ NEWTON_STEP_SIZES = (16, 24, 48) + NEWTON_SIZES
 NEWTON_REPEATS = 5
 STUDY_DEGREES = tuple(range(8, 65, 8))
 QUADRATURE_EXPONENTS = (4.0 / 3.0, 6.0 / 5.0)
+# the degrees of the quadrature table's random polynomials
+QUADRATURE_DEGREES = (8, 16, 24, 28, 32, 36, 40, 48, 64, 128, 255)
+# Values of spaces._PRODUCT_THRESHOLD that force each route of
+# bergman_norm_general at every degree: the matrix product, then the FFTs.
+ROUTES = (("product", float("inf")), ("fft", 0))
 QUADRATURE_REPEATS = 15
 CERTIFY_REPEATS = 50
 STARTUP_REPEATS = 15
@@ -216,16 +230,19 @@ def replaced(module, name, value):
         setattr(module, name, old)
 
 
-def time_cells(calls, repeats, thresholds=None):
+def time_cells(calls, repeats, thresholds=None,
+               constant=(_backend, "FFT_THRESHOLD")):
     """The ``cell`` of each of ``calls``, functions of no argument, over
     ``repeats`` rounds that call each once, in turn. Each call runs with
-    FFT_THRESHOLD at its entry of ``thresholds``, THRESHOLD_IN_USE when
-    none is given, pinned outside the timed span."""
-    thresholds = thresholds or [THRESHOLD_IN_USE] * len(calls)
+    the threshold that ``constant``, a (module, name) pair, names at its
+    entry of ``thresholds``, or at its value on entry when none is given,
+    pinned outside the timed span."""
+    module, name = constant
+    thresholds = thresholds or [getattr(module, name)] * len(calls)
     times = [[] for _ in calls]
     for _ in range(repeats):
         for call, threshold, column in zip(calls, thresholds, times):
-            with replaced(_backend, "FFT_THRESHOLD", threshold):
+            with replaced(module, name, threshold):
                 start = time.perf_counter()
                 call()
                 column.append(time.perf_counter() - start)
@@ -265,11 +282,12 @@ def path_cells(fn, operands, repeats):
     return dict(zip(PATH_LABELS, time_cells(calls, repeats, thresholds)))
 
 
-def crossover(sizes, degrees, rows):
+def crossover(sizes, degrees, rows, what="output degree"):
     """The line under a path table: for each operand kind, the first size
     from which its fft column is below its direct column at every larger
-    size, with the output degree there, which is what FFT_THRESHOLD is
-    compared with. ``rows`` holds the median seconds of each row."""
+    size, with ``what`` the threshold is compared with there, by default
+    the output degree, which FFT_THRESHOLD is compared with. ``rows``
+    holds the median seconds of each row."""
     parts = []
     for kind, direct, fft in (("complex", 0, 1), ("real", 2, 3)):
         first = None
@@ -277,7 +295,7 @@ def crossover(sizes, degrees, rows):
             if row[fft] >= row[direct]:
                 first = None
             elif first is None:
-                first = f"n = {n} (output degree {degree})"
+                first = f"n = {n} ({what} {degree})"
         parts.append(f"{kind} from {first or 'no size here'}")
     return "crossover, fft ahead: " + "; ".join(parts)
 
@@ -501,19 +519,39 @@ def bench_study(degrees, repeats):
 
 
 def bench_quadrature(repeats):
+    in_use = spaces._PRODUCT_THRESHOLD
+    pins = [in_use, *(threshold for _, threshold in ROUTES), in_use]
+    rng = np.random.default_rng(0)
+    kernels = [(name, kernel, QUADRATURE_EXPONENTS)
+               for name, kernel, _ in standard_family()]
+    for d in QUADRATURE_DEGREES:
+        c = rng.standard_normal(d + 1)
+        kernels += [("real poly", as_poly(c), QUADRATURE_EXPONENTS[:1]),
+                    ("complex poly",
+                     as_poly(c + 1j * rng.standard_normal(d + 1)),
+                     QUADRATURE_EXPONENTS[:1])]
     rows = []
-    for name, kernel, _ in standard_family():
-        for q in QUADRATURE_EXPONENTS:
-            bergman, hardy = time_cells(
-                [partial(norm, kernel, q) for norm in (
-                    spaces.bergman_norm_general, spaces.hardy_norm_general)],
-                repeats)
+    for name, kernel, exponents in kernels:
+        for q in exponents:
+            bergman = partial(spaces.bergman_norm_general, kernel, q)
+            cells = time_cells(
+                [bergman] * 3 + [partial(spaces.hardy_norm_general, kernel, q)],
+                repeats, pins, (spaces, "_PRODUCT_THRESHOLD"))
             rows.append({"kernel": name,
-                         "real": not np.iscomplexobj(kernel.coeffs), "q": q,
-                         "bergman": bergman, "hardy": hardy})
+                         "real": not np.iscomplexobj(kernel.coeffs),
+                         "degree": kernel.degree, "q": q, **dict(zip(
+                             ["bergman", *(r for r, _ in ROUTES), "hardy"],
+                             cells))})
     table("quadrature: median milliseconds per call",
-          "{kernel:>16}{real!s:>6}{q:>6.3f}{bergman:>10.3f}{hardy:>10.3f}",
-          rows)
+          "{kernel:>16}{real!s:>6}{degree:>7}{q:>6.3f}{bergman:>10.3f}"
+          "{product:>10.3f}{fft:>10.3f}{hardy:>10.3f}", rows)
+    polys = [row for row in rows if row["kernel"].endswith(" poly")]
+    medians = [[row[route]["median"] for row in (complex_row, real_row)
+                for route, _ in ROUTES]
+               for real_row, complex_row in zip(polys[0::2], polys[1::2])]
+    print("bergman_norm_general, product against fft: " + crossover(
+        [d + 1 for d in QUADRATURE_DEGREES], QUADRATURE_DEGREES, medians,
+        what="degree"))
     return rows
 
 
@@ -570,7 +608,8 @@ def environment():
             "numpy": np.__version__, "scipy": scipy.__version__,
             "python": sys.version.split()[0], "commit": head_commit(),
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "fft_threshold": THRESHOLD_IN_USE}
+            "fft_threshold": THRESHOLD_IN_USE,
+            "product_threshold": spaces._PRODUCT_THRESHOLD}
 
 
 def main(argv=None):

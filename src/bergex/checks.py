@@ -42,8 +42,8 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .kernelspec import (_check_degrees, _check_growth_exponents,
-                         _check_positive)
+from .kernelspec import (MAX_DEGREE, _check_degrees,
+                         _check_growth_exponents, _check_positive, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import solve_ladder
 from .spaces import (
@@ -468,11 +468,19 @@ def norm_equality_decay_study(k, p, degrees):
     relative residual (phi_ref - phi_n)/phi_ref decreases monotonically,
     which is the decay this study exhibits. One degree ladder
     (``solve_ladder``) climbs the distinct degrees, one row each, to the
-    reference degree 2 max(degrees) + 32.
+    reference degree 2 max(degrees) + 32. Before any solve it raises
+    ValueError unless ``degrees`` is a non-empty list of working degrees
+    (``_check_degrees`` with ``least=1``) whose reference degree is one
+    too, at most MAX_DEGREE, and as ``solve_ladder`` does.
 
     Returns (reference degree, [(n, VerificationReport), ...]).
     """
-    *solutions, ref = solve_ladder(p, k, [*degrees, 2 * max(degrees) + 32])
+    _check_degrees(degrees, least=1)
+    reference = 2 * max(degrees) + 32
+    _require(reference <= MAX_DEGREE,
+             f"degrees {degrees!r} need the reference degree "
+             f"2 max(degrees) + 32 = {reference}, above {MAX_DEGREE}")
+    *solutions, ref = solve_ladder(p, k, [*degrees, reference])
     rows = [(s.degree, check_norm_equality(s.F, k, p, ref.phi_norm))
             for s in solutions]
     return ref.degree, rows

@@ -29,6 +29,7 @@ import os
 import stat
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -89,12 +90,14 @@ def _load_json(path, what):
     return data
 
 
-def _problem(config):
+def _problem(config, what="config"):
     """(p, degree, kernel spec) of a solve config, or of the problem a
-    solution file records."""
-    return (_field(config, "p", int, _check_exponent),
-            _field(config, "degree", int, _check_degree),
-            kernelspec.from_dict(_field(config, "kernel", dict)))
+    solution file records; ``what`` names the document, as for
+    ``_field``."""
+    return (_field(config, "p", int, _check_exponent, what=what),
+            _field(config, "degree", int, _check_degree, what=what),
+            kernelspec.from_dict(_field(config, "kernel", dict, what=what),
+                                 what))
 
 
 def _jsonable(value):
@@ -123,12 +126,14 @@ def _json_coefficients(coeffs):
     return np.column_stack([coeffs.real, coeffs.imag]).tolist()
 
 
-def _read_coefficients(solution, degree):
+def _read_coefficients(solution, degree, what="config"):
     """The complex coefficients a solution section of the given degree
     records, bit for bit: the array of pairs ``_pairs_field`` validates,
     viewed by ``_complex_pairs``. F lies in P_degree, so there are at most
-    degree + 1 of them; fewer are valid, since trailing zeros are trimmed."""
-    return _complex_pairs(_pairs_field(solution, "coefficients", degree + 1))
+    degree + 1 of them; fewer are valid, since trailing zeros are trimmed.
+    ``what`` names the document, as for ``_field``."""
+    return _complex_pairs(_pairs_field(solution, "coefficients", degree + 1,
+                                       what))
 
 
 def _header(seed=None):
@@ -248,20 +253,22 @@ def run_verify(solution_path, out=None):
     to 1e-14. The file is read as ``bergex solve``'s config is, and
     every recorded field by the rule of that config. ``certified`` does
     not move the exit code."""
-    payload = _load_json(solution_path, "solution file")
+    what = "solution file"
+    field = partial(_field, what=what)
+    payload = _load_json(solution_path, what)
     try:
-        body = _field(payload, "body", dict)
-        p, degree, spec = _problem(_field(body, "problem", dict))
+        body = field(payload, "body", dict)
+        p, degree, spec = _problem(field(body, "problem", dict), what)
         kernel = kernelspec.realize(spec)
-        solution = _field(body, "solution", dict)
-        F = AnalyticPoly(_read_coefficients(solution, degree))
-        phi_norm = _field(solution, "phi_norm", float,
-                          lambda v: _check_positive(v, "phi_norm"))
-        recorded_max = _field(solution, "residual_max", float)
-        records = [(_identity(_field(record, "check_name", str),
-                              _field(record, "context", dict, default={})),
-                    _field(record, "residual", float))
-                   for record in _field(body, "checks", list, lambda v: (
+        solution = field(body, "solution", dict)
+        F = AnalyticPoly(_read_coefficients(solution, degree, what))
+        phi_norm = field(solution, "phi_norm", float,
+                         lambda v: _check_positive(v, "phi_norm"))
+        recorded_max = field(solution, "residual_max", float)
+        records = [(_identity(field(record, "check_name", str),
+                              field(record, "context", dict, default={})),
+                    field(record, "residual", float))
+                   for record in field(body, "checks", list, lambda v: (
                        _require(all(isinstance(r, dict) for r in v),
                                 "each check record must be an object")))]
     except ValueError as exc:

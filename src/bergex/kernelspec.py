@@ -112,10 +112,11 @@ def _check_kernel(kernel, degree):
 _REQUIRED = object()
 
 
-def _field(config, key, kind, check=None, default=_REQUIRED):
+def _field(config, key, kind, check=None, default=_REQUIRED, what="config"):
     """config[key] checked for its JSON type and then by ``check``, one of
     the ``_check_*`` rules or a ``_require``, whose ValueError becomes the
-    field's: ``config field '<key>' is invalid: <its message>``.
+    field's: ``<what> field '<key>' is invalid: <its message>``, where
+    ``what`` names the document read, a config or a solution file.
 
     ``int`` takes JSON integers only; ``float`` takes any JSON number and
     converts it. A JSON true/false is neither, although Python's bool is
@@ -123,25 +124,25 @@ def _field(config, key, kind, check=None, default=_REQUIRED):
     """
     if key not in config:
         if default is _REQUIRED:
-            raise ConfigError(f"config is missing {key!r}")
+            raise ConfigError(f"{what} is missing {key!r}")
         return default
     value = config[key]
     if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(f"config field {key!r} has the wrong type")
+        raise ConfigError(f"{what} field {key!r} has the wrong type")
     if kind is float and isinstance(value, int):
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(
-                f"config field {key!r} is out of range") from None
+                f"{what} field {key!r} is out of range") from None
     if not isinstance(value, kind):
-        raise ConfigError(f"config field {key!r} has the wrong type")
+        raise ConfigError(f"{what} field {key!r} has the wrong type")
     if check is not None:
         try:
             check(value)
         except ValueError as exc:
             raise ConfigError(
-                f"config field {key!r} is invalid: {exc}") from None
+                f"{what} field {key!r} is invalid: {exc}") from None
     return value
 
 
@@ -178,13 +179,14 @@ def _finite_pairs(values, limit):
     return pairs if np.isfinite(pairs).all() else None
 
 
-def _pairs_field(data, key, limit):
+def _pairs_field(data, key, limit, what="config"):
     """data[key], a non-empty list of at most ``limit`` [re, im] pairs of
-    finite numbers, as the (n, 2) float64 array of those pairs."""
-    pairs = _finite_pairs(_field(data, key, list), limit)
+    finite numbers, as the (n, 2) float64 array of those pairs; ``what``
+    names the document as for ``_field``."""
+    pairs = _finite_pairs(_field(data, key, list, what=what), limit)
     if pairs is None:
         raise ConfigError(
-            f"config field {key!r} is invalid: need a non-empty list of at "
+            f"{what} field {key!r} is invalid: need a non-empty list of at "
             f"most {limit} [re, im] pairs of finite numbers")
     return pairs
 
@@ -238,26 +240,28 @@ def to_dict(spec):
     return spec
 
 
-def from_dict(data):
+def from_dict(data, what="config"):
     """The canonical spec of JSON-shaped data: known fields only, and
     every number a float but ``count``.
 
     Every field is read by ``_field``, the rule the config's own numeric
     fields follow, so a wrong type or value raises ``ConfigError`` naming
-    the field instead of being coerced.
+    the field, and ``what``, the document that holds the spec, instead of
+    being coerced.
     """
     if not isinstance(data, dict):
         raise ConfigError("kernel spec must be an object with a 'type' field")
-    t = _field(data, "type", str)
+    t = _field(data, "type", str, what=what)
     if t == "coeffs":
         # a kernel of degree at most MAX_DEGREE, as power_decay's count
-        values = _pairs_field(data, "values", MAX_DEGREE + 1)
+        values = _pairs_field(data, "values", MAX_DEGREE + 1, what)
         return {"type": t, "values": values.tolist()}
     if t == "power_decay":
         return {"type": t,
                 "alpha": _field(data, "alpha", float, lambda v: _require(
-                    math.isfinite(v), "alpha must be finite")),
+                    math.isfinite(v), "alpha must be finite"), what=what),
                 # the kernel's degree count - 1 is a working degree
                 "count": _field(data, "count", int,
-                                lambda v: _check_degree(v - 1, "count - 1"))}
+                                lambda v: _check_degree(v - 1, "count - 1"),
+                                what=what)}
     raise ConfigError(f"unknown kernel spec type {t!r}")

@@ -17,15 +17,20 @@ its pointwise power and one inverse give either of them to round-off
 
 General exponents fall back to tensor quadrature on the disc (64
 Gauss-Legendre radii from NumPy's ``leggauss``, uniform angles) or to
-quadrature on the unit circle. The circles are sampled by ``numpy.fft``
-of the scaled coefficients a_t r^t, at the power-of-two angle counts of
-``_angular_count``, one transform per block of 8 radii
-(``_circle_means``). A real f, one whose coefficients ``AnalyticPoly``
+quadrature on the unit circle, at the power-of-two angle counts of
+``_angular_count``. A real f, one whose coefficients ``AnalyticPoly``
 stores as float64, is conjugate symmetric on each circle,
-f(r e^{-i theta}) = conj f(r e^{i theta}), so its real FFT samples the
-half circle 0..pi and the mean of |f|^p counts the inner angles twice;
-complex coefficients take the full FFT, which samples f at the angles
--theta_j, the same set of points.
+f(r e^{-i theta}) = conj f(r e^{i theta}), so its samples on the half
+circle 0..pi give the mean of |f|^p with the inner angles counted twice;
+complex coefficients take the full circle. Two routes compute the
+samples of the same rule. ``_circle_means`` takes ``numpy.fft`` of the
+scaled coefficients a_t r^t, one transform per block of 8 radii: the
+unit circle of the Hardy norm and the disc rule from degree
+``_PRODUCT_THRESHOLD`` up take it. Below that degree the disc rule
+takes ``_product_means``: |f|^2 is a trigonometric polynomial of
+bandwidth deg f on every circle, so a table of its radial
+autocorrelations times a table of cosines and sines gives it on all
+circles by matrix products, with no transform.
 """
 
 import numpy as np
@@ -101,9 +106,20 @@ def hardy_norm_even(f, p):
 # the default grid honest for low-degree inputs.
 _GENERAL_MIN_BANDWIDTH = 256
 _RADIAL_COUNT = 64
-# Radii per FFT in _circle_means. On the 2048 angles of every degree below
-# 512, a block's largest temporary (8 circles of complex samples) is 256 kB.
+# Radii per block in _circle_means and _product_means. On the 2048 angles
+# of every degree below 512, a block's largest temporary (8 circles of
+# complex samples) is 256 kB.
 _RADIUS_BLOCK = 8
+# Degrees below this take the disc rule's samples from _product_means,
+# the others from _circle_means. The quadrature table of
+# benchmarks/bench_kernels.py times both routes on random polynomials of
+# degree 8 to 255 (2-CPU x86-64 VM, NumPy 2.4, one BLAS thread, q = 4/3).
+# Its crossover line read "complex from n = 37 (degree 36); real from
+# n = 65 (degree 64)": the product's table and its |f|^2 samples grow
+# with the degree, the FFTs hardly do, and from degree 45 the radial
+# powers r^e hold subnormals. One threshold serves both kinds, so it
+# sits at the complex crossover, from which the FFTs are level or ahead.
+_PRODUCT_THRESHOLD = 32
 
 
 def _radial_rule(count):
@@ -120,6 +136,15 @@ def _radial_rule(count):
 _RADII, _RADIAL_WEIGHTS = _radial_rule(_RADIAL_COUNT)
 
 
+def _half_circle_weights(count):
+    """Weights of the count/2 + 1 angles 0..pi that give the mean over
+    all ``count`` angles of a function even in the angle: 1/count at 0
+    and pi, which occur once, and 2/count at the others."""
+    weights = np.full(count // 2 + 1, 2.0 / count)
+    weights[[0, -1]] = 1.0 / count
+    return weights
+
+
 def _circle_means(f, p, radii, count):
     """Mean of |f|^p over the ``count`` points r e^{2 pi i j / count}, for
     each radius r in ``radii`` and an even ``count`` of at least deg f + 1.
@@ -129,15 +154,13 @@ def _circle_means(f, p, radii, count):
     ``count``. The forward FFT gives f at the angles -2 pi j / count, which
     run over the same points as the angles 2 pi j / count. Real
     (float64) coefficients give f(r e^{-i theta}) = conj f(r e^{i theta}),
-    so |f| on the circle is |rfft| at the count/2 + 1 angles 0..pi: the
-    mean weights the angles 0 and pi by 1/count and the others by
-    2/count.
+    so |f| on the circle is |rfft| at the count/2 + 1 angles 0..pi,
+    weighted by ``_half_circle_weights``.
     """
     coeffs = f.coeffs
     real = not np.iscomplexobj(coeffs)
     if real:
-        weights = np.full(count // 2 + 1, 2.0 / count)
-        weights[[0, -1]] = 1.0 / count
+        weights = _half_circle_weights(count)
     powers = np.arange(len(coeffs))
     means = []
     for start in range(0, len(radii), _RADIUS_BLOCK):
@@ -150,15 +173,83 @@ def _circle_means(f, p, radii, count):
     return np.concatenate(means)
 
 
+def _product_means(f, p, radii, count):
+    """``_circle_means`` of the same arguments, for a ``count`` that is a
+    power of two, from |f|^2 as a trigonometric polynomial in the angle,
+    by matrix products:
+
+        |f(r e^{i theta})|^2 = R_0(r) + 2 sum_{m>=1} Re(R_m(r) e^{i m theta}),
+        R_m(r) = r^m sum_t a_{t+m} conj(a_t) r^{2t}.
+
+    A table of the coefficients of R_0 and 2 R_m by power of r gives them
+    at every radius in one product. A table of cos(m theta_j) at the
+    count/2 + 1 angles 0..pi, gathered from one cosine vector, turns the
+    real parts into |f|^2 on the circles, one product per block of
+    _RADIUS_BLOCK radii. Real coefficients make every R_m real and |f|^2
+    even in the angle, so the half circle and ``_half_circle_weights``
+    give the mean. Complex ones stack [Re | Im] of the R_m over a table
+    of cos(m theta_j) and sin(m theta_j): with -Im, the rows give |f|^2
+    at theta_j, with +Im at -theta_j, and the mean over the circle is
+    half the sum of the two halves' weighted sums. Round-off near a zero
+    of f can leave |f|^2 below 0, so it is clipped at 0 before its p/2-th
+    power. The radial powers r^e, e <= 2 deg f, are normal floats on the
+    rule's radii up to degree 44, and |f|^2 neither under- nor overflows
+    for the coefficients of size near 1 that ``bergman_norm_general``
+    passes.
+    """
+    a = f.coeffs
+    n = len(a)
+    # table[e, m]: the coefficient of r^e in R_m, doubled for m >= 1
+    table = np.zeros((2 * n - 1, n), a.dtype)
+    for m in range(n):  # a_{t+m} conj(a_t) at e = 2t + m
+        table[m:2 * n - 1 - m:2, m] = a[m:] * np.conj(a[:n - m])
+    table[:, 1:] *= 2.0
+    # np.dot, not @: matmul takes a slow loop at an inner dimension of 1
+    radial = np.dot(np.asarray(radii, dtype=float)[:, None]
+                    ** np.arange(2 * n - 1), table)
+    cosine = np.cos(2.0 * np.pi / count * np.arange(count))
+    phase = np.multiply.outer(np.arange(n), np.arange(count // 2 + 1))
+    trig = cosine[phase & (count - 1)]
+    weights = _half_circle_weights(count)
+    real = not np.iscomplexobj(a)
+    if not real:
+        # sin x = cos(x - pi/2); rows 2i and 2i + 1 are radius i at theta_j
+        # and at -theta_j
+        trig = np.vstack([trig, cosine[(phase - count // 4) & (count - 1)]])
+        radial = np.stack([np.hstack([radial.real, -radial.imag]),
+                           np.hstack([radial.real, radial.imag])],
+                          axis=1).reshape(-1, 2 * n)
+        weights *= 0.5
+    rows = _RADIUS_BLOCK if real else 2 * _RADIUS_BLOCK
+    sums = np.empty(len(radial))
+    for start in range(0, len(radial), rows):
+        square = np.dot(radial[start:start + rows], trig)
+        np.maximum(square, 0.0, out=square)
+        np.power(square, p / 2.0, out=square)
+        sums[start:start + rows] = square @ weights
+    return sums if real else sums[0::2] + sums[1::2]
+
+
 def bergman_norm_general(f, p):
-    """||f||_{A^p} for real p > 1 by tensor quadrature over the disc."""
+    """||f||_{A^p} for real p > 1 by tensor quadrature over the disc.
+
+    The samples are those of f divided by the power of two of its largest
+    coefficient part (``rescaled``), and the norm is scaled back by
+    ``ldexp``, so that neither |f|^p nor the |f|^2 of ``_product_means``
+    leaves the float range at any scale of f.
+    """
     if p <= 1:
         raise ValueError("Bergman exponent must exceed 1")
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
-    means = _circle_means(f, p, _RADII, count)
-    return float(_RADIAL_WEIGHTS @ means) ** (1.0 / p)
+    means_of = (_product_means if f.degree < _PRODUCT_THRESHOLD
+                else _circle_means)
+    c, _, e = rescaled(f.coeffs)
+    means = means_of(AnalyticPoly(c), p, _RADII, count)
+    with np.errstate(over="ignore"):  # inf past the float range
+        return float(np.ldexp(float(_RADIAL_WEIGHTS @ means) ** (1.0 / p),
+                              e))
 
 
 def hardy_norm_general(f, p):

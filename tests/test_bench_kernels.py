@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergex import _backend, solver
+from bergex import _backend, solver, spaces
 from bergex.checks import check_table
 from bergex.families import standard_family
 from bergex.poly import as_poly
@@ -52,10 +52,12 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
                         ("STARTUP_REPEATS", 1)):
         monkeypatch.setattr(bench_kernels, name, value)
     threshold = _backend.FFT_THRESHOLD
+    product_threshold = spaces._PRODUCT_THRESHOLD
     newton, gram = solver._newton, solver._gram
     out = tmp_path / "bench.json"
     bench_kernels.main(["--sizes", "16", "--repeats", "1", "--out", str(out)])
     assert _backend.FFT_THRESHOLD == threshold
+    assert spaces._PRODUCT_THRESHOLD == product_threshold
     assert solver._newton is newton
     assert solver._gram is gram
     text = capsys.readouterr().out
@@ -67,8 +69,9 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
     for row in ("import numpy", "import bergex.cli", "bergex verify",
                 "bergex solve"):
         assert row in text.split("startup:")[1]
-    # under conv, xcorr and the power table's p = 4 and p = 6
-    assert text.count("crossover, fft ahead: complex from ") == 4
+    # under conv, xcorr, the power table's p = 4 and p = 6 and the
+    # quadrature table
+    assert text.count("crossover, fft ahead: complex from ") == 5
 
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report["environment"]) >= {
@@ -92,6 +95,12 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
             (name, n, p) for p in (4, 6) for name, n in family]
         for row in rows:
             assert set(row[cell_name]) == {"median", "min", "max", "repeats"}
+    # both routes of the disc quadrature on every row, the family's and
+    # the random polynomials' of degree 8 to 255
+    rows = report["tables"]["quadrature"]
+    assert {row["degree"] for row in rows} >= {8, 255}
+    for row in rows:
+        assert set(row) >= {"bergman", "product", "fft", "hardy"}
     for row in report["tables"]["certificate"]:
         assert row["j_max"] == solver.certificate_degree(row["p"], row["n"])
     assert {row["checks"] for row in report["tables"]["check_table"]} == {

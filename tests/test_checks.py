@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from bergex.poly import (
 )
 from bergex import checks, solver
 from bergex.families import power_decay_kernel, standard_family
+from bergex.kernelspec import MAX_DEGREE
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
@@ -561,6 +563,33 @@ class TestNormEqualityDecay:
         residuals = [report.residual for _, report in rows]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] <= 1e-4
+
+    @pytest.mark.parametrize("degrees, message", [
+        ([], r"^need at least one degree, got \[\]$"),
+        ([8, 4000], r"^degrees \[8, 4000\] need the reference degree "
+                    r"2 max\(degrees\) \+ 32 = 8032, above 4096$"),
+    ], ids=["empty", "reference-past-max"])
+    def test_degrees_rejected_before_any_solve(self, degrees, message,
+                                               monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(checks, "solve_ladder", no_solve)
+        with pytest.raises(ValueError, match=message):
+            norm_equality_decay_study(as_poly([1.0, 1.0]), 4, degrees)
+
+    def test_largest_degree_with_a_reference(self, monkeypatch):
+        # max(degrees) = 2032 puts the reference at MAX_DEGREE itself
+        calls = []
+
+        def reference_only(p, k, degrees):
+            calls.append(degrees)
+            return [SimpleNamespace(degree=max(degrees), phi_norm=1.0)]
+
+        monkeypatch.setattr(checks, "solve_ladder", reference_only)
+        assert norm_equality_decay_study(as_poly([1.0, 1.0]), 4, [2032]) == (
+            MAX_DEGREE, [])
+        assert calls == [[2032, MAX_DEGREE]]
 
 
 @st.composite

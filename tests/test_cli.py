@@ -698,6 +698,19 @@ class TestVerifyCommand:
         path.write_text("not json", encoding="utf-8")
         assert cli.main(["verify", str(path)]) == 3
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"header": {}}, "solution file is missing 'body'"),
+        ({"body": []}, "solution file field 'body' has the wrong type"),
+        ({"body": {"problem": {"p": 4}}},
+         "solution file is missing 'degree'"),
+    ], ids=["no-body", "body-a-list", "problem-without-degree"])
+    def test_malformed_file_names_the_solution_file(self, tmp_path, capsys,
+                                                    payload, message):
+        path = write_json(tmp_path / "solution.json", payload)
+        assert cli.main(["verify", path]) == 3
+        assert capsys.readouterr().err == (
+            f"error: unreadable solution file: {message}\n")
+
     @pytest.mark.parametrize("field, where, value", [
         ("degree", "problem", 32.9),
         ("degree", "problem", 10 ** 15),

@@ -1,6 +1,7 @@
 """Tests for Bergman/Hardy norms, pairings, and Fourier coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bergex.poly import as_poly, monomial
 from bergex.spaces import (
     _angular_count,
     _circle_means,
+    _product_means,
     abs_power_spectrum,
     bergman_inner,
     bergman_norm_even,
@@ -182,24 +184,98 @@ def grid_count(f):
     return _angular_count(max(f.degree, spaces._GENERAL_MIN_BANDWIDTH))
 
 
+def random_poly(rng, degree, kind):
+    c = rng.standard_normal(degree + 1)
+    if kind == "complex":
+        c = c + 1j * rng.standard_normal(degree + 1)
+    return as_poly(c)
+
+
+def disc_norm(means, p):
+    """The disc rule's norm from the means on its circles."""
+    return float(spaces._RADIAL_WEIGHTS @ means) ** (1.0 / p)
+
+
+# values of spaces._PRODUCT_THRESHOLD that force either route of
+# bergman_norm_general at every degree
+PRODUCT_ROUTE, FFT_ROUTE = math.inf, 0
+
+
 class TestCircleMeans:
-    """Batched circle quadrature: one FFT per block of radii, and the half
-    circle for real coefficients."""
+    """Batched circle quadrature: one FFT per block of radii, or below
+    _PRODUCT_THRESHOLD one matrix product per block, and the half circle
+    for real coefficients."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("p", [6.0 / 5.0, 4.0 / 3.0, 2.7])
     def test_norms_match_horner_on_the_same_grid(self, kind, p):
+        # one degree on each side of the threshold, so both routes of the
+        # disc rule meet the oracle
         rng = np.random.default_rng(7)
-        c = rng.standard_normal(41)
-        if kind == "complex":
-            c = c + 1j * rng.standard_normal(41)
-        f = as_poly(c)
-        count = grid_count(f)
-        means = horner_means(f, p, spaces._RADII, count)
-        assert bergman_norm_general(f, p) == pytest.approx(
-            float(spaces._RADIAL_WEIGHTS @ means) ** (1.0 / p), rel=1e-13)
-        assert hardy_norm_general(f, p) == pytest.approx(
-            horner_means(f, p, [1.0], count)[0] ** (1.0 / p), rel=1e-13)
+        threshold = spaces._PRODUCT_THRESHOLD
+        for degree in (threshold - 1, max(threshold, 40)):
+            f = random_poly(rng, degree, kind)
+            count = grid_count(f)
+            means = horner_means(f, p, spaces._RADII, count)
+            assert bergman_norm_general(f, p) == pytest.approx(
+                disc_norm(means, p), rel=1e-13)
+            assert hardy_norm_general(f, p) == pytest.approx(
+                horner_means(f, p, [1.0], count)[0] ** (1.0 / p), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [6.0 / 5.0, 4.0 / 3.0, 2.7])
+    def test_routes_agree_below_the_threshold(self, kind, p, monkeypatch):
+        rng = np.random.default_rng(11)
+        for degree in range(spaces._PRODUCT_THRESHOLD):
+            f = random_poly(rng, degree, kind)
+            norms = []
+            for route in (PRODUCT_ROUTE, FFT_ROUTE):
+                monkeypatch.setattr(spaces, "_PRODUCT_THRESHOLD", route)
+                norms.append(bergman_norm_general(f, p))
+            assert norms[0] == pytest.approx(norms[1], rel=1e-14), degree
+
+    @pytest.mark.parametrize("route", [PRODUCT_ROUTE, FFT_ROUTE])
+    @pytest.mark.parametrize("angle", [0, 5])
+    def test_zero_on_a_node(self, route, angle, monkeypatch):
+        # z - r_i e^{i theta_j} vanishes at a point of the rule, where |f|^2
+        # by the product rounds below 0 for some radii r_i (a real f at
+        # angle 0, a complex one at angle 5 of the 2048)
+        monkeypatch.setattr(spaces, "_PRODUCT_THRESHOLD", route)
+        p = 4.0 / 3.0
+        for radius in spaces._RADII:
+            f = as_poly([-radius * np.exp(2j * np.pi * angle / 2048), 1.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norm = bergman_norm_general(f, p)
+            assert math.isfinite(norm)
+            means = horner_means(f, p, spaces._RADII, grid_count(f))
+            assert norm == pytest.approx(disc_norm(means, p), rel=1e-13)
+
+    @pytest.mark.parametrize("route", [PRODUCT_ROUTE, FFT_ROUTE])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [-1000, -700, 700, 1020])
+    def test_scale_by_a_power_of_two(self, route, kind, scale, monkeypatch):
+        # |f|^2 of f at 2^-700 underflows and at 2^700 overflows, and
+        # |f|^p past 2^1020 overflows, but the norm of 2^k f is 2^k times
+        # that of f, bit for bit: the samples are those of the same f
+        monkeypatch.setattr(spaces, "_PRODUCT_THRESHOLD", route)
+        f = random_poly(np.random.default_rng(5), 6, kind)
+        f = as_poly(f.coeffs / np.max(np.abs(f.coeffs.view(float))))
+        g = as_poly(np.ldexp(f.coeffs.view(float), scale).view(
+            f.coeffs.dtype))
+        expected = math.ldexp(bergman_norm_general(f, 1.5), scale)
+        assert bergman_norm_general(g, 1.5) == expected
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("count", [16, 64])
+    def test_product_means_match_horner(self, kind, count):
+        # 19 radii: two full blocks and a partial one; degree count/2
+        rng = np.random.default_rng(count)
+        f = random_poly(rng, count // 2, kind)
+        radii = np.sort(rng.uniform(0.05, 1.0, 19))
+        np.testing.assert_allclose(_product_means(f, 1.5, radii, count),
+                                   horner_means(f, 1.5, radii, count),
+                                   rtol=1e-13)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("count", [16, 64])
