@@ -8,7 +8,10 @@ that ``--out`` writes, and a timed cell prints the median of its
 repeats. The cells of a row are timed call by call in turn
 (``time_cells``), so that drift in the machine's speed lands on all of
 them alike. ``BENCH_layers.json`` holds a default run on a 2-CPU x86-64
-VM with one BLAS thread; the text below restates none of its figures.
+VM with one BLAS thread, and ``BENCH_quadrature-parent.json`` and
+``BENCH_quadrature.json`` two runs taken in turn, before and after the
+disc quadrature's product route; the text below restates none of their
+figures.
 
 The ``conv`` and ``xcorr`` tables time ``bergex._backend.conv`` and
 ``xcorr`` at a range of operand sizes n, with ``FFT_THRESHOLD`` pinned

@@ -7,8 +7,8 @@ fewer ``values`` or a smaller ``count``. Every spec, the Python builders'
 too, is the canonical object ``from_dict`` returns.
 ``realize`` produces the AnalyticPoly; ``describe`` gives a stable
 human-readable id used to key study rows. ``_field``, the type rule of
-every JSON config field, lives here so that spec fields and the CLI's
-fields share it, and so do the input rules, each a ``_check_*`` function
+every JSON field of a config or a solution file, lives here so that spec
+fields and the CLI's fields share it, and so do the input rules, each a ``_check_*`` function
 that raises ValueError naming its parameter: p, a working degree, a
 study's degree list, the growth study's q1, a positive number (the
 hinfty study's alpha) and a kernel nonzero on its working space. The

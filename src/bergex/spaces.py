@@ -207,26 +207,33 @@ def _product_means(f, p, radii, count):
     # np.dot, not @: matmul takes a slow loop at an inner dimension of 1
     radial = np.dot(np.asarray(radii, dtype=float)[:, None]
                     ** np.arange(2 * n - 1), table)
-    cosine = np.cos(2.0 * np.pi / count * np.arange(count))
-    phase = np.multiply.outer(np.arange(n), np.arange(count // 2 + 1))
-    trig = cosine[phase & (count - 1)]
-    weights = _half_circle_weights(count)
     real = not np.iscomplexobj(a)
+    cosine = np.cos(2.0 * np.pi / count * np.arange(count))
+    # the index of m theta_j in ``cosine``, m < n, j <= count/2, in place
+    phase = np.multiply.outer(np.arange(n), np.arange(count // 2 + 1))
+    phase &= count - 1
+    trig = np.empty((n if real else 2 * n, count // 2 + 1))
+    np.take(cosine, phase, out=trig[:n])
+    weights = _half_circle_weights(count)
     if not real:
         # sin x = cos(x - pi/2); rows 2i and 2i + 1 are radius i at theta_j
         # and at -theta_j
-        trig = np.vstack([trig, cosine[(phase - count // 4) & (count - 1)]])
+        phase -= count // 4
+        phase &= count - 1
+        np.take(cosine, phase, out=trig[n:])
         radial = np.stack([np.hstack([radial.real, -radial.imag]),
                            np.hstack([radial.real, radial.imag])],
                           axis=1).reshape(-1, 2 * n)
         weights *= 0.5
     rows = _RADIUS_BLOCK if real else 2 * _RADIUS_BLOCK
+    square = np.empty((rows, trig.shape[1]))  # one buffer for every block
     sums = np.empty(len(radial))
     for start in range(0, len(radial), rows):
-        square = np.dot(radial[start:start + rows], trig)
-        np.maximum(square, 0.0, out=square)
-        np.power(square, p / 2.0, out=square)
-        sums[start:start + rows] = square @ weights
+        block = square[:len(radial[start:start + rows])]
+        np.dot(radial[start:start + rows], trig, out=block)
+        np.maximum(block, 0.0, out=block)
+        np.power(block, p / 2.0, out=block)
+        sums[start:start + rows] = block @ weights
     return sums if real else sums[0::2] + sums[1::2]
 
 
