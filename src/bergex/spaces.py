@@ -114,11 +114,13 @@ _RADIUS_BLOCK = 8
 # the others from _circle_means. The quadrature table of
 # benchmarks/bench_kernels.py times both routes on random polynomials of
 # degree 8 to 255 (2-CPU x86-64 VM, NumPy 2.4, one BLAS thread, q = 4/3).
-# Its crossover line read "complex from n = 37 (degree 36); real from
-# n = 65 (degree 64)": the product's table and its |f|^2 samples grow
-# with the degree, the FFTs hardly do, and from degree 45 the radial
-# powers r^e hold subnormals. One threshold serves both kinds, so it
-# sits at the complex crossover, from which the FFTs are level or ahead.
+# In one run its crossover line read
+#   complex from n = 37 (degree 36); real from n = 65 (degree 64)
+# and over three runs: complex from degree 36-64, real 64-128. The
+# product's tables grow with the degree and the FFTs hardly do, and from
+# degree 45 the radial powers r^e hold subnormals. One threshold serves
+# both kinds, so it sits below the earliest complex crossover; at degree
+# 32 the complex product was still ahead in all three runs.
 _PRODUCT_THRESHOLD = 32
 
 
