@@ -144,10 +144,13 @@ sizes, iterations, rungs, kB or error) are the printed ones.
 ``environment`` records ``nproc``, ``OPENBLAS_NUM_THREADS``, the NumPy,
 SciPy and Python versions, the commit checked out where the timed
 bergex package lives (null outside a git work tree), the date,
-``FFT_THRESHOLD`` and ``spaces._PRODUCT_THRESHOLD``. A default run took 17-20 s on a 2-CPU x86-64 VM with
-one BLAS thread. To compare two versions of bergex, run the script on
-each in turn, with PYTHONPATH at each one's ``src``, in one session, and
-keep both files.
+``FFT_THRESHOLD`` and ``spaces._PRODUCT_THRESHOLD``. A default run took
+17-20 s on a 2-CPU x86-64 VM with one BLAS thread. To compare two
+versions of bergex, run the script on each in turn, with PYTHONPATH at
+each one's ``src``, in one session, and keep both files. Such a pair
+compares two processes, whose speed can differ more than the cells of
+one run: the cells of one table that pin a threshold are the A/B within
+one process.
 
 Run from the repository root:
 
