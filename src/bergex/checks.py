@@ -33,6 +33,10 @@ The solver works over P_n while the identities hold for the full-space
 extremal function, so residuals measure truncation quality: they shrink
 as n grows when compared against a reference functional norm from a
 higher-degree solve. ``norm_equality_decay_study`` packages that.
+
+The studies keep only their control flow here: their norms, the boundary
+sup of the hinfty criterion and the power-of-two scale that keeps |f|^p
+in the float range at large exponents (``_sup_scaled``) are ``spaces``'.
 """
 
 import math
@@ -47,12 +51,13 @@ from .kernelspec import (MAX_DEGREE, _check_degrees,
 from .poly import AnalyticPoly, rescaled
 from .solver import solve_ladder
 from .spaces import (
-    _angular_count,
+    _boundary_sup,
+    _hardy_norm_auto,
+    _sup_scaled,
     abs_power_spectrum,
     bergman_norm_general,
     functional_value,
     hardy_norm_even,
-    hardy_norm_general,
 )
 
 DEFAULT_EQUALITY_TOL = 1e-4
@@ -309,15 +314,6 @@ def check_table(F, k, p, phi_norm, degree):
             _ryabykh_report(k, p, scaled, sides[0])]
 
 
-def _boundary_sup(f):
-    """max |f| sampled on the unit circle by one forward FFT.
-
-    At least 1024 angles; the forward FFT samples f at the angles
-    -2 pi j / grid, the same points as ``_circle_means``' (spaces)."""
-    grid = _angular_count(max(f.degree, 255))
-    return float(np.max(np.abs(np.fft.fft(f.coeffs, grid))))
-
-
 def check_hinfty_criterion(alpha, p, degrees):
     """Boundedness probe for kernels with c_t = (t+1)^(-alpha), alpha > 3/2.
 
@@ -376,21 +372,6 @@ class GrowthStudyRow:
     ratio: float
 
 
-def _hardy_norm_auto(f, exponent):
-    """Exact even-integer route when available, else circle quadrature."""
-    rounded = round(exponent)
-    if abs(exponent - rounded) < 1e-9 and rounded >= 2 and rounded % 2 == 0:
-        return hardy_norm_even(f, rounded)
-    return hardy_norm_general(f, exponent)
-
-
-def _sup_scaled(f):
-    """(f / 2^e, e) for the power of two 2^e at or above ``_boundary_sup(f)``,
-    as ``rescaled`` picks it."""
-    c, _, e = rescaled(f.coeffs, _boundary_sup(f))
-    return AnalyticPoly(c), e
-
-
 def growth_study(family, p, q1_list):
     """Two-sided Hardy-growth ratios over a kernel family.
 
@@ -412,30 +393,21 @@ def growth_study(family, p, q1_list):
     for kernel_id, kernel, degree in family:
         # S_n k over P_n: a degree below deg k truncates on purpose
         solution = next(solve_ladder(p, kernel, [degree]))
-        # The ratio is homogeneous of degree 0 in k, so both kernel norms
-        # are taken of the ``rescaled`` kernel, where |c_t|^q neither
-        # overflows nor underflows, and the columns are restored by ldexp.
-        c, _, exponent = rescaled(kernel.coeffs)
-        unit = AnalyticPoly(c)
-        k_bergman = bergman_norm_general(unit, q)
-        # The Hardy norms are taken of F and of the unit kernel divided by
-        # the power of two at or above their sampled boundary sup, where
-        # |f|^p1 stays near or below 1 at every exponent, and restored by
-        # ldexp.
+        k_bergman = bergman_norm_general(kernel, q)
+        # one scale per polynomial serves every exponent (``_sup_scaled``)
         F_low, F_exp = _sup_scaled(solution.F)
-        k_low, k_exp = _sup_scaled(unit)
+        k_low, k_exp = _sup_scaled(kernel)
         for q1 in q1_list:
             p1 = (p - 1.0) * q1
             F_hardy = math.ldexp(_hardy_norm_auto(F_low, p1), F_exp)
-            k_hardy = math.ldexp(_hardy_norm_auto(k_low, q1), k_exp)
             with np.errstate(over="ignore"):  # inf past the float range
-                k_norms = np.ldexp([k_hardy, k_bergman], exponent)
+                k_hardy = float(np.ldexp(_hardy_norm_auto(k_low, q1), k_exp))
             rows.append(GrowthStudyRow(
                 kernel_id=kernel_id,
                 q1=float(q1),
                 p1=float(p1),
-                k_hardy=float(k_norms[0]),
-                k_bergman=float(k_norms[1]),
+                k_hardy=k_hardy,
+                k_bergman=k_bergman,
                 F_hardy=F_hardy,
                 ratio=F_hardy ** (p - 1) * k_bergman / k_hardy,
             ))
@@ -447,15 +419,19 @@ def convergence_study(k, p, degrees):
 
     F_n solves the problem with the truncated kernel S_n k over P_n, on
     one degree ladder (``solve_ladder``) that yields one row per distinct
-    degree, ascending; N = max(degrees) serves as the reference. Distances
-    decrease as n grows once past the small-n regime. Before any solve it
-    raises ValueError unless ``degrees`` holds two distinct working degrees
-    (``_check_degrees``), and as ``solve_ladder`` does.
+    degree, ascending; N = max(degrees) serves as the reference, whose row
+    is exactly 0. Each distance is the norm of F_n - F_N divided by the
+    power of two of ``_sup_scaled``, one boundary FFT per row, and scaled
+    back by ldexp, so that |F_n - F_N|^p does not underflow to 0 at large
+    p. Distances decrease as n grows once past the small-n regime. Before
+    any solve it raises ValueError unless ``degrees`` holds two distinct
+    working degrees (``_check_degrees``), and as ``solve_ladder`` does.
     """
     _check_degrees(degrees)
     solutions = list(solve_ladder(p, k, degrees))
     F_ref = solutions[-1].F
-    return [(s.degree, hardy_norm_even(s.F - F_ref, p)) for s in solutions]
+    return [(s.degree, math.ldexp(hardy_norm_even(low, p), e))
+            for s in solutions for low, e in [_sup_scaled(s.F - F_ref)]]
 
 
 def norm_equality_decay_study(k, p, degrees):

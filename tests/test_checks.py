@@ -35,7 +35,7 @@ from bergex.poly import (
     shift,
     taylor_truncate,
 )
-from bergex import checks, solver
+from bergex import checks, solver, spaces
 from bergex.families import power_decay_kernel, standard_family
 from bergex.kernelspec import MAX_DEGREE
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
@@ -487,6 +487,16 @@ class TestGrowthStudy:
                               [2.0])
         assert scaled[0].ratio == pytest.approx(base[0].ratio, rel=1e-10)
 
+    @pytest.mark.parametrize("q1_list", [[2.0], [4.0 / 3.0, 2.0, 4.0, 7.5]])
+    def test_one_boundary_sample_per_polynomial(self, q1_list, monkeypatch):
+        # one scale of F and one of k serve every q1
+        calls = []
+        boundary_sup = spaces._boundary_sup
+        monkeypatch.setattr(spaces, "_boundary_sup",
+                            lambda f: calls.append(f) or boundary_sup(f))
+        growth_study([("k", as_poly([1.0, 0.5, 0.25]), 12)], 4, q1_list)
+        assert len(calls) == 2
+
     def test_q1_below_conjugate_rejected(self):
         with pytest.raises(ValueError):
             growth_study([("k", as_poly([1.0]), 4)], 4, [1.0])
@@ -529,6 +539,23 @@ class TestConvergenceStudy:
         k = as_poly((np.arange(65) + 1.0) ** -2.0 + 0j)
         rows = convergence_study(k, 4, [8, 16, 32, 64])
         distances = [d for _, d in rows[:-1]]
+        assert all(a > b for a, b in zip(distances, distances[1:]))
+
+    @pytest.mark.parametrize("alpha, p, degrees, expected", [
+        (3.0, 64, [64, 96, 128], [1.3051e-08, 1.3918e-10]),
+        (3.0, 48, [64, 96, 128], [1.6933e-08, 1.8054e-10]),
+        (2.0, 32, [128, 192, 256], [5.1481e-09, 3.8559e-12]),
+    ])
+    def test_large_exponent_distances_do_not_underflow(self, alpha, p,
+                                                       degrees, expected):
+        # unscaled, |F_n - F_N|^p underflows to 0 in every row but the first
+        # at p = 32; the expected values agree to 4e-5 with the mean of
+        # |F_n - F_N|^p on 2^15 angles, summed in logarithms
+        rows = convergence_study(power_decay_kernel(alpha, 64), p, degrees)
+        assert [n for n, _ in rows] == degrees
+        distances = [d for _, d in rows]
+        assert distances[:-1] == pytest.approx(expected, rel=1e-4)
+        assert distances[-1] == 0.0
         assert all(a > b for a, b in zip(distances, distances[1:]))
 
     def test_one_newton_solve_per_rung(self, monkeypatch):

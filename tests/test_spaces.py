@@ -12,8 +12,10 @@ from bergex import _backend, spaces
 from bergex.poly import as_poly, monomial
 from bergex.spaces import (
     _angular_count,
+    _boundary_sup,
     _circle_means,
     _product_means,
+    _sup_scaled,
     abs_power_spectrum,
     bergman_inner,
     bergman_norm_even,
@@ -266,6 +268,13 @@ class TestCircleMeans:
         expected = math.ldexp(bergman_norm_general(f, 1.5), scale)
         assert bergman_norm_general(g, 1.5) == expected
 
+    @pytest.mark.parametrize("route", [PRODUCT_ROUTE, FFT_ROUTE])
+    def test_zero_polynomial(self, route, monkeypatch):
+        monkeypatch.setattr(spaces, "_PRODUCT_THRESHOLD", route)
+        zero = as_poly([])
+        assert bergman_norm_general(zero, 4.0 / 3.0) == 0.0
+        assert hardy_norm_general(zero, 2.7) == 0.0
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("count", [16, 64])
     def test_product_means_match_horner(self, kind, count):
@@ -334,6 +343,36 @@ class TestCircleMeans:
             bergman_norm_general(f, p), rel=1e-13)
         assert hardy_norm_general(g, p) == pytest.approx(
             hardy_norm_general(f, p), rel=1e-13)
+
+
+class TestSupScaled:
+    """One scale for Hardy norms at any exponent: f = 2^e g with the
+    sampled boundary sup of g in (1/2, 1]."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [-1000, -700, 700, 1023])
+    def test_scale_by_a_power_of_two(self, kind, scale):
+        # f's largest coefficient part is 1 and its sup above 2, so the
+        # boundary sup of 2^1023 f overflows; |f|^p at p = 1000 overflows
+        # or underflows at every scale but the sup's. 2^k f gives the g of
+        # f and e + k
+        f = random_poly(np.random.default_rng(7), 6, kind)
+        f = as_poly(f.coeffs / np.max(np.abs(f.coeffs.view(float))))
+        g, e = _sup_scaled(f)
+        assert _boundary_sup(f) > 2.0
+        assert 0.5 < _boundary_sup(g) <= 1.0
+        scaled = as_poly(np.ldexp(f.coeffs.view(float), scale).view(
+            f.coeffs.dtype))
+        g_scaled, e_scaled = _sup_scaled(scaled)
+        np.testing.assert_array_equal(g_scaled.coeffs, g.coeffs)
+        assert e_scaled == e + scale
+        assert 0.0 < hardy_norm_general(g, 1000.5) <= 1.0
+
+    def test_zero_polynomial(self):
+        # the convergence study's reference row, F_N - F_N, reads exactly 0
+        g, e = _sup_scaled(as_poly([]))
+        assert g.is_zero() and e == 0
+        assert math.ldexp(hardy_norm_even(g, 64), e) == 0.0
 
 
 class TestFourierCoeffAbsPower:
