@@ -34,9 +34,12 @@ extremal function, so residuals measure truncation quality: they shrink
 as n grows when compared against a reference functional norm from a
 higher-degree solve. ``norm_equality_decay_study`` packages that.
 
-The studies keep only their control flow here: their norms, the boundary
-sup of the hinfty criterion and the power-of-two scale that keeps |f|^p
-in the float range at large exponents (``_sup_scaled``) are ``spaces``'.
+The checks and studies keep only the identities and their control flow
+here. Every Hardy norm comes from ``spaces``, which picks its route
+(exact at an even exponent, quadrature otherwise) and, through
+``hardy_norms``, the power-of-two scale that keeps |f|^p in the float
+range at large exponents; so does the boundary sup of the hinfty
+criterion.
 """
 
 import math
@@ -52,12 +55,11 @@ from .poly import AnalyticPoly, rescaled
 from .solver import solve_ladder
 from .spaces import (
     _boundary_sup,
-    _hardy_norm_auto,
-    _sup_scaled,
     abs_power_spectrum,
     bergman_norm_general,
     functional_value,
-    hardy_norm_even,
+    hardy_norm_general,
+    hardy_norms,
 )
 
 DEFAULT_EQUALITY_TOL = 1e-4
@@ -231,7 +233,7 @@ def _coefficient_bound_report(F, k, p, scaled, m_max, spectrum):
     count = min(m_max + 1, len(c))
     tails = np.zeros(m_max + 1)
     tails[:count] = _tails((np.abs(c) ** 2).tolist())[:count]
-    bound = (p / (2.0 * phi_norm)) * hardy_norm_even(F, 2) * np.sqrt(tails)
+    bound = (p / (2.0 * phi_norm)) * hardy_norm_general(F, 2) * np.sqrt(tails)
     slack = bound - bm
     m = int(np.argmin(slack))
     return VerificationReport(
@@ -276,11 +278,11 @@ def _ryabykh_report(k, p, scaled, spectrum):
     G = AnalyticPoly(c * (p * t + 2.0) / (2.0 * t + 2.0))
     b0 = float(spectrum[0].real) if len(spectrum) else 0.0
     lhs = b0 ** ((p - 1.0) / p) * phi_norm
-    rhs = _hardy_norm_auto(G, q)
+    rhs = hardy_norm_general(G, q)
     # rhs underflows to 0 only when ||phi|| lies far above the kernel's
     # scale, as in a tampered file: the bound then fails
     residual = lhs / rhs - 1.0 if rhs else math.inf
-    kernel_bound = (p - 1.0) * _hardy_norm_auto(AnalyticPoly(c), q)
+    kernel_bound = (p - 1.0) * hardy_norm_general(AnalyticPoly(c), q)
     with np.errstate(over="ignore"):
         lhs, rhs, kernel_bound = np.ldexp([lhs, rhs, kernel_bound], e)
     return VerificationReport(
@@ -389,19 +391,17 @@ def growth_study(family, p, q1_list):
     """
     _check_growth_exponents(q1_list, p)
     q = p / (p - 1.0)
+    p1_list = [(p - 1.0) * q1 for q1 in q1_list]
     rows = []
     for kernel_id, kernel, degree in family:
         # S_n k over P_n: a degree below deg k truncates on purpose
         solution = next(solve_ladder(p, kernel, [degree]))
         k_bergman = bergman_norm_general(kernel, q)
-        # one scale per polynomial serves every exponent (``_sup_scaled``)
-        F_low, F_exp = _sup_scaled(solution.F)
-        k_low, k_exp = _sup_scaled(kernel)
-        for q1 in q1_list:
-            p1 = (p - 1.0) * q1
-            F_hardy = math.ldexp(_hardy_norm_auto(F_low, p1), F_exp)
-            with np.errstate(over="ignore"):  # inf past the float range
-                k_hardy = float(np.ldexp(_hardy_norm_auto(k_low, q1), k_exp))
+        # one boundary sample of F and one of k serve every exponent
+        F_norms = hardy_norms(solution.F, p1_list)
+        k_norms = hardy_norms(kernel, q1_list)
+        for q1, p1, F_hardy, k_hardy in zip(q1_list, p1_list, F_norms,
+                                            k_norms):
             rows.append(GrowthStudyRow(
                 kernel_id=kernel_id,
                 q1=float(q1),
@@ -420,18 +420,16 @@ def convergence_study(k, p, degrees):
     F_n solves the problem with the truncated kernel S_n k over P_n, on
     one degree ladder (``solve_ladder``) that yields one row per distinct
     degree, ascending; N = max(degrees) serves as the reference, whose row
-    is exactly 0. Each distance is the norm of F_n - F_N divided by the
-    power of two of ``_sup_scaled``, one boundary FFT per row, and scaled
-    back by ldexp, so that |F_n - F_N|^p does not underflow to 0 at large
-    p. Distances decrease as n grows once past the small-n regime. Before
+    is exactly 0. Each distance comes from ``hardy_norms``, whose scale,
+    one boundary FFT per row, keeps |F_n - F_N|^p from underflowing to 0
+    at large p. Distances decrease as n grows once past the small-n regime. Before
     any solve it raises ValueError unless ``degrees`` holds two distinct
     working degrees (``_check_degrees``), and as ``solve_ladder`` does.
     """
     _check_degrees(degrees)
     solutions = list(solve_ladder(p, k, degrees))
     F_ref = solutions[-1].F
-    return [(s.degree, math.ldexp(hardy_norm_even(low, p), e))
-            for s in solutions for low, e in [_sup_scaled(s.F - F_ref)]]
+    return [(s.degree, hardy_norms(s.F - F_ref, [p])[0]) for s in solutions]
 
 
 def norm_equality_decay_study(k, p, degrees):

@@ -478,9 +478,10 @@ def _newton(c_hat, p, a, tolerance):
         gnorm = float(np.linalg.norm(grad))
         trace.append((it, float(value), gnorm))
         converged = gnorm <= tolerance
-        # Only a step at the float floor leaves the objective flat; if the
-        # iterate beats neither the best value nor the best gradient so far
-        # (which also catches a 2-cycle), no further step can help.
+        # Only a step at the float floor, or no step (the line search's
+        # exit below), leaves the objective flat; if the iterate beats
+        # neither the best value nor the best gradient so far (which also
+        # catches a 2-cycle), no further step can help.
         if not converged and value >= best_value and gnorm >= best_gnorm:
             return x.view(dtype), tuple(trace), (
                 f"no progress at iteration {it}: gradient norm {gnorm:.3e} is "
@@ -520,12 +521,11 @@ def _newton(c_hat, p, a, tolerance):
                 break
             t *= 0.5
             if t < 1e-16:
-                if converged:
-                    t = 0.0  # keep the converged iterate
-                    break
-                return x.view(dtype), tuple(trace), (
-                    f"line search stalled at iteration {it} "
-                    f"(gradient norm {gnorm:.3e}, tolerance {tolerance:.1e})")
+                # no step: a converged iterate is kept, and any other one
+                # evaluates the same at the next iteration, which ends it
+                # at the no-progress test
+                t = 0.0
+                break
         x = x + t * d
         if converged:
             return x.view(dtype), tuple(trace), None
@@ -616,8 +616,10 @@ def solve_extremal(problem):
     step, with the Cholesky factor of the step before it, is applied
     before returning and puts the gradient at its float floor. Raises
     ``NonConvergenceError`` (trace of J values attached) if TOLERANCE is
-    not met within DEFAULT_MAX_ITERATIONS Newton iterations, or if the
-    line search or the gradient stalls (at its float floor) before it.
+    not met within DEFAULT_MAX_ITERATIONS Newton iterations, or if an
+    iterate improves neither the best objective value nor the best
+    gradient norm before it, as at the gradient's float floor or after a
+    line search that finds no acceptable step.
 
     This is ``solve_ladder`` at the one degree n, which climbs
     ``_rungs(n)`` from the normalized kernel; ``iterations`` and ``trace``
@@ -648,7 +650,12 @@ def brute_force_oracle(k, p, degree=3):
         Hessian   R^T diag(alpha) R + I^T diag(alpha) I + M^T diag(beta) M,
 
     for b the gradient of Re phi and M = diag(Re y) R + diag(Im y) I; the
-    beta term vanishes at p = 2. Damped Newton with Armijo backtracking
+    beta term vanishes at p = 2. The grid is a tensor product of radii and
+    angles, so on a block of radii y is one small product of the radii's
+    powers r^t x_t by a table of e^{i t theta} at the angles, which J
+    needs alone; R and I are built for one block at a time where the
+    gradient and the Hessian sum over it, so the memory is one block's at
+    every p. Damped Newton with Armijo backtracking
     (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3) starts from
     the truncated kernel scaled to the minimum of J on its ray, the p = 2
     answer. One deterministic start suffices: J is strictly convex, so its
@@ -670,19 +677,26 @@ def brute_force_oracle(k, p, degree=3):
     # area measure is d rho dtheta / 2pi
     x_gl, w_gl = leggauss(max(8, p * degree // 4 + 2))
     angular = 1 << max(3, (p * degree + 1).bit_length())
-    circle = np.exp(2j * np.pi * np.arange(angular) / angular)
-    # blocks of radii, of at most 2^16 points, so that no temporary holds
-    # the grid; R and I contiguous: BLAS reads V's strided parts 3x slower
-    blocks, radii = [], max(1, (1 << 16) // angular)
-    for i in range(0, len(x_gl), radii):
-        rho = 0.5 * (x_gl[i:i + radii] + 1.0)
-        V = np.outer(np.sqrt(rho), circle).ravel()[:, None] ** np.arange(n1)
-        blocks.append((np.hstack([V.real, -V.imag]),
-                       np.hstack([V.imag, V.real]),
-                       np.repeat(w_gl[i:i + radii] / (2 * angular), angular)))
+    # the rows of R and I on the unit circle, from e^{i t theta}, t <= n, at
+    # every angle; on the circle r = sqrt(rho) they are r^t times these
+    circle = np.exp(2j * np.pi * np.arange(angular) / angular)[:, None]
+    circle = circle ** np.arange(n1)
+    unit = np.stack([np.hstack([circle.real, -circle.imag]),
+                     np.hstack([circle.imag, circle.real])])
+    powers = np.tile(np.sqrt(0.5 * (x_gl + 1.0))[:, None] ** np.arange(n1), 2)
+    radii = max(1, (1 << 16) // angular)
 
-    def at(x):  # each block with Re y and Im y on it
-        return [(R, I, w, R @ x, I @ x) for R, I, w in blocks]
+    def at(x, rows=False):
+        """Per block of radii, at most 2^16 points: R and I (None unless
+        ``rows``), w, Re y and Im y. Re y and Im y are one small product
+        of the block's r^t x_t by ``unit``; R and I, contiguous (BLAS reads
+        strided parts 3x slower), are built for one block at a time."""
+        for i in range(0, len(x_gl), radii):
+            re, im = (powers[i:i + radii] * x) @ unit.transpose(0, 2, 1)
+            R, I = ((powers[i:i + radii, None] * unit[:, None]).reshape(
+                2, -1, 2 * n1) if rows else (None, None))
+            yield (R, I, np.repeat(w_gl[i:i + radii] / (2 * angular), angular),
+                   re.ravel(), im.ravel())
 
     def norm_p(x):  # sum w |y|^p, inf once |y|^p overflows
         with np.errstate(over="ignore"):
@@ -693,13 +707,14 @@ def brute_force_oracle(k, p, degree=3):
     # b = R^T (w Re k) + I^T (w Im k) at the nodes. J(t x) is least at
     # t^(p-1) = b @ x / N, N = sum w |y|^p, in (0, 1] once max |y| = 1
     x = np.concatenate([c.real, c.imag])
-    b = sum(R.T @ (w * re) + I.T @ (w * im) for R, I, w, re, im in at(x))
+    b = sum(R.T @ (w * re) + I.T @ (w * im)
+            for R, I, w, re, im in at(x, rows=True))
     x /= max(np.max(np.hypot(re, im)) for *_, re, im in at(x))
     x *= (b @ x / norm_p(x)) ** (1.0 / (p - 1))
     value, trace = J(x), []
     for it in range(DEFAULT_MAX_ITERATIONS):
         grad, hess = -b, 0.0
-        for R, I, w, re, im in at(x):
+        for R, I, w, re, im in at(x, rows=True):
             modulus = np.hypot(re, im)
             alpha = w * modulus ** (p - 2)
             grad = grad + R.T @ (alpha * re) + I.T @ (alpha * im)

@@ -32,13 +32,17 @@ bandwidth deg f on every circle, so a table of its radial
 autocorrelations times a table of cosines and sines gives it on all
 circles by matrix products, with no transform.
 
-The disc rule samples f divided by the power of two of its largest
-coefficient part (``poly.rescaled``). Hardy norms at exponents up to
-1024 need more: ``_sup_scaled`` divides f further by the power of two at
-or above its boundary sup, sampled by one forward FFT (``_boundary_sup``),
-so that |f|^p keeps inside the float range, and one ldexp restores the
-norm. The growth and convergence studies take their Hardy norms through
-that scale, and the hinfty criterion reads ``_boundary_sup``.
+This module makes both choices a Hardy norm needs, and its callers make
+neither. The route: ``hardy_norm_general`` takes Parseval at an even
+exponent up to MAX_EXPONENT and circle quadrature at any other. The
+scale: the disc rule samples f divided by the power of two of its
+largest coefficient part (``poly.rescaled``); Hardy norms at exponents
+up to MAX_EXPONENT need more, so ``hardy_norms`` divides f further by
+the power of two at or above its boundary sup, sampled by one forward
+FFT (``_boundary_sup``), which keeps |f|^p inside the float range, and
+restores each norm by one ldexp. The growth and convergence studies take
+their Hardy norms from ``hardy_norms``, and the hinfty criterion reads
+``_boundary_sup``.
 """
 
 import numpy as np
@@ -46,7 +50,7 @@ from numpy.fft import fft, rfft
 from numpy.polynomial.legendre import leggauss
 
 from ._backend import abs_power_xcorr, fft_length
-from .kernelspec import _check_exponent
+from .kernelspec import MAX_EXPONENT, _check_exponent
 from .poly import AnalyticPoly, power, rescaled
 
 
@@ -108,8 +112,7 @@ def hardy_norm_even(f, p):
 
     It works on the coefficients as given, with no rescale: f = 1e200 (1 + z)
     gives inf at p = 4 and 1e-200 (1 + z) gives 0.0, where the norm is
-    1.57e200 and 1.57e-200 (``_sup_scaled`` gives a scale that avoids
-    both)."""
+    1.57e200 and 1.57e-200 (``hardy_norms`` avoids both)."""
     _check_exponent(p)
     u = power(f, p // 2)
     if u.is_zero():
@@ -279,25 +282,25 @@ def bergman_norm_general(f, p):
 
 
 def hardy_norm_general(f, p):
-    """||f||_{H^p} for real p > 0 by quadrature on the unit circle.
+    """||f||_{H^p} for finite real p > 0: exact at an even p, else by
+    quadrature on the unit circle.
 
-    For polynomials the integral means M_p(f, r) increase with r, so the
-    supremum over radii is the boundary mean.
+    A p within 1e-9 of an even integer in 2..MAX_EXPONENT takes Parseval,
+    ``hardy_norm_even`` at that integer; any other p, an even one above
+    MAX_EXPONENT included, takes the mean of |f|^p on the circle. For
+    polynomials the integral means M_p(f, r) increase with r, so the
+    supremum over radii is the boundary mean. Neither route rescales f
+    (``hardy_norms`` does).
     """
-    if p <= 0:
-        raise ValueError("Hardy exponent must be positive")
+    if not 0 < p < np.inf:
+        raise ValueError("Hardy exponent must be positive and finite")
+    even = round(p)
+    if abs(p - even) < 1e-9 and even % 2 == 0 and 2 <= even <= MAX_EXPONENT:
+        return hardy_norm_even(f, even)
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))
     return float(_circle_means(f, p, [1.0], count)[0]) ** (1.0 / p)
-
-
-def _hardy_norm_auto(f, exponent):
-    """Exact even-integer route when available, else circle quadrature."""
-    rounded = round(exponent)
-    if abs(exponent - rounded) < 1e-9 and rounded >= 2 and rounded % 2 == 0:
-        return hardy_norm_even(f, rounded)
-    return hardy_norm_general(f, exponent)
 
 
 def _boundary_sup(f):
@@ -319,6 +322,16 @@ def _sup_scaled(f):
     c, _, e = rescaled(f.coeffs)
     c, _, e_sup = rescaled(c, _boundary_sup(AnalyticPoly(c)))
     return AnalyticPoly(c), e + e_sup
+
+
+def hardy_norms(f, exponents):
+    """[||f||_{H^p} for p in exponents] at any scale of f, from one
+    ``_sup_scaled`` sample: each is ``hardy_norm_general`` of the scaled
+    polynomial, restored by one ldexp, and inf past the float range."""
+    g, e = _sup_scaled(f)
+    with np.errstate(over="ignore"):
+        return [float(np.ldexp(hardy_norm_general(g, p), e))
+                for p in exponents]
 
 
 def fourier_coeff_abs_power(f, p, m):

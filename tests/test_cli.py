@@ -918,6 +918,46 @@ class TestExitCodes:
         assert "iteration 0: objective -" in err
         assert "np.float64" not in err
 
+    @pytest.mark.parametrize("command, what", [
+        (["solve", "--config"], "config"),
+        (["verify"], "solution file"),
+    ], ids=["solve", "verify"])
+    @pytest.mark.parametrize("payload", [[], [1, 2]], ids=["empty", "pair"])
+    def test_document_not_an_object(self, tmp_path, capsys, command, what,
+                                    payload):
+        path = write_json(tmp_path / "doc.json", payload)
+        assert cli.main([*command, path]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {what} must be a JSON object\n")
+
+    def nonconvergence_message(self, capsys):
+        """The message line of an exit 2; the lines after it are the
+        trace's last entries."""
+        message, *trace = capsys.readouterr().err.splitlines()
+        assert trace and all(line.startswith("  iteration ")
+                             for line in trace)
+        return message
+
+    def test_hessian_not_positive_definite_exits_two(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(
+            solver, "_hessian",
+            lambda a, p, wu, v: -np.eye(len(a.view(float)), order="F"))
+        assert self.run_solve(tmp_path, {}) == 2
+        assert self.nonconvergence_message(capsys) == (
+            "solver did not converge: degree 16: Hessian not positive "
+            "definite at iteration 0")
+
+    def test_oracle_nonconvergence_exits_two(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 1)
+        config = write_json(tmp_path / "o.json", {
+            "schema_version": 1, "p": 4, "kernel": ONE_PLUS_Z})
+        assert cli.main(["oracle-compare", "--config", config]) == 2
+        assert self.nonconvergence_message(capsys) == (
+            "solver did not converge: oracle: no convergence in 1 "
+            "iterations")
+
 
 # Smallest valid config per command; each field test sets one field on it.
 FIELD_CASES = {

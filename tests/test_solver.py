@@ -741,6 +741,79 @@ class TestSolverProperties:
             assert len(exc_info.value.trace) <= 50
 
 
+def true_iterates_infinite_trials(monkeypatch):
+    """Patch the solver so that the start and every iterate have their
+    true objective, through ``_newton_terms``, and every line-search trial
+    point has J = +inf: ``_objective``, which the start and the line search
+    call, gives inf after its first call. Returns the list of iterates
+    that ``_newton_terms`` receives."""
+    objective, newton_terms = solver._objective, solver._newton_terms
+    calls, iterates = [], []
+
+    def infinite_trials(a, s):
+        value, wu, v = objective(a, s)
+        calls.append(a)
+        return (value if len(calls) == 1 else math.inf), wu, v
+
+    def true_terms(a, p, evaluated=None):
+        iterates.append(a.copy())
+        return newton_terms(a, p, objective(a, p // 2))
+
+    monkeypatch.setattr(solver, "_objective", infinite_trials)
+    monkeypatch.setattr(solver, "_newton_terms", true_terms)
+    return iterates
+
+
+class TestFailureExits:
+    """The exits of ``_newton`` and of the oracle that no converging solve
+    reaches, each through a stub."""
+
+    def test_line_search_without_a_step_ends_at_no_progress(self,
+                                                            monkeypatch):
+        # every trial is rejected, so the halving ends with no step; the
+        # same iterate evaluates the same at iteration 1, which ends there
+        iterates = true_iterates_infinite_trials(monkeypatch)
+        with pytest.raises(NonConvergenceError,
+                           match="no progress at iteration 1") as exc_info:
+            solve_extremal(ExtremalProblem(p=4, kernel=as_poly([1.0, 0.5]),
+                                           degree=2))
+        trace = exc_info.value.trace
+        assert [entry[0] for entry in trace] == [0, 1]
+        assert trace[0][1:] == trace[1][1:]
+        np.testing.assert_array_equal(iterates[0], iterates[1])
+
+    def test_converged_iterate_without_a_step_is_kept(self, monkeypatch):
+        # iteration 0 meets the tolerance, and its chord step finds no
+        # acceptable trial: the iterate is returned as it was evaluated
+        iterates = true_iterates_infinite_trials(monkeypatch)
+        c_hat = as_poly([1.0, 0.5, 0.0]).padded(3)
+        c_hat /= np.sqrt(np.sum(np.abs(c_hat) ** 2 / np.arange(1.0, 4.0)))
+        a, trace, failure = solver._newton(c_hat, 4, c_hat, 1.0)
+        assert failure is None
+        assert len(trace) == 1 and len(iterates) == 1
+        assert a.tobytes() == iterates[0].tobytes()
+
+    def test_hessian_not_positive_definite(self, monkeypatch):
+        # a negative definite Hessian makes dpotrf's info nonzero
+        monkeypatch.setattr(
+            solver, "_hessian",
+            lambda a, p, wu, v: -np.eye(len(a.view(float)), order="F"))
+        with pytest.raises(NonConvergenceError, match=(
+                r"^degree 2: Hessian not positive definite at iteration 0$")
+                ) as exc_info:
+            solve_extremal(ExtremalProblem(p=4, kernel=as_poly([1.0, 0.5]),
+                                           degree=2))
+        assert [entry[0] for entry in exc_info.value.trace] == [0]
+
+    def test_oracle_non_convergence(self, monkeypatch):
+        # one Newton iteration does not reach the oracle's float floor
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergenceError, match=(
+                r"^oracle: no convergence in 1 iterations$")) as exc_info:
+            brute_force_oracle(as_poly([1.0, 1.0]), 4, degree=3)
+        assert [entry[0] for entry in exc_info.value.trace] == [0]
+
+
 class TestDegreeLadder:
     """Solves at n >= 32 climb the ladder of degrees n >> j >= 16."""
 
@@ -1123,13 +1196,22 @@ class TestBruteForceOracle:
             ExtremalProblem(p=4, kernel=monomial(5), degree=3)
         assert str(oracle.value) == str(problem.value)
 
+    @staticmethod
+    def traced_peak(p):
+        tracemalloc.start()
+        try:
+            solver.brute_force_oracle(as_poly([1.0, 1.0]), p, degree=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_traced_peak_at_large_p(self):
         # at p = 128 Gauss-Legendre in r^2 takes 98 radii of 512 angles,
         # half the radii a rule in r needs; with those the peak was 44 MB
-        tracemalloc.start()
-        try:
-            solver.brute_force_oracle(as_poly([1.0, 1.0]), 128, degree=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 30e6
+        assert self.traced_peak(128) < 30e6
+
+    def test_traced_peak_is_one_block(self):
+        # at p = 256, 194 radii of 1024 angles, blocks of 64 radii: one
+        # block's R and I are built at a time, where keeping every block's
+        # took 44 MB
+        assert self.traced_peak(256) < 30e6

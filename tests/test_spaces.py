@@ -25,6 +25,7 @@ from bergex.spaces import (
     hardy_inner,
     hardy_norm_even,
     hardy_norm_general,
+    hardy_norms,
 )
 
 
@@ -147,18 +148,39 @@ class TestGeneralNorms:
         assert hardy_norm_general(monomial(1), 3.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_even_exponent_cross_check(self):
+        # hardy_norm_general takes the exact route at an even p, so the
+        # circle rule is called directly
         f = as_poly([1.0, 1.0])
         assert bergman_norm_general(f, 4.0) == pytest.approx(
             bergman_norm_even(f, 4), rel=1e-10
         )
-        assert hardy_norm_general(f, 4.0) == pytest.approx(
-            hardy_norm_even(f, 4), rel=1e-10
-        )
+        assert _circle_means(f, 4.0, [1.0], grid_count(f))[0] ** 0.25 == (
+            pytest.approx(hardy_norm_even(f, 4), rel=1e-10))
+
+    @pytest.mark.parametrize("p", [2, 4, 4.0 + 1e-12, 1024])
+    def test_even_exponent_takes_the_exact_route(self, p):
+        # within 1e-9 of an even integer up to MAX_EXPONENT: Parseval,
+        # bit for bit
+        f = as_poly([0.5, 0.25j, -0.125])
+        assert hardy_norm_general(f, p) == hardy_norm_even(f, round(p))
+
+    @pytest.mark.parametrize("p", [2.7, 2048.0])
+    def test_other_exponents_take_quadrature(self, p):
+        # 2048 is even but past MAX_EXPONENT, where hardy_norm_even raises
+        f = as_poly([0.5, 0.25j, -0.125])
+        expected = _circle_means(f, p, [1.0], grid_count(f))[0] ** (1.0 / p)
+        assert 0.0 < hardy_norm_general(f, p) == expected
 
     def test_nonpositive_exponent_rejected(self):
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
                 hardy_norm_general(as_poly([1.0]), bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, bad):
+        # the route's rounding needs a finite p
+        with pytest.raises(ValueError, match="positive and finite"):
+            hardy_norm_general(as_poly([1.0, 1.0]), bad)
 
     def test_low_exponent_rejected_for_bergman(self):
         with pytest.raises(ValueError):
@@ -372,7 +394,26 @@ class TestSupScaled:
         # the convergence study's reference row, F_N - F_N, reads exactly 0
         g, e = _sup_scaled(as_poly([]))
         assert g.is_zero() and e == 0
-        assert math.ldexp(hardy_norm_even(g, 64), e) == 0.0
+        assert hardy_norms(as_poly([]), [64, 2.7]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [-1000, 700, 1023])
+    def test_norms_scale_by_a_power_of_two(self, kind, scale):
+        # the exact route, quadrature and a p = 1000.5 at which |f|^p
+        # leaves the float range unscaled: hardy_norms(2^k f) is ldexp of
+        # hardy_norms(f), inf where that passes the float maximum
+        f = random_poly(np.random.default_rng(7), 6, kind)
+        f = as_poly(f.coeffs / np.max(np.abs(f.coeffs.view(float))))
+        exponents = [2, 4.0, 2.7, 1000.5, 1024]
+        scaled = as_poly(np.ldexp(f.coeffs.view(float), scale).view(
+            f.coeffs.dtype))
+        with np.errstate(over="ignore"):
+            expected = [float(np.ldexp(norm, scale))
+                        for norm in hardy_norms(f, exponents)]
+        assert hardy_norms(scaled, exponents) == expected
+        assert all(0.0 < norm for norm in expected)
+        # f's norms at p = 1000.5 and 1024 lie above 2
+        assert (math.inf in expected) == (scale == 1023)
 
 
 class TestFourierCoeffAbsPower:
