@@ -19,6 +19,10 @@ with the single-check functions' builders, so a single check and the
 table give the same floats, and the m = 0 Fourier residual equals the
 norm-equality residual, by construction.
 
+Whether an answer is certified is decided here alone, by ``certified``:
+the solver measures the certificate, residual_max, and judges nothing;
+the verdict joins it to the table.
+
 The left sides are the Fourier coefficients b_0..b_{(p/2) n} of |F|^p,
 from one autocorrelation of F^{p/2} (``abs_power_spectrum``), and the
 coefficient-bound sweep and the Ryabykh check read the same array.
@@ -64,6 +68,8 @@ from .spaces import (
 
 DEFAULT_EQUALITY_TOL = 1e-4
 DEFAULT_SLACK_TOL = 1e-12
+# the largest certificate residual_max that ``certified`` passes
+DEFAULT_CERTIFICATE_TOL = 1e-8
 # the fixed table's Fourier formula runs over m = 0..FOURIER_M_MAX
 FOURIER_M_MAX = 8
 # the largest relative growth of sup|F_n| that the hinfty criterion passes
@@ -314,6 +320,15 @@ def check_table(F, k, p, phi_norm, degree):
               for m in range(FOURIER_M_MAX + 1)),
             _coefficient_bound_report(F, k, p, scaled, 2 * degree, sides[0]),
             _ryabykh_report(k, p, scaled, sides[0])]
+
+
+def certified(residual_max, reports):
+    """Whether an answer is certified: its certificate's residual_max is
+    at most DEFAULT_CERTIFICATE_TOL and every report passes (a NaN
+    residual_max fails). The one verdict of ``bergex solve``'s exit code
+    and ``bergex verify``'s ``certified``, on ``check_table``'s reports."""
+    return bool(residual_max <= DEFAULT_CERTIFICATE_TOL
+                and all(r.passed for r in reports))
 
 
 def check_hinfty_criterion(alpha, p, degrees):

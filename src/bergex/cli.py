@@ -9,15 +9,17 @@ floats at full precision, written by json's C encoder;
 CSV rows or JSON.
 
 ``bergex solve`` records one fixed table of checks (``check_table``)
-and gates on it and on its extremality certificate; ``bergex verify``
-recomputes both from the file's problem, F and ||phi|| and compares.
+and the extremality certificate's residual_max, and exits by
+``checks.certified`` on both; ``bergex verify`` recomputes both from the
+file's problem, F and ||phi||, compares, and reports the same verdict.
 Every command solves at ``solver.TOLERANCE``: a config holds the problem
 alone, and a key nothing reads, such as the 'tolerance' of older configs
 and solution files, is ignored.
 
-Exit codes: 0 all checks passed, 1 a check failed, the certificate's
-residual_max exceeds DEFAULT_CERTIFICATE_TOL or verification mismatched,
-2 solver non-convergence, 3 invalid input or command line.
+Exit codes: 0 all checks passed, 1 a solve that ``checks.certified``
+fails (a check failed or the certificate's residual_max exceeds
+DEFAULT_CERTIFICATE_TOL) or verification mismatched, 2 solver
+non-convergence, 3 invalid input or command line.
 """
 
 import argparse
@@ -37,6 +39,7 @@ from . import __version__
 from . import kernelspec
 from .checks import (
     _coefficient_bound_report,
+    certified,
     check_hinfty_criterion,
     check_table,
     convergence_study,
@@ -49,12 +52,10 @@ from .kernelspec import (ConfigError, _check_degree, _check_degrees,
                          _growth_exponent, _pairs_field, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import (
-    DEFAULT_CERTIFICATE_TOL,
     ExtremalProblem,
     NonConvergenceError,
+    _certificate,
     brute_force_oracle,
-    certificate_degree,
-    extremality_residual,
     solve_extremal,
     solve_ladder,
 )
@@ -227,15 +228,8 @@ def run_solve(config, out=None):
         print(f"warning: working degree {degree} below kernel degree "
               f"{kernel.degree}: the functional is truncated to P_{degree}",
               file=sys.stderr)
-    passed = _certified(solution.residual_max, reports)
+    passed = certified(solution.residual_max, reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _certified(residual_max, reports):
-    """The gate of ``bergex solve``: the certificate's residual_max is at
-    most DEFAULT_CERTIFICATE_TOL and every report of the table passes."""
-    return bool(residual_max <= DEFAULT_CERTIFICATE_TOL
-                and all(r.passed for r in reports))
 
 
 def _identity(name, context):
@@ -251,8 +245,9 @@ def run_verify(solution_path, out=None):
     entry needs the one record of its ``_identity`` (else it is missing,
     and a record left over is unexpected), whose residual must reproduce
     to 1e-14. The file is read as ``bergex solve``'s config is, and
-    every recorded field by the rule of that config. ``certified`` does
-    not move the exit code."""
+    every recorded field by the rule of that config. ``certified`` is
+    ``checks.certified`` on the recomputation, and does not move the exit
+    code; the residual_max row's verdict is its residual_max part."""
     what = "solution file"
     field = partial(_field, what=what)
     payload = _load_json(solution_path, what)
@@ -277,8 +272,7 @@ def run_verify(solution_path, out=None):
     # an extreme F or ||phi|| gives inf or NaN residuals, written as null
     with np.errstate(all="ignore"):
         reports = check_table(F, kernel, p, phi_norm, degree)
-        residual_max = float(np.max(np.abs(extremality_residual(
-            F, kernel, p, phi_norm, certificate_degree(p, degree)))))
+        residual_max = _certificate(F, kernel, p, phi_norm, degree)
     unpaired = [_identity(r.check_name, r.context) for r in reports]
     recorded, unexpected = {}, []  # recorded: residual per table index
     for identity, residual in records:
@@ -287,8 +281,8 @@ def run_verify(solution_path, out=None):
             unpaired[i], recorded[i] = None, residual
         else:
             unexpected.append(identity[0])
-    rows = [("residual_max", recorded_max, residual_max, "pass"
-             if residual_max <= DEFAULT_CERTIFICATE_TOL else "fail")]
+    rows = [("residual_max", recorded_max, residual_max,
+             "pass" if certified(residual_max, []) else "fail")]
     rows += [(r.check_name, recorded[i], float(r.residual), r.verdict)
              for i, r in enumerate(reports) if i in recorded]
     rows = [{"check_name": name, "recorded": old, "recomputed": new,
@@ -299,7 +293,7 @@ def run_verify(solution_path, out=None):
 
     ok = bool(worst <= 1e-14) and not missing and not unexpected
     body_out = {"verified": ok,
-                "certified": _certified(residual_max, reports),
+                "certified": certified(residual_max, reports),
                 "max_difference": worst, "rows": rows, "missing": missing,
                 "unexpected": unexpected}
     _emit_json(_header(), _jsonable(body_out), out)

@@ -9,7 +9,7 @@ is
 J is smooth and strictly convex because p is even, and by homogeneity its
 minimizer is ||phi||^{1/(p-1)} F, where F maximizes Re phi on the unit
 sphere of P_n. Its Wirtinger gradient there is (||phi||/2) conj(res_j),
-for the residuals res_j that ``extremality_residual`` certifies. It is
+for the residuals res_j that ``extremality_residual`` measures. It is
 minimized without constraints by damped Newton in the real coordinates
 x = a.view(float64), Re a_j and Im a_j interleaved, with the exact
 Hessian and a backtracking line search (Nocedal & Wright, Numerical
@@ -58,8 +58,8 @@ on its ray. Each rung is the same Newton solve (``_newton``), with at
 most DEFAULT_MAX_ITERATIONS iterations, in real arithmetic whenever its
 truncated kernel is float64. A requested degree then typically needs one
 or two iterations instead of the whole damped phase at full size; only the
-requested degrees can fail, are certified, and report their iterations
-and trace.
+requested degrees can fail, have their certificate measured, and report
+their iterations and trace.
 
 Only the requested degrees solve to TOLERANCE. The other rungs exist to
 start the rung above, which makes the ladder a continuation method, and
@@ -95,7 +95,7 @@ pairings at the optimum reproduce the extremality characterization
 
     integral_D z^j F^{s-1} conj(F)^s dsigma = phi(z^j) / ||phi||,
 
-which is what ``extremality_residual`` certifies and what
+which is what ``extremality_residual`` measures and what
 ``kernel_from_extremal`` inverts.
 """
 
@@ -116,7 +116,6 @@ from .poly import AnalyticPoly, rescaled, taylor_truncate, trimmed
 from .spaces import bergman_norm_even, functional_value
 
 TOLERANCE = 1e-12
-DEFAULT_CERTIFICATE_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # lowest degree of the ladder that solve_extremal climbs to degree n
 MIN_RUNG_DEGREE = 16
@@ -155,14 +154,15 @@ class ExtremalProblem:
 
 @dataclass(frozen=True)
 class ExtremalSolution:
-    """Certified output of a solve.
+    """Output of a solve, with its certificate measured and not judged.
 
     ``phi_norm`` is the norm of the functional restricted to P_n (it
     approaches the full-space norm from below as n grows). ``residual_max``
     is the largest extremality-characterization residual over the
-    monomials z^j, j = 0..``certificate_degree(p, n)``. ``iterations`` and
-    ``trace`` belong to the Newton solve at degree n alone, not to the lower
-    rungs of the ladder.
+    monomials z^j, j = 0..``certificate_degree(p, n)``; whether the answer
+    is certified is ``checks.certified``'s verdict on it and the fixed
+    table. ``iterations`` and ``trace`` belong to the Newton solve at degree
+    n alone, not to the lower rungs of the ladder.
     """
 
     F: AnalyticPoly
@@ -173,10 +173,6 @@ class ExtremalSolution:
     p: int
     kernel: AnalyticPoly
     degree: int
-
-    @property
-    def certified(self):
-        return self.residual_max <= DEFAULT_CERTIFICATE_TOL
 
 
 def certificate_degree(p, degree):
@@ -223,14 +219,23 @@ def extremality_residual(F, k, p, phi_norm, max_test_degree):
     return pair - rhs
 
 
+def _certificate(F, k, p, phi_norm, degree):
+    """The residual_max of F at working degree n: the largest modulus of
+    ``extremality_residual`` over j = 0..``certificate_degree(p, n)``."""
+    return float(np.max(np.abs(extremality_residual(
+        F, k, p, phi_norm, certificate_degree(p, degree)))))
+
+
 def kernel_from_extremal(F, p, out_degree):
     """Recover the representing kernel of a unit-norm extremal function.
 
     Inverts the characterization: c_j = (j+1) * conj(pairing_j) with the
     normalization ||phi|| = 1. The kernel of the original problem is this
-    one up to a positive scalar.
+    one up to a positive scalar. Raises ValueError unless ``out_degree``
+    passes ``_check_degree``.
     """
     _check_exponent(p)
+    _check_degree(out_degree, "out_degree")
     if F.is_zero():
         raise ValueError("extremal function must not be zero")
     pair = _pairings(F, p, out_degree + 1)
@@ -545,7 +550,7 @@ def _rungs(n):
 def solve_ladder(p, kernel, degrees):
     """One degree ladder through ``degrees`` (see the module docstring).
 
-    Yields, once per distinct degree d in ascending order, the certified
+    Yields, once per distinct degree d in ascending order, the
     ``ExtremalSolution`` of ``ExtremalProblem(p, kernel, d)``. For each d
     the ladder appends the rungs of ``_rungs(d)`` above its last rung,
     skipping those on which the truncated kernel vanishes. A requested
@@ -597,17 +602,15 @@ def solve_ladder(p, kernel, degrees):
         f = AnalyticPoly(a)
         F = AnalyticPoly(f.coeffs / bergman_norm_even(f, p))
         phi_norm = float(functional_value(kernel, F).real)
-        residuals = extremality_residual(F, kernel, p, phi_norm,
-                                         certificate_degree(p, m))
         yield ExtremalSolution(
             F=F, phi_norm=phi_norm,
-            residual_max=float(np.max(np.abs(residuals))),
+            residual_max=_certificate(F, kernel, p, phi_norm, m),
             iterations=trace[-1][0], trace=trace, p=p, kernel=kernel,
             degree=m)
 
 
 def solve_extremal(problem):
-    """Solve the extremal problem over P_n and certify the result.
+    """Solve the extremal problem over P_n and measure its certificate.
 
     Returns an ``ExtremalSolution`` whose F has unit A^p norm and whose
     phi_norm equals Re phi(F) for the original kernel. Newton steps on J,
@@ -650,23 +653,24 @@ def brute_force_oracle(k, p, degree=3):
         Hessian   R^T diag(alpha) R + I^T diag(alpha) I + M^T diag(beta) M,
 
     for b the gradient of Re phi and M = diag(Re y) R + diag(Im y) I; the
-    beta term vanishes at p = 2. The grid is a tensor product of radii and
-    angles, so on a block of radii y is one small product of the radii's
-    powers r^t x_t by a table of e^{i t theta} at the angles, which J
-    needs alone; R and I are built for one block at a time where the
-    gradient and the Hessian sum over it, so the memory is one block's at
-    every p. Damped Newton with Armijo backtracking
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3) starts from
-    the truncated kernel scaled to the minimum of J on its ray, the p = 2
-    answer. One deterministic start suffices: J is strictly convex, so its
-    minimum is its only stationary point. A trial point whose |y|^p
-    overflows has J = inf and is rejected. Once the predicted decrease
-    -g^T d is below the float resolution of |J|, one full step ends the
-    solve; after DEFAULT_MAX_ITERATIONS steps without that,
-    ``NonConvergenceError`` carries the trace of (iteration, J, gradient
-    norm). phi reads c_0..c_n alone, divided by ``rescaled``'s power of
-    two, since F does not depend on the kernel's scale. Raises ValueError
-    as ``ExtremalProblem(p, k, degree)`` does, and for a degree above 8.
+    beta term vanishes at p = 2. Each power |y|^e is taken as ((Re y)^2 +
+    (Im y)^2)^(e/2), with no square root. The grid is a tensor product of
+    radii and angles, so on a block of radii y is one small product of the
+    radii's powers r^t x_t by a table of e^{i t theta} at the angles,
+    which J needs alone; R and I are built for one block at a time where
+    the gradient and the Hessian sum over it, so the memory is one block's
+    at every p. Damped Newton with Armijo backtracking (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., ch. 3) starts from the truncated
+    kernel scaled to the minimum of J on its ray, the p = 2 answer. One
+    deterministic start suffices: J is strictly convex, so its minimum is
+    its only stationary point. A trial point whose |y|^p overflows has J =
+    inf and is rejected. Once the predicted decrease -g^T d is below the
+    float resolution of |J|, one full step ends the solve; after
+    DEFAULT_MAX_ITERATIONS steps without that, ``NonConvergenceError``
+    carries the trace of (iteration, J, gradient norm). phi reads c_0..c_n
+    alone, divided by ``rescaled``'s power of two, since F does not depend
+    on the kernel's scale. Raises ValueError as ``ExtremalProblem(p, k,
+    degree)`` does, and for a degree above 8.
     """
     ExtremalProblem(p, k, degree)
     _require(degree <= 8, "oracle is meant for small spaces (degree <= 8)")
@@ -700,7 +704,8 @@ def brute_force_oracle(k, p, degree=3):
 
     def norm_p(x):  # sum w |y|^p, inf once |y|^p overflows
         with np.errstate(over="ignore"):
-            return sum(w @ np.hypot(re, im) ** p for _, _, w, re, im in at(x))
+            return sum(w @ (re * re + im * im) ** (p // 2)
+                       for _, _, w, re, im in at(x))
 
     def J(x):
         return float(norm_p(x) / p - b @ x)
@@ -715,14 +720,14 @@ def brute_force_oracle(k, p, degree=3):
     for it in range(DEFAULT_MAX_ITERATIONS):
         grad, hess = -b, 0.0
         for R, I, w, re, im in at(x, rows=True):
-            modulus = np.hypot(re, im)
-            alpha = w * modulus ** (p - 2)
+            square = re * re + im * im
+            alpha = w * square ** (p // 2 - 1)
             grad = grad + R.T @ (alpha * re) + I.T @ (alpha * im)
             hess = (hess + R.T @ (alpha[:, None] * R)
                     + I.T @ (alpha[:, None] * I))
             if p > 2:
                 M = re[:, None] * R + im[:, None] * I
-                beta = (p - 2) * w * modulus ** (p - 4)
+                beta = (p - 2) * w * square ** (p // 2 - 2)
                 hess = hess + M.T @ (beta[:, None] * M)
         d = np.linalg.solve(hess, -grad)
         slope = float(grad @ d)

@@ -260,15 +260,15 @@ def _product_means(f, p, radii, count):
 
 
 def bergman_norm_general(f, p):
-    """||f||_{A^p} for real p > 1 by tensor quadrature over the disc.
+    """||f||_{A^p} for finite real p > 1 by tensor quadrature over the disc.
 
     The samples are those of f divided by the power of two of its largest
     coefficient part (``rescaled``), and the norm is scaled back by
     ``ldexp``, so that neither |f|^p nor the |f|^2 of ``_product_means``
     leaves the float range at any scale of f.
     """
-    if p <= 1:
-        raise ValueError("Bergman exponent must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("Bergman exponent must exceed 1 and be finite")
     if f.is_zero():
         return 0.0
     count = _angular_count(max(f.degree, _GENERAL_MIN_BANDWIDTH))

@@ -369,7 +369,7 @@ class TestCoefficientBoundSweep:
                 degree=160))
             reports = check_table(sol.F, sol.kernel, 4, sol.phi_norm, 160)
         assert np.array_equal(sol.F.coeffs, base.F.coeffs)
-        assert sol.certified
+        assert checks.certified(sol.residual_max, reports)
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("count", [4, 64, 1025])

@@ -7,6 +7,7 @@ headers carry a generation timestamp.
 """
 
 import csv
+import dataclasses
 import errno
 import importlib.machinery
 import json
@@ -214,7 +215,7 @@ class TestSolveCommand:
         assert capsys.readouterr().err == TRUNCATED_AT_16
         body = load_report(out)["body"]
         residual_max = body["solution"]["residual_max"]
-        assert residual_max > solver.DEFAULT_CERTIFICATE_TOL
+        assert residual_max > checks.DEFAULT_CERTIFICATE_TOL
         assert {c["verdict"] for c in body["checks"]} == {"pass"}
         verified = str(tmp_path / "v.json")
         assert cli.main(["verify", out, "--out", verified]) == 0
@@ -567,13 +568,13 @@ class TestVerifyCommand:
         out = str(tmp_path / "s.json")
         assert cli.main(["solve", "--config", config, "--out", out]) == 0
         ranges = []
-        original = cli.extremality_residual
+        original = solver.extremality_residual
 
         def recording(F, k, p, phi_norm, max_test_degree):
             ranges.append(max_test_degree)
             return original(F, k, p, phi_norm, max_test_degree)
 
-        monkeypatch.setattr(cli, "extremality_residual", recording)
+        monkeypatch.setattr(solver, "extremality_residual", recording)
         assert cli.main(["verify", out]) == 0
         assert ranges == [96]
 
@@ -763,6 +764,83 @@ class TestVerifyCommand:
         broken = write_json(tmp_path / "broken.json", payload)
         assert cli.main(["verify", broken]) == 3
         assert repr(key) in capsys.readouterr().err
+
+
+class TestCertifiedVerdict:
+    """``checks.certified`` is the one verdict: solve's exit code and
+    verify's ``certified`` field both read it."""
+
+    def test_family_solve_exits_zero_exactly_when_certified(self, tmp_path):
+        verdicts = []
+        for seed in (20240901, 1):
+            for p in (4, 6):
+                for name, kernel, degree in standard_family(seed):
+                    config = write_json(tmp_path / "c.json", {
+                        "schema_version": 1, "p": p, "degree": degree,
+                        "kernel": kernelspec.coeffs_spec(kernel.coeffs)})
+                    out = str(tmp_path / "s.json")
+                    code = cli.main(["solve", "--config", config,
+                                     "--out", out])
+                    sol = solve_extremal(ExtremalProblem(p, kernel, degree))
+                    reports = checks.check_table(sol.F, kernel, p,
+                                                 sol.phi_norm, degree)
+                    verdict = checks.certified(sol.residual_max, reports)
+                    assert code == (0 if verdict else 1), (seed, p, name)
+                    verdicts.append(verdict)
+        # both outcomes occur: seed 1's random-0 fails its slack gate
+        assert len(verdicts) == 36 and any(verdicts) and not all(verdicts)
+
+    def test_small_residual_with_failed_table_is_uncertified(self, tmp_path):
+        # power-decay-3.0 at p = 12, n = 128: residual_max near 1e-14 is
+        # far inside DEFAULT_CERTIFICATE_TOL, but the coefficient-bound
+        # slack is about -1e-12, so solve exits 1 and verify reproduces
+        # the file with certified false
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 12, "degree": 128,
+            "kernel": POWER_DECAY_3})
+        out = str(tmp_path / "s.json")
+        assert cli.main(["solve", "--config", config, "--out", out]) == 1
+        body = load_report(out)["body"]
+        residual_max = body["solution"]["residual_max"]
+        assert residual_max <= checks.DEFAULT_CERTIFICATE_TOL
+        failed = [c["check_name"] for c in body["checks"]
+                  if c["verdict"] != "pass"]
+        assert failed == ["coefficient_bound_sweep"]
+        verified = str(tmp_path / "v.json")
+        assert cli.main(["verify", out, "--out", verified]) == 0
+        report = load_report(verified)["body"]
+        assert report["verified"] is True and report["certified"] is False
+        assert report["rows"][0]["verdict"] == "pass"
+        kernel = kernelspec.realize(POWER_DECAY_3)
+        sol = solve_extremal(ExtremalProblem(12, kernel, 128))
+        reports = checks.check_table(sol.F, kernel, 12, sol.phi_norm, 128)
+        assert checks.certified(sol.residual_max, []) is True
+        assert checks.certified(sol.residual_max, reports) is False
+
+    def test_certified_gates_nan_and_the_tolerance(self):
+        passing = checks.check_norm_equality(
+            as_poly([1.0]), as_poly([1.0]), 4, 1.0)
+        tol = checks.DEFAULT_CERTIFICATE_TOL
+        assert passing.passed
+        assert checks.certified(tol, [passing]) is True
+        assert checks.certified(np.nextafter(tol, 1.0), [passing]) is False
+        assert checks.certified(math.nan, [passing]) is False
+        assert checks.certified(0.0, [dataclasses.replace(
+            passing, verdict="fail")]) is False
+
+    def test_verify_sweep_shim_matches_the_table(self):
+        # perfbench wraps cli.check_coefficient_sweep_for_verify, which no
+        # command calls: its report is the table's sweep, field for field
+        kernel, degree = next((k, n) for name, k, n in standard_family()
+                              if name == "random-0")
+        sol = solve_extremal(ExtremalProblem(6, kernel, degree))
+        shim = cli.check_coefficient_sweep_for_verify(
+            sol.F, kernel, 6, sol.phi_norm, 2 * degree)
+        [entry] = [r for r in checks.check_table(sol.F, kernel, 6,
+                                                 sol.phi_norm, degree)
+                   if r.check_name == "coefficient_bound_sweep"]
+        assert vars(shim) == vars(entry)
+        assert shim.context["m_max"] == 2 * degree
 
 
 class TestExitCodes:

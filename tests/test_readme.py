@@ -18,7 +18,8 @@ def test_quick_start_runs(capsys):
                       re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.split("\n")
-    # phi_norm, residual_max, certified, then the norm-equality verdict
+    # phi_norm, residual_max, checks.certified, then the norm-equality
+    # verdict
     assert lines[2] == "True"
     assert lines[3].startswith("pass ")
 

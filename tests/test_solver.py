@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from bergex import _backend, poly, solver, spaces
+from bergex import _backend, checks, poly, solver, spaces
 from bergex.checks import (check_hinfty_criterion, check_table,
                            convergence_study, growth_study)
 from bergex.families import power_decay_kernel, standard_family
@@ -301,7 +301,7 @@ class TestSolutionInvariants:
 
     def test_certificate(self, solution):
         assert solution.residual_max <= 1e-8
-        assert solution.certified
+        assert checks.certified(solution.residual_max, [])
 
     def test_trace_monotone_objective(self, solution):
         values = [v for _, v, _ in solution.trace]
@@ -530,6 +530,12 @@ class TestKernelRoundTrip:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             kernel_from_extremal(as_poly([]), 4, 3)
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.5, True, MAX_DEGREE + 1])
+    def test_out_degree_takes_the_degree_rule(self, bad):
+        # a negative degree, a float and a bool are no degree
+        with pytest.raises(ValueError, match="out_degree must be an integer"):
+            kernel_from_extremal(as_poly([1.0, 0.5]), 4, bad)
 
     def test_round_trip_cosine(self):
         rng = np.random.default_rng(31)

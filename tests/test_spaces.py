@@ -186,6 +186,13 @@ class TestGeneralNorms:
         with pytest.raises(ValueError):
             bergman_norm_general(as_poly([1.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0])
+    def test_bergman_exponent_outside_one_to_inf_rejected(self, bad):
+        # the disc quadrature needs a finite p; the norm at p = inf is
+        # sup|1 + 0.5z| = 1.5, no mean of |f|^p
+        with pytest.raises(ValueError, match="exceed 1 and be finite"):
+            bergman_norm_general(as_poly([1.0, 0.5]), bad)
+
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_agreement_on_random_polys(self, p):
         rng = np.random.default_rng(90 + p)
