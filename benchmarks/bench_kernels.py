@@ -80,9 +80,11 @@ The ``certificate`` and ``check_table`` tables time the two layers that
 certify a solve, on the solution of each standard-family kernel at its
 calibrated degree n, p = 4 and 6, median of 50 calls, since each call
 takes well under a millisecond. ``certificate`` is
-``solver.extremality_residual`` over the monomials j = 0..
-``solver.certificate_degree(p, n)``, the j listed as "j_max";
-"residual" is the largest modulus, the solve's ``residual_max``.
+``solver._certificate``, the one computation of a solve's
+``residual_max``: the largest modulus of ``solver.extremality_residual``
+over the monomials j = 0..``solver.certificate_degree(p, n)``, the j
+listed as "j_max". "residual" is its return, the solve's
+``residual_max``.
 ``check_table`` is ``checks.check_table``, the reports every ``bergex
 solve`` records and every ``bergex verify`` recomputes; "checks" counts
 them. The solutions are solved once, before either table is timed.
@@ -180,9 +182,8 @@ from bergex import _backend, cli, kernelspec, solver, spaces
 from bergex.checks import check_table, convergence_study
 from bergex.families import power_decay_kernel, standard_family
 from bergex.poly import as_poly
-from bergex.solver import (ExtremalProblem, _hessian, _newton_terms,
-                           certificate_degree, extremality_residual,
-                           solve_extremal)
+from bergex.solver import (ExtremalProblem, _certificate, _hessian,
+                           _newton_terms, certificate_degree, solve_extremal)
 
 THRESHOLD_IN_USE = _backend.FFT_THRESHOLD
 # SciPy's compiled LAPACK module, loaded as the solver loads it, so that
@@ -444,12 +445,12 @@ def family_solutions():
 def bench_certificate(solutions, repeats):
     rows = []
     for name, kernel, p, n, sol in solutions:
-        top = certificate_degree(p, n)
-        [timed] = time_cells([partial(extremality_residual, sol.F, kernel, p,
-                                      sol.phi_norm, top)], repeats)
-        rows.append({"kernel": name, "p": p, "n": n, "j_max": top,
-                     "certificate": timed, "residual": sol.residual_max})
-    table("certificate: median milliseconds per extremality_residual call",
+        call = partial(_certificate, sol.F, kernel, p, sol.phi_norm, n)
+        [timed] = time_cells([call], repeats)
+        rows.append({"kernel": name, "p": p, "n": n,
+                     "j_max": certificate_degree(p, n), "certificate": timed,
+                     "residual": call()})
+    table("certificate: median milliseconds per _certificate call",
           "{kernel:>16}{p:>4}{n:>6}{j_max:>8}{certificate:>12.3f}"
           "{residual:>11.1e}", rows)
     return rows

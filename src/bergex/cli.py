@@ -11,7 +11,8 @@ CSV rows or JSON.
 ``bergex solve`` records one fixed table of checks (``check_table``)
 and the extremality certificate's residual_max, and exits by
 ``checks.certified`` on both; ``bergex verify`` recomputes both from the
-file's problem, F and ||phi||, compares, and reports the same verdict.
+file's problem, F and ||phi||, checks ||phi|| against Re phi(F),
+compares, and reports the same verdict.
 Every command solves at ``solver.TOLERANCE``: a config holds the problem
 alone, and a key nothing reads, such as the 'tolerance' of older configs
 and solution files, is ignored.
@@ -48,8 +49,8 @@ from .checks import (
 from .families import DEFAULT_SEED, standard_family
 from .kernelspec import (ConfigError, _check_degree, _check_degrees,
                          _check_exponent, _check_growth_exponents,
-                         _check_positive, _complex_pairs, _field,
-                         _growth_exponent, _pairs_field, _require)
+                         _check_kernel, _check_positive, _complex_pairs,
+                         _field, _growth_exponent, _pairs_field, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import (
     ExtremalProblem,
@@ -59,7 +60,7 @@ from .solver import (
     solve_extremal,
     solve_ladder,
 )
-from .spaces import abs_power_spectrum
+from .spaces import abs_power_spectrum, functional_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,6 +71,9 @@ SCHEMA_VERSION = 1
 # the largest coefficient gap at which oracle-compare calls the quadrature
 # oracle and the solver in agreement
 ORACLE_TOLERANCE = 1e-6
+# the largest difference between a recorded and a recomputed value at
+# which bergex verify calls a solution file reproduced
+VERIFY_TOLERANCE = 1e-14
 # the degree at which oracle-compare solves, within the oracle's reach
 ORACLE_DEGREE = 3
 
@@ -92,13 +96,15 @@ def _load_json(path, what):
 
 
 def _problem(config, what="config"):
-    """(p, degree, kernel spec) of a solve config, or of the problem a
-    solution file records; ``what`` names the document, as for
+    """(p, degree, kernel spec, kernel) of a solve config, or of the
+    problem a solution file records, read in that order and the kernel
+    realized from its spec; ``what`` names the document, as for
     ``_field``."""
-    return (_field(config, "p", int, _check_exponent, what=what),
-            _field(config, "degree", int, _check_degree, what=what),
-            kernelspec.from_dict(_field(config, "kernel", dict, what=what),
-                                 what))
+    p = _field(config, "p", int, _check_exponent, what=what)
+    degree = _field(config, "degree", int, _check_degree, what=what)
+    spec = kernelspec.from_dict(_field(config, "kernel", dict, what=what),
+                                what)
+    return p, degree, spec, kernelspec.realize(spec)
 
 
 def _jsonable(value):
@@ -215,8 +221,7 @@ def _solution_body(spec, solution, reports):
 
 
 def run_solve(config, out=None):
-    p, degree, spec = _problem(config)
-    kernel = kernelspec.realize(spec)
+    p, degree, spec, kernel = _problem(config)
     solution = solve_extremal(ExtremalProblem(p, kernel, degree))
     if not math.isfinite(solution.phi_norm):
         raise ValueError("the functional norm ||phi|| overflows the float "
@@ -244,17 +249,22 @@ def run_verify(solution_path, out=None):
     """Recompute a serialized solution's table and certificate. Each table
     entry needs the one record of its ``_identity`` (else it is missing,
     and a record left over is unexpected), whose residual must reproduce
-    to 1e-14. The file is read as ``bergex solve``'s config is, and
-    every recorded field by the rule of that config. ``certified`` is
-    ``checks.certified`` on the recomputation, and does not move the exit
-    code; the residual_max row's verdict is its residual_max part."""
+    to VERIFY_TOLERANCE. The file is read as ``bergex solve``'s config
+    is, and every recorded field by the rule of that config. ``certified``
+    is ``checks.certified`` on the recomputation, and does not move the
+    exit code; the residual_max row's verdict is its residual_max part.
+    The table and the certificate are recomputed from the file's
+    ||phi||, and the phi_norm row checks that value against Re phi(F),
+    which ``solve_ladder`` records: every identity is homogeneous under
+    (F, ||phi||) -> (c F, ||phi|| / c^(p-1)), so without that row a
+    rescaled file would verify. Its verdict is a pass when Re phi(F) is
+    positive and finite."""
     what = "solution file"
     field = partial(_field, what=what)
     payload = _load_json(solution_path, what)
     try:
         body = field(payload, "body", dict)
-        p, degree, spec = _problem(field(body, "problem", dict), what)
-        kernel = kernelspec.realize(spec)
+        p, degree, _, kernel = _problem(field(body, "problem", dict), what)
         solution = field(body, "solution", dict)
         F = AnalyticPoly(_read_coefficients(solution, degree, what))
         phi_norm = field(solution, "phi_norm", float,
@@ -273,6 +283,7 @@ def run_verify(solution_path, out=None):
     with np.errstate(all="ignore"):
         reports = check_table(F, kernel, p, phi_norm, degree)
         residual_max = _certificate(F, kernel, p, phi_norm, degree)
+        phi_value = float(functional_value(kernel, F).real)
     unpaired = [_identity(r.check_name, r.context) for r in reports]
     recorded, unexpected = {}, []  # recorded: residual per table index
     for identity, residual in records:
@@ -282,7 +293,9 @@ def run_verify(solution_path, out=None):
         else:
             unexpected.append(identity[0])
     rows = [("residual_max", recorded_max, residual_max,
-             "pass" if certified(residual_max, []) else "fail")]
+             "pass" if certified(residual_max, []) else "fail"),
+            ("phi_norm", phi_norm, phi_value,
+             "pass" if 0 < phi_value < math.inf else "fail")]
     rows += [(r.check_name, recorded[i], float(r.residual), r.verdict)
              for i, r in enumerate(reports) if i in recorded]
     rows = [{"check_name": name, "recorded": old, "recomputed": new,
@@ -291,7 +304,7 @@ def run_verify(solution_path, out=None):
     worst = float(np.max([row["difference"] for row in rows]))  # NaN fails
     missing = [r.check_name for i, r in enumerate(reports) if unpaired[i]]
 
-    ok = bool(worst <= 1e-14) and not missing and not unexpected
+    ok = bool(worst <= VERIFY_TOLERANCE) and not missing and not unexpected
     body_out = {"verified": ok,
                 "certified": certified(residual_max, reports),
                 "max_difference": worst, "rows": rows, "missing": missing,
@@ -335,23 +348,18 @@ def _study_family(config, seed):
     the seed to record: the standard family's random kernels are drawn
     from ``seed``, or from DEFAULT_SEED when it is None, and explicit specs
     draw nothing, so they record None."""
-    specs = config.get("family", "standard")
+    specs = _field(config, "family", (str, list), lambda v: _require(
+        v == "standard" or isinstance(v, list) and v, "family must be "
+        "\"standard\" or a non-empty list of kernel specs"), "standard")
     if specs == "standard":
         seed = DEFAULT_SEED if seed is None else seed
         limit = _field(config, "max_study_degree", int, lambda v: _require(
             v >= 0, "max_study_degree must be >= 0"), 128)
         return [(name, k, min(d, limit))
                 for name, k, d in standard_family(seed)], seed
-    if not (isinstance(specs, list) and specs):
-        raise ConfigError("config field 'family' must be \"standard\" or a "
-                          "non-empty list of kernel specs")
-    entries = []
     degree = _field(config, "degree", int, _check_degree, 64)
-    for item in specs:
-        spec = kernelspec.from_dict(item)
-        entries.append((kernelspec.describe(spec), kernelspec.realize(spec),
-                        degree))
-    return entries, None
+    return [(kernelspec.describe(spec), kernelspec.realize(spec), degree)
+            for spec in map(kernelspec.from_dict, specs)], None
 
 
 def run_convergence_study(config, out=None, fmt="csv"):
@@ -370,10 +378,9 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     alpha = _field(config, "alpha", float, _check_positive)
     degrees = _field(config, "degrees", list, _check_degrees, [16, 32, 64])
     report = check_hinfty_criterion(alpha, p, degrees)
-    sups = report.context["sup_by_degree"]
     l1 = report.context["l1_by_degree"]
-    rows = [{"degree": n, "sup": sups[n], "l1_mass": l1[n]}
-            for n in sorted(sups)]
+    rows = [{"degree": n, "sup": sup, "l1_mass": l1[n]}
+            for n, sup in sorted(report.context["sup_by_degree"].items())]
     _emit_study(_header(), rows, out, fmt,
                 relative_growth=report.residual, verdict=report.verdict)
     return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
@@ -381,10 +388,16 @@ def run_hinfty_study(config, out=None, fmt="csv"):
 
 def run_oracle_compare(config, out=None):
     """The quadrature oracle against the solver, both on S_3 k over P_3,
-    a truncation made on purpose."""
+    a truncation made on purpose. A kernel that vanishes on P_3 is
+    rejected naming that fixed space, since no degree can be raised."""
     p = _field(config, "p", int, _check_exponent)
     kernel = kernelspec.realize(kernelspec.from_dict(
         _field(config, "kernel", dict)))
+    try:
+        _check_kernel(kernel, ORACLE_DEGREE)
+    except ValueError:
+        raise ValueError(f"kernel vanishes on P_{ORACLE_DEGREE}, the fixed "
+                         f"working space of oracle-compare") from None
     oracle_F = brute_force_oracle(kernel, p, degree=ORACLE_DEGREE)
     solution = next(solve_ladder(p, kernel, [ORACLE_DEGREE]))
     gap = float(np.max(np.abs(oracle_F.padded(ORACLE_DEGREE + 1)
@@ -408,61 +421,55 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+# the subcommands in the order --help lists them, each with its help text
+# and its runner; study's runner is a table from the study kind to its own
+_COMMANDS = {
+    "solve": ("solve one extremal problem", run_solve),
+    "verify": ("re-check a serialized solution", run_verify),
+    "study": ("run a family study", {"growth": run_growth_study,
+                                     "convergence": run_convergence_study,
+                                     "hinfty": run_hinfty_study}),
+    "oracle-compare": ("Newton quadrature oracle vs solver",
+                       run_oracle_compare),
+}
+
+
 def main(argv=None):
-    parser = _ArgumentParser(
-        prog="bergex",
-        description="Extremal problems over Bergman spaces: solve, certify, "
-                    "and study.",
-    )
+    parser = _ArgumentParser(prog="bergex", description="Extremal problems "
+                             "over Bergman spaces: solve, certify, and study.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, fmt=True):
-        sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if fmt:
+    for name, (text, runner) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        if name == "verify":
+            sp.add_argument("solution", help="solution JSON from `bergex solve`")
+        else:
+            sp.add_argument("--config", required=True, help="JSON config file")
+        if name == "study":
+            sp.add_argument("kind", choices=list(runner))
             sp.add_argument("--format", default="csv", choices=["json", "csv"])
-
-    add_common(sub.add_parser("solve", help="solve one extremal problem"),
-               fmt=False)
-    ver = sub.add_parser("verify", help="re-check a serialized solution")
-    ver.add_argument("solution", help="solution JSON from `bergex solve`")
-    ver.add_argument("--out", default=None)
-    study = sub.add_parser("study", help="run a family study")
-    study.add_argument("kind", choices=["growth", "convergence", "hinfty"])
-    add_common(study)
-    add_common(sub.add_parser("oracle-compare",
-                              help="Newton quadrature oracle vs solver"),
-               fmt=False)
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     args = parser.parse_args(argv)
-
+    runner = _COMMANDS[args.command][1]
     try:
         if args.command == "verify":
-            return run_verify(args.solution, out=args.out)
+            return runner(args.solution, out=args.out)
         config = _load_json(args.config, "config")
         _field(config, "schema_version", int, lambda v: _require(
             v == SCHEMA_VERSION,
             f"the supported schema_version is {SCHEMA_VERSION}"), None)
-        if args.command == "solve":
-            return run_solve(config, out=args.out)
         if args.command == "study":
-            runner = {"growth": run_growth_study,
-                      "convergence": run_convergence_study,
-                      "hinfty": run_hinfty_study}[args.kind]
-            return runner(config, out=args.out, fmt=args.format)
-        if args.command == "oracle-compare":
-            return run_oracle_compare(config, out=args.out)
+            return runner[args.kind](config, out=args.out, fmt=args.format)
+        return runner(config, out=args.out)
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
-        tail = exc.trace[-3:]
-        for it, value, gnorm in tail:
+        for it, value, gnorm in exc.trace[-3:]:
             print(f"  iteration {it}: objective {value!r}, "
                   f"gradient {gnorm!r}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

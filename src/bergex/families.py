@@ -8,7 +8,8 @@ Three groups, mirroring the kinds of functionals the theory speaks about:
 
 Each member carries a production degree: the working degree at which its
 solve is certified. The degrees are calibrated so that the extremality
-certificate clears 1e-8 over test degrees up to 2n and the Fourier
+certificate clears 1e-8 over test degrees up to max(2, p/2) n, the
+range of ``solver.certificate_degree`` (3n at p = 6), and the Fourier
 coefficients of |F|^p beyond the kernel degree sit at the solver's
 round-off floor. Slowly decaying extremal functions need visibly more
 degree than fast ones, which is why the table is per-kernel.

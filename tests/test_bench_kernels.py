@@ -107,6 +107,18 @@ def test_every_table_runs(bench_kernels, capsys, monkeypatch, tmp_path):
         len(check_table(as_poly([1.0]), as_poly([1.0]), 4, 1.0, 0))}
 
 
+def test_certificate_row_is_the_solves_residual_max(bench_kernels, capsys):
+    # the table times solver._certificate, the one computation of a
+    # solve's residual_max, and its return fills "residual"
+    solutions = bench_kernels.family_solutions()
+    rows = bench_kernels.bench_certificate(solutions, 1)
+    assert len(rows) == len(solutions)
+    for row, (name, _, p, n, sol) in zip(rows, solutions):
+        assert (row["kernel"], row["p"], row["n"]) == (name, p, n)
+        assert row["residual"] == sol.residual_max
+        assert row["j_max"] == solver.certificate_degree(p, n)
+
+
 def test_crossover_is_where_the_fft_stays_ahead(bench_kernels):
     # cells: direct, fft, direct real, fft real. The complex fft leads at
     # n = 2, falls behind at 3 and leads from 4 on; the real one never

@@ -424,7 +424,8 @@ class TestVerifyCommand:
         assert body["verified"] is True
         assert body["certified"] is True
         assert body["max_difference"] <= 1e-14
-        assert [r["check_name"] for r in body["rows"]] == ["residual_max"] + [
+        assert [r["check_name"] for r in body["rows"]] == [
+            "residual_max", "phi_norm"] + [
             r["check_name"] for r in load_report(solution)["body"]["checks"]]
         assert {r["verdict"] for r in body["rows"]} == {"pass"}
         assert body["missing"] == [] and body["unexpected"] == []
@@ -490,8 +491,9 @@ class TestVerifyCommand:
         assert body["verified"] is False
         assert body["unexpected"] == ["fourier_formula"]
         assert body["missing"] == []
-        # the table's rows are there once each, with a zero difference
-        assert len(body["rows"]) == 13
+        # the table's rows are there once each, with a zero difference,
+        # after the residual_max and phi_norm rows
+        assert len(body["rows"]) == 14
         assert body["max_difference"] == 0.0
 
     @pytest.mark.parametrize("check_name, key, value", [
@@ -614,6 +616,47 @@ class TestVerifyCommand:
         payload["body"]["solution"]["residual_max"] += 1e-9
         tampered = write_json(tmp_path / "tampered.json", payload)
         assert cli.main(["verify", tampered]) == 1
+
+    def test_rescaled_file_is_not_verified(self, tmp_path, capsys):
+        # every recomputed identity is homogeneous under (F, ||phi||) ->
+        # (c F, ||phi|| / c^(p-1)): F scaled by 1e-3 and ||phi|| by 1e9,
+        # with the recomputed residuals written back, reproduces every
+        # check, and only the phi_norm row, against Re phi(F), fails
+        config = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "p": 4, "degree": 128,
+            "kernel": POWER_DECAY_3})
+        solution = tmp_path / "s.json"
+        assert cli.main(["solve", "--config", config,
+                         "--out", str(solution)]) == 0
+        payload = load_report(solution)
+        recorded = payload["body"]["solution"]
+        genuine = recorded["phi_norm"]
+        recorded["coefficients"] = [[1e-3 * re, 1e-3 * im]
+                                    for re, im in recorded["coefficients"]]
+        recorded["phi_norm"] = 1e9 * genuine
+        rescaled = write_json(tmp_path / "rescaled.json", payload)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", rescaled, "--out", str(out)]) == 1
+        # the table's rows follow residual_max and phi_norm, in the order
+        # of the file's records
+        rows = load_report(out)["body"]["rows"]
+        assert len(rows) == 2 + len(payload["body"]["checks"])
+        for record, row in zip(payload["body"]["checks"], rows[2:]):
+            record["residual"] = row["recomputed"]
+        recorded["residual_max"] = rows[0]["recomputed"]
+        rescaled = write_json(tmp_path / "rescaled.json", payload)
+        capsys.readouterr()
+        assert cli.main(["verify", rescaled, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        body = load_strict_report(out)["body"]
+        assert body["verified"] is False
+        assert body["missing"] == [] and body["unexpected"] == []
+        phi = body["rows"][1]
+        assert phi["check_name"] == "phi_norm"
+        assert phi["recorded"] == 1e9 * genuine
+        assert phi["recomputed"] == pytest.approx(1e-3 * genuine, rel=1e-12)
+        assert phi["difference"] == body["max_difference"] > 1.0
+        assert [r for r in body["rows"] if r["difference"] > 0] == [phi]
 
     def test_tampered_coefficient_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
@@ -787,6 +830,15 @@ class TestCertifiedVerdict:
                     verdict = checks.certified(sol.residual_max, reports)
                     assert code == (0 if verdict else 1), (seed, p, name)
                     verdicts.append(verdict)
+                    # the file verifies, its phi_norm exactly Re phi(F)
+                    verified = str(tmp_path / "v.json")
+                    assert cli.main(["verify", out, "--out", verified]) == 0
+                    body = load_report(verified)["body"]
+                    assert body["verified"] is True, (seed, p, name)
+                    assert body["certified"] is verdict, (seed, p, name)
+                    phi = body["rows"][1]
+                    assert phi["check_name"] == "phi_norm"
+                    assert phi["difference"] == 0.0, (seed, p, name)
         # both outcomes occur: seed 1's random-0 fails its slack gate
         assert len(verdicts) == 36 and any(verdicts) and not all(verdicts)
 
@@ -1197,6 +1249,14 @@ class TestConfigFieldTypes:
         code, err = self.run(tmp_path, capsys, "growth", "family", value)
         assert code == 3
         assert "'family'" in err
+
+    @pytest.mark.parametrize("value", [5, None, True, {"type": "coeffs"}],
+                             ids=repr)
+    def test_growth_family_of_the_wrong_type(self, tmp_path, capsys, value):
+        # 'family' is read by the type rule of every other field
+        code, err = self.run(tmp_path, capsys, "growth", "family", value)
+        assert code == 3
+        assert err == "error: config field 'family' has the wrong type\n"
 
     @pytest.mark.parametrize("case", ["growth", "growth-explicit",
                                       "convergence", "hinfty", "oracle"])
@@ -1685,6 +1745,21 @@ class TestOracleCompare:
         assert (load_report(oracle)["body"]["solver_coefficients"]
                 == load_report(solution)["body"]["solution"]["coefficients"])
 
+    def test_kernel_vanishing_on_the_fixed_space(self, tmp_path, capsys):
+        # z^5 vanishes on P_3; oracle-compare reads no degree, so the
+        # error names its fixed space and gives no advice to raise one
+        config = write_json(tmp_path / "o.json", {
+            "schema_version": 1, "p": 4,
+            "kernel": {"type": "coeffs",
+                       "values": [[0.0, 0.0]] * 5 + [[1.0, 0.0]]}})
+        out = tmp_path / "oracle.json"
+        assert cli.main(["oracle-compare", "--config", config,
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: kernel vanishes on P_3, the fixed working space of "
+            "oracle-compare\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_truncated_kernel_warns_nothing(self, tmp_path, capsys):
         # the comparison is on S_3 k over P_3 by design, for a kernel of
@@ -1741,6 +1816,24 @@ class TestArgumentParsing:
         config = write_json(tmp_path / "c.json", {"schema_version": 1})
         assert self.exit_code(["oracle-compare", "--config", config,
                                "--format", "csv"]) == 3
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        assert self.exit_code(["--help"]) == 0
+        text = capsys.readouterr().out
+        commands = ("solve", "verify", "study", "oracle-compare")
+        assert "{" + ",".join(commands) + "}" in text
+        listed = [line.split()[0] for line in text.splitlines()
+                  if line.startswith("    ") and line.split()[0] in commands]
+        assert listed == list(commands)
+
+    @pytest.mark.parametrize("argv, has_format", [
+        (["study", "growth"], True),
+        (["solve"], False),
+        (["oracle-compare"], False),
+    ])
+    def test_only_study_shows_format(self, capsys, argv, has_format):
+        assert self.exit_code(argv + ["--help"]) == 0
+        assert ("--format" in capsys.readouterr().out) is has_format
 
 
 class TestReportFiles:
