@@ -56,7 +56,7 @@ from .families import power_decay_kernel
 from .kernelspec import (MAX_DEGREE, _check_degrees,
                          _check_growth_exponents, _check_positive, _require)
 from .poly import AnalyticPoly, rescaled
-from .solver import solve_ladder
+from .solver import certificate_degree, solve_ladder
 from .spaces import (
     _boundary_sup,
     abs_power_spectrum,
@@ -175,17 +175,18 @@ def check_fourier_formula(F, k, p, phi_norm, m):
 
 
 def coefficient_bound_sweep(solution):
-    """The coefficient bound over m = 0..2n; the report of the worst slack.
+    """The coefficient bound over m = 0..``certificate_degree(p, n)``; the
+    report of the worst slack.
 
     |b_m| <= (p / (2 ||phi||)) ||F||_{H^2} (sum_{t>=m} |c_t|^2)^{1/2}; in
     particular b_m = 0 whenever m exceeds the kernel degree. Slack is
     rhs - |b_m|, and the verdict tolerates round-off dips to
     -DEFAULT_SLACK_TOL. The context notes the frequency of the worst slack.
     """
-    F, k = solution.F, solution.kernel
+    F, k, p = solution.F, solution.kernel, solution.p
     return _coefficient_bound_report(
-        F, k, solution.p, rescaled(k.coeffs, solution.phi_norm),
-        2 * solution.degree, abs_power_spectrum(F, solution.p))
+        F, k, p, rescaled(k.coeffs, solution.phi_norm),
+        certificate_degree(p, solution.degree), abs_power_spectrum(F, p))
 
 
 def _tails(squares):
@@ -306,7 +307,8 @@ def _ryabykh_report(k, p, scaled, spectrum):
 def check_table(F, k, p, phi_norm, degree):
     """The fixed table of reports of a solution of this degree, in order:
     the norm equality, the Fourier formula at m = 0..FOURIER_M_MAX, the
-    coefficient-bound sweep over m = 0..2*degree and Ryabykh's bound.
+    coefficient-bound sweep over m = 0..``certificate_degree(p, degree)``,
+    the certificate's range, and Ryabykh's bound.
 
     ``bergex solve`` records it and ``bergex verify`` recomputes it, as
     the single-check functions build each report. The two sides of the
@@ -318,7 +320,8 @@ def check_table(F, k, p, phi_norm, degree):
     return [_equality_report("norm_equality", sides, 0, k, p),
             *(_equality_report("fourier_formula", sides, m, k, p)
               for m in range(FOURIER_M_MAX + 1)),
-            _coefficient_bound_report(F, k, p, scaled, 2 * degree, sides[0]),
+            _coefficient_bound_report(F, k, p, scaled,
+                                      certificate_degree(p, degree), sides[0]),
             _ryabykh_report(k, p, scaled, sides[0])]
 
 

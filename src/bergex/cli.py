@@ -15,7 +15,8 @@ file's problem, F and ||phi||, checks ||phi|| against Re phi(F),
 compares, and reports the same verdict.
 Every command solves at ``solver.TOLERANCE``: a config holds the problem
 alone, and a key nothing reads, such as the 'tolerance' of older configs
-and solution files, is ignored.
+and solution files or an older growth config's 'max_study_degree', is
+ignored.
 
 Exit codes: 0 all checks passed, 1 a solve that ``checks.certified``
 fails (a check failed or the certificate's residual_max exceeds
@@ -95,16 +96,22 @@ def _load_json(path, what):
     return data
 
 
-def _problem(config, what="config"):
-    """(p, degree, kernel spec, kernel) of a solve config, or of the
-    problem a solution file records, read in that order and the kernel
-    realized from its spec; ``what`` names the document, as for
+def _kernel(config, what="config"):
+    """(spec, kernel) of the 'kernel' field: its canonical spec and the
+    kernel realized from it; ``what`` names the document, as for
     ``_field``."""
-    p = _field(config, "p", int, _check_exponent, what=what)
-    degree = _field(config, "degree", int, _check_degree, what=what)
     spec = kernelspec.from_dict(_field(config, "kernel", dict, what=what),
                                 what)
-    return p, degree, spec, kernelspec.realize(spec)
+    return spec, kernelspec.realize(spec)
+
+
+def _problem(config, what="config"):
+    """(p, degree, kernel spec, kernel) of a solve config, or of the
+    problem a solution file records, read in that order; ``what`` names
+    the document, as for ``_field``."""
+    p = _field(config, "p", int, _check_exponent, what=what)
+    degree = _field(config, "degree", int, _check_degree, what=what)
+    return (p, degree, *_kernel(config, what))
 
 
 def _jsonable(value):
@@ -257,8 +264,9 @@ def run_verify(solution_path, out=None):
     ||phi||, and the phi_norm row checks that value against Re phi(F),
     which ``solve_ladder`` records: every identity is homogeneous under
     (F, ||phi||) -> (c F, ||phi|| / c^(p-1)), so without that row a
-    rescaled file would verify. Its verdict is a pass when Re phi(F) is
-    positive and finite."""
+    rescaled file would verify. Its difference is relative to Re phi(F),
+    so that the rule holds at every kernel scale, and its verdict is a
+    pass when Re phi(F) is positive and finite."""
     what = "solution file"
     field = partial(_field, what=what)
     payload = _load_json(solution_path, what)
@@ -292,15 +300,18 @@ def run_verify(solution_path, out=None):
             unpaired[i], recorded[i] = None, residual
         else:
             unexpected.append(identity[0])
-    rows = [("residual_max", recorded_max, residual_max,
+    # (name, recorded, recomputed, scale, verdict); the row's difference
+    # is |recorded - recomputed| / scale, and infinite at scale 0
+    rows = [("residual_max", recorded_max, residual_max, 1.0,
              "pass" if certified(residual_max, []) else "fail"),
-            ("phi_norm", phi_norm, phi_value,
+            ("phi_norm", phi_norm, phi_value, abs(phi_value),
              "pass" if 0 < phi_value < math.inf else "fail")]
-    rows += [(r.check_name, recorded[i], float(r.residual), r.verdict)
+    rows += [(r.check_name, recorded[i], float(r.residual), 1.0, r.verdict)
              for i, r in enumerate(reports) if i in recorded]
     rows = [{"check_name": name, "recorded": old, "recomputed": new,
-             "verdict": verdict, "difference": abs(new - old)}
-            for name, old, new, verdict in rows]
+             "verdict": verdict,
+             "difference": abs(new - old) / scale if scale else math.inf}
+            for name, old, new, scale, verdict in rows]
     worst = float(np.max([row["difference"] for row in rows]))  # NaN fails
     missing = [r.check_name for i, r in enumerate(reports) if unpaired[i]]
 
@@ -344,19 +355,17 @@ def run_growth_study(config, out=None, fmt="csv", seed=None):
 
 
 def _study_family(config, seed):
-    """Family for studies, the standard one or explicit kernel specs, and
-    the seed to record: the standard family's random kernels are drawn
-    from ``seed``, or from DEFAULT_SEED when it is None, and explicit specs
+    """Family for studies, and the seed to record: the standard family,
+    each kernel at its calibrated degree, or explicit kernel specs at the
+    config's degree. The standard family's random kernels are drawn from
+    ``seed``, or from DEFAULT_SEED when it is None, and explicit specs
     draw nothing, so they record None."""
     specs = _field(config, "family", (str, list), lambda v: _require(
         v == "standard" or isinstance(v, list) and v, "family must be "
         "\"standard\" or a non-empty list of kernel specs"), "standard")
     if specs == "standard":
         seed = DEFAULT_SEED if seed is None else seed
-        limit = _field(config, "max_study_degree", int, lambda v: _require(
-            v >= 0, "max_study_degree must be >= 0"), 128)
-        return [(name, k, min(d, limit))
-                for name, k, d in standard_family(seed)], seed
+        return standard_family(seed), seed
     degree = _field(config, "degree", int, _check_degree, 64)
     return [(kernelspec.describe(spec), kernelspec.realize(spec), degree)
             for spec in map(kernelspec.from_dict, specs)], None
@@ -365,8 +374,7 @@ def _study_family(config, seed):
 def run_convergence_study(config, out=None, fmt="csv"):
     p = _field(config, "p", int, _check_exponent)
     degrees = _field(config, "degrees", list, _check_degrees)
-    kernel = kernelspec.realize(kernelspec.from_dict(
-        _field(config, "kernel", dict)))
+    _, kernel = _kernel(config)
     rows = convergence_study(kernel, p, degrees)
     _emit_study(_header(), [{"degree": n, "distance": d} for n, d in rows],
                 out, fmt)
@@ -391,14 +399,13 @@ def run_oracle_compare(config, out=None):
     a truncation made on purpose. A kernel that vanishes on P_3 is
     rejected naming that fixed space, since no degree can be raised."""
     p = _field(config, "p", int, _check_exponent)
-    kernel = kernelspec.realize(kernelspec.from_dict(
-        _field(config, "kernel", dict)))
+    _, kernel = _kernel(config)
     try:
         _check_kernel(kernel, ORACLE_DEGREE)
     except ValueError:
         raise ValueError(f"kernel vanishes on P_{ORACLE_DEGREE}, the fixed "
                          f"working space of oracle-compare") from None
-    oracle_F = brute_force_oracle(kernel, p, degree=ORACLE_DEGREE)
+    oracle_F = brute_force_oracle(kernel, p, ORACLE_DEGREE)
     solution = next(solve_ladder(p, kernel, [ORACLE_DEGREE]))
     gap = float(np.max(np.abs(oracle_F.padded(ORACLE_DEGREE + 1)
                               - solution.F.padded(ORACLE_DEGREE + 1))))

@@ -7,12 +7,14 @@ Three groups, mirroring the kinds of functionals the theory speaks about:
 * seeded random kernels with a geometric decay envelope.
 
 Each member carries a production degree: the working degree at which its
-solve is certified. The degrees are calibrated so that the extremality
-certificate clears 1e-8 over test degrees up to max(2, p/2) n, the
-range of ``solver.certificate_degree`` (3n at p = 6), and the Fourier
-coefficients of |F|^p beyond the kernel degree sit at the solver's
-round-off floor. Slowly decaying extremal functions need visibly more
-degree than fast ones, which is why the table is per-kernel.
+solve is certified, and at which the growth study solves it. The degrees
+are calibrated so that the extremality certificate clears 1e-8 over test
+degrees up to max(2, p/2) n, the range of ``solver.certificate_degree``
+(3n at p = 6), and so that the coefficient-bound sweep, which reads the
+same range, passes: the Fourier coefficients of |F|^p beyond the kernel
+degree sit at the solver's round-off floor. Slowly decaying extremal
+functions need visibly more degree than fast ones, which is why the
+table is per-kernel.
 
 Random coefficients get the decay envelope on purpose: a kernel whose
 extremal function decays too slowly would need degrees in the thousands

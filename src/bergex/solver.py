@@ -177,7 +177,9 @@ class ExtremalSolution:
 
 def certificate_degree(p, degree):
     """The highest monomial degree j the certificate tests, max(2, p/2) n:
-    the pairings vanish past j = (p/2) n, and the kernel side past deg k."""
+    the pairings vanish past j = (p/2) n, and the kernel side past deg k.
+    The coefficient-bound sweep of ``checks`` covers the same m, the whole
+    spectrum of |F_n|^p."""
     return max(2, p // 2) * degree
 
 
@@ -635,7 +637,7 @@ def solve_extremal(problem):
     return next(solve_ladder(problem.p, problem.kernel, [problem.degree]))
 
 
-def brute_force_oracle(k, p, degree=3):
+def brute_force_oracle(k, p, degree):
     """Independent solve over a small space by Newton on disc quadrature.
 
     Returns the unit-norm extremal F as an ``AnalyticPoly``. Minimizes the

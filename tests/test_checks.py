@@ -338,6 +338,24 @@ class TestCoefficientBoundSweep:
         assert report.residual == pytest.approx(slack, abs=1e-15)
         assert sweep_report(sol, 2 * sol.degree) == report
 
+    def test_table_sweeps_the_certificate_range(self):
+        # the sweep covers m = 0..certificate_degree(p, n), max(2, p/2) n,
+        # the certificate's range and the whole spectrum of |F_n|^p: past
+        # 2n from p = 6 on, where it agrees with the per-m bound
+        kernel, n = as_poly([1.0, 1.0]), 160
+        for p in (2, 4, 6, 8):
+            sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel,
+                                                 degree=n))
+            sweep = check_table(sol.F, kernel, p, sol.phi_norm, n)[10]
+            assert sweep.check_name == "coefficient_bound_sweep"
+            m_max = solver.certificate_degree(p, n)
+            assert sweep.context["m_max"] == m_max == max(2, p // 2) * n
+            assert sweep == coefficient_bound_sweep(sol)
+            if p == 6:
+                worst_m, slack = reference_sweep(sol, m_max)
+                assert sweep.context["worst_m"] == worst_m
+                assert sweep.residual == pytest.approx(slack, abs=1e-15)
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
     def test_extreme_kernel_scale(self, one_plus_z_solution, scale):
         # the bound is homogeneous in (k, ||phi||); squaring the raw

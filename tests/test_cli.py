@@ -658,12 +658,72 @@ class TestVerifyCommand:
         assert phi["difference"] == body["max_difference"] > 1.0
         assert [r for r in body["rows"] if r["difference"] > 0] == [phi]
 
+    def test_rescaled_file_with_tiny_phi_norm_is_not_verified(self,
+                                                              tmp_path):
+        # the phi_norm row's difference is relative to Re phi(F): at the
+        # kernel 1e-20 (1 + z), ||phi|| lies far below VERIFY_TOLERANCE,
+        # and F scaled by 0.5 with ||phi|| by 8 = 0.5^-(p-1) and the
+        # recomputed residuals written back still fails, where genuine
+        # files of the kernel and of 1e300 times it verify
+        def solve(scale):
+            config = write_json(tmp_path / "c.json", {
+                "schema_version": 1, "p": 4, "degree": 16,
+                "kernel": scaled_one_plus_z(scale)})
+            cli.main(["solve", "--config", config,
+                      "--out", str(tmp_path / "s.json")])
+            return load_report(tmp_path / "s.json")
+
+        def verify(payload):
+            path = write_json(tmp_path / "s.json", payload)
+            code = cli.main(["verify", path, "--out", str(out)])
+            return code, load_strict_report(out)["body"]
+
+        out = tmp_path / "verify.json"
+        payload = solve(1e-20)
+        for genuine in (payload, solve(1e280)):
+            code, body = verify(genuine)
+            assert code == 0 and body["verified"] is True
+            assert body["rows"][1]["difference"] == 0.0
+        recorded = payload["body"]["solution"]
+        recorded["coefficients"] = [[0.5 * re, 0.5 * im]
+                                    for re, im in recorded["coefficients"]]
+        recorded["phi_norm"] *= 8.0
+        _, body = verify(payload)
+        for record, row in zip(payload["body"]["checks"], body["rows"][2:]):
+            record["residual"] = row["recomputed"]
+        recorded["residual_max"] = body["rows"][0]["recomputed"]
+        code, body = verify(payload)
+        assert code == 1 and body["verified"] is False
+        phi = body["rows"][1]
+        assert phi["recorded"] == pytest.approx(16.0 * phi["recomputed"])
+        assert phi["difference"] == body["max_difference"]
+        assert phi["difference"] == pytest.approx(15.0)
+        assert [r for r in body["rows"] if r["difference"] > 0] == [phi]
+
     def test_tampered_coefficient_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
         payload = load_report(solution)
         payload["body"]["solution"]["coefficients"][1][0] += 1e-6
         tampered = write_json(tmp_path / "tampered.json", payload)
         assert cli.main(["verify", tampered]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_phi_value_is_an_infinite_difference(
+            self, solved_artifact, tmp_path):
+        # F = 1 pairs to Re phi(F) = 0 with the kernel z: the phi_norm
+        # row's difference, relative to that, is infinite and written null
+        _, solution = solved_artifact
+        payload = load_report(solution)
+        payload["body"]["solution"]["coefficients"] = [[1.0, 0.0]]
+        tampered = write_json(tmp_path / "tampered.json", payload)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", tampered, "--out", str(out)]) == 1
+        body = load_strict_report(out)["body"]
+        assert body["verified"] is False and body["max_difference"] is None
+        assert body["rows"][1] == {
+            "check_name": "phi_norm", "difference": None, "recomputed": 0.0,
+            "recorded": payload["body"]["solution"]["phi_norm"],
+            "verdict": "fail"}
 
     def test_nan_recorded_residual_detected(self, solved_artifact, tmp_path):
         _, solution = solved_artifact
@@ -886,13 +946,14 @@ class TestCertifiedVerdict:
         kernel, degree = next((k, n) for name, k, n in standard_family()
                               if name == "random-0")
         sol = solve_extremal(ExtremalProblem(6, kernel, degree))
+        m_max = solver.certificate_degree(6, degree)
         shim = cli.check_coefficient_sweep_for_verify(
-            sol.F, kernel, 6, sol.phi_norm, 2 * degree)
+            sol.F, kernel, 6, sol.phi_norm, m_max)
         [entry] = [r for r in checks.check_table(sol.F, kernel, 6,
                                                  sol.phi_norm, degree)
                    if r.check_name == "coefficient_bound_sweep"]
         assert vars(shim) == vars(entry)
-        assert shim.context["m_max"] == 2 * degree
+        assert shim.context["m_max"] == m_max == 3 * degree
 
 
 class TestExitCodes:
@@ -1105,8 +1166,7 @@ FIELD_CASES = {
 }
 
 INTEGER_FIELDS = [
-    ("solve", "degree"), ("growth", "max_study_degree"),
-    ("growth-explicit", "degree"), ("growth", "seed"),
+    ("solve", "degree"), ("growth-explicit", "degree"), ("growth", "seed"),
 ]
 # integer fields that configs no longer read: keys nothing reads, which
 # change neither the exit code nor the report
@@ -1114,6 +1174,7 @@ IGNORED_FIELDS = [
     ("solve", "max_iterations"), ("solve", "seed"),
     ("oracle", "oracle_degree"), ("oracle", "seed"),
     ("convergence", "seed"), ("hinfty", "seed"),
+    ("growth", "max_study_degree"),
 ]
 NOT_INTEGERS = [math.inf, True, False, 8.0, "8", [8], {"n": 8}, None, -1]
 
@@ -1341,6 +1402,23 @@ class TestGrowthStudy:
             ratio = float(row["ratio"])
             assert 1.0 / empirical <= ratio <= empirical
 
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_standard_family_at_its_calibrated_degrees(self, tmp_path, p):
+        # the default study solves each standard-family kernel at its
+        # calibrated degree, at which it certifies: its rows are
+        # growth_study's on standard_family(seed) as it stands
+        config = write_json(tmp_path / "g.json", {"schema_version": 1, "p": p})
+        out = tmp_path / "g.json.out"
+        assert cli.main(["study", "growth", "--config", config,
+                         "--format", "json", "--out", str(out)]) == 0
+        family = standard_family(load_report(out)["header"]["seed"])
+        rows = checks.growth_study(family, p, [p / (p - 1.0), 2.0, 4.0])
+        assert load_report(out)["body"]["rows"] == [vars(r) for r in rows]
+        for _, kernel, degree in family:
+            sol = solve_extremal(ExtremalProblem(p, kernel, degree))
+            assert checks.certified(sol.residual_max, checks.check_table(
+                sol.F, kernel, p, sol.phi_norm, degree))
+
     def test_constant_kernel_ratio_is_one(self, tmp_path):
         out = str(tmp_path / "g.csv")
         cli.main(["study", "growth", "--config", self.config(tmp_path),
@@ -1398,15 +1476,13 @@ class TestGrowthStudy:
         assert default["header"]["seed"] == 20240901
         assert default["body"] == explicit["body"]
 
-    # max_study_degree 16 truncates the 64-term power-decay kernels, and
-    # degree 8 a 40-term one: the study solves S_n k on purpose, and warns
-    # of no truncation
+    # degree 8 truncates a 40-term kernel: the study solves S_n k on
+    # purpose, and warns of no truncation
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config", [
-        {"max_study_degree": 16},
         {"family": [{"type": "power_decay", "alpha": 2.0, "count": 40}],
          "degree": 8},
-    ], ids=["capped-standard", "explicit"])
+    ], ids=["explicit"])
     def test_truncating_study_warns_nothing(self, tmp_path, capsys, config):
         path = write_json(tmp_path / "g.json",
                           {"schema_version": 1, "p": 4, **config})
@@ -1541,9 +1617,7 @@ class TestConvergenceStudy:
 @pytest.mark.parametrize("kind, config", [
     ("convergence", {"kernel": MONOMIAL_Z, "degrees": [0, 4]}),
     ("growth", {"family": [MONOMIAL_Z], "degree": 0}),
-    # the standard family's monomial-z
-    ("growth", {"max_study_degree": 0}),
-], ids=["convergence", "growth-explicit", "growth-standard"])
+], ids=["convergence", "growth-explicit"])
 def test_study_degree_on_which_the_kernel_vanishes(tmp_path, capsys, kind,
                                                     config):
     path = write_json(tmp_path / "c.json",

@@ -5,7 +5,8 @@ per command. A field becomes another valid value, a value of the wrong
 type or an edge number, or is dropped; an entry of a list of records (a
 kernel's coefficients, a family's specs, a study's degrees, a solution's
 coefficients and check records) is dropped or duplicated. Each edited
-input runs through ``cli.main`` at degrees of at most 16. No input
+input runs through ``cli.main`` at degrees of at most 16, but for the
+growth study's standard family at its calibrated degrees. No input
 raises a Python warning. A command that exits 0 or 1 writes nothing to
 stderr, except ``bergex solve``'s one ``warning:`` line for a degree
 below the kernel's.
@@ -102,19 +103,20 @@ COMMANDS = {
         ("body",): WRONG,
     }, [("body", "solution", "coefficients"), ("body", "checks"),
         ("body", "problem", "kernel", "values")]),
-    # the two growth bases, a capped standard family and an explicit family
-    # truncated at degree 8, solve S_n k on purpose
+    # the two growth bases: the standard family at its calibrated degrees,
+    # and an explicit family truncated at degree 8, which solves S_n k on
+    # purpose
     "growth": (["study", "growth"],
-               {"schema_version": 1, "p": 4, "max_study_degree": 16}, {
+               {"schema_version": 1, "p": 4}, {
                    **STUDY_FIELDS, **SEED,
                    ("q1_list",): field(st.lists(st.sampled_from(
                        [4.0 / 3.0, 1.5, 2.0, 4.0]), min_size=1, max_size=3)),
                    ("family",): field(st.one_of(st.just("standard"),
                                                 st.lists(SPEC, max_size=3))),
                    ("degree",): field(st.integers(0, 16)),
-                   # dropped, the cap is 128
-                   ("max_study_degree",): st.one_of(st.integers(0, 16),
-                                                    WRONG),
+                   # a key nothing reads: the standard family's degrees
+                   # are its own
+                   ("max_study_degree",): field(st.integers(-3, 3)),
                }, [("q1_list",), ("family",)]),
     "growth-explicit": (
         ["study", "growth"],
@@ -203,8 +205,8 @@ def base_input(name):
 @example(("verify", [(("body", "solution", "phi_norm"), 1e308)]))
 @example(("verify", [(("body", "solution", "coefficients", 0),
                       [1e308, 0.0])]))
-# the base inputs of growth and oracle-compare solve S_n k below the
-# kernel's degree
+# the base inputs: the standard family at its calibrated degrees, and
+# S_n k below the kernel's degree in growth-explicit and oracle-compare
 @example(("growth", []))
 @example(("growth-explicit", []))
 @example(("oracle-compare", []))
