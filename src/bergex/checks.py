@@ -38,6 +38,12 @@ extremal function, so residuals measure truncation quality: they shrink
 as n grows when compared against a reference functional norm from a
 higher-degree solve. ``norm_equality_decay_study`` packages that.
 
+The studies behind ``bergex study``, ``growth_study``,
+``convergence_study`` and ``check_hinfty_criterion``, each return the
+report the command writes, (rows, trailers): a list of dicts keyed by
+column and a dict of trailers, in the order written. A row's columns
+are set here alone.
+
 The checks and studies keep only the identities and their control flow
 here. Every Hardy norm comes from ``spaces``, which picks its route
 (exact at an even exponent, quadrature otherwise) and, through
@@ -53,8 +59,8 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .kernelspec import (MAX_DEGREE, _check_degrees,
-                         _check_growth_exponents, _check_positive, _require)
+from .kernelspec import (MAX_DEGREE, _check_degrees, _check_growth_exponents,
+                         _check_index, _check_positive, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import certificate_degree, solve_ladder
 from .spaces import (
@@ -83,10 +89,7 @@ class VerificationReport:
     Equalities (norm equality, Fourier formula): ``residual`` is |lhs - rhs|
     relative to max(1, |lhs|), pass iff <= tolerance. Coefficient bound: the
     slack rhs - lhs, pass iff >= -tolerance (solver round-off). Ryabykh
-    bound lhs <= rhs: lhs/rhs - 1, pass iff <= tolerance. H-infinity
-    criterion: the relative growth of the boundary sup, pass iff <=
-    tolerance, or "withheld" when alpha <= 3/2 puts the run outside the
-    hypothesis.
+    bound lhs <= rhs: lhs/rhs - 1, pass iff <= tolerance.
     """
 
     check_name: str
@@ -129,8 +132,6 @@ def _boundary_sides(F, p, scaled):
 def _equality_report(name, sides, m, k, p):
     """The ``name`` report at frequency m (0 for "norm_equality"), read
     from ``_boundary_sides``."""
-    if m < 0:
-        raise ValueError("frequency m must be nonnegative")
     lhs_side, rhs_side = sides
     if m < len(lhs_side):
         lhs, rhs = complex(lhs_side[m]), complex(rhs_side[m])
@@ -167,8 +168,10 @@ def check_fourier_formula(F, k, p, phi_norm, m):
     """Fourier coefficient of |F|^p at frequency m against the kernel side.
 
     The h = z^m specialization; at m = 0 this reproduces the
-    norm-equality residual exactly (same arrays, same entry).
+    norm-equality residual exactly (same arrays, same entry). Raises
+    ValueError unless m passes ``_check_index``.
     """
+    _check_index(m, "m")
     return _equality_report(
         "fourier_formula", _boundary_sides(F, p, rescaled(k.coeffs, phi_norm)),
         m, k, p)
@@ -315,13 +318,13 @@ def check_table(F, k, p, phi_norm, degree):
     weighted boundary formula, and with them the spectrum of |F|^p, are
     computed once for all of them, as is the ``rescaled`` kernel.
     """
+    m_max = certificate_degree(p, degree)
     scaled = rescaled(k.coeffs, phi_norm)
     sides = _boundary_sides(F, p, scaled)
     return [_equality_report("norm_equality", sides, 0, k, p),
             *(_equality_report("fourier_formula", sides, m, k, p)
               for m in range(FOURIER_M_MAX + 1)),
-            _coefficient_bound_report(F, k, p, scaled,
-                                      certificate_degree(p, degree), sides[0]),
+            _coefficient_bound_report(F, k, p, scaled, m_max, sides[0]),
             _ryabykh_report(k, p, scaled, sides[0])]
 
 
@@ -342,54 +345,32 @@ def check_hinfty_criterion(alpha, p, degrees):
     grows. The desk-scale proxy: relative growth of sup|F_n| between the
     two largest degrees at most HINFTY_GROWTH_TOL. One degree ladder
     (``solve_ladder``) solves S_n k over P_n once per distinct degree n,
-    and there must be two. The report also records the l1 mass of the
-    Fourier coefficients of |F_n|^p at each degree, the quantity whose
-    summability drives the boundedness argument.
+    and there must be two. Each row also records the l1 mass of the
+    Fourier coefficients of |F_n|^p, the quantity whose summability
+    drives the boundedness argument.
 
+    Returns (rows, trailers), the report ``bergex study hinfty`` writes:
+    one row {degree, sup, l1_mass} per distinct degree, ascending, and
+    the trailers ``relative_growth`` and ``verdict``, "pass" or "fail".
     alpha <= 3/2 is outside the hypothesis: the sweep still runs, but the
-    verdict is withheld. Before any solve it raises ValueError unless
+    verdict is "withheld". Before any solve it raises ValueError unless
     alpha is positive and finite (``_check_positive``), ``degrees`` holds
-    two distinct working degrees (``_check_degrees``) and p is an exponent
-    (``_check_exponent``, through the ladder).
+    two distinct working degrees (``_check_degrees``) and p is an
+    exponent (``_check_exponent``, through the ladder).
     """
     _check_positive(alpha)
     _check_degrees(degrees)
-    degrees = sorted(set(degrees))
-    k = power_decay_kernel(alpha, degrees[-1] + 1)
-    sups = {}
-    l1 = {}
+    k = power_decay_kernel(alpha, max(degrees) + 1)
+    rows = []
     for solution in solve_ladder(p, k, degrees):
-        n, F = solution.degree, solution.F
-        sups[n] = _boundary_sup(F)
-        spec = np.abs(abs_power_spectrum(F, p))
-        l1[n] = float(spec[0] + 2.0 * np.sum(spec[1:]))
-    n_hi, n_lo = degrees[-1], degrees[-2]
-    growth = sups[n_hi] / sups[n_lo] - 1.0
+        spec = np.abs(abs_power_spectrum(solution.F, p))
+        rows.append({"degree": solution.degree,
+                     "sup": _boundary_sup(solution.F),
+                     "l1_mass": float(spec[0] + 2.0 * np.sum(spec[1:]))})
+    growth = rows[-1]["sup"] / rows[-2]["sup"] - 1.0
     verdict = "withheld" if alpha <= 1.5 else (
         "pass" if growth <= HINFTY_GROWTH_TOL else "fail")
-    return VerificationReport(
-        check_name="hinfty_criterion",
-        lhs=sups[n_hi],
-        rhs=sups[n_lo],
-        residual=growth,
-        tolerance=HINFTY_GROWTH_TOL,
-        verdict=verdict,
-        context={"p": p, "alpha": alpha, "degrees": list(degrees),
-                 "sup_by_degree": sups, "l1_by_degree": l1},
-    )
-
-
-@dataclass(frozen=True)
-class GrowthStudyRow:
-    """One (kernel, q1) entry of the Hardy-growth ratio study."""
-
-    kernel_id: str
-    q1: float
-    p1: float
-    k_hardy: float
-    k_bergman: float
-    F_hardy: float
-    ratio: float
+    return rows, {"relative_growth": growth, "verdict": verdict}
 
 
 def growth_study(family, p, q1_list):
@@ -403,9 +384,15 @@ def growth_study(family, p, q1_list):
 
     F lies in H^{p1} precisely when k lies in H^{q1}, with two-sided
     norm bounds, so the ratios stay inside a fixed band [1/C, C]; C is
-    recorded empirically by the caller, not asserted here. Before any
-    solve it raises ValueError unless p is an exponent and ``q1_list`` a
-    non-empty list of such q1 (``_check_growth_exponents``).
+    measured, not asserted. Before any solve it raises ValueError unless
+    p is an exponent and ``q1_list`` a non-empty list of such q1
+    (``_check_growth_exponents``).
+
+    Returns (rows, trailers), the report ``bergex study growth`` writes:
+    one row {kernel_id, q1, p1, k_hardy, k_bergman, F_hardy, ratio} per
+    kernel and q1, in the family's and the list's order, and the trailer
+    ``empirical_C``, the smallest C >= 1 with every ratio in [1/C, C]:
+    the largest of the ratios and their reciprocals, NaN when a ratio is.
     """
     _check_growth_exponents(q1_list, p)
     q = p / (p - 1.0)
@@ -420,16 +407,14 @@ def growth_study(family, p, q1_list):
         k_norms = hardy_norms(kernel, q1_list)
         for q1, p1, F_hardy, k_hardy in zip(q1_list, p1_list, F_norms,
                                             k_norms):
-            rows.append(GrowthStudyRow(
-                kernel_id=kernel_id,
-                q1=float(q1),
-                p1=float(p1),
-                k_hardy=k_hardy,
-                k_bergman=k_bergman,
-                F_hardy=F_hardy,
-                ratio=F_hardy ** (p - 1) * k_bergman / k_hardy,
-            ))
-    return rows
+            rows.append({"kernel_id": kernel_id, "q1": float(q1),
+                         "p1": float(p1), "k_hardy": k_hardy,
+                         "k_bergman": k_bergman, "F_hardy": F_hardy,
+                         "ratio": F_hardy ** (p - 1) * k_bergman / k_hardy})
+    ratios = np.array([row["ratio"] for row in rows])
+    # np.max, unlike max(), keeps a NaN ratio
+    return rows, {"empirical_C": float(np.max([ratios, 1.0 / ratios],
+                                              initial=1.0))}
 
 
 def convergence_study(k, p, degrees):
@@ -443,11 +428,15 @@ def convergence_study(k, p, degrees):
     at large p. Distances decrease as n grows once past the small-n regime. Before
     any solve it raises ValueError unless ``degrees`` holds two distinct
     working degrees (``_check_degrees``), and as ``solve_ladder`` does.
+
+    Returns (rows, trailers), the report ``bergex study convergence``
+    writes: the rows {degree, distance}, and no trailer.
     """
     _check_degrees(degrees)
     solutions = list(solve_ladder(p, k, degrees))
     F_ref = solutions[-1].F
-    return [(s.degree, hardy_norms(s.F - F_ref, [p])[0]) for s in solutions]
+    return [{"degree": s.degree, "distance": hardy_norms(s.F - F_ref, [p])[0]}
+            for s in solutions], {}
 
 
 def norm_equality_decay_study(k, p, degrees):

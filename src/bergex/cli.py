@@ -166,22 +166,23 @@ def _emit_json(header, body, out):
     _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
-def _emit_study(header, rows, out, fmt, **summary):
-    """A study report: its rows of like-keyed dicts, then its summary.
+def _emit_study(header, rows, trailers, out, fmt):
+    """A study report: its rows of like-keyed dicts, then its trailers,
+    as a ``checks`` study returns them.
 
     CSV writes the header as ``# key: value`` lines, then the rows under
-    the first row's keys, then the summary the same way as the header.
-    JSON writes the rows as ``rows`` beside the summary's keys.
+    the first row's keys, then the trailers the same way as the header.
+    JSON writes the rows as ``rows`` beside the trailers' keys.
     """
     if fmt != "csv":
-        _emit_json(header, _jsonable({"rows": rows, **summary}), out)
+        _emit_json(header, _jsonable({"rows": rows, **trailers}), out)
         return
     buf = io.StringIO()
     buf.writelines(f"# {key}: {value}\n" for key, value in header.items())
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    buf.writelines(f"# {key}: {value}\n" for key, value in summary.items())
+    buf.writelines(f"# {key}: {value}\n" for key, value in trailers.items())
     _write(buf.getvalue(), out)
 
 
@@ -337,20 +338,18 @@ def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p = _field(config, "p", int, _check_exponent)
-    # by default q, 2 and 4, less those past the rule's bound
+    # by default q, 2 and 4, less repeats (q = 2 at p = 2) and those past
+    # the rule's bound
     q1_list = _field(config, "q1_list", list,
                      lambda v: _check_growth_exponents(v, p),
-                     [q1 for q1 in (p / (p - 1.0), 2.0, 4.0)
-                      if _growth_exponent(q1, p)])
+                     list(dict.fromkeys(q1 for q1 in (p / (p - 1.0), 2.0, 4.0)
+                                        if _growth_exponent(q1, p))))
     if seed is None:
         seed = _field(config, "seed", int, lambda v: _require(
             v >= 0, "seed must be >= 0"), None)
     family, seed = _study_family(config, seed)
-    rows = growth_study(family, p, q1_list)
-    # np.max, unlike max(), keeps a NaN ratio
-    ratios = np.array([r.ratio for r in rows])
-    _emit_study(_header(seed), [vars(r) for r in rows], out, fmt,
-                empirical_C=float(np.max([ratios.max(), 1.0 / ratios.min()])))
+    rows, trailers = growth_study(family, p, q1_list)
+    _emit_study(_header(seed), rows, trailers, out, fmt)
     return EXIT_OK
 
 
@@ -375,9 +374,8 @@ def run_convergence_study(config, out=None, fmt="csv"):
     p = _field(config, "p", int, _check_exponent)
     degrees = _field(config, "degrees", list, _check_degrees)
     _, kernel = _kernel(config)
-    rows = convergence_study(kernel, p, degrees)
-    _emit_study(_header(), [{"degree": n, "distance": d} for n, d in rows],
-                out, fmt)
+    rows, trailers = convergence_study(kernel, p, degrees)
+    _emit_study(_header(), rows, trailers, out, fmt)
     return EXIT_OK
 
 
@@ -385,13 +383,10 @@ def run_hinfty_study(config, out=None, fmt="csv"):
     p = _field(config, "p", int, _check_exponent)
     alpha = _field(config, "alpha", float, _check_positive)
     degrees = _field(config, "degrees", list, _check_degrees, [16, 32, 64])
-    report = check_hinfty_criterion(alpha, p, degrees)
-    l1 = report.context["l1_by_degree"]
-    rows = [{"degree": n, "sup": sup, "l1_mass": l1[n]}
-            for n, sup in sorted(report.context["sup_by_degree"].items())]
-    _emit_study(_header(), rows, out, fmt,
-                relative_growth=report.residual, verdict=report.verdict)
-    return EXIT_OK if report.verdict in ("pass", "withheld") else EXIT_CHECK_FAILED
+    rows, trailers = check_hinfty_criterion(alpha, p, degrees)
+    _emit_study(_header(), rows, trailers, out, fmt)
+    return (EXIT_OK if trailers["verdict"] in ("pass", "withheld")
+            else EXIT_CHECK_FAILED)
 
 
 def run_oracle_compare(config, out=None):

@@ -10,8 +10,9 @@ human-readable id used to key study rows. ``_field``, the type rule of
 every JSON field of a config or a solution file, lives here so that spec
 fields and the CLI's fields share it, and so do the input rules, each a ``_check_*`` function
 that raises ValueError naming its parameter: p, a working degree, a
-study's degree list, the growth study's q1, a positive number (the
-hinfty study's alpha) and a kernel nonzero on its working space. The
+nonnegative index (a frequency m or a monomial degree), a study's degree
+list, the growth study's q1, a positive number (the hinfty study's
+alpha) and a kernel nonzero on its working space. The
 solver, the checks, ``spaces`` (which cannot import the solver) and the
 CLI's readers call them, and state them nowhere else.
 """
@@ -61,6 +62,14 @@ def _check_degree(n, name="degree"):
     _require(not isinstance(n, bool) and isinstance(n, numbers.Integral)
              and 0 <= n <= MAX_DEGREE,
              f"{name} must be an integer in 0..{MAX_DEGREE}, got {n!r}")
+
+
+def _check_index(m, name):
+    """Raise ValueError unless m, the frequency or monomial degree that
+    ``name`` names, is a nonnegative integer; true and false are no
+    integers."""
+    _require(not isinstance(m, bool) and isinstance(m, numbers.Integral)
+             and m >= 0, f"{name} must be a nonnegative integer, got {m!r}")
 
 
 def _check_degrees(degrees, least=2):

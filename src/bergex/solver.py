@@ -111,7 +111,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._backend import conv, power, xcorr
 from .kernelspec import (_check_degree, _check_degrees, _check_exponent,
-                         _check_kernel, _require)
+                         _check_index, _check_kernel, _require)
 from .poly import AnalyticPoly, rescaled, taylor_truncate, trimmed
 from .spaces import bergman_norm_even, functional_value
 
@@ -179,7 +179,9 @@ def certificate_degree(p, degree):
     """The highest monomial degree j the certificate tests, max(2, p/2) n:
     the pairings vanish past j = (p/2) n, and the kernel side past deg k.
     The coefficient-bound sweep of ``checks`` covers the same m, the whole
-    spectrum of |F_n|^p."""
+    spectrum of |F_n|^p. Raises ValueError unless ``degree`` passes
+    ``_check_degree``."""
+    _check_degree(degree)
     return max(2, p // 2) * degree
 
 
@@ -211,9 +213,11 @@ def extremality_residual(F, k, p, phi_norm, max_test_degree):
     Entry j is integral_D z^j F^{s-1} conj(F)^s dsigma - phi(z^j)/phi_norm
     for j = 0..max_test_degree, all integrals exact in coefficients. For
     a true extremal function every entry vanishes; the maximum modulus is
-    the certificate the solver reports.
+    the certificate the solver reports. Raises ValueError unless p passes
+    ``_check_exponent`` and ``max_test_degree`` ``_check_index``.
     """
     _check_exponent(p)
+    _check_index(max_test_degree, "max_test_degree")
     count = max_test_degree + 1
     pair = np.conj(_pairings(F, p, count))
     conj_c, phi_norm, _ = rescaled(np.conj(k.padded(count)), phi_norm)

@@ -1,6 +1,7 @@
 """Tests for the identity and inequality checks on extremal solutions."""
 
 import math
+import re
 import time
 import warnings
 from types import SimpleNamespace
@@ -126,6 +127,28 @@ class TestFourierFormula:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             check_fourier_formula(as_poly([1.0]), as_poly([1.0]), 4, 1.0, -1)
+
+
+ONE = as_poly([1.0])
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5], ids=repr)
+@pytest.mark.parametrize("name, call", [
+    ("degree", lambda v: solver.certificate_degree(4, v)),
+    ("degree", lambda v: check_table(ONE, ONE, 4, 1.0, v)),
+    ("degree", lambda v: solver._certificate(ONE, ONE, 4, 1.0, v)),
+    ("max_test_degree",
+     lambda v: solver.extremality_residual(ONE, ONE, 4, 1.0, v)),
+    ("m", lambda v: check_fourier_formula(ONE, ONE, 4, 1.0, v)),
+], ids=["certificate_degree", "check_table", "_certificate",
+        "extremality_residual", "check_fourier_formula"])
+def test_certificate_entry_points_take_the_kernelspec_rules(name, call, bad):
+    # true read as 1, -1 raised NumPy's negative dimensions and 2.5 its
+    # TypeError (or an IndexError at m); certificate_degree returned -2
+    # and 5.0
+    with pytest.raises(ValueError, match=rf"^{name} must be an? .*integer"
+                                         rf".*, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def weighted_sides_reference(F, k, p, phi_norm, m):
@@ -424,25 +447,24 @@ class TestCoefficientBoundSweep:
 
 class TestHinftyCriterion:
     def test_alpha_two_bounded(self):
-        report = check_hinfty_criterion(2.0, 4, [16, 32])
-        assert report.passed
-        sups = report.context["sup_by_degree"]
-        assert set(sups) == {16, 32}
-        assert all(s > 0 for s in sups.values())
-        assert all(v > 0 for v in report.context["l1_by_degree"].values())
+        rows, trailers = check_hinfty_criterion(2.0, 4, [16, 32])
+        assert trailers["verdict"] == "pass"
+        assert [row["degree"] for row in rows] == [16, 32]
+        assert all(row["sup"] > 0 for row in rows)
+        assert all(row["l1_mass"] > 0 for row in rows)
 
     def test_large_alpha_approaches_constant(self):
         # c_n = (n+1)^{-50} is numerically the constant kernel: sup = 1
-        report = check_hinfty_criterion(50.0, 4, [4, 8])
-        for sup in report.context["sup_by_degree"].values():
-            assert sup == pytest.approx(1.0, abs=1e-6)
+        rows, _ = check_hinfty_criterion(50.0, 4, [4, 8])
+        for row in rows:
+            assert row["sup"] == pytest.approx(1.0, abs=1e-6)
 
     def test_low_alpha_exploratory_withheld(self):
         # alpha <= 3/2 is outside the hypothesis: the sweep runs and alpha
         # alone withholds the verdict
-        report = check_hinfty_criterion(1.2, 4, [8, 12])
-        assert report.verdict == "withheld"
-        assert set(report.context["sup_by_degree"]) == {8, 12}
+        rows, trailers = check_hinfty_criterion(1.2, 4, [8, 12])
+        assert trailers["verdict"] == "withheld"
+        assert [row["degree"] for row in rows] == [8, 12]
 
     def test_single_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -467,43 +489,44 @@ class TestHinftyCriterion:
 
     def test_sup_and_l1_mass_match_per_point_references(self):
         alpha, p, degrees = 2.0, 4, [8, 16]
-        report = check_hinfty_criterion(alpha, p, degrees)
+        rows, _ = check_hinfty_criterion(alpha, p, degrees)
         k = as_poly((np.arange(17) + 1.0) ** (-alpha) + 0j)
-        for n in degrees:
+        assert [row["degree"] for row in rows] == degrees
+        for n, row in zip(degrees, rows):
             F = solve_extremal(ExtremalProblem(
                 p=p, kernel=taylor_truncate(k, n), degree=n)).F
             spec = [abs(fourier_coeff_abs_power(F, p, m))
                     for m in range(p // 2 * F.degree + 1)]
             l1 = spec[0] + 2.0 * sum(spec[1:])
-            assert report.context["l1_by_degree"][n] == (
-                pytest.approx(l1, rel=1e-14))
+            assert row["l1_mass"] == pytest.approx(l1, rel=1e-14)
             grid = 1024  # the criterion's grid at these degrees
             horner = F(np.exp(2j * np.pi * np.arange(grid) / grid))
-            assert report.context["sup_by_degree"][n] == (
+            assert row["sup"] == (
                 pytest.approx(float(np.max(np.abs(horner))), rel=1e-14))
 
 
 class TestGrowthStudy:
     def test_constant_kernel_all_ratios_one(self):
         family = [("const", as_poly([1.0]), 8)]
-        rows = growth_study(family, 4, [4.0 / 3.0, 2.0, 4.0])
+        rows, _ = growth_study(family, 4, [4.0 / 3.0, 2.0, 4.0])
         assert len(rows) == 3
         for row in rows:
-            assert row.ratio == pytest.approx(1.0, rel=1e-10)
-            assert row.p1 == pytest.approx(3.0 * row.q1)
+            assert row["ratio"] == pytest.approx(1.0, rel=1e-10)
+            assert row["p1"] == pytest.approx(3.0 * row["q1"])
 
     def test_p2_q1_2_ratio_exactly_one(self):
         rng = np.random.default_rng(19)
         kernel = as_poly(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        rows = growth_study([("rand", kernel, 8)], 2, [2.0])
-        assert rows[0].ratio == pytest.approx(1.0, rel=1e-9)
+        rows, _ = growth_study([("rand", kernel, 8)], 2, [2.0])
+        assert rows[0]["ratio"] == pytest.approx(1.0, rel=1e-9)
 
     def test_scaling_invariance(self):
         kernel = as_poly([1.0, 0.5, 0.25])
-        base = growth_study([("k", kernel, 12)], 4, [2.0])
-        scaled = growth_study([("5k", as_poly(5.0 * kernel.coeffs), 12)], 4,
-                              [2.0])
-        assert scaled[0].ratio == pytest.approx(base[0].ratio, rel=1e-10)
+        base, _ = growth_study([("k", kernel, 12)], 4, [2.0])
+        scaled, _ = growth_study([("5k", as_poly(5.0 * kernel.coeffs), 12)],
+                                 4, [2.0])
+        assert scaled[0]["ratio"] == pytest.approx(base[0]["ratio"],
+                                                   rel=1e-10)
 
     @pytest.mark.parametrize("q1_list", [[2.0], [4.0 / 3.0, 2.0, 4.0, 7.5]])
     def test_one_boundary_sample_per_polynomial(self, q1_list, monkeypatch):
@@ -514,6 +537,10 @@ class TestGrowthStudy:
                             lambda f: calls.append(f) or boundary_sup(f))
         growth_study([("k", as_poly([1.0, 0.5, 0.25]), 12)], 4, q1_list)
         assert len(calls) == 2
+
+    def test_empty_family_gives_no_rows(self):
+        # every ratio lies in [1/C, C] at C = 1, the least C >= 1
+        assert growth_study([], 4, [2.0]) == ([], {"empirical_C": 1.0})
 
     def test_q1_below_conjugate_rejected(self):
         with pytest.raises(ValueError):
@@ -532,8 +559,8 @@ class TestConvergenceStudy:
         # for p > 2 the extremal function still carries an infinite
         # coefficient tail, so raising the degree keeps improving it
         kernel = as_poly([1.0, 0.5, 0.25])
-        rows = convergence_study(kernel, 4, [4, 8, 16, 32])
-        distances = [d for _, d in rows]
+        rows, _ = convergence_study(kernel, 4, [4, 8, 16, 32])
+        distances = [row["distance"] for row in rows]
         assert distances[0] > distances[1] > distances[2] > distances[3]
         assert distances[3] == 0.0
         assert distances[2] <= 1e-6
@@ -541,22 +568,22 @@ class TestConvergenceStudy:
     def test_p2_closed_form_distance(self):
         rng = np.random.default_rng(29)
         k = as_poly(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        rows = convergence_study(k, 2, [2, 4, 6])
+        rows, _ = convergence_study(k, 2, [2, 4, 6])
         # oracle: distances between normalized truncations, in closed form
         ref = k.coeffs / bergman_norm_even(k, 2)
-        for n, distance in rows:
-            kn = as_poly(k.coeffs[:n + 1])
+        for row in rows:
+            kn = as_poly(k.coeffs[:row["degree"] + 1])
             fn = kn.coeffs / bergman_norm_even(kn, 2)
             gap = np.zeros(7, dtype=complex)
             gap[:len(fn)] = fn
             gap -= ref
             expected = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-            assert distance == pytest.approx(expected, abs=1e-10)
+            assert row["distance"] == pytest.approx(expected, abs=1e-10)
 
     def test_power_decay_strictly_decreasing(self):
         k = as_poly((np.arange(65) + 1.0) ** -2.0 + 0j)
-        rows = convergence_study(k, 4, [8, 16, 32, 64])
-        distances = [d for _, d in rows[:-1]]
+        rows, _ = convergence_study(k, 4, [8, 16, 32, 64])
+        distances = [row["distance"] for row in rows[:-1]]
         assert all(a > b for a, b in zip(distances, distances[1:]))
 
     @pytest.mark.parametrize("alpha, p, degrees, expected", [
@@ -569,9 +596,9 @@ class TestConvergenceStudy:
         # unscaled, |F_n - F_N|^p underflows to 0 in every row but the first
         # at p = 32; the expected values agree to 4e-5 with the mean of
         # |F_n - F_N|^p on 2^15 angles, summed in logarithms
-        rows = convergence_study(power_decay_kernel(alpha, 64), p, degrees)
-        assert [n for n, _ in rows] == degrees
-        distances = [d for _, d in rows]
+        rows, _ = convergence_study(power_decay_kernel(alpha, 64), p, degrees)
+        assert [row["degree"] for row in rows] == degrees
+        distances = [row["distance"] for row in rows]
         assert distances[:-1] == pytest.approx(expected, rel=1e-4)
         assert distances[-1] == 0.0
         assert all(a > b for a, b in zip(distances, distances[1:]))
@@ -588,8 +615,8 @@ class TestConvergenceStudy:
             return newton(c_hat, *args)
 
         monkeypatch.setattr(solver, "_newton", counting_newton)
-        rows = convergence_study(power_decay_kernel(2.0, 65), 4, degrees)
-        assert [n for n, _ in rows] == degrees
+        rows, _ = convergence_study(power_decay_kernel(2.0, 65), 4, degrees)
+        assert [row["degree"] for row in rows] == degrees
         assert calls == degrees
 
     def test_vanishing_truncation_raises(self):

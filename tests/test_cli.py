@@ -32,6 +32,7 @@ ONE_PLUS_Z = {"type": "coeffs", "values": [[1.0, 0.0], [1.0, 0.0]]}
 CONSTANT_ONE = {"type": "coeffs", "values": [[1.0, 0.0]]}
 # Degree 599, beyond the fixed degree cap of 512 that bergex once had.
 LONG_POWER_DECAY = {"type": "power_decay", "alpha": 3.0, "count": 600}
+POWER_DECAY_2 = {"type": "power_decay", "alpha": 2.0, "count": 64}
 # the standard family's power-decay-3.0, calibrated to degree 128
 POWER_DECAY_3 = {"type": "power_decay", "alpha": 3.0, "count": 64}
 TRUNCATED_AT_16 = ("warning: working degree 16 below kernel degree 63: the "
@@ -1412,8 +1413,8 @@ class TestGrowthStudy:
         assert cli.main(["study", "growth", "--config", config,
                          "--format", "json", "--out", str(out)]) == 0
         family = standard_family(load_report(out)["header"]["seed"])
-        rows = checks.growth_study(family, p, [p / (p - 1.0), 2.0, 4.0])
-        assert load_report(out)["body"]["rows"] == [vars(r) for r in rows]
+        rows, _ = checks.growth_study(family, p, [p / (p - 1.0), 2.0, 4.0])
+        assert load_report(out)["body"]["rows"] == rows
         for _, kernel, degree in family:
             sol = solve_extremal(ExtremalProblem(p, kernel, degree))
             assert checks.certified(sol.residual_max, checks.check_table(
@@ -1441,7 +1442,7 @@ class TestGrowthStudy:
         # the config's seed and run_growth_study's seed= keyword draw the
         # same random kernels and record the same header seed
         def report(config_seed=None, **kwargs):
-            config = {"schema_version": 1, "p": 4, "max_study_degree": 16}
+            config = {"schema_version": 1, "p": 4}
             if config_seed is not None:
                 config["seed"] = config_seed
             out = tmp_path / "g.json"
@@ -1465,7 +1466,7 @@ class TestGrowthStudy:
         # drawn from families.DEFAULT_SEED, and the header says which
         def report(**seed):
             config = write_json(tmp_path / "g.json", {
-                "schema_version": 1, "p": 4, "max_study_degree": 16, **seed})
+                "schema_version": 1, "p": 4, **seed})
             out = tmp_path / "g_out.json"
             assert cli.main(["study", "growth", "--config", config,
                              "--format", "json", "--out", str(out)]) == 0
@@ -1541,6 +1542,20 @@ class TestGrowthStudy:
             assert abs(row["ratio"] - 1.0) <= 1e-12, row
         assert abs(body["empirical_C"] - 1.0) <= 1e-12
 
+    def test_default_q1_list_has_no_repeats(self, tmp_path):
+        # at p = 2 the default (q, 2, 4) is (2, 2, 4), q = p/(p-1): each
+        # kernel's q1 = 2 row was written twice
+        config = write_json(tmp_path / "g.json", {
+            "schema_version": 1, "p": 2, "degree": 8,
+            "family": [ONE_PLUS_Z, CONSTANT_ONE]})
+        out = tmp_path / "g_out.json"
+        assert cli.main(["study", "growth", "--config", config,
+                         "--format", "json", "--out", str(out)]) == 0
+        rows = load_report(out)["body"]["rows"]
+        assert [(row["kernel_id"], row["q1"]) for row in rows] == [
+            ("coeffs[2]", 2.0), ("coeffs[2]", 4.0),
+            ("coeffs[1]", 2.0), ("coeffs[1]", 4.0)]
+
     @pytest.mark.filterwarnings("error")
     def test_default_q1_list_stays_within_the_largest_exponent(
             self, tmp_path, capsys):
@@ -1561,10 +1576,13 @@ class TestGrowthStudy:
         assert math.isfinite(body["empirical_C"])
 
     def test_nan_ratio_gives_nan_constant(self, tmp_path, monkeypatch):
-        # the empirical constant is the largest of the ratios and their
-        # reciprocals, and a NaN among them is not dropped
-        rows = [SimpleNamespace(ratio=ratio) for ratio in (1.0, math.nan)]
-        monkeypatch.setattr(cli, "growth_study", lambda *args: rows)
+        # the empirical constant, which checks.growth_study computes, is the
+        # largest of the ratios and their reciprocals, and a NaN among them
+        # is not dropped: a NaN norm at the last q1 gives the ratios
+        # (1.0, 1.0, NaN)
+        hardy_norms = checks.hardy_norms
+        monkeypatch.setattr(checks, "hardy_norms", lambda f, exponents: [
+            *hardy_norms(f, exponents)[:-1], math.nan])
         out = tmp_path / "g.json"
         assert cli.run_growth_study(
             {"schema_version": 1, "p": 4, "family": [CONSTANT_ONE]},
@@ -1729,6 +1747,36 @@ def test_study_csv_and_json_carry_one_report(tmp_path, kind, config, code,
     assert list(trailer) == summary
     assert {key: csv_cell(text) for key, text in trailer.items()} == {
         key: value for key, value in body.items() if key != "rows"}
+
+
+GROWTH_FAMILY = [{"type": "coeffs",
+                  "values": [[1.0, 0.5], [0.3, -0.2], [0.1, 0.4]]},
+                 {"type": "power_decay", "alpha": 2.0, "count": 48}]
+
+
+@pytest.mark.parametrize("kind, config, study", [
+    pytest.param("growth", {"p": 4, "family": GROWTH_FAMILY},
+                 lambda: checks.growth_study(
+                     [(kernelspec.describe(spec), kernelspec.realize(spec), 64)
+                      for spec in map(kernelspec.from_dict, GROWTH_FAMILY)],
+                     4, [4.0 / 3.0, 2.0, 4.0]), id="growth"),
+    pytest.param("convergence", {"p": 4, "degrees": [16, 32, 64],
+                                 "kernel": POWER_DECAY_2},
+                 lambda: checks.convergence_study(
+                     kernelspec.realize(POWER_DECAY_2), 4, [16, 32, 64]),
+                 id="convergence"),
+    pytest.param("hinfty", {"p": 4, "alpha": 2.0, "degrees": [32, 64]},
+                 lambda: checks.check_hinfty_criterion(2.0, 4, [32, 64]),
+                 id="hinfty"),
+])
+def test_study_body_is_the_library_report(tmp_path, kind, config, study):
+    # each command writes its checks study's (rows, trailers) as they are
+    path = write_json(tmp_path / "c.json", dict(config, schema_version=1))
+    out = tmp_path / "report.json"
+    assert cli.main(["study", kind, "--config", path, "--format", "json",
+                     "--out", str(out)]) == 0
+    rows, trailers = study()
+    assert load_report(out)["body"] == {"rows": rows, **trailers}
 
 
 def test_gate_fields_move_no_verdict(tmp_path):
