@@ -7,7 +7,10 @@ A table's title names its unit, its headers are the keys of the rows
 that ``--out`` writes, and a timed cell prints the median of its
 repeats. The cells of a row are timed call by call in turn
 (``time_cells``), so that drift in the machine's speed lands on all of
-them alike. ``BENCH_layers.json`` holds a default run on a 2-CPU x86-64
+them alike. A threshold a cell pins, and a solver routine a table
+counts or records, is bound by ``unittest.mock.patch.object`` outside
+the timed span, and restored whatever the call raises.
+``BENCH_layers.json`` holds a default run on a 2-CPU x86-64
 VM with one BLAS thread, and ``BENCH_quadrature-parent.json`` and
 ``BENCH_quadrature.json`` two runs taken in turn, before and after the
 disc quadrature's product route; the text below restates none of their
@@ -161,7 +164,6 @@ Run from the repository root:
 """
 
 import argparse
-import contextlib
 import itertools
 import json
 import os
@@ -174,6 +176,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import scipy
@@ -225,18 +228,6 @@ def cell(times):
             "max": max(times), "repeats": len(times)}
 
 
-@contextlib.contextmanager
-def replaced(module, name, value):
-    """``module.name`` bound to ``value`` inside the block, and to its old
-    value again after it, whatever the block raises."""
-    old = getattr(module, name)
-    setattr(module, name, value)
-    try:
-        yield
-    finally:
-        setattr(module, name, old)
-
-
 def time_cells(calls, repeats, thresholds=None,
                constant=(_backend, "FFT_THRESHOLD")):
     """The ``cell`` of each of ``calls``, functions of no argument, over
@@ -249,7 +240,7 @@ def time_cells(calls, repeats, thresholds=None,
     times = [[] for _ in calls]
     for _ in range(repeats):
         for call, threshold, column in zip(calls, thresholds, times):
-            with replaced(module, name, threshold):
+            with patch.object(module, name, threshold):
                 start = time.perf_counter()
                 call()
                 column.append(time.perf_counter() - start)
@@ -374,7 +365,7 @@ def bench_power(sizes, repeats):
                                ((rotated, p), (a, p)), repeats)
             spectra = []
             for _, threshold in PATHS:
-                with replaced(_backend, "FFT_THRESHOLD", threshold):
+                with patch.object(_backend, "FFT_THRESHOLD", threshold):
                     spectra.append(_backend.abs_power_xcorr(rotated, p))
             direct, fft = spectra
             error = float(np.max(np.abs(fft - direct))
@@ -404,12 +395,7 @@ def bench_solve(sizes, repeats):
 
 
 def bench_ladder(repeats):
-    gram, newton = solver._gram, solver._newton
-    builds, rungs = [], []
-
-    def counting_gram(*args):
-        builds.append(None)
-        return gram(*args)
+    newton, rungs = solver._newton, []
 
     def recording_newton(c_hat, *args):
         a, trace, failure = newton(c_hat, *args)
@@ -421,13 +407,12 @@ def bench_ladder(repeats):
         for name, kernel, n in standard_family():
             problem = ExtremalProblem(p=p, kernel=kernel, degree=n)
             [timed] = time_cells([partial(solve_extremal, problem)], repeats)
-            builds.clear()
             rungs.clear()
-            with replaced(solver, "_gram", counting_gram), \
-                    replaced(solver, "_newton", recording_newton):
+            with patch.object(solver, "_gram", wraps=solver._gram) as gram, \
+                    patch.object(solver, "_newton", recording_newton):
                 solve_extremal(problem)
             rows.append({"kernel": name, "p": p, "n": n, "solve": timed,
-                         "hessians": len(builds), "rungs": list(rungs)})
+                         "hessians": gram.call_count, "rungs": list(rungs)})
     table("ladder: median milliseconds per standard-family solve",
           "{kernel:>16}{p:>4}{n:>6}{solve:>10.2f}{hessians:>10}  {rungs}",
           rows)
@@ -505,21 +490,14 @@ def bench_emit(sizes, repeats):
 
 def bench_study(degrees, repeats):
     kernel = power_decay_kernel(1.6, 64)
-    newton, calls = solver._newton, []
-
-    def counting_newton(*args):
-        calls.append(None)
-        return newton(*args)
-
     rows = []
     for p in (4, 6):
         [timed] = time_cells([partial(convergence_study, kernel, p, degrees)],
                              repeats)
-        calls.clear()
-        with replaced(solver, "_newton", counting_newton):
+        with patch.object(solver, "_newton", wraps=solver._newton) as newton:
             convergence_study(kernel, p, degrees)
         rows.append({"p": p, "degrees": list(degrees), "study": timed,
-                     "newton": len(calls)})
+                     "newton": newton.call_count})
     table("study: median milliseconds per convergence_study call",
           "{p:>4}{study:>12.2f}{newton:>8}", rows)
     return rows

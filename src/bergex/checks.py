@@ -186,10 +186,16 @@ def coefficient_bound_sweep(solution):
     rhs - |b_m|, and the verdict tolerates round-off dips to
     -DEFAULT_SLACK_TOL. The context notes the frequency of the worst slack.
     """
-    F, k, p = solution.F, solution.kernel, solution.p
-    return _coefficient_bound_report(
-        F, k, p, rescaled(k.coeffs, solution.phi_norm),
-        certificate_degree(p, solution.degree), abs_power_spectrum(F, p))
+    return _sweep(solution.F, solution.kernel, solution.p, solution.phi_norm,
+                  certificate_degree(solution.p, solution.degree))
+
+
+def _sweep(F, k, p, phi_norm, m_max):
+    """The coefficient-bound sweep over m = 0..m_max, from F's own
+    spectrum of |F|^p; ``check_table`` builds the same report from the
+    spectrum it shares."""
+    return _coefficient_bound_report(F, k, p, rescaled(k.coeffs, phi_norm),
+                                     m_max, abs_power_spectrum(F, p))
 
 
 def _tails(squares):
@@ -328,6 +334,16 @@ def check_table(F, k, p, phi_norm, degree):
             _ryabykh_report(k, p, scaled, sides[0])]
 
 
+def _record_key(name, context):
+    """What tells the entries of ``check_table`` apart, so that ``bergex
+    verify`` pairs each recorded check with one entry: the check's name,
+    its context's keys and, type for type, its m and m_max, so that JSON
+    true is no m = 1."""
+    return (name, sorted(context),
+            *((type(context.get(key)), context.get(key))
+              for key in ("m", "m_max")))
+
+
 def certified(residual_max, reports):
     """Whether an answer is certified: its certificate's residual_max is
     at most DEFAULT_CERTIFICATE_TOL and every report passes (a NaN
@@ -383,8 +399,13 @@ def growth_study(family, p, q1_list):
         p1 = (p-1) * q1,  q = p/(p-1).
 
     F lies in H^{p1} precisely when k lies in H^{q1}, with two-sided
-    norm bounds, so the ratios stay inside a fixed band [1/C, C]; C is
-    measured, not asserted. Before any solve it raises ValueError unless
+    norm bounds, so the ratios stay inside a band [1/C, C] for some C
+    that the theorem does not give. ``empirical_C`` is measured over the
+    family alone, a lower bound on that C: k = z^m already gives the
+    ratio ((mp/2 + 1)/(mq/2 + 1))^{1/q} at every q1, rising to
+    (p-1)^{1/q}, 2.28 at p = 4, where z^16 reads 2.18. So a band such as
+    acceptance criterion 8's [1/2, 2] at p = 4 is the standard family's,
+    not the theorem's. Before any solve it raises ValueError unless
     p is an exponent and ``q1_list`` a non-empty list of such q1
     (``_check_growth_exponents``).
 

@@ -40,7 +40,8 @@ import numpy as np
 from . import __version__
 from . import kernelspec
 from .checks import (
-    _coefficient_bound_report,
+    _record_key,
+    _sweep,
     certified,
     check_hinfty_criterion,
     check_table,
@@ -52,7 +53,7 @@ from .kernelspec import (ConfigError, _check_degree, _check_degrees,
                          _check_exponent, _check_growth_exponents,
                          _check_kernel, _check_positive, _complex_pairs,
                          _field, _growth_exponent, _pairs_field, _require)
-from .poly import AnalyticPoly, rescaled
+from .poly import AnalyticPoly
 from .solver import (
     ExtremalProblem,
     NonConvergenceError,
@@ -61,7 +62,7 @@ from .solver import (
     solve_extremal,
     solve_ladder,
 )
-from .spaces import abs_power_spectrum, functional_value
+from .spaces import functional_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -245,22 +246,15 @@ def run_solve(config, out=None):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _identity(name, context):
-    """A check's name, its context's keys and, type for type, its m and
-    m_max, so that JSON true is no m = 1."""
-    return (name, sorted(context),
-            *((type(context.get(key)), context.get(key))
-              for key in ("m", "m_max")))
-
-
 def run_verify(solution_path, out=None):
     """Recompute a serialized solution's table and certificate. Each table
-    entry needs the one record of its ``_identity`` (else it is missing,
-    and a record left over is unexpected), whose residual must reproduce
-    to VERIFY_TOLERANCE. The file is read as ``bergex solve``'s config
-    is, and every recorded field by the rule of that config. ``certified``
-    is ``checks.certified`` on the recomputation, and does not move the
-    exit code; the residual_max row's verdict is its residual_max part.
+    entry needs the one record of its key, ``checks._record_key`` (else
+    it is missing, and a record left over is unexpected), whose residual
+    must reproduce to VERIFY_TOLERANCE. The file is read as ``bergex
+    solve``'s config is, and every recorded field by the rule of that
+    config. ``certified`` is ``checks.certified`` on the recomputation,
+    and does not move the exit code; the residual_max row's verdict is
+    its residual_max part.
     The table and the certificate are recomputed from the file's
     ||phi||, and the phi_norm row checks that value against Re phi(F),
     which ``solve_ladder`` records: every identity is homogeneous under
@@ -279,8 +273,8 @@ def run_verify(solution_path, out=None):
         phi_norm = field(solution, "phi_norm", float,
                          lambda v: _check_positive(v, "phi_norm"))
         recorded_max = field(solution, "residual_max", float)
-        records = [(_identity(field(record, "check_name", str),
-                              field(record, "context", dict, default={})),
+        records = [(_record_key(field(record, "check_name", str),
+                                field(record, "context", dict, default={})),
                     field(record, "residual", float))
                    for record in field(body, "checks", list, lambda v: (
                        _require(all(isinstance(r, dict) for r in v),
@@ -293,14 +287,16 @@ def run_verify(solution_path, out=None):
         reports = check_table(F, kernel, p, phi_norm, degree)
         residual_max = _certificate(F, kernel, p, phi_norm, degree)
         phi_value = float(functional_value(kernel, F).real)
-    unpaired = [_identity(r.check_name, r.context) for r in reports]
-    recorded, unexpected = {}, []  # recorded: residual per table index
-    for identity, residual in records:
-        if identity in unpaired:
-            i = unpaired.index(identity)
+    unpaired = [_record_key(r.check_name, r.context) for r in reports]
+    # recorded: residual per table index; a list scan pairs the keys, since
+    # a recorded m may be unhashable, such as [1]
+    recorded, unexpected = {}, []
+    for key, residual in records:
+        if key in unpaired:
+            i = unpaired.index(key)
             unpaired[i], recorded[i] = None, residual
         else:
-            unexpected.append(identity[0])
+            unexpected.append(key[0])
     # (name, recorded, recomputed, scale, verdict); the row's difference
     # is |recorded - recomputed| / scale, and infinite at scale 0
     rows = [("residual_max", recorded_max, residual_max, 1.0,
@@ -325,15 +321,10 @@ def run_verify(solution_path, out=None):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def check_coefficient_sweep_for_verify(F, kernel, p, phi_norm, m_max):
-    """The coefficient-bound sweep over m = 0..m_max of a reloaded solution.
-
-    Unused by the commands, which build the sweep in ``check_table``;
-    perfbench/tracer.py still wraps this name.
-    """
-    return _coefficient_bound_report(F, kernel, p,
-                                     rescaled(kernel.coeffs, phi_norm), m_max,
-                                     abs_power_spectrum(F, p))
+# the coefficient-bound sweep of a reloaded solution, unused by the
+# commands, which build it in ``check_table``; perfbench/tracer.py still
+# wraps this name
+check_coefficient_sweep_for_verify = _sweep
 
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):

@@ -179,7 +179,5 @@ def get_max_degree():
     return math.inf
 
 
-@contextlib.contextmanager
-def degree_cap(n):
-    """Does nothing; kept only because perfbench/workloads.py imports it."""
-    yield
+# does nothing; kept only because perfbench/workloads.py imports it
+degree_cap = contextlib.nullcontext

@@ -406,7 +406,8 @@ def _flapack():
     ``bergex solve`` and pulls in SciPy's array-API layer and
     ``numpy.f2py``. So only the top-level ``scipy`` package is imported,
     whose ``__init__`` is lazy and sets up the wheel's library path, and
-    the f2py extension ``scipy/linalg/_flapack`` is loaded from its file.
+    the f2py extension ``scipy/linalg/_flapack`` is loaded from the file
+    that Python's path finder finds for it in that directory.
     It is registered in ``sys.modules`` under its own name, so a later
     ``import scipy.linalg`` reuses it, and ``scipy.linalg.lapack``
     re-exports these same routine objects; when ``scipy.linalg`` came
@@ -418,15 +419,11 @@ def _flapack():
     import scipy
 
     directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "_flapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [directory])
+    if spec is None:
         raise ImportError(
             f"no compiled LAPACK module _flapack in {directory} "
             f"(SciPy {scipy.__version__})")
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[_FLAPACK] = module

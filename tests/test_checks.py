@@ -38,7 +38,7 @@ from bergex.poly import (
 )
 from bergex import checks, solver, spaces
 from bergex.families import power_decay_kernel, standard_family
-from bergex.kernelspec import MAX_DEGREE
+from bergex.kernelspec import MAX_DEGREE, _growth_exponent
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
@@ -513,6 +513,26 @@ class TestGrowthStudy:
         for row in rows:
             assert row["ratio"] == pytest.approx(1.0, rel=1e-10)
             assert row["p1"] == pytest.approx(3.0 * row["q1"])
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_monomial_ratios_are_exact(self, p):
+        # k = z^m has F = (mp/2 + 1)^{1/p} z^m, so at every q1 the ratio is
+        # ((mp/2 + 1)/(mq/2 + 1))^{1/q}, rising to (p-1)^{1/q}: past [1/2, 2]
+        # at p = 4, so that band is the standard family's, not the
+        # theorem's. The constant kernel (m = 0) gives exactly 1.
+        q = p / (p - 1.0)
+        q1_list = list(dict.fromkeys(q1 for q1 in (q, 2.0, 4.0)
+                                     if _growth_exponent(q1, p)))
+        for m in (0, 1, 4, 16):
+            rows, trailers = growth_study([(f"z^{m}", monomial(m), m)], p,
+                                          q1_list)
+            exact = ((m * p / 2 + 1) / (m * q / 2 + 1)) ** (1 / q)
+            assert [row["q1"] for row in rows] == q1_list
+            for row in rows:
+                assert row["ratio"] == pytest.approx(exact, rel=1e-12, abs=0)
+                if m == 0:
+                    assert row["ratio"] == 1.0
+            assert trailers["empirical_C"] == max(r["ratio"] for r in rows)
 
     def test_p2_q1_2_ratio_exactly_one(self):
         rng = np.random.default_rng(19)

@@ -506,13 +506,17 @@ class TestVerifyCommand:
         ("coefficient_bound_sweep", "m_max", 10 ** 15),
         ("coefficient_bound_sweep", "m_max", -1),
         ("coefficient_bound_sweep", "m_max", None),
+        pytest.param("fourier_formula", "m", [1], id="fourier_formula-m-[1]"),
+        pytest.param("fourier_formula", "m", {}, id="fourier_formula-m-{}"),
     ])
     def test_unpaired_record(self, solved_artifact, tmp_path, check_name,
                              key, value):
         # a record whose m or m_max is not, type for type, the table's is
         # no entry of it, so the table's entry is missing; None deletes
         # the field. The Fourier record edited is the one at m = 1, which
-        # true would pair with if bool were int.
+        # true would pair with if bool were int. An m of [1] or {} is
+        # unhashable: verify pairs keys by a list scan, not a dict, so the
+        # record is unexpected, not a traceback.
         def edit(checks):
             record = [c for c in checks if c["check_name"] == check_name][-1]
             if check_name == "fourier_formula":
@@ -528,6 +532,22 @@ class TestVerifyCommand:
         assert body["verified"] is False
         assert body["unexpected"] == [check_name]
         assert body["missing"] == [check_name]
+
+    def test_record_keys_are_the_tables(self, solved_artifact):
+        # verify pairs each record with the table entry of its
+        # checks._record_key: the table's keys are distinct, by the list
+        # scan verify makes, and a written file's records, read back from
+        # JSON, give exactly those keys, in order
+        body = load_report(solved_artifact[1])["body"]
+        p, degree, _, kernel = cli._problem(body["problem"])
+        F = AnalyticPoly(cli._read_coefficients(body["solution"], degree))
+        keys = [checks._record_key(r.check_name, r.context)
+                for r in checks.check_table(F, kernel, p,
+                                            body["solution"]["phi_norm"],
+                                            degree)]
+        assert [keys.index(key) for key in keys] == list(range(len(keys)))
+        assert [checks._record_key(r["check_name"], r["context"])
+                for r in body["checks"]] == keys
 
     def test_random_kernel_file_is_uncertified(self, tmp_path):
         # seed 1's random-0 at p = 4 fails its slack gate at its family
@@ -2276,13 +2296,13 @@ def test_one_lapack_module_in_either_import_order(tmp_path,
 
 
 def test_missing_lapack_extension_names_the_directory(monkeypatch):
-    # with no _flapack file among the extension suffixes the solve raises
+    # when the path finder finds no _flapack module the solve raises
     # ImportError naming the directory it searched and SciPy's version
     import scipy
 
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
-                        [".absent"])
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
     with pytest.raises(ImportError) as raised:
         solve_extremal(ExtremalProblem(p=4, kernel=as_poly([1.0, 0.5]),
                                        degree=8))

@@ -277,6 +277,29 @@ class TestClosedForms:
         reports = check_table(sol.F, sol.kernel, p, sol.phi_norm, n)
         assert all(report.passed for report in reports)
 
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    @pytest.mark.parametrize("a", [0.5, 0.7, 0.6 * np.exp(1j)])
+    def test_point_evaluation(self, a, p):
+        # phi(f) = f(a) is represented by (1 - conj(a) z)^-2, whose
+        # coefficients are c_t = (t+1) conj(a)^t. The sharp bound
+        # |f(a)| <= (1-|a|^2)^{-2/p} ||f||_{A^p} is attained by
+        # F = (1-|a|^2)^{2/p} (1 - conj(a) z)^{-4/p} (Duren & Schuster,
+        # Bergman Spaces, AMS 2004), whose Taylor coefficients past n = 256
+        # are below the float floor
+        n = 256
+        t = np.arange(n + 1)
+        kernel = as_poly((t + 1) * np.conj(a) ** t)
+        sol = solve_extremal(ExtremalProblem(p=p, kernel=kernel, degree=n))
+        r = 1.0 - abs(a) ** 2
+        assert sol.phi_norm == pytest.approx(r ** (-2 / p), rel=1e-14, abs=0)
+        # the binomial series of (1 - conj(a) z)^{-4/p}
+        series = np.concatenate([[1.0], np.cumprod(
+            (t[:-1] + 4 / p) * np.conj(a) / (t[:-1] + 1))])
+        np.testing.assert_allclose(sol.F.padded(n + 1), r ** (2 / p) * series,
+                                   rtol=0, atol=1e-13)
+        assert checks.certified(sol.residual_max, check_table(
+            sol.F, kernel, p, sol.phi_norm, n))
+
 
 @pytest.fixture(scope="module")
 def solution():
