@@ -99,7 +99,7 @@ p = 4 with the checks every solve records (``checks.check_table``).
 file of a temporary directory on every call, and "overwrite" the same
 into one file that exists already, the case of a solve or verify that
 reruns with the same ``--out``. "read" is ``json.load`` of that file
-plus ``cli._read_coefficients``, the coefficient parse of ``bergex
+plus ``kernelspec._pairs_field``, the coefficient parse of ``bergex
 verify``. "kB" is the size of the file.
 
 The ``study`` table times ``checks.convergence_study`` of the ``solve``
@@ -457,8 +457,8 @@ def read_solution(path):
     """What ``bergex verify`` parses first: the file and its coefficients."""
     with open(path, encoding="utf-8") as fh:
         body = json.load(fh)["body"]
-    return cli._read_coefficients(body["solution"],
-                                  body["problem"]["degree"])
+    return kernelspec._pairs_field(body["solution"], "coefficients",
+                                   body["problem"]["degree"] + 1)
 
 
 def bench_emit(sizes, repeats):

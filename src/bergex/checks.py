@@ -59,8 +59,9 @@ import numpy as np
 
 from ._backend import xcorr
 from .families import power_decay_kernel
-from .kernelspec import (MAX_DEGREE, _check_degrees, _check_growth_exponents,
-                         _check_index, _check_positive, _require)
+from .kernelspec import (MAX_DEGREE, _check_degrees, _check_exponent,
+                         _check_growth_exponents, _check_index,
+                         _check_positive, _growth_exponent, _require)
 from .poly import AnalyticPoly, rescaled
 from .solver import certificate_degree, solve_ladder
 from .spaces import (
@@ -389,7 +390,7 @@ def check_hinfty_criterion(alpha, p, degrees):
     return rows, {"relative_growth": growth, "verdict": verdict}
 
 
-def growth_study(family, p, q1_list):
+def growth_study(family, p, q1_list=None):
     """Two-sided Hardy-growth ratios over a kernel family.
 
     ``family`` is a sequence of (kernel_id, kernel, solve_degree). For
@@ -398,16 +399,21 @@ def growth_study(family, p, q1_list):
         ratio = ||F||_{H^{p1}}^{p-1} * ||k||_{A^q} / ||k||_{H^{q1}},
         p1 = (p-1) * q1,  q = p/(p-1).
 
-    F lies in H^{p1} precisely when k lies in H^{q1}, with two-sided
-    norm bounds, so the ratios stay inside a band [1/C, C] for some C
-    that the theorem does not give. ``empirical_C`` is measured over the
-    family alone, a lower bound on that C: k = z^m already gives the
-    ratio ((mp/2 + 1)/(mq/2 + 1))^{1/q} at every q1, rising to
-    (p-1)^{1/q}, 2.28 at p = 4, where z^16 reads 2.18. So a band such as
-    acceptance criterion 8's [1/2, 2] at p = 4 is the standard family's,
-    not the theorem's. Before any solve it raises ValueError unless
-    p is an exponent and ``q1_list`` a non-empty list of such q1
-    (``_check_growth_exponents``).
+    The theorem proves that F lies in H^{p1} precisely when k lies in
+    H^{q1}, and no bound on the ratio: whether it is bounded over all
+    kernels is open. ``empirical_C`` is measured over the family alone,
+    a lower bound on a uniform constant, should one exist. k = z^m gives
+    the ratio ((mp/2 + 1)/(mq/2 + 1))^{1/q} at every q1, rising to
+    (p-1)^{1/q}, 2.28 at p = 4, where z^16 reads 2.18; an extremal chosen
+    first, F = S_N (1 - z)^{-gamma}, already reads 2.58 at p = 4,
+    gamma = 0.8, N = 64 and q1 = 4 (tests/test_checks.py,
+    ``TestExtremalFirst``). So a band such as acceptance criterion 8's
+    [1/2, 2] at p = 4 is the standard family's, not the theorem's.
+
+    ``q1_list`` defaults to q, 2 and 4, less repeats (q = 2 at p = 2) and
+    those past MAX_EXPONENT/(p-1). Before any solve it raises ValueError
+    unless p is an exponent (``_check_exponent``, first) and ``q1_list``
+    a non-empty list of such q1 (``_check_growth_exponents``).
 
     Returns (rows, trailers), the report ``bergex study growth`` writes:
     one row {kernel_id, q1, p1, k_hardy, k_bergman, F_hardy, ratio} per
@@ -415,15 +421,21 @@ def growth_study(family, p, q1_list):
     ``empirical_C``, the smallest C >= 1 with every ratio in [1/C, C]:
     the largest of the ratios and their reciprocals, NaN when a ratio is.
     """
-    _check_growth_exponents(q1_list, p)
+    _check_exponent(p)
     q = p / (p - 1.0)
+    if q1_list is None:
+        q1_list = list(dict.fromkeys(q1 for q1 in (q, 2.0, 4.0)
+                                     if _growth_exponent(q1, p)))
+    _check_growth_exponents(q1_list, p)
     p1_list = [(p - 1.0) * q1 for q1 in q1_list]
     rows = []
     for kernel_id, kernel, degree in family:
         # S_n k over P_n: a degree below deg k truncates on purpose
         solution = next(solve_ladder(p, kernel, [degree]))
         k_bergman = bergman_norm_general(kernel, q)
-        # one boundary sample of F and one of k serve every exponent
+        # one sup-scale sample of F and one of k serve every exponent; a
+        # non-even exponent takes one circle sample of its own, by default
+        # k's at q1 = q
         F_norms = hardy_norms(solution.F, p1_list)
         k_norms = hardy_norms(kernel, q1_list)
         for q1, p1, F_hardy, k_hardy in zip(q1_list, p1_list, F_norms,

@@ -51,8 +51,8 @@ from .checks import (
 from .families import DEFAULT_SEED, standard_family
 from .kernelspec import (ConfigError, _check_degree, _check_degrees,
                          _check_exponent, _check_growth_exponents,
-                         _check_kernel, _check_positive, _complex_pairs,
-                         _field, _growth_exponent, _pairs_field, _require)
+                         _check_kernel, _check_positive, _field, _pairs,
+                         _pairs_field, _require)
 from .poly import AnalyticPoly
 from .solver import (
     ExtremalProblem,
@@ -136,21 +136,6 @@ def _jsonable(value):
     return value
 
 
-def _json_coefficients(coeffs):
-    """Coefficients as [re, im] pairs, the Python floats of the array."""
-    return np.column_stack([coeffs.real, coeffs.imag]).tolist()
-
-
-def _read_coefficients(solution, degree, what="config"):
-    """The complex coefficients a solution section of the given degree
-    records, bit for bit: the array of pairs ``_pairs_field`` validates,
-    viewed by ``_complex_pairs``. F lies in P_degree, so there are at most
-    degree + 1 of them; fewer are valid, since trailing zeros are trimmed.
-    ``what`` names the document, as for ``_field``."""
-    return _complex_pairs(_pairs_field(solution, "coefficients", degree + 1,
-                                       what))
-
-
 def _header(seed=None):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -220,7 +205,7 @@ def _solution_body(spec, solution, reports):
             "kernel": spec,
         },
         "solution": {
-            "coefficients": _json_coefficients(solution.F.coeffs),
+            "coefficients": _pairs(solution.F.coeffs),
             "phi_norm": solution.phi_norm,
             "residual_max": solution.residual_max,
             "iterations": solution.iterations,
@@ -269,7 +254,10 @@ def run_verify(solution_path, out=None):
         body = field(payload, "body", dict)
         p, degree, _, kernel = _problem(field(body, "problem", dict), what)
         solution = field(body, "solution", dict)
-        F = AnalyticPoly(_read_coefficients(solution, degree, what))
+        # F lies in P_degree: at most degree + 1 coefficients, and fewer
+        # are valid, since trailing zeros are trimmed
+        F = AnalyticPoly(_pairs_field(solution, "coefficients", degree + 1,
+                                      what))
         phi_norm = field(solution, "phi_norm", float,
                          lambda v: _check_positive(v, "phi_norm"))
         recorded_max = field(solution, "residual_max", float)
@@ -329,12 +317,9 @@ check_coefficient_sweep_for_verify = _sweep
 
 def run_growth_study(config, out=None, fmt="csv", seed=None):
     p = _field(config, "p", int, _check_exponent)
-    # by default q, 2 and 4, less repeats (q = 2 at p = 2) and those past
-    # the rule's bound
+    # None: growth_study's default q1 list
     q1_list = _field(config, "q1_list", list,
-                     lambda v: _check_growth_exponents(v, p),
-                     list(dict.fromkeys(q1 for q1 in (p / (p - 1.0), 2.0, 4.0)
-                                        if _growth_exponent(q1, p))))
+                     lambda v: _check_growth_exponents(v, p), None)
     if seed is None:
         seed = _field(config, "seed", int, lambda v: _require(
             v >= 0, "seed must be >= 0"), None)
@@ -397,8 +382,8 @@ def run_oracle_compare(config, out=None):
                               - solution.F.padded(ORACLE_DEGREE + 1))))
     agree = gap <= ORACLE_TOLERANCE
     body = {
-        "oracle_coefficients": _json_coefficients(oracle_F.coeffs),
-        "solver_coefficients": _json_coefficients(solution.F.coeffs),
+        "oracle_coefficients": _pairs(oracle_F.coeffs),
+        "solver_coefficients": _pairs(solution.F.coeffs),
         "max_coefficient_gap": gap,
         "agree": agree,
     }

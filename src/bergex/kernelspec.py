@@ -8,7 +8,10 @@ too, is the canonical object ``from_dict`` returns.
 ``realize`` produces the AnalyticPoly; ``describe`` gives a stable
 human-readable id used to key study rows. ``_field``, the type rule of
 every JSON field of a config or a solution file, lives here so that spec
-fields and the CLI's fields share it, and so do the input rules, each a ``_check_*`` function
+fields and the CLI's fields share it; so do ``_pairs`` and
+``_pairs_field``, the one writer and the one reader of the [re, im] pairs
+in which a spec's values and a report's coefficients are written; and so
+do the input rules, each a ``_check_*`` function
 that raises ValueError naming its parameter: p, a working degree, a
 nonnegative index (a frequency m or a monomial degree), a study's degree
 list, the growth study's q1, a positive number (the hinfty study's
@@ -19,6 +22,7 @@ CLI's readers call them, and state them nowhere else.
 
 import math
 import numbers
+from contextlib import suppress
 from itertools import chain, repeat
 
 import numpy as np
@@ -165,52 +169,45 @@ def _finite_number(value):
         return False
 
 
-def _finite_pairs(values, limit):
-    """``values`` as an (n, 2) float64 array when it holds 1..limit [re, im]
-    pairs of finite numbers, each as ``_finite_number`` takes it, else
-    None. Passes in C over the pairs and the types of the numbers, and one
-    conversion to a float array (which raises OverflowError for an integer
-    past the float range), check them instead of a call per number. The
-    length is checked before any pair is."""
-    if not 0 < len(values) <= limit or not all(
-            map(isinstance, values, repeat((list, tuple)))) or set(
-            map(len, values)) != {2}:
-        return None
-    kinds = set(map(type, chain.from_iterable(values)))
-    if not all(issubclass(kind, (int, float)) and kind is not bool
-               for kind in kinds):
-        return None
-    try:
-        pairs = np.fromiter(chain.from_iterable(values), float,
-                            2 * len(values)).reshape(-1, 2)
-    except OverflowError:
-        return None
-    return pairs if np.isfinite(pairs).all() else None
+def _pairs(coeffs):
+    """Complex coefficients as [re, im] pairs of Python floats: the JSON
+    form of a kernel spec's values and of every coefficient list a report
+    records, which ``_pairs_field`` reads back bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return np.column_stack([coeffs.real, coeffs.imag]).tolist()
 
 
 def _pairs_field(data, key, limit, what="config"):
     """data[key], a non-empty list of at most ``limit`` [re, im] pairs of
-    finite numbers, as the (n, 2) float64 array of those pairs; ``what``
-    names the document as for ``_field``."""
-    pairs = _finite_pairs(_field(data, key, list, what=what), limit)
-    if pairs is None:
+    finite numbers, each as ``_finite_number`` takes it, as the complex
+    numbers they write, bit for bit: each pair is viewed as one complex,
+    which keeps the sign of a zero that re + 1j * im turns to +0.0.
+    ``what`` names the document as for ``_field``.
+
+    Passes in C over the pairs and the types of the numbers, and one
+    conversion to a float array (which raises OverflowError for an
+    integer past the float range), check them instead of a call per
+    number. The length is checked before any pair is."""
+    values = _field(data, key, list, what=what)
+    pairs = None
+    if 0 < len(values) <= limit and all(
+            map(isinstance, values, repeat((list, tuple)))) and set(
+            map(len, values)) == {2} and all(
+            issubclass(kind, (int, float)) and kind is not bool
+            for kind in set(map(type, chain.from_iterable(values)))):
+        with suppress(OverflowError):
+            pairs = np.fromiter(chain.from_iterable(values), float,
+                                2 * len(values))
+    if pairs is None or not np.isfinite(pairs).all():
         raise ConfigError(
             f"{what} field {key!r} is invalid: need a non-empty list of at "
             f"most {limit} [re, im] pairs of finite numbers")
-    return pairs
-
-
-def _complex_pairs(pairs):
-    """[re, im] pairs, a list or ``_pairs_field``'s array, as complex
-    numbers, bit for bit: a row viewed as one complex keeps the sign of a
-    zero, which re + 1j * im turns to +0.0."""
-    return np.asarray(pairs, dtype=float).view(complex)[:, 0]
+    return pairs.view(complex)
 
 
 def coeffs_spec(values):
     """Spec from complex coefficients."""
-    values = [[v.real, v.imag] for v in map(complex, values)]
-    return from_dict({"type": "coeffs", "values": values})
+    return from_dict({"type": "coeffs", "values": _pairs(values)})
 
 
 def power_decay_spec(alpha, count):
@@ -225,7 +222,8 @@ def realize(spec):
     finite, as (t+1)^(-alpha) is past the float range for alpha << 0.
     """
     if spec["type"] == "coeffs":
-        k = AnalyticPoly(_complex_pairs(spec["values"]))
+        k = AnalyticPoly(_pairs_field(spec, "values", MAX_DEGREE + 1,
+                                      "kernel spec"))
     else:
         with np.errstate(over="ignore"):
             k = power_decay_kernel(spec["alpha"], spec["count"])
@@ -263,8 +261,8 @@ def from_dict(data, what="config"):
     t = _field(data, "type", str, what=what)
     if t == "coeffs":
         # a kernel of degree at most MAX_DEGREE, as power_decay's count
-        values = _pairs_field(data, "values", MAX_DEGREE + 1, what)
-        return {"type": t, "values": values.tolist()}
+        return {"type": t, "values": _pairs(
+            _pairs_field(data, "values", MAX_DEGREE + 1, what))}
     if t == "power_decay":
         return {"type": t,
                 "alpha": _field(data, "alpha", float, lambda v: _require(

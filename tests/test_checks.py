@@ -38,7 +38,7 @@ from bergex.poly import (
 )
 from bergex import checks, solver, spaces
 from bergex.families import power_decay_kernel, standard_family
-from bergex.kernelspec import MAX_DEGREE, _growth_exponent
+from bergex.kernelspec import MAX_DEGREE
 from bergex.solver import ExtremalProblem, ExtremalSolution, solve_extremal
 from bergex.spaces import (
     bergman_norm_even,
@@ -521,13 +521,10 @@ class TestGrowthStudy:
         # at p = 4, so that band is the standard family's, not the
         # theorem's. The constant kernel (m = 0) gives exactly 1.
         q = p / (p - 1.0)
-        q1_list = list(dict.fromkeys(q1 for q1 in (q, 2.0, 4.0)
-                                     if _growth_exponent(q1, p)))
         for m in (0, 1, 4, 16):
-            rows, trailers = growth_study([(f"z^{m}", monomial(m), m)], p,
-                                          q1_list)
+            rows, trailers = growth_study([(f"z^{m}", monomial(m), m)], p)
             exact = ((m * p / 2 + 1) / (m * q / 2 + 1)) ** (1 / q)
-            assert [row["q1"] for row in rows] == q1_list
+            assert [row["q1"] for row in rows] == [q, 2.0, 4.0]
             for row in rows:
                 assert row["ratio"] == pytest.approx(exact, rel=1e-12, abs=0)
                 if m == 0:
@@ -571,6 +568,44 @@ class TestGrowthStudy:
         # zero norm
         with pytest.raises(ValueError, match=r"outside \[.*, 1024/\(p-1\)\]"):
             growth_study([("k", as_poly([1.0, 0.3]), 8)], 300, [4.0])
+
+
+class TestExtremalFirst:
+    """Every polynomial F of degree N with ||F||_{A^p} = 1 is the extremal
+    of its own kernel k = kernel_from_extremal(F, p, (p/2) N), with
+    ||phi|| = 1. F = S_N (1 - z)^{-gamma}, whose mass sits at z = 1, gives
+    growth ratios known without a solve, above the monomials' limit."""
+
+    @pytest.mark.parametrize("p, gamma, N, pinned", [
+        (4, 0.8, 64, 2.5815337), (4, 0.45, 64, None), (6, 1 / 3, 64, None),
+        (6, 0.633, 128, 4.6867503)])
+    def test_growth_ratios_of_a_chosen_extremal(self, p, gamma, N, pinned):
+        c = np.ones(N + 1)
+        for t in range(N):
+            c[t + 1] = c[t] * (t + gamma) / (t + 1)
+        F = as_poly(c / bergman_norm_even(as_poly(c), p))
+        k = solver.kernel_from_extremal(F, p, p // 2 * N)
+        sol = solve_extremal(ExtremalProblem(p, k, N))
+        assert np.max(np.abs(sol.F.padded(N + 1) - F.padded(N + 1))) <= 1e-11
+        assert abs(sol.phi_norm - 1.0) <= 1e-14
+        assert checks.certified(sol.residual_max, check_table(
+            sol.F, k, p, sol.phi_norm, N))
+        # growth_study's ratios, over the default q1s, are the exact F's
+        rows, _ = growth_study([(f"gamma={gamma}", k, N)], p)
+        q = p / (p - 1.0)
+        q1_list = [row["q1"] for row in rows]
+        assert q1_list == [q, 2.0, 4.0]
+        k_bergman = spaces.bergman_norm_general(k, q)
+        F_norms = spaces.hardy_norms(F, [(p - 1) * q1 for q1 in q1_list])
+        for row, F_hardy, k_hardy in zip(rows, F_norms,
+                                         spaces.hardy_norms(k, q1_list)):
+            exact = F_hardy ** (p - 1) * k_bergman / k_hardy
+            assert row["ratio"] == pytest.approx(exact, rel=1e-12, abs=0)
+        if pinned is not None:
+            # past the monomial limit (p-1)^{1/q}: 2.2795 at p = 4 and
+            # 3.8236 at p = 6
+            assert rows[2]["ratio"] == pytest.approx(pinned, rel=1e-6, abs=0)
+            assert rows[2]["ratio"] > (p - 1) ** (1 / q)
 
 
 class TestConvergenceStudy:

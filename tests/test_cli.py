@@ -339,8 +339,8 @@ class TestSolveCommand:
             c_hat_dtypes.clear()
             assert cli.main(["solve", "--config", config, "--out", out]) == 0
             assert set(c_hat_dtypes) == {stored.dtype}
-            solved[name] = cli._read_coefficients(
-                load_report(out)["body"]["solution"], 64)
+            solved[name] = kernelspec._pairs_field(
+                load_report(out)["body"]["solution"], "coefficients", 65)
         gap = np.abs(solved["signed"] - solved["real"])
         assert len(gap) == 65 and np.max(gap) <= 1e-14
 
@@ -380,17 +380,17 @@ class TestReportEncoding:
         out = tmp_path / "solution.json"
         cli._emit_json(cli._header(), body, str(out))
         recorded = load_report(out)["body"]["solution"]
-        reloaded = cli._read_coefficients(recorded, solution.degree)
-        assert reloaded.dtype == complex
+        reloaded = kernelspec._pairs_field(recorded, "coefficients",
+                                           solution.degree + 1)
+        assert reloaded.dtype == complex and reloaded.shape == (5,)
         assert reloaded.tobytes() == solution.F.coeffs.tobytes()
         assert math.copysign(1.0, reloaded[0].real) == -1.0
-        # the validated pairs are one float64 array, -0.0 bits kept
-        pairs = kernelspec._pairs_field(recorded, "coefficients", 5)
-        assert pairs.dtype == np.float64 and pairs.shape == (5, 2)
-        assert pairs.tobytes() == solution.F.coeffs.view(float).tobytes()
+        # each pair is viewed as one complex, its float64 bits, -0.0 kept
+        assert (reloaded.view(float).tobytes()
+                == solution.F.coeffs.view(float).tobytes())
         # one pair too many for degree 3, with the reader's own message
         with pytest.raises(kernelspec.ConfigError) as exc_info:
-            cli._read_coefficients(recorded, 3)
+            kernelspec._pairs_field(recorded, "coefficients", 4)
         assert str(exc_info.value) == (
             "config field 'coefficients' is invalid: need a non-empty list "
             "of at most 4 [re, im] pairs of finite numbers")
@@ -540,7 +540,8 @@ class TestVerifyCommand:
         # JSON, give exactly those keys, in order
         body = load_report(solved_artifact[1])["body"]
         p, degree, _, kernel = cli._problem(body["problem"])
-        F = AnalyticPoly(cli._read_coefficients(body["solution"], degree))
+        F = AnalyticPoly(kernelspec._pairs_field(body["solution"],
+                                                 "coefficients", degree + 1))
         keys = [checks._record_key(r.check_name, r.context)
                 for r in checks.check_table(F, kernel, p,
                                             body["solution"]["phi_norm"],
@@ -1594,6 +1595,25 @@ class TestGrowthStudy:
         assert [row["q1"] for row in body["rows"]] == [300 / 299, 2.0]
         assert all(row["F_hardy"] > 0 for row in body["rows"])
         assert math.isfinite(body["empirical_C"])
+
+    @pytest.mark.parametrize("p, q1_list", [
+        (2, [2.0, 4.0]), (4, [4 / 3, 2.0, 4.0]), (300, [300 / 299, 2.0]),
+        (1024, [1024 / 1023])])
+    def test_default_q1_list_is_the_librarys(self, tmp_path, p, q1_list):
+        # a config without q1_list writes checks.growth_study's report on
+        # its default: q, 2 and 4, less repeats and those past
+        # MAX_EXPONENT/(p-1)
+        config = write_json(tmp_path / "g.json", {
+            "schema_version": 1, "p": p, "degree": 8,
+            "family": [CONSTANT_ONE]})
+        out = tmp_path / "g_out.json"
+        assert cli.main(["study", "growth", "--config", config,
+                         "--format", "json", "--out", str(out)]) == 0
+        spec = kernelspec.from_dict(CONSTANT_ONE)
+        rows, trailers = checks.growth_study(
+            [(kernelspec.describe(spec), kernelspec.realize(spec), 8)], p)
+        assert load_report(out)["body"] == {"rows": rows, **trailers}
+        assert [row["q1"] for row in rows] == q1_list
 
     def test_nan_ratio_gives_nan_constant(self, tmp_path, monkeypatch):
         # the empirical constant, which checks.growth_study computes, is the

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bergex import cli, kernelspec
+from bergex import kernelspec
 from bergex.kernelspec import (
     MAX_DEGREE,
     ConfigError,
@@ -167,9 +167,10 @@ class TestSerialization:
         assert np.array(spec["values"]).tobytes() == expected.tobytes()
         assert all(type(x) is float for pair in spec["values"] for x in pair)
         pairs = kernelspec._pairs_field({"values": values}, "values", 353)
-        assert pairs.dtype == np.float64 and pairs.shape == (353, 2)
+        assert pairs.dtype == complex and pairs.shape == (353,)
         assert pairs.tobytes() == expected.tobytes()
-        read = cli._read_coefficients({"coefficients": values}, 352)
+        read = kernelspec._pairs_field({"coefficients": values},
+                                       "coefficients", 353)
         assert read.tobytes() == expected.tobytes()
         values[300] = [values[300][0], bad]
         message = ("config field {!r} is invalid: need a non-empty list of "
@@ -178,7 +179,8 @@ class TestSerialization:
             from_dict({"type": "coeffs", "values": values})
         assert str(exc_info.value) == message.format("values", MAX_DEGREE + 1)
         with pytest.raises(ConfigError) as exc_info:
-            cli._read_coefficients({"coefficients": values}, 352)
+            kernelspec._pairs_field({"coefficients": values},
+                                    "coefficients", 353)
         assert str(exc_info.value) == message.format("coefficients", 353)
 
     @pytest.mark.parametrize("bad", [
